@@ -376,13 +376,11 @@ func BenchmarkUpdateFastTWSignature(b *testing.B) {
 
 // BenchmarkEngineIngest streams single-value inserts through a full
 // engine relation (signature + sketch + sharding), the per-tuple cost an
-// amsd deployment pays — for both ingest modes, at 1, 4, and GOMAXPROCS
-// concurrent writers, on uniform and zipf(1.2) keys. The absorber mode's
-// acceptance bar is ≥4x single-writer throughput over locked and
-// near-linear multi-writer scaling; the skewed keys check that hot
-// values cannot re-serialize the pipeline the way they serialize
-// value-hashed shard locks. Timing includes the final Drain, so staged
-// ops cannot flatter absorber numbers.
+// amsd deployment pays — at 1, 4, and GOMAXPROCS concurrent writers, on
+// uniform and zipf(1.2) keys, in memory and with the oplog. The skewed
+// keys check that hot values cannot re-serialize the absorber pipeline.
+// Timing includes the final Drain, so staged ops cannot flatter the
+// numbers.
 func BenchmarkEngineIngest(b *testing.B) {
 	nCPU := runtime.GOMAXPROCS(0)
 	writerCounts := []int{1, 4}
@@ -408,60 +406,53 @@ func BenchmarkEngineIngest(b *testing.B) {
 		}
 		return vals
 	}
-	for _, mode := range []struct {
-		name string
-		mode amstrack.IngestMode
-	}{{"locked", amstrack.IngestLocked}, {"absorber", amstrack.IngestAbsorber}} {
-		for _, wal := range []string{"mem", "wal"} {
-			for _, writers := range writerCounts {
-				for _, dist := range []string{"uniform", "zipf"} {
-					b.Run(fmt.Sprintf("mode=%s/log=%s/writers=%d/%s", mode.name, wal, writers, dist), func(b *testing.B) {
-						opts := amstrack.EngineOptions{
-							SignatureWords: 1024, Seed: 1, IngestMode: mode.mode,
+	for _, wal := range []string{"mem", "wal"} {
+		for _, writers := range writerCounts {
+			for _, dist := range []string{"uniform", "zipf"} {
+				b.Run(fmt.Sprintf("log=%s/writers=%d/%s", wal, writers, dist), func(b *testing.B) {
+					opts := amstrack.EngineOptions{SignatureWords: 1024, Seed: 1}
+					var (
+						eng *amstrack.Engine
+						err error
+					)
+					if wal == "wal" {
+						opts.Dir = b.TempDir()
+						eng, err = amstrack.OpenEngine(opts)
+					} else {
+						eng, err = amstrack.NewEngine(opts)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer eng.Close()
+					rel, err := eng.Define("r")
+					if err != nil {
+						b.Fatal(err)
+					}
+					streams := make([][]uint64, writers)
+					for w := range streams {
+						streams[w] = valuesFor(dist, w)
+					}
+					b.ResetTimer()
+					var wg sync.WaitGroup
+					for w := 0; w < writers; w++ {
+						n := b.N / writers
+						if w == 0 {
+							n += b.N % writers
 						}
-						var (
-							eng *amstrack.Engine
-							err error
-						)
-						if wal == "wal" {
-							opts.Dir = b.TempDir()
-							eng, err = amstrack.OpenEngine(opts)
-						} else {
-							eng, err = amstrack.NewEngine(opts)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-						defer eng.Close()
-						rel, err := eng.Define("r")
-						if err != nil {
-							b.Fatal(err)
-						}
-						streams := make([][]uint64, writers)
-						for w := range streams {
-							streams[w] = valuesFor(dist, w)
-						}
-						b.ResetTimer()
-						var wg sync.WaitGroup
-						for w := 0; w < writers; w++ {
-							n := b.N / writers
-							if w == 0 {
-								n += b.N % writers
+						wg.Add(1)
+						go func(vals []uint64, n int) {
+							defer wg.Done()
+							for i := 0; i < n; i++ {
+								rel.Insert(vals[i&(1<<14-1)])
 							}
-							wg.Add(1)
-							go func(vals []uint64, n int) {
-								defer wg.Done()
-								for i := 0; i < n; i++ {
-									rel.Insert(vals[i&(1<<14-1)])
-								}
-							}(streams[w], n)
-						}
-						wg.Wait()
-						if err := rel.Drain(); err != nil {
-							b.Fatal(err)
-						}
-					})
-				}
+						}(streams[w], n)
+					}
+					wg.Wait()
+					if err := rel.Drain(); err != nil {
+						b.Fatal(err)
+					}
+				})
 			}
 		}
 	}

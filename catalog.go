@@ -26,16 +26,16 @@ const (
 	SchemeFlat = engine.SchemeFlat
 )
 
-// IngestMode selects an Engine's write path: the synchronous locked
-// path, or the lock-free staging/absorber pipeline (see engine.IngestMode).
+// IngestMode names an Engine's write path (see engine.IngestMode). There
+// is one: the lock-free staging/absorber pipeline, with group-committed
+// oplog appends; queries drain staged ops first, so reads see the
+// caller's own writes. The field is kept for source compatibility.
 type IngestMode = engine.IngestMode
 
-// The available ingest modes. IngestLocked is the default; IngestAbsorber
-// trades per-op durability handoff for a lock-free caller path, absorber
-// goroutines, and group-committed oplog appends — queries drain staged
-// ops first, so reads still see the caller's own writes.
+// The accepted ingest modes: IngestDefault (the zero value) and
+// IngestAbsorber both select the absorber pipeline.
 const (
-	IngestLocked   = engine.IngestLocked
+	IngestDefault  = engine.IngestDefault
 	IngestAbsorber = engine.IngestAbsorber
 )
 

@@ -7,9 +7,10 @@
 //
 //	amsd -addr :7600 -dir /var/lib/amsd -k 1024
 //
-// With -dir the engine is durable: every update is oplog-appended before
-// it is applied, and a restart recovers by checkpoint load plus log
-// replay — including truncating a torn final record after a crash.
+// With -dir the engine is durable: every applied update is
+// group-committed to a per-relation oplog, and a restart recovers by
+// checkpoint load plus log replay — including truncating a torn final
+// record after a crash.
 // Checkpoints come from three places: POST /v1/checkpoint on demand, the
 // engine's background checkpointer (-checkpoint-every fires on a
 // jittered timer, -checkpoint-segments fires when any relation's live
@@ -22,19 +23,16 @@
 // fails the process exits non-zero — the operator must know the last
 // moments of the stream were not made durable.
 //
-// The default write path is the engine's lock-free absorber: ingest
-// requests stage ops into per-goroutine buffers, per-shard absorber
-// goroutines apply them, and the oplog is group-committed (-flush-ops /
+// The write path is the engine's lock-free absorber: ingest requests
+// stage ops into per-goroutine buffers, per-shard absorber goroutines
+// apply them, and the oplog is group-committed (-flush-ops /
 // -flush-interval). Queries drain staged ops first, so responses always
-// reflect the request's own writes. -ingest-mode locked switches back
-// to the synchronous path (every op applied and logged before the
-// request returns — the absorber's correctness oracle). -segment-ops N
-// additionally rolls each relation's oplog onto numbered segment files
-// every N records, bounding single-file recovery reads between
-// checkpoints. In absorber mode checkpoints are pause-free: the cut
-// rides an epoch fence through the absorber goroutines instead of
-// quiescing ingest. DESIGN.md §7 and §9 document both paths and their
-// measured cost.
+// reflect the request's own writes. -segment-ops N additionally rolls
+// each relation's oplog onto numbered segment files every N records,
+// bounding single-file recovery reads between checkpoints. Checkpoints
+// are pause-free: the cut rides an epoch fence through the absorber
+// goroutines instead of quiescing ingest. DESIGN.md §7 and §9 document
+// the write path, the checkpoint, and their measured cost.
 //
 // -wire-addr additionally serves amswire, the length-prefixed binary
 // streaming-ingest protocol (internal/wire), beside the HTTP listener.
@@ -88,9 +86,8 @@ func main() {
 		ckptEvery = flag.Duration("checkpoint-every", 0, "background checkpoint interval, jittered (0: no timer; needs -dir)")
 		ckptSegs  = flag.Int("checkpoint-segments", 0, "checkpoint when a relation's live oplog segments reach N (0: no segment trigger; needs -dir)")
 		maxBodyMB = flag.Int64("max-body-mb", 0, "request-body cap in MiB for ingest and bundle uploads (0: default 64)")
-		ingest    = flag.String("ingest-mode", "", "write path: locked (synchronous) or absorber (lock-free staging + group-commit oplog); empty: engine default (absorber)")
-		flushOps  = flag.Int("flush-ops", 0, "absorber group-commit: flush the oplog after N records (0: default 512)")
-		flushIvl  = flag.Duration("flush-interval", 0, "absorber group-commit: flush the oplog after the oldest pending record waited this long (0: default 200µs)")
+		flushOps  = flag.Int("flush-ops", 0, "group commit: flush the oplog after N records (0: default 512)")
+		flushIvl  = flag.Duration("flush-interval", 0, "group commit: flush the oplog after the oldest pending record waited this long (0: default 200µs)")
 		segOps    = flag.Int64("segment-ops", 0, "roll each relation's oplog onto a numbered segment every N records (0: off)")
 	)
 	flag.Parse()
@@ -110,16 +107,6 @@ func main() {
 		SegmentOps:         *segOps,
 		CheckpointInterval: *ckptEvery,
 		CheckpointSegments: *ckptSegs,
-	}
-	switch *ingest {
-	case "":
-	case "locked":
-		opts.IngestMode = engine.IngestLocked
-	case "absorber":
-		opts.IngestMode = engine.IngestAbsorber
-	default:
-		fmt.Fprintf(os.Stderr, "amsd: unknown -ingest-mode %q (want locked or absorber)\n", *ingest)
-		os.Exit(1)
 	}
 	if *flat {
 		opts.Scheme = engine.SchemeFlat
@@ -212,11 +199,11 @@ func run(ctx context.Context, opts engine.Options, addr, wireAddr string, maxBod
 	errc := make(chan error, 1)
 	go func() {
 		if wireLn != nil {
-			log.Printf("amsd: serving on %s + wire %s (durable: %v, k=%d, ingest: %s)",
-				ln.Addr(), wireLn.Addr(), opts.Dir != "", opts.SignatureWords, eng.Options().IngestMode)
+			log.Printf("amsd: serving on %s + wire %s (durable: %v, k=%d)",
+				ln.Addr(), wireLn.Addr(), opts.Dir != "", opts.SignatureWords)
 		} else {
-			log.Printf("amsd: serving on %s (durable: %v, k=%d, ingest: %s)",
-				ln.Addr(), opts.Dir != "", opts.SignatureWords, eng.Options().IngestMode)
+			log.Printf("amsd: serving on %s (durable: %v, k=%d)",
+				ln.Addr(), opts.Dir != "", opts.SignatureWords)
 		}
 		errc <- srv.Serve(ln)
 	}()

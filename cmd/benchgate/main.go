@@ -7,9 +7,11 @@
 //
 //   - fastjoin (BENCH_fastjoin.json): the fast join signature's streamed
 //     update cost, normalized as fast_ns_per_update ÷ flat_ns_per_update;
-//   - engineingest (BENCH_engine.json): the engine's absorber ingest
-//     path, normalized as absorber_ns_per_op ÷ locked_ns_per_op
-//     (single-writer durable ingest);
+//   - engineingest (BENCH_engine.json): the engine's durable
+//     single-writer ingest path, normalized as absorber_ns_per_op ÷
+//     core_ns_per_op — the core rung is a bare join signature plus
+//     Fast-AMS sketch of the engine's shapes fed the same stream on one
+//     goroutine, so the ratio prices what the engine adds;
 //   - ckpttail (BENCH_ckpt.json): p99 ingest latency with the background
 //     checkpointer ON, normalized as on_p99_ns ÷ off_p99_ns — the
 //     pause-free-checkpoint guarantee (acceptance: within 2x);
@@ -73,8 +75,9 @@ type benchFile struct {
 	// fastjoin: streamed signature update cost.
 	FlatNsPerUpdate float64 `json:"flat_ns_per_update"`
 	FastNsPerUpdate float64 `json:"fast_ns_per_update"`
-	// engineingest: single-writer durable engine ingest cost.
-	LockedNsPerOp   float64 `json:"locked_ns_per_op"`
+	// engineingest: bare-synopsis core rung vs single-writer durable
+	// engine ingest.
+	CoreNsPerOp     float64 `json:"core_ns_per_op"`
 	AbsorberNsPerOp float64 `json:"absorber_ns_per_op"`
 	// ckpttail: p99 ingest latency with the checkpointer off vs on.
 	OffP99Ns float64 `json:"off_p99_ns"`
@@ -100,7 +103,7 @@ type benchFile struct {
 func (b *benchFile) pair() (fast, ref float64) {
 	switch b.Experiment {
 	case "engineingest":
-		return b.AbsorberNsPerOp, b.LockedNsPerOp
+		return b.AbsorberNsPerOp, b.CoreNsPerOp
 	case "ckpttail":
 		return b.OnP99Ns, b.OffP99Ns
 	case "wireingest":

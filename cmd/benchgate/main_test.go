@@ -49,19 +49,20 @@ func TestGateNormalized(t *testing.T) {
 	}
 }
 
-func writeEngineBench(t *testing.T, dir, name string, absorber, locked float64, k int) string {
+func writeEngineBench(t *testing.T, dir, name string, absorber, core float64, k int) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	body := fmt.Sprintf(`{"experiment":"engineingest","k":%d,"locked_ns_per_op":%g,"absorber_ns_per_op":%g}`,
-		k, locked, absorber)
+	body := fmt.Sprintf(`{"experiment":"engineingest","k":%d,"core_ns_per_op":%g,"absorber_ns_per_op":%g}`,
+		k, core, absorber)
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestGateEngineIngest: the engineingest gate reads the absorber/locked
-// pair, normalizes the same way, and refuses a fastjoin baseline.
+// TestGateEngineIngest: the engineingest gate reads the absorber/core
+// pair, normalizes the same way, and refuses a fastjoin baseline and a
+// file without a core rung.
 func TestGateEngineIngest(t *testing.T) {
 	dir := t.TempDir()
 	base := writeEngineBench(t, dir, "base.json", 250, 1000, 1024) // ratio 0.25
@@ -76,7 +77,7 @@ func TestGateEngineIngest(t *testing.T) {
 		t.Fatalf("output: %s", out.String())
 	}
 
-	// Absorber path regressed 60% relative to locked → fail at 35%.
+	// Absorber path regressed 60% relative to the core rung → fail at 35%.
 	bad := writeEngineBench(t, dir, "bad.json", 400, 1000, 1024)
 	if err := run(bad, base, 0.35, "normalized", false, &out); err == nil {
 		t.Fatal("60% engine-ingest regression passed the 35% gate")
@@ -86,6 +87,15 @@ func TestGateEngineIngest(t *testing.T) {
 	fj := writeBench(t, dir, "fastjoin.json", 10, 1000, 1024)
 	if err := run(fj, base, 0.35, "normalized", false, &out); err == nil {
 		t.Fatal("fastjoin measurement gated against engineingest baseline")
+	}
+
+	// A measurement without the core rung has no reference to gate on.
+	noCore := filepath.Join(dir, "nocore.json")
+	if err := os.WriteFile(noCore, []byte(`{"experiment":"engineingest","k":1024,"absorber_ns_per_op":250}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(noCore, base, 0.35, "normalized", false, &out); err == nil {
+		t.Fatal("engineingest measurement without core_ns_per_op passed the gate")
 	}
 }
 

@@ -84,23 +84,22 @@
 // at equal batch sizes). DESIGN.md §5 documents the architecture,
 // §10 the wire protocol.
 //
-// The write path is selectable via EngineOptions.IngestMode. The
-// default is the lock-free absorber path: callers stage ops into
-// CAS-claimed buffers (EngineOptions.StageOps), per-shard absorber
-// goroutines apply them under single-writer discipline, and a
-// group-commit writer batches oplog appends (EngineOptions.FlushOps
-// records or EngineOptions.FlushInterval, whichever first).
-// IngestLocked — the synchronous oracle — applies and logs every op
-// before the call returns. Queries drain staged
-// ops before answering, so reads always see the caller's own writes, and
-// checkpoints quiesce the pipeline, so recovery stays bit-identical —
-// the trade is durability granularity: ops become OS-owned at the flush
-// policy, Relation.Drain, Sync, or Checkpoint rather than per call.
+// The engine has one write path, the lock-free absorber pipeline:
+// callers stage ops into CAS-claimed buffers (EngineOptions.StageOps),
+// per-shard absorber goroutines apply them under single-writer
+// discipline, and a group-commit writer batches oplog appends
+// (EngineOptions.FlushOps records or EngineOptions.FlushInterval,
+// whichever first). Queries drain staged ops before answering, so reads
+// always see the caller's own writes, and checkpoints cut an epoch fence
+// through the absorbers without pausing ingest, so recovery stays
+// bit-identical. Ops become OS-owned at the flush policy,
+// Relation.Drain, Sync, or Checkpoint rather than per call.
 // EngineOptions.SegmentOps additionally caps each oplog file at N
 // records, rolling onto numbered segments so no single log file grows
-// without bound between checkpoints. Both modes produce bit-identical
-// synopses for the same ops; DESIGN.md §7 has the architecture and
-// measured numbers.
+// without bound between checkpoints. The engine's synopses are
+// bit-identical to plain sequential synopses fed the same ops, which the
+// engine's tests check against an independent reference model; DESIGN.md
+// §7 has the architecture and measured numbers.
 //
 // # Skew-robust skimming
 //

@@ -33,7 +33,7 @@ import (
 )
 
 func main() {
-	eng, err := engine.New(engine.Options{SignatureWords: 1024, Seed: 7, IngestMode: engine.IngestAbsorber})
+	eng, err := engine.New(engine.Options{SignatureWords: 1024, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

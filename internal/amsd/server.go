@@ -67,11 +67,10 @@ import (
 const DefaultMaxBody = 64 << 20
 
 // Server answers HTTP requests from one engine. The engine is safe for
-// concurrent use, so the server adds no locking of its own. Under
-// IngestAbsorber engines the ingest handler's response (tuple count) and
-// every estimate endpoint drain the relation's staged ops first, so a
-// client always reads its own completed writes regardless of the
-// engine's write path; absorber-side oplog errors surface as 500s on the
+// concurrent use, so the server adds no locking of its own. The ingest
+// handler's response (tuple count) and every estimate endpoint drain the
+// relation's staged ops first, so a client always reads its own
+// completed writes; group-commit oplog errors surface as 500s on the
 // first request after the failed flush.
 type Server struct {
 	eng *engine.Engine
@@ -163,8 +162,8 @@ type HealthzBody struct {
 	Status    string `json:"status"`
 	Relations int    `json:"relations"`
 	Durable   bool   `json:"durable"`
-	// IngestMode is the engine's write path ("locked" or "absorber") —
-	// operators watching a fleet can verify the lock-free path is live.
+	// IngestMode is the engine's write path — always "absorber" now;
+	// kept so fleet dashboards reading the field keep working.
 	IngestMode string `json:"ingest_mode"`
 	// Checkpoints counts checkpoint attempts since startup.
 	Checkpoints int64 `json:"checkpoints"`
@@ -450,10 +449,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	// DrainLen is the one-sweep barrier: in absorber mode it flushes this
-	// request's ops through the pipeline (so the returned Len reads them
-	// and an oplog failure they triggered is visible NOW); in locked mode
-	// it reduces to Len plus the sticky-error read.
+	// DrainLen is the one-sweep barrier: it flushes this request's ops
+	// through the pipeline, so the returned Len reads them and an oplog
+	// failure they triggered is visible NOW.
 	n, err := rel.DrainLen()
 	if err != nil {
 		// Ops applied in memory but not durably logged: surface loudly.

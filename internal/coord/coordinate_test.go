@@ -150,9 +150,9 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 }
 
 // chainNodeOpts is the shared shape for the chain coordinator tests.
-func chainNodeOpts(mode engine.IngestMode) engine.Options {
+func chainNodeOpts() engine.Options {
 	return engine.Options{SignatureWords: 128, ChainWords: 512, Seed: 19,
-		SketchS1: 64, SketchS2: 2, IngestMode: mode}
+		SketchS1: 64, SketchS2: 2}
 }
 
 // defineChainRels declares F(a) ⋈a G(a,b) ⋈b H(b) on an engine.
@@ -254,75 +254,72 @@ func (d *chainData) ingestPart(t *testing.T, e *engine.Engine, i, parts int) {
 // (zipf-skewed ends, a mixed middle, plus a deletion wave); the
 // coordinator merges the shipped chain sections and its estimate — and
 // every bound attached to it — is BIT-IDENTICAL to a single node having
-// ingested everything. Run under BOTH ingest modes: linearity makes the
-// merge exact regardless of the write path.
+// ingested everything.
 func TestChainCoordinatorBitIdentical(t *testing.T) {
 	data := makeChainData(t)
-	for _, mode := range []engine.IngestMode{engine.IngestLocked, engine.IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			// Single-node reference over the full data.
-			full, err := engine.New(chainNodeOpts(mode))
+	t.Run("absorber", func(t *testing.T) {
+		// Single-node reference over the full data.
+		full, err := engine.New(chainNodeOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defineChainRels(t, full)
+		data.ingestPart(t, full, 0, 1)
+
+		// Three nodes, each holding every third tuple, over HTTP.
+		urls := make([]string, 3)
+		for i := range urls {
+			eng, err := engine.New(chainNodeOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defineChainRels(t, full)
-			data.ingestPart(t, full, 0, 1)
+			defineChainRels(t, eng)
+			data.ingestPart(t, eng, i, 3)
+			ts := httptest.NewServer(amsd.NewServer(eng))
+			t.Cleanup(ts.Close)
+			urls[i] = ts.URL
+		}
 
-			// Three nodes, each holding every third tuple, over HTTP.
-			urls := make([]string, 3)
-			for i := range urls {
-				eng, err := engine.New(chainNodeOpts(mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defineChainRels(t, eng)
-				data.ingestPart(t, eng, i, 3)
-				ts := httptest.NewServer(amsd.NewServer(eng))
-				t.Cleanup(ts.Close)
-				urls[i] = ts.URL
-			}
+		client := testFetcher()
+		res, err := CoordinateChain(client, urls, "forders", "a", "glineitem", "b", "hparts", true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.EstimateChainJoin("forders", "a", "glineitem", "b", "hparts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != want.Estimate {
+			t.Fatalf("coordinated chain estimate %v != single-node %v", res.Estimate, want.Estimate)
+		}
+		if res.Sigma != want.Sigma || res.Upper != want.Upper ||
+			res.SJF != want.SJF || res.SJG != want.SJG || res.SJH != want.SJH || res.K != want.K {
+			t.Fatalf("coordinated chain bounds %+v != single-node %+v", res, want)
+		}
+		if res.Nodes != 3 || res.RowsG != int64(data.n-data.del) {
+			t.Fatalf("nodes/rows = %+v", res)
+		}
 
-			client := testFetcher()
-			res, err := CoordinateChain(client, urls, "forders", "a", "glineitem", "b", "hparts", true, nil)
+		// The merged wire bundles themselves — chain sections included —
+		// are bit-identical to the single node's exports.
+		for _, rel := range []string{"forders", "glineitem", "hparts"} {
+			merged, _, err := MergeAcross(client, urls, rel, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := full.EstimateChainJoin("forders", "a", "glineitem", "b", "hparts")
+			mergedBlob, err := merged.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Estimate != want.Estimate {
-				t.Fatalf("coordinated chain estimate %v != single-node %v", res.Estimate, want.Estimate)
+			fullBlob, err := full.ExportRelation(rel)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if res.Sigma != want.Sigma || res.Upper != want.Upper ||
-				res.SJF != want.SJF || res.SJG != want.SJG || res.SJH != want.SJH || res.K != want.K {
-				t.Fatalf("coordinated chain bounds %+v != single-node %+v", res, want)
+			if !bytes.Equal(mergedBlob, fullBlob) {
+				t.Fatalf("%s: merged bundle bytes differ from single-node export", rel)
 			}
-			if res.Nodes != 3 || res.RowsG != int64(data.n-data.del) {
-				t.Fatalf("nodes/rows = %+v", res)
-			}
-
-			// The merged wire bundles themselves — chain sections included —
-			// are bit-identical to the single node's exports.
-			for _, rel := range []string{"forders", "glineitem", "hparts"} {
-				merged, _, err := MergeAcross(client, urls, rel, true, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mergedBlob, err := merged.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				fullBlob, err := full.ExportRelation(rel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(mergedBlob, fullBlob) {
-					t.Fatalf("%s: merged bundle bytes differ from single-node export", rel)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestChainResultPrint pins the chain output shape.

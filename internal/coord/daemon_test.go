@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -137,70 +138,120 @@ func ingestSome(t *testing.T, e *engine.Engine, rel string, vals []uint64) {
 	}
 }
 
-// TestDaemonCachedBitIdentical is the serving-tier acceptance path, run
-// under BOTH ingest modes: the daemon's cached /v1/join answer equals a
-// fresh one-shot pull in every digit, and the cached merged bundle is
-// byte-identical to MergeAcross pulling live — the cache serves the
-// exact synopses, not an approximation of them.
+// TestDaemonCachedBitIdentical is the serving-tier acceptance path: the
+// daemon's cached /v1/join answer equals a fresh one-shot pull in every
+// digit, and the cached merged bundle is byte-identical to MergeAcross
+// pulling live — the cache serves the exact synopses, not an
+// approximation of them.
 func TestDaemonCachedBitIdentical(t *testing.T) {
-	for _, mode := range []engine.IngestMode{engine.IngestLocked, engine.IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := nodeOpts()
-			opts.IngestMode = mode
-			h := newDaemonHarness(t, opts, []string{"orders", "lineitems"}, 0)
-			for i, e := range h.engines {
-				base := uint64(i * 50000)
-				vals := make([]uint64, 4000)
-				for j := range vals {
-					vals[j] = base + uint64(j%512)
-				}
-				ingestSome(t, e, "orders", vals)
-				ingestSome(t, e, "lineitems", vals[:2000])
+	t.Run("absorber", func(t *testing.T) {
+		h := newDaemonHarness(t, nodeOpts(), []string{"orders", "lineitems"}, 0)
+		for i, e := range h.engines {
+			base := uint64(i * 50000)
+			vals := make([]uint64, 4000)
+			for j := range vals {
+				vals[j] = base + uint64(j%512)
 			}
-			if err := h.d.Sweep(); err != nil {
-				t.Fatal(err)
-			}
+			ingestSome(t, e, "orders", vals)
+			ingestSome(t, e, "lineitems", vals[:2000])
+		}
+		if err := h.d.Sweep(); err != nil {
+			t.Fatal(err)
+		}
 
-			var cached JoinBody
-			h.getJSON(t, "/v1/join?f=orders&g=lineitems", http.StatusOK, &cached)
+		var cached JoinBody
+		h.getJSON(t, "/v1/join?f=orders&g=lineitems", http.StatusOK, &cached)
 
-			fresh, err := Coordinate(testFetcher(), h.urls, "orders", "lineitems", true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cached.Estimate != fresh.Estimate || cached.Sigma != fresh.Sigma ||
-				cached.Fact11 != fresh.Fact11 || cached.SJF != fresh.SJF || cached.SJG != fresh.SJG {
-				t.Fatalf("cached answer %+v != fresh pull %+v", cached, fresh)
-			}
-			if cached.RowsF != 8000 || cached.RowsG != 4000 || cached.Nodes != 2 {
-				t.Fatalf("rows/nodes = %+v", cached)
-			}
-			if cached.StalenessMS != 0 || len(cached.Freshness) != 4 {
-				t.Fatalf("staleness/freshness = %d / %d entries", cached.StalenessMS, len(cached.Freshness))
-			}
+		fresh, err := Coordinate(testFetcher(), h.urls, "orders", "lineitems", true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.Estimate != fresh.Estimate || cached.Sigma != fresh.Sigma ||
+			cached.Fact11 != fresh.Fact11 || cached.SJF != fresh.SJF || cached.SJG != fresh.SJG {
+			t.Fatalf("cached answer %+v != fresh pull %+v", cached, fresh)
+		}
+		if cached.RowsF != 8000 || cached.RowsG != 4000 || cached.Nodes != 2 {
+			t.Fatalf("rows/nodes = %+v", cached)
+		}
+		if cached.StalenessMS != 0 || len(cached.Freshness) != 4 {
+			t.Fatalf("staleness/freshness = %d / %d entries", cached.StalenessMS, len(cached.Freshness))
+		}
 
-			// The cached merged bundle bytes vs a live MergeAcross pull.
-			mergedCached, _, _, err := h.d.lookup("orders")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cachedBlob, err := mergedCached.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mergedLive, _, err := MergeAcross(testFetcher(), h.urls, "orders", true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			liveBlob, err := mergedLive.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(cachedBlob, liveBlob) {
-				t.Fatal("cached merged bundle differs from a live pull")
-			}
-		})
+		// The cached merged bundle bytes vs a live MergeAcross pull.
+		mergedCached, _, _, err := h.d.lookup("orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cachedBlob, err := mergedCached.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mergedLive, _, err := MergeAcross(testFetcher(), h.urls, "orders", true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		liveBlob, err := mergedLive.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cachedBlob, liveBlob) {
+			t.Fatal("cached merged bundle differs from a live pull")
+		}
+	})
+}
+
+// TestDaemonConcurrentJoinsBitIdentical runs two clients issuing
+// /v1/join at once against one cached bundle pair. Estimating reads the
+// shared cached sketches, so every concurrent answer must equal the
+// serial one in every digit, and -race must see no write.
+func TestDaemonConcurrentJoinsBitIdentical(t *testing.T) {
+	h := newDaemonHarness(t, nodeOpts(), []string{"orders", "lineitems"}, 0)
+	for i, e := range h.engines {
+		vals := make([]uint64, 3000)
+		for j := range vals {
+			vals[j] = uint64(i*7 + j%300)
+		}
+		ingestSome(t, e, "orders", vals)
+		ingestSome(t, e, "lineitems", vals[:1500])
 	}
+	if err := h.d.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	var want JoinBody
+	h.getJSON(t, "/v1/join?f=orders&g=lineitems", http.StatusOK, &want)
+
+	join := func() (JoinBody, error) {
+		var got JoinBody
+		resp, err := http.Get(h.ts.URL + "/v1/join?f=orders&g=lineitems")
+		if err != nil {
+			return got, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return got, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return got, json.NewDecoder(resp.Body).Decode(&got)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got, err := join()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Estimate != want.Estimate || got.Sigma != want.Sigma || got.Fact11 != want.Fact11 ||
+					got.SJF != want.SJF || got.SJG != want.SJG {
+					t.Errorf("concurrent answer %+v != serial %+v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDaemonStatSkip pins the delta-aware refresh: sweeps against an
@@ -363,7 +414,7 @@ func TestDaemonChainAndPairs(t *testing.T) {
 	clock := newFakeClock()
 	urls := make([]string, 2)
 	for i := range urls {
-		eng, err := engine.New(chainNodeOpts(engine.IngestAbsorber))
+		eng, err := engine.New(chainNodeOpts())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,11 +32,10 @@ import (
 // frequency vector: deletions are exact, sketches with equal Config merge
 // by addition, and SetFrequencies is bit-identical to streaming.
 type FastTugOfWar struct {
-	cfg     Config
-	rows    []hash.Tab4 // one tabulation hash per row (group)
-	z       []int64     // counters, row-major: row j occupies [j*S1, (j+1)*S1)
-	n       int64       // current multiset size (diagnostics only)
-	scratch []float64   // reusable buffer for row sums
+	cfg  Config
+	rows []hash.Tab4 // one tabulation hash per row (group)
+	z    []int64     // counters, row-major: row j occupies [j*S1, (j+1)*S1)
+	n    int64       // current multiset size (diagnostics only)
 }
 
 // NewFastTugOfWar builds a bucketed tug-of-war tracker. As with NewTugOfWar,
@@ -49,10 +48,9 @@ func NewFastTugOfWar(cfg Config) (*FastTugOfWar, error) {
 		return nil, err
 	}
 	t := &FastTugOfWar{
-		cfg:     cfg,
-		rows:    make([]hash.Tab4, cfg.S2),
-		z:       make([]int64, cfg.S1*cfg.S2),
-		scratch: make([]float64, cfg.S2),
+		cfg:  cfg,
+		rows: make([]hash.Tab4, cfg.S2),
+		z:    make([]int64, cfg.S1*cfg.S2),
 	}
 	for j := range t.rows {
 		t.rows[j] = hash.NewTab4(fastRowSeed(cfg.Seed, j))
@@ -124,16 +122,18 @@ func (t *FastTugOfWar) applyBatch(vs []uint64, dir int64) {
 }
 
 // Estimate returns the median over rows of Σ_b Z². O(S1·S2) — queries pay
-// the full sketch scan, updates do not.
+// the full sketch scan, updates do not. It only reads the sketch, so
+// concurrent Estimate calls on one sketch are safe.
 func (t *FastTugOfWar) Estimate() float64 {
-	return fastEstimate(t.z, t.cfg.S1, t.cfg.S2, t.scratch)
+	return fastEstimate(t.z, t.cfg.S1, t.cfg.S2)
 }
 
 // fastEstimate computes the Fast-AMS estimator — the median over s2 rows
 // of the row bucket sums Σ_b z² — from a row-major counter array. Shared
 // with ShardedFastTugOfWar, whose query path merges raw counters without
-// materializing a full sketch.
-func fastEstimate(z []int64, s1, s2 int, scratch []float64) float64 {
+// materializing a full sketch. The row sums live in a per-call buffer.
+func fastEstimate(z []int64, s1, s2 int) float64 {
+	scratch := make([]float64, s2)
 	for j := 0; j < s2; j++ {
 		sum := 0.0
 		for _, v := range z[j*s1 : (j+1)*s1] {

@@ -143,7 +143,7 @@ func (st *ShardedFastTugOfWar) Estimate() float64 {
 		}
 		s.mu.Unlock()
 	}
-	return fastEstimate(z, st.cfg.S1, st.cfg.S2, make([]float64, st.cfg.S2))
+	return fastEstimate(z, st.cfg.S1, st.cfg.S2)
 }
 
 // Snapshot returns a plain FastTugOfWar equal to the merge of all shards.

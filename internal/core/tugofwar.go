@@ -110,11 +110,10 @@ func SampleCountConfigForError(eps, delta float64, domainSize int64, seed uint64
 // subtracts it — the sketch is a linear function of the frequency vector,
 // which is why deletions are exact here. Construct with NewTugOfWar.
 type TugOfWar struct {
-	cfg     Config
-	fns     []hash.FourWise // len s1*s2, row-major: group j occupies [j*s1, (j+1)*s1)
-	z       []int64         // counters, same layout
-	n       int64           // current multiset size (diagnostics only)
-	scratch []float64       // reusable buffer for group means
+	cfg Config
+	fns []hash.FourWise // len s1*s2, row-major: group j occupies [j*s1, (j+1)*s1)
+	z   []int64         // counters, same layout
+	n   int64           // current multiset size (diagnostics only)
 }
 
 // NewTugOfWar builds a tug-of-war tracker. The hash functions are derived
@@ -127,10 +126,9 @@ func NewTugOfWar(cfg Config) (*TugOfWar, error) {
 	}
 	s := cfg.S1 * cfg.S2
 	t := &TugOfWar{
-		cfg:     cfg,
-		fns:     make([]hash.FourWise, s),
-		z:       make([]int64, s),
-		scratch: make([]float64, cfg.S2),
+		cfg: cfg,
+		fns: make([]hash.FourWise, s),
+		z:   make([]int64, s),
 	}
 	for k := 0; k < s; k++ {
 		t.fns[k] = hash.NewFourWise(xrand.Mix64(cfg.Seed ^ uint64(k)*0x9e3779b97f4a7c15))
@@ -158,18 +156,21 @@ func (t *TugOfWar) Delete(v uint64) error {
 }
 
 // Estimate returns the median over s2 groups of the mean over s1 counters
-// of Z², per Theorem 2.2.
+// of Z², per Theorem 2.2. It only reads the sketch (the group means live
+// in a per-call buffer), so concurrent Estimate calls on one sketch are
+// safe.
 func (t *TugOfWar) Estimate() float64 {
 	s1 := t.cfg.S1
+	scratch := make([]float64, t.cfg.S2)
 	for j := 0; j < t.cfg.S2; j++ {
 		sum := 0.0
 		for i := 0; i < s1; i++ {
 			z := float64(t.z[j*s1+i])
 			sum += z * z
 		}
-		t.scratch[j] = sum / float64(s1)
+		scratch[j] = sum / float64(s1)
 	}
-	return Median(t.scratch)
+	return Median(scratch)
 }
 
 // MemoryWords returns s1·s2: one word per counter. (Hash function

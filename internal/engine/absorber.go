@@ -1,10 +1,8 @@
-// Absorber-mode ingest: the lock-free hot path behind
-// Options.IngestMode == IngestAbsorber.
+// The engine's write path: a lock-free buffer-and-absorb pipeline.
 //
 // The AGMS synopses are LINEAR in the frequency vector, so updates
-// commute — nothing about the math requires the locked path's
-// two-lock-per-op discipline (shared op-lock + shard mutex + synchronous
-// oplog append). This file exploits that freedom with a
+// commute — nothing about the math requires per-op locks or a
+// synchronous oplog append. This file exploits that freedom with a
 // buffer-and-absorb pipeline:
 //
 //	caller ──stage──▶ CAS-claimed staging slot (no mutexes)
@@ -36,8 +34,9 @@
 //	         writer, so no lock is ever needed.
 //	pause    claim and HOLD every staging slot, then drain: no new op
 //	         can enter until resume, so counters ≡ log exactly. The
-//	         checkpoint/recovery quiescence point, serialized by the
-//	         engine mutex.
+//	         quiescence point of bundle merges, serialized by the
+//	         engine mutex. (Checkpoints never pause: they cut an
+//	         epoch fence through the absorbers, see fence.)
 //
 // Validity note: per-value op order can transiently reorder across slot
 // migrations (a goroutine's earlier op staged in another slot), so a
@@ -124,7 +123,7 @@ const (
 	logChanDepth   = 256
 )
 
-// ingester is the absorber-mode machinery of one relation.
+// ingester is the write-path machinery of one relation.
 type ingester struct {
 	r        *Relation
 	slots    []stageSlot
@@ -191,8 +190,8 @@ func stackHint() uint32 {
 // An uncontended writer reclaims the same slot every call (one CAS).
 // After stop the slots are held forever, so a late ingest spins into the
 // stopped check and gets nil: the op is discarded — the relation was
-// dropped or its engine closed, exactly the races (amsd ingest vs
-// DELETE) that were benign no-ops on the locked path.
+// dropped or its engine closed (an amsd ingest racing a DELETE), so a
+// late op is a benign no-op.
 func (g *ingester) claim() *stageSlot {
 	h := stackHint()
 	for spin := 0; ; spin++ {
@@ -229,8 +228,7 @@ func (g *ingester) claimSlot(s *stageSlot) bool {
 // rest (already owned by the ingester — callers copy) points at the
 // non-primary attributes of a tuple op, nil on the arity-1 hot path.
 // Ops staged against a stopped ingester (relation dropped, engine
-// closed) are discarded, matching the locked path's behavior under the
-// same races.
+// closed) are discarded.
 func (g *ingester) stage(v uint64, rest *[]uint64, del bool) {
 	s := g.claim()
 	if s == nil {
@@ -346,7 +344,7 @@ func (g *ingester) flushAllSlots(hold bool) bool {
 // signature, so no lock is taken around counter updates. Sketch updates
 // are pinned to the matching sketch shard (ShardInsertBatch — any
 // assignment is valid by linearity, and the merged counters that every
-// query and checkpoint reads stay bit-identical to locked mode), so each
+// query and checkpoint reads equal a plain sequential sketch's), so each
 // absorber pays one uncontended lock per batch.
 func (g *ingester) absorb(shard int) {
 	defer g.absWg.Done()
@@ -543,9 +541,8 @@ func (g *ingester) drain() {
 
 // pause claims and holds every staging slot, then drains: on return no
 // writer can make progress and counters ≡ log exactly. Callers MUST hold
-// the engine mutex exclusively (checkpoint, drop, bundle merge), which
-// serializes pauses against each other and against stop; resume releases
-// the slots.
+// the engine mutex exclusively (bundle merge), which serializes pauses
+// against each other and against stop; resume releases the slots.
 func (g *ingester) pause() {
 	if !g.flushAllSlots(true) {
 		return
@@ -620,16 +617,6 @@ func (g *ingester) snapshotSig() join.Signature {
 	return fresh
 }
 
-// snapshotSigQuiesced reads the shards directly; legal only while the
-// caller holds this relation quiesced via pause (or after stop).
-func (g *ingester) snapshotSigQuiesced() join.Signature {
-	fresh := g.r.eng.newSignature()
-	for i := range g.r.shards {
-		mustMerge(fresh, g.r.shards[i].sig)
-	}
-	return fresh
-}
-
 // snapshotHH unions the per-shard heavy-hitter tables with the same
 // drain + on-absorber clone discipline as snapshotSig. Callers check
 // r.skims() first.
@@ -685,20 +672,6 @@ func (g *ingester) snapshotChain() *shardChain {
 	}
 	for _, c := range clones {
 		fresh.merge(c)
-	}
-	return fresh
-}
-
-// snapshotChainQuiesced reads the shard chain sets directly; legal only
-// while the caller holds this relation quiesced via pause (or after
-// stop). Nil when the schema declares no chain synopses.
-func (g *ingester) snapshotChainQuiesced() *shardChain {
-	if !g.r.schema.hasChain() {
-		return nil
-	}
-	fresh := g.r.newEmptyChain()
-	for i := range g.r.shards {
-		fresh.merge(g.r.shards[i].chain)
 	}
 	return fresh
 }

@@ -10,21 +10,19 @@ import (
 	"amstrack/internal/xrand"
 )
 
-// absOpts is durOpts forced onto the absorber path, with deliberately
-// tiny staging/flush knobs so buffers fill, partial buffers drain, and
-// the group-commit policy fires constantly during the tests.
+// absOpts is durOpts with deliberately tiny staging/flush knobs so
+// buffers fill, partial buffers drain, and the group-commit policy fires
+// constantly during the tests.
 func absOpts(dir string) Options {
 	o := durOpts(dir)
-	o.IngestMode = IngestAbsorber
 	o.StageOps = 7
 	o.FlushOps = 16
 	o.FlushInterval = 50 * time.Microsecond
 	return o
 }
 
-// TestAbsorberKillAndRecover is the absorber-mode twin of
-// TestKillAndRecover, asserted against the LOCKED-mode in-memory mirror:
-// one test pins both recovery fidelity and cross-mode bit-identity.
+// TestAbsorberKillAndRecover is TestKillAndRecover under tiny staging
+// and flush knobs, asserted byte for byte against the reference model.
 func TestAbsorberKillAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(absOpts(dir))
@@ -45,12 +43,12 @@ func TestAbsorberKillAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	expectEqualState(t, back, mirror(t, true))
+	expectEngineMatchesModel(t, back, phaseModel(t, true))
 }
 
 // TestAbsorberTornTailRecover crashes the absorber pipeline's log with a
-// partial record and expects the same clean truncation the locked path
-// gets.
+// partial record and expects a clean truncation to the reference model's
+// state.
 func TestAbsorberTornTailRecover(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(absOpts(dir))
@@ -76,14 +74,14 @@ func TestAbsorberTornTailRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	expectEqualState(t, back, mirror(t, false))
+	expectEngineMatchesModel(t, back, phaseModel(t, false))
 }
 
 // TestAbsorberReadYourWrites: ops still sitting in staging buffers must
 // be visible to every query form without an explicit Drain.
 func TestAbsorberReadYourWrites(t *testing.T) {
 	o := Options{SignatureWords: 128, Seed: 5, SketchS1: 64, SketchS2: 4,
-		Shards: 2, IngestMode: IngestAbsorber} // default StageOps: 3 ops stay staged
+		Shards: 2} // default StageOps: 3 ops stay staged
 	e, err := New(o)
 	if err != nil {
 		t.Fatal(err)
@@ -213,10 +211,9 @@ func TestAbsorberErrVisibility(t *testing.T) {
 
 // TestAbsorberIngestAfterDropIsNoOp: the amsd-reachable race — ingest on
 // a relation handle that was concurrently dropped (or whose engine
-// closed) — must be a silent discard, as on the locked path, never a
-// panic.
+// closed) — must be a silent discard, never a panic.
 func TestAbsorberIngestAfterDropIsNoOp(t *testing.T) {
-	o := Options{SignatureWords: 64, Seed: 3, NoSketch: true, Shards: 2, IngestMode: IngestAbsorber}
+	o := Options{SignatureWords: 64, Seed: 3, NoSketch: true, Shards: 2}
 	e, err := New(o)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +240,7 @@ func TestAbsorberIngestAfterDropIsNoOp(t *testing.T) {
 // built relation away (corrupt checkpoint decode, duplicate import) must
 // stop its absorber pipeline rather than leak it.
 func TestAbsorberDiscardStopsGoroutines(t *testing.T) {
-	o := Options{SignatureWords: 64, Seed: 3, SketchS1: 8, SketchS2: 2, Shards: 2, IngestMode: IngestAbsorber}
+	o := Options{SignatureWords: 64, Seed: 3, SketchS1: 8, SketchS2: 2, Shards: 2}
 	e, err := New(o)
 	if err != nil {
 		t.Fatal(err)
@@ -315,60 +312,57 @@ func TestAbsorberOpenFailureStopsGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after 30 failed Opens", before, runtime.NumGoroutine())
 }
 
-// TestSegmentRollAndRecover runs both ingest modes over a tiny segment
-// cap: the log must split into many bounded files, recovery must replay
-// them in order, and the recovered estimates must be bit-identical to
-// the uninterrupted locked-mode mirror.
+// TestSegmentRollAndRecover runs ingest over a tiny segment cap: the log
+// must split into many bounded files, recovery must replay them in
+// order, and the recovered relations must match the reference model byte
+// for byte.
 func TestSegmentRollAndRecover(t *testing.T) {
-	for _, mode := range []IngestMode{IngestLocked, IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			o := durOpts(dir)
-			o.IngestMode = mode
-			o.SegmentOps = 64
-			e, err := Open(o)
+	t.Run("absorber", func(t *testing.T) {
+		dir := t.TempDir()
+		o := durOpts(dir)
+		o.SegmentOps = 64
+		e, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestPhase1(e, t)
+		if err := e.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		// 3002 ops per relation at 64 records each → many segments, every
+		// one at most 64 records long.
+		segs := 0
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range entries {
+			name, _, _, ok := relNameFromFile(ent.Name())
+			if !ok || name != "f" {
+				continue
+			}
+			st, err := os.Stat(filepath.Join(dir, ent.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ingestPhase1(e, t)
-			if err := e.Sync(); err != nil {
-				t.Fatal(err)
+			if st.Size() > 64*13 {
+				t.Fatalf("segment %s has %d bytes > cap", ent.Name(), st.Size())
 			}
-			// 3002 ops per relation at 64 records each → many segments,
-			// every one at most 64 records long.
-			segs := 0
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ent := range entries {
-				name, _, _, ok := relNameFromFile(ent.Name())
-				if !ok || name != "f" {
-					continue
-				}
-				st, err := os.Stat(filepath.Join(dir, ent.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Size() > 64*13 {
-					t.Fatalf("segment %s has %d bytes > cap", ent.Name(), st.Size())
-				}
-				segs++
-			}
-			if segs < 40 {
-				t.Fatalf("only %d segments for ~3000 ops at SegmentOps=64", segs)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			back, err := Open(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer back.Close()
-			expectEqualState(t, back, mirror(t, false))
-		})
-	}
+			segs++
+		}
+		if segs < 40 {
+			t.Fatalf("only %d segments for ~3000 ops at SegmentOps=64", segs)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Close()
+		expectEngineMatchesModel(t, back, phaseModel(t, false))
+	})
 }
 
 // TestSegmentTornAndCorrupt pins the per-segment recovery contract: a
@@ -466,8 +460,8 @@ func TestSegmentTornAndCorrupt(t *testing.T) {
 	})
 }
 
-// TestSegmentCheckpointRemovesAll: rotation after a checkpoint must
-// delete every absorbed segment, not just the newest, and land the
+// TestSegmentCheckpointRemovesAll: compaction after a checkpoint must
+// delete every absorbed segment, not just the newest, and leave the
 // relation on a fresh epoch-1 segment 0.
 func TestSegmentCheckpointRemovesAll(t *testing.T) {
 	dir := t.TempDir()

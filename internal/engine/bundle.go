@@ -503,8 +503,6 @@ func (e *Engine) StatRelation(name string) (RelationStat, error) {
 		return RelationStat{}, err
 	}
 	epoch := e.Epoch()
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
 	seq, rows := r.statCut()
 	return RelationStat{Epoch: epoch, Seq: seq, Rows: rows}, nil
 }
@@ -516,17 +514,10 @@ func (e *Engine) ExportRelation(name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The epoch is read before the relation's op lock: checkpoints hold
-	// the engine lock while quiescing relations, so the reverse order
-	// would invert theirs.
 	return r.exportBundle(e.Epoch())
 }
 
 func (r *Relation) exportBundle(epoch uint64) ([]byte, error) {
-	// The shared op lock makes signature, sketch, and row count a
-	// consistent cut against concurrent ingest batches.
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
 	// Seq is read before the synopses are snapshotted, so under
 	// concurrent ingest the stamp can only trail the data — a cache
 	// comparing stamps may refetch needlessly, never skip a change.
@@ -633,12 +624,11 @@ func (e *Engine) MergeRelation(name string, data []byte) error {
 // absorbBundle folds a decoded bundle into the relation's shard-0
 // synopses (linearity: equivalent to having streamed the source ops
 // through the shards). Shape, seed, or schema mismatches report
-// ErrIncompatible. The relation is quiesced for the duration (exclusive
-// op lock in locked mode, a full absorber pause otherwise — callers hold
-// the engine mutex exclusively, which pause requires).
+// ErrIncompatible. The relation's write path is paused for the duration
+// (callers hold the engine mutex exclusively, which pause requires).
 func (r *Relation) absorbBundle(b *RelationBundle) error {
-	release := r.quiesce()
-	defer release()
+	r.ing.pause()
+	defer r.ing.resume()
 	// Schemas must agree in both directions, like sketch presence below:
 	// silently dropping a chain section (or absorbing a chainless bundle
 	// into a chain-tracking relation) would desynchronize the chain

@@ -129,14 +129,12 @@ func TestCheckpointSegmentsBounded(t *testing.T) {
 // TestPauseFreeCheckpointExact is the fence's exactness oracle: four
 // writers ingest concurrently while checkpoints fire repeatedly, and the
 // final synopses — live, and recovered after a restart — must be
-// bit-identical to an uninterrupted in-memory mirror of the same op
-// multiset. Any op lost (or double-counted) by the epoch fence, the
-// split-log routing, or compaction shifts a counter and fails the
-// comparison.
+// bit-identical to the reference model fed the same op multiset. Any op
+// lost (or double-counted) by the epoch fence, the split-log routing, or
+// compaction shifts a counter and fails the comparison.
 func TestPauseFreeCheckpointExact(t *testing.T) {
 	dir := t.TempDir()
 	opts := durOpts(dir)
-	opts.IngestMode = IngestAbsorber
 	opts.SegmentOps = 128
 	e, err := Open(opts)
 	if err != nil {
@@ -182,14 +180,8 @@ func TestPauseFreeCheckpointExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := New(durOpts(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := m.Define("f")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(t, durOpts(""))
+	mf := modelDefine(t, m, "f", Schema{})
 	for w := 0; w < writers; w++ {
 		rng := xrand.New(100 + uint64(w))
 		for i := 0; i < perWriter; i++ {
@@ -200,7 +192,7 @@ func TestPauseFreeCheckpointExact(t *testing.T) {
 			}
 		}
 	}
-	expectEqualState(t, e, m)
+	expectEngineMatchesModel(t, e, m)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,5 +202,5 @@ func TestPauseFreeCheckpointExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	expectEqualState(t, back, m)
+	expectEngineMatchesModel(t, back, m)
 }

@@ -1,6 +1,6 @@
-// Durability: the §5 warehouse recipe. Every update is appended to a
-// per-relation operation log (internal/oplog's independently-checksummed
-// records) before the synopses apply it; Checkpoint serializes the whole
+// Durability: the §5 warehouse recipe. Every update the absorbers apply
+// is group-committed to a per-relation operation log (internal/oplog's
+// independently-checksummed records); Checkpoint serializes the whole
 // engine into one blob and retires the logs; Open recovers by loading the
 // checkpoint and replaying whatever each log accumulated since — cutting
 // off a torn tail at the last clean record boundary, exactly the failure
@@ -11,11 +11,8 @@
 // whose file is present — so a drop stays dropped even when an older
 // checkpoint still carries the relation.
 //
-// Checkpoints come in two shapes. Locked mode stops the world: every
-// relation is quiesced, the blob is cut, and each log is rotated onto
-// the next epoch. Absorber mode is PAUSE-FREE: the engine forks every
-// log onto a next-epoch file, then an epoch fence runs through the
-// absorbers — each shard clones its synopses and flips onto the new
+// Checkpoints are PAUSE-FREE: the engine forks every log onto a
+// next-epoch file, then an epoch fence runs through the absorbers — each shard clones its synopses and flips onto the new
 // epoch ON its own absorber goroutine, so ingest never stops; ops
 // applied after a shard's flip are tagged with the new epoch and routed
 // to the forked log. Once the blob (the merge of the shard clones)
@@ -120,13 +117,12 @@ type segWriter struct {
 }
 
 // relLog is the durable half of a relation. In in-memory engines every
-// method is a cheap no-op (cur == nil). Locked-mode appends flush to the
-// OS on every call, so the kernel — not the process — owns buffered ops
-// the moment an ingest call returns; absorber-mode appendGroupTagged
-// leaves flushing to the group-commit policy (osFlush). fsync happens at
-// Sync, Checkpoint, Close, and on every segment roll. Write errors are
-// sticky: once an append fails, later ops are not logged (they would be
-// out of order) and the error surfaces on Err, Sync, and Checkpoint.
+// method is a cheap no-op (cur == nil). appendGroupTagged leaves
+// flushing to the group-commit policy (osFlush), so the kernel owns an
+// op once its group is flushed; fsync happens at Sync, Checkpoint, Close,
+// and on every segment roll. Write errors are sticky: once an append
+// fails, later ops are not logged (they would be out of order) and the
+// error surfaces on Err, Sync, and Checkpoint.
 //
 // With SegmentOps > 0 the log is a sequence of numbered segment files,
 // each capped at SegmentOps records: full segments are fsynced and
@@ -135,7 +131,7 @@ type segWriter struct {
 // any single recovery read) between checkpoints, and pings onRoll so a
 // segment-count-triggered background checkpointer can react.
 //
-// During an epoch fence (absorber checkpoints) the log is briefly SPLIT:
+// During a checkpoint's epoch fence the log is briefly SPLIT:
 // next holds the forked next-epoch writer, and tagged appends route by
 // their epoch tag — ops applied before a shard's fence flip land in cur,
 // ops after it in next. promote retires cur once every shard has
@@ -232,26 +228,8 @@ func (l *relLog) appendToLocked(sw *segWriter, ops []stream.Op) error {
 	return nil
 }
 
-func (l *relLog) appendOps(ops ...stream.Op) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cur == nil || l.sticky != nil {
-		return
-	}
-	err := l.appendToLocked(l.cur, ops)
-	if err == nil {
-		err = l.cur.w.Flush()
-	}
-	if err != nil {
-		l.sticky = fmt.Errorf("engine: oplog append: %w", err)
-	}
-}
-
 // appendGroupTagged appends a batch WITHOUT flushing to the OS — the
-// absorber path's group commit. epoch is the log epoch the ops were
+// log writer's group commit. epoch is the log epoch the ops were
 // applied under (the absorber's fence state): during a split window,
 // ops at or beyond the forked epoch go to the next-epoch writer, so the
 // retiring epoch's segments hold exactly the ops the fence snapshot
@@ -287,49 +265,6 @@ func (l *relLog) osFlush() {
 	if err != nil {
 		l.sticky = fmt.Errorf("engine: oplog flush: %w", err)
 	}
-}
-
-func (l *relLog) insert(v uint64) { l.appendOps(stream.Op{Kind: stream.Insert, Value: v}) }
-func (l *relLog) delete(v uint64) { l.appendOps(stream.Op{Kind: stream.Delete, Value: v}) }
-
-// insertTuple and deleteTuple log one multi-attribute op: the primary
-// attribute in Value, the rest as the record's attribute payload (the
-// version-2 tuple records of internal/oplog).
-func (l *relLog) insertTuple(vals []uint64) {
-	l.appendOps(stream.Op{Kind: stream.Insert, Value: vals[0], Rest: vals[1:]})
-}
-
-func (l *relLog) deleteTuple(vals []uint64) {
-	l.appendOps(stream.Op{Kind: stream.Delete, Value: vals[0], Rest: vals[1:]})
-}
-
-func (l *relLog) insertBatch(vs []uint64) { l.batch(stream.Insert, vs) }
-func (l *relLog) deleteBatch(vs []uint64) { l.batch(stream.Delete, vs) }
-
-func (l *relLog) batch(kind stream.OpKind, vs []uint64) {
-	if l == nil || len(vs) == 0 {
-		return
-	}
-	ops := make([]stream.Op, len(vs))
-	for i, v := range vs {
-		ops[i] = stream.Op{Kind: kind, Value: v}
-	}
-	l.appendOps(ops...)
-}
-
-func (l *relLog) tupleBatch(rows [][]uint64, del bool) {
-	if l == nil || len(rows) == 0 {
-		return
-	}
-	kind := stream.Insert
-	if del {
-		kind = stream.Delete
-	}
-	ops := make([]stream.Op, len(rows))
-	for i, row := range rows {
-		ops[i] = stream.Op{Kind: kind, Value: row[0], Rest: row[1:]}
-	}
-	l.appendOps(ops...)
 }
 
 func (l *relLog) err() error {
@@ -460,43 +395,6 @@ func (l *relLog) promote() ([]string, error) {
 		return nil, l.sticky
 	}
 	return absorbed, nil
-}
-
-// rotate moves the relation onto a fresh log of the new epoch after a
-// successful stop-the-world checkpoint, then deletes the absorbed
-// old-epoch segments. A crash at any point leaves either old segments
-// (stale, ignored and cleaned by the next Open) or the new log.
-func (l *relLog) rotate(dir, name string, epoch uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.cur == nil {
-		return nil
-	}
-	newPath := filepath.Join(dir, segFileName(name, epoch, 0))
-	nf, err := l.fs.OpenFile(newPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
-	if err != nil {
-		// The checkpoint already absorbed the old-epoch log; appending
-		// there would write ops the next recovery discards unread. Poison
-		// the log so further ingest fails loudly (Err/Sync/Checkpoint)
-		// instead of acknowledging silently-undurable ops.
-		l.sticky = fmt.Errorf("engine: log rotation to epoch %d: %w", epoch, err)
-		return l.sticky
-	}
-	old := l.cur
-	l.cur = &segWriter{epoch: epoch, path: newPath, f: nf, w: oplog.NewWriter(nf)}
-	l.sticky = nil
-	err = old.f.Close()
-	for s := 0; s <= old.seq; s++ {
-		if rmErr := l.fs.Remove(filepath.Join(dir, segFileName(name, old.epoch, s))); err == nil {
-			err = rmErr
-		}
-		if s == 0 {
-			if cErr := l.fs.Crash("compact-mid"); err == nil {
-				err = cErr
-			}
-		}
-	}
-	return err
 }
 
 // remove closes and deletes every log segment (relation dropped),
@@ -740,7 +638,7 @@ func Open(opts Options) (*Engine, error) {
 				return nil, fmt.Errorf("engine: relation %q: rebase: %w", name, err)
 			}
 		}
-		data, err := e.marshalLocked(newEpoch, true)
+		data, err := e.marshalLocked(newEpoch)
 		if err != nil {
 			return nil, fmt.Errorf("engine: rebase checkpoint: %w", err)
 		}
@@ -856,12 +754,10 @@ func (r *Relation) applyRecovered(op stream.Op) {
 // Dir returns the durability directory ("" for in-memory engines).
 func (e *Engine) Dir() string { return e.opts.Dir }
 
-// Checkpoint cuts a durable snapshot of the whole engine. In locked mode
-// it stops the world (every relation quiesced); in absorber mode it runs
-// the pause-free epoch fence — ingest keeps flowing the entire time.
-// Either way the blob is written atomically (tmp + fsync + rename) and
-// the retired log segments are compacted afterwards. Returns the blob
-// size on success.
+// Checkpoint cuts a durable snapshot of the whole engine through the
+// pause-free epoch fence — ingest keeps flowing the entire time. The blob
+// is written atomically (tmp + fsync + rename) and the retired log
+// segments are compacted afterwards. Returns the blob size on success.
 func (e *Engine) Checkpoint() (int, error) {
 	if e.opts.Dir == "" {
 		return 0, errors.New("engine: in-memory engine has no checkpoint directory")
@@ -875,75 +771,18 @@ func (e *Engine) Checkpoint() (int, error) {
 // used by Define/Drop/Import to persist structural changes). It records
 // the outcome for DurabilityStats either way.
 func (e *Engine) checkpointLocked() (int, error) {
-	var n int
-	var err error
-	if e.opts.IngestMode == IngestAbsorber {
-		n, err = e.checkpointFenced()
-	} else {
-		n, err = e.checkpointQuiesced()
-	}
+	n, err := e.checkpointFenced()
 	e.recordCheckpoint(n, err)
 	return n, err
 }
 
-// checkpointQuiesced is the stop-the-world path (locked mode): every
-// relation quiesced, one blob, then every log rotated onto the next
-// epoch.
-func (e *Engine) checkpointQuiesced() (int, error) {
-	names := make([]string, 0, len(e.rels))
-	for n := range e.rels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		release := e.rels[n].quiesce()
-		defer release()
-	}
-	// With every relation quiesced, each log exactly matches its
-	// relation's counters; sync surfaces sticky append errors before the
-	// logs are declared absorbed.
-	for _, n := range names {
-		if err := e.rels[n].log.sync(); err != nil {
-			return 0, err
-		}
-	}
-	// The blob carries the NEXT epoch: once it is renamed into place, the
-	// current-epoch logs are absorbed history. Rotation after the rename
-	// is therefore free to crash at any point — recovery replays only
-	// next-epoch logs (empty or missing) and discards the absorbed ones.
-	newEpoch := e.epoch + 1
-	data, err := e.marshalLocked(newEpoch, true)
-	if err != nil {
-		return 0, err
-	}
-	if err := writeFileAtomic(e.fs, filepath.Join(e.opts.Dir, checkpointFile), data); err != nil {
-		return 0, err
-	}
-	e.epoch = newEpoch
-	if err := e.fs.Crash("ckpt-post-rename-pre-unlink"); err != nil {
-		return 0, err
-	}
-	// Rotate every relation even if one fails: a skipped rotation leaves
-	// that relation poisoned (see rotate), not the whole set.
-	var rotErr error
-	for _, n := range names {
-		if err := e.rels[n].log.rotate(e.opts.Dir, n, newEpoch); err != nil && rotErr == nil {
-			rotErr = fmt.Errorf("engine: relation %q: %w", n, err)
-		}
-	}
-	if rotErr != nil {
-		return 0, rotErr
-	}
-	return len(data), nil
-}
-
-// checkpointFenced is the pause-free path (absorber mode). Ingest never
-// stops: the snapshot is cut shard-by-shard ON the absorbers behind an
-// epoch fence, and ops applied after a shard's flip are group-committed
-// to a pre-forked next-epoch log. The fence flip is the point of no
-// return — a failure after it poisons the logs (the in-memory state and
-// the on-disk epochs no longer share a committed baseline; a restart
-// recovers cleanly via the multi-epoch replay in Open).
+// checkpointFenced is the pause-free checkpoint. Ingest never stops: the
+// snapshot is cut shard-by-shard ON the absorbers behind an epoch fence,
+// and ops applied after a shard's flip are group-committed to a
+// pre-forked next-epoch log. The fence flip is the point of no return — a
+// failure after it poisons the logs (the in-memory state and the on-disk
+// epochs no longer share a committed baseline; a restart recovers
+// cleanly via the multi-epoch replay in Open).
 func (e *Engine) checkpointFenced() (int, error) {
 	names := make([]string, 0, len(e.rels))
 	for n := range e.rels {
@@ -1061,16 +900,13 @@ func writeFileAtomic(fsys oplog.FS, path string, data []byte) error {
 }
 
 // Sync flushes and fsyncs every relation log (the fsync barrier between
-// checkpoints), surfacing any sticky append error. Absorber-mode
-// relations are drained first, so the barrier covers every op staged
-// before the call.
+// checkpoints), surfacing any sticky append error. Relations are drained
+// first, so the barrier covers every op staged before the call.
 func (e *Engine) Sync() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, r := range e.rels {
-		if r.ing != nil {
-			r.ing.drain()
-		}
+		r.ing.drain()
 		if err := r.log.sync(); err != nil {
 			return fmt.Errorf("engine: relation %q: %w", r.name, err)
 		}
@@ -1079,9 +915,8 @@ func (e *Engine) Sync() error {
 }
 
 // Drain flushes every relation's staged ops through the absorbers and
-// the group-commit log writer (a no-op per relation in locked mode) and
-// reports the first sticky error — the engine-wide read-your-writes and
-// error-visibility barrier of absorber mode.
+// the group-commit log writer and reports the first sticky error — the
+// engine-wide read-your-writes and error-visibility barrier.
 func (e *Engine) Drain() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -1095,19 +930,16 @@ func (e *Engine) Drain() error {
 }
 
 // Close stops the background checkpointer, drains and stops each
-// relation's absorber pipeline (absorber mode), then flushes and closes
-// every relation log. The engine's in-memory synopses stay queryable;
-// further ingest after Close is a caller bug (not logged in locked mode,
-// discarded in absorber mode).
+// relation's absorber pipeline, then flushes and closes every relation
+// log. The engine's in-memory synopses stay queryable; further ingest
+// after Close is a caller bug and is discarded.
 func (e *Engine) Close() error {
 	e.stopCheckpointer()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var first error
 	for _, r := range e.rels {
-		if r.ing != nil {
-			r.ing.stop()
-		}
+		r.ing.stop()
 		if err := r.log.close(); err != nil && first == nil {
 			first = fmt.Errorf("engine: relation %q: %w", r.name, err)
 		}

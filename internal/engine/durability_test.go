@@ -3,9 +3,9 @@ package engine
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"amstrack/internal/refmodel"
 	"amstrack/internal/xrand"
 )
 
@@ -14,7 +14,7 @@ func durOpts(dir string) Options {
 }
 
 // ingestPhase1/2 are the shared op sequences of the recovery tests: the
-// mirror engine replays both to produce the uninterrupted reference.
+// reference model replays both to produce the uninterrupted expectation.
 func ingestPhase1(e *Engine, t *testing.T) {
 	t.Helper()
 	f, err := e.Define("f")
@@ -25,6 +25,11 @@ func ingestPhase1(e *Engine, t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	phase1Ops(t, f, g)
+}
+
+func phase1Ops(t *testing.T, f, g relWriter) {
+	t.Helper()
 	r := xrand.New(4)
 	for i := 0; i < 3000; i++ {
 		f.Insert(r.Uint64n(80))
@@ -46,6 +51,11 @@ func ingestPhase2(e *Engine, t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	phase2Ops(t, f, g)
+}
+
+func phase2Ops(t *testing.T, f, g relWriter) {
+	t.Helper()
 	r := xrand.New(8)
 	vs := make([]uint64, 1500)
 	for i := range vs {
@@ -60,50 +70,16 @@ func ingestPhase2(e *Engine, t *testing.T) {
 	}
 }
 
-// expectEqualState asserts bit-identical estimates between two engines.
-func expectEqualState(t *testing.T, got, want *Engine) {
+// phaseModel is the uninterrupted reference: the reference model fed
+// phase 1 (and optionally phase 2) in order.
+func phaseModel(t *testing.T, phase2 bool) *refmodel.Model {
 	t.Helper()
-	gn, wn := got.Names(), want.Names()
-	if strings.Join(gn, ",") != strings.Join(wn, ",") {
-		t.Fatalf("relations %v, want %v", gn, wn)
-	}
-	for _, n := range wn {
-		rg, _ := got.Get(n)
-		rw, _ := want.Get(n)
-		if rg.Len() != rw.Len() {
-			t.Fatalf("%s: Len %d != %d", n, rg.Len(), rw.Len())
-		}
-		if rg.SelfJoinEstimate() != rw.SelfJoinEstimate() {
-			t.Fatalf("%s: self-join estimate differs", n)
-		}
-	}
-	for i := 0; i < len(wn); i++ {
-		for j := i + 1; j < len(wn); j++ {
-			jg, err := got.EstimateJoin(wn[i], wn[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			jw, err := want.EstimateJoin(wn[i], wn[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if jg != jw {
-				t.Fatalf("%s⋈%s: %+v != %+v", wn[i], wn[j], jg, jw)
-			}
-		}
-	}
-}
-
-// mirror builds the uninterrupted in-memory reference run.
-func mirror(t *testing.T, phase2 bool) *Engine {
-	t.Helper()
-	m, err := New(durOpts(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestPhase1(m, t)
+	m := newModel(t, durOpts(""))
+	f := modelDefine(t, m, "f", Schema{})
+	g := modelDefine(t, m, "g", Schema{})
+	phase1Ops(t, f, g)
 	if phase2 {
-		ingestPhase2(m, t)
+		phase2Ops(t, f, g)
 	}
 	return m
 }
@@ -128,7 +104,7 @@ func TestKillAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	expectEqualState(t, back, mirror(t, true))
+	expectEngineMatchesModel(t, back, phaseModel(t, true))
 }
 
 func TestRecoverWithoutCheckpoint(t *testing.T) {
@@ -146,7 +122,7 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	expectEqualState(t, back, mirror(t, false))
+	expectEngineMatchesModel(t, back, phaseModel(t, false))
 }
 
 // TestTornTailRecover appends a partial record — the exact artifact of a
@@ -189,7 +165,7 @@ func TestTornTailRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	expectEqualState(t, back, mirror(t, true))
+	expectEngineMatchesModel(t, back, phaseModel(t, true))
 
 	// The torn bytes are gone from disk: the log is back to whole records.
 	after, err := os.Stat(logPath)
@@ -253,12 +229,12 @@ func TestDefineAfterCheckpointRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	m := mirror(t, false)
-	hm, _ := m.Define("h")
+	m := phaseModel(t, false)
+	hm := modelDefine(t, m, "h", Schema{})
 	for i := 0; i < 500; i++ {
 		hm.Insert(uint64(i % 9))
 	}
-	expectEqualState(t, back, m)
+	expectEngineMatchesModel(t, back, m)
 }
 
 func TestDropStaysDroppedAcrossRestart(t *testing.T) {
@@ -297,8 +273,8 @@ func TestCheckpointRotatesLogs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f.Insert(uint64(i))
 	}
-	// Sync is the mode-neutral durability barrier: a no-op flush in locked
-	// mode, a drain through the absorbers in absorber mode.
+	// Sync is the durability barrier: a drain through the absorbers, then
+	// an fsync of the log.
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +347,7 @@ func TestCrashBetweenCheckpointAndRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	expectEqualState(t, back, mirror(t, false))
+	expectEngineMatchesModel(t, back, phaseModel(t, false))
 	if _, err := os.Stat(stalePath); !os.IsNotExist(err) {
 		t.Fatalf("stale log not cleaned up: %v", err)
 	}
@@ -457,13 +433,10 @@ func TestDropRedefineDoesNotResurrect(t *testing.T) {
 }
 
 // TestFailedRotationPoisonsLog: if the epoch handoff of a checkpoint
-// fails, neither path may acknowledge un-durable ops silently. The two
-// modes fail at different protocol points with different blast radius:
-// locked mode rotates AFTER the blob commits, so a failed rotation must
-// poison the relation (its absorbed log is gone and cannot be appended
-// to); absorber mode forks the next-epoch log BEFORE the fence, so the
-// same fault aborts the checkpoint cleanly — no poison, ingest keeps
-// running, and a later checkpoint succeeds once the fault clears.
+// fails, no op may be acknowledged un-durably. The checkpoint forks the
+// next-epoch log BEFORE the fence, so the fault aborts the checkpoint
+// cleanly — no poison, ingest keeps running, and a later checkpoint
+// succeeds once the fault clears, with every op recovered.
 func TestFailedRotationPoisonsLog(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(durOpts(dir))
@@ -484,54 +457,22 @@ func TestFailedRotationPoisonsLog(t *testing.T) {
 		t.Fatal("checkpoint with blocked epoch-1 log reported success")
 	}
 
-	if e.Options().IngestMode == IngestAbsorber {
-		// Clean abort: the fork failed before the fence, nothing was
-		// committed, the relation stays healthy on epoch 0.
-		if err := f.Err(); err != nil {
-			t.Fatalf("aborted fenced checkpoint poisoned the log: %v", err)
-		}
-		f.Insert(99)
-		if err := e.Sync(); err != nil {
-			t.Fatalf("ingest after aborted checkpoint: %v", err)
-		}
-		if err := os.Remove(filepath.Join(dir, relFileName("f", 1))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Checkpoint(); err != nil {
-			t.Fatalf("checkpoint after fault cleared: %v", err)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
-		back, err := Open(durOpts(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer back.Close()
-		rel, err := back.Get("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel.Len() != 101 {
-			t.Fatalf("recovered Len = %d, want 101", rel.Len())
-		}
-		return
+	// Clean abort: the fork failed before the fence, nothing was
+	// committed, the relation stays healthy on epoch 0.
+	if err := f.Err(); err != nil {
+		t.Fatalf("aborted fenced checkpoint poisoned the log: %v", err)
 	}
-
-	if f.Err() == nil {
-		t.Fatal("relation not poisoned after failed rotation")
+	f.Insert(99)
+	if err := e.Sync(); err != nil {
+		t.Fatalf("ingest after aborted checkpoint: %v", err)
 	}
-	f.Insert(99) // applied in memory, must NOT be acknowledged as durable
-	if f.Err() == nil || e.Sync() == nil {
-		t.Fatal("poisoned relation accepted ops silently")
-	}
-	if err := e.Close(); err == nil {
-		t.Fatal("Close hid the poisoned log")
-	}
-
-	// Recovery: the checkpoint owns the first 100 ops; the refused insert
-	// is gone — but none of the absorbed ops were double-applied or lost.
 	if err := os.Remove(filepath.Join(dir, relFileName("f", 1))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after fault cleared: %v", err)
+	}
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Open(durOpts(dir))
@@ -543,8 +484,8 @@ func TestFailedRotationPoisonsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Len() != 100 {
-		t.Fatalf("recovered Len = %d, want 100", rel.Len())
+	if rel.Len() != 101 {
+		t.Fatalf("recovered Len = %d, want 101", rel.Len())
 	}
 }
 

@@ -10,23 +10,23 @@
 //     estimate feeds the Lemma 4.4 σ and Fact 1.1 bounds attached to
 //     every join answer;
 //
-// behind per-relation sharded ingest: updates fan out across shard-local
-// counter sets (linearity makes the merged counters independent of the
-// interleaving), so concurrent loaders contend only on a shard, never on
-// the relation.
+// behind per-relation sharded ingest: callers stage ops lock-free, and one
+// absorber goroutine per shard applies them to shard-local counter sets
+// (linearity makes the merged counters independent of the interleaving),
+// so concurrent loaders never contend on a lock (absorber.go).
 //
-// Durability follows §5's warehouse recipe verbatim: every update is
-// appended to a per-relation operation log first, Checkpoint() serializes
-// the whole engine into one blob (shared internal/blob framing) and
-// resets the logs, and Open() recovers by loading the checkpoint and
-// "stepping through any additions to the update log since the previous
-// run" — including truncating a torn tail left by a crash mid-append.
+// Durability follows §5's warehouse recipe: every applied update is
+// group-committed to a per-relation operation log, Checkpoint()
+// serializes the whole engine into one blob (shared internal/blob
+// framing) behind an epoch fence and retires the logs, and Open()
+// recovers by loading the checkpoint and "stepping through any additions
+// to the update log since the previous run" — including truncating a
+// torn tail left by a crash mid-append.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -64,29 +64,25 @@ const (
 	SchemeFlat
 )
 
-// IngestMode selects the write path of every relation in an engine.
+// IngestMode names the engine's write path. There is one: the absorber
+// pipeline (absorber.go). The type survives as a source-compatibility
+// field so callers that spell the path out keep compiling; both values
+// select the same path, and any other value is rejected by Validate.
 type IngestMode int
 
+// The two accepted IngestMode values. The numeric value 1 belonged to a
+// retired synchronous path and is now an error, like any other unknown
+// value; IngestAbsorber keeps its historical value 2.
 const (
-	// IngestDefault resolves to IngestAbsorber — the lock-free path is
-	// the measured winner under every concurrent load and its group
-	// commit is invisible to single-threaded callers — unless the
-	// environment variable AMSTRACK_INGEST_MODE overrides it ("locked"
-	// or "absorber"), the hook CI uses to force the whole test suite
-	// through the synchronous path under the race detector.
-	IngestDefault IngestMode = iota
-	// IngestLocked is the synchronous path: every op holds the relation's
-	// shared op-lock plus one shard mutex and appends to the oplog before
-	// returning. Simple, strictly ordered, and the correctness oracle for
-	// the absorber path.
-	IngestLocked
-	// IngestAbsorber is the lock-free hot path: callers stage ops into
+	// IngestDefault resolves to IngestAbsorber.
+	IngestDefault IngestMode = 0
+	// IngestAbsorber is the lock-free write path: callers stage ops into
 	// CAS-claimed per-goroutine buffers (no mutexes), one absorber
 	// goroutine per shard applies them under single-writer discipline,
 	// and a group-commit writer batches oplog appends. Queries drain
-	// staged ops first, so reads still see the caller's own writes; the
-	// durability barrier moves from "every op" to Sync/Checkpoint/drain.
-	IngestAbsorber
+	// staged ops first, so reads see the caller's own writes; the
+	// durability barrier is Sync/Checkpoint/drain.
+	IngestAbsorber IngestMode = 2
 )
 
 // String returns the conventional mode name.
@@ -94,16 +90,11 @@ func (m IngestMode) String() string {
 	switch m {
 	case IngestDefault:
 		return "default"
-	case IngestLocked:
-		return "locked"
 	case IngestAbsorber:
 		return "absorber"
 	}
 	return fmt.Sprintf("IngestMode(%d)", int(m))
 }
-
-// ingestModeEnv is the environment override consulted by IngestDefault.
-const ingestModeEnv = "AMSTRACK_INGEST_MODE"
 
 // Defaults applied by Options.normalize.
 const (
@@ -154,22 +145,18 @@ type Options struct {
 	// Dir enables oplog-backed durability when non-empty: per-relation
 	// logs and checkpoints live there. Empty means in-memory only.
 	Dir string
-	// IngestMode selects the write path (IngestDefault → absorber,
-	// unless AMSTRACK_INGEST_MODE overrides). Both modes produce
-	// bit-identical synopses for the same op multiset; they differ in
-	// concurrency discipline and in when ops become durable (see the
-	// constants).
+	// IngestMode is a source-compatibility field: IngestDefault and
+	// IngestAbsorber both select the one write path (normalized to
+	// IngestAbsorber); any other value is an error.
 	IngestMode IngestMode
-	// StageOps is the absorber staging-buffer capacity in ops
-	// (0 → 256). Absorber mode only.
+	// StageOps is the absorber staging-buffer capacity in ops (0 → 256).
 	StageOps int
 	// FlushOps caps the group-commit oplog batch: the log writer pushes
 	// pending records to the OS when FlushOps accumulate (0 → 512).
-	// Absorber mode with durability only.
+	// Durable engines only.
 	FlushOps int
 	// FlushInterval caps how long a pending oplog record may wait before
-	// the group is pushed to the OS (0 → 200µs). Absorber mode with
-	// durability only.
+	// the group is pushed to the OS (0 → 200µs). Durable engines only.
 	FlushInterval time.Duration
 	// SegmentOps caps each oplog file at this many records: when a
 	// segment fills, the relation rolls onto a numbered next segment, so
@@ -254,16 +241,9 @@ func (o Options) normalize() (Options, error) {
 	}
 	o.Shards = n
 	if o.IngestMode == IngestDefault {
-		switch env := os.Getenv(ingestModeEnv); env {
-		case "", "absorber":
-			o.IngestMode = IngestAbsorber
-		case "locked":
-			o.IngestMode = IngestLocked
-		default:
-			return o, fmt.Errorf("engine: %s=%q, want locked or absorber", ingestModeEnv, env)
-		}
+		o.IngestMode = IngestAbsorber
 	}
-	if o.IngestMode != IngestLocked && o.IngestMode != IngestAbsorber {
+	if o.IngestMode != IngestAbsorber {
 		return o, fmt.Errorf("engine: unknown ingest mode %d", o.IngestMode)
 	}
 	if o.StageOps == 0 {
@@ -424,49 +404,39 @@ type Relation struct {
 	arity  int
 	plan   chainPlan
 
-	// opMu serializes ingest against checkpoint/recovery in LOCKED mode:
-	// every update holds it shared (so ingest scales across shards),
-	// Checkpoint holds it exclusively so log and counters are mutually
-	// consistent at the instant the snapshot is cut. Absorber-mode
-	// relations never touch it; their quiescence comes from ing.pause.
-	opMu   sync.RWMutex
 	mask   uint64
 	shards []sigShard
 	sketch *core.ShardedFastTugOfWar // nil when NoSketch
 
 	log relLog // no-op in in-memory engines
 
-	// ing is the absorber-mode machinery (staging slots, one absorber
-	// goroutine per shard, group-commit log writer); nil in locked mode.
-	// When non-nil, shard signatures are owned by their absorbers: every
-	// other access goes through ing (drain barriers, visit callbacks, or
-	// a full pause).
+	// ing is the write path (staging slots, one absorber goroutine per
+	// shard, group-commit log writer). Shard state is owned by the
+	// absorbers: every other access goes through ing (drain barriers,
+	// visit callbacks, or a full pause).
 	ing *ingester
 }
 
 type sigShard struct {
-	mu    sync.Mutex
 	sig   join.Signature
 	chain *shardChain // nil unless the schema declares chain synopses
 	// hh is the shard's slice of the relation's heavy-hitter table, nil
 	// unless the schema sets SkimHitters. Shards key by shardOf(value),
 	// so the per-shard tables track DISJOINT value sets and the
 	// relation-level table is their exact union. Updated per op, in op
-	// order, under the same discipline as the other synopses; unlike
-	// them it is order-sensitive, so its bit-exact recovery guarantee
-	// holds where per-shard apply order equals per-shard log order —
-	// always in absorber mode, single-writer in locked mode (§13).
+	// order, by the shard's absorber; unlike the other synopses it is
+	// order-sensitive, and its bit-exact recovery guarantee rests on
+	// per-shard apply order equalling per-shard log order (§13).
 	hh *core.SpaceSaving
 	// ops counts the mutation ops this shard has applied (a batch of n
 	// rows counts n). The per-relation sum is the relation's Seq — its
-	// logical version. Guarded by whatever guards the shard's synopses:
-	// mu in locked mode, the single absorber goroutine in absorber mode,
-	// the recovery thread during replay, quiescence during bundle
-	// absorption. Deterministic by construction: equal op sequences give
-	// equal sums, checkpoints persist it, and replay re-derives the tail —
-	// so recovery reconstructs it bit-exactly along with the synopses.
-	ops   uint64
-	_     [24]byte // pad to reduce false sharing between shard locks
+	// logical version. Written by the shard's absorber, the recovery
+	// thread during replay, or under a pause during bundle absorption.
+	// Deterministic by construction: equal op sequences give equal sums,
+	// checkpoints persist it, and replay re-derives the tail — so
+	// recovery reconstructs it bit-exactly along with the synopses.
+	ops uint64
+	_   [24]byte // pad to a cache line: absorbers write adjacent shards' ops
 }
 
 // newRelation builds the in-memory half of a relation. schema must
@@ -512,9 +482,7 @@ func (e *Engine) newRelation(name string, schema Schema) (*Relation, error) {
 		}
 		r.sketch = sk
 	}
-	if e.opts.IngestMode == IngestAbsorber {
-		r.ing = newIngester(r)
-	}
+	r.ing = newIngester(r)
 	r.log.onRoll = e.noteSegmentRoll
 	return r, nil
 }
@@ -523,7 +491,7 @@ func (e *Engine) newRelation(name string, schema Schema) (*Relation, error) {
 // (or no longer) being published — error paths of Define/Import and
 // checkpoint decoding — so its absorber goroutines cannot leak.
 func (r *Relation) discard() {
-	if r != nil && r.ing != nil {
+	if r != nil {
 		r.ing.stop()
 	}
 }
@@ -609,9 +577,7 @@ func (e *Engine) Drop(name string) error {
 		return fmt.Errorf("engine: %w: %q", ErrUnknownRelation, name)
 	}
 	delete(e.rels, name)
-	if r.ing != nil {
-		r.ing.stop()
-	}
+	r.ing.stop()
 	if err := r.log.remove(); err != nil {
 		return err
 	}
@@ -690,69 +656,24 @@ func (r *Relation) newRelHH() *core.SpaceSaving {
 }
 
 // snapshotHH unions the per-shard heavy-hitter tables into one
-// relation-level table (exact: the shards track disjoint value sets).
-// Returns nil when the relation does not skim. Synchronization mirrors
-// snapshotSig: shard locks in locked mode, a drain + on-absorber clone
-// barrier in absorber mode.
+// relation-level table (exact: the shards track disjoint value sets),
+// behind a drain + on-absorber clone barrier. Returns nil when the
+// relation does not skim.
 func (r *Relation) snapshotHH() *core.SpaceSaving {
 	if !r.skims() {
 		return nil
 	}
-	if r.ing != nil {
-		return r.ing.snapshotHH()
-	}
-	fresh := r.newRelHH()
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		fresh.MergeItems(s.hh.Items())
-		s.mu.Unlock()
-	}
-	return fresh
+	return r.ing.snapshotHH()
 }
 
-// snapshotHHQuiesced reads the shard tables with no synchronization;
-// legal only while the relation is quiesced.
-func (r *Relation) snapshotHHQuiesced() *core.SpaceSaving {
-	if !r.skims() {
-		return nil
-	}
-	fresh := r.newRelHH()
-	for i := range r.shards {
-		fresh.MergeItems(r.shards[i].hh.Items())
-	}
-	return fresh
-}
-
-// Insert adds a tuple with the given joining-attribute value. In durable
-// engines the op is logged before the synopses see it (locked mode) or
-// group-committed by the absorber's log writer; log write errors are
-// sticky and surfaced by Err, Sync, Checkpoint, and — in absorber mode —
-// the next erroring caller-side op and Drain.
+// Insert adds a tuple with the given joining-attribute value. The op is
+// staged and applied asynchronously by the shard's absorber; in durable
+// engines the absorber's log writer group-commits it. Log write errors
+// are sticky and surfaced by Err, Sync, Checkpoint, Drain, and the next
+// erroring caller-side op.
 func (r *Relation) Insert(v uint64) {
 	r.mustArity(1)
-	if r.ing != nil {
-		r.ing.stage(v, nil, false)
-		return
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.log.insert(v)
-	s := r.shardOf(v)
-	s.mu.Lock()
-	s.sig.Insert(v)
-	if s.chain != nil {
-		one := [1]uint64{v}
-		s.chain.insert(&r.plan, one[:])
-	}
-	if s.hh != nil {
-		s.hh.Insert(v)
-	}
-	s.ops++
-	s.mu.Unlock()
-	if r.sketch != nil {
-		r.sketch.Insert(v)
-	}
+	r.ing.stage(v, nil, false)
 }
 
 // InsertTuple adds a tuple of the relation's full attribute set, in
@@ -766,18 +687,8 @@ func (r *Relation) InsertTuple(vals ...uint64) {
 		r.Insert(vals[0])
 		return
 	}
-	if r.ing != nil {
-		rest := append([]uint64(nil), vals[1:]...)
-		r.ing.stage(vals[0], &rest, false)
-		return
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.log.insertTuple(vals)
-	r.applyTupleLocked(vals, false)
-	if r.sketch != nil {
-		r.sketch.Insert(vals[0])
-	}
+	rest := append([]uint64(nil), vals[1:]...)
+	r.ing.stage(vals[0], &rest, false)
 }
 
 // DeleteTuple removes a tuple previously added with InsertTuple. Exact
@@ -787,105 +698,29 @@ func (r *Relation) DeleteTuple(vals ...uint64) error {
 	if r.arity == 1 {
 		return r.Delete(vals[0])
 	}
-	if r.ing != nil {
-		rest := append([]uint64(nil), vals[1:]...)
-		r.ing.stage(vals[0], &rest, true)
-		return r.Err()
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.log.deleteTuple(vals)
-	r.applyTupleLocked(vals, true)
-	if r.sketch != nil {
-		return r.sketch.Delete(vals[0])
-	}
-	return nil
-}
-
-// applyTupleLocked routes one tuple to its primary shard (keyed by the
-// primary attribute, like every other path) and fans it out under the
-// shard lock. Caller holds opMu shared.
-func (r *Relation) applyTupleLocked(vals []uint64, del bool) {
-	s := r.shardOf(vals[0])
-	s.mu.Lock()
-	if del {
-		_ = s.sig.Delete(vals[0])
-	} else {
-		s.sig.Insert(vals[0])
-	}
-	if s.chain != nil {
-		if del {
-			s.chain.delete(&r.plan, vals)
-		} else {
-			s.chain.insert(&r.plan, vals)
-		}
-	}
-	if s.hh != nil {
-		if del {
-			s.hh.Delete(vals[0])
-		} else {
-			s.hh.Insert(vals[0])
-		}
-	}
-	s.ops++
-	s.mu.Unlock()
+	rest := append([]uint64(nil), vals[1:]...)
+	r.ing.stage(vals[0], &rest, true)
+	return r.Err()
 }
 
 // Delete removes a tuple with the given joining-attribute value. Exact by
-// linearity; validity of the op sequence is the caller's contract. In
-// absorber mode the op is applied asynchronously and the returned error
-// reflects the relation's sticky state (prior oplog failures), not this
-// specific op.
+// linearity; validity of the op sequence is the caller's contract. The
+// op is applied asynchronously, so the returned error reflects the
+// relation's sticky state (prior oplog failures), not this specific op.
 func (r *Relation) Delete(v uint64) error {
 	r.mustArity(1)
-	if r.ing != nil {
-		r.ing.stage(v, nil, true)
-		return r.Err()
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.log.delete(v)
-	s := r.shardOf(v)
-	s.mu.Lock()
-	err := s.sig.Delete(v)
-	if s.chain != nil {
-		one := [1]uint64{v}
-		s.chain.delete(&r.plan, one[:])
-	}
-	if s.hh != nil {
-		s.hh.Delete(v)
-	}
-	s.ops++
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if r.sketch != nil {
-		return r.sketch.Delete(v)
-	}
-	return nil
+	r.ing.stage(v, nil, true)
+	return r.Err()
 }
 
-// InsertBatch adds every value in vs: one log append run, then per-shard
-// grouped counter updates so concurrent loaders contend once per shard
-// per batch (locked mode), or one grouped handoff to the absorbers
-// (absorber mode).
+// InsertBatch adds every value in vs in one grouped handoff to the
+// absorbers.
 func (r *Relation) InsertBatch(vs []uint64) {
 	if len(vs) == 0 {
 		return
 	}
 	r.mustArity(1)
-	if r.ing != nil {
-		r.ing.stageBatch(vs, false)
-		return
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.log.insertBatch(vs)
-	r.applyBatch(vs, false)
-	if r.sketch != nil {
-		r.sketch.InsertBatch(vs)
-	}
+	r.ing.stageBatch(vs, false)
 }
 
 // DeleteBatch removes every value in vs.
@@ -894,24 +729,13 @@ func (r *Relation) DeleteBatch(vs []uint64) error {
 		return r.Err()
 	}
 	r.mustArity(1)
-	if r.ing != nil {
-		r.ing.stageBatch(vs, true)
-		return r.Err()
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.log.deleteBatch(vs)
-	r.applyBatch(vs, true)
-	if r.sketch != nil {
-		return r.sketch.DeleteBatch(vs)
-	}
-	return nil
+	r.ing.stageBatch(vs, true)
+	return r.Err()
 }
 
 // InsertTupleBatch adds every row (each the relation's full attribute
-// set, in schema order): one log append run, then per-row fan-out. Rows
-// are copied on the absorber path, so the caller may reuse the backing
-// arrays immediately.
+// set, in schema order) in one grouped handoff to the absorbers. Rows
+// are copied, so the caller may reuse the backing arrays immediately.
 func (r *Relation) InsertTupleBatch(rows [][]uint64) {
 	r.tupleBatch(rows, false)
 }
@@ -943,133 +767,30 @@ func (r *Relation) tupleBatch(rows [][]uint64, del bool) {
 		}
 		return
 	}
-	if r.ing != nil {
-		r.ing.stageTupleBatch(rows, del)
-		return
-	}
-	r.opMu.RLock()
-	defer r.opMu.RUnlock()
-	r.log.tupleBatch(rows, del)
-	for _, row := range rows {
-		r.applyTupleLocked(row, del)
-	}
-	if r.sketch != nil {
-		vs := make([]uint64, len(rows))
-		for i, row := range rows {
-			vs[i] = row[0]
-		}
-		if del {
-			_ = r.sketch.DeleteBatch(vs)
-		} else {
-			r.sketch.InsertBatch(vs)
-		}
-	}
+	r.ing.stageTupleBatch(rows, del)
 }
 
-// Drain is the read-your-writes barrier of absorber mode: it blocks
-// until every op staged before the call has been applied to the synopses
-// and handed to the oplog writer (and the writer's pending group pushed
-// to the OS), then reports the relation's sticky error. Queries and
-// Checkpoint drain implicitly; call Drain directly when switching from
-// loading to reading, or to surface asynchronous log errors promptly. In
-// locked mode it reduces to Err.
+// Drain is the read-your-writes barrier: it blocks until every op staged
+// before the call has been applied to the synopses and handed to the
+// oplog writer (and the writer's pending group pushed to the OS), then
+// reports the relation's sticky error. Queries and Checkpoint drain
+// implicitly; call Drain directly when switching from loading to
+// reading, or to surface asynchronous log errors promptly.
 func (r *Relation) Drain() error {
-	if r.ing != nil {
-		r.ing.drain()
-	}
+	r.ing.drain()
 	return r.Err()
-}
-
-// quiesce blocks the relation's write path and returns a release func:
-// exclusive opMu in locked mode, a full staging+absorber+log pause in
-// absorber mode. While quiesced, counters and log are mutually
-// consistent and shard state may be read directly.
-func (r *Relation) quiesce() func() {
-	if r.ing != nil {
-		r.ing.pause()
-		return r.ing.resume
-	}
-	r.opMu.Lock()
-	return r.opMu.Unlock
-}
-
-func (r *Relation) applyBatch(vs []uint64, del bool) {
-	if len(r.shards) == 1 {
-		s := &r.shards[0]
-		s.mu.Lock()
-		r.applyShardBatch(s, vs, del)
-		s.mu.Unlock()
-		return
-	}
-	groups := make([][]uint64, len(r.shards))
-	for _, v := range vs {
-		i := xrand.Mix64(v) & r.mask
-		groups[i] = append(groups[i], v)
-	}
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		s := &r.shards[i]
-		s.mu.Lock()
-		r.applyShardBatch(s, g, del)
-		s.mu.Unlock()
-	}
-}
-
-// applyShardBatch applies a single-attribute value batch to one shard's
-// synopsis set. Caller holds the shard lock (or is its absorber).
-func (r *Relation) applyShardBatch(s *sigShard, vs []uint64, del bool) {
-	if del {
-		_ = s.sig.DeleteBatch(vs)
-	} else {
-		s.sig.InsertBatch(vs)
-	}
-	if s.chain != nil {
-		var one [1]uint64
-		for _, v := range vs {
-			one[0] = v
-			if del {
-				s.chain.delete(&r.plan, one[:])
-			} else {
-				s.chain.insert(&r.plan, one[:])
-			}
-		}
-	}
-	if s.hh != nil {
-		for _, v := range vs {
-			if del {
-				s.hh.Delete(v)
-			} else {
-				s.hh.Insert(v)
-			}
-		}
-	}
-	s.ops += uint64(len(vs))
 }
 
 // Err returns the relation's sticky log error, if any: a failed append
 // means ops since that point are NOT durable even though the in-memory
-// synopses kept tracking them. In absorber mode the error may have been
-// detected asynchronously by the log writer; it is still sticky and
-// visible here without a drain.
+// synopses kept tracking them. The error may have been detected
+// asynchronously by the log writer; it is still sticky and visible here
+// without a drain.
 func (r *Relation) Err() error { return r.log.err() }
 
 // Len returns the relation's current tuple count (draining staged ops
-// first in absorber mode).
-func (r *Relation) Len() int64 {
-	if r.ing != nil {
-		return r.ing.len(false)
-	}
-	var n int64
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += s.sig.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
+// first).
+func (r *Relation) Len() int64 { return r.ing.len(false) }
 
 // DrainLen is Drain and Len in ONE pipeline sweep: everything staged
 // before the call is applied and handed to the OS-owned log buffer, the
@@ -1078,10 +799,7 @@ func (r *Relation) Len() int64 {
 // pair; calling Drain then Len would pay the staging sweep and shard
 // barrier twice.
 func (r *Relation) DrainLen() (int64, error) {
-	if r.ing != nil {
-		return r.ing.len(true), r.Err()
-	}
-	return r.Len(), r.Err()
+	return r.ing.len(true), r.Err()
 }
 
 // Seq returns the relation's logical version: the number of mutation
@@ -1092,86 +810,27 @@ func (r *Relation) DrainLen() (int64, error) {
 // reconstructed bit-exactly by crash recovery (checkpoints persist it,
 // replay re-derives the tail). Equal Seq from one engine therefore
 // means the synopses have not changed — the cheap freshness probe the
-// coordinator's bundle cache keys on. In absorber mode staged ops are
-// drained first (read-your-writes).
+// coordinator's bundle cache keys on. Staged ops are drained first
+// (read-your-writes).
 func (r *Relation) Seq() uint64 {
 	seq, _ := r.statCut()
 	return seq
 }
 
-// statCut reads (Seq, Len) in one synchronization sweep: a single
-// shard-lock pass in locked mode, one drain + on-absorber barrier in
-// absorber mode — the pair a stat endpoint wants without paying two
-// barriers.
-func (r *Relation) statCut() (seq uint64, rows int64) {
-	if r.ing != nil {
-		return r.ing.stat()
-	}
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		seq += s.ops
-		rows += s.sig.Len()
-		s.mu.Unlock()
-	}
-	return seq, rows
-}
+// statCut reads (Seq, Len) behind one drain + on-absorber barrier — the
+// pair a stat endpoint wants without paying two barriers.
+func (r *Relation) statCut() (seq uint64, rows int64) { return r.ing.stat() }
 
-// opsQuiesced sums the shard op counters with no synchronization; legal
-// only while the relation is quiesced (or during single-threaded
-// recovery).
-func (r *Relation) opsQuiesced() uint64 {
-	var seq uint64
-	for i := range r.shards {
-		seq += r.shards[i].ops
-	}
-	return seq
-}
+// snapshotSig merges the shard signatures into one. It first drains
+// staged ops — reads see the caller's own writes — and collects
+// per-shard copies via the absorbers themselves, preserving
+// single-writer discipline.
+func (r *Relation) snapshotSig() join.Signature { return r.ing.snapshotSig() }
 
-// snapshotSig merges the shard signatures into one, shard by shard (the
-// estimate reflects some linearization of concurrent updates, as with the
-// sharded sketches). In absorber mode it first drains staged ops — reads
-// see the caller's own writes — and collects per-shard copies via the
-// absorbers themselves, preserving single-writer discipline.
-func (r *Relation) snapshotSig() join.Signature {
-	if r.ing != nil {
-		return r.ing.snapshotSig()
-	}
-	fresh := r.eng.newSignature()
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		err := fresh.Merge(s.sig)
-		s.mu.Unlock()
-		if err != nil {
-			// Shards are built from one family; a mismatch is an invariant
-			// violation, not an input error.
-			panic(fmt.Sprintf("engine: shard snapshot: %v", err))
-		}
-	}
-	return fresh
-}
-
-// snapshotChain merges the shard chain sets into one, with the same
-// synchronization shapes as snapshotSig: shard locks in locked mode, a
-// drain + on-absorber clone barrier in absorber mode. Returns nil when
-// the schema declares no chain synopses.
-func (r *Relation) snapshotChain() *shardChain {
-	if !r.schema.hasChain() {
-		return nil
-	}
-	if r.ing != nil {
-		return r.ing.snapshotChain()
-	}
-	fresh := r.newEmptyChain()
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		fresh.merge(s.chain)
-		s.mu.Unlock()
-	}
-	return fresh
-}
+// snapshotChain merges the shard chain sets into one behind the same
+// drain + on-absorber clone barrier as snapshotSig. Returns nil when the
+// schema declares no chain synopses.
+func (r *Relation) snapshotChain() *shardChain { return r.ing.snapshotChain() }
 
 // newEmptyChain builds an empty chain set of the relation's layout. The
 // relation's shards already hold chain sets, so the family exists.
@@ -1188,8 +847,8 @@ func (r *Relation) newEmptyChain() *shardChain {
 // SelfJoinEstimate returns the relation's estimated self-join size, from
 // the dedicated Fast-AMS sketch when configured, else from the join
 // signature's own counters (§4.4's connection between the two halves of
-// the paper). Absorber mode drains first, so the estimate covers the
-// caller's own staged writes.
+// the paper). Staged ops are drained first, so the estimate covers the
+// caller's own writes.
 func (r *Relation) SelfJoinEstimate() float64 {
 	est, _ := r.SelfJoinEstimateDetail()
 	return est
@@ -1201,9 +860,7 @@ func (r *Relation) SelfJoinEstimate() float64 {
 // sketch, "sketch" for the dedicated Fast-AMS sketch, "signature" for
 // the join signature's own counters.
 func (r *Relation) SelfJoinEstimateDetail() (float64, string) {
-	if r.ing != nil {
-		r.ing.drain()
-	}
+	r.ing.drain()
 	if r.sketch == nil {
 		return r.snapshotSig().SelfJoinEstimate(), "signature"
 	}
@@ -1415,7 +1072,7 @@ func (e *Engine) AllPairs() ([]PairEstimate, error) {
 func (e *Engine) MarshalBinary() ([]byte, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.marshalLocked(e.epoch, false)
+	return e.marshalLocked(e.epoch)
 }
 
 // engineFlags payload bits.
@@ -1447,36 +1104,15 @@ func (e *Engine) writeVersion() uint8 {
 	return engineBlobVersion
 }
 
-// marshalLocked serializes under the engine lock. quiesced tells it the
-// caller holds every relation quiesced (Checkpoint), in which case
-// absorber-mode shard state may be read directly; otherwise snapshots go
-// through the drain-barrier path.
-func (e *Engine) marshalLocked(epoch uint64, quiesced bool) ([]byte, error) {
+// marshalLocked serializes under the engine lock, each relation's
+// synopses read through the drain-barrier snapshots.
+func (e *Engine) marshalLocked(epoch uint64) ([]byte, error) {
 	version := e.writeVersion()
 	b, names := e.marshalHeader(version, epoch)
 	for _, n := range names {
 		r := e.rels[n]
-		var sig join.Signature
-		var chain *shardChain
-		var hh *core.SpaceSaving
-		if quiesced && r.ing != nil {
-			// Under pause the slots are held: the barrier-based snapshot
-			// would self-deadlock, and direct reads are exactly what the
-			// quiescence licenses.
-			sig = r.ing.snapshotSigQuiesced()
-			chain = r.ing.snapshotChainQuiesced()
-			hh = r.snapshotHHQuiesced()
-		} else {
-			sig = r.snapshotSig()
-			chain = r.snapshotChain()
-			hh = r.snapshotHH()
-		}
-		var seq uint64
-		if quiesced {
-			seq = r.opsQuiesced()
-		} else {
-			seq, _ = r.statCut()
-		}
+		sig, chain, hh := r.snapshotSig(), r.snapshotChain(), r.snapshotHH()
+		seq, _ := r.statCut()
 		var sk *core.FastTugOfWar
 		if r.sketch != nil {
 			var err error
@@ -1535,8 +1171,9 @@ func (e *Engine) marshalHeader(version uint8, epoch uint64) (*blob.Builder, []st
 
 // buildRelationBlob appends one relation's checkpoint section from
 // already-materialized synopsis snapshots. seq is the op-sequence
-// counter at the same cut as the snapshots (exact: the fence visit and
-// the quiesced read both capture it with the synopses).
+// counter at the same cut as the snapshots (exact for checkpoints: the
+// fence visit captures it with the synopses; MarshalBinary's separate
+// barriers are exact whenever ingest is idle, as during recovery).
 func buildRelationBlob(b *blob.Builder, version uint8, name string, r *Relation, sig join.Signature, sk *core.FastTugOfWar, hh *core.SpaceSaving, chain *shardChain, seq uint64) error {
 	sigBlob, err := sig.MarshalBinary()
 	if err != nil {
@@ -1635,9 +1272,7 @@ func (e *Engine) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	for _, r := range e.rels {
-		if r.ing != nil {
-			r.ing.stop()
-		}
+		r.ing.stop()
 	}
 	e.opts, e.flatFam, e.fastFam, e.skCfg, e.rels, e.epoch, e.fs =
 		fresh.opts, fresh.flatFam, fresh.fastFam, fresh.skCfg, fresh.rels, fresh.epoch, fresh.fs
@@ -1679,7 +1314,6 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 	}
 	opts.Shards = runtime.Shards
 	opts.Dir = runtime.Dir
-	opts.IngestMode = runtime.IngestMode
 	opts.StageOps = runtime.StageOps
 	opts.FlushOps = runtime.FlushOps
 	opts.FlushInterval = runtime.FlushInterval
@@ -1841,7 +1475,7 @@ func (r *Relation) loadHH(data []byte) error {
 // scatterHH folds a relation-level hitter table into the per-shard
 // tables, splitting by the same value hash shardOf routes with. The
 // caller must hold the shards quiet (recovery is single-threaded;
-// absorbBundle quiesces).
+// absorbBundle pauses the write path).
 func (r *Relation) scatterHH(hh *core.SpaceSaving) {
 	groups := make([][]core.Hitter, len(r.shards))
 	for _, h := range hh.Items() {

@@ -328,26 +328,22 @@ func TestEngineConcurrentUse(t *testing.T) {
 
 // TestParallelIngestLinearity is the linearity acceptance test: many
 // goroutines hammering several relations with interleaved batch inserts
-// and deletes must land on EXACTLY the estimates of a single-stream run —
-// the counters are sums, sums commute. Run under -race in CI.
+// and deletes must land on EXACTLY the synopses of the reference model
+// fed one stream at a time — the counters are sums, sums commute. Run
+// under -race in CI.
 func TestParallelIngestLinearity(t *testing.T) {
 	opts := Options{SignatureWords: 128, Seed: 3, SketchS1: 128, SketchS2: 4, Shards: 4}
 	par, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(t, opts)
 	relNames := []string{"r0", "r1", "r2"}
 	for _, n := range relNames {
 		if _, err := par.Define(n); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := seq.Define(n); err != nil {
-			t.Fatal(err)
-		}
+		modelDefine(t, m, n, Schema{})
 	}
 	// Deterministic per-worker streams: worker w feeds relation w%3.
 	const workers, perWorker = 8, 3000
@@ -381,7 +377,7 @@ func TestParallelIngestLinearity(t *testing.T) {
 	wg.Wait()
 	// Single-stream reference, different interleaving on purpose.
 	for w := workers - 1; w >= 0; w-- {
-		rel, _ := seq.Get(relNames[w%len(relNames)])
+		rel := m.Relation(relNames[w%len(relNames)])
 		vs := streams[w]
 		for _, v := range vs {
 			rel.Insert(v)
@@ -390,29 +386,5 @@ func TestParallelIngestLinearity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, n := range relNames {
-		rp, _ := par.Get(n)
-		rs, _ := seq.Get(n)
-		if rp.Len() != rs.Len() {
-			t.Fatalf("%s: Len %d != %d", n, rp.Len(), rs.Len())
-		}
-		if rp.SelfJoinEstimate() != rs.SelfJoinEstimate() {
-			t.Fatalf("%s: self-join estimate differs from single-stream run", n)
-		}
-	}
-	for i := 0; i < len(relNames); i++ {
-		for j := i + 1; j < len(relNames); j++ {
-			jp, err := par.EstimateJoin(relNames[i], relNames[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			js, err := seq.EstimateJoin(relNames[i], relNames[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if jp != js {
-				t.Fatalf("%s⋈%s: parallel %+v != single-stream %+v", relNames[i], relNames[j], jp, js)
-			}
-		}
-	}
+	expectEngineMatchesModel(t, par, m)
 }

@@ -1,14 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"amstrack/internal/exact"
 	"amstrack/internal/oplog"
+	"amstrack/internal/refmodel"
+	"amstrack/internal/stream"
 	"amstrack/internal/xrand"
 )
 
@@ -21,35 +26,80 @@ func faultOpts(dir string, ffs *oplog.FaultFS) Options {
 	return opts
 }
 
-// copyDirFiles clones every regular file of src into dst — the "disk
-// image at the moment of death" the recovery-determinism assertions
-// reopen twice.
-func copyDirFiles(t *testing.T, src, dst string) {
+// keepFS is a passthrough filesystem that keeps the last contents of
+// every file it removes, so a torture test can reconstruct every op that
+// ever reached a log — segments compacted away included.
+type keepFS struct {
+	oplog.FS
+	mu      sync.Mutex
+	removed map[string][]byte
+}
+
+func newKeepFS() *keepFS { return &keepFS{FS: oplog.OSFS, removed: map[string][]byte{}} }
+
+func (k *keepFS) Remove(name string) error {
+	if data, err := k.FS.ReadFile(name); err == nil {
+		k.mu.Lock()
+		k.removed[name] = data
+		k.mu.Unlock()
+	}
+	return k.FS.Remove(name)
+}
+
+// loggedModel feeds the reference model relation "f" with every op
+// record of every log segment of dir — the files still on disk plus the
+// ones kfs saw removed — cut at a torn tail. That is exactly the op
+// multiset recovery owes: the checkpoint covers the segments it retired,
+// replay the rest.
+func loggedModel(t *testing.T, dir string, kfs *keepFS) *refmodel.Model {
 	t.Helper()
-	entries, err := os.ReadDir(src)
+	m := newModel(t, durOpts(""))
+	f := modelDefine(t, m, "f", Schema{})
+	segs := map[string][]byte{}
+	for path, data := range kfs.removed {
+		segs[path] = data
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
+		path := filepath.Join(dir, ent.Name())
+		if segs[path], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for path, data := range segs {
+		name, _, _, ok := relNameFromFile(filepath.Base(path))
+		if !ok {
+			continue
+		}
+		if name != "f" {
+			t.Fatalf("unexpected relation log %s", path)
+		}
+		lr := oplog.NewReader(bytes.NewReader(data))
+		for {
+			op, err := lr.Next()
+			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if op.Kind == stream.Delete {
+				_ = f.Delete(op.Value)
+			} else {
+				f.Insert(op.Value)
+			}
+		}
+	}
+	return m
 }
 
 // TestFsyncFailureSurfaces: a failing fsync must error on Sync and
-// Checkpoint, never report durability it does not have. The blast radius
-// is mode-specific: locked mode fails before anything commits and heals
-// when the fault clears; absorber mode hits the failure after the epoch
-// fence, which poisons the logs — and a restart recovers every op that
-// reached the OS.
+// Checkpoint, never report durability it does not have. The checkpoint
+// hits the failure after the epoch fence, which poisons the logs — and a
+// restart recovers every op that reached the OS.
 func TestFsyncFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	ffs := oplog.NewFaultFS(nil)
@@ -79,26 +129,12 @@ func TestFsyncFailureSurfaces(t *testing.T) {
 		t.Fatal("Checkpoint with failing fsync reported success")
 	}
 	ffs.FailSync(nil)
-	if e.Options().IngestMode == IngestAbsorber {
-		// The failure hit after the epoch fence: the logs must be poisoned
-		// (ops since the fence may not be durable) and stay poisoned.
-		if f.Err() == nil {
-			t.Fatal("post-fence fsync failure did not poison the log")
-		}
-		_ = e.Close()
-	} else {
-		// Locked mode fails during the pre-marshal sync: nothing committed,
-		// nothing poisoned, and the cleared fault heals completely.
-		if err := f.Err(); err != nil {
-			t.Fatalf("pre-commit fsync failure poisoned the log: %v", err)
-		}
-		if _, err := e.Checkpoint(); err != nil {
-			t.Fatalf("Checkpoint after fault cleared: %v", err)
-		}
-		if err := e.Close(); err != nil {
-			t.Fatal(err)
-		}
+	// The failure hit after the epoch fence: the logs must be poisoned
+	// (ops since the fence may not be durable) and stay poisoned.
+	if f.Err() == nil {
+		t.Fatal("post-fence fsync failure did not poison the log")
 	}
+	_ = e.Close()
 	// Every op was OS-owned (flushed) before the process "died", so the
 	// restart recovers all 210.
 	back, err := Open(durOpts(dir))
@@ -118,7 +154,7 @@ func TestFsyncFailureSurfaces(t *testing.T) {
 // TestTornWriteRecovery: an ENOSPC that tears a write at byte
 // granularity must surface as a sticky error, and recovery must cut the
 // log back to the last whole record — exactly budget/recordSize ops
-// survive, in both ingest modes.
+// survive.
 func TestTornWriteRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ffs := oplog.NewFaultFS(nil)
@@ -170,8 +206,8 @@ var crashPoints = []string{
 }
 
 // TestCrashPointMatrix kills the engine at every named crash point of a
-// checkpoint and asserts recovery is bit-identical to an uninterrupted
-// in-memory mirror of the same op stream: everything was fsynced before
+// checkpoint and asserts recovery is bit-identical to the reference
+// model fed the same op stream: everything was fsynced before
 // the doomed checkpoint, so whether it died before or after the rename
 // commit, no op may be lost or double-applied.
 func TestCrashPointMatrix(t *testing.T) {
@@ -205,22 +241,24 @@ func TestCrashPointMatrix(t *testing.T) {
 				t.Fatalf("recovery after crash at %s: %v", point, err)
 			}
 			defer back.Close()
-			expectEqualState(t, back, mirror(t, true))
+			expectEngineMatchesModel(t, back, phaseModel(t, true))
 		})
 	}
 }
 
 // TestTortureConcurrentCrash is the torture loop: ingest runs WHILE the
-// checkpoint crashes at each named point, then the disk image is
-// recovered twice — once per ingest mode — and the two must agree
-// bit-identically. Ops synced before the crash must all survive; ops
-// racing the crash may be lost (they were never acknowledged durable)
-// but never corrupt the image.
+// checkpoint crashes at each named point. Ops synced before the crash
+// must all survive; ops racing the crash may be lost (they were never
+// acknowledged durable) but never corrupt the image. The recovered
+// relation must match, byte for byte, the reference model fed every op
+// record that reached a log segment before the crash — whether the
+// recovered checkpoint absorbed its segment or replay re-read it.
 func TestTortureConcurrentCrash(t *testing.T) {
 	for round, point := range crashPoints {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
-			ffs := oplog.NewFaultFS(nil)
+			kfs := newKeepFS()
+			ffs := oplog.NewFaultFS(kfs)
 			opts := faultOpts(dir, ffs)
 			opts.SegmentOps = 32
 			e, err := Open(opts)
@@ -232,9 +270,12 @@ func TestTortureConcurrentCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 			const pre, racing = 400, 400
+			synced := exact.NewHistogram()
 			rng := xrand.New(0xBEEF + uint64(round))
 			for i := 0; i < pre; i++ {
-				f.Insert(rng.Uint64n(64))
+				v := rng.Uint64n(64)
+				f.Insert(v)
+				synced.Insert(v)
 			}
 			if err := e.Sync(); err != nil {
 				t.Fatal(err)
@@ -255,28 +296,21 @@ func TestTortureConcurrentCrash(t *testing.T) {
 			wg.Wait()
 			_ = e.Close()
 
-			// Recover the same disk image under BOTH ingest modes; the
-			// recovered synopses must be bit-identical (recovery is replay,
-			// and replay must not depend on the serving configuration).
-			dirL, dirA := t.TempDir(), t.TempDir()
-			copyDirFiles(t, dir, dirL)
-			copyDirFiles(t, dir, dirA)
-			optsL := durOpts(dirL)
-			optsL.IngestMode = IngestLocked
-			optsA := durOpts(dirA)
-			optsA.IngestMode = IngestAbsorber
-			el, err := Open(optsL)
+			// The model reads the disk image before recovery rewrites it.
+			m := loggedModel(t, dir, kfs)
+			logged := m.Relation("f").Histogram()
+			synced.Each(func(v uint64, n int64) {
+				if got := logged.Frequency(v); got < n {
+					t.Fatalf("synced value %d: %d logged, %d synced before the crash", v, got, n)
+				}
+			})
+			back, err := Open(durOpts(dir))
 			if err != nil {
-				t.Fatalf("locked-mode recovery: %v", err)
+				t.Fatalf("recovery after crash at %s: %v", point, err)
 			}
-			defer el.Close()
-			ea, err := Open(optsA)
-			if err != nil {
-				t.Fatalf("absorber-mode recovery: %v", err)
-			}
-			defer ea.Close()
-			expectEqualState(t, ea, el)
-			rel, err := el.Get("f")
+			defer back.Close()
+			expectEngineMatchesModel(t, back, m)
+			rel, err := back.Get("f")
 			if err != nil {
 				t.Fatal(err)
 			}

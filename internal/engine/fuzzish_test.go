@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"amstrack/internal/join"
 	"amstrack/internal/xrand"
 )
 
@@ -58,10 +59,10 @@ type ingestAction struct {
 }
 
 // buildActionStreams derives deterministic per-worker op streams where
-// every delete targets a value the SAME worker inserted earlier (valid
-// under the paper's model regardless of interleaving, since per-worker
-// order is preserved by both ingest paths... by linearity even when it
-// is not).
+// every delete targets a value the SAME worker inserted earlier, so the
+// reference model, fed one worker after another, sees a valid op
+// sequence; the engine may apply a delete before its insert, which
+// linearity makes harmless.
 func buildActionStreams(workers, steps int, seed uint64) [][]ingestAction {
 	streams := make([][]ingestAction, workers)
 	for w := range streams {
@@ -99,23 +100,82 @@ func buildActionStreams(workers, steps int, seed uint64) [][]ingestAction {
 	return streams
 }
 
-// TestConcurrentIngestModesBitIdentical is the cross-mode property test:
-// K goroutines hammer both relations of a locked engine and of an
-// absorber engine with the SAME randomized insert/delete/batch streams;
-// after a drain the two engines must agree BIT FOR BIT — serialized
-// checkpoint blob, exported relation bundles, and every estimate. Run
-// under -race in CI with absorber mode forced, this is both the
-// linearity proof and the data-race canary of the lock-free path.
-func TestConcurrentIngestModesBitIdentical(t *testing.T) {
+// applyActions runs one worker's stream against a relation — the
+// engine's from a worker goroutine, the reference model's sequentially.
+func applyActions(w relWriter, acts []ingestAction) error {
+	for _, a := range acts {
+		var err error
+		switch {
+		case a.batch != nil && a.del:
+			err = w.DeleteBatch(a.batch)
+		case a.batch != nil:
+			w.InsertBatch(a.batch)
+		case a.del:
+			err = w.Delete(a.v)
+		default:
+			w.Insert(a.v)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestConcurrentIngestMatchesReference is the engine's property test
+// against the independent reference model: K goroutines hammer two
+// relations with randomized insert/delete/batch streams, a third
+// (skimmed) relation takes skewed insert-only streams, and after a drain
+// every exported bundle must be byte-identical to the reference model
+// fed the same streams one worker after another — signature, sketch,
+// Rows, Seq — with the heavy-hitter table inside its space-saving
+// bounds of the model's exact histogram. The engine's checkpoint image
+// must decode to the same state, and its linear part must not depend on
+// the staging size. Run under -race in CI, this is both the linearity proof and the
+// data-race canary of the lock-free write path.
+func TestConcurrentIngestMatchesReference(t *testing.T) {
 	base := Options{SignatureWords: 128, Seed: 11, SketchS1: 64, SketchS2: 4, Shards: 4}
 	const workers, steps = 8, 1500
 	streams := buildActionStreams(workers, steps, 42)
 	relNames := []string{"f", "g"}
+	// Skewed insert-only streams for the skimmed relation: a few hot
+	// values over a long tail, in single inserts and batches.
+	skewed := make([][]ingestAction, 2)
+	for w := range skewed {
+		r := xrand.New(700 + uint64(w))
+		for i := 0; i < steps; i++ {
+			v := r.Uint64n(400)
+			if r.Uint64n(2) == 0 {
+				v = r.Uint64n(6)
+			}
+			if i%5 == 4 {
+				skewed[w] = append(skewed[w], ingestAction{batch: []uint64{v, v + 1, v + 2}})
+			} else {
+				skewed[w] = append(skewed[w], ingestAction{v: v})
+			}
+		}
+	}
+	skim := Schema{SkimHitters: 8}
 
-	run := func(mode IngestMode, stageOps int) *Engine {
+	m := newModel(t, base)
+	for _, n := range relNames {
+		modelDefine(t, m, n, Schema{})
+	}
+	modelDefine(t, m, "s", skim)
+	for w := range streams {
+		if err := applyActions(m.Relation(relNames[w%len(relNames)]), streams[w]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := range skewed {
+		if err := applyActions(m.Relation("s"), skewed[w]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	run := func(stageOps int) *Engine {
 		t.Helper()
 		opts := base
-		opts.IngestMode = mode
 		opts.StageOps = stageOps
 		e, err := New(opts)
 		if err != nil {
@@ -126,35 +186,28 @@ func TestConcurrentIngestModesBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if _, err := e.DefineSchema("s", skim); err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		ingest := func(name string, acts []ingestAction) {
+			defer wg.Done()
+			rel, err := e.Get(name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := applyActions(rel, acts); err != nil {
+				t.Error(err)
+			}
+		}
+		for w := range streams {
 			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rel, err := e.Get(relNames[w%len(relNames)])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for _, a := range streams[w] {
-					switch {
-					case a.batch != nil && a.del:
-						if err := rel.DeleteBatch(a.batch); err != nil {
-							t.Error(err)
-							return
-						}
-					case a.batch != nil:
-						rel.InsertBatch(a.batch)
-					case a.del:
-						if err := rel.Delete(a.v); err != nil {
-							t.Error(err)
-							return
-						}
-					default:
-						rel.Insert(a.v)
-					}
-				}
-			}(w)
+			go ingest(relNames[w%len(relNames)], streams[w])
+		}
+		for w := range skewed {
+			wg.Add(1)
+			go ingest("s", skewed[w])
 		}
 		wg.Wait()
 		if err := e.Drain(); err != nil {
@@ -165,54 +218,31 @@ func TestConcurrentIngestModesBitIdentical(t *testing.T) {
 
 	// A tiny StageOps forces constant buffer flushes and partial drains;
 	// the default exercises the steady-state path.
+	var images [][]byte
 	for _, stageOps := range []int{5, 0} {
-		locked := run(IngestLocked, stageOps)
-		abs := run(IngestAbsorber, stageOps)
-
-		lb, err := locked.MarshalBinary()
+		e := run(stageOps)
+		expectEngineMatchesModel(t, e, m)
+		img, err := e.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, err := abs.MarshalBinary()
-		if err != nil {
+		var back Engine
+		if err := back.UnmarshalBinary(img); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(lb, ab) {
-			t.Fatalf("StageOps=%d: serialized engines differ between ingest modes (%d vs %d bytes)",
-				stageOps, len(lb), len(ab))
-		}
-		for _, n := range relNames {
-			lrel, _ := locked.Get(n)
-			arel, _ := abs.Get(n)
-			if lrel.Len() != arel.Len() {
-				t.Fatalf("%s: Len %d != %d", n, lrel.Len(), arel.Len())
-			}
-			if lrel.SelfJoinEstimate() != arel.SelfJoinEstimate() {
-				t.Fatalf("%s: self-join estimates differ across modes", n)
-			}
-			le, err := locked.ExportRelation(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ae, err := abs.ExportRelation(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(le, ae) {
-				t.Fatalf("%s: exported bundles differ across modes", n)
-			}
-		}
-		lj, err := locked.EstimateJoin("f", "g")
-		if err != nil {
+		expectEngineMatchesModel(t, &back, m)
+		// The heavy-hitter table follows the apply order, which staging
+		// changes; compare the images of the linear relations only.
+		if err := e.Drop("s"); err != nil {
 			t.Fatal(err)
 		}
-		aj, err := abs.EstimateJoin("f", "g")
-		if err != nil {
+		if img, err = e.MarshalBinary(); err != nil {
 			t.Fatal(err)
 		}
-		if lj != aj {
-			t.Fatalf("StageOps=%d: join estimates differ: %+v vs %+v", stageOps, lj, aj)
-		}
+		images = append(images, img)
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Fatalf("serialized engines differ between staging sizes (%d vs %d bytes)", len(images[0]), len(images[1]))
 	}
 }
 
@@ -270,15 +300,45 @@ func buildTupleStreams(workers, steps, arity int, seed uint64) [][]tupleAction {
 	return streams
 }
 
-// TestConcurrentChainIngestModesBitIdentical is the cross-mode property
-// test for the multi-attribute path: 8 goroutines hammer a 3-relation
-// chain schema — F(a) with an A-side end signature, G(a,b) with a middle
-// signature plus both end declarations, H(b) with a B-side end — with
-// randomized tuple insert/delete streams on a locked engine and an
-// absorber engine; after a drain the two must agree BIT FOR BIT on
-// serialized checkpoints, exported bundles (chain sections included),
-// and the chain estimate with all its bounds.
-func TestConcurrentChainIngestModesBitIdentical(t *testing.T) {
+// tupleWriter is the tuple write surface engine relations and model
+// relations share.
+type tupleWriter interface {
+	InsertTuple(vals ...uint64)
+	DeleteTuple(vals ...uint64) error
+	InsertTupleBatch(rows [][]uint64)
+	DeleteTupleBatch(rows [][]uint64) error
+}
+
+// applyTupleActions runs one worker's tuple stream against a relation.
+func applyTupleActions(w tupleWriter, acts []tupleAction) error {
+	for _, a := range acts {
+		var err error
+		switch {
+		case a.rows != nil && a.del:
+			err = w.DeleteTupleBatch(a.rows)
+		case a.rows != nil:
+			w.InsertTupleBatch(a.rows)
+		case a.del:
+			err = w.DeleteTuple(a.row...)
+		default:
+			w.InsertTuple(a.row...)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestConcurrentChainIngestMatchesReference is the reference-model
+// property test for the multi-attribute path: 8 goroutines hammer a
+// 3-relation chain schema — F(a) with an A-side end signature, G(a,b)
+// with a middle signature plus both end declarations, H(b) with a B-side
+// end — with randomized tuple insert/delete streams; after a drain every
+// bundle (chain sections included) must be byte-identical to the
+// reference model fed the same streams sequentially, and the chain
+// estimate must be the model's.
+func TestConcurrentChainIngestMatchesReference(t *testing.T) {
 	base := Options{SignatureWords: 64, Seed: 23, ChainWords: 128, SketchS1: 32, SketchS2: 2, Shards: 4}
 	schemas := map[string]Schema{
 		"f": {Attrs: []string{"a"}, EndA: []string{"a"}},
@@ -294,10 +354,25 @@ func TestConcurrentChainIngestModesBitIdentical(t *testing.T) {
 		streams[n] = buildTupleStreams(workers, steps, arity[n], 91+uint64(len(n)))
 	}
 
-	run := func(mode IngestMode, stageOps int) *Engine {
+	m := newModel(t, base)
+	for _, n := range names {
+		modelDefine(t, m, n, schemas[n])
+	}
+	for w := 0; w < workers; w++ {
+		name := names[w%len(names)]
+		if err := applyTupleActions(m.Relation(name), streams[name][w]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mf, mg, mh := m.Relation("f"), m.Relation("g"), m.Relation("h")
+	wantChain, err := join.EstimateChainJoin(mf.Ends()[0], mg.Mids()[0], mh.Ends()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(stageOps int) *Engine {
 		t.Helper()
 		opts := base
-		opts.IngestMode = mode
 		opts.StageOps = stageOps
 		e, err := New(opts)
 		if err != nil {
@@ -319,23 +394,8 @@ func TestConcurrentChainIngestModesBitIdentical(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for _, a := range streams[name][w] {
-					switch {
-					case a.rows != nil && a.del:
-						if err := rel.DeleteTupleBatch(a.rows); err != nil {
-							t.Error(err)
-							return
-						}
-					case a.rows != nil:
-						rel.InsertTupleBatch(a.rows)
-					case a.del:
-						if err := rel.DeleteTuple(a.row...); err != nil {
-							t.Error(err)
-							return
-						}
-					default:
-						rel.InsertTuple(a.row...)
-					}
+				if err := applyTupleActions(rel, streams[name][w]); err != nil {
+					t.Error(err)
 				}
 			}(w)
 		}
@@ -346,45 +406,31 @@ func TestConcurrentChainIngestModesBitIdentical(t *testing.T) {
 		return e
 	}
 
+	var images [][]byte
 	for _, stageOps := range []int{5, 0} {
-		locked := run(IngestLocked, stageOps)
-		abs := run(IngestAbsorber, stageOps)
-
-		lb, err := locked.MarshalBinary()
+		e := run(stageOps)
+		expectEngineMatchesModel(t, e, m)
+		ce, err := e.EstimateChainJoin("f", "a", "g", "b", "h")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ab, err := abs.MarshalBinary()
+		if ce.Estimate != wantChain || ce.SJF != mf.Ends()[0].SelfJoinEstimate() ||
+			ce.SJG != mg.Mids()[0].SelfJoinEstimate() || ce.SJH != mh.Ends()[0].SelfJoinEstimate() {
+			t.Fatalf("StageOps=%d: chain estimate %+v, model estimate %v", stageOps, ce, wantChain)
+		}
+		img, err := e.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(lb, ab) {
-			t.Fatalf("StageOps=%d: serialized chain engines differ between ingest modes", stageOps)
-		}
-		for _, n := range names {
-			le, err := locked.ExportRelation(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ae, err := abs.ExportRelation(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(le, ae) {
-				t.Fatalf("%s: exported chain bundles differ across modes", n)
-			}
-		}
-		lc, err := locked.EstimateChainJoin("f", "a", "g", "b", "h")
-		if err != nil {
+		var back Engine
+		if err := back.UnmarshalBinary(img); err != nil {
 			t.Fatal(err)
 		}
-		ac, err := abs.EstimateChainJoin("f", "a", "g", "b", "h")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lc != ac {
-			t.Fatalf("StageOps=%d: chain estimates differ: %+v vs %+v", stageOps, lc, ac)
-		}
+		expectEngineMatchesModel(t, &back, m)
+		images = append(images, img)
+	}
+	if !bytes.Equal(images[0], images[1]) {
+		t.Fatal("serialized chain engines differ between staging sizes")
 	}
 }
 

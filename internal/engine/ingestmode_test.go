@@ -5,42 +5,27 @@ import (
 	"testing"
 )
 
-// TestIngestDefaultResolution pins the IngestDefault contract after the
-// absorber flip: the zero value resolves to the lock-free path, the
-// AMSTRACK_INGEST_MODE environment hook still forces either path for a
-// whole process (the CI race job's lever), and an explicit Options
-// choice always beats the environment.
+// TestIngestDefaultResolution pins the IngestMode compatibility
+// contract: the engine has one write path, which the zero value and
+// IngestAbsorber both select; every other value — including 1, the
+// number of a retired synchronous path — is rejected.
 func TestIngestDefaultResolution(t *testing.T) {
 	cases := []struct {
 		name    string
-		env     string // "" means unset
-		setEnv  bool
 		mode    IngestMode
-		want    IngestMode
-		wantErr string
+		wantErr bool
 	}{
-		{name: "zero value resolves to absorber", want: IngestAbsorber},
-		{name: "env absorber", env: "absorber", setEnv: true, want: IngestAbsorber},
-		{name: "env locked overrides the default", env: "locked", setEnv: true, want: IngestLocked},
-		{name: "env empty string is the default", env: "", setEnv: true, want: IngestAbsorber},
-		{name: "explicit locked beats env absorber", env: "absorber", setEnv: true, mode: IngestLocked, want: IngestLocked},
-		{name: "explicit absorber beats env locked", env: "locked", setEnv: true, mode: IngestAbsorber, want: IngestAbsorber},
-		{name: "unknown env value is an error", env: "turbo", setEnv: true, wantErr: "AMSTRACK_INGEST_MODE"},
+		{name: "zero value resolves to absorber"},
+		{name: "explicit absorber", mode: IngestAbsorber},
+		{name: "retired value is an error", mode: 1, wantErr: true},
+		{name: "unknown value is an error", mode: 7, wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.setEnv {
-				t.Setenv(ingestModeEnv, tc.env)
-			} else {
-				// t.Setenv then unset is not a thing; scrub via empty and
-				// rely on the "env empty string" case above to pin that
-				// empty and unset behave identically.
-				t.Setenv(ingestModeEnv, "")
-			}
 			eng, err := New(Options{SignatureWords: 16, Seed: 1, IngestMode: tc.mode})
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("err = %v, want mention of %q", err, tc.wantErr)
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "unknown ingest mode") {
+					t.Fatalf("err = %v, want an unknown ingest mode error", err)
 				}
 				return
 			}
@@ -48,8 +33,8 @@ func TestIngestDefaultResolution(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			if got := eng.Options().IngestMode; got != tc.want {
-				t.Fatalf("resolved ingest mode = %v, want %v", got, tc.want)
+			if got := eng.Options().IngestMode; got != IngestAbsorber {
+				t.Fatalf("resolved ingest mode = %v, want %v", got, IngestAbsorber)
 			}
 		})
 	}

@@ -6,9 +6,9 @@
 // attribute pair — next to the pairwise signature and self-join sketch,
 // which keep tracking the PRIMARY attribute (attribute 0) exactly as the
 // single-attribute engine did. All chain synopses are sharded alongside
-// the pairwise signature and updated on both ingest paths (locked and
-// absorber), so everything the engine guarantees about bit-identical
-// merged counters extends to chains unchanged.
+// the pairwise signature and updated by the same absorbers, so
+// everything the engine guarantees about bit-identical merged counters
+// extends to chains unchanged.
 package engine
 
 import (
@@ -293,10 +293,8 @@ func (s Schema) plan() chainPlan {
 }
 
 // shardChain is one shard's chain synopsis set, laid out per the
-// relation's chainPlan. In locked mode it is guarded by the shard mutex;
-// in absorber mode it is owned by the shard's absorber goroutine —
-// exactly the disciplines that already protect the shard's pairwise
-// signature.
+// relation's chainPlan. Like the shard's pairwise signature, it is owned
+// by the shard's absorber goroutine.
 type shardChain struct {
 	ends []*join.ChainEndSignature
 	mids []*join.ChainMiddleSignature

@@ -11,15 +11,6 @@ import (
 	"amstrack/internal/xrand"
 )
 
-// skimOpts is durOpts with an explicit ingest mode — the skim tests run
-// everything under BOTH write paths, since the heavy-hitter table rides
-// the same op streams as the sketches.
-func skimOpts(dir string, mode IngestMode) Options {
-	o := durOpts(dir)
-	o.IngestMode = mode
-	return o
-}
-
 // skimTestHitters is sized so the relation-level table (perShard ×
 // Shards = 8 × 2 = 16 with durOpts' two shards) sits just below the
 // churn domain: evictions and re-admissions happen constantly.
@@ -32,12 +23,8 @@ const skimTestHitters = 16
 // counts back down through zero (exercising the tracked-hits-zero
 // removal path). live tracks the true multiset so deletes never go
 // negative.
-func skimChurn(t *testing.T, e *Engine, seed uint64, n int, live map[uint64]int64) {
+func skimChurn(t *testing.T, r relWriter, seed uint64, n int, live map[uint64]int64) {
 	t.Helper()
-	r, err := e.Get("s")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := xrand.New(seed)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < 0.3 {
@@ -70,77 +57,65 @@ func skimChurn(t *testing.T, e *Engine, seed uint64, n int, live map[uint64]int6
 // TestSkimKillRecoverBitIdentical is the torture half of the skim
 // acceptance: churn the table boundary, checkpoint mid-stream, churn
 // more, kill, recover from checkpoint + oplog replay — the recovered
-// heavy-hitter table must be BIT-identical (marshaled bytes) to an
-// uninterrupted single-writer run, in both ingest modes, and the
-// skimmed self-join estimate must match exactly.
+// heavy-hitter table must be BIT-identical (marshaled bytes) to the
+// table the uninterrupted run held before the kill, the skimmed
+// self-join estimate must match exactly, and the linear synopses must
+// match the reference model byte for byte.
 func TestSkimKillRecoverBitIdentical(t *testing.T) {
-	for _, mode := range []IngestMode{IngestLocked, IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			e, err := Open(skimOpts(dir, mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.DefineSchema("s", Schema{SkimHitters: skimTestHitters}); err != nil {
-				t.Fatal(err)
-			}
-			live := map[uint64]int64{}
-			skimChurn(t, e, 21, 2500, live)
-			if _, err := e.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			skimChurn(t, e, 22, 2500, live)
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("absorber", func(t *testing.T) {
+		dir := t.TempDir()
+		e, err := Open(durOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.DefineSchema("s", Schema{SkimHitters: skimTestHitters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newModel(t, durOpts(""))
+		mr := modelDefine(t, m, "s", Schema{})
+		live, mlive := map[uint64]int64{}, map[uint64]int64{}
+		skimChurn(t, r, 21, 2500, live)
+		skimChurn(t, mr, 21, 2500, mlive)
+		if _, err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		skimChurn(t, r, 22, 2500, live)
+		skimChurn(t, mr, 22, 2500, mlive)
+		want, err := r.snapshotHH().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		we, wn := r.SelfJoinEstimateDetail()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			back, err := Open(skimOpts(dir, mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer back.Close()
-
-			m, err := New(skimOpts("", mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.DefineSchema("s", Schema{SkimHitters: skimTestHitters}); err != nil {
-				t.Fatal(err)
-			}
-			mlive := map[uint64]int64{}
-			skimChurn(t, m, 21, 2500, mlive)
-			skimChurn(t, m, 22, 2500, mlive)
-
-			rb, err := back.Get("s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rm, err := m.Get("s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rb.snapshotHH().MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := rm.snapshotHH().MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("recovered heavy-hitter table differs from uninterrupted run: %d vs %d bytes", len(got), len(want))
-			}
-			ge, gn := rb.SelfJoinEstimateDetail()
-			we, wn := rm.SelfJoinEstimateDetail()
-			if gn != "skimmed" || wn != "skimmed" {
-				t.Fatalf("estimator = %q / %q, want skimmed", gn, wn)
-			}
-			if ge != we {
-				t.Fatalf("skimmed self-join estimate: recovered %v != mirror %v", ge, we)
-			}
-			expectEqualState(t, back, m)
-		})
-	}
+		back, err := Open(durOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Close()
+		rb, err := back.Get("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rb.snapshotHH().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("recovered heavy-hitter table differs from uninterrupted run: %d vs %d bytes", len(got), len(want))
+		}
+		ge, gn := rb.SelfJoinEstimateDetail()
+		if gn != "skimmed" || wn != "skimmed" {
+			t.Fatalf("estimator = %q / %q, want skimmed", gn, wn)
+		}
+		if ge != we {
+			t.Fatalf("skimmed self-join estimate: recovered %v != uninterrupted %v", ge, we)
+		}
+		expectEngineMatchesModel(t, back, m)
+	})
 }
 
 // TestSkimMergePartitionProperty is the merge-exactness acceptance: a
@@ -149,7 +124,8 @@ func TestSkimKillRecoverBitIdentical(t *testing.T) {
 // sketch BIT-exactly — those halves are linear, skimming must not
 // perturb them — and (b) produce a skimmed self-join estimate that
 // agrees with single-node ingest within tolerance, the HH merge being
-// deliberately lossy. Runs under both ingest modes.
+// deliberately lossy. The single-node bundle itself must match the
+// reference model byte for byte.
 func TestSkimMergePartitionProperty(t *testing.T) {
 	// One skewed op stream with a delete wave, built once.
 	rng := xrand.New(77)
@@ -173,112 +149,115 @@ func TestSkimMergePartitionProperty(t *testing.T) {
 	}
 	trueSJ := float64(hist.SelfJoin())
 
-	for _, mode := range []IngestMode{IngestLocked, IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			single, err := New(skimOpts("", mode))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := single.DefineSchema("s", Schema{SkimHitters: skimTestHitters}); err != nil {
-				t.Fatal(err)
-			}
-			sr, _ := single.Get("s")
-			for _, o := range ops {
+	t.Run("absorber", func(t *testing.T) {
+		single, err := New(durOpts(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := single.DefineSchema("s", Schema{SkimHitters: skimTestHitters}); err != nil {
+			t.Fatal(err)
+		}
+		sr, _ := single.Get("s")
+		m := newModel(t, durOpts(""))
+		mr := modelDefine(t, m, "s", Schema{})
+		for _, o := range ops {
+			for _, w := range []relWriter{sr, mr} {
 				if o.del {
-					if err := sr.Delete(o.v); err != nil {
+					if err := w.Delete(o.v); err != nil {
 						t.Fatal(err)
 					}
 				} else {
-					sr.Insert(o.v)
+					w.Insert(o.v)
 				}
 			}
-			singleBlob, err := single.ExportRelation("s")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want RelationBundle
-			if err := want.UnmarshalBinary(singleBlob); err != nil {
-				t.Fatal(err)
-			}
-			wantSJ := want.SelfJoinEstimate()
+		}
+		expectRelationMatchesModel(t, single, "s", mr)
+		singleBlob, err := single.ExportRelation("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want RelationBundle
+		if err := want.UnmarshalBinary(singleBlob); err != nil {
+			t.Fatal(err)
+		}
+		wantSJ := want.SelfJoinEstimate()
 
-			for parts := 2; parts <= 5; parts++ {
-				t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
-					bundles := make([]*RelationBundle, parts)
-					for p := 0; p < parts; p++ {
-						pe, err := New(skimOpts("", mode))
-						if err != nil {
-							t.Fatal(err)
+		for parts := 2; parts <= 5; parts++ {
+			t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
+				bundles := make([]*RelationBundle, parts)
+				for p := 0; p < parts; p++ {
+					pe, err := New(durOpts(""))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := pe.DefineSchema("s", Schema{SkimHitters: skimTestHitters}); err != nil {
+						t.Fatal(err)
+					}
+					pr, _ := pe.Get("s")
+					// Value-hash partitioning: each partition owns a
+					// disjoint slice of the domain, the realistic
+					// sharded-ingest layout.
+					for _, o := range ops {
+						if int(xrand.Mix64(o.v)%uint64(parts)) != p {
+							continue
 						}
-						if _, err := pe.DefineSchema("s", Schema{SkimHitters: skimTestHitters}); err != nil {
-							t.Fatal(err)
-						}
-						pr, _ := pe.Get("s")
-						// Value-hash partitioning: each partition owns a
-						// disjoint slice of the domain, the realistic
-						// sharded-ingest layout.
-						for _, o := range ops {
-							if int(xrand.Mix64(o.v)%uint64(parts)) != p {
-								continue
+						if o.del {
+							if err := pr.Delete(o.v); err != nil {
+								t.Fatal(err)
 							}
-							if o.del {
-								if err := pr.Delete(o.v); err != nil {
-									t.Fatal(err)
-								}
-							} else {
-								pr.Insert(o.v)
-							}
-						}
-						blob, err := pe.ExportRelation("s")
-						if err != nil {
-							t.Fatal(err)
-						}
-						var b RelationBundle
-						if err := b.UnmarshalBinary(blob); err != nil {
-							t.Fatal(err)
-						}
-						bundles[p] = &b
-					}
-					merged := bundles[0]
-					for _, b := range bundles[1:] {
-						if err := merged.Merge(b); err != nil {
-							t.Fatal(err)
+						} else {
+							pr.Insert(o.v)
 						}
 					}
+					blob, err := pe.ExportRelation("s")
+					if err != nil {
+						t.Fatal(err)
+					}
+					var b RelationBundle
+					if err := b.UnmarshalBinary(blob); err != nil {
+						t.Fatal(err)
+					}
+					bundles[p] = &b
+				}
+				merged := bundles[0]
+				for _, b := range bundles[1:] {
+					if err := merged.Merge(b); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-					// Linear halves: bit-exact against single-node.
-					gotSig, _ := merged.Sig.MarshalBinary()
-					wantSig, _ := want.Sig.MarshalBinary()
-					if !bytes.Equal(gotSig, wantSig) {
-						t.Fatal("merged signature is not bit-identical to single-node ingest")
-					}
-					gotSk, _ := merged.Sketch.MarshalBinary()
-					wantSk, _ := want.Sketch.MarshalBinary()
-					if !bytes.Equal(gotSk, wantSk) {
-						t.Fatal("merged sketch is not bit-identical to single-node ingest")
-					}
+				// Linear halves: bit-exact against single-node.
+				gotSig, _ := merged.Sig.MarshalBinary()
+				wantSig, _ := want.Sig.MarshalBinary()
+				if !bytes.Equal(gotSig, wantSig) {
+					t.Fatal("merged signature is not bit-identical to single-node ingest")
+				}
+				gotSk, _ := merged.Sketch.MarshalBinary()
+				wantSk, _ := want.Sketch.MarshalBinary()
+				if !bytes.Equal(gotSk, wantSk) {
+					t.Fatal("merged sketch is not bit-identical to single-node ingest")
+				}
 
-					// Lossy half: the merged skimmed estimate agrees with
-					// single-node within tolerance (scaled by the true SJ,
-					// so the bound is meaningful even if both drift).
-					if merged.HH == nil || merged.SkimHitters != skimTestHitters {
-						t.Fatalf("merged bundle lost its skim section: HH=%v SkimHitters=%d", merged.HH != nil, merged.SkimHitters)
-					}
-					gotSJ := merged.SelfJoinEstimate()
-					if d := math.Abs(gotSJ-wantSJ) / trueSJ; d > 0.15 {
-						t.Fatalf("merged skimmed estimate %v vs single-node %v: drift %.3f of true SJ %v", gotSJ, wantSJ, d, trueSJ)
-					}
-				})
-			}
-		})
-	}
+				// Lossy half: the merged skimmed estimate agrees with
+				// single-node within tolerance (scaled by the true SJ,
+				// so the bound is meaningful even if both drift).
+				if merged.HH == nil || merged.SkimHitters != skimTestHitters {
+					t.Fatalf("merged bundle lost its skim section: HH=%v SkimHitters=%d", merged.HH != nil, merged.SkimHitters)
+				}
+				gotSJ := merged.SelfJoinEstimate()
+				if d := math.Abs(gotSJ-wantSJ) / trueSJ; d > 0.15 {
+					t.Fatalf("merged skimmed estimate %v vs single-node %v: drift %.3f of true SJ %v", gotSJ, wantSJ, d, trueSJ)
+				}
+			})
+		}
+	})
 }
 
 // TestSkimEstimatorDispatch checks which estimator answers where: a
 // skimming relation reports "skimmed", a plain one "sketch", a NoSketch
 // one "signature"; joins answer "skimmed" only when BOTH sides skim.
 func TestSkimEstimatorDispatch(t *testing.T) {
-	e, err := New(skimOpts("", IngestLocked))
+	e, err := New(durOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +319,7 @@ func TestSkimEstimatorDispatch(t *testing.T) {
 // byte-identically, and skim-presence / budget mismatches are rejected
 // as ErrIncompatible rather than silently dropping the table.
 func TestSkimBundleRoundTripAndCompat(t *testing.T) {
-	opts := skimOpts("", IngestLocked)
+	opts := durOpts("")
 	e, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +328,8 @@ func TestSkimBundleRoundTripAndCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := map[uint64]int64{}
-	skimChurn(t, e, 5, 800, live)
+	sr, _ := e.Get("s")
+	skimChurn(t, sr, 5, 800, live)
 	blob, err := e.ExportRelation("s")
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package engine
 
-// Freshness-stamp coverage: Seq counts ops deterministically in both
-// ingest modes, the stamp is linear under partition merges, it survives
+// Freshness-stamp coverage: Seq counts ops deterministically (exactly as
+// the reference model counts them), the stamp is linear under partition merges, it survives
 // checkpoint + replay recovery bit-exactly, and the version-3 bundle
 // frame enforces its canonical-encoding rules.
 
@@ -12,97 +12,109 @@ import (
 	"amstrack/internal/blob"
 )
 
-func seqOpts(mode IngestMode) Options {
-	return Options{SignatureWords: 128, Seed: 21, SketchS1: 64, SketchS2: 2, Shards: 2, IngestMode: mode}
+func seqOpts() Options {
+	return Options{SignatureWords: 128, Seed: 21, SketchS1: 64, SketchS2: 2, Shards: 2}
 }
 
 // TestSeqCountsOps pins the Seq semantics: every single-row mutation
-// counts one, a batch of n counts n, in both ingest modes.
+// counts one, a batch of n counts n — and the bundle matches the
+// reference model fed the same ops.
 func TestSeqCountsOps(t *testing.T) {
-	for _, mode := range []IngestMode{IngestLocked, IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e, err := New(seqOpts(mode))
-			if err != nil {
+	t.Run("absorber", func(t *testing.T) {
+		e, err := New(seqOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Define("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newModel(t, seqOpts())
+		mr := modelDefine(t, m, "f", Schema{})
+		for _, w := range []relWriter{r, mr} {
+			w.Insert(1)
+			w.Insert(2)
+			w.InsertBatch([]uint64{3, 4, 5, 6})
+			if err := w.Delete(3); err != nil {
 				t.Fatal(err)
 			}
-			r, err := e.Define("f")
-			if err != nil {
+			if err := w.DeleteBatch([]uint64{1, 2}); err != nil {
 				t.Fatal(err)
 			}
-			r.Insert(1)
-			r.Insert(2)
-			r.InsertBatch([]uint64{3, 4, 5, 6})
-			if err := r.Delete(3); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.DeleteBatch([]uint64{1, 2}); err != nil {
-				t.Fatal(err)
-			}
-			r.InsertBatch(nil) // empty batches are not ops
-			st, err := e.StatRelation("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := uint64(2 + 4 + 1 + 2); st.Seq != want {
-				t.Fatalf("Seq = %d, want %d", st.Seq, want)
-			}
-			if st.Rows != 3 || st.Epoch != 0 {
-				t.Fatalf("stat = %+v, want Rows=3 Epoch=0", st)
-			}
-			if got := r.Seq(); got != st.Seq {
-				t.Fatalf("Relation.Seq = %d, stat says %d", got, st.Seq)
-			}
-			blobBytes, err := e.ExportRelation("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var b RelationBundle
-			if err := b.UnmarshalBinary(blobBytes); err != nil {
-				t.Fatal(err)
-			}
-			if b.Seq != st.Seq || b.Epoch != 0 || b.Rows != 3 {
-				t.Fatalf("bundle stamp (%d, %d, rows %d), want (%d, 0, rows 3)", b.Epoch, b.Seq, b.Rows, st.Seq)
-			}
-		})
-	}
+			w.InsertBatch(nil) // empty batches are not ops
+		}
+		st, err := e.StatRelation("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := uint64(2 + 4 + 1 + 2); st.Seq != want {
+			t.Fatalf("Seq = %d, want %d", st.Seq, want)
+		}
+		if st.Rows != 3 || st.Epoch != 0 {
+			t.Fatalf("stat = %+v, want Rows=3 Epoch=0", st)
+		}
+		if got := r.Seq(); got != st.Seq {
+			t.Fatalf("Relation.Seq = %d, stat says %d", got, st.Seq)
+		}
+		blobBytes, err := e.ExportRelation("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b RelationBundle
+		if err := b.UnmarshalBinary(blobBytes); err != nil {
+			t.Fatal(err)
+		}
+		if b.Seq != st.Seq || b.Epoch != 0 || b.Rows != 3 {
+			t.Fatalf("bundle stamp (%d, %d, rows %d), want (%d, 0, rows 3)", b.Epoch, b.Seq, b.Rows, st.Seq)
+		}
+		expectRelationMatchesModel(t, e, "f", mr)
+	})
 }
 
 // TestSeqCountsTupleOps pins tuple-path counting: one op per row on
 // multi-attribute relations, and the arity-1 flattening path counts
-// once, not twice.
+// once, not twice — in agreement with the reference model.
 func TestSeqCountsTupleOps(t *testing.T) {
-	for _, mode := range []IngestMode{IngestLocked, IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := seqOpts(mode)
-			opts.ChainWords = 64
-			e, err := New(opts)
-			if err != nil {
+	t.Run("absorber", func(t *testing.T) {
+		opts := seqOpts()
+		opts.ChainWords = 64
+		e, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema := Schema{Attrs: []string{"a", "b"}, EndA: []string{"a"}}
+		r, err := e.DefineSchema("g", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newModel(t, opts)
+		mr := modelDefine(t, m, "g", schema)
+		for _, w := range []interface {
+			InsertTuple(...uint64)
+			InsertTupleBatch([][]uint64)
+			DeleteTuple(...uint64) error
+		}{r, mr} {
+			w.InsertTuple(1, 10)
+			w.InsertTupleBatch([][]uint64{{2, 20}, {3, 30}, {4, 40}})
+			if err := w.DeleteTuple(2, 20); err != nil {
 				t.Fatal(err)
 			}
-			r, err := e.DefineSchema("g", Schema{Attrs: []string{"a", "b"}, EndA: []string{"a"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.InsertTuple(1, 10)
-			r.InsertTupleBatch([][]uint64{{2, 20}, {3, 30}, {4, 40}})
-			if err := r.DeleteTuple(2, 20); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := r.Seq(), uint64(1+3+1); got != want {
-				t.Fatalf("tuple Seq = %d, want %d", got, want)
-			}
+		}
+		if got, want := r.Seq(), uint64(1+3+1); got != want {
+			t.Fatalf("tuple Seq = %d, want %d", got, want)
+		}
+		expectRelationMatchesModel(t, e, "g", mr)
 
-			one, err := e.Define("one")
-			if err != nil {
-				t.Fatal(err)
-			}
-			one.InsertTuple(7) // arity-1 delegates to Insert — one op
-			one.InsertTupleBatch([][]uint64{{8}, {9}})
-			if got, want := one.Seq(), uint64(3); got != want {
-				t.Fatalf("arity-1 tuple Seq = %d, want %d", got, want)
-			}
-		})
-	}
+		one, err := e.Define("one")
+		if err != nil {
+			t.Fatal(err)
+		}
+		one.InsertTuple(7) // arity-1 delegates to Insert — one op
+		one.InsertTupleBatch([][]uint64{{8}, {9}})
+		if got, want := one.Seq(), uint64(3); got != want {
+			t.Fatalf("arity-1 tuple Seq = %d, want %d", got, want)
+		}
+	})
 }
 
 // TestStampLinearUnderMerge is the cache-correctness cornerstone: the
@@ -110,15 +122,15 @@ func TestSeqCountsTupleOps(t *testing.T) {
 // byte-identical to the single-node bundle — stamp included, because
 // Seq sums exactly like the counters.
 func TestStampLinearUnderMerge(t *testing.T) {
-	full, err := New(seqOpts(IngestLocked))
+	full, err := New(seqOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(seqOpts(IngestAbsorber))
+	a, err := New(seqOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(seqOpts(IngestLocked))
+	b, err := New(seqOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +194,7 @@ func fillRelationValues(n int) []uint64 {
 // stamp between two probes means the export bytes did not change, and
 // any mutation in between changes the stamp.
 func TestStatSkipContract(t *testing.T) {
-	e, err := New(seqOpts(IngestAbsorber))
+	e, err := New(seqOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,67 +240,65 @@ func TestStatSkipContract(t *testing.T) {
 // pre-crash stamp — the property that lets a coordinator cache trust
 // stamps across node restarts.
 func TestStampSurvivesRecovery(t *testing.T) {
-	for _, mode := range []IngestMode{IngestLocked, IngestAbsorber} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			opts := seqOpts(mode)
-			opts.Dir = dir
-			e, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := e.Define("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.InsertBatch([]uint64{1, 2, 3, 4, 5})
-			if _, err := e.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			// Tail beyond the checkpoint: recovered Seq must be the
-			// checkpointed count plus the replayed records.
-			r.InsertBatch([]uint64{6, 7})
-			if err := r.Delete(1); err != nil {
-				t.Fatal(err)
-			}
-			preStat, err := e.StatRelation("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			preBlob, err := e.ExportRelation("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("absorber", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := seqOpts()
+		opts.Dir = dir
+		e, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Define("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.InsertBatch([]uint64{1, 2, 3, 4, 5})
+		if _, err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// Tail beyond the checkpoint: recovered Seq must be the checkpointed
+		// count plus the replayed records.
+		r.InsertBatch([]uint64{6, 7})
+		if err := r.Delete(1); err != nil {
+			t.Fatal(err)
+		}
+		preStat, err := e.StatRelation("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		preBlob, err := e.ExportRelation("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			back, err := Open(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer back.Close()
-			st, err := back.StatRelation("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Seq != 8 || st.Seq != preStat.Seq {
-				t.Fatalf("recovered Seq = %d, want 8 (pre-crash %d)", st.Seq, preStat.Seq)
-			}
-			if st.Rows != preStat.Rows {
-				t.Fatalf("recovered Rows = %d, want %d", st.Rows, preStat.Rows)
-			}
-			// No rebase happened (the log tail reattaches), so the epoch —
-			// and therefore the whole export — matches bit-exactly.
-			postBlob, err := back.ExportRelation("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(postBlob, preBlob) {
-				t.Fatal("recovered export differs from the pre-crash export")
-			}
-		})
-	}
+		back, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Close()
+		st, err := back.StatRelation("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Seq != 8 || st.Seq != preStat.Seq {
+			t.Fatalf("recovered Seq = %d, want 8 (pre-crash %d)", st.Seq, preStat.Seq)
+		}
+		if st.Rows != preStat.Rows {
+			t.Fatalf("recovered Rows = %d, want %d", st.Rows, preStat.Rows)
+		}
+		// No rebase happened (the log tail reattaches), so the epoch — and
+		// therefore the whole export — matches bit-exactly.
+		postBlob, err := back.ExportRelation("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(postBlob, preBlob) {
+			t.Fatal("recovered export differs from the pre-crash export")
+		}
+	})
 }
 
 // TestImportCarriesStamp: import-then-export round-trips the stamp, and
@@ -296,7 +306,7 @@ func TestStampSurvivesRecovery(t *testing.T) {
 // bundle's op count — node-side merges and coordinator-side merges
 // agree on the resulting version.
 func TestImportCarriesStamp(t *testing.T) {
-	src, err := New(seqOpts(IngestLocked))
+	src, err := New(seqOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +317,7 @@ func TestImportCarriesStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, err := New(seqOpts(IngestAbsorber))
+	dst, err := New(seqOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +354,7 @@ func TestImportCarriesStamp(t *testing.T) {
 // version-3 frame must carry a nonzero stamp, because zero-stamp
 // bundles marshal in the old framing.
 func TestBundleV3ZeroStampRejected(t *testing.T) {
-	e, err := New(seqOpts(IngestLocked))
+	e, err := New(seqOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

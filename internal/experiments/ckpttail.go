@@ -13,7 +13,7 @@ import (
 )
 
 // This file measures what always-on durability costs the ingest tail: a
-// single writer streams inserts into a durable absorber-mode engine
+// single writer streams inserts into a durable engine
 // while the background checkpointer is OFF, then again while it fires
 // every few milliseconds, and the two per-op latency distributions are
 // compared at p99/p999. The pause-free epoch fence claims checkpoints
@@ -45,7 +45,7 @@ type CkptTailResult struct {
 const ckptTailOps = 200_000
 
 // RunCkptTail measures single-writer durable insert latency with the
-// background checkpointer off and on (k signature words, absorber mode).
+// background checkpointer off and on (k signature words).
 func RunCkptTail(k int, seed uint64) (*CkptTailResult, error) {
 	res := &CkptTailResult{Experiment: "ckpttail", K: k, Ops: ckptTailOps}
 	off, _, err := timeCkptTail(k, seed, 0)
@@ -79,7 +79,6 @@ func timeCkptTail(k int, seed uint64, interval time.Duration) (lats []int64, ckp
 		SignatureWords:     k,
 		Seed:               seed,
 		Dir:                dir,
-		IngestMode:         engine.IngestAbsorber,
 		SegmentOps:         1 << 14,
 		CheckpointInterval: interval,
 	})

@@ -146,3 +146,103 @@ func hasField(lit *ast.CompositeLit, field string) bool {
 	}
 	return false
 }
+
+// refmodelPkg is the engine's independent reference model: test support
+// that must stay out of production code and must not share code with
+// the serving stack it checks.
+const refmodelPkg = "amstrack/internal/refmodel"
+
+// refmodelForbidden are the packages the reference model may not reach,
+// directly or through its dependencies.
+var refmodelForbidden = []string{
+	"amstrack/internal/engine",
+	"amstrack/internal/amsd",
+	"amstrack/internal/wire",
+	"amstrack/internal/router",
+	"amstrack/internal/coord",
+}
+
+// TestRefmodelStaysIndependent enforces the reference model's two
+// boundaries: only _test.go files may import internal/refmodel, and
+// internal/refmodel (its tests included) may not import the engine or
+// any serving layer, transitively. The engine's own tests import the
+// model, so an engine import would already be an import cycle; this lint
+// names the violation and covers the serving layers too.
+func TestRefmodelStaysIndependent(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	// deps maps each module package to the imports of its non-test files.
+	deps := map[string][]string{}
+	var modelImports []string
+	var violations []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || name == ".git" || name == "vendor" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			return fmt.Errorf("parse %s: %w", p, err)
+		}
+		rel, _ := filepath.Rel(root, p)
+		pkg := path.Join("amstrack", filepath.ToSlash(filepath.Dir(rel)))
+		isTest := strings.HasSuffix(p, "_test.go")
+		for _, imp := range file.Imports {
+			ip, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				continue
+			}
+			if ip == refmodelPkg && !isTest {
+				violations = append(violations, fmt.Sprintf("%s: non-test file imports %s", rel, refmodelPkg))
+			}
+			if pkg == refmodelPkg {
+				modelImports = append(modelImports, ip)
+			}
+			if !isTest {
+				deps[pkg] = append(deps[pkg], ip)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := deps[refmodelPkg]; !ok {
+		t.Fatalf("%s not found under %s", refmodelPkg, root)
+	}
+	// Walk the model's import graph (test files' imports as roots too).
+	via := map[string]string{}
+	queue := []string{}
+	for _, ip := range modelImports {
+		if _, seen := via[ip]; !seen {
+			via[ip] = refmodelPkg
+			queue = append(queue, ip)
+		}
+	}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, bad := range refmodelForbidden {
+			if p == bad {
+				violations = append(violations, fmt.Sprintf("%s reaches %s (imported by %s)", refmodelPkg, bad, via[p]))
+			}
+		}
+		for _, ip := range deps[p] {
+			if _, seen := via[ip]; !seen {
+				via[ip] = p
+				queue = append(queue, ip)
+			}
+		}
+	}
+	for _, v := range violations {
+		t.Error(v)
+	}
+}

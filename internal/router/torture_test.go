@@ -19,9 +19,8 @@ import (
 // double-applied row both fail the same assertion (AGMS linearity makes
 // duplication as corrupting as loss).
 
-// durableOpts is the on-disk node shape. IngestMode stays at the
-// default so AMSTRACK_INGEST_MODE (the CI matrix knob) exercises the
-// torture arc under both the locked and absorber write paths.
+// durableOpts is the on-disk node shape: memOpts plus a data directory,
+// so recovered nodes compare byte for byte with in-memory mirrors.
 func durableOpts(dir string) engine.Options {
 	o := memOpts()
 	o.Dir = dir

@@ -128,8 +128,8 @@ func Dial(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// IngestMode reports the server engine's resolved write path ("locked"
-// or "absorber") from the handshake.
+// IngestMode reports the server's write-path label from the handshake
+// ("absorber" for an engine, "routed" for a router).
 func (c *Client) IngestMode() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

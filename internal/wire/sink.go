@@ -12,8 +12,8 @@ import "amstrack/internal/engine"
 // means for the sink (OS-owned oplog records for an engine, downstream
 // node ACKs for a router), an acked batch has reached it.
 type Sink interface {
-	// IngestMode names the write path for the WELCOME frame ("locked",
-	// "absorber", or a sink-specific label such as "routed").
+	// IngestMode names the write path for the WELCOME frame ("absorber"
+	// for an engine, or a sink-specific label such as "routed").
 	IngestMode() string
 	// Relation resolves a relation by name. The server caches the result
 	// per connection, so implementations may return a stateful
@@ -37,8 +37,8 @@ type SinkRelation interface {
 }
 
 // EngineSink adapts an engine to the Sink interface — the classic amsd
-// wiring, staging straight into the absorber (or the locked path) with
-// Relation.Drain as the barrier.
+// wiring, staging straight into the absorbers with Relation.Drain as the
+// barrier.
 func EngineSink(eng *engine.Engine) Sink { return engineSink{eng} }
 
 type engineSink struct{ eng *engine.Engine }
@@ -67,10 +67,10 @@ func (r *engineRel) Arity() int   { return r.arity }
 
 func (r *engineRel) Apply(del bool, arity int, vals []uint64) error {
 	if arity == 1 {
-		// Deletes can fail synchronously: in locked mode the sticky
-		// durability error surfaces on the spot (absorber mode reports
-		// the same failure at the drain). Either way it goes back as an
-		// ERROR frame naming the relation, matching HTTP ingest.
+		// A delete reports the relation's sticky durability error, if
+		// one is already set; a failure its own group commit hits
+		// surfaces at the drain. Either way it goes back as an ERROR
+		// frame naming the relation, matching HTTP ingest.
 		if del {
 			return r.rel.DeleteBatch(vals)
 		}

@@ -27,7 +27,6 @@ const tortureBatch = 32 // rows per batch; recovery is audited in batch units
 func durableOpts(dir string) engine.Options {
 	o := memOpts()
 	o.Dir = dir
-	o.IngestMode = engine.IngestAbsorber
 	return o
 }
 

@@ -245,17 +245,16 @@ func TestWireServerCloseUnblocksIdleHandshake(t *testing.T) {
 	}
 }
 
-// TestWireLockedModeDeleteErrorSurfaces: in locked ingest mode a failed
-// delete reports its error synchronously from DeleteTupleBatch; the wire
-// path must hand it back as an ERROR frame naming the relation — the
-// same semantics the HTTP ingest handler gives its callers — never a
-// clean ACK for a delete the engine rejected.
-func TestWireLockedModeDeleteErrorSurfaces(t *testing.T) {
+// TestWireOplogErrorSurfaces: once the filesystem dies, the delete's
+// oplog append fails in the group-commit writer and goes sticky on the
+// relation; the wire path must hand that error back as an ERROR frame
+// naming the relation — the same semantics the HTTP ingest handler gives
+// its callers — never a clean ACK for an op that is not durable.
+func TestWireOplogErrorSurfaces(t *testing.T) {
 	ffs := oplog.NewFaultFS(nil)
 	opts := memOpts()
 	opts.Dir = t.TempDir()
 	opts.FS = ffs
-	opts.IngestMode = engine.IngestLocked
 	eng, err := engine.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -279,8 +278,8 @@ func TestWireLockedModeDeleteErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill the filesystem: the next oplog append fails, so the delete
-	// returns the sticky error synchronously in locked mode.
+	// Kill the filesystem: the delete's group commit fails, and the
+	// drain that gates its ACK reports the sticky error.
 	ffs.CrashNow()
 	err = cl.DeleteRows("g", rows)
 	if err == nil {
