@@ -34,13 +34,15 @@
 // goroutines instead of quiescing ingest. DESIGN.md §7 and §9 document
 // the write path, the checkpoint, and their measured cost.
 //
-// -wire-addr additionally serves amswire, the length-prefixed binary
+// -wire-addr (default :7601) serves amswire, the length-prefixed binary
 // streaming-ingest protocol (internal/wire), beside the HTTP listener.
-// Both surfaces feed the same engine: bulk loaders stream pipelined
-// binary batches over the wire port, while control-plane calls (define,
-// estimate, checkpoint) stay on HTTP JSON. The /healthz body grows a
-// "wire" block with the listener address and its connection/batch/row
-// counters. On shutdown the wire listener closes FIRST — every open
+// It is always on: amsrouter sends rows to a node only over amswire and
+// refuses a member that advertises no wire listener, so an empty
+// -wire-addr is rejected. Both surfaces feed the same engine: bulk
+// loaders stream pipelined binary batches over the wire port, while
+// control-plane calls (define, estimate, checkpoint) stay on HTTP JSON.
+// The /healthz body carries a "wire" block with the listener address and
+// its connection/batch/row counters. On shutdown the wire listener closes FIRST — every open
 // stream gets a GOODBYE frame and its staged batches are drained —
 // before HTTP drains and the final checkpoint is cut, so the durability
 // story above extends to open streams. DESIGN.md §10 documents the
@@ -72,7 +74,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":7600", "listen address")
-		wireAddr  = flag.String("wire-addr", "", "amswire binary streaming-ingest listen address (empty: HTTP only)")
+		wireAddr  = flag.String("wire-addr", ":7601", "amswire binary streaming-ingest listen address (required: amsrouter sends rows only over amswire)")
 		dir       = flag.String("dir", "", "durability directory (empty: in-memory engine)")
 		k         = flag.Int("k", 1024, "join-signature size in memory words per relation")
 		chainK    = flag.Int("chain-words", 0, "chain-signature size in memory words (0: same as -k)")
@@ -128,6 +130,9 @@ func main() {
 // called with the bound HTTP listen address (tests use :0); the bound
 // wire address is reported under /healthz "wire".
 func run(ctx context.Context, opts engine.Options, addr, wireAddr string, maxBody int64, ready func(addr string)) error {
+	if wireAddr == "" {
+		return errors.New("-wire-addr must not be empty: amsrouter sends rows only over amswire")
+	}
 	if (opts.CheckpointInterval > 0 || opts.CheckpointSegments > 0) && opts.Dir == "" {
 		return errors.New("-checkpoint-every / -checkpoint-segments require -dir")
 	}
@@ -149,39 +154,32 @@ func run(ctx context.Context, opts engine.Options, addr, wireAddr string, maxBod
 		_ = eng.Close()
 		return err
 	}
-	handler := amsd.NewServerMaxBody(eng, maxBody)
-
-	var (
-		wireSrv *wire.Server
-		wireLn  net.Listener
-	)
-	if wireAddr != "" {
-		wireLn, err = net.Listen("tcp", wireAddr)
-		if err != nil {
-			_ = ln.Close()
-			_ = eng.Close()
-			return err
-		}
-		wireSrv = wire.NewServer(eng)
-		boundWire := wireLn.Addr().String()
-		handler.SetWireStatus(func() amsd.WireStatus {
-			st := wireSrv.Stats()
-			return amsd.WireStatus{
-				Addr:       boundWire,
-				Conns:      st.Conns,
-				TotalConns: st.TotalConns,
-				Batches:    st.Batches,
-				Rows:       st.Rows,
-				Flushes:    st.Flushes,
-				Errors:     st.Errors,
-			}
-		})
-		go func() {
-			if err := wireSrv.Serve(wireLn); err != nil && !errors.Is(err, wire.ErrServerClosed) {
-				log.Printf("amsd: wire listener: %v", err)
-			}
-		}()
+	wireLn, err := net.Listen("tcp", wireAddr)
+	if err != nil {
+		_ = ln.Close()
+		_ = eng.Close()
+		return err
 	}
+	handler := amsd.NewServerMaxBody(eng, maxBody)
+	wireSrv := wire.NewServer(eng)
+	boundWire := wireLn.Addr().String()
+	handler.SetWireStatus(func() amsd.WireStatus {
+		st := wireSrv.Stats()
+		return amsd.WireStatus{
+			Addr:       boundWire,
+			Conns:      st.Conns,
+			TotalConns: st.TotalConns,
+			Batches:    st.Batches,
+			Rows:       st.Rows,
+			Flushes:    st.Flushes,
+			Errors:     st.Errors,
+		}
+	})
+	go func() {
+		if err := wireSrv.Serve(wireLn); err != nil && !errors.Is(err, wire.ErrServerClosed) {
+			log.Printf("amsd: wire listener: %v", err)
+		}
+	}()
 
 	// ReadHeaderTimeout alone defeats slowloris (a conn dribbling header
 	// bytes forever); ReadTimeout stays 0 because ingest bodies can
@@ -198,21 +196,14 @@ func run(ctx context.Context, opts engine.Options, addr, wireAddr string, maxBod
 
 	errc := make(chan error, 1)
 	go func() {
-		if wireLn != nil {
-			log.Printf("amsd: serving on %s + wire %s (durable: %v, k=%d)",
-				ln.Addr(), wireLn.Addr(), opts.Dir != "", opts.SignatureWords)
-		} else {
-			log.Printf("amsd: serving on %s (durable: %v, k=%d)",
-				ln.Addr(), opts.Dir != "", opts.SignatureWords)
-		}
+		log.Printf("amsd: serving on %s + wire %s (durable: %v, k=%d)",
+			ln.Addr(), wireLn.Addr(), opts.Dir != "", opts.SignatureWords)
 		errc <- srv.Serve(ln)
 	}()
 
 	select {
 	case err := <-errc:
-		if wireSrv != nil {
-			_ = wireSrv.Close()
-		}
+		_ = wireSrv.Close()
 		_ = eng.Close()
 		return err
 	case <-ctx.Done():
@@ -222,10 +213,8 @@ func run(ctx context.Context, opts engine.Options, addr, wireAddr string, maxBod
 	// Wire streams first: each open stream gets a GOODBYE and its staged
 	// batches are drained before the final checkpoint below, so an acked
 	// batch can never miss the checkpoint cut.
-	if wireSrv != nil {
-		if err := wireSrv.Close(); err != nil {
-			log.Printf("amsd: wire shutdown: %v", err)
-		}
+	if err := wireSrv.Close(); err != nil {
+		log.Printf("amsd: wire shutdown: %v", err)
 	}
 	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,31 +252,35 @@ func TestCheckpointInMemoryConflict(t *testing.T) {
 // TestRunFlagValidation exercises the daemon entry's option plumbing
 // without binding a port.
 func TestRunFlagValidation(t *testing.T) {
-	err := run(context.Background(), engine.Options{SignatureWords: 0}, "127.0.0.1:0", "", 0, nil)
+	const wireAddr = "127.0.0.1:0"
+	err := run(context.Background(), engine.Options{SignatureWords: 0}, "127.0.0.1:0", wireAddr, 0, nil)
 	if err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	err = run(context.Background(), engine.Options{SignatureWords: 32, CheckpointInterval: time.Nanosecond}, "", "", 0, nil)
+	err = run(context.Background(), engine.Options{SignatureWords: 32, CheckpointInterval: time.Nanosecond}, "", wireAddr, 0, nil)
 	if err == nil {
 		t.Fatal("-checkpoint-every without -dir accepted")
 	}
-	err = run(context.Background(), engine.Options{SignatureWords: 32, CheckpointSegments: 2}, "", "", 0, nil)
+	err = run(context.Background(), engine.Options{SignatureWords: 32, CheckpointSegments: 2}, "", wireAddr, 0, nil)
 	if err == nil {
 		t.Fatal("-checkpoint-segments without -dir accepted")
 	}
+	err = run(context.Background(), engine.Options{SignatureWords: 32}, "127.0.0.1:0", "", 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "-wire-addr") {
+		t.Fatalf("empty -wire-addr: err = %v, want a rejection naming the flag", err)
+	}
 }
 
-// startDaemon runs the daemon on an ephemeral port (plus an ephemeral
-// wire port when wireAddr is non-empty) and returns its base URL, a
-// cancel that triggers graceful shutdown, and the channel that yields
-// run's exit status.
-func startDaemon(t *testing.T, opts engine.Options, wireAddr string) (string, context.CancelFunc, <-chan error) {
+// startDaemon runs the daemon on ephemeral HTTP and wire ports and
+// returns its base URL, a cancel that triggers graceful shutdown, and
+// the channel that yields run's exit status.
+func startDaemon(t *testing.T, opts engine.Options) (string, context.CancelFunc, <-chan error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, opts, "127.0.0.1:0", wireAddr, 0, func(addr string) { ready <- addr })
+		done <- run(ctx, opts, "127.0.0.1:0", "127.0.0.1:0", 0, func(addr string) { ready <- addr })
 	}()
 	select {
 	case addr := <-ready:
@@ -293,7 +298,7 @@ func startDaemon(t *testing.T, opts engine.Options, wireAddr string) (string, co
 func TestGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	opts := engine.Options{SignatureWords: 64, Seed: 5, SketchS1: 32, SketchS2: 2, Dir: dir}
-	base, cancel, done := startDaemon(t, opts, "")
+	base, cancel, done := startDaemon(t, opts)
 	defer cancel()
 
 	client := http.DefaultClient
@@ -338,7 +343,7 @@ func TestGracefulShutdown(t *testing.T) {
 func TestShutdownCheckpointFailure(t *testing.T) {
 	ffs := oplog.NewFaultFS(nil)
 	opts := engine.Options{SignatureWords: 64, Seed: 5, SketchS1: 32, SketchS2: 2, Dir: t.TempDir(), FS: ffs}
-	base, cancel, done := startDaemon(t, opts, "")
+	base, cancel, done := startDaemon(t, opts)
 	defer cancel()
 
 	client := http.DefaultClient
@@ -352,15 +357,15 @@ func TestShutdownCheckpointFailure(t *testing.T) {
 	}
 }
 
-// TestWireListener: with -wire-addr the daemon serves amswire beside
-// HTTP against the same engine — batches streamed over the wire port are
+// TestWireListener: the daemon serves amswire beside HTTP against the
+// same engine — batches streamed over the wire port are
 // visible to HTTP estimates after a FLUSH, /healthz grows the wire
 // block, and graceful shutdown says GOODBYE to the stream, cuts the
 // final checkpoint, and recovers every acked batch.
 func TestWireListener(t *testing.T) {
 	dir := t.TempDir()
 	opts := engine.Options{SignatureWords: 64, Seed: 5, SketchS1: 32, SketchS2: 2, Dir: dir}
-	base, cancel, done := startDaemon(t, opts, "127.0.0.1:0")
+	base, cancel, done := startDaemon(t, opts)
 	defer cancel()
 	client := http.DefaultClient
 

@@ -1,8 +1,10 @@
 // Command amsrouter is the partitioned-ingest tier: a stateless daemon
 // that fronts a fleet of amsd nodes, hashing each row's primary
 // attribute onto a deterministic consistent-hash ring and streaming it
-// to the owning node over the amswire protocol (HTTP fallback for nodes
-// without a wire listener). Upstream it serves the same two surfaces a
+// to the owning node over the amswire protocol — its only data path, so
+// every member must run amsd's wire listener (a member that advertises
+// none fails its health probe and is never routed to). Upstream it
+// serves the same two surfaces a
 // single amsd node does — HTTP JSON on -addr and amswire on -wire-addr
 // — so existing loaders point at the router unchanged and the fleet
 // behaves like one large node.

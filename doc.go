@@ -77,12 +77,14 @@
 // cmd/amsd serves the engine over two surfaces with two audiences: HTTP
 // JSON is the control plane — defining relations, asking estimates,
 // checkpointing, health — where a request cycle per call is the right
-// trade for curl-ability; amswire (-wire-addr, internal/wire) is the
-// data plane for bulk loaders and continuous update streams, a
-// length-prefixed binary framing with pipelined acknowledgements that
-// removes the per-batch request cycle (several times the HTTP rows/sec
-// at equal batch sizes). DESIGN.md §5 documents the architecture,
-// §10 the wire protocol.
+// trade for curl-ability; amswire (-wire-addr, default :7601, always on;
+// internal/wire) is the data plane for bulk loaders and continuous
+// update streams, a length-prefixed binary framing with pipelined
+// acknowledgements that removes the per-batch request cycle (several
+// times the HTTP rows/sec at equal batch sizes). It is also the only
+// path cmd/amsrouter sends rows over: a fleet member without a wire
+// listener is refused at the router's health probe. DESIGN.md §5
+// documents the architecture, §10 the wire protocol, §12 the router.
 //
 // The engine has one write path, the lock-free absorber pipeline:
 // callers stage ops into CAS-claimed buffers (EngineOptions.StageOps),

@@ -1,45 +1,26 @@
 package coord
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
+
+	"amstrack/internal/amsd"
 )
 
 // The admin verbs the rebalance flow needs on top of the read-only
-// fetch surface: list a node's relations, push a bundle into a node
-// (import or merge), and drop a relation. Retryability differs per verb
-// and the differences are load-bearing — see each method.
+// fetch surface: list a node's relations, define one, push a bundle into
+// a node (import or merge), and drop a relation. Retryability differs
+// per verb and the differences are load-bearing — see each method.
 
 // ListRelations GETs a node's defined relation names, retrying per the
 // fetcher's policy (the call is read-only and idempotent).
 func (fx *Fetcher) ListRelations(node string) ([]string, error) {
-	var names []string
-	err := fx.retry(func() (bool, error) {
-		resp, err := fx.client.Get(node + "/v1/relations")
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		body, retryable, err := fx.readCapped(resp.Body)
-		if err != nil {
-			return retryable, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode >= 500, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		var out struct {
-			Relations []string `json:"relations"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			return false, fmt.Errorf("decode relations: %w", err)
-		}
-		names = out.Relations
-		return false, nil
-	})
-	return names, err
+	var out struct {
+		Relations []string `json:"relations"`
+	}
+	err := fx.getJSON(node+"/v1/relations", "relations", &out)
+	return out.Relations, err
 }
 
 // Schema is a relation's schema as reported by GET /v1/relations/{name},
@@ -58,30 +39,24 @@ type Schema struct {
 // reports the relation is not defined there.
 func (fx *Fetcher) FetchSchema(node, rel string) (Schema, error) {
 	var sc Schema
-	err := fx.retry(func() (bool, error) {
-		resp, err := fx.client.Get(node + "/v1/relations/" + RelPath(rel))
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		body, retryable, err := fx.readCapped(resp.Body)
-		if err != nil {
-			return retryable, err
-		}
-		switch {
-		case resp.StatusCode == http.StatusNotFound:
-			return false, ErrNotFound
-		case resp.StatusCode >= 500:
-			return true, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		case resp.StatusCode != http.StatusOK:
-			return false, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		if err := json.Unmarshal(body, &sc); err != nil {
-			return false, fmt.Errorf("decode schema: %w", err)
-		}
-		return false, nil
-	})
+	err := fx.getJSON(node+"/v1/relations/"+RelPath(rel), "schema", &sc)
 	return sc, err
+}
+
+// DefineRelation POSTs a schema define to a node. Transport errors and
+// 5xx retry per the fetcher's policy, and a 409 is success: the node
+// already has the relation — a concurrent adopter (another caller, or a
+// peer router) won the define race, or an earlier attempt landed — and
+// define is idempotent.
+func (fx *Fetcher) DefineRelation(node string, sc Schema) error {
+	body, err := json.Marshal(amsd.DefineRequest{Name: sc.Relation, Attrs: sc.Attrs,
+		ChainA: sc.ChainA, ChainB: sc.ChainB, ChainAB: sc.ChainAB, SkimHitters: sc.SkimHitters})
+	if err != nil {
+		return err
+	}
+	_, err = fx.request(http.MethodPost, node+"/v1/relations", "application/json", body,
+		http.StatusCreated, http.StatusConflict)
+	return err
 }
 
 // MergeBundleBytes PUTs a serialized bundle into an EXISTING relation on
@@ -94,28 +69,12 @@ func (fx *Fetcher) FetchSchema(node, rel string) (Schema, error) {
 // before deciding whether to re-send. ErrNotFound reports the target
 // relation is not defined on the node.
 func (fx *Fetcher) MergeBundleBytes(node, rel string, bundle []byte) error {
-	req, err := http.NewRequest(http.MethodPut,
-		node+"/v1/signatures/"+RelPath(rel)+"?mode=merge", bytes.NewReader(bundle))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := fx.client.Do(req)
-	if err != nil {
+	_, ambiguous, err := fx.call(http.MethodPut, node+"/v1/signatures/"+RelPath(rel)+"?mode=merge",
+		"application/octet-stream", bundle, http.StatusOK)
+	if ambiguous {
 		return fmt.Errorf("merge not retried (may or may not have applied; verify the destination stamp): %w", err)
 	}
-	defer resp.Body.Close()
-	body, _, err := fx.readCapped(resp.Body)
-	if err != nil {
-		return fmt.Errorf("merge response unread (HTTP %d; verify the destination stamp): %w", resp.StatusCode, err)
-	}
-	switch {
-	case resp.StatusCode == http.StatusNotFound:
-		return ErrNotFound
-	case resp.StatusCode != http.StatusOK:
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	return nil
+	return err
 }
 
 // ImportBundleBytes PUTs a serialized bundle onto a node as a NEW
@@ -126,27 +85,9 @@ func (fx *Fetcher) MergeBundleBytes(node, rel string, bundle []byte) error {
 // restarting node. Callers that see a 409 after a retried transport
 // error should compare stamps before assuming the import landed.
 func (fx *Fetcher) ImportBundleBytes(node, rel string, bundle []byte) error {
-	return fx.retry(func() (bool, error) {
-		req, err := http.NewRequest(http.MethodPut,
-			node+"/v1/signatures/"+RelPath(rel), bytes.NewReader(bundle))
-		if err != nil {
-			return false, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := fx.client.Do(req)
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		body, retryable, err := fx.readCapped(resp.Body)
-		if err != nil {
-			return retryable, err
-		}
-		if resp.StatusCode != http.StatusCreated {
-			return resp.StatusCode >= 500, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		return false, nil
-	})
+	_, err := fx.request(http.MethodPut, node+"/v1/signatures/"+RelPath(rel),
+		"application/octet-stream", bundle, http.StatusCreated)
+	return err
 }
 
 // DeleteRelation DELETEs a relation from a node, retrying per the
@@ -154,26 +95,7 @@ func (fx *Fetcher) ImportBundleBytes(node, rel string, bundle []byte) error {
 // relation is gone, which is the goal state — so a 404 (first attempt or
 // after a retried ambiguous failure) reports success.
 func (fx *Fetcher) DeleteRelation(node, rel string) error {
-	return fx.retry(func() (bool, error) {
-		req, err := http.NewRequest(http.MethodDelete, node+"/v1/relations/"+RelPath(rel), nil)
-		if err != nil {
-			return false, err
-		}
-		resp, err := fx.client.Do(req)
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		body, retryable, err := fx.readCapped(resp.Body)
-		if err != nil {
-			return retryable, err
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK, resp.StatusCode == http.StatusNotFound:
-			return false, nil
-		case resp.StatusCode >= 500:
-			return true, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		return false, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	})
+	_, err := fx.request(http.MethodDelete, node+"/v1/relations/"+RelPath(rel), "", nil,
+		http.StatusOK, http.StatusNotFound)
+	return err
 }

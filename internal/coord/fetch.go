@@ -11,6 +11,7 @@
 package coord
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/json"
@@ -20,7 +21,9 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"amstrack/internal/engine"
@@ -54,12 +57,7 @@ const maxBackoff = 30 * time.Second
 // restarting or mid-recovery); 4xx responses are definitive and fail
 // immediately. Response bodies are capped at MaxBody.
 //
-// A Fetcher is safe for concurrent use by multiple goroutines except for
-// the jitter RNG, which is guarded by the assumption that concurrent
-// retries tolerate correlated jitter — xrand.Rand is not synchronized,
-// so concurrent pauses may read torn state; the worst case is a
-// non-uniform jitter draw, never a panic or an out-of-range duration,
-// because the draw is re-bounded below.
+// A Fetcher is safe for concurrent use by multiple goroutines.
 type Fetcher struct {
 	client  *http.Client
 	retries int           // attempts per request, >= 1
@@ -67,6 +65,7 @@ type Fetcher struct {
 	maxBody int64         // response body cap in bytes
 
 	sleep func(time.Duration) // test seam; nil means time.Sleep
+	mu    sync.Mutex          // guards rng
 	rng   *xrand.Rand
 }
 
@@ -128,7 +127,9 @@ func (fx *Fetcher) pause(attempt int) {
 		d = maxBackoff
 	}
 	if half := d / 2; half > 0 {
+		fx.mu.Lock()
 		d = half + time.Duration(fx.rng.Uint64n(uint64(half)))
+		fx.mu.Unlock()
 	}
 	if fx.sleep != nil {
 		fx.sleep(d)
@@ -183,34 +184,71 @@ func (fx *Fetcher) readCapped(body io.Reader) ([]byte, bool, error) {
 	return data, false, nil
 }
 
+// call makes ONE request and classifies the outcome for the retry
+// policy. A status listed in ok is success and returns the capped body;
+// a 404 not listed is ErrNotFound; a transport error or 5xx is
+// retryable; any other status is definitive. A non-nil body is sent
+// with content type ctype.
+func (fx *Fetcher) call(method, target, ctype string, body []byte, ok ...int) (data []byte, retryable bool, err error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, target, rd)
+	if err != nil {
+		return nil, false, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", ctype)
+	}
+	resp, err := fx.client.Do(req)
+	if err != nil {
+		return nil, true, err
+	}
+	defer resp.Body.Close()
+	if data, retryable, err = fx.readCapped(resp.Body); err != nil {
+		return nil, retryable, err
+	}
+	switch {
+	case slices.Contains(ok, resp.StatusCode):
+		return data, false, nil
+	case resp.StatusCode == http.StatusNotFound:
+		return nil, false, ErrNotFound
+	}
+	return nil, resp.StatusCode >= 500, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+}
+
+// request drives call through the retry policy.
+func (fx *Fetcher) request(method, target, ctype string, body []byte, ok ...int) ([]byte, error) {
+	var out []byte
+	err := fx.retry(func() (bool, error) {
+		data, retryable, err := fx.call(method, target, ctype, body, ok...)
+		out = data
+		return retryable, err
+	})
+	return out, err
+}
+
+// getJSON GETs target under the retry policy and decodes the JSON answer
+// into out; what names the payload in a decode error. A malformed answer
+// is definitive, not retried.
+func (fx *Fetcher) getJSON(target, what string, out any) error {
+	data, err := fx.request(http.MethodGet, target, "", nil, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("decode %s: %w", what, err)
+	}
+	return nil
+}
+
 // FetchBundleBytes GETs one relation's serialized synopsis bundle from
 // one node, retrying transient failures per the fetcher's policy. A
 // persistent failure reports how many attempts were burned; callers
 // prefix the node URL so the operator knows exactly which node is down.
 func (fx *Fetcher) FetchBundleBytes(node, rel string) ([]byte, error) {
-	var out []byte
-	err := fx.retry(func() (bool, error) {
-		resp, err := fx.client.Get(node + "/v1/signatures/" + RelPath(rel))
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		body, retryable, err := fx.readCapped(resp.Body)
-		if err != nil {
-			return retryable, err
-		}
-		switch {
-		case resp.StatusCode == http.StatusNotFound:
-			return false, ErrNotFound
-		case resp.StatusCode >= 500:
-			return true, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		case resp.StatusCode != http.StatusOK:
-			return false, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		out = body
-		return false, nil
-	})
-	return out, err
+	return fx.request(http.MethodGet, node+"/v1/signatures/"+RelPath(rel), "", nil, http.StatusOK)
 }
 
 // FetchBundle fetches and decodes one relation's bundle.
@@ -241,28 +279,6 @@ type Stat struct {
 // daemon's refresh loops issue every interval.
 func (fx *Fetcher) FetchStat(node, rel string) (Stat, error) {
 	var st Stat
-	err := fx.retry(func() (bool, error) {
-		resp, err := fx.client.Get(node + "/v1/signatures/" + RelPath(rel) + "?stat=1")
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		body, retryable, err := fx.readCapped(resp.Body)
-		if err != nil {
-			return retryable, err
-		}
-		switch {
-		case resp.StatusCode == http.StatusNotFound:
-			return false, ErrNotFound
-		case resp.StatusCode >= 500:
-			return true, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		case resp.StatusCode != http.StatusOK:
-			return false, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			return false, fmt.Errorf("decode stat: %w", err)
-		}
-		return false, nil
-	})
+	err := fx.getJSON(node+"/v1/signatures/"+RelPath(rel)+"?stat=1", "stat", &st)
 	return st, err
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,6 +162,30 @@ func TestFetchJitterSeedsDiffer(t *testing.T) {
 	if same == len(a) {
 		t.Fatalf("two fetchers drew identical jitter sequences %v — seeds are not independent", a)
 	}
+}
+
+// TestFetchConcurrentRetries: one Fetcher is shared by many goroutines
+// (the daemon's refresh loops, the router's prober and adopters), so
+// their retry pauses draw jitter concurrently. The draw must be
+// synchronized — run under -race.
+func TestFetchConcurrentRetries(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "restarting", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(down.Close)
+
+	fx := NewFetcher(&http.Client{}, 3, time.Millisecond)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := fx.FetchStat(down.URL, "orders"); err == nil {
+				t.Error("stat from a 503 node succeeded")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFetchResponseCap is the regression test for the unbounded

@@ -23,6 +23,9 @@ import (
 //	GET    /v1/ring?key=K            debug: the key's owning node
 //	POST   /v1/admin/drain           {"node": base} — drain + rebalance off a node
 //	POST   /v1/admin/forget          {"node": base} — clear quarantine, rebaseline
+//
+// Request bodies are capped at amsd.DefaultMaxBody, as on amsd; an
+// overrun answers 413.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
@@ -33,7 +36,12 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/ring", r.handleRing)
 	mux.HandleFunc("POST /v1/admin/drain", r.handleDrain)
 	mux.HandleFunc("POST /v1/admin/forget", r.handleForget)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Body != nil {
+			req.Body = http.MaxBytesReader(w, req.Body, r.maxBody)
+		}
+		mux.ServeHTTP(w, req)
+	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -44,6 +52,23 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// decodeBody decodes a JSON request body into v. On failure it writes
+// the error response — 413 for a body over the cap, 400 otherwise — and
+// returns false.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
+	err := json.NewDecoder(req.Body).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("decode request: %w", err))
+	return false
 }
 
 // HealthzBody is the router's /healthz response.
@@ -95,8 +120,7 @@ func (r *Router) handleDefine(w http.ResponseWriter, req *http.Request) {
 		ChainAB     [][]string `json:"chain_ab"`
 		SkimHitters int        `json:"skim_hitters"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	sc := coord.Schema{Relation: body.Name, Attrs: body.Attrs,
@@ -147,8 +171,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		InsertRows [][]uint64 `json:"insert_rows"`
 		DeleteRows [][]uint64 `json:"delete_rows"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	rs, err := r.Relation(body.Relation)
@@ -223,7 +246,7 @@ func (r *Router) fleetLen(rs *relState) int64 {
 	r.mu.Unlock()
 	var total int64
 	for _, m := range members {
-		st, err := statOnce(r.opts.Client, m, rs.name)
+		st, err := r.once.FetchStat(m, rs.name)
 		if err != nil {
 			return -1
 		}
@@ -252,8 +275,7 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	var body struct {
 		Node string `json:"node"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	rep, err := r.DrainNode(body.Node)
@@ -268,8 +290,7 @@ func (r *Router) handleForget(w http.ResponseWriter, req *http.Request) {
 	var body struct {
 		Node string `json:"node"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !decodeBody(w, req, &body) {
 		return
 	}
 	if err := r.Forget(body.Node); err != nil {

@@ -231,7 +231,7 @@ func TestRouterFailoverReturnsWithFullTargetQueue(t *testing.T) {
 // acked ledger — acked data was lost — and the operator must be told
 // that, not handed a bogus "absorbed -N of an M-row batch".
 func TestRouterReconcileDeficitQuarantine(t *testing.T) {
-	nodes := startFleet(t, 1, false)
+	nodes := startFleet(t, 1, true) // the stat is trusted only after a passing probe
 	rt := testRouter(t, nodes, nil)
 	if err := rt.Define(coord.Schema{Relation: "f"}); err != nil {
 		t.Fatal(err)
@@ -271,13 +271,13 @@ func TestRouterReconcileDeficitQuarantine(t *testing.T) {
 // 409 means "already defined" — success for an idempotent define — and
 // must not fail the adopt.
 func TestRouterDefineRace409(t *testing.T) {
-	nodes := startFleet(t, 2, false)
+	nodes := startFleet(t, 2, true)
 	rt := testRouter(t, nodes, nil)
 	sc := coord.Schema{Relation: "f"}
-	if err := rt.defineOn(nodes[0].base, sc); err != nil {
+	if err := rt.opts.Fetcher.DefineRelation(nodes[0].base, sc); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.defineOn(nodes[0].base, sc); err != nil {
+	if err := rt.opts.Fetcher.DefineRelation(nodes[0].base, sc); err != nil {
 		t.Fatalf("losing the define race must be success, got: %v", err)
 	}
 

@@ -1,13 +1,16 @@
 package router
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
+	"amstrack/internal/amsd"
 	"amstrack/internal/coord"
 	"amstrack/internal/xrand"
 )
@@ -37,13 +40,16 @@ type Options struct {
 	// FailoverBudget caps how many times one batch may be re-routed
 	// before its failure is surfaced upstream as a sticky error.
 	FailoverBudget int
-	// Client issues node HTTP requests (probes, stats, HTTP-fallback
-	// ingest). A shared keep-alive client with a 30 s Timeout if nil —
-	// never http.DefaultClient, whose zero Timeout would let one wedged
-	// node pin a prober goroutine forever.
+	// Client issues node HTTP requests: the /healthz probe, and the
+	// single-attempt stats of a teardown reconcile and of the ingest
+	// response's fleet Len. Rows never travel
+	// over HTTP — amswire is the only data path. A shared keep-alive
+	// client with a 30 s Timeout if nil — never http.DefaultClient, whose
+	// zero Timeout would let one wedged node pin a prober goroutine
+	// forever.
 	Client *http.Client
-	// Fetcher drives the admin verbs (schemas, bundles, rebalance).
-	// Built from Client with modest retries if nil.
+	// Fetcher drives the control-plane verbs (schemas, defines, stats,
+	// bundles, rebalance). Built from Client with modest retries if nil.
 	Fetcher *coord.Fetcher
 	// DialTimeout bounds one wire-session dial.
 	DialTimeout time.Duration
@@ -133,9 +139,8 @@ type node struct {
 	lastErr string
 	reasons []string // quarantine reasons
 	// needsAudit is set whenever the router disposes of work the node
-	// might still hold — a session torn down with pending batches, or an
-	// HTTP send that errored after the request may have reached the node
-	// — and cleared only by a passed rejoin audit. While set, NO path
+	// might still hold — a session torn down with pending batches — and
+	// cleared only by a passed rejoin audit. While set, NO path
 	// (probe success, late ack) may restore the node to healthy without
 	// the audit: a node that crashes and answers /healthz again within a
 	// couple of probe cycles is exactly as dangerous as one that was
@@ -148,7 +153,6 @@ type node struct {
 	reconciling bool
 	draining    bool
 	sess        *session // nil when no wire session is up
-	httpOnly    bool     // node advertises no wire listener
 }
 
 // acct is the router's acked ledger for one (node, relation): base is
@@ -195,6 +199,11 @@ func (sb *subBatch) rowCount() int { return len(sb.vals) / sb.rel.arity }
 type Router struct {
 	opts Options
 	ring *Ring
+	// once reads stats in a single attempt: a teardown reconciles against
+	// a node that just failed, so a retry-backoff budget per relation
+	// would stall failover for seconds.
+	once    *coord.Fetcher
+	maxBody int64 // upstream request-body cap (amsd.DefaultMaxBody)
 
 	mu    sync.Mutex
 	cond  *sync.Cond // broadcast on ack / failure / health transitions
@@ -215,12 +224,14 @@ func New(opts Options) (*Router, error) {
 		return nil, errors.New("router: no nodes configured")
 	}
 	r := &Router{
-		opts:  opts,
-		ring:  NewRing(opts.Nodes, opts.VNodes),
-		nodes: map[string]*node{},
-		rels:  map[string]*relState{},
-		stop:  make(chan struct{}),
-		rng:   xrand.New(jitterSeed()),
+		opts:    opts,
+		ring:    NewRing(opts.Nodes, opts.VNodes),
+		once:    coord.NewFetcher(opts.Client, 1, 0),
+		maxBody: amsd.DefaultMaxBody,
+		nodes:   map[string]*node{},
+		rels:    map[string]*relState{},
+		stop:    make(chan struct{}),
+		rng:     xrand.New(jitterSeed()),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, base := range r.ring.Members() {
@@ -385,7 +396,7 @@ func (r *Router) adoptRelation(sc coord.Schema) (*relState, error) {
 	for _, m := range r.ring.Members() {
 		st, err := r.opts.Fetcher.FetchStat(m, sc.Relation)
 		if errors.Is(err, coord.ErrNotFound) {
-			if err := r.defineOn(m, sc); err != nil {
+			if err := r.opts.Fetcher.DefineRelation(m, sc); err != nil {
 				return nil, fmt.Errorf("define %q on %s: %w", sc.Relation, m, err)
 			}
 			st = coord.Stat{}
@@ -402,22 +413,6 @@ func (r *Router) adoptRelation(sc coord.Schema) (*relState, error) {
 	rs := &relState{r: r, name: sc.Relation, arity: arity, schema: sc, accts: accts}
 	r.rels[sc.Relation] = rs
 	return rs, nil
-}
-
-// defineOn replays a schema define onto one member via the same JSON
-// body DefineRequest accepts. A 409 means the member already has the
-// relation — a concurrent adopter (another caller of Relation/Define on
-// this router, or a peer router) won the define race — which is success
-// for an idempotent define, not an error to surface upstream.
-func (r *Router) defineOn(member string, sc coord.Schema) error {
-	return postJSON(r.opts.Client, member+"/v1/relations", map[string]any{
-		"name":         sc.Relation,
-		"attrs":        sc.Attrs,
-		"chain_a":      sc.ChainA,
-		"chain_b":      sc.ChainB,
-		"chain_ab":     sc.ChainAB,
-		"skim_hitters": sc.SkimHitters,
-	}, http.StatusCreated, http.StatusConflict)
 }
 
 // route partitions one upstream batch by each row's primary attribute
@@ -648,47 +643,22 @@ func (r *Router) deliver(n *node, sb *subBatch) {
 		return
 	}
 	sess := n.sess
-	httpOnly := n.httpOnly
 	r.mu.Unlock()
 
-	if httpOnly {
-		if err := r.httpSend(n, sb); err != nil {
-			r.mu.Lock()
-			r.markFailureLocked(n, err)
-			// The POST may have been applied server-side before the error
-			// (a torn response); the batch is about to be failed over, so
-			// only the rejoin audit can rule out the double-apply.
-			n.needsAudit = true
-			r.mu.Unlock()
-			r.failover(sb, err)
-			return
-		}
-		r.noteAcked(n, sb)
-		return
-	}
 	if sess == nil {
 		var err error
-		sess, err = r.openSession(n)
-		if err != nil {
+		if sess, err = r.openSession(n); err != nil {
 			r.mu.Lock()
-			if errors.Is(err, errNoWire) {
-				n.httpOnly = true
-				r.mu.Unlock()
-				r.deliver(n, sb) // retry this batch over HTTP
-				return
-			}
 			r.markFailureLocked(n, err)
 			r.mu.Unlock()
 			r.failover(sb, err)
 			return
 		}
 	}
-	if err := sess.send(sb, len(n.queue) == 0); err != nil {
-		// The session records the batch as pending before writing, so a
-		// failed write is torn down and reconciled (including sb) by the
-		// session's teardown path; nothing more to do here.
-		return
-	}
+	// The session records the batch as pending before writing, so a
+	// failed write is torn down and reconciled (including sb) by the
+	// session's teardown path; nothing more to do here.
+	sess.send(sb, len(n.queue) == 0)
 }
 
 // runProber is the health loop: every (jittered) interval it probes
@@ -727,7 +697,7 @@ func (r *Router) probeOnce() {
 		if skip {
 			continue
 		}
-		err := r.probeNode(n)
+		_, err := r.probeNode(n)
 		r.mu.Lock()
 		switch {
 		case err != nil:
@@ -752,24 +722,33 @@ func (r *Router) probeOnce() {
 	}
 }
 
-// probeNode is one /healthz round trip. A "degraded" status counts as a
-// failure: it means the node has a sticky durability error, so acks it
-// hands out may not survive a crash — routing to it would trade honest
-// backpressure for silent risk.
-func (r *Router) probeNode(n *node) error {
-	var body struct {
-		Status string `json:"status"`
-		Wire   *struct {
-			Addr string `json:"addr"`
-		} `json:"wire"`
+// probeNode is the router's one /healthz reader: it returns the node's
+// advertised amswire address. A "degraded" status counts as a failure:
+// it means the node has a sticky durability error, so acks it hands out
+// may not survive a crash — routing to it would trade honest
+// backpressure for silent risk. So does a node without a wire listener:
+// amswire is the only data path, so such a member is refused here and
+// never routed to.
+func (r *Router) probeNode(n *node) (string, error) {
+	resp, err := r.opts.Client.Get(n.base + "/healthz")
+	if err != nil {
+		return "", err
 	}
-	if err := getJSON(r.opts.Client, n.base+"/healthz", &body); err != nil {
-		return err
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("node %s healthz: HTTP %d", n.base, resp.StatusCode)
 	}
-	if body.Status != "ok" {
-		return fmt.Errorf("node %s reports status %q", n.base, body.Status)
+	var body amsd.HealthzBody
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body); err != nil {
+		return "", fmt.Errorf("node %s healthz: %w", n.base, err)
 	}
-	return nil
+	switch {
+	case body.Status != "ok":
+		return "", fmt.Errorf("node %s reports status %q", n.base, body.Status)
+	case body.Wire == nil || body.Wire.Addr == "":
+		return "", fmt.Errorf("node %s advertises no wire listener", n.base)
+	}
+	return body.Wire.Addr, nil
 }
 
 // rejoinAudit decides whether a recovered down node may route again.

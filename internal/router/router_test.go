@@ -2,11 +2,14 @@ package router
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,8 +39,8 @@ type fleetNode struct {
 	wireLn  net.Listener
 }
 
-// startFleetNode boots a node; withWire=false exercises the router's
-// HTTP fallback path. listen is the address to bind ("" = ephemeral),
+// startFleetNode boots a node; withWire=false builds an HTTP-only member
+// the router must refuse. listen is the address to bind ("" = ephemeral),
 // letting the torture test restart a node on its old port.
 func startFleetNode(t *testing.T, eng *engine.Engine, withWire bool, listen string) *fleetNode {
 	t.Helper()
@@ -334,42 +337,53 @@ func TestRouterWireUpstream(t *testing.T) {
 		mirrorOf(t, "f", batches), "wire upstream")
 }
 
-// TestRouterHTTPFallbackAndIngest: nodes with NO wire listener force
-// the per-batch HTTP fallback, driven through the router's own HTTP
-// ingest surface (the amsd-compatible JSON shapes).
-func TestRouterHTTPFallbackAndIngest(t *testing.T) {
-	nodes := startFleet(t, 2, false) // no wire listeners anywhere
+// postJSON POSTs body as JSON, requires status want, and decodes the
+// answer into out when out is non-nil.
+func postJSON(t *testing.T, client *http.Client, url string, body any, want int, out any) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != want {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s: HTTP %d (want %d): %s", url, resp.StatusCode, want, msg)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRouterHTTPIngest drives the router's own HTTP upstream surface
+// (the amsd-compatible JSON shapes) over wire nodes: each ingest answers
+// with its own row count and the fleet-total Len, and the merged fleet
+// matches the mirror.
+func TestRouterHTTPIngest(t *testing.T) {
+	nodes := startFleet(t, 2, true)
 	rt := testRouter(t, nodes, nil)
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 	client := front.Client()
 
-	if err := postJSON(client, front.URL+"/v1/relations",
-		map[string]any{"name": "f"}, http.StatusCreated); err != nil {
-		t.Fatal(err)
-	}
-	const batches = 20
-	for i := 1; i <= batches; i++ {
-		if err := postJSON(client, front.URL+"/v1/ingest",
-			map[string]any{"relation": "f", "inserts": batchVals(i)}, http.StatusOK); err != nil {
-			t.Fatalf("ingest %d: %v", i, err)
-		}
-	}
+	postJSON(t, client, front.URL+"/v1/relations", map[string]any{"name": "f"}, http.StatusCreated, nil)
+	const batches = 21
 	var resp IngestBody
-	// One more ingest, reading the response: Len must be the fleet total.
-	if err := func() error {
-		raw := batchVals(batches + 1)
-		if err := postJSON(client, front.URL+"/v1/ingest",
-			map[string]any{"relation": "f", "inserts": raw}, http.StatusOK); err != nil {
-			return err
-		}
-		return getJSON(client, front.URL+"/v1/relations", &struct{}{})
-	}(); err != nil {
-		t.Fatal(err)
+	for i := 1; i <= batches; i++ {
+		postJSON(t, client, front.URL+"/v1/ingest",
+			map[string]any{"relation": "f", "inserts": batchVals(i)}, http.StatusOK, &resp)
 	}
-	_ = resp
+	if resp.Inserted != tortureBatch || resp.Len != batches*tortureBatch {
+		t.Fatalf("last ingest = %+v, want inserted=%d len=%d", resp, tortureBatch, batches*tortureBatch)
+	}
 	expectBundleEqual(t, mergedFleetBundle(t, fleetBases(nodes), "f"),
-		mirrorOf(t, "f", batches+1), "http fallback")
+		mirrorOf(t, "f", batches), "http ingest")
 
 	// Both nodes really were used (the ring spread the keys).
 	for _, n := range nodes {
@@ -377,6 +391,102 @@ func TestRouterHTTPFallbackAndIngest(t *testing.T) {
 		if err != nil || rel.Len() == 0 {
 			t.Fatalf("%s holds no rows (err=%v)", n.base, err)
 		}
+	}
+}
+
+// TestRouterRefusesHTTPOnlyNode: amswire is the router's only data
+// path, so a member without a wire listener fails every probe and every
+// dial. Batches routed to it before the first probe fail at the dial,
+// before anything is sent, and fail over: the node holds no rows, never
+// reports healthy, its last_error names the missing listener, and the
+// fleet stays exact.
+func TestRouterRefusesHTTPOnlyNode(t *testing.T) {
+	wiredEng, err := engine.New(memOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = wiredEng.Close() })
+	httpEng, err := engine.New(memOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = httpEng.Close() })
+	nodes := []*fleetNode{startFleetNode(t, wiredEng, true, ""), startFleetNode(t, httpEng, false, "")}
+	httpOnly := nodes[1].base
+
+	rt := testRouter(t, nodes, nil)
+	if err := rt.Define(coord.Schema{Relation: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rt.Relation("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches = 40
+	for i := 1; i <= batches; i++ {
+		if err := rs.Apply(false, 1, batchVals(i)); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if err := rs.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	expectBundleEqual(t, mergedFleetBundle(t, fleetBases(nodes), "f"),
+		mirrorOf(t, "f", batches), "http-only member refused")
+	if rel, err := httpEng.Get("f"); err != nil || rel.Len() != 0 {
+		t.Fatalf("http-only node: err=%v, want the relation defined and empty", err)
+	}
+
+	// Many probe rounds later the node is still refused, and says why.
+	deadline := time.Now().Add(10 * rt.opts.ProbeInterval)
+	for time.Now().Before(deadline) {
+		for _, h := range rt.Health() {
+			if h.Node != httpOnly {
+				continue
+			}
+			if h.State == StateHealthy.String() {
+				t.Fatal("http-only node reported healthy")
+			}
+			if !strings.Contains(h.LastErr, "no wire listener") {
+				t.Fatalf("last_error = %q, want it to name the missing wire listener", h.LastErr)
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRouterBodyCap: every POST route of the upstream surface caps its
+// request body, answering an overrun with a JSON 413 as amsd does.
+func TestRouterBodyCap(t *testing.T) {
+	nodes := startFleet(t, 1, true)
+	rt := testRouter(t, nodes, nil)
+	rt.maxBody = 1 << 10 // small cap keeps the over-cap bodies cheap
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	long := `"` + strings.Repeat("x", 2<<10) + `"`
+	for _, tc := range []struct{ name, route, body string }{
+		{"ingest", "/v1/ingest", `{"relation":` + long + `}`},
+		{"define", "/v1/relations", `{"name":` + long + `}`},
+		{"drain", "/v1/admin/drain", `{"node":` + long + `}`},
+		{"forget", "/v1/admin/forget", `{"node":` + long + `}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := front.Client().Post(front.URL+tc.route, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d, want 413", resp.StatusCode)
+			}
+			var eb struct {
+				Error string `json:"error"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+				t.Fatalf("413 body is not a JSON error (err=%v, body=%+v)", err, eb)
+			}
+		})
 	}
 }
 

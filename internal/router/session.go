@@ -1,23 +1,14 @@
 package router
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"strings"
 	"time"
 
-	"amstrack/internal/coord"
 	"amstrack/internal/wire"
 )
-
-// errNoWire reports a node that serves HTTP only; the caller falls back
-// to POST /v1/ingest per batch.
-var errNoWire = errors.New("node advertises no wire listener")
 
 // session is one router→node amswire stream. It is deliberately NOT
 // wire.Client: failover needs to retain every un-acked batch and to see
@@ -45,22 +36,15 @@ type pendingBatch struct {
 	sb  *subBatch
 }
 
-// openSession dials a node's wire listener, discovering its address
-// from /healthz. It returns errNoWire when the node has no wire
-// listener at all.
+// openSession dials the wire address the node advertises, as read by
+// probeNode. A node that fails the probe — unreachable, degraded, or
+// serving no wire listener — fails the dial before anything is sent.
 func (r *Router) openSession(n *node) (*session, error) {
-	var hb struct {
-		Wire *struct {
-			Addr string `json:"addr"`
-		} `json:"wire"`
+	addr, err := r.probeNode(n)
+	if err != nil {
+		return nil, err
 	}
-	if err := getJSON(r.opts.Client, n.base+"/healthz", &hb); err != nil {
-		return nil, fmt.Errorf("discover wire addr: %w", err)
-	}
-	if hb.Wire == nil || hb.Wire.Addr == "" {
-		return nil, errNoWire
-	}
-	nc, err := net.DialTimeout("tcp", rebaseHost(n.base, hb.Wire.Addr), r.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", rebaseHost(n.base, addr), r.opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -135,16 +119,16 @@ func (s *session) handshake() error {
 // torn write still reconciles it. flushAfter appends a FLUSH frame when
 // the caller knows the queue is empty — it costs 13 bytes and buys
 // prompt acks, keeping the pending window (and therefore the failover
-// blast radius) small. A send error tears the session down (which
-// reconciles every pending batch, including this one) and reports the
-// error so the caller does not double-handle the batch.
-func (s *session) send(sb *subBatch, flushAfter bool) error {
+// blast radius) small. A send error tears the session down, which
+// reconciles every pending batch, including this one — so the caller
+// never handles the batch again.
+func (s *session) send(sb *subBatch, flushAfter bool) {
 	r := s.r
 	r.mu.Lock()
 	if s.dead {
 		r.mu.Unlock()
 		r.failover(sb, errors.New("session closed"))
-		return nil
+		return
 	}
 	s.seq++
 	seq := s.seq
@@ -162,9 +146,7 @@ func (s *session) send(sb *subBatch, flushAfter bool) error {
 	nc.SetWriteDeadline(time.Now().Add(r.opts.AckTimeout))
 	if _, err := nc.Write(out); err != nil {
 		s.teardown(fmt.Errorf("write batch: %w", err))
-		return err
 	}
-	return nil
 }
 
 // requestFlush nudges the node to drain + ack now. Called under
@@ -319,7 +301,8 @@ func (r *Router) reconcile(n *node, pending []pendingBatch, cause error) {
 	// reconcile to the optimistic path (fail over everything; the rejoin
 	// audit re-checks the arithmetic against the RECOVERED image before
 	// the node may serve again).
-	trustStat := r.probeNode(n) == nil
+	_, probeErr := r.probeNode(n)
+	trustStat := probeErr == nil
 
 	// Per-relation surplus: recovered Seq minus the acked ledger.
 	type relRec struct {
@@ -334,7 +317,7 @@ func (r *Router) reconcile(n *node, pending []pendingBatch, cause error) {
 		}
 		rec := &relRec{}
 		if trustStat {
-			st, err := statOnce(r.opts.Client, n.base, rs.name)
+			st, err := r.once.FetchStat(n.base, rs.name)
 			if err == nil {
 				r.mu.Lock()
 				if a := rs.accts[n.base]; a != nil {
@@ -393,92 +376,4 @@ func (r *Router) reconcile(n *node, pending []pendingBatch, cause error) {
 			r.mu.Unlock()
 		}
 	}
-}
-
-// httpSend delivers one batch over POST /v1/ingest — the fallback for
-// nodes without a wire listener. The amsd handler drains before
-// responding, so a 200 carries the same durability meaning as a wire
-// ACK.
-func (r *Router) httpSend(n *node, sb *subBatch) error {
-	req := map[string]any{"relation": sb.rel.name}
-	key := "inserts"
-	if sb.del {
-		key = "deletes"
-	}
-	if sb.rel.arity == 1 {
-		req[key] = sb.vals
-	} else {
-		rows := make([][]uint64, 0, sb.rowCount())
-		for i := 0; i+sb.rel.arity <= len(sb.vals); i += sb.rel.arity {
-			rows = append(rows, sb.vals[i:i+sb.rel.arity])
-		}
-		if sb.del {
-			req["delete_rows"] = rows
-			delete(req, "deletes")
-		} else {
-			req["insert_rows"] = rows
-			delete(req, "inserts")
-		}
-	}
-	return postJSON(r.opts.Client, n.base+"/v1/ingest", req, http.StatusOK)
-}
-
-// statOnce is a single-attempt relation stat — teardown reconciles
-// against a node that just failed, so burning a retry-backoff budget
-// per relation would stall failover for seconds.
-func statOnce(client *http.Client, node, rel string) (coord.Stat, error) {
-	var st coord.Stat
-	resp, err := client.Get(node + "/v1/signatures/" + coord.RelPath(rel) + "?stat=1")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// postJSON / getJSON are the router's tiny JSON round-trip helpers.
-// Any of wantStatus is success.
-func postJSON(client *http.Client, url string, body any, wantStatus ...int) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	rb, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	for _, want := range wantStatus {
-		if resp.StatusCode == want {
-			return nil
-		}
-	}
-	return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(rb)))
-}
-
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	return json.Unmarshal(body, out)
 }
