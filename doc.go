@@ -39,7 +39,8 @@
 // per update, so tightening the error bound (growing S1) slows every
 // insert; the fast sketch pays O(S2) table-lookup hashes regardless of S1
 // (≈700× faster at S1=1024, S2=16 on commodity hardware), at the price of
-// 64 KiB of fixed hash tables per group and a counter layout that is not
+// 64 KiB of fixed hash tables per group (one copy per seed per process,
+// shared by every sketch on that seed) and a counter layout that is not
 // bit-compatible with the flat sketch (blobs of one kind do not unmarshal
 // as the other). Prefer FastTugOfWar for high-throughput or high-accuracy
 // tracking — streams, bulk loads (InsertBatch), parallel ingest

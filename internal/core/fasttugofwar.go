@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"amstrack/internal/blob"
 	"amstrack/internal/hash"
@@ -42,10 +43,14 @@ type FastTugOfWar struct {
 // the hash family is derived deterministically from cfg.Seed, so equal
 // Configs yield mergeable sketches. The row hashes use a seed stream
 // disjoint from the flat sketch's counter hashes, so the two trackers are
-// statistically independent even under one seed.
+// statistically independent even under one seed. S2 is bounded by
+// hash.MaxTab4Rows, since every row needs its own table.
 func NewFastTugOfWar(cfg Config) (*FastTugOfWar, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.S2 > hash.MaxTab4Rows {
+		return nil, fmt.Errorf("core: fast sketch S2 = %d, must be <= %d", cfg.S2, hash.MaxTab4Rows)
 	}
 	t := &FastTugOfWar{
 		cfg:  cfg,
@@ -145,8 +150,9 @@ func fastEstimate(z []int64, s1, s2 int) float64 {
 }
 
 // MemoryWords returns S1·S2: one word per counter, the paper's storage
-// unit. The tabulation tables add a fixed 64 KiB per row that does not
-// scale with S1 (the accuracy knob), which is the point of the scheme.
+// unit. The tabulation tables (64 KiB per row) are not counted: they do
+// not scale with S1, the accuracy knob, and hash.NewTab4 shares them
+// among every sketch on the same seed in the process.
 func (t *FastTugOfWar) MemoryWords() int { return len(t.z) }
 
 // Len returns the current multiset size implied by the update stream.

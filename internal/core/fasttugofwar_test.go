@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
+	"amstrack/internal/blob"
 	"amstrack/internal/dist"
+	"amstrack/internal/hash"
 	"amstrack/internal/xrand"
 )
 
@@ -29,6 +32,68 @@ func TestFastTugOfWarValidation(t *testing.T) {
 	if _, err := NewFastTugOfWar(Config{S1: 1, S2: 0}); err == nil {
 		t.Error("S2=0 accepted")
 	}
+	if _, err := NewFastTugOfWar(Config{S1: 1, S2: hash.MaxTab4Rows + 1}); err == nil {
+		t.Errorf("S2=%d accepted", hash.MaxTab4Rows+1)
+	}
+}
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFastTugOfWarOversizedBlobCheap: a 32 KiB blob claiming 4096 rows
+// must be refused before it sizes 4096 hash tables (256 MiB).
+func TestFastTugOfWarOversizedBlobCheap(t *testing.T) {
+	cfg := Config{S1: 1, S2: 4096, Seed: 1}
+	data := marshalSketch(blob.MagicFastTugOfWar, cfg, 0, make([]int64, cfg.S1*cfg.S2))
+	var err error
+	got := allocated(func() {
+		var sk FastTugOfWar
+		err = sk.UnmarshalBinary(data)
+	})
+	if err == nil {
+		t.Fatalf("%d-byte blob with S2=%d accepted", len(data), cfg.S2)
+	}
+	if got >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte blob allocated %d bytes", len(data), got)
+	}
+}
+
+// TestFastTugOfWarSharesTables: sketches, shard snapshots and decoded
+// blobs on an equal Config reuse the live sketch's hash tables, so each
+// costs its counters, not S2 fresh 64 KiB tables.
+func TestFastTugOfWarSharesTables(t *testing.T) {
+	cfg := Config{S1: 64, S2: 8, Seed: 0x7ab1e5}
+	first, err := NewFastTugOfWar(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.InsertBatch([]uint64{1, 2, 3})
+	data, _ := first.MarshalBinary()
+	st, err := NewShardedFastTugOfWar(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(cfg.S2) * 64 << 10
+	for name, f := range map[string]func() error{
+		"NewFastTugOfWar": func() error { _, err := NewFastTugOfWar(cfg); return err },
+		"ShardSnapshot":   func() error { _, err := st.ShardSnapshot(1); return err },
+		"UnmarshalBinary": func() error { var sk FastTugOfWar; return sk.UnmarshalBinary(data) },
+	} {
+		var err error
+		if got := allocated(func() { err = f() }); got >= limit {
+			t.Errorf("%s allocated %d bytes, want < %d", name, got, limit)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	runtime.KeepAlive(first)
 }
 
 // TestFastTugOfWarUnbiased checks E[X_j] = SJ: with a single row (no

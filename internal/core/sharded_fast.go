@@ -128,11 +128,10 @@ func (st *ShardedFastTugOfWar) ShardDeleteBatch(i int, vs []uint64) {
 	s.mu.Unlock()
 }
 
-// Estimate sums the shard counters and answers the query directly — no
-// Snapshot, so no regeneration of the 64 KiB-per-row hash tables that a
-// full FastTugOfWar would carry but a read-only merge never uses. Safe for
-// concurrent use with updates; the estimate reflects some linearization of
-// the concurrent operations.
+// Estimate sums the shard counters and answers the query directly: a
+// read-only merge needs only the counters, not a whole Snapshot sketch.
+// Safe for concurrent use with updates; the estimate reflects some
+// linearization of the concurrent operations.
 func (st *ShardedFastTugOfWar) Estimate() float64 {
 	z := make([]int64, st.cfg.S1*st.cfg.S2)
 	for i := range st.shards {

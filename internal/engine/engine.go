@@ -34,6 +34,7 @@ import (
 	"amstrack/internal/blob"
 	"amstrack/internal/core"
 	"amstrack/internal/exact"
+	"amstrack/internal/hash"
 	"amstrack/internal/join"
 	"amstrack/internal/oplog"
 	"amstrack/internal/xrand"
@@ -128,10 +129,12 @@ type Options struct {
 	// SignatureRows is the fast scheme's row count (the per-update cost
 	// and confidence knob). 0 picks the largest of 8, 4, 2, 1 that
 	// divides SignatureWords while keeping at least 16 buckets per row.
-	// Must divide SignatureWords. Ignored by SchemeFlat.
+	// Must divide SignatureWords and be at most hash.MaxTab4Rows.
+	// Ignored by SchemeFlat.
 	SignatureRows int
 	// SketchS1, SketchS2 shape the per-relation Fast-AMS self-join
-	// sketch (0 → 1024 and 8). The sketch refines the self-join
+	// sketch (0 → 1024 and 8; SketchS2 is at most hash.MaxTab4Rows).
+	// The sketch refines the self-join
 	// estimates behind the σ and Fact 1.1 bounds beyond what the join
 	// signature's own counters give.
 	SketchS1, SketchS2 int
@@ -207,9 +210,9 @@ func (o Options) normalize() (Options, error) {
 				}
 			}
 		}
-		if o.SignatureRows < 1 || o.SignatureWords%o.SignatureRows != 0 {
-			return o, fmt.Errorf("engine: SignatureRows = %d must divide SignatureWords = %d",
-				o.SignatureRows, o.SignatureWords)
+		if o.SignatureRows < 1 || o.SignatureRows > hash.MaxTab4Rows || o.SignatureWords%o.SignatureRows != 0 {
+			return o, fmt.Errorf("engine: SignatureRows = %d must be in [1, %d] and divide SignatureWords = %d",
+				o.SignatureRows, hash.MaxTab4Rows, o.SignatureWords)
 		}
 	case SchemeFlat:
 		o.SignatureRows = 0
@@ -225,8 +228,9 @@ func (o Options) normalize() (Options, error) {
 		if o.SketchS2 == 0 {
 			o.SketchS2 = defaultSketchS2
 		}
-		if o.SketchS1 < 1 || o.SketchS2 < 1 {
-			return o, fmt.Errorf("engine: sketch config %dx%d invalid", o.SketchS1, o.SketchS2)
+		if o.SketchS1 < 1 || o.SketchS2 < 1 || o.SketchS2 > hash.MaxTab4Rows {
+			return o, fmt.Errorf("engine: sketch config %dx%d invalid (rows must be in [1, %d])",
+				o.SketchS1, o.SketchS2, hash.MaxTab4Rows)
 		}
 	}
 	if o.Shards == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"amstrack/internal/exact"
+	"amstrack/internal/hash"
 	"amstrack/internal/xrand"
 )
 
@@ -32,6 +33,13 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := New(Options{SignatureWords: 256, Shards: -1}); err == nil {
 		t.Fatal("negative shards accepted")
+	}
+	const rows = hash.MaxTab4Rows + 1
+	if err := (Options{SignatureWords: 16 * rows, SignatureRows: rows}).Validate(); err == nil {
+		t.Fatalf("SignatureRows=%d accepted", rows)
+	}
+	if err := (Options{SignatureWords: 256, SketchS2: rows}).Validate(); err == nil {
+		t.Fatalf("SketchS2=%d accepted", rows)
 	}
 	// Defaults: 256 words → 8 rows of 32 buckets, 4 shards, sketch on.
 	e, err := New(Options{SignatureWords: 256})

@@ -1,6 +1,12 @@
 package hash
 
-import "amstrack/internal/xrand"
+import (
+	"runtime"
+	"sync"
+	"weak"
+
+	"amstrack/internal/xrand"
+)
 
 // This file implements a tabulation-based four-wise independent hash family
 // in the style of Thorup & Zhang, "Tabulation Based 4-Universal Hashing
@@ -59,6 +65,12 @@ const (
 	tab4L3 = tab4L2 + 2*1024 // level-3 table, 2048
 )
 
+// MaxTab4Rows bounds the rows of one fast synopsis (core.FastTugOfWar,
+// join.FastFamily). Each row hashes under its own seed, so each costs a
+// 64 KiB table, and decoders take the row count from untrusted input:
+// without a bound a small blob could ask for terabytes of tables.
+const MaxTab4Rows = 64
+
 // Tab4 is a member of the tabulation-based four-wise independent family
 // over 64-bit keys. The zero value is not usable; construct with NewTab4.
 // Members are immutable after construction and safe for concurrent reads.
@@ -66,16 +78,39 @@ type Tab4 struct {
 	t *[tab4Size]uint64
 }
 
+// tab4s interns the tables by seed, so every sketch, snapshot and decoded
+// bundle on one seed reads one copy. The entries are weak: a table lives
+// exactly as long as some Tab4 refers to it, and a cleanup drops its entry
+// once it is collected, so sweeps over thousands of seeds pin nothing.
+var tab4s = struct {
+	mu sync.Mutex
+	m  map[uint64]weak.Pointer[[tab4Size]uint64]
+}{m: map[uint64]weak.Pointer[[tab4Size]uint64]{}}
+
 // NewTab4 returns the family member whose tables are filled
 // deterministically from seed: same seed, same member — the property that
 // lets distributed sketches share a hash family, exactly as with
-// NewFourWise.
+// NewFourWise. Within a process, calls on one seed share one table.
 func NewTab4(seed uint64) Tab4 {
+	tab4s.mu.Lock()
+	defer tab4s.mu.Unlock()
+	if t := tab4s.m[seed].Value(); t != nil {
+		return Tab4{t: t}
+	}
 	r := xrand.New(xrand.Mix64(seed) ^ 0x7ab47ab47ab47ab4)
 	t := new([tab4Size]uint64)
 	for i := range t {
 		t[i] = r.Uint64()
 	}
+	wp := weak.Make(t)
+	tab4s.m[seed] = wp
+	runtime.AddCleanup(t, func(seed uint64) {
+		tab4s.mu.Lock()
+		if tab4s.m[seed] == wp { // a newer table may have replaced it
+			delete(tab4s.m, seed)
+		}
+		tab4s.mu.Unlock()
+	}, seed)
 	return Tab4{t: t}
 }
 
@@ -111,7 +146,9 @@ func (h Tab4) Sign(x uint64) int64 {
 	return int64(h.Hash(x)&1)*2 - 1
 }
 
-// MemoryBytes reports the table footprint of one family member.
+// MemoryBytes reports the size of the member's table. NewTab4 shares one
+// table per seed, so a process pays this once per live seed, however many
+// members hold it.
 func (h Tab4) MemoryBytes() int { return tab4Size * 8 }
 
 var _ SignFamily = Tab4{}

@@ -2,7 +2,10 @@ package hash
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestTab4Determinism(t *testing.T) {
@@ -152,6 +155,65 @@ func TestTab4SignMatchesHashLowBit(t *testing.T) {
 		if got := h.Sign(x); got != want {
 			t.Fatalf("Sign(%d) = %d, want %d", x, got, want)
 		}
+	}
+}
+
+// TestTab4SharedPerSeed: one seed, one backing table; distinct seeds,
+// distinct tables.
+func TestTab4SharedPerSeed(t *testing.T) {
+	a, b, c := NewTab4(12345), NewTab4(12345), NewTab4(12346)
+	if a.Table() != b.Table() {
+		t.Fatal("two calls on one seed built two tables")
+	}
+	if a.Table() == c.Table() {
+		t.Fatal("two seeds share a table")
+	}
+}
+
+// TestTab4ConcurrentFirstUse: goroutines racing to build one seed's
+// table all get the same one.
+func TestTab4ConcurrentFirstUse(t *testing.T) {
+	const seed, workers = 0x5eed, 64
+	tables := make([]*[tab4Size]uint64, workers)
+	var wg sync.WaitGroup
+	for i := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tables[i] = NewTab4(seed).Table()
+		}()
+	}
+	wg.Wait()
+	for i, tb := range tables {
+		if tb != tables[0] {
+			t.Fatalf("goroutine %d got its own table", i)
+		}
+	}
+}
+
+// TestTab4CacheReleasesSweep: once a 4,000-seed sweep's members are
+// garbage, the collector takes their tables and the cache forgets them.
+func TestTab4CacheReleasesSweep(t *testing.T) {
+	const base, members = 1 << 40, 4000
+	for seed := uint64(base); seed < base+members; seed++ {
+		NewTab4(seed)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		left := 0
+		for seed := uint64(base); seed < base+members; seed++ {
+			if Tab4Cached(seed) {
+				left++
+			}
+		}
+		if left == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sweep seeds still cached after GC", left, members)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -41,9 +41,10 @@ import (
 // bound at equal memory — ErrorBound(sjF, sjG, MemoryWords()) applies to
 // either scheme unchanged.
 //
-// A FastFamily is heavier than a Family seed-wise (rows × 64 KiB of
-// tabulation tables) but is shared by every signature built from it, so a
-// catalog of relations pays the tables once.
+// A FastFamily holds rows × 64 KiB of tabulation tables where a Family
+// holds a few polynomial coefficients per counter, but hash.NewTab4 shares
+// the tables per seed: every family, signature and decoded blob on one
+// seed in the process reads one copy.
 type FastFamily struct {
 	buckets int
 	rows    int
@@ -54,12 +55,13 @@ type FastFamily struct {
 // NewFastFamily creates a bucketed family: `rows` independent tabulation
 // hashes over `buckets` counters each. Signatures from equal
 // (buckets, rows, seed) triples are mutually estimable and mergeable.
+// rows is bounded by hash.MaxTab4Rows, since every row needs its own table.
 func NewFastFamily(buckets, rows int, seed uint64) (*FastFamily, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("join: fast family buckets = %d, must be >= 1", buckets)
 	}
-	if rows < 1 {
-		return nil, fmt.Errorf("join: fast family rows = %d, must be >= 1", rows)
+	if rows < 1 || rows > hash.MaxTab4Rows {
+		return nil, fmt.Errorf("join: fast family rows = %d, must be in [1, %d]", rows, hash.MaxTab4Rows)
 	}
 	f := &FastFamily{buckets: buckets, rows: rows, seed: seed, hs: make([]hash.Tab4, rows)}
 	for j := range f.hs {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"amstrack/internal/exact"
+	"amstrack/internal/hash"
 	"amstrack/internal/xrand"
 )
 
@@ -15,6 +16,9 @@ func TestNewFastFamilyValidation(t *testing.T) {
 	}
 	if _, err := NewFastFamily(1, 0, 1); err == nil {
 		t.Fatal("rows=0 accepted")
+	}
+	if _, err := NewFastFamily(1, hash.MaxTab4Rows+1, 1); err == nil {
+		t.Fatalf("rows=%d accepted", hash.MaxTab4Rows+1)
 	}
 	fam, err := NewFastFamily(64, 4, 7)
 	if err != nil {

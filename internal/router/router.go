@@ -571,9 +571,9 @@ func (r *Router) noteAcked(n *node, sb *subBatch) {
 	r.mu.Unlock()
 }
 
-// Flush is the read-your-writes barrier: it nudges every live session
-// to drain and blocks until the relation has nothing in flight,
-// returning the sticky error if routing failed terminally.
+// Flush is the read-your-writes barrier: it blocks until the relation
+// has nothing in flight, returning the sticky error if routing failed
+// terminally. Nodes ack every batch on their own, so Flush sends nothing.
 func (r *Router) Flush(name string) error {
 	r.mu.Lock()
 	rs, ok := r.rels[name]
@@ -581,18 +581,8 @@ func (r *Router) Flush(name string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("router: unknown relation %q", name)
 	}
-	for _, n := range r.nodes {
-		if n.sess != nil {
-			n.sess.requestFlush()
-		}
-	}
 	for rs.inflight > 0 && rs.sticky == nil && !r.closed {
 		r.cond.Wait()
-		for _, n := range r.nodes {
-			if n.sess != nil {
-				n.sess.requestFlush()
-			}
-		}
 	}
 	err := rs.sticky
 	if err == nil && r.closed && rs.inflight > 0 {
@@ -658,7 +648,7 @@ func (r *Router) deliver(n *node, sb *subBatch) {
 	// The session records the batch as pending before writing, so a
 	// failed write is torn down and reconciled (including sb) by the
 	// session's teardown path; nothing more to do here.
-	sess.send(sb, len(n.queue) == 0)
+	sess.send(sb)
 }
 
 // runProber is the health loop: every (jittered) interval it probes

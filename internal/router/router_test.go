@@ -286,6 +286,7 @@ func TestRoutedIngestMatchesMirror(t *testing.T) {
 	}
 
 	// The stream really was partitioned: every node holds some of it.
+	// The nodes' per-batch ACKs alone carried the drain: no FLUSH frames.
 	for _, n := range nodes {
 		rel, err := n.eng.Get("f")
 		if err != nil {
@@ -293,6 +294,10 @@ func TestRoutedIngestMatchesMirror(t *testing.T) {
 		}
 		if rel.Len() == 0 {
 			t.Fatalf("%s holds zero rows — ring did not spread the stream", n.base)
+		}
+		if st := n.wireSrv.Stats(); st.Flushes != 0 {
+			t.Fatalf("%s served %d FLUSH frames beside %d batches; the router should send none",
+				n.base, st.Flushes, st.Batches)
 		}
 	}
 	expectBundleEqual(t, mergedFleetBundle(t, fleetBases(nodes), "f"),

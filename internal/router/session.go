@@ -116,13 +116,11 @@ func (s *session) handshake() error {
 }
 
 // send writes one batch frame, registering it as pending FIRST so a
-// torn write still reconciles it. flushAfter appends a FLUSH frame when
-// the caller knows the queue is empty — it costs 13 bytes and buys
-// prompt acks, keeping the pending window (and therefore the failover
-// blast radius) small. A send error tears the session down, which
-// reconciles every pending batch, including this one — so the caller
-// never handles the batch again.
-func (s *session) send(sb *subBatch, flushAfter bool) {
+// torn write still reconciles it. No FLUSH follows: the node's acker
+// acks every staged batch after one drain round. A send error tears the
+// session down, which reconciles every pending batch, including this
+// one — so the caller never handles the batch again.
+func (s *session) send(sb *subBatch) {
 	r := s.r
 	r.mu.Lock()
 	if s.dead {
@@ -136,9 +134,6 @@ func (s *session) send(sb *subBatch, flushAfter bool) {
 	f := wire.Frame{Kind: wire.KindBatch, Seq: seq, Del: sb.del,
 		Arity: sb.rel.arity, Relation: sb.rel.name, Vals: sb.vals}
 	s.buf = wire.AppendFrame(s.buf[:0], &f)
-	if flushAfter {
-		s.buf = wire.AppendFrame(s.buf, &wire.Frame{Kind: wire.KindFlush, Seq: seq})
-	}
 	out := s.buf
 	nc := s.nc
 	r.mu.Unlock()
@@ -147,22 +142,6 @@ func (s *session) send(sb *subBatch, flushAfter bool) {
 	if _, err := nc.Write(out); err != nil {
 		s.teardown(fmt.Errorf("write batch: %w", err))
 	}
-}
-
-// requestFlush nudges the node to drain + ack now. Called under
-// Router.mu (from Flush); the write is fire-and-forget — if it fails
-// the read loop will notice the dead conn shortly.
-func (s *session) requestFlush() {
-	if s.dead || len(s.pending) == 0 {
-		return
-	}
-	f := wire.Frame{Kind: wire.KindFlush, Seq: s.seq}
-	out := wire.AppendFrame(nil, &f)
-	nc := s.nc
-	go func() {
-		nc.SetWriteDeadline(time.Now().Add(s.r.opts.AckTimeout))
-		nc.Write(out)
-	}()
 }
 
 // shutdown closes the conn; the read loop observes it and tears down.
