@@ -374,6 +374,70 @@ func BenchmarkUpdateFastTWSignature(b *testing.B) {
 	}
 }
 
+// Chain signatures (§5 three-way joins) take one sign per family member
+// for every row: O(k) four-wise evaluations, at k = 1024 here. The Insert
+// sub-benchmarks are the per-row path (log replay and the reference
+// model use it); InsertBatch feeds 64-row batches, the shape of an
+// absorber message, through the batch sign kernel. Both report ns per
+// row.
+const chainBenchK, chainBenchBatch = 1024, 64
+
+// chainBenchKeys draws 1<<14 join-attribute values.
+func chainBenchKeys(seed uint64) []uint64 {
+	r := xrand.New(seed)
+	vals := make([]uint64, 1<<14)
+	for i := range vals {
+		vals[i] = r.Uint64n(1 << 16)
+	}
+	return vals
+}
+
+// BenchmarkUpdateChainEnd is a chain end signature's update.
+func BenchmarkUpdateChainEnd(b *testing.B) {
+	fam, err := amstrack.NewChainFamily(chainBenchK, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vals := chainBenchKeys(2)
+	b.Run("Insert", func(b *testing.B) {
+		sig, _ := fam.NewEndSignature(0)
+		for i := 0; i < b.N; i++ {
+			sig.Insert(vals[i&(1<<14-1)])
+		}
+	})
+	b.Run("InsertBatch", func(b *testing.B) {
+		sig, _ := fam.NewEndSignature(0)
+		for i := 0; i < b.N; i += chainBenchBatch {
+			off := i & (1<<14 - 1)
+			sig.InsertBatch(vals[off : off+min(chainBenchBatch, b.N-i)])
+		}
+	})
+}
+
+// BenchmarkUpdateChainMiddle is a chain middle signature's update: two
+// four-wise evaluations per family member and row.
+func BenchmarkUpdateChainMiddle(b *testing.B) {
+	fam, err := amstrack.NewChainFamily(chainBenchK, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	as, bs := chainBenchKeys(2), chainBenchKeys(3)
+	b.Run("Insert", func(b *testing.B) {
+		sig := fam.NewMiddleSignature()
+		for i := 0; i < b.N; i++ {
+			sig.Insert(as[i&(1<<14-1)], bs[i&(1<<14-1)])
+		}
+	})
+	b.Run("InsertBatch", func(b *testing.B) {
+		sig := fam.NewMiddleSignature()
+		for i := 0; i < b.N; i += chainBenchBatch {
+			off := i & (1<<14 - 1)
+			n := min(chainBenchBatch, b.N-i)
+			sig.InsertBatch(as[off:off+n], bs[off:off+n])
+		}
+	})
+}
+
 // BenchmarkEngineIngest streams single-value inserts through a full
 // engine relation (signature + sketch + sharding), the per-tuple cost an
 // amsd deployment pays — at 1, 4, and GOMAXPROCS concurrent writers, on

@@ -145,8 +145,10 @@
 // F ⋈a G ⋈b H — end to end: relations may declare multi-attribute
 // schemas (engine.Schema: an attribute set plus chain-end and
 // chain-middle signature declarations), tuple ingest fans every row into
-// the declared per-attribute chain synopses on both write paths, the
-// oplog records tuples in a versioned format (old single-attribute logs
+// the declared per-attribute chain synopses (each absorber message as
+// per-attribute column batches through one four-wise sign kernel that
+// shares each key's powers across the k members), the oplog records
+// tuples in a versioned format (old single-attribute logs
 // replay unchanged), and Engine.EstimateChainJoin answers with a
 // variance-envelope σ (Var ≤ 9·SJ(F)·SJ(G)·SJ(H)/k) and a Cauchy–Schwarz
 // upper bound. Chain sections ride the relation bundles, so amsd's

@@ -21,8 +21,8 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"time"
 	"os"
+	"time"
 
 	"amstrack/internal/amsd"
 	"amstrack/internal/engine"

@@ -83,7 +83,7 @@ type NodeHealth struct {
 
 // HealthzBody is the GET /healthz response.
 type HealthzBody struct {
-	Status string `json:"status"` // "ok" or "degraded"
+	Status string       `json:"status"` // "ok" or "degraded"
 	Nodes  []NodeHealth `json:"nodes"`
 	// Relations maps each configured relation to the age of its oldest
 	// contributing copy; a relation no node serves reports -1.

@@ -351,7 +351,7 @@ func (g *ingester) absorb(shard int) {
 	sh := &g.r.shards[shard]
 	ins := make([]uint64, 0, g.r.eng.opts.StageOps)
 	del := make([]uint64, 0, g.r.eng.opts.StageOps)
-	tuple := make([]uint64, g.r.arity)
+	cols := newChainCols(g.r.arity)
 	for msg := range g.chans[shard] {
 		if msg.barrier != nil {
 			if msg.barrier.visit != nil {
@@ -382,18 +382,12 @@ func (g *ingester) absorb(shard int) {
 			}
 		}
 		if sh.chain != nil {
-			// Chain fan-out is per-op (each tuple may touch several
-			// synopses on distinct attributes); the absorber is the
-			// shard's single writer, so no lock here either.
-			for _, op := range msg.ops {
-				tuple = append(tuple[:0], op.v)
-				tuple = append(tuple, op.tail()...)
-				if op.del {
-					sh.chain.delete(&g.r.plan, tuple)
-				} else {
-					sh.chain.insert(&g.r.plan, tuple)
-				}
-			}
+			// Chain fan-out gathers the message's tuples into
+			// per-attribute columns and applies each synopsis's share as
+			// one batch; the absorber is the shard's single writer, so no
+			// lock here either.
+			cols.gather(msg.ops)
+			sh.chain.apply(&g.r.plan, cols)
 		}
 		if sh.hh != nil {
 			// Heavy-hitter updates are per-op in msg order — the table

@@ -146,14 +146,14 @@ func TestSchemaValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Schema{
-		{Attrs: []string{"a", "a"}},                            // duplicate attr
-		{Attrs: []string{""}},                                  // empty name
-		{EndA: []string{"a"}},                                  // chain decl without attrs
-		{Attrs: []string{"a"}, EndA: []string{"zz"}},           // unknown end attr
-		{Attrs: []string{"a"}, EndA: []string{"a", "a"}},       // duplicate end decl
-		{Attrs: []string{"a", "b"}, Middle: [][2]string{{"a", "zz"}}}, // unknown middle attr
+		{Attrs: []string{"a", "a"}},                                              // duplicate attr
+		{Attrs: []string{""}},                                                    // empty name
+		{EndA: []string{"a"}},                                                    // chain decl without attrs
+		{Attrs: []string{"a"}, EndA: []string{"zz"}},                             // unknown end attr
+		{Attrs: []string{"a"}, EndA: []string{"a", "a"}},                         // duplicate end decl
+		{Attrs: []string{"a", "b"}, Middle: [][2]string{{"a", "zz"}}},            // unknown middle attr
 		{Attrs: []string{"a", "b"}, Middle: [][2]string{{"a", "b"}, {"a", "b"}}}, // dup pair
-		{Attrs: make([]string, maxArity+1)},                    // too wide
+		{Attrs: make([]string, maxArity+1)},                                      // too wide
 	}
 	for i, s := range bad {
 		if _, err := e.DefineSchema("r", s); err == nil {

@@ -668,6 +668,10 @@ func (r *Relation) replaySegment(fsys oplog.FS, path string, allowTorn bool) (in
 	}
 	size := int64(len(data))
 	lr := oplog.NewReader(bytes.NewReader(data))
+	var cols *chainCols
+	if r.schema.hasChain() {
+		cols = newChainCols(r.arity)
+	}
 	torn := false
 replay:
 	for {
@@ -694,7 +698,7 @@ replay:
 		case err != nil:
 			return 0, fmt.Errorf("replay: %w", err)
 		}
-		r.applyRecovered(op)
+		r.applyRecovered(op, cols)
 	}
 	if torn {
 		if err := fsys.Truncate(path, lr.Offset()); err != nil {
@@ -710,8 +714,10 @@ replay:
 // arity matches the schema — the replay image of the ingest fan-out.
 // Records of a different arity (a pre-schema log replayed into a
 // re-declared relation) apply their primary attribute as single-attribute
-// ops, per the upgrade contract.
-func (r *Relation) applyRecovered(op stream.Op) {
+// ops, per the upgrade contract. cols is the replay's reusable chain
+// batch (nil when the schema declares no chains); each record goes
+// through it as a batch of one.
+func (r *Relation) applyRecovered(op stream.Op, cols *chainCols) {
 	if op.Kind != stream.Insert && op.Kind != stream.Delete {
 		return
 	}
@@ -740,14 +746,9 @@ func (r *Relation) applyRecovered(op stream.Op) {
 		}
 	}
 	if s.chain != nil && 1+len(op.Rest) == r.arity {
-		tuple := make([]uint64, 0, r.arity)
-		tuple = append(tuple, op.Value)
-		tuple = append(tuple, op.Rest...)
-		if del {
-			s.chain.delete(&r.plan, tuple)
-		} else {
-			s.chain.insert(&r.plan, tuple)
-		}
+		cols.reset()
+		cols.add(op.Value, op.Rest, del)
+		s.chain.apply(&r.plan, cols)
 	}
 }
 

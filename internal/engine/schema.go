@@ -316,24 +316,59 @@ func newShardChain(fam *join.ChainFamily, p *chainPlan) (*shardChain, error) {
 	return sc, nil
 }
 
-// insert fans one tuple into every chain synopsis.
-func (sc *shardChain) insert(p *chainPlan, vals []uint64) {
-	for i, s := range sc.ends {
-		s.Insert(vals[p.endAttr[i]])
-	}
-	for i, s := range sc.mids {
-		s.Insert(vals[p.midA[i]], vals[p.midB[i]])
+// chainCols is a batch of tuples split into per-attribute columns,
+// inserts and deletes apart: ins[j][i] is attribute j of the i-th
+// inserted tuple. Its owner (a shard's absorber, or one log replay)
+// reuses the buffers from batch to batch.
+type chainCols struct {
+	ins, del [][]uint64
+}
+
+// newChainCols returns empty columns for tuples of the given arity.
+func newChainCols(arity int) *chainCols {
+	return &chainCols{ins: make([][]uint64, arity), del: make([][]uint64, arity)}
+}
+
+// reset empties the columns, keeping their buffers.
+func (c *chainCols) reset() {
+	for j := range c.ins {
+		c.ins[j], c.del[j] = c.ins[j][:0], c.del[j][:0]
 	}
 }
 
-// delete removes one tuple from every chain synopsis (pure linearity;
-// chain signatures never error on deletes).
-func (sc *shardChain) delete(p *chainPlan, vals []uint64) {
+// gather sets the columns to the tuples of an absorber message.
+func (c *chainCols) gather(ops []stagedOp) {
+	c.reset()
+	for _, op := range ops {
+		c.add(op.v, op.tail(), op.del)
+	}
+}
+
+// add appends the tuple (v, rest...) to the insert or delete columns.
+func (c *chainCols) add(v uint64, rest []uint64, del bool) {
+	cols := c.ins
+	if del {
+		cols = c.del
+	}
+	cols[0] = append(cols[0], v)
+	for j, x := range rest {
+		cols[j+1] = append(cols[j+1], x)
+	}
+}
+
+// apply feeds a batch of tuple columns into every chain synopsis, one
+// batch per synopsis and direction: the single entry point of ingest and
+// log replay. Chain signatures never error on deletes (pure linearity).
+func (sc *shardChain) apply(p *chainPlan, c *chainCols) {
 	for i, s := range sc.ends {
-		_ = s.Delete(vals[p.endAttr[i]])
+		j := p.endAttr[i]
+		s.InsertBatch(c.ins[j])
+		_ = s.DeleteBatch(c.del[j])
 	}
 	for i, s := range sc.mids {
-		_ = s.Delete(vals[p.midA[i]], vals[p.midB[i]])
+		a, b := p.midA[i], p.midB[i]
+		s.InsertBatch(c.ins[a], c.ins[b])
+		_ = s.DeleteBatch(c.del[a], c.del[b])
 	}
 }
 

@@ -83,21 +83,78 @@ func TestFourWiseSeedsDiffer(t *testing.T) {
 	}
 }
 
+// polyEval is the big.Int reference for h(x) = a3·x³ + a2·x² + a1·x + a0
+// mod p, with x taken mod p.
+func polyEval(h FourWise, x uint64) uint64 {
+	p := big.NewInt(MersennePrime61)
+	xb := new(big.Int).SetUint64(x % MersennePrime61)
+	want := big.NewInt(0)
+	for _, c := range []uint64{h.a3, h.a2, h.a1, h.a0} {
+		want.Mul(want, xb)
+		want.Add(want, new(big.Int).SetUint64(c))
+		want.Mod(want, p)
+	}
+	return want.Uint64()
+}
+
+// fieldEdgeKeys are the keys where a reduction slip shows: the ends of
+// GF(p), its multiples, and keys at and above 2^61.
+var fieldEdgeKeys = []uint64{
+	0, 1,
+	MersennePrime61 - 1, MersennePrime61, MersennePrime61 + 1,
+	2 * MersennePrime61, 1 << 61, 1 << 63, 1<<64 - 1,
+}
+
+// TestFourWiseEvalMatchesPolynomial checks Eval and the batch sign
+// kernel against the big.Int polynomial on every key it draws: the
+// kernel's residue from shared powers, its sign sum for the key alone,
+// and, over all the keys at once, its member-by-member sign sums for
+// single keys and key pairs across several blocks.
 func TestFourWiseEvalMatchesPolynomial(t *testing.T) {
 	h := NewFourWise(777)
-	p := big.NewInt(MersennePrime61)
-	f := func(x uint64) bool {
-		xb := big.NewInt(0).SetUint64(x % MersennePrime61)
-		want := big.NewInt(0)
-		for _, c := range []uint64{h.a3, h.a2, h.a1, h.a0} {
-			want.Mul(want, xb)
-			want.Add(want, new(big.Int).SetUint64(c))
-			want.Mod(want, p)
-		}
-		return h.Eval(x) == want.Uint64()
+	var keys []uint64
+	check := func(x uint64) bool {
+		keys = append(keys, x)
+		want := polyEval(h, x)
+		pw := powersOf(x)
+		sums := []int64{0}
+		SignSums([]FourWise{h}, []uint64{x}, 1, sums)
+		return h.Eval(x) == want &&
+			evalShifted(h.a0, h.a1<<3, h.a2<<3, h.a3<<3, &pw) == want &&
+			sums[0] == int64(want&1)*2-1
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	for _, x := range fieldEdgeKeys {
+		if !check(x) {
+			t.Errorf("key %#x: Eval or kernel differs from the polynomial %#x", x, polyEval(h, x))
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+
+	members := []FourWise{h, NewFourWise(1), NewFourWise(2), NewFourWise(3)}
+	others := []FourWise{NewFourWise(4), NewFourWise(5), NewFourWise(6), h}
+	rev := make([]uint64, len(keys))
+	for i, x := range keys {
+		rev[len(keys)-1-i] = x
+	}
+	sign := func(f FourWise, x uint64) int64 { return int64(polyEval(f, x)&1)*2 - 1 }
+	sums := make([]int64, len(members))
+	pairSums := make([]int64, len(members))
+	SignSums(members, keys, -1, sums)
+	PairSignSums(members, others, keys, rev, 1, pairSums)
+	for m := range members {
+		var want, wantPair int64
+		for i, x := range keys {
+			want -= sign(members[m], x)
+			wantPair += sign(members[m], x) * sign(others[m], rev[i])
+		}
+		if sums[m] != want {
+			t.Errorf("member %d: SignSums over %d keys = %d, polynomial says %d", m, len(keys), sums[m], want)
+		}
+		if pairSums[m] != wantPair {
+			t.Errorf("member %d: PairSignSums over %d pairs = %d, polynomial says %d", m, len(keys), pairSums[m], wantPair)
+		}
 	}
 }
 
@@ -237,4 +294,45 @@ func BenchmarkTwoWiseSign(b *testing.B) {
 		sink += h.Sign(uint64(i))
 	}
 	_ = sink
+}
+
+// BenchmarkFourWiseSignSums is the batch kernel at the chain signatures'
+// shape: k = 1024 members over 64-key batches. ns/eval compares with
+// BenchmarkFourWiseSign's ns/op (one evaluation per op).
+func BenchmarkFourWiseSignSums(b *testing.B) {
+	const k, n = 1024, 64
+	fns := make([]FourWise, k)
+	for m := range fns {
+		fns[m] = NewFourWise(uint64(m))
+	}
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = mix(uint64(i), 7)
+	}
+	sums := make([]int64, k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SignSums(fns, keys, 1, sums)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k*n), "ns/eval")
+}
+
+// BenchmarkFourWisePairSignSums is the fused pair kernel of the middle
+// chain signatures: k = 1024 member pairs over 64-pair batches.
+func BenchmarkFourWisePairSignSums(b *testing.B) {
+	const k, n = 1024, 64
+	f, g := make([]FourWise, k), make([]FourWise, k)
+	for m := range f {
+		f[m], g[m] = NewFourWise(uint64(m)), NewFourWise(uint64(m+k))
+	}
+	as, bs := make([]uint64, n), make([]uint64, n)
+	for i := range as {
+		as[i], bs[i] = mix(uint64(i), 7), mix(uint64(i), 8)
+	}
+	sums := make([]int64, k)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PairSignSums(f, g, as, bs, 1, sums)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k*n), "ns/pair")
 }

@@ -95,20 +95,27 @@ type ChainEndSignature struct {
 }
 
 // Insert adds a tuple with join-attribute value v.
-func (s *ChainEndSignature) Insert(v uint64) {
-	for m, fn := range s.family.fns[s.attr] {
-		s.z[m] += fn.Sign(v)
-	}
-	s.n++
-}
+func (s *ChainEndSignature) Insert(v uint64) { s.InsertBatch([]uint64{v}) }
 
 // Delete removes a tuple with join-attribute value v (linear, exact).
-func (s *ChainEndSignature) Delete(v uint64) error {
-	for m, fn := range s.family.fns[s.attr] {
-		s.z[m] -= fn.Sign(v)
-	}
-	s.n--
+func (s *ChainEndSignature) Delete(v uint64) error { return s.DeleteBatch([]uint64{v}) }
+
+// InsertBatch adds a tuple per join-attribute value in vs, equivalent to
+// repeated Insert: one pass of the batch sign kernel over the family.
+func (s *ChainEndSignature) InsertBatch(vs []uint64) { s.apply(vs, 1) }
+
+// DeleteBatch removes a tuple per join-attribute value in vs (linear,
+// exact).
+func (s *ChainEndSignature) DeleteBatch(vs []uint64) error {
+	s.apply(vs, -1)
 	return nil
+}
+
+// apply adds w times each value's sign to every counter: the one update
+// path behind Insert, Delete and their batch forms.
+func (s *ChainEndSignature) apply(vs []uint64, w int64) {
+	hash.SignSums(s.family.fns[s.attr], vs, w, s.z)
+	s.n += w * int64(len(vs))
 }
 
 // Len returns the tracked tuple count.
@@ -217,19 +224,30 @@ type ChainMiddleSignature struct {
 
 // Insert adds a tuple with join-attribute values (a, b).
 func (s *ChainMiddleSignature) Insert(a, b uint64) {
-	for m := range s.z {
-		s.z[m] += s.family.fns[0][m].Sign(a) * s.family.fns[1][m].Sign(b)
-	}
-	s.n++
+	s.InsertBatch([]uint64{a}, []uint64{b})
 }
 
 // Delete removes a tuple with join-attribute values (a, b).
 func (s *ChainMiddleSignature) Delete(a, b uint64) error {
-	for m := range s.z {
-		s.z[m] -= s.family.fns[0][m].Sign(a) * s.family.fns[1][m].Sign(b)
-	}
-	s.n--
+	return s.DeleteBatch([]uint64{a}, []uint64{b})
+}
+
+// InsertBatch adds the tuples (as[i], bs[i]), equivalent to repeated
+// Insert. as and bs must be equally long.
+func (s *ChainMiddleSignature) InsertBatch(as, bs []uint64) { s.apply(as, bs, 1) }
+
+// DeleteBatch removes the tuples (as[i], bs[i]). as and bs must be
+// equally long.
+func (s *ChainMiddleSignature) DeleteBatch(as, bs []uint64) error {
+	s.apply(as, bs, -1)
 	return nil
+}
+
+// apply adds w times each tuple's sign product to every counter: the one
+// update path behind Insert, Delete and their batch forms.
+func (s *ChainMiddleSignature) apply(as, bs []uint64, w int64) {
+	hash.PairSignSums(s.family.fns[0], s.family.fns[1], as, bs, w, s.z)
+	s.n += w * int64(len(as))
 }
 
 // Len returns the tracked tuple count.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"amstrack/internal/hash"
 	"amstrack/internal/xrand"
 )
 
@@ -201,6 +202,77 @@ func TestChainSignatureDeletes(t *testing.T) {
 	}
 	if est != 0 {
 		t.Fatalf("estimate with cancelled middle = %v", est)
+	}
+}
+
+// TestChainBatchMatchesPerRowSigns checks the batch apply path against
+// a per-row loop over FourWise.Sign: counters and lengths of both end
+// signatures and the middle after a batch of inserts and a batch of
+// deletes, at batch sizes around the kernel's block of 64 keys, on keys
+// that include the field's edges and values at and above 2^61.
+func TestChainBatchMatchesPerRowSigns(t *testing.T) {
+	const p = hash.MersennePrime61
+	edges := []uint64{0, 1, p - 1, p, p + 1, 2 * p, 1 << 61, 1 << 63, 1<<64 - 1}
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		r := xrand.New(uint64(n) + 3)
+		key := func() uint64 {
+			if r.Uint64n(3) == 0 {
+				return edges[r.Uint64n(uint64(len(edges)))]
+			}
+			return r.Uint64()
+		}
+		// Every third row is a delete.
+		var insA, insB, delA, delB []uint64
+		for i := 0; i < n; i++ {
+			a, b := key(), key()
+			if i%3 == 2 {
+				delA, delB = append(delA, a), append(delB, b)
+			} else {
+				insA, insB = append(insA, a), append(insB, b)
+			}
+		}
+		fam, err := NewChainFamily(40, uint64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := fam.NewEndSignature(0)
+		h, _ := fam.NewEndSignature(1)
+		g := fam.NewMiddleSignature()
+		f.InsertBatch(insA)
+		h.InsertBatch(insB)
+		g.InsertBatch(insA, insB)
+		if err := f.DeleteBatch(delA); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.DeleteBatch(delB); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.DeleteBatch(delA, delB); err != nil {
+			t.Fatal(err)
+		}
+
+		wantLen := int64(len(insA) - len(delA))
+		for m := 0; m < fam.k; m++ {
+			fa, fb := fam.fns[0][m], fam.fns[1][m]
+			var wf, wh, wg int64
+			for i := range insA {
+				wf += fa.Sign(insA[i])
+				wh += fb.Sign(insB[i])
+				wg += fa.Sign(insA[i]) * fb.Sign(insB[i])
+			}
+			for i := range delA {
+				wf -= fa.Sign(delA[i])
+				wh -= fb.Sign(delB[i])
+				wg -= fa.Sign(delA[i]) * fb.Sign(delB[i])
+			}
+			if f.z[m] != wf || h.z[m] != wh || g.z[m] != wg {
+				t.Fatalf("n=%d member %d: batch counters (%d, %d, %d), per-row signs (%d, %d, %d)",
+					n, m, f.z[m], h.z[m], g.z[m], wf, wh, wg)
+			}
+		}
+		if f.Len() != wantLen || h.Len() != wantLen || g.Len() != wantLen {
+			t.Fatalf("n=%d: lens (%d, %d, %d), want %d", n, f.Len(), h.Len(), g.Len(), wantLen)
+		}
 	}
 }
 

@@ -53,13 +53,13 @@ type osFS struct{}
 func (osFS) OpenFile(name string, flag int, perm iofs.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) ReadFile(name string) ([]byte, error)          { return os.ReadFile(name) }
-func (osFS) ReadDir(name string) ([]iofs.DirEntry, error)  { return os.ReadDir(name) }
+func (osFS) ReadFile(name string) ([]byte, error)           { return os.ReadFile(name) }
+func (osFS) ReadDir(name string) ([]iofs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) MkdirAll(path string, perm iofs.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) Remove(name string) error                      { return os.Remove(name) }
-func (osFS) Rename(oldpath, newpath string) error          { return os.Rename(oldpath, newpath) }
-func (osFS) Truncate(name string, size int64) error        { return os.Truncate(name, size) }
-func (osFS) Crash(string) error                            { return nil }
+func (osFS) Remove(name string) error                       { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error           { return os.Rename(oldpath, newpath) }
+func (osFS) Truncate(name string, size int64) error         { return os.Truncate(name, size) }
+func (osFS) Crash(string) error                             { return nil }
 
 func (osFS) SyncDir(name string) error {
 	d, err := os.Open(name)
@@ -88,12 +88,12 @@ var (
 type FaultFS struct {
 	Base FS
 
-	mu        sync.Mutex
-	dead      bool
-	syncErr   error
-	budgeted  bool
-	budget    int64 // write bytes remaining before ErrNoSpace
-	crashArm  map[string]int // point → remaining hits before death (1 = next hit)
+	mu       sync.Mutex
+	dead     bool
+	syncErr  error
+	budgeted bool
+	budget   int64          // write bytes remaining before ErrNoSpace
+	crashArm map[string]int // point → remaining hits before death (1 = next hit)
 }
 
 // NewFaultFS wraps base (nil → OSFS).
