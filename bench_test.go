@@ -12,14 +12,18 @@ package amstrack_test
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"amstrack"
+	"amstrack/internal/amsd"
 	"amstrack/internal/datasets"
 	dist2 "amstrack/internal/dist"
+	"amstrack/internal/engine"
 	"amstrack/internal/experiments"
 	"amstrack/internal/hash"
 	"amstrack/internal/tablefmt"
@@ -519,6 +523,74 @@ func BenchmarkEngineIngest(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkRelationReads times the reads a node serves from one cut of a
+// relation: the node-local join (EstimateJoin of two relations), the
+// self-join with its row count (amsd's /v1/selfjoin handler, which
+// answers both), and the bundle export — on 4-shard relations of 2^19
+// zipf(1.5) rows, plain and skimmed (96 heavy hitters). Setup ingests
+// outside the timed region; reads run against idle relations.
+func BenchmarkRelationReads(b *testing.B) {
+	for _, skim := range []int{0, 96} {
+		name := "plain"
+		if skim > 0 {
+			name = "skimmed"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, err := amstrack.NewEngine(amstrack.EngineOptions{SignatureWords: 1024, Seed: 1, Shards: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			for i, rel := range []string{"f", "g"} {
+				r, err := eng.DefineSchema(rel, engine.Schema{SkimHitters: skim})
+				if err != nil {
+					b.Fatal(err)
+				}
+				z, err := dist2.NewZipf(1.5, 1<<20, uint64(3+i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				batch := make([]uint64, 1<<12)
+				for n := 0; n < 1<<19; n += len(batch) {
+					for j := range batch {
+						batch[j] = z.Next()
+					}
+					r.InsertBatch(batch)
+				}
+			}
+			if err := eng.Drain(); err != nil {
+				b.Fatal(err)
+			}
+			srv := amsd.NewServer(eng)
+			selfJoin := httptest.NewRequest(http.MethodGet, "/v1/selfjoin?relation=f", nil)
+			for _, read := range []struct {
+				name string
+				fn   func() error
+			}{
+				{"join", func() error { _, err := eng.EstimateJoin("f", "g"); return err }},
+				{"selfjoin", func() error {
+					w := httptest.NewRecorder()
+					srv.ServeHTTP(w, selfJoin)
+					if w.Code != http.StatusOK {
+						return fmt.Errorf("selfjoin: status %d", w.Code)
+					}
+					return nil
+				}},
+				{"export", func() error { _, err := eng.ExportRelation("f"); return err }},
+			} {
+				b.Run(read.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := read.fn(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -125,8 +125,8 @@ func main() {
 		os.Exit(1)
 	}
 	if *asJSON {
-		fmt.Printf(`{"f":%q,"g":%q,"nodes":%d,"rows_f":%d,"rows_g":%d,"estimate":%g,"sigma":%g,"fact11":%g,"sjf":%g,"sjg":%g,"k":%d}`+"\n",
-			res.F, res.G, res.Nodes, res.RowsF, res.RowsG, res.Estimate, res.Sigma, res.Fact11, res.SJF, res.SJG, res.K)
+		fmt.Printf(`{"f":%q,"g":%q,"nodes":%d,"rows_f":%d,"rows_g":%d,"estimate":%g,"sigma":%g,"fact11":%g,"sjf":%g,"sjg":%g,"k":%d,"estimator":%q}`+"\n",
+			res.F, res.G, res.Nodes, res.RowsF, res.RowsG, res.Estimate, res.Sigma, res.Fact11, res.SJF, res.SJG, res.K, res.Estimator)
 		return
 	}
 	res.Print(os.Stdout)

@@ -72,6 +72,11 @@
 // relations, each carrying a fast join signature plus a Fast-AMS
 // self-join sketch behind sharded concurrent ingest, any pair estimable
 // at planning time with the Lemma 4.4 σ and Fact 1.1 bounds attached.
+// Every read of a relation is one consistent cut (Relation.Cut, the same
+// bundle ExportRelation ships), and every join answer — local, against a
+// shipped bundle, or at the coordinator — comes from one function over
+// two cuts (engine.EstimateJoinBundles), so σ is always computed from the
+// same stream as the estimate it bounds.
 // OpenEngine adds oplog-backed durability — updates append to
 // per-relation logs, Checkpoint folds them into one blob, and reopening
 // recovers via checkpoint load plus log replay (torn tails truncated).
@@ -92,10 +97,10 @@
 // per-shard absorber goroutines apply them under single-writer
 // discipline, and a group-commit writer batches oplog appends
 // (EngineOptions.FlushOps records or EngineOptions.FlushInterval,
-// whichever first). Queries drain staged ops before answering, so reads
-// always see the caller's own writes, and checkpoints cut an epoch fence
-// through the absorbers without pausing ingest, so recovery stays
-// bit-identical. Ops become OS-owned at the flush policy,
+// whichever first). A read parks a relation's absorbers at one barrier
+// and merges the quiet shards, so reads always see the caller's own
+// writes, and a checkpoint is that same cut plus an epoch flip — ingest
+// never pauses, and recovery stays bit-identical. Ops become OS-owned at the flush policy,
 // Relation.Drain, Sync, or Checkpoint rather than per call.
 // EngineOptions.SegmentOps additionally caps each oplog file at N
 // records, rolling onto numbered segments so no single log file grows
@@ -122,9 +127,10 @@
 // answers agree with single-node ingest within tolerance rather than
 // bit-exactly, while the signature and sketch halves remain bit-exact —
 // and skimmed bundle exchange requires fleet-wide agreement on Shards
-// in addition to Seed. Estimate responses name the estimator that
-// answered ("skimmed", "sketch", "signature"). DESIGN.md §13 has the
-// decomposition and the merge contract.
+// in addition to Seed. Estimate responses — amsd's and the
+// coordinator's — name the estimator that answered ("skimmed",
+// "sketch", "signature"), and a join's σ uses each side's own self-join
+// answer. DESIGN.md §13 has the decomposition and the merge contract.
 //
 // # Multi-node estimation
 //

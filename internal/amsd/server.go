@@ -488,10 +488,12 @@ func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	est, estimator := rel.SelfJoinEstimateDetail()
+	// One cut answers both the estimate and the length.
+	cut := rel.Cut()
+	est, estimator := cut.SelfJoinEstimateDetail()
 	writeJSON(w, http.StatusOK, SelfJoinBody{
 		Relation:  name,
-		Len:       rel.Len(),
+		Len:       cut.Rows,
 		Estimate:  est,
 		Estimator: estimator,
 	})
@@ -535,7 +537,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 // join f ⋈attr_a g ⋈attr_b h over local relations. The optional remote_*
 // fields carry base64 relation bundles (the GET /v1/signatures format)
 // holding OTHER nodes' partitions of the same relations; each is merged
-// into its leg's local snapshot before estimating — the one-shot
+// into its leg's local cut before estimating — the one-shot
 // cross-node chain answer.
 type ChainJoinRequest struct {
 	F       string `json:"f"`

@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"amstrack/internal/engine"
-	"amstrack/internal/exact"
-	"amstrack/internal/join"
 )
 
 // SplitNodes parses a comma-separated node-URL list, dropping empty
@@ -34,6 +32,9 @@ type Result struct {
 	Fact11       float64 // Fact 1.1 upper bound
 	SJF, SJG     float64 // merged self-join estimates behind the bounds
 	K            int     // signature memory words (both relations)
+	// Estimator names the estimator that answered: "skimmed" when both
+	// merged bundles carry heavy-hitter tables, "sketch" otherwise.
+	Estimator string
 }
 
 // Print renders the human-readable report joinctl emits.
@@ -41,29 +42,29 @@ func (r *Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "join %s ⋈ %s across %d node(s)\n", r.F, r.G, r.Nodes)
 	fmt.Fprintf(w, "  rows           : %s=%d  %s=%d\n", r.F, r.RowsF, r.G, r.RowsG)
 	fmt.Fprintf(w, "  estimate       : %.6g\n", r.Estimate)
+	fmt.Fprintf(w, "  estimator      : %s\n", r.Estimator)
 	fmt.Fprintf(w, "  ±σ (Lemma 4.4) : %.6g  (k=%d)\n", r.Sigma, r.K)
 	fmt.Fprintf(w, "  Fact 1.1 bound : %.6g\n", r.Fact11)
 	fmt.Fprintf(w, "  SJ estimates   : %s=%.6g  %s=%.6g\n", r.F, r.SJF, r.G, r.SJG)
 }
 
-// pairEstimate computes the join estimate and bounds from two merged
-// bundles — shared by the one-shot Coordinate and the daemon's cached
-// query path, so both answer bit-identically from the same synopses.
+// pairEstimate answers a join from two merged bundles through
+// engine.EstimateJoinBundles — the function every amsd join answer comes
+// from too, so a node and the coordinator over the same synopses answer
+// bit-identically. Shared by the one-shot Coordinate and the daemon's
+// cached query path.
 func pairEstimate(f, g string, bf, bg *engine.RelationBundle, nodes int) (*Result, error) {
-	est, err := join.EstimateJoin(bf.Sig, bg.Sig)
+	je, err := engine.EstimateJoinBundles(bf, bg)
 	if err != nil {
 		return nil, err
 	}
-	sjF, sjG := bf.SelfJoinEstimate(), bg.SelfJoinEstimate()
-	k := bf.Sig.MemoryWords()
 	return &Result{
 		F: f, G: g, Nodes: nodes,
 		RowsF: bf.Rows, RowsG: bg.Rows,
-		Estimate: est,
-		Sigma:    join.ErrorBound(sjF, sjG, k),
-		Fact11:   exact.JoinUpperBound(int64(sjF), int64(sjG)),
-		SJF:      sjF, SJG: sjG,
-		K: k,
+		Estimate: je.Estimate, Sigma: je.Sigma, Fact11: je.Fact11,
+		SJF: je.SJF, SJG: je.SJG,
+		K:         bf.Sig.MemoryWords(),
+		Estimator: je.Estimator,
 	}, nil
 }
 

@@ -558,3 +558,81 @@ func newDaemonHarnessRefresh(t *testing.T, refresh time.Duration) *daemonHarness
 	t.Cleanup(h.ts.Close)
 	return h
 }
+
+// TestDaemonSkimmedMatchesNode: behind the daemon, one amsd node holding
+// two skimming relations. The coordinator answers with the same function
+// as the node, so its /v1/join, its /v1/pairs entry and the one-shot
+// Coordinate equal the node's own /v1/join in every digit — estimate,
+// σ, both self-joins — and name the same estimator.
+func TestDaemonSkimmedMatchesNode(t *testing.T) {
+	eng, node := newNode(t)
+	for i, name := range []string{"f", "g"} {
+		r, err := eng.DefineSchema(name, engine.Schema{SkimHitters: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]uint64, 6000)
+		for j := range vals {
+			// A few hot keys over a long tail.
+			vals[j] = uint64((j*7919 + i) % 1500)
+			if j%3 != 0 {
+				vals[j] = uint64(j % (5 + i))
+			}
+		}
+		r.InsertBatch(vals)
+	}
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDaemon(Config{Nodes: []string{node.URL}, Relations: []string{"f", "g"}, Fetcher: testFetcher()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	get := func(url string, v any) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want amsd.JoinBody
+	get(node.URL+"/v1/join?f=f&g=g", &want)
+	if want.Estimator != "skimmed" {
+		t.Fatalf("node answered with %q, want skimmed", want.Estimator)
+	}
+	var cached JoinBody
+	get(ts.URL+"/v1/join?f=f&g=g", &cached)
+	var pairs PairsBody
+	get(ts.URL+"/v1/pairs", &pairs)
+	if len(pairs.Pairs) != 1 {
+		t.Fatalf("pairs = %+v", pairs)
+	}
+	oneShot, err := Coordinate(testFetcher(), []string{node.URL}, "f", "g", true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]JoinBody{
+		"/v1/join":   cached,
+		"/v1/pairs":  pairs.Pairs[0],
+		"Coordinate": {Estimate: oneShot.Estimate, Sigma: oneShot.Sigma, SJF: oneShot.SJF, SJG: oneShot.SJG, Estimator: oneShot.Estimator},
+	} {
+		if got.Estimate != want.Estimate || got.Sigma != want.Sigma || got.SJF != want.SJF ||
+			got.SJG != want.SJG || got.Estimator != want.Estimator {
+			t.Errorf("coordinator %s answered %v±%v (SJ %v/%v, %q), node %v±%v (SJ %v/%v, %q)", name,
+				got.Estimate, got.Sigma, got.SJF, got.SJG, got.Estimator,
+				want.Estimate, want.Sigma, want.SJF, want.SJG, want.Estimator)
+		}
+	}
+}

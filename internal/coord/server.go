@@ -17,7 +17,9 @@ import (
 )
 
 // JoinBody is the GET /v1/join response: the coordinated estimate with
-// the paper's bounds, plus the cache's staleness evidence.
+// the paper's bounds, the estimator that answered ("skimmed" when both
+// merged bundles carry heavy-hitter tables, "sketch" otherwise), plus the
+// cache's staleness evidence.
 type JoinBody struct {
 	F           string         `json:"f"`
 	G           string         `json:"g"`
@@ -30,6 +32,7 @@ type JoinBody struct {
 	SJF         float64        `json:"sjf"`
 	SJG         float64        `json:"sjg"`
 	K           int            `json:"k"`
+	Estimator   string         `json:"estimator"`
 	StalenessMS int64          `json:"staleness_ms"`
 	Freshness   []RelFreshness `json:"freshness"`
 }
@@ -149,6 +152,7 @@ func (d *Daemon) joinFromCache(f, g string) (*JoinBody, error) {
 		RowsF: res.RowsF, RowsG: res.RowsG,
 		Estimate: res.Estimate, Sigma: res.Sigma, Fact11: res.Fact11,
 		SJF: res.SJF, SJG: res.SJG, K: res.K,
+		Estimator:   res.Estimator,
 		StalenessMS: max(stF, stG).Milliseconds(),
 		Freshness:   append(frF, frG...),
 	}, nil

@@ -189,13 +189,16 @@ func (t *FastTugOfWar) SetFrequencies(freq map[uint64]int64) {
 
 // Merge adds the counters of other into t. Equal Configs share one hash
 // family, so the merged sketch is exactly the sketch of the concatenated
-// streams.
+// streams. The loop runs over local slices of equal length, so it pays
+// no per-counter bounds check or field reload: every relation read
+// merges one sketch per shard.
 func (t *FastTugOfWar) Merge(other *FastTugOfWar) error {
 	if t.cfg != other.cfg {
 		return errors.New("core: cannot merge fast tug-of-war sketches with different configs")
 	}
-	for k := range t.z {
-		t.z[k] += other.z[k]
+	z, o := t.z, other.z[:len(t.z)]
+	for k := range z {
+		z[k] += o[k]
 	}
 	t.n += other.n
 	return nil

@@ -82,7 +82,7 @@ func TestFastTugOfWarSharesTables(t *testing.T) {
 	limit := uint64(cfg.S2) * 64 << 10
 	for name, f := range map[string]func() error{
 		"NewFastTugOfWar": func() error { _, err := NewFastTugOfWar(cfg); return err },
-		"ShardSnapshot":   func() error { _, err := st.ShardSnapshot(1); return err },
+		"Snapshot":        func() error { _, err := st.Snapshot(); return err },
 		"UnmarshalBinary": func() error { var sk FastTugOfWar; return sk.UnmarshalBinary(data) },
 	} {
 		var err error

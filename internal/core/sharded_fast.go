@@ -104,30 +104,6 @@ func (st *ShardedFastTugOfWar) applyBatch(vs []uint64, del bool) {
 	}
 }
 
-// ShardInsertBatch applies the whole batch to shard i's counters under
-// that single shard's lock, SKIPPING the value-hash routing: by
-// linearity ANY assignment of updates to shards yields the same merged
-// counters, so a caller that already owns a partition of the stream
-// (e.g. one engine absorber) can pin its updates to one shard and pay
-// one uncontended lock per batch instead of a grouping pass plus one
-// lock per sketch shard.
-func (st *ShardedFastTugOfWar) ShardInsertBatch(i int, vs []uint64) {
-	s := &st.shards[i&int(st.mask)]
-	s.mu.Lock()
-	s.tw.InsertBatch(vs)
-	s.mu.Unlock()
-}
-
-// ShardDeleteBatch is ShardInsertBatch for deletions. A shard's local
-// counters may go transiently negative under pinned assignment; the
-// merged sketch is exact whenever the overall op sequence is valid.
-func (st *ShardedFastTugOfWar) ShardDeleteBatch(i int, vs []uint64) {
-	s := &st.shards[i&int(st.mask)]
-	s.mu.Lock()
-	_ = s.tw.DeleteBatch(vs)
-	s.mu.Unlock()
-}
-
 // Estimate sums the shard counters and answers the query directly: a
 // read-only merge needs only the counters, not a whole Snapshot sketch.
 // Safe for concurrent use with updates; the estimate reflects some
@@ -161,38 +137,6 @@ func (st *ShardedFastTugOfWar) Snapshot() (*FastTugOfWar, error) {
 		}
 	}
 	return merged, nil
-}
-
-// ShardSnapshot returns a plain FastTugOfWar equal to shard i alone,
-// cloned under that single shard's lock. A caller that owns a partition
-// of the stream (one engine absorber per shard) can snapshot each shard
-// from its own writer and merge the clones — by linearity the merge
-// equals Snapshot, without ever holding more than one shard lock.
-func (st *ShardedFastTugOfWar) ShardSnapshot(i int) (*FastTugOfWar, error) {
-	clone, err := NewFastTugOfWar(st.cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := &st.shards[i&int(st.mask)]
-	s.mu.Lock()
-	err = clone.Merge(s.tw)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return clone, nil
-}
-
-// Absorb merges a plain FastTugOfWar (e.g. a restored checkpoint
-// snapshot) into shard 0. By linearity the sharded sketch then behaves
-// exactly as if tw's stream had been ingested through it, which is how
-// the engine resumes a relation from a checkpoint without replaying the
-// pre-checkpoint stream.
-func (st *ShardedFastTugOfWar) Absorb(tw *FastTugOfWar) error {
-	s := &st.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tw.Merge(tw)
 }
 
 // MemoryWords reports the total storage across shards.

@@ -21,22 +21,20 @@
 // do on value-hashed shard locks, because slot choice depends on the
 // WRITER, not the value.
 //
-// Single-writer discipline: after newIngester returns, a shard's
-// signature is written exclusively by its absorber goroutine. Every
-// other access rides one of three synchronization shapes —
+// Single-writer discipline: after newIngester returns, a shard's state is
+// written by its absorber goroutine alone. Every other access rides one
+// of two synchronization shapes —
 //
-//	drain    flush all slots, then a barrier message through every
-//	         shard channel and the log channel: everything staged
-//	         before the call is applied and handed to the OS. The
-//	         read-your-writes barrier of queries.
-//	visit    drain whose barrier runs a callback ON the absorber
-//	         goroutine (snapshots, Len) — reads happen on the single
-//	         writer, so no lock is ever needed.
-//	pause    claim and HOLD every staging slot, then drain: no new op
-//	         can enter until resume, so counters ≡ log exactly. The
-//	         quiescence point of bundle merges, serialized by the
-//	         engine mutex. (Checkpoints never pause: they cut an
-//	         epoch fence through the absorbers, see fence.)
+//	drain    flush all slots, then a plain barrier message through every
+//	         shard channel and the log channel: everything staged before
+//	         the call is applied and handed to the OS. The wire ACK
+//	         barrier.
+//	park     flush all slots, then a barrier each absorber answers by
+//	         blocking until released: while parked, the caller owns the
+//	         shard state and reads it (cut — every query, export, stat and
+//	         checkpoint) or writes it (bundle merges) directly, with no
+//	         lock. Parking barriers go out under one lock, so every shard
+//	         channel sees concurrent parkers in the same order.
 //
 // Validity note: per-value op order can transiently reorder across slot
 // migrations (a goroutine's earlier op staged in another slot), so a
@@ -46,7 +44,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -54,8 +51,6 @@ import (
 	"time"
 	"unsafe"
 
-	"amstrack/internal/core"
-	"amstrack/internal/join"
 	"amstrack/internal/oplog"
 	"amstrack/internal/stream"
 	"amstrack/internal/xrand"
@@ -83,7 +78,7 @@ func (op stagedOp) tail() []uint64 {
 
 // stageSlot is one CAS-claimed staging buffer. The claim covers both the
 // buffer and the right to send on the shard channels, which is what lets
-// pause() turn "hold every slot" into full write quiescence.
+// stop turn "hold every slot" into a permanent end of ingest.
 type stageSlot struct {
 	claimed atomic.Bool
 	_       [63]byte // keep hot claim words on distinct cache lines
@@ -98,12 +93,12 @@ type shardMsg struct {
 	barrier *absBarrier
 }
 
-// absBarrier synchronizes with the absorbers; visit (optional) runs on
-// each absorber goroutine — the only legal way to read shard state while
-// the relation is live.
+// absBarrier synchronizes with the absorbers: each marks wg done on
+// reaching it and, when park is set, blocks until park is closed (see
+// ingester.park).
 type absBarrier struct {
-	wg    *sync.WaitGroup
-	visit func(shard int, sh *sigShard)
+	wg   *sync.WaitGroup
+	park chan struct{}
 }
 
 // logMsg is one message to the group-commit log writer: applied ops to
@@ -134,16 +129,18 @@ type ingester struct {
 	logWg    sync.WaitGroup
 	// sendMu guards barrier sends (the only channel sends not covered by
 	// a slot claim) against stop closing the channels: stop sets closing
-	// under the write lock before close. Never touched on the per-op path.
+	// under the write lock before close. Parking barriers are sent under
+	// the write lock too, which orders concurrent parkers. Never touched
+	// on the per-op path.
 	sendMu  sync.RWMutex
 	closing bool
 	// stopped is set only after every pipeline goroutine has exited; an
 	// observer of true is synchronized with all absorber writes.
 	stopped atomic.Bool
 	// shardEpochs[i] is the log epoch shard i currently applies under.
-	// Written only inside a fence's barrier visit (ON the absorber
-	// goroutine) and read only by the same goroutine's absorb loop, so no
-	// atomics: the shard channel orders the two.
+	// Written only by a checkpoint cut while every absorber is parked,
+	// and read by shard i's absorb loop after the release, so no atomics:
+	// the park orders the two.
 	shardEpochs []uint64
 }
 
@@ -208,7 +205,7 @@ func (g *ingester) claim() *stageSlot {
 	}
 }
 
-// claimSlot spins until it owns the specific slot (drain and pause);
+// claimSlot spins until it owns the specific slot (drain, park, stop);
 // false means the ingester stopped and the slots are held for good.
 func (g *ingester) claimSlot(s *stageSlot) bool {
 	for spin := 0; ; spin++ {
@@ -295,7 +292,7 @@ func (g *ingester) flushSlot(s *stageSlot) {
 
 // sendOps groups a batch by shard and enqueues it on the absorber
 // channels. The caller must hold a slot claim (the quiescence token that
-// keeps pause/stop out while sends are in flight). With copy set the
+// keeps stop out while sends are in flight). With copy set the
 // input is reused afterwards, so even the single-shard fast path copies.
 func (g *ingester) sendOps(ops []stagedOp, copyOps bool) {
 	if len(g.chans) == 1 {
@@ -322,7 +319,7 @@ func (g *ingester) sendOps(ops []stagedOp, copyOps bool) {
 }
 
 // flushAllSlots claims every slot in turn and flushes it; with hold the
-// claims are kept (pause), otherwise each is released immediately.
+// claims are kept (stop), otherwise each is released immediately.
 // Returns false when the ingester stopped underneath the sweep (slots
 // already claimed for good; any held by this sweep are left held, which
 // is where stop leaves them anyway).
@@ -341,11 +338,7 @@ func (g *ingester) flushAllSlots(hold bool) bool {
 }
 
 // absorb is the per-shard apply loop: the ONLY writer of its shard's
-// signature, so no lock is taken around counter updates. Sketch updates
-// are pinned to the matching sketch shard (ShardInsertBatch — any
-// assignment is valid by linearity, and the merged counters that every
-// query and checkpoint reads equal a plain sequential sketch's), so each
-// absorber pays one uncontended lock per batch.
+// synopses, so no lock is taken around counter updates.
 func (g *ingester) absorb(shard int) {
 	defer g.absWg.Done()
 	sh := &g.r.shards[shard]
@@ -354,10 +347,10 @@ func (g *ingester) absorb(shard int) {
 	cols := newChainCols(g.r.arity)
 	for msg := range g.chans[shard] {
 		if msg.barrier != nil {
-			if msg.barrier.visit != nil {
-				msg.barrier.visit(shard, sh)
-			}
 			msg.barrier.wg.Done()
+			if msg.barrier.park != nil {
+				<-msg.barrier.park
+			}
 			continue
 		}
 		ins, del = ins[:0], del[:0]
@@ -370,15 +363,15 @@ func (g *ingester) absorb(shard int) {
 		}
 		if len(ins) > 0 {
 			sh.sig.InsertBatch(ins)
-			if g.r.sketch != nil {
-				g.r.sketch.ShardInsertBatch(shard, ins)
+			if sh.sketch != nil {
+				sh.sketch.InsertBatch(ins)
 			}
 		}
 		if len(del) > 0 {
 			// Engine synopses never error on deletes (pure linearity).
 			_ = sh.sig.DeleteBatch(del)
-			if g.r.sketch != nil {
-				g.r.sketch.ShardDeleteBatch(shard, del)
+			if sh.sketch != nil {
+				_ = sh.sketch.DeleteBatch(del)
 			}
 		}
 		if sh.chain != nil {
@@ -471,12 +464,11 @@ func (g *ingester) logger() {
 	}
 }
 
-// barrier flushes nothing itself: it sends a barrier through every shard
-// channel and waits. Per-channel FIFO means everything enqueued before
-// the barrier is applied (and forwarded to the log writer) first. False
-// means stop got there first — the caller must waitStopped and fall back
-// to direct reads.
-func (g *ingester) barrier(visit func(shard int, sh *sigShard)) bool {
+// barrier flushes nothing itself: it sends a plain barrier through every
+// shard channel and waits. Per-channel FIFO means everything enqueued
+// before the barrier is applied (and forwarded to the log writer) first.
+// False means stop got there first.
+func (g *ingester) barrier() bool {
 	g.sendMu.RLock()
 	if g.closing {
 		g.sendMu.RUnlock()
@@ -484,7 +476,7 @@ func (g *ingester) barrier(visit func(shard int, sh *sigShard)) bool {
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(g.chans))
-	b := &absBarrier{wg: &wg, visit: visit}
+	b := &absBarrier{wg: &wg}
 	for _, ch := range g.chans {
 		ch <- shardMsg{barrier: b}
 	}
@@ -526,33 +518,11 @@ func (g *ingester) drain() {
 	if !g.flushAllSlots(false) {
 		return
 	}
-	if !g.barrier(nil) {
+	if !g.barrier() {
 		g.waitStopped()
 		return
 	}
 	g.logBarrier()
-}
-
-// pause claims and holds every staging slot, then drains: on return no
-// writer can make progress and counters ≡ log exactly. Callers MUST hold
-// the engine mutex exclusively (bundle merge), which serializes pauses
-// against each other and against stop; resume releases the slots.
-func (g *ingester) pause() {
-	if !g.flushAllSlots(true) {
-		return
-	}
-	g.barrier(nil)
-	g.logBarrier()
-}
-
-// resume releases the slots pause holds.
-func (g *ingester) resume() {
-	if g.stopped.Load() {
-		return
-	}
-	for i := range g.slots {
-		g.slots[i].claimed.Store(false)
-	}
 }
 
 // stop drains and permanently shuts down the pipeline (Drop, Close,
@@ -561,8 +531,8 @@ func (g *ingester) resume() {
 // stay claimed forever so nothing new can enter. The stopped flag is set
 // only AFTER the goroutines exit — an observer of stopped==true is
 // therefore synchronized with every absorber write and may read shard
-// state directly. Queries keep working that way; further ingest is
-// discarded (the relation is detached or its engine closed).
+// state directly (see park). Queries keep working that way; further
+// ingest is discarded (the relation is detached or its engine closed).
 func (g *ingester) stop() {
 	if g.stopped.Load() {
 		return
@@ -582,256 +552,120 @@ func (g *ingester) stop() {
 	g.stopped.Store(true)
 }
 
-// snapshotSig merges the shard signatures into one with read-your-writes
-// semantics: drain, then per-shard copies taken ON the absorbers. After
-// stop it falls back to direct reads (race-free, see stop).
-func (g *ingester) snapshotSig() join.Signature {
-	fresh := g.r.eng.newSignature()
-	direct := func() join.Signature {
-		g.waitStopped()
-		for i := range g.r.shards {
-			mustMerge(fresh, g.r.shards[i].sig)
-		}
-		return fresh
-	}
-	if !g.flushAllSlots(false) {
-		return direct()
-	}
-	clones := make([]join.Signature, len(g.r.shards))
-	if !g.barrier(func(shard int, sh *sigShard) {
-		c := g.r.eng.newSignature()
-		mustMerge(c, sh.sig)
-		clones[shard] = c
-	}) {
-		return direct()
-	}
-	for _, c := range clones {
-		mustMerge(fresh, c)
-	}
-	return fresh
-}
-
-// snapshotHH unions the per-shard heavy-hitter tables with the same
-// drain + on-absorber clone discipline as snapshotSig. Callers check
-// r.skims() first.
-func (g *ingester) snapshotHH() *core.SpaceSaving {
-	fresh := g.r.newRelHH()
-	direct := func() *core.SpaceSaving {
-		g.waitStopped()
-		for i := range g.r.shards {
-			fresh.MergeItems(g.r.shards[i].hh.Items())
-		}
-		return fresh
-	}
-	if !g.flushAllSlots(false) {
-		return direct()
-	}
-	clones := make([][]core.Hitter, len(g.r.shards))
-	if !g.barrier(func(shard int, sh *sigShard) {
-		clones[shard] = sh.hh.Items()
-	}) {
-		return direct()
-	}
-	for _, c := range clones {
-		fresh.MergeItems(c)
-	}
-	return fresh
-}
-
-// snapshotChain merges the shard chain sets with read-your-writes
-// semantics, via the same drain + on-absorber clone barrier as
-// snapshotSig. Nil when the schema declares no chain synopses.
-func (g *ingester) snapshotChain() *shardChain {
-	if !g.r.schema.hasChain() {
-		return nil
-	}
-	fresh := g.r.newEmptyChain()
-	direct := func() *shardChain {
-		g.waitStopped()
-		for i := range g.r.shards {
-			fresh.merge(g.r.shards[i].chain)
-		}
-		return fresh
-	}
-	if !g.flushAllSlots(false) {
-		return direct()
-	}
-	clones := make([]*shardChain, len(g.r.shards))
-	if !g.barrier(func(shard int, sh *sigShard) {
-		c := g.r.newEmptyChain()
-		c.merge(sh.chain)
-		clones[shard] = c
-	}) {
-		return direct()
-	}
-	for _, c := range clones {
-		fresh.merge(c)
-	}
-	return fresh
-}
-
-// relSnap is one relation's epoch-consistent checkpoint snapshot, cut by
-// fence: the merge of the per-shard clones taken behind the epoch flip.
-type relSnap struct {
-	sig    join.Signature
-	sketch *core.FastTugOfWar // nil when the engine runs without sketches
-	chain  *shardChain        // nil when the schema declares no chains
-	hh     *core.SpaceSaving  // nil unless the relation skims
-	seq    uint64             // op-sequence counter at the same cut
-}
-
-// fence cuts a consistent snapshot of every synopsis WITHOUT pausing
-// ingest — the pause-free checkpoint's core. One barrier sweep runs on
-// each absorber goroutine (the shard's single writer): it clones the
-// shard's signature, chain set, and sketch shard, and in the same visit
-// flips the shard onto newEpoch, so every op the shard applies afterwards
-// is tagged with the new epoch and group-committed to the pre-forked
-// next-epoch log. Ops applied before the flip were forwarded to the log
-// channel first (per-channel FIFO), and the trailing logBarrier waits for
-// the writer to consume them — so when fence returns, the retiring
-// epoch's segments hold EXACTLY the ops the snapshot covers, and the log
-// can be promoted. Writers never block beyond channel backpressure.
-func (g *ingester) fence(newEpoch uint64) (relSnap, error) {
-	stopErr := errors.New("engine: ingest pipeline stopped during checkpoint fence")
-	if !g.flushAllSlots(false) {
-		return relSnap{}, stopErr
-	}
-	n := len(g.r.shards)
-	sigs := make([]join.Signature, n)
-	chains := make([]*shardChain, n)
-	sketches := make([]*core.FastTugOfWar, n)
-	hhs := make([][]core.Hitter, n)
-	seqs := make([]uint64, n)
-	errs := make([]error, n)
-	if !g.barrier(func(shard int, sh *sigShard) {
-		c := g.r.eng.newSignature()
-		mustMerge(c, sh.sig)
-		sigs[shard] = c
-		if sh.chain != nil {
-			cc := g.r.newEmptyChain()
-			cc.merge(sh.chain)
-			chains[shard] = cc
-		}
-		if sh.hh != nil {
-			hhs[shard] = sh.hh.Items()
-		}
-		if g.r.sketch != nil {
-			sketches[shard], errs[shard] = g.r.sketch.ShardSnapshot(shard)
-		}
-		// The op counter rides the same cut: every op this shard applies
-		// after the flip is excluded here and present in the next epoch's
-		// log, so checkpoint (seq, synopses) stay mutually exact.
-		seqs[shard] = sh.ops
-		g.shardEpochs[shard] = newEpoch
-	}) {
-		return relSnap{}, stopErr
-	}
-	g.logBarrier()
-	for _, err := range errs {
-		if err != nil {
-			return relSnap{}, err
-		}
-	}
-	snap := relSnap{sig: g.r.eng.newSignature()}
-	for _, c := range sigs {
-		mustMerge(snap.sig, c)
-	}
-	for _, s := range seqs {
-		snap.seq += s
-	}
-	if g.r.schema.hasChain() {
-		snap.chain = g.r.newEmptyChain()
-		for _, c := range chains {
-			snap.chain.merge(c)
-		}
-	}
-	if g.r.sketch != nil {
-		snap.sketch = sketches[0]
-		for _, sk := range sketches[1:] {
-			if err := snap.sketch.Merge(sk); err != nil {
-				return relSnap{}, err
+// park flushes every staging slot and parks each absorber at one
+// barrier. On return everything staged before the call is applied and no
+// absorber runs until release is called, so the caller owns the shard
+// state: cut reads it, absorbBundle writes it. Once the pipeline has
+// stopped the shards are quiet for good, so park waits for stop to finish
+// and returns a no-op release with live false — the live read and the
+// post-stop read are the same code.
+func (g *ingester) park() (release func(), live bool) {
+	if g.flushAllSlots(false) {
+		// The write lock covers the whole send, so every shard channel
+		// sees concurrent parkers in the same order: no parker can hold an
+		// absorber that another parker is waiting for. A send under it
+		// blocks only until the absorber drains its channel, and an
+		// absorber waits only on an earlier parker, whose sends are done
+		// and whose release needs no lock.
+		g.sendMu.Lock()
+		if !g.closing {
+			var arrived sync.WaitGroup
+			arrived.Add(len(g.chans))
+			b := &absBarrier{wg: &arrived, park: make(chan struct{})}
+			for _, ch := range g.chans {
+				ch <- shardMsg{barrier: b}
 			}
+			g.sendMu.Unlock()
+			arrived.Wait()
+			return func() { close(b.park) }, true
 		}
+		g.sendMu.Unlock()
 	}
-	if g.r.skims() {
-		// Per-shard tables hold disjoint key sets (shardOf is a pure
-		// function of the value), so this union is exact, never lossy.
-		snap.hh = g.r.newRelHH()
-		for _, items := range hhs {
-			snap.hh.MergeItems(items)
-		}
-	}
-	return snap, nil
+	g.waitStopped()
+	return func() {}, false
 }
 
-// mustMerge merges same-family signatures; a mismatch is an engine
-// invariant violation, not an input error.
-func mustMerge(dst, src join.Signature) {
-	if err := dst.Merge(src); err != nil {
-		panic(fmt.Sprintf("engine: shard snapshot: %v", err))
+// cut is the one read of a relation: its shards at a single park, merged
+// into one bundle, so the signature, sketch, chain section, heavy
+// hitters, Rows and Seq all describe the same op prefix. With synopses
+// unset only Rows and Seq are read (the stat probe). A non-zero flip
+// makes the cut the checkpoint's epoch fence: in the same park every
+// shard moves onto log epoch flip, and the trailing log barrier waits for
+// the writer to consume every op applied before it — so the retiring
+// epoch's segments hold exactly the ops the cut covers. Writers never
+// block beyond channel backpressure. live is false when the pipeline had
+// stopped; the read is then still exact, but nothing flips.
+func (g *ingester) cut(synopses bool, flip uint64) (b RelationBundle, live bool) {
+	if synopses {
+		// Built before parking: the absorbers wait only for the merge.
+		b = g.r.emptyCut()
 	}
-}
-
-// len sums the shard tuple counts behind a drain barrier. With
-// logBarrier set it is a FULL drain (ops also pushed through the log
-// writer) — the one-sweep combination serving layers use to answer an
-// ingest with read-your-writes Len plus prompt error visibility.
-func (g *ingester) len(logBarrier bool) int64 {
-	var n int64
-	direct := func() int64 {
-		g.waitStopped()
-		n = 0
-		for i := range g.r.shards {
-			n += g.r.shards[i].sig.Len()
+	release, live := g.park()
+	g.r.read(&b)
+	if live && flip != 0 {
+		// The absorbers read shardEpochs only after release, which orders
+		// these writes before their next apply.
+		for i := range g.shardEpochs {
+			g.shardEpochs[i] = flip
 		}
-		return n
 	}
-	if !g.flushAllSlots(false) {
-		return direct()
-	}
-	lens := make([]int64, len(g.r.shards))
-	if !g.barrier(func(shard int, sh *sigShard) {
-		lens[shard] = sh.sig.Len()
-	}) {
-		return direct()
-	}
-	if logBarrier {
+	release()
+	if live && flip != 0 {
 		g.logBarrier()
 	}
-	for _, l := range lens {
-		n += l
-	}
-	return n
+	return b, live
 }
 
-// stat reads (Seq, Len) behind one drain barrier — the freshness pair
-// the stat endpoint serves. After stop it falls back to direct reads.
-func (g *ingester) stat() (uint64, int64) {
-	var seq uint64
-	var rows int64
-	direct := func() (uint64, int64) {
-		g.waitStopped()
-		seq, rows = 0, 0
-		for i := range g.r.shards {
-			seq += g.r.shards[i].ops
-			rows += g.r.shards[i].sig.Len()
+// emptyCut builds the empty synopses of the relation's shape for a cut
+// to merge the shards into.
+func (r *Relation) emptyCut() RelationBundle {
+	b := RelationBundle{Sig: r.eng.newSignature()}
+	if !r.eng.opts.NoSketch {
+		b.Sketch = r.eng.newSketch()
+	}
+	if !r.schema.legacy() {
+		b.Chain = &ChainBundle{Schema: r.Schema()}
+		if r.schema.hasChain() {
+			sc := r.newEmptyChain()
+			b.Chain.Ends, b.Chain.Mids = sc.ends, sc.mids
 		}
-		return seq, rows
 	}
-	if !g.flushAllSlots(false) {
-		return direct()
+	if r.skims() {
+		b.HH, b.SkimHitters = r.newRelHH(), r.schema.SkimHitters
 	}
-	seqs := make([]uint64, len(g.r.shards))
-	lens := make([]int64, len(g.r.shards))
-	if !g.barrier(func(shard int, sh *sigShard) {
-		seqs[shard] = sh.ops
-		lens[shard] = sh.sig.Len()
-	}) {
-		return direct()
+	return b
+}
+
+// read adds the shards into b: Rows and Seq always, and every synopsis b
+// carries. The caller owns the shard state (see park). Per-shard
+// heavy-hitter tables hold disjoint key sets (shardOf is a pure function
+// of the value), so their union is exact, never lossy.
+func (r *Relation) read(b *RelationBundle) {
+	for i := range r.shards {
+		sh := &r.shards[i]
+		b.Seq += sh.ops
+		b.Rows += sh.sig.Len()
+		if b.Sig == nil {
+			continue
+		}
+		must(b.Sig.Merge(sh.sig))
+		if b.Sketch != nil {
+			must(b.Sketch.Merge(sh.sketch))
+		}
+		if sh.chain != nil {
+			(&shardChain{ends: b.Chain.Ends, mids: b.Chain.Mids}).merge(sh.chain)
+		}
+		if b.HH != nil {
+			b.HH.MergeItems(sh.hh.Items())
+		}
 	}
-	for i := range seqs {
-		seq += seqs[i]
-		rows += lens[i]
+}
+
+// must panics on an error that means an engine invariant broke: the
+// shards of one relation share every hash family, so merging or building
+// them cannot fail.
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("engine: shard cut: %v", err))
 	}
-	return seq, rows
 }

@@ -4,6 +4,8 @@
 // that into a wire format: a RelationBundle packs one relation's complete
 // synopsis set — join signature, Fast-AMS self-join sketch, row count —
 // into a single self-describing blob that nodes export, ship, and import.
+// The same struct is the engine's in-process read: a consistent cut of a
+// relation (Relation.Cut), which every local answer is computed from.
 // A coordinator that pulls per-partition bundles from N nodes and merges
 // them answers join estimates over the union with zero accuracy loss
 // (the merged counters are bit-identical to single-node ingest), provided
@@ -16,7 +18,6 @@ import (
 
 	"amstrack/internal/blob"
 	"amstrack/internal/core"
-	"amstrack/internal/exact"
 	"amstrack/internal/join"
 )
 
@@ -111,7 +112,7 @@ func (b *ChainBundle) Merge(other *ChainBundle) error {
 func (b *ChainBundle) End(attr string, side int) (*join.ChainEndSignature, error) {
 	i, ok := b.Schema.endIndex(attr, side)
 	if !ok {
-		return nil, fmt.Errorf("engine: %w: bundle has no side-%d chain end signature on %q", ErrAttrNotTracked, side, attr)
+		return nil, fmt.Errorf("engine: %w: no %s-side chain end signature on %q", ErrAttrNotTracked, "AB"[side:side+1], attr)
 	}
 	return b.Ends[i], nil
 }
@@ -121,7 +122,7 @@ func (b *ChainBundle) End(attr string, side int) (*join.ChainEndSignature, error
 func (b *ChainBundle) Mid(attrA, attrB string) (*join.ChainMiddleSignature, error) {
 	i, ok := b.Schema.midIndex(attrA, attrB)
 	if !ok {
-		return nil, fmt.Errorf("engine: %w: bundle has no chain middle signature on (%q, %q)", ErrAttrNotTracked, attrA, attrB)
+		return nil, fmt.Errorf("engine: %w: no chain middle signature on (%q, %q)", ErrAttrNotTracked, attrA, attrB)
 	}
 	return b.Mids[i], nil
 }
@@ -218,19 +219,28 @@ func checkChainShape(k *int, seed *uint64, gotK int, gotSeed uint64) error {
 	return nil
 }
 
-// SelfJoinEstimate estimates SJ(R) from the bundle, preferring the
-// skimmed estimator when a heavy-hitter section rides along, then the
-// dedicated sketch — mirroring Relation.SelfJoinEstimate, so bounds
-// computed from a shipped bundle match bounds the exporting node would
-// attach itself.
+// SelfJoinEstimate estimates SJ(R) from the bundle (see
+// SelfJoinEstimateDetail).
 func (b *RelationBundle) SelfJoinEstimate() float64 {
-	if b.Sketch != nil {
-		if b.HH != nil {
-			return core.SkimmedEstimate(b.Sketch, b.HH)
-		}
-		return b.Sketch.Estimate()
+	est, _ := b.SelfJoinEstimateDetail()
+	return est
+}
+
+// SelfJoinEstimateDetail is the one self-join answer, for a local cut and
+// a shipped bundle alike: the estimate with the name of the estimator
+// that answered — "skimmed" (exact heavy hitters + sketched tail,
+// DESIGN.md §13) when the bundle carries a heavy-hitter table and a
+// sketch, "sketch" for the dedicated Fast-AMS sketch, "signature" for the
+// join signature's own counters (NoSketch engines; §4.4's connection
+// between the two halves of the paper).
+func (b *RelationBundle) SelfJoinEstimateDetail() (float64, string) {
+	switch {
+	case b.Sketch == nil:
+		return b.Sig.SelfJoinEstimate(), "signature"
+	case b.HH != nil:
+		return core.SkimmedEstimate(b.Sketch, b.HH), "skimmed"
 	}
-	return b.Sig.SelfJoinEstimate()
+	return b.Sketch.Estimate(), "sketch"
 }
 
 // Merge folds other into b: counters add, row counts add — by linearity
@@ -495,7 +505,7 @@ type RelationStat struct {
 }
 
 // StatRelation reads the named relation's freshness stamp and row count
-// without materializing synopses — one drain-barrier sweep instead of a
+// without materializing synopses — one cut of (Seq, Rows) instead of a
 // full export, which is what makes a skip probe worth issuing.
 func (e *Engine) StatRelation(name string) (RelationStat, error) {
 	r, err := e.Get(name)
@@ -503,45 +513,20 @@ func (e *Engine) StatRelation(name string) (RelationStat, error) {
 		return RelationStat{}, err
 	}
 	epoch := e.Epoch()
-	seq, rows := r.statCut()
-	return RelationStat{Epoch: epoch, Seq: seq, Rows: rows}, nil
+	b, _ := r.ing.cut(false, 0)
+	return RelationStat{Epoch: epoch, Seq: b.Seq, Rows: b.Rows}, nil
 }
 
-// ExportRelation serializes the named relation's synopsis set as one
-// bundle blob for shipping to another node or a coordinator.
+// ExportRelation serializes one cut of the named relation (Relation.Cut)
+// as a bundle blob for shipping to another node or a coordinator. The
+// stamp and the synopses come from the same cut, so equal stamps from
+// one engine mean equal bytes.
 func (e *Engine) ExportRelation(name string) ([]byte, error) {
 	r, err := e.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return r.exportBundle(e.Epoch())
-}
-
-func (r *Relation) exportBundle(epoch uint64) ([]byte, error) {
-	// Seq is read before the synopses are snapshotted, so under
-	// concurrent ingest the stamp can only trail the data — a cache
-	// comparing stamps may refetch needlessly, never skip a change.
-	seq, _ := r.statCut()
-	b := RelationBundle{Sig: r.snapshotSig(), Epoch: epoch, Seq: seq}
-	b.Rows = b.Sig.Len()
-	if r.sketch != nil {
-		snap, err := r.sketch.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		b.Sketch = snap
-	}
-	if !r.schema.legacy() {
-		b.Chain = &ChainBundle{Schema: r.Schema()}
-		if sc := r.snapshotChain(); sc != nil {
-			b.Chain.Ends, b.Chain.Mids = sc.ends, sc.mids
-		}
-	}
-	if r.skims() {
-		b.HH = r.snapshotHH()
-		b.SkimHitters = r.schema.SkimHitters
-	}
-	return b.MarshalBinary()
+	return r.Cut().MarshalBinary()
 }
 
 // ImportRelation defines a NEW relation from a shipped bundle — with the
@@ -624,11 +609,11 @@ func (e *Engine) MergeRelation(name string, data []byte) error {
 // absorbBundle folds a decoded bundle into the relation's shard-0
 // synopses (linearity: equivalent to having streamed the source ops
 // through the shards). Shape, seed, or schema mismatches report
-// ErrIncompatible. The relation's write path is paused for the duration
-// (callers hold the engine mutex exclusively, which pause requires).
+// ErrIncompatible. The absorbers stay parked for the duration, so the
+// merge writes shard state with no absorber running.
 func (r *Relation) absorbBundle(b *RelationBundle) error {
-	r.ing.pause()
-	defer r.ing.resume()
+	release, _ := r.ing.park()
+	defer release()
 	// Schemas must agree in both directions, like sketch presence below:
 	// silently dropping a chain section (or absorbing a chainless bundle
 	// into a chain-tracking relation) would desynchronize the chain
@@ -677,14 +662,15 @@ func (r *Relation) absorbBundle(b *RelationBundle) error {
 	// Sketch presence must match in BOTH directions: silently dropping an
 	// incoming sketch would change the exporting node's σ bounds on
 	// re-export, surfacing as a confusing mismatch far from the cause.
-	if r.sketch != nil && b.Sketch == nil {
+	sk := r.shards[0].sketch
+	if sk != nil && b.Sketch == nil {
 		return fmt.Errorf("%w: bundle carries no self-join sketch but the engine tracks one", ErrIncompatible)
 	}
-	if r.sketch == nil && b.Sketch != nil {
+	if sk == nil && b.Sketch != nil {
 		return fmt.Errorf("%w: bundle carries a self-join sketch but the engine runs NoSketch", ErrIncompatible)
 	}
-	if r.sketch != nil {
-		if err := r.sketch.Absorb(b.Sketch); err != nil {
+	if sk != nil {
+		if err := sk.Merge(b.Sketch); err != nil {
 			return fmt.Errorf("%w: self-join sketch shape mismatch", ErrIncompatible)
 		}
 	}
@@ -721,111 +707,83 @@ func (r *Relation) absorbBundle(b *RelationBundle) error {
 	return nil
 }
 
-// EstimateChainBundles is the coordinator-side chain answer: the §5
-// three-way estimate from three (already merged) relation bundles, with
-// the same variance-envelope bounds Engine.EstimateChainJoin attaches.
-// All three bundles must carry chain sections from one chain family;
-// bf needs an A-side end signature on attrA, bg a middle signature on
-// (attrA, attrB), bh a B-side end signature on attrB.
+// EstimateChainBundles is the one chain answer: the §5 three-way
+// estimate from three relation cuts or (already merged) shipped bundles,
+// with the variance-envelope bounds computed from the chain signatures'
+// own self-join estimates. All three bundles must carry chain sections
+// from one chain family; bf needs an A-side end signature on attrA, bg a
+// middle signature on (attrA, attrB), bh a B-side end signature on
+// attrB.
 func EstimateChainBundles(bf *RelationBundle, attrA string, bg *RelationBundle, attrB string, bh *RelationBundle) (ChainJoinEstimate, error) {
-	var legs chainLegs
 	for _, b := range []*RelationBundle{bf, bg, bh} {
 		if b == nil || b.Chain == nil {
-			return ChainJoinEstimate{}, fmt.Errorf("%w: bundle carries no chain section", ErrIncompatible)
+			return ChainJoinEstimate{}, fmt.Errorf("engine: %w: bundle carries no chain section", ErrAttrNotTracked)
 		}
 	}
-	var err error
-	if legs.f, err = bf.Chain.End(attrA, 0); err != nil {
+	f, err := bf.Chain.End(attrA, 0)
+	if err != nil {
 		return ChainJoinEstimate{}, err
 	}
-	if legs.g, err = bg.Chain.Mid(attrA, attrB); err != nil {
+	g, err := bg.Chain.Mid(attrA, attrB)
+	if err != nil {
 		return ChainJoinEstimate{}, err
 	}
-	if legs.h, err = bh.Chain.End(attrB, 1); err != nil {
+	h, err := bh.Chain.End(attrB, 1)
+	if err != nil {
 		return ChainJoinEstimate{}, err
 	}
-	est, err := legs.estimate(legs.g.MemoryWords())
+	est, err := join.EstimateChainJoin(f, g, h)
 	if err != nil {
 		return ChainJoinEstimate{}, fmt.Errorf("%w: %v", ErrIncompatible, err)
 	}
-	return est, nil
+	sjF, sjG, sjH := f.SelfJoinEstimate(), g.SelfJoinEstimate(), h.SelfJoinEstimate()
+	k := g.MemoryWords()
+	return ChainJoinEstimate{
+		Estimate: est,
+		Sigma:    join.ChainErrorBound(sjF, sjG, sjH, k),
+		Upper:    join.ChainUpperBound(sjF, sjG, sjH),
+		SJF:      sjF, SJG: sjG, SJH: sjH,
+		K: k,
+	}, nil
 }
 
 // EstimateChainJoinRemote is EstimateChainJoin over partitioned data:
-// each leg's local snapshot is first merged with an optional shipped
-// bundle (remoteF/remoteG/remoteH, nil to skip) holding another node's
+// each leg's local cut is first merged with an optional shipped bundle
+// (remoteF/remoteG/remoteH, nil to skip) holding another node's
 // partition of the same relation — the one-shot cross-node chain answer,
-// without importing anything. Remote bundles must carry a chain section
-// with the local relation's exact schema and chain family
-// (ErrIncompatible otherwise).
+// without importing anything. Only the chain sections merge; remote
+// bundles must carry one with the local relation's exact schema and
+// chain family (ErrIncompatible otherwise).
 func (e *Engine) EstimateChainJoinRemote(f, attrA, g, attrB, h string, remoteF, remoteG, remoteH []byte) (ChainJoinEstimate, error) {
-	legs, err := e.chainLegSnapshots(f, attrA, g, attrB, h)
-	if err != nil {
-		return ChainJoinEstimate{}, err
-	}
-	mergeRemote := func(name string, data []byte, merge func(*ChainBundle) error) error {
-		if data == nil {
-			return nil
+	var legs [3]RelationBundle
+	for i, leg := range []struct {
+		name   string
+		remote []byte
+	}{{f, remoteF}, {g, remoteG}, {h, remoteH}} {
+		r, err := e.Get(leg.name)
+		if err != nil {
+			return ChainJoinEstimate{}, err
+		}
+		legs[i], _ = r.ing.cut(true, 0)
+		if leg.remote == nil || legs[i].Chain == nil {
+			// A chainless local relation cannot answer; the estimate
+			// below says so.
+			continue
 		}
 		var b RelationBundle
-		if err := b.UnmarshalBinary(data); err != nil {
-			return err
+		if err := b.UnmarshalBinary(leg.remote); err != nil {
+			return ChainJoinEstimate{}, err
 		}
-		if b.Chain == nil {
-			return fmt.Errorf("%w: remote bundle for %q carries no chain section", ErrIncompatible, name)
+		if err := legs[i].Chain.Merge(b.Chain); err != nil {
+			return ChainJoinEstimate{}, fmt.Errorf("remote bundle for %q: %w", leg.name, err)
 		}
-		r, err := e.Get(name)
-		if err != nil {
-			return err
-		}
-		if !r.schema.equal(b.Chain.Schema) {
-			return fmt.Errorf("%w: remote bundle schema differs from relation %q's", ErrIncompatible, name)
-		}
-		return merge(b.Chain)
 	}
-	if err := mergeRemote(f, remoteF, func(cb *ChainBundle) error {
-		remote, err := cb.End(attrA, 0)
-		if err != nil {
-			return err
-		}
-		if err := legs.f.Merge(remote); err != nil {
-			return fmt.Errorf("%w: %v", ErrIncompatible, err)
-		}
-		return nil
-	}); err != nil {
-		return ChainJoinEstimate{}, err
-	}
-	if err := mergeRemote(g, remoteG, func(cb *ChainBundle) error {
-		remote, err := cb.Mid(attrA, attrB)
-		if err != nil {
-			return err
-		}
-		if err := legs.g.Merge(remote); err != nil {
-			return fmt.Errorf("%w: %v", ErrIncompatible, err)
-		}
-		return nil
-	}); err != nil {
-		return ChainJoinEstimate{}, err
-	}
-	if err := mergeRemote(h, remoteH, func(cb *ChainBundle) error {
-		remote, err := cb.End(attrB, 1)
-		if err != nil {
-			return err
-		}
-		if err := legs.h.Merge(remote); err != nil {
-			return fmt.Errorf("%w: %v", ErrIncompatible, err)
-		}
-		return nil
-	}); err != nil {
-		return ChainJoinEstimate{}, err
-	}
-	return legs.estimate(e.opts.ChainWords)
+	return EstimateChainBundles(&legs[0], attrA, &legs[1], attrB, &legs[2])
 }
 
 // EstimateJoinBundle estimates the join size of a LOCAL relation against
-// a shipped bundle — the cross-node join answer — with the same Lemma 4.4
-// σ and Fact 1.1 bounds EstimateJoin attaches, the remote self-join
-// estimate coming from the bundle's own synopses.
+// a shipped bundle — the cross-node join answer — from one cut of the
+// local relation, answered by EstimateJoinBundles like every other join.
 func (e *Engine) EstimateJoinBundle(local string, data []byte) (JoinEstimate, error) {
 	var b RelationBundle
 	if err := b.UnmarshalBinary(data); err != nil {
@@ -835,27 +793,6 @@ func (e *Engine) EstimateJoinBundle(local string, data []byte) (JoinEstimate, er
 	if err != nil {
 		return JoinEstimate{}, err
 	}
-	sf := r.snapshotSig()
-	var est float64
-	estimator := "sketch"
-	if r.skims() && b.HH != nil {
-		// Both sides carry exact halves: answer with the skimmed join,
-		// like EstimateJoin does between two local skimmed relations.
-		est, err = join.SkimmedJoin(sf, b.Sig, r.snapshotHH().SkimFrequencies(), b.HH.SkimFrequencies())
-		estimator = "skimmed"
-	} else {
-		est, err = join.EstimateJoin(sf, b.Sig)
-	}
-	if err != nil {
-		return JoinEstimate{}, fmt.Errorf("%w: %v", ErrIncompatible, err)
-	}
-	sjF, sjG := r.selfJoinFrom(sf), b.SelfJoinEstimate()
-	return JoinEstimate{
-		Estimate:  est,
-		Sigma:     join.ErrorBound(sjF, sjG, e.opts.SignatureWords),
-		Fact11:    exact.JoinUpperBound(int64(sjF), int64(sjG)),
-		SJF:       sjF,
-		SJG:       sjG,
-		Estimator: estimator,
-	}, nil
+	cut, _ := r.ing.cut(true, 0)
+	return EstimateJoinBundles(&cut, &b)
 }

@@ -12,10 +12,11 @@
 // checkpoint still carries the relation.
 //
 // Checkpoints are PAUSE-FREE: the engine forks every log onto a
-// next-epoch file, then an epoch fence runs through the absorbers — each shard clones its synopses and flips onto the new
-// epoch ON its own absorber goroutine, so ingest never stops; ops
-// applied after a shard's flip are tagged with the new epoch and routed
-// to the forked log. Once the blob (the merge of the shard clones)
+// next-epoch file, then cuts each relation at an epoch fence — one park
+// of its absorbers that reads the shards and flips every shard onto the
+// new epoch before releasing them, so writers never wait beyond channel
+// backpressure; ops applied after the flip are tagged with the new epoch
+// and routed to the forked log. Once the blob (built from the cuts)
 // renames into place, the old-epoch segments are garbage and compaction
 // unlinks them. Crash ordering: rename commits first, unlinks follow, so
 // recovery sees either replayable segments or an already-covering
@@ -638,7 +639,7 @@ func Open(opts Options) (*Engine, error) {
 				return nil, fmt.Errorf("engine: relation %q: rebase: %w", name, err)
 			}
 		}
-		data, err := e.marshalLocked(newEpoch)
+		data, err := e.marshalCuts(newEpoch, e.cutAll())
 		if err != nil {
 			return nil, fmt.Errorf("engine: rebase checkpoint: %w", err)
 		}
@@ -729,11 +730,11 @@ func (r *Relation) applyRecovered(op stream.Op, cols *chainCols) {
 	} else {
 		s.sig.Insert(op.Value)
 	}
-	if r.sketch != nil {
+	if s.sketch != nil {
 		if del {
-			_ = r.sketch.Delete(op.Value)
+			_ = s.sketch.Delete(op.Value)
 		} else {
-			r.sketch.Insert(op.Value)
+			s.sketch.Insert(op.Value)
 		}
 	}
 	if s.hh != nil {
@@ -777,10 +778,10 @@ func (e *Engine) checkpointLocked() (int, error) {
 	return n, err
 }
 
-// checkpointFenced is the pause-free checkpoint. Ingest never stops: the
-// snapshot is cut shard-by-shard ON the absorbers behind an epoch fence,
-// and ops applied after a shard's flip are group-committed to a
-// pre-forked next-epoch log. The fence flip is the point of no return — a
+// checkpointFenced is the pause-free checkpoint. Ingest never stops: each
+// relation is cut at an epoch fence (ingester.cut with a flip), and ops
+// applied after the flip are group-committed to a pre-forked next-epoch
+// log. The fence flip is the point of no return — a
 // failure after it poisons the logs (the in-memory state and the on-disk
 // epochs no longer share a committed baseline; a restart recovers
 // cleanly via the multi-epoch replay in Open).
@@ -814,13 +815,13 @@ func (e *Engine) checkpointFenced() (int, error) {
 		}
 		return 0, perr
 	}
-	snaps := make(map[string]relSnap, len(names))
+	cuts := make(map[string]RelationBundle, len(names))
 	for _, n := range names {
-		snap, err := e.rels[n].ing.fence(newEpoch)
-		if err != nil {
-			return fail("snapshot", err)
+		c, live := e.rels[n].ing.cut(true, newEpoch)
+		if !live {
+			return fail("snapshot", errors.New("engine: ingest pipeline stopped during checkpoint fence"))
 		}
-		snaps[n] = snap
+		cuts[n] = c
 	}
 	var absorbed []string
 	for _, n := range names {
@@ -830,7 +831,7 @@ func (e *Engine) checkpointFenced() (int, error) {
 		}
 		absorbed = append(absorbed, paths...)
 	}
-	data, err := e.marshalSnaps(newEpoch, snaps)
+	data, err := e.marshalCuts(newEpoch, cuts)
 	if err != nil {
 		return fail("marshal", err)
 	}

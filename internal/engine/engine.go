@@ -6,14 +6,16 @@
 //   - a JOIN SIGNATURE (§4.3) for pairwise join-size estimates: the
 //     bucketed FastTWSignature by default (O(rows) per tuple however
 //     large k grows), or the paper's flat TWSignature when configured;
-//   - a FAST-AMS SELF-JOIN SKETCH (core.ShardedFastTugOfWar) whose
-//     estimate feeds the Lemma 4.4 σ and Fact 1.1 bounds attached to
-//     every join answer;
+//   - a FAST-AMS SELF-JOIN SKETCH (core.FastTugOfWar) whose estimate
+//     feeds the Lemma 4.4 σ and Fact 1.1 bounds attached to every join
+//     answer;
 //
 // behind per-relation sharded ingest: callers stage ops lock-free, and one
-// absorber goroutine per shard applies them to shard-local counter sets
+// absorber goroutine per shard applies them to shard-local synopses
 // (linearity makes the merged counters independent of the interleaving),
-// so concurrent loaders never contend on a lock (absorber.go).
+// so concurrent loaders never contend on a lock (absorber.go). Every read
+// is one consistent cut of a relation — a RelationBundle — and every join
+// answer comes from one function over two cuts (EstimateJoinBundles).
 //
 // Durability follows §5's warehouse recipe: every applied update is
 // group-committed to a per-relation operation log, Checkpoint()
@@ -288,7 +290,7 @@ type Engine struct {
 	opts    Options // normalized
 	flatFam *join.Family
 	fastFam *join.FastFamily
-	skCfg   core.Config // zero when NoSketch
+	skCfg   core.Config // the per-shard sketch shape; zero when NoSketch
 	// chainFam is the shared §5 chain family, built lazily by the first
 	// schema that declares a chain synopsis (constructing ChainWords hash
 	// functions per attribute side is not free, and most engines never
@@ -396,6 +398,14 @@ func (e *Engine) newSignature() join.Signature {
 	return e.flatFam.NewSignature()
 }
 
+// newSketch builds an empty self-join sketch of the configured shape
+// (normalize validated it, so construction cannot fail).
+func (e *Engine) newSketch() *core.FastTugOfWar {
+	sk, err := core.NewFastTugOfWar(e.skCfg)
+	must(err)
+	return sk
+}
+
 // Relation is one tracked relation: its synopsis set, sharded for
 // concurrent ingest, plus (in durable engines) its operation log.
 type Relation struct {
@@ -410,20 +420,22 @@ type Relation struct {
 
 	mask   uint64
 	shards []sigShard
-	sketch *core.ShardedFastTugOfWar // nil when NoSketch
 
 	log relLog // no-op in in-memory engines
 
 	// ing is the write path (staging slots, one absorber goroutine per
 	// shard, group-commit log writer). Shard state is owned by the
-	// absorbers: every other access goes through ing (drain barriers,
-	// visit callbacks, or a full pause).
+	// absorbers: every other access parks them first (ingester.park).
 	ing *ingester
 }
 
+// sigShard is one shard's synopsis set. Its absorber writes it; recovery
+// replay and bundle merges write it while the absorbers are idle or
+// parked.
 type sigShard struct {
-	sig   join.Signature
-	chain *shardChain // nil unless the schema declares chain synopses
+	sig    join.Signature
+	sketch *core.FastTugOfWar // nil when NoSketch
+	chain  *shardChain        // nil unless the schema declares chain synopses
 	// hh is the shard's slice of the relation's heavy-hitter table, nil
 	// unless the schema sets SkimHitters. Shards key by shardOf(value),
 	// so the per-shard tables track DISJOINT value sets and the
@@ -435,12 +447,12 @@ type sigShard struct {
 	// ops counts the mutation ops this shard has applied (a batch of n
 	// rows counts n). The per-relation sum is the relation's Seq — its
 	// logical version. Written by the shard's absorber, the recovery
-	// thread during replay, or under a pause during bundle absorption.
+	// thread during replay, or under a park during bundle absorption.
 	// Deterministic by construction: equal op sequences give equal sums,
 	// checkpoints persist it, and replay re-derives the tail — so
 	// recovery reconstructs it bit-exactly along with the synopses.
 	ops uint64
-	_   [24]byte // pad to a cache line: absorbers write adjacent shards' ops
+	_   [16]byte // pad to a cache line: absorbers write adjacent shards' ops
 }
 
 // newRelation builds the in-memory half of a relation. schema must
@@ -464,6 +476,9 @@ func (e *Engine) newRelation(name string, schema Schema) (*Relation, error) {
 	}
 	for i := range r.shards {
 		r.shards[i].sig = e.newSignature()
+		if !e.opts.NoSketch {
+			r.shards[i].sketch = e.newSketch()
+		}
 		if chainFam != nil {
 			sc, err := newShardChain(chainFam, &r.plan)
 			if err != nil {
@@ -478,13 +493,6 @@ func (e *Engine) newRelation(name string, schema Schema) (*Relation, error) {
 			}
 			r.shards[i].hh = hh
 		}
-	}
-	if !e.opts.NoSketch {
-		sk, err := core.NewShardedFastTugOfWar(e.skCfg, e.opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		r.sketch = sk
 	}
 	r.ing = newIngester(r)
 	r.log.onRoll = e.noteSegmentRoll
@@ -659,17 +667,6 @@ func (r *Relation) newRelHH() *core.SpaceSaving {
 	return hh
 }
 
-// snapshotHH unions the per-shard heavy-hitter tables into one
-// relation-level table (exact: the shards track disjoint value sets),
-// behind a drain + on-absorber clone barrier. Returns nil when the
-// relation does not skim.
-func (r *Relation) snapshotHH() *core.SpaceSaving {
-	if !r.skims() {
-		return nil
-	}
-	return r.ing.snapshotHH()
-}
-
 // Insert adds a tuple with the given joining-attribute value. The op is
 // staged and applied asynchronously by the shard's absorber; in durable
 // engines the absorber's log writer group-commits it. Log write errors
@@ -794,16 +791,20 @@ func (r *Relation) Err() error { return r.log.err() }
 
 // Len returns the relation's current tuple count (draining staged ops
 // first).
-func (r *Relation) Len() int64 { return r.ing.len(false) }
+func (r *Relation) Len() int64 {
+	b, _ := r.ing.cut(false, 0)
+	return b.Rows
+}
 
 // DrainLen is Drain and Len in ONE pipeline sweep: everything staged
 // before the call is applied and handed to the OS-owned log buffer, the
 // returned count includes it, and the sticky error (if any) comes back
 // with it. Serving layers answering an ingest request want exactly this
-// pair; calling Drain then Len would pay the staging sweep and shard
-// barrier twice.
+// pair.
 func (r *Relation) DrainLen() (int64, error) {
-	return r.ing.len(true), r.Err()
+	b, _ := r.ing.cut(false, 0)
+	r.ing.logBarrier()
+	return b.Rows, r.Err()
 }
 
 // Seq returns the relation's logical version: the number of mutation
@@ -817,93 +818,105 @@ func (r *Relation) DrainLen() (int64, error) {
 // coordinator's bundle cache keys on. Staged ops are drained first
 // (read-your-writes).
 func (r *Relation) Seq() uint64 {
-	seq, _ := r.statCut()
-	return seq
+	b, _ := r.ing.cut(false, 0)
+	return b.Seq
 }
 
-// statCut reads (Seq, Len) behind one drain + on-absorber barrier — the
-// pair a stat endpoint wants without paying two barriers.
-func (r *Relation) statCut() (seq uint64, rows int64) { return r.ing.stat() }
-
-// snapshotSig merges the shard signatures into one. It first drains
-// staged ops — reads see the caller's own writes — and collects
-// per-shard copies via the absorbers themselves, preserving
-// single-writer discipline.
-func (r *Relation) snapshotSig() join.Signature { return r.ing.snapshotSig() }
-
-// snapshotChain merges the shard chain sets into one behind the same
-// drain + on-absorber clone barrier as snapshotSig. Returns nil when the
-// schema declares no chain synopses.
-func (r *Relation) snapshotChain() *shardChain { return r.ing.snapshotChain() }
+// Cut reads the relation as one consistent cut: every synopsis, Rows and
+// Seq taken at a single barrier after draining staged ops, so they all
+// describe the same op prefix (Epoch is the engine's log generation,
+// read first, as StatRelation does). ExportRelation serializes exactly
+// this bundle.
+func (r *Relation) Cut() *RelationBundle {
+	epoch := r.eng.Epoch()
+	b, _ := r.ing.cut(true, 0)
+	b.Epoch = epoch
+	return &b
+}
 
 // newEmptyChain builds an empty chain set of the relation's layout. The
 // relation's shards already hold chain sets, so the family exists.
 func (r *Relation) newEmptyChain() *shardChain {
 	sc, err := newShardChain(r.eng.chainFam, &r.plan)
-	if err != nil {
-		// The same plan built the live shards; failure here is an engine
-		// invariant violation.
-		panic(fmt.Sprintf("engine: chain snapshot: %v", err))
-	}
+	must(err)
 	return sc
 }
 
-// SelfJoinEstimate returns the relation's estimated self-join size, from
-// the dedicated Fast-AMS sketch when configured, else from the join
-// signature's own counters (§4.4's connection between the two halves of
-// the paper). Staged ops are drained first, so the estimate covers the
-// caller's own writes.
+// SelfJoinEstimate returns the relation's estimated self-join size (see
+// SelfJoinEstimateDetail).
 func (r *Relation) SelfJoinEstimate() float64 {
 	est, _ := r.SelfJoinEstimateDetail()
 	return est
 }
 
-// SelfJoinEstimateDetail returns the self-join estimate together with
-// the name of the estimator that answered: "skimmed" (exact heavy
-// hitters + sketched tail, DESIGN.md §13) for skimming relations with a
-// sketch, "sketch" for the dedicated Fast-AMS sketch, "signature" for
-// the join signature's own counters.
+// SelfJoinEstimateDetail returns the self-join estimate of one cut
+// together with the name of the estimator that answered (see
+// RelationBundle.SelfJoinEstimateDetail). Staged ops are drained first,
+// so the estimate covers the caller's own writes.
 func (r *Relation) SelfJoinEstimateDetail() (float64, string) {
-	r.ing.drain()
-	if r.sketch == nil {
-		return r.snapshotSig().SelfJoinEstimate(), "signature"
-	}
-	if r.skims() {
-		sk, err := r.sketch.Snapshot()
-		if err == nil {
-			return core.SkimmedEstimate(sk, r.snapshotHH()), "skimmed"
-		}
-		// Snapshot failure is a family invariant violation; fall through
-		// to the plain sketch estimate rather than answer nothing.
-	}
-	return r.sketch.Estimate(), "sketch"
+	b, _ := r.ing.cut(true, 0)
+	return b.SelfJoinEstimateDetail()
 }
 
 // Signature returns a point-in-time copy of the relation's join
 // signature (for export, multi-node exchange, or direct estimation).
-func (r *Relation) Signature() join.Signature { return r.snapshotSig() }
+func (r *Relation) Signature() join.Signature {
+	b, _ := r.ing.cut(true, 0)
+	return b.Sig
+}
 
 // JoinEstimate is the planner-facing answer for one pair of relations.
 type JoinEstimate struct {
 	Estimate float64 // unbiased signature estimate of |F ⋈ G|
-	Sigma    float64 // Lemma 4.4 one-standard-deviation bound (from SJ estimates)
+	Sigma    float64 // Lemma 4.4 one-standard-deviation bound (from SJF, SJG)
 	Fact11   float64 // Fact 1.1 upper bound (SJ(F)+SJ(G))/2, from estimates
-	SJF, SJG float64 // the self-join estimates used for the bounds
+	// SJF and SJG are each side's own self-join answer — the one
+	// SelfJoinEstimateDetail gives for that relation alone, skimmed for a
+	// skimming relation whatever the other side does.
+	SJF, SJG float64
 	// Estimator names the estimator that produced Estimate: "skimmed"
-	// (both relations skim: exact hitter×hitter + sketched cross/tail,
-	// DESIGN.md §13) or "sketch" (the plain signature estimate). Sigma
-	// always carries the plain Lemma 4.4 bound — for skimmed answers it
-	// is conservative, since the skimmed variance is driven by the
-	// residual self-joins rather than the full ones.
+	// (both sides carry heavy-hitter tables: exact hitter×hitter +
+	// sketched cross/tail, DESIGN.md §13) or "sketch" (the plain
+	// signature estimate). Sigma is the plain Lemma 4.4 bound either way
+	// — for skimmed answers it is conservative, since the skimmed
+	// variance is driven by the residual self-joins rather than the full
+	// ones.
 	Estimator string
 }
 
+// EstimateJoinBundles is the one join answer: every node-local,
+// cross-node and coordinator join estimate comes from two cuts through
+// here. It answers with the skimmed decomposition when both bundles
+// carry heavy-hitter tables (the decomposition needs both) and with the
+// plain signature estimate otherwise. σ = √(2·SJF·SJG/k) is Lemma 4.4's
+// bound, which both schemes carry at equal memory k.
+func EstimateJoinBundles(bf, bg *RelationBundle) (JoinEstimate, error) {
+	var est float64
+	var err error
+	estimator := "sketch"
+	if bf.HH != nil && bg.HH != nil {
+		est, err = join.SkimmedJoin(bf.Sig, bg.Sig, bf.HH.SkimFrequencies(), bg.HH.SkimFrequencies())
+		estimator = "skimmed"
+	} else {
+		est, err = join.EstimateJoin(bf.Sig, bg.Sig)
+	}
+	if err != nil {
+		return JoinEstimate{}, fmt.Errorf("%w: %v", ErrIncompatible, err)
+	}
+	sjF, sjG := bf.SelfJoinEstimate(), bg.SelfJoinEstimate()
+	return JoinEstimate{
+		Estimate:  est,
+		Sigma:     join.ErrorBound(sjF, sjG, bf.Sig.MemoryWords()),
+		Fact11:    exact.JoinUpperBound(int64(sjF), int64(sjG)),
+		SJF:       sjF,
+		SJG:       sjG,
+		Estimator: estimator,
+	}, nil
+}
+
 // EstimateJoin estimates the join size of two defined relations, with the
-// paper's error bounds attached. Both schemes carry the same Lemma 4.4
-// variance bound at equal memory, so σ = √(2·SJ(F)·SJ(G)/k) either way.
-// When BOTH relations skim, the estimate is the skimmed decomposition
-// and the answer says so in Estimator; if only one skims, the plain
-// estimate answers (the decomposition needs both hitter tables).
+// paper's error bounds attached: one cut per relation, answered by
+// EstimateJoinBundles.
 func (e *Engine) EstimateJoin(f, g string) (JoinEstimate, error) {
 	rf, err := e.Get(f)
 	if err != nil {
@@ -913,35 +926,9 @@ func (e *Engine) EstimateJoin(f, g string) (JoinEstimate, error) {
 	if err != nil {
 		return JoinEstimate{}, err
 	}
-	sf, sg := rf.snapshotSig(), rg.snapshotSig()
-	est, estimator := 0.0, "sketch"
-	if rf.skims() && rg.skims() {
-		est, err = join.SkimmedJoin(sf, sg, rf.snapshotHH().SkimFrequencies(), rg.snapshotHH().SkimFrequencies())
-		estimator = "skimmed"
-	} else {
-		est, err = join.EstimateJoin(sf, sg)
-	}
-	if err != nil {
-		return JoinEstimate{}, err
-	}
-	sjF, sjG := rf.selfJoinFrom(sf), rg.selfJoinFrom(sg)
-	return JoinEstimate{
-		Estimate:  est,
-		Sigma:     join.ErrorBound(sjF, sjG, e.opts.SignatureWords),
-		Fact11:    exact.JoinUpperBound(int64(sjF), int64(sjG)),
-		SJF:       sjF,
-		SJG:       sjG,
-		Estimator: estimator,
-	}, nil
-}
-
-// selfJoinFrom estimates SJ(R) preferring the dedicated sketch, falling
-// back to an already-taken signature snapshot.
-func (r *Relation) selfJoinFrom(sig join.Signature) float64 {
-	if r.sketch != nil {
-		return r.sketch.Estimate()
-	}
-	return sig.SelfJoinEstimate()
+	bf, _ := rf.ing.cut(true, 0)
+	bg, _ := rg.ing.cut(true, 0)
+	return EstimateJoinBundles(&bf, &bg)
 }
 
 // ChainJoinEstimate is the planner-facing answer for a three-way chain
@@ -956,95 +943,16 @@ type ChainJoinEstimate struct {
 	K             int // chain signature words
 }
 
-// chainLegs bundles the three snapshot signatures of one chain query.
-type chainLegs struct {
-	f, h *join.ChainEndSignature
-	g    *join.ChainMiddleSignature
-}
-
-// estimate computes the chain answer with bounds from the legs.
-func (l chainLegs) estimate(k int) (ChainJoinEstimate, error) {
-	est, err := join.EstimateChainJoin(l.f, l.g, l.h)
-	if err != nil {
-		return ChainJoinEstimate{}, err
-	}
-	sjF, sjG, sjH := l.f.SelfJoinEstimate(), l.g.SelfJoinEstimate(), l.h.SelfJoinEstimate()
-	return ChainJoinEstimate{
-		Estimate: est,
-		Sigma:    join.ChainErrorBound(sjF, sjG, sjH, k),
-		Upper:    join.ChainUpperBound(sjF, sjG, sjH),
-		SJF:      sjF, SJG: sjG, SJH: sjH,
-		K: k,
-	}, nil
-}
-
-// chainEndSnapshot pulls the (attr, side) end signature out of a
-// relation's chain snapshot.
-func (r *Relation) chainEndSnapshot(attr string, side int) (*join.ChainEndSignature, error) {
-	i, ok := r.schema.endIndex(attr, side)
-	if !ok {
-		sideName := "A"
-		if side == 1 {
-			sideName = "B"
-		}
-		return nil, fmt.Errorf("engine: %w: relation %q has no %s-side chain end signature on %q",
-			ErrAttrNotTracked, r.name, sideName, attr)
-	}
-	return r.snapshotChain().ends[i], nil
-}
-
-// chainMidSnapshot pulls the (attrA, attrB) middle signature out of a
-// relation's chain snapshot.
-func (r *Relation) chainMidSnapshot(attrA, attrB string) (*join.ChainMiddleSignature, error) {
-	i, ok := r.schema.midIndex(attrA, attrB)
-	if !ok {
-		return nil, fmt.Errorf("engine: %w: relation %q has no chain middle signature on (%q, %q)",
-			ErrAttrNotTracked, r.name, attrA, attrB)
-	}
-	return r.snapshotChain().mids[i], nil
-}
-
 // EstimateChainJoin estimates the three-way chain join size
 // |f ⋈attrA g ⋈attrB h|: f must declare an A-side chain end signature on
 // attrA, g a middle signature on (attrA, attrB), and h a B-side end
 // signature on attrB. The answer carries the §5 variance-envelope σ and
 // the Cauchy–Schwarz upper bound, both computed from the chain
 // signatures' own self-join estimates — so a coordinator that merges
-// shipped signatures reproduces them bit for bit.
+// shipped signatures reproduces them bit for bit (EstimateChainBundles
+// answers both).
 func (e *Engine) EstimateChainJoin(f, attrA, g, attrB, h string) (ChainJoinEstimate, error) {
-	legs, err := e.chainLegSnapshots(f, attrA, g, attrB, h)
-	if err != nil {
-		return ChainJoinEstimate{}, err
-	}
-	return legs.estimate(e.opts.ChainWords)
-}
-
-// chainLegSnapshots resolves and snapshots the three legs of a chain
-// query against local relations.
-func (e *Engine) chainLegSnapshots(f, attrA, g, attrB, h string) (chainLegs, error) {
-	rf, err := e.Get(f)
-	if err != nil {
-		return chainLegs{}, err
-	}
-	rg, err := e.Get(g)
-	if err != nil {
-		return chainLegs{}, err
-	}
-	rh, err := e.Get(h)
-	if err != nil {
-		return chainLegs{}, err
-	}
-	var legs chainLegs
-	if legs.f, err = rf.chainEndSnapshot(attrA, 0); err != nil {
-		return chainLegs{}, err
-	}
-	if legs.g, err = rg.chainMidSnapshot(attrA, attrB); err != nil {
-		return chainLegs{}, err
-	}
-	if legs.h, err = rh.chainEndSnapshot(attrB, 1); err != nil {
-		return chainLegs{}, err
-	}
-	return legs, nil
+	return e.EstimateChainJoinRemote(f, attrA, g, attrB, h, nil, nil, nil)
 }
 
 // PairEstimate is one entry of the planning-time all-pairs matrix.
@@ -1054,13 +962,21 @@ type PairEstimate struct {
 }
 
 // AllPairs returns estimates for all unordered pairs, in lexicographic
-// order.
+// order, from one cut per relation.
 func (e *Engine) AllPairs() ([]PairEstimate, error) {
 	names := e.Names()
+	cuts := make([]RelationBundle, len(names))
+	for i, n := range names {
+		r, err := e.Get(n)
+		if err != nil {
+			return nil, err
+		}
+		cuts[i], _ = r.ing.cut(true, 0)
+	}
 	var out []PairEstimate
-	for i := 0; i < len(names); i++ {
+	for i := range names {
 		for j := i + 1; j < len(names); j++ {
-			je, err := e.EstimateJoin(names[i], names[j])
+			je, err := EstimateJoinBundles(&cuts[i], &cuts[j])
 			if err != nil {
 				return nil, err
 			}
@@ -1070,13 +986,13 @@ func (e *Engine) AllPairs() ([]PairEstimate, error) {
 	return out, nil
 }
 
-// MarshalBinary serializes the engine — configuration plus every
-// relation's merged synopses — as one blob in the shared framing. It is
-// the checkpoint format.
+// MarshalBinary serializes the engine — configuration plus one cut of
+// every relation — as one blob in the shared framing. It is the
+// checkpoint format.
 func (e *Engine) MarshalBinary() ([]byte, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.marshalLocked(e.epoch)
+	return e.marshalCuts(e.epoch, e.cutAll())
 }
 
 // engineFlags payload bits.
@@ -1108,38 +1024,25 @@ func (e *Engine) writeVersion() uint8 {
 	return engineBlobVersion
 }
 
-// marshalLocked serializes under the engine lock, each relation's
-// synopses read through the drain-barrier snapshots.
-func (e *Engine) marshalLocked(epoch uint64) ([]byte, error) {
-	version := e.writeVersion()
-	b, names := e.marshalHeader(version, epoch)
-	for _, n := range names {
-		r := e.rels[n]
-		sig, chain, hh := r.snapshotSig(), r.snapshotChain(), r.snapshotHH()
-		seq, _ := r.statCut()
-		var sk *core.FastTugOfWar
-		if r.sketch != nil {
-			var err error
-			if sk, err = r.sketch.Snapshot(); err != nil {
-				return nil, err
-			}
-		}
-		if err := buildRelationBlob(b, version, n, r, sig, sk, hh, chain, seq); err != nil {
-			return nil, err
-		}
+// cutAll takes one cut of every relation. Caller holds e.mu (any mode)
+// or, during recovery, owns the unpublished engine.
+func (e *Engine) cutAll() map[string]RelationBundle {
+	cuts := make(map[string]RelationBundle, len(e.rels))
+	for n, r := range e.rels {
+		cuts[n], _ = r.ing.cut(true, 0)
 	}
-	return b.Seal(), nil
+	return cuts
 }
 
-// marshalSnaps serializes the engine from fence-cut snapshots (one per
-// relation, cut by the pause-free checkpoint): the live shard state is
-// never touched, so ingest keeps mutating it while the blob is built.
-func (e *Engine) marshalSnaps(epoch uint64, snaps map[string]relSnap) ([]byte, error) {
+// marshalCuts serializes the engine from one cut per relation: the live
+// shard state is never touched, so ingest keeps mutating it while the
+// blob is built. Caller holds e.mu (any mode).
+func (e *Engine) marshalCuts(epoch uint64, cuts map[string]RelationBundle) ([]byte, error) {
 	version := e.writeVersion()
 	b, names := e.marshalHeader(version, epoch)
 	for _, n := range names {
-		snap := snaps[n]
-		if err := buildRelationBlob(b, version, n, e.rels[n], snap.sig, snap.sketch, snap.hh, snap.chain, snap.seq); err != nil {
+		c := cuts[n]
+		if err := buildRelationBlob(b, version, n, e.rels[n].schema, &c); err != nil {
 			return nil, err
 		}
 	}
@@ -1173,48 +1076,49 @@ func (e *Engine) marshalHeader(version uint8, epoch uint64) (*blob.Builder, []st
 	return b, names
 }
 
-// buildRelationBlob appends one relation's checkpoint section from
-// already-materialized synopsis snapshots. seq is the op-sequence
-// counter at the same cut as the snapshots (exact for checkpoints: the
-// fence visit captures it with the synopses; MarshalBinary's separate
-// barriers are exact whenever ingest is idle, as during recovery).
-func buildRelationBlob(b *blob.Builder, version uint8, name string, r *Relation, sig join.Signature, sk *core.FastTugOfWar, hh *core.SpaceSaving, chain *shardChain, seq uint64) error {
-	sigBlob, err := sig.MarshalBinary()
+// buildRelationBlob appends one relation's checkpoint section from one
+// cut of it, whose Seq rides the same cut as its synopses.
+func buildRelationBlob(b *blob.Builder, version uint8, name string, schema Schema, c *RelationBundle) error {
+	sigBlob, err := c.Sig.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	b.String(name)
 	b.Bytes(sigBlob)
-	if sk == nil {
+	if c.Sketch == nil {
 		b.U32(0)
 	} else {
-		skBlob, err := sk.MarshalBinary()
+		skBlob, err := c.Sketch.MarshalBinary()
 		if err != nil {
 			return err
 		}
 		b.U32(1)
 		b.Bytes(skBlob)
 	}
-	buildSchema(b, r.schema)
+	buildSchema(b, schema)
 	if version >= engineBlobVersionSkim {
 		// The skim section sits between schema and chain so decoding
 		// knows the full relation shape before building it.
-		if hh == nil {
+		if c.HH == nil {
 			b.U32(0)
 		} else {
-			hhBlob, err := hh.MarshalBinary()
+			hhBlob, err := c.HH.MarshalBinary()
 			if err != nil {
 				return err
 			}
 			b.U32(1)
-			b.U64(uint64(r.schema.SkimHitters))
+			b.U64(uint64(schema.SkimHitters))
 			b.Bytes(hhBlob)
 		}
+	}
+	var chain *shardChain
+	if c.Chain != nil {
+		chain = &shardChain{ends: c.Chain.Ends, mids: c.Chain.Mids}
 	}
 	if err := buildChain(b, chain); err != nil {
 		return err
 	}
-	b.U64(seq)
+	b.U64(c.Seq)
 	return nil
 }
 
@@ -1394,18 +1298,18 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 		if err := r.loadSignature(sigBlob); err != nil {
 			return nil, fmt.Errorf("engine: relation %q: %w", name, err)
 		}
-		if hasSketch == 1 {
-			if r.sketch == nil {
+		if sk := r.shards[0].sketch; hasSketch == 1 {
+			if sk == nil {
 				return nil, fmt.Errorf("engine: relation %q carries a sketch but the engine disables it", name)
 			}
 			var tw core.FastTugOfWar
 			if err := tw.UnmarshalBinary(skBlob); err != nil {
 				return nil, fmt.Errorf("engine: relation %q: %w", name, err)
 			}
-			if err := r.sketch.Absorb(&tw); err != nil {
+			if err := sk.Merge(&tw); err != nil {
 				return nil, fmt.Errorf("engine: relation %q: sketch family mismatch", name)
 			}
-		} else if r.sketch != nil {
+		} else if sk != nil {
 			return nil, fmt.Errorf("engine: relation %q misses the configured sketch", name)
 		}
 		if err := r.loadChain(endBlobs, midBlobs); err != nil {
@@ -1432,7 +1336,7 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 
 // loadSignature decodes a signature blob of the engine's scheme and
 // merges it into shard 0 (linearity: equivalent to having streamed the
-// pre-checkpoint ops through the shards).
+// pre-checkpoint ops through the shards). The sketch loads the same way.
 func (r *Relation) loadSignature(data []byte) error {
 	var loaded join.Signature
 	if r.eng.fastFam != nil {
@@ -1479,7 +1383,7 @@ func (r *Relation) loadHH(data []byte) error {
 // scatterHH folds a relation-level hitter table into the per-shard
 // tables, splitting by the same value hash shardOf routes with. The
 // caller must hold the shards quiet (recovery is single-threaded;
-// absorbBundle pauses the write path).
+// absorbBundle parks the absorbers).
 func (r *Relation) scatterHH(hh *core.SpaceSaving) {
 	groups := make([][]core.Hitter, len(r.shards))
 	for _, h := range hh.Items() {

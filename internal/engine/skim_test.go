@@ -82,7 +82,7 @@ func TestSkimKillRecoverBitIdentical(t *testing.T) {
 		}
 		skimChurn(t, r, 22, 2500, live)
 		skimChurn(t, mr, 22, 2500, mlive)
-		want, err := r.snapshotHH().MarshalBinary()
+		want, err := r.Cut().HH.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestSkimKillRecoverBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rb.snapshotHH().MarshalBinary()
+		got, err := rb.Cut().HH.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
