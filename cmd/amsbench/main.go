@@ -14,11 +14,8 @@
 //	amsbench -experiment deletions         # tracking accuracy under deletions
 //	amsbench -experiment fastacc           # Fast-AMS vs flat tug-of-war accuracy
 //	amsbench -experiment fastjoin          # fast vs flat join signature speed+accuracy
-//	amsbench -experiment engineingest      # engine ingest cost vs the bare synopses
-//	amsbench -experiment ckpttail          # ingest tail latency, checkpointer off vs on
 //	amsbench -experiment wireingest        # HTTP JSON vs amswire streaming ingest
 //	amsbench -experiment coordserve        # coordinator: per-query pull vs cached daemon
-//	amsbench -experiment routedingest      # partitioned fleet: direct vs routed amswire ingest
 //	amsbench -experiment skimacc           # skimmed (exact-HH + tail sketch) vs plain sketch accuracy
 //	amsbench -experiment all               # everything above
 //
@@ -26,10 +23,9 @@
 // file per experiment into DIR. -seed fixes the data-set seed (default 1),
 // making every figure exactly reproducible. -json additionally writes
 // machine-readable results for experiments that support it (fastjoin →
-// BENCH_fastjoin.json, engineingest → BENCH_engine.json, ckpttail →
-// BENCH_ckpt.json, wireingest → BENCH_wire.json, coordserve →
-// BENCH_coord.json, routedingest → BENCH_router.json, skimacc →
-// BENCH_skim.json), so CI can track the perf trajectory.
+// BENCH_fastjoin.json, wireingest → BENCH_wire.json, coordserve →
+// BENCH_coord.json, skimacc → BENCH_skim.json), so CI can track the perf
+// trajectory.
 package main
 
 import (
@@ -47,7 +43,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run (table1, fig2..fig15, figures, convergence, sec44, lemma23, thm43, joinacc, chainacc, deletions, fastacc, fastjoin, engineingest, ckpttail, wireingest, coordserve, routedingest, skimacc, all)")
+		experiment = flag.String("experiment", "all", "which experiment to run (table1, fig2..fig15, figures, convergence, sec44, lemma23, thm43, joinacc, chainacc, deletions, fastacc, fastjoin, wireingest, coordserve, skimacc, all)")
 		seed       = flag.Uint64("seed", 1, "data set seed")
 		csvDir     = flag.String("csv", "", "directory to additionally write CSV files into")
 		trials     = flag.Int("trials", 5, "trials per cell for the join accuracy study")
@@ -227,50 +223,6 @@ func run(experiment string, seed uint64, csvDir string, trials int, jsonOut bool
 			}
 			return nil
 
-		case name == "engineingest":
-			r, err := experiments.RunEngineIngest(1024, 0, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit("engineingest", "Engine ingest: core synopses vs absorber path (k=1024, defaults)", r.Table()); err != nil {
-				return err
-			}
-			fmt.Printf("single-writer ingest: core synopses %.1f ns/op, durable absorber %.1f ns/op → %.2fx engine overhead\n\n",
-				r.CoreNsPerOp, r.AbsorberNsPerOp, r.AbsorberNsPerOp/r.CoreNsPerOp)
-			if jsonOut {
-				data, err := r.JSON()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile("BENCH_engine.json", data, 0o644); err != nil {
-					return err
-				}
-				fmt.Println("wrote BENCH_engine.json")
-			}
-			return nil
-
-		case name == "ckpttail":
-			r, err := experiments.RunCkptTail(1024, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit("ckpttail", "Ingest tail latency under always-on durability (k=1024, absorber)", r.Table()); err != nil {
-				return err
-			}
-			fmt.Printf("p99 insert latency: checkpointer off %.0f ns, on %.0f ns → ratio %.2f (%d checkpoints)\n\n",
-				r.OffP99Ns, r.OnP99Ns, r.Ratio, r.Checkpoints)
-			if jsonOut {
-				data, err := r.JSON()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile("BENCH_ckpt.json", data, 0o644); err != nil {
-					return err
-				}
-				fmt.Println("wrote BENCH_ckpt.json")
-			}
-			return nil
-
 		case name == "wireingest":
 			// k=64, no sketch: a transport benchmark wants the lightest
 			// engine shape, so the measured contrast is the request cycle
@@ -321,32 +273,6 @@ func run(experiment string, seed uint64, csvDir string, trials int, jsonOut bool
 			}
 			return nil
 
-		case name == "routedingest":
-			// Partitioned ingest fleet: the same 4-client amswire stream
-			// direct into one node vs through the consistent-hash router
-			// (3 nodes), with ring-conservation and drain/rebalance audits
-			// built into the routed run.
-			r, err := experiments.RunRoutedIngest(64, seed)
-			if err != nil {
-				return err
-			}
-			if err := emit("routedingest", "Partitioned ingest: direct vs consistent-hash routed amswire (k=64, no sketch, 3 nodes)", r.Table()); err != nil {
-				return err
-			}
-			fmt.Printf("%d-client uniform ingest: direct %.1f ns/row, routed %.1f ns/row → %.2fx overhead; %d rows conserved through drain\n\n",
-				4, r.DirectNsPerRow, r.RoutedNsPerRow, r.Overhead, r.RowsRouted)
-			if jsonOut {
-				data, err := r.JSON()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile("BENCH_router.json", data, 0o644); err != nil {
-					return err
-				}
-				fmt.Println("wrote BENCH_router.json")
-			}
-			return nil
-
 		case name == "skimacc":
 			// Equal-memory skew robustness: 3072-word budget, the skimmed
 			// scheme spending 288 of them (96 slots x 3 words) on the exact
@@ -387,7 +313,7 @@ func run(experiment string, seed uint64, csvDir string, trials int, jsonOut bool
 	}
 
 	if experiment == "all" {
-		for _, name := range []string{"table1", "figures", "fig15", "convergence", "sec44", "lemma23", "thm43", "joinacc", "chainacc", "deletions", "fastacc", "fastjoin", "engineingest", "ckpttail", "wireingest", "coordserve", "routedingest", "skimacc"} {
+		for _, name := range []string{"table1", "figures", "fig15", "convergence", "sec44", "lemma23", "thm43", "joinacc", "chainacc", "deletions", "fastacc", "fastjoin", "wireingest", "coordserve", "skimacc"} {
 			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

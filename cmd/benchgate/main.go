@@ -1,20 +1,29 @@
-// Command benchgate is the perf-trajectory regression gate: it compares
-// a freshly measured benchmark JSON (amsbench ... -json) against the
-// committed baseline and fails — exit 1 — when the gated hot-path cost
-// regressed beyond the tolerance. CI runs it after each experiment, so a
-// PR that slows a gated hot path by more than the tolerance cannot merge
-// silently. Seven gated experiments:
+// Command benchgate is CI's perf gate. It has two modes.
+//
+// The paired mode (-parent DIR -change DIR) is the project's acceptance
+// rule for performance: the end-to-end benchmark that BENCHMARK.json
+// declares (bench/run.sh, amsload), run in both checkouts. For each of
+// a fixed number of pairs and each workload it runs
+//
+//	bash DIR/bench/run.sh --workload W --seed i --seconds <run_seconds> --trace 0
+//
+// in both trees, alternating which side runs first, and fails on a
+// non-zero exit, on "correct": false, on a larger share of failed
+// operations at the change, or when any end-to-end metric's change
+// median is worse than the parent median by more than the metric's
+// bound in BENCHMARK.json. It prints both medians, the parent's
+// quartiles, the change in percent and how many pairs the change won.
+// When bench/ or BENCHMARK.json differ between the trees the change is a
+// benchmark change: the old and new programs share no baseline, so the
+// gate says so and compares nothing.
+//
+// The baseline mode (-bench FILE -baseline FILE) compares a freshly
+// measured in-process experiment (amsbench ... -json) against its
+// committed baseline and fails when the gated ratio regressed beyond the
+// tolerance. It covers what amsload does not measure:
 //
 //   - fastjoin (BENCH_fastjoin.json): the fast join signature's streamed
 //     update cost, normalized as fast_ns_per_update ÷ flat_ns_per_update;
-//   - engineingest (BENCH_engine.json): the engine's durable
-//     single-writer ingest path, normalized as absorber_ns_per_op ÷
-//     core_ns_per_op — the core rung is a bare join signature plus
-//     Fast-AMS sketch of the engine's shapes fed the same stream on one
-//     goroutine, so the ratio prices what the engine adds;
-//   - ckpttail (BENCH_ckpt.json): p99 ingest latency with the background
-//     checkpointer ON, normalized as on_p99_ns ÷ off_p99_ns — the
-//     pause-free-checkpoint guarantee (acceptance: within 2x);
 //   - wireingest (BENCH_wire.json): end-to-end streaming ingest over
 //     amswire, normalized as wire_ns_per_row ÷ http_ns_per_row at 4
 //     concurrent clients (acceptance: wire at least 3x HTTP's rows/sec);
@@ -22,11 +31,6 @@
 //     join serving, normalized as cached_ns_per_query ÷
 //     pull_ns_per_query at 4 concurrent clients (acceptance: cached at
 //     least 10x the per-query pull path's estimates/sec);
-//   - routedingest (BENCH_router.json): the partitioned-ingest tier's
-//     per-row toll, normalized as routed_ns_per_row ÷ direct_ns_per_row
-//     at 4 concurrent amswire clients — what the consistent-hash router
-//     (ring partition, re-framing, second hop, composed ack ladder)
-//     charges over a direct single-node stream;
 //   - skimacc (BENCH_skim.json): an ACCURACY gate, not a timing one —
 //     the skimmed estimator's zipf(1.5) self-join relative error,
 //     normalized as skim_relerr_zipf15 ÷ unskim_relerr_zipf15 at equal
@@ -49,12 +53,10 @@
 //
 // Usage:
 //
+//	benchgate -parent ../parent -change .
 //	benchgate -bench BENCH_fastjoin.json -baseline BENCH_fastjoin.baseline.json [-max-regress 0.25]
-//	benchgate -bench BENCH_engine.json -baseline BENCH_engine.baseline.json [-max-regress 0.35]
-//	benchgate -bench BENCH_ckpt.json -baseline BENCH_ckpt.baseline.json [-max-regress 0.75]
 //	benchgate -bench BENCH_wire.json -baseline BENCH_wire.baseline.json [-max-regress 0.5]
 //	benchgate -bench BENCH_coord.json -baseline BENCH_coord.baseline.json [-max-regress 0.5]
-//	benchgate -bench BENCH_router.json -baseline BENCH_router.baseline.json [-max-regress 0.5]
 //	benchgate -bench BENCH_skim.json -baseline BENCH_skim.baseline.json [-max-regress 0.5]
 package main
 
@@ -66,31 +68,20 @@ import (
 	"os"
 )
 
-// benchFile is the union of the gate-relevant fields of
-// experiments.FastJoinResult and experiments.EngineIngestResult; the
-// Experiment tag says which pair is populated.
+// benchFile is the union of the gate-relevant fields of the gated
+// experiments' results; the Experiment tag says which pair is populated.
 type benchFile struct {
 	Experiment string `json:"experiment"`
 	K          int    `json:"k"`
 	// fastjoin: streamed signature update cost.
 	FlatNsPerUpdate float64 `json:"flat_ns_per_update"`
 	FastNsPerUpdate float64 `json:"fast_ns_per_update"`
-	// engineingest: bare-synopsis core rung vs single-writer durable
-	// engine ingest.
-	CoreNsPerOp     float64 `json:"core_ns_per_op"`
-	AbsorberNsPerOp float64 `json:"absorber_ns_per_op"`
-	// ckpttail: p99 ingest latency with the checkpointer off vs on.
-	OffP99Ns float64 `json:"off_p99_ns"`
-	OnP99Ns  float64 `json:"on_p99_ns"`
 	// wireingest: 4-client streaming ingest, HTTP JSON vs amswire.
 	HTTPNsPerRow float64 `json:"http_ns_per_row"`
 	WireNsPerRow float64 `json:"wire_ns_per_row"`
 	// coordserve: 4-client join queries, per-query pull vs cached daemon.
 	PullNsPerQuery   float64 `json:"pull_ns_per_query"`
 	CachedNsPerQuery float64 `json:"cached_ns_per_query"`
-	// routedingest: 4-client amswire ingest, direct node vs routed fleet.
-	DirectNsPerRow float64 `json:"direct_ns_per_row"`
-	RoutedNsPerRow float64 `json:"routed_ns_per_row"`
 	// skimacc: zipf(1.5) self-join relative error, plain vs skimmed
 	// sketch at equal memory (dimensionless, smaller is better — the
 	// normalized metric is an error ratio rather than a time ratio).
@@ -98,24 +89,20 @@ type benchFile struct {
 	SkimRelErrZipf15   float64 `json:"skim_relerr_zipf15"`
 }
 
-// pair returns (fast-path, reference-path) nanoseconds for the file's
-// experiment.
-func (b *benchFile) pair() (fast, ref float64) {
+// pair returns (fast-path, reference-path) values for the file's
+// experiment; ok is false for an experiment without a gate.
+func (b *benchFile) pair() (fast, ref float64, ok bool) {
 	switch b.Experiment {
-	case "engineingest":
-		return b.AbsorberNsPerOp, b.CoreNsPerOp
-	case "ckpttail":
-		return b.OnP99Ns, b.OffP99Ns
+	case "fastjoin":
+		return b.FastNsPerUpdate, b.FlatNsPerUpdate, true
 	case "wireingest":
-		return b.WireNsPerRow, b.HTTPNsPerRow
+		return b.WireNsPerRow, b.HTTPNsPerRow, true
 	case "coordserve":
-		return b.CachedNsPerQuery, b.PullNsPerQuery
-	case "routedingest":
-		return b.RoutedNsPerRow, b.DirectNsPerRow
+		return b.CachedNsPerQuery, b.PullNsPerQuery, true
 	case "skimacc":
-		return b.SkimRelErrZipf15, b.UnskimRelErrZipf15
+		return b.SkimRelErrZipf15, b.UnskimRelErrZipf15, true
 	default:
-		return b.FastNsPerUpdate, b.FlatNsPerUpdate
+		return 0, 0, false
 	}
 }
 
@@ -126,9 +113,20 @@ func main() {
 		maxRegress = flag.Float64("max-regress", 0.25, "maximum tolerated relative regression (0.25 = 25%)")
 		metric     = flag.String("metric", "normalized", "\"normalized\" (fast/flat ratio, machine-independent) or \"absolute\" (raw fast ns/op)")
 		updateBase = flag.Bool("update-baseline", false, "rewrite the baseline from the current measurement instead of gating")
+		parent     = flag.String("parent", "", "paired mode: checkout of the parent commit")
+		change     = flag.String("change", "", "paired mode: checkout of the change")
 	)
 	flag.Parse()
-	if err := run(*benchPath, *basePath, *maxRegress, *metric, *updateBase, os.Stdout); err != nil {
+	var err error
+	switch {
+	case *parent != "" && *change != "":
+		err = runPaired(*parent, *change, os.Stdout)
+	case *parent != "" || *change != "":
+		err = fmt.Errorf("the paired mode needs both -parent and -change")
+	default:
+		err = run(*benchPath, *basePath, *maxRegress, *metric, *updateBase, os.Stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
@@ -143,10 +141,10 @@ func load(path string) (*benchFile, error) {
 	if err := json.Unmarshal(raw, &b); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if b.Experiment != "fastjoin" && b.Experiment != "engineingest" && b.Experiment != "ckpttail" && b.Experiment != "wireingest" && b.Experiment != "coordserve" && b.Experiment != "routedingest" && b.Experiment != "skimacc" {
-		return nil, fmt.Errorf("%s: experiment %q, want fastjoin, engineingest, ckpttail, wireingest, coordserve, routedingest, or skimacc", path, b.Experiment)
+	fast, ref, ok := b.pair()
+	if !ok {
+		return nil, fmt.Errorf("%s: experiment %q, want fastjoin, wireingest, coordserve, or skimacc", path, b.Experiment)
 	}
-	fast, ref := b.pair()
 	if fast <= 0 || ref <= 0 {
 		return nil, fmt.Errorf("%s: non-positive timings (fast=%g reference=%g)", path, fast, ref)
 	}
@@ -155,7 +153,7 @@ func load(path string) (*benchFile, error) {
 
 // value extracts the gated metric from a measurement.
 func value(b *benchFile, metric string) (float64, error) {
-	fast, ref := b.pair()
+	fast, ref, _ := b.pair()
 	switch metric {
 	case "normalized":
 		return fast / ref, nil
@@ -204,8 +202,8 @@ func run(benchPath, basePath string, maxRegress float64, metric string, updateBa
 		return err
 	}
 	regress := curV/baseV - 1
-	curFast, curRef := cur.pair()
-	baseFast, baseRef := base.pair()
+	curFast, curRef, _ := cur.pair()
+	baseFast, baseRef, _ := base.pair()
 	fmt.Fprintf(out, "benchgate: experiment=%s metric=%s k=%d current=%.4g baseline=%.4g regression=%+.1f%% (tolerance %.0f%%)\n",
 		cur.Experiment, metric, cur.K, curV, baseV, 100*regress, 100*maxRegress)
 	fmt.Fprintf(out, "benchgate: fast=%.4g ns/op reference=%.4g ns/op (baseline fast=%.4g reference=%.4g)\n",

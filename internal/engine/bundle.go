@@ -483,11 +483,7 @@ func (b *RelationBundle) UnmarshalBinary(data []byte) error {
 // first checkpoint (and always 0 for in-memory engines), bumped by every
 // checkpoint since. It travels in exported bundle stamps and the stat
 // endpoint as per-engine freshness context.
-func (e *Engine) Epoch() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.epoch
-}
+func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
 // RelationStat is the cheap freshness probe behind the coordinator's
 // delta-aware refresh: a cache holding a bundle stamped (Epoch, Seq)
@@ -567,7 +563,7 @@ func (e *Engine) ImportRelation(name string, data []byte) error {
 		r.discard()
 		return err
 	}
-	if err := r.log.create(e.fs, e.opts.Dir, name, e.epoch, e.opts.SegmentOps); err != nil {
+	if err := r.log.create(e.fs, e.opts.Dir, name, e.epoch.Load(), e.opts.SegmentOps); err != nil {
 		r.discard()
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"amstrack/internal/oplog"
 	"amstrack/internal/xrand"
 )
 
@@ -198,6 +199,121 @@ func TestPauseFreeCheckpointExact(t *testing.T) {
 	}
 
 	back, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	expectEngineMatchesModel(t, back, m)
+}
+
+// blockFS is the real filesystem with one crash point that blocks its
+// caller: once armed, the first call at point closes reached, then waits
+// for unblock.
+type blockFS struct {
+	oplog.FS
+	point   string
+	armed   atomic.Bool
+	reached chan struct{}
+	release chan struct{}
+	once    sync.Once
+	unOnce  sync.Once
+}
+
+func newBlockFS(point string) *blockFS {
+	return &blockFS{FS: oplog.OSFS, point: point, reached: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *blockFS) Crash(point string) error {
+	if point == b.point && b.armed.Load() {
+		b.once.Do(func() {
+			close(b.reached)
+			<-b.release
+		})
+	}
+	return b.FS.Crash(point)
+}
+
+func (b *blockFS) unblock() { b.unOnce.Do(func() { close(b.release) }) }
+
+// TestCheckpointDoesNotBlockReads holds a checkpoint between writing its
+// blob and the blob's fsync, and requires ingest through a relation
+// handle, name lookups, join estimates, stat probes and exports all to
+// return meanwhile: a checkpoint costs bandwidth, not stalls. Released,
+// the checkpoint succeeds and a reopen matches the reference model.
+func TestCheckpointDoesNotBlockReads(t *testing.T) {
+	dir := t.TempDir()
+	fsys := newBlockFS("ckpt-pre-fsync")
+	t.Cleanup(fsys.unblock)
+	opts := durOpts(dir)
+	opts.FS = fsys
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newModel(t, durOpts(""))
+	rels := map[string]*Relation{}
+	rng := xrand.New(7)
+	for _, name := range []string{"f", "g"} {
+		if rels[name], err = e.Define(name); err != nil {
+			t.Fatal(err)
+		}
+		mr := modelDefine(t, m, name, Schema{})
+		vals := make([]uint64, 2000)
+		for i := range vals {
+			vals[i] = rng.Uint64n(512)
+		}
+		rels[name].InsertBatch(vals)
+		mr.InsertBatch(vals)
+	}
+	if err := e.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Checkpoint()
+		done <- err
+	}()
+	const bound = 10 * time.Second // failure bound only; the calls wait on events
+	select {
+	case <-fsys.reached:
+	case <-time.After(bound):
+		t.Fatal("checkpoint never reached ckpt-pre-fsync")
+	}
+	more := []uint64{3, 5, 3, 511}
+	returns := func(what string, call func() error) {
+		t.Helper()
+		ret := make(chan error, 1)
+		go func() { ret <- call() }()
+		select {
+		case err := <-ret:
+			if err != nil {
+				t.Fatalf("%s during a checkpoint: %v", what, err)
+			}
+		case <-time.After(bound):
+			t.Fatalf("%s waited for the checkpoint's blob write", what)
+		}
+	}
+	returns("InsertBatch then Drain", func() error {
+		rels["f"].InsertBatch(more)
+		return rels["f"].Drain()
+	})
+	returns("Get", func() error { _, err := e.Get("g"); return err })
+	returns("EstimateJoin", func() error { _, err := e.EstimateJoin("f", "g"); return err })
+	returns("StatRelation", func() error { _, err := e.StatRelation("f"); return err })
+	returns("ExportRelation", func() error { _, err := e.ExportRelation("g"); return err })
+	m.Relation("f").InsertBatch(more)
+
+	fsys.unblock()
+	if err := <-done; err != nil {
+		t.Fatalf("released checkpoint: %v", err)
+	}
+	expectEngineMatchesModel(t, e, m)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Open(durOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

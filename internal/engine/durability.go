@@ -524,7 +524,7 @@ func Open(opts Options) (*Engine, error) {
 	// span several numbered segments, replayed in sequence order.
 	pending := map[string]map[uint64]map[int]string{} // name → epoch → seq → path
 	present := map[string]bool{}
-	maxEpoch := e.epoch
+	maxEpoch := e.epoch.Load()
 	for _, ent := range entries {
 		if ent.IsDir() {
 			continue
@@ -535,7 +535,7 @@ func Open(opts Options) (*Engine, error) {
 		}
 		path := filepath.Join(opts.Dir, ent.Name())
 		present[name] = true
-		if epoch < e.epoch {
+		if epoch < e.epoch.Load() {
 			if err := fsys.Remove(path); err != nil {
 				return nil, fmt.Errorf("engine: remove absorbed log %s: %w", path, err)
 			}
@@ -565,7 +565,7 @@ func Open(opts Options) (*Engine, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	rebase := maxEpoch > e.epoch
+	rebase := maxEpoch > e.epoch.Load()
 	var replayed []string // every pending segment path, for rebase cleanup
 	for _, name := range names {
 		r := e.rels[name]
@@ -621,8 +621,8 @@ func Open(opts Options) (*Engine, error) {
 			if err != nil {
 				return nil, fmt.Errorf("engine: relation %q: %w", name, err)
 			}
-			r.log.attach(af, fsys, opts.Dir, name, e.epoch, len(lastPaths)-1, lastCount, opts.SegmentOps)
-		} else if err := r.log.create(fsys, opts.Dir, name, e.epoch, opts.SegmentOps); err != nil {
+			r.log.attach(af, fsys, opts.Dir, name, e.epoch.Load(), len(lastPaths)-1, lastCount, opts.SegmentOps)
+		} else if err := r.log.create(fsys, opts.Dir, name, e.epoch.Load(), opts.SegmentOps); err != nil {
 			return nil, fmt.Errorf("engine: relation %q: %w", name, err)
 		}
 	}
@@ -646,7 +646,7 @@ func Open(opts Options) (*Engine, error) {
 		if err := writeFileAtomic(fsys, ckPath, data); err != nil {
 			return nil, fmt.Errorf("engine: rebase checkpoint: %w", err)
 		}
-		e.epoch = newEpoch
+		e.epoch.Store(newEpoch)
 		for _, p := range replayed {
 			if err := fsys.Remove(p); err != nil {
 				return nil, fmt.Errorf("engine: remove rebased log %s: %w", p, err)
@@ -760,18 +760,23 @@ func (e *Engine) Dir() string { return e.opts.Dir }
 // pause-free epoch fence — ingest keeps flowing the entire time. The blob
 // is written atomically (tmp + fsync + rename) and the retired log
 // segments are compacted afterwards. Returns the blob size on success.
+// The engine lock is held shared, so lookups and reads go on while the
+// blob is written; only Define, Drop, Import and Merge wait for it.
 func (e *Engine) Checkpoint() (int, error) {
 	if e.opts.Dir == "" {
 		return 0, errors.New("engine: in-memory engine has no checkpoint directory")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.ckptMu.Lock()
+	defer e.ckptMu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.checkpointLocked()
 }
 
-// checkpointLocked is Checkpoint under an already-held engine lock (also
-// used by Define/Drop/Import to persist structural changes). It records
-// the outcome for DurabilityStats either way.
+// checkpointLocked is Checkpoint under an already-held engine lock:
+// shared plus ckptMu from Checkpoint, exclusive from Define, Drop,
+// Import and Merge, which persist structural changes. It records the
+// outcome for DurabilityStats either way.
 func (e *Engine) checkpointLocked() (int, error) {
 	n, err := e.checkpointFenced()
 	e.recordCheckpoint(n, err)
@@ -797,7 +802,7 @@ func (e *Engine) checkpointFenced() (int, error) {
 			return 0, err
 		}
 	}
-	newEpoch := e.epoch + 1
+	newEpoch := e.epoch.Load() + 1
 	forked := make([]string, 0, len(names))
 	for _, n := range names {
 		if err := e.rels[n].log.fork(newEpoch); err != nil {
@@ -838,7 +843,7 @@ func (e *Engine) checkpointFenced() (int, error) {
 	if err := writeFileAtomic(e.fs, filepath.Join(e.opts.Dir, checkpointFile), data); err != nil {
 		return fail("commit", err)
 	}
-	e.epoch = newEpoch
+	e.epoch.Store(newEpoch)
 	// Compaction: the rename above committed the checkpoint, so the
 	// retired segments are garbage — unlinks go strictly AFTER it, and a
 	// crash anywhere in this loop leaves only sub-epoch files the next

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"amstrack/internal/blob"
@@ -305,8 +306,15 @@ type Engine struct {
 	// relation onto epoch-tagged fresh logs; recovery replays only logs
 	// at or beyond the loaded checkpoint's epoch, so a crash anywhere
 	// between the checkpoint rename and the log compaction can never
-	// double-apply absorbed ops.
-	epoch uint64
+	// double-apply absorbed ops. Atomic because Checkpoint bumps it
+	// while readers hold mu shared.
+	epoch atomic.Uint64
+	// ckptMu serializes Checkpoint calls, which hold mu only shared so
+	// lookups never wait for a blob's write and fsync; the background
+	// checkpointer and POST /v1/checkpoint can overlap. Define, Drop,
+	// Import and Merge checkpoint under mu held exclusively, which
+	// already excludes a Checkpoint in flight.
+	ckptMu sync.Mutex
 
 	// fs is the durability filesystem seam (Options.FS, normalized).
 	fs oplog.FS
@@ -538,7 +546,7 @@ func (e *Engine) DefineSchema(name string, schema Schema) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.log.create(e.fs, e.opts.Dir, name, e.epoch, e.opts.SegmentOps); err != nil {
+	if err := r.log.create(e.fs, e.opts.Dir, name, e.epoch.Load(), e.opts.SegmentOps); err != nil {
 		r.discard()
 		return nil, err
 	}
@@ -992,7 +1000,7 @@ func (e *Engine) AllPairs() ([]PairEstimate, error) {
 func (e *Engine) MarshalBinary() ([]byte, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.marshalCuts(e.epoch, e.cutAll())
+	return e.marshalCuts(e.epoch.Load(), e.cutAll())
 }
 
 // engineFlags payload bits.
@@ -1182,8 +1190,9 @@ func (e *Engine) UnmarshalBinary(data []byte) error {
 	for _, r := range e.rels {
 		r.ing.stop()
 	}
-	e.opts, e.flatFam, e.fastFam, e.skCfg, e.rels, e.epoch, e.fs =
-		fresh.opts, fresh.flatFam, fresh.fastFam, fresh.skCfg, fresh.rels, fresh.epoch, fresh.fs
+	e.opts, e.flatFam, e.fastFam, e.skCfg, e.rels, e.fs =
+		fresh.opts, fresh.flatFam, fresh.fastFam, fresh.skCfg, fresh.rels, fresh.fs
+	e.epoch.Store(fresh.epoch.Load())
 	return nil
 }
 
@@ -1233,7 +1242,7 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	fresh.epoch = epoch
+	fresh.epoch.Store(epoch)
 	// Any error below throws the half-built engine away; stop the
 	// absorber pipelines of every relation built so far (fuzzed corrupt
 	// checkpoints hit these paths thousands of times per run).

@@ -19,7 +19,7 @@ import (
 )
 
 // This file races the daemon's two ingest surfaces end-to-end — real TCP
-// listeners, real clients — one layer above engineingest. The HTTP JSON
+// listeners, real clients — one layer above the engine. The HTTP JSON
 // path pays a request cycle per batch (client encode, server decode into
 // pooled scratch, drain, response); the amswire path streams
 // length-prefixed binary batch frames with pipelined ACKs, so the
