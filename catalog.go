@@ -9,22 +9,14 @@ import (
 // grown into a service core: named relations, each carrying a fast join
 // signature and a Fast-AMS self-join sketch behind sharded ingest, with
 // optional oplog-backed durability (checkpoint + log replay recovery).
-// Safe for concurrent use.
+// The engine keeps only the fast signature; the paper's flat one (§4.3)
+// is JoinSignature, for direct use and the experiments. Safe for
+// concurrent use.
 type Engine = engine.Engine
 
 // EngineOptions configures an Engine. The zero value of every field
 // except SignatureWords picks a sensible default; see engine.Options.
 type EngineOptions = engine.Options
-
-// Scheme selects the join-signature implementation of an Engine.
-type Scheme = engine.Scheme
-
-// The available signature schemes: bucketed fast updates (default) or
-// the paper's flat O(k)-per-tuple layout.
-const (
-	SchemeFast = engine.SchemeFast
-	SchemeFlat = engine.SchemeFlat
-)
 
 // IngestMode names an Engine's write path (see engine.IngestMode). There
 // is one: the lock-free staging/absorber pipeline, with group-committed
@@ -72,7 +64,8 @@ func NewCatalog(opts CatalogOptions) (*Catalog, error) { return engine.New(opts)
 // ShardedTugOfWar ingests updates concurrently from many goroutines while
 // remaining exactly equal to the single-stream sketch (linearity of the
 // tug-of-war counters). Use it for parallel bulk loads; Snapshot yields a
-// plain TugOfWar for serialization or merging.
+// plain TugOfWar for serialization or merging. It and
+// ShardedFastTugOfWar are one generic wrapper over their sketch types.
 type ShardedTugOfWar = core.ShardedTugOfWar
 
 // NewShardedTugOfWar builds a concurrent sketch with the given shard count

@@ -7,6 +7,10 @@
 //
 //	amsd -addr :7600 -dir /var/lib/amsd -k 1024
 //
+// Every relation's join signature is the bucketed fast signature of -k
+// words in -rows rows; the paper's flat signature is not served, and a
+// bundle carrying one is refused with 409 Conflict.
+//
 // With -dir the engine is durable: every applied update is
 // group-committed to a per-relation oplog, and a restart recovers by
 // checkpoint load plus log replay — including truncating a torn final
@@ -81,7 +85,6 @@ func main() {
 		rows      = flag.Int("rows", 0, "fast-signature rows (0: auto; per-update cost knob)")
 		seed      = flag.Uint64("seed", 42, "master hash-family seed")
 		shards    = flag.Int("shards", 0, "per-relation ingest shards (0: default)")
-		flat      = flag.Bool("flat", false, "use the paper's flat O(k)-per-update signature")
 		noSketch  = flag.Bool("nosketch", false, "disable the dedicated self-join sketch")
 		sketchS1  = flag.Int("sketch-s1", 0, "self-join sketch buckets per row (0: default)")
 		sketchS2  = flag.Int("sketch-s2", 0, "self-join sketch rows (0: default)")
@@ -110,10 +113,6 @@ func main() {
 		CheckpointInterval: *ckptEvery,
 		CheckpointSegments: *ckptSegs,
 	}
-	if *flat {
-		opts.Scheme = engine.SchemeFlat
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, opts, *addr, *wireAddr, *maxBodyMB<<20, nil); err != nil {

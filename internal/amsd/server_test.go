@@ -12,6 +12,7 @@ import (
 
 	"amstrack/internal/amsd"
 	"amstrack/internal/engine"
+	"amstrack/internal/join"
 	"amstrack/internal/oplog"
 	"amstrack/internal/xrand"
 )
@@ -89,6 +90,19 @@ func TestErrorPaths(t *testing.T) {
 	}
 	mismatched := exportBundle(t, foreign, "orders")
 
+	// A bundle carrying the paper's flat signature: the codec decodes it,
+	// but engines keep only the fast one.
+	fam, err := join.NewFamily(srvOpts().SignatureWords, srvOpts().Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatSig := fam.NewSignature()
+	flatSig.InsertBatch([]uint64{1, 2, 3})
+	flat, err := (&engine.RelationBundle{Sig: flatSig, Rows: flatSig.Len()}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	big := bytes.Repeat([]byte{'9'}, 8192) // over the 4 KiB cap
 	bigJSON := []byte(fmt.Sprintf(`{"relation": "orders", "inserts": [%s]}`, big))
 
@@ -109,6 +123,8 @@ func TestErrorPaths(t *testing.T) {
 		{"import over existing", "PUT", "/v1/signatures/orders", mismatched, http.StatusConflict},
 		{"import mismatched seed", "PUT", "/v1/signatures/fresh", mismatched, http.StatusConflict},
 		{"merge mismatched seed", "PUT", "/v1/signatures/orders?mode=merge", mismatched, http.StatusConflict},
+		{"import flat-signature bundle", "PUT", "/v1/signatures/fresh", flat, http.StatusConflict},
+		{"merge flat-signature bundle", "PUT", "/v1/signatures/orders?mode=merge", flat, http.StatusConflict},
 		{"merge unknown relation", "PUT", "/v1/signatures/ghost?mode=merge", mismatched, http.StatusNotFound},
 		{"import garbage bundle", "PUT", "/v1/signatures/fresh", []byte("definitely not a blob"), http.StatusBadRequest},
 		{"import unknown mode", "PUT", "/v1/signatures/fresh?mode=sideways", mismatched, http.StatusBadRequest},

@@ -127,26 +127,20 @@ func (t *FastTugOfWar) applyBatch(vs []uint64, dir int64) {
 }
 
 // Estimate returns the median over rows of Σ_b Z². O(S1·S2) — queries pay
-// the full sketch scan, updates do not. It only reads the sketch, so
-// concurrent Estimate calls on one sketch are safe.
+// the full sketch scan, updates do not. It only reads the sketch (the row
+// sums live in a per-call buffer), so concurrent Estimate calls on one
+// sketch are safe.
 func (t *FastTugOfWar) Estimate() float64 {
-	return fastEstimate(t.z, t.cfg.S1, t.cfg.S2)
-}
-
-// fastEstimate computes the Fast-AMS estimator — the median over s2 rows
-// of the row bucket sums Σ_b z² — from a row-major counter array. Shared
-// with ShardedFastTugOfWar, whose query path merges raw counters without
-// materializing a full sketch. The row sums live in a per-call buffer.
-func fastEstimate(z []int64, s1, s2 int) float64 {
-	scratch := make([]float64, s2)
-	for j := 0; j < s2; j++ {
+	s1 := t.cfg.S1
+	sums := make([]float64, len(t.rows))
+	for j := range sums {
 		sum := 0.0
-		for _, v := range z[j*s1 : (j+1)*s1] {
+		for _, v := range t.z[j*s1 : (j+1)*s1] {
 			sum += float64(v) * float64(v)
 		}
-		scratch[j] = sum
+		sums[j] = sum
 	}
-	return Median(scratch)
+	return Median(sums)
 }
 
 // MemoryWords returns S1·S2: one word per counter, the paper's storage

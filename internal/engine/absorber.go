@@ -53,7 +53,6 @@ import (
 
 	"amstrack/internal/oplog"
 	"amstrack/internal/stream"
-	"amstrack/internal/xrand"
 )
 
 // stagedOp is one buffered ingest operation. v is the primary attribute
@@ -305,7 +304,7 @@ func (g *ingester) sendOps(ops []stagedOp, copyOps bool) {
 	hint := len(ops)/len(g.chans) + len(ops)/8 + 4
 	groups := make([][]stagedOp, len(g.chans))
 	for _, op := range ops {
-		i := xrand.Mix64(op.v) & g.r.mask
+		i := g.r.shardOf(op.v)
 		if groups[i] == nil {
 			groups[i] = make([]stagedOp, 0, hint)
 		}
@@ -342,9 +341,7 @@ func (g *ingester) flushAllSlots(hold bool) bool {
 func (g *ingester) absorb(shard int) {
 	defer g.absWg.Done()
 	sh := &g.r.shards[shard]
-	ins := make([]uint64, 0, g.r.eng.opts.StageOps)
-	del := make([]uint64, 0, g.r.eng.opts.StageOps)
-	cols := newChainCols(g.r.arity)
+	buf := &applyBuf{cols: newChainCols(g.r.arity)}
 	for msg := range g.chans[shard] {
 		if msg.barrier != nil {
 			msg.barrier.wg.Done()
@@ -353,54 +350,67 @@ func (g *ingester) absorb(shard int) {
 			}
 			continue
 		}
-		ins, del = ins[:0], del[:0]
-		for _, op := range msg.ops {
-			if op.del {
-				del = append(del, op.v)
-			} else {
-				ins = append(ins, op.v)
-			}
-		}
-		if len(ins) > 0 {
-			sh.sig.InsertBatch(ins)
-			if sh.sketch != nil {
-				sh.sketch.InsertBatch(ins)
-			}
-		}
-		if len(del) > 0 {
-			// Engine synopses never error on deletes (pure linearity).
-			_ = sh.sig.DeleteBatch(del)
-			if sh.sketch != nil {
-				_ = sh.sketch.DeleteBatch(del)
-			}
-		}
-		if sh.chain != nil {
-			// Chain fan-out gathers the message's tuples into
-			// per-attribute columns and applies each synopsis's share as
-			// one batch; the absorber is the shard's single writer, so no
-			// lock here either.
-			cols.gather(msg.ops)
-			sh.chain.apply(&g.r.plan, cols)
-		}
-		if sh.hh != nil {
-			// Heavy-hitter updates are per-op in msg order — the table
-			// is the one order-SENSITIVE synopsis, and the same msg.ops
-			// slice is forwarded to the log writer below, so per-shard
-			// apply order equals per-shard log order and replay
-			// reconstructs the table bit-exactly.
-			for _, op := range msg.ops {
-				if op.del {
-					sh.hh.Delete(op.v)
-				} else {
-					sh.hh.Insert(op.v)
-				}
-			}
-		}
-		sh.ops += uint64(len(msg.ops))
+		// The same msg.ops slice goes to the log writer, so per-shard
+		// apply order equals per-shard log order: replay, applying each
+		// shard's records in log order, rebuilds the order-sensitive
+		// heavy-hitter table bit-exactly.
+		sh.apply(msg.ops, &g.r.plan, buf)
 		if g.logCh != nil {
 			g.logCh <- logMsg{ops: msg.ops, epoch: g.shardEpochs[shard]}
 		}
 	}
+}
+
+// applyBuf is the reusable scratch of one apply loop: a shard's
+// absorber, or one segment's replay.
+type applyBuf struct {
+	ins, del []uint64
+	cols     *chainCols
+}
+
+// apply is the one write of a shard's synopses from ops: the absorber
+// calls it per message, log replay per chunk's shard group. Inserts and
+// deletes reach the signature and sketch as batches; the chain fan-out
+// gathers the tuples into per-attribute columns and applies each chain
+// synopsis's share as one batch; the heavy-hitter table — the one
+// order-SENSITIVE synopsis — takes the ops one by one, in order. The
+// caller owns the shard state, so no lock is taken.
+func (sh *sigShard) apply(ops []stagedOp, p *chainPlan, buf *applyBuf) {
+	buf.ins, buf.del = buf.ins[:0], buf.del[:0]
+	for _, op := range ops {
+		if op.del {
+			buf.del = append(buf.del, op.v)
+		} else {
+			buf.ins = append(buf.ins, op.v)
+		}
+	}
+	if len(buf.ins) > 0 {
+		sh.sig.InsertBatch(buf.ins)
+		if sh.sketch != nil {
+			sh.sketch.InsertBatch(buf.ins)
+		}
+	}
+	if len(buf.del) > 0 {
+		// Engine synopses never error on deletes (pure linearity).
+		_ = sh.sig.DeleteBatch(buf.del)
+		if sh.sketch != nil {
+			_ = sh.sketch.DeleteBatch(buf.del)
+		}
+	}
+	if sh.chain != nil {
+		buf.cols.gather(ops)
+		sh.chain.apply(p, buf.cols)
+	}
+	if sh.hh != nil {
+		for _, op := range ops {
+			if op.del {
+				sh.hh.Delete(op.v)
+			} else {
+				sh.hh.Insert(op.v)
+			}
+		}
+	}
+	sh.ops += uint64(len(ops))
 }
 
 // logger is the group-commit oplog writer: ops applied by the absorbers
@@ -619,7 +629,7 @@ func (g *ingester) cut(synopses bool, flip uint64) (b RelationBundle, live bool)
 // emptyCut builds the empty synopses of the relation's shape for a cut
 // to merge the shards into.
 func (r *Relation) emptyCut() RelationBundle {
-	b := RelationBundle{Sig: r.eng.newSignature()}
+	b := RelationBundle{Sig: r.eng.fastFam.NewSignature()}
 	if !r.eng.opts.NoSketch {
 		b.Sketch = r.eng.newSketch()
 	}

@@ -387,11 +387,9 @@ func (b *RelationBundle) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("engine: relation bundle: %w", err)
 	}
 	c := blob.NewCursor(payload)
-	sigBlob := c.Bytes()
-	hasSketch := c.U32()
-	var skBlob []byte
-	if hasSketch == 1 {
-		skBlob = c.Bytes()
+	sig, sketch, err := readSigSketch(c)
+	if err != nil {
+		return fmt.Errorf("engine: relation bundle: %w", err)
 	}
 	rows := c.I64()
 	var epoch, seq uint64
@@ -437,9 +435,6 @@ func (b *RelationBundle) UnmarshalBinary(data []byte) error {
 	if err := c.Close(); err != nil {
 		return fmt.Errorf("engine: relation bundle: %w", err)
 	}
-	if hasSketch > 1 {
-		return fmt.Errorf("engine: relation bundle: sketch flag %d out of range {0,1}", hasSketch)
-	}
 	if version == 3 && epoch == 0 && seq == 0 {
 		// Zero-stamp bundles marshal in the unstamped framing; a
 		// version-3 frame carrying one is non-canonical by construction.
@@ -447,36 +442,61 @@ func (b *RelationBundle) UnmarshalBinary(data []byte) error {
 		// the version.)
 		return errors.New("engine: relation bundle: version 3 frame without a freshness stamp")
 	}
-	sig, err := join.UnmarshalSignature(sigBlob)
-	if err != nil {
-		return fmt.Errorf("engine: relation bundle: %w", err)
-	}
-	var sketch *core.FastTugOfWar
-	if hasSketch == 1 {
-		sketch = &core.FastTugOfWar{}
-		if err := sketch.UnmarshalBinary(skBlob); err != nil {
-			return fmt.Errorf("engine: relation bundle: %w", err)
-		}
-	}
 	var hh *core.SpaceSaving
 	if version >= 4 {
-		if skimHitters < 1 || skimHitters > maxSkimHitters {
-			return fmt.Errorf("engine: relation bundle: skim budget %d out of range [1, %d]", skimHitters, maxSkimHitters)
-		}
-		hh = &core.SpaceSaving{}
-		if err := hh.UnmarshalBinary(hhBlob); err != nil {
+		if hh, err = decodeHH(skimHitters, hhBlob); err != nil {
 			return fmt.Errorf("engine: relation bundle: %w", err)
-		}
-		// The exporting relation's table capacity is its budget rounded
-		// up to a shard multiple, so it can never be below the budget.
-		if hh.Capacity() < int(skimHitters) {
-			return fmt.Errorf("engine: relation bundle: heavy-hitter capacity %d below skim budget %d", hh.Capacity(), skimHitters)
 		}
 	}
 	b.Sig, b.Sketch, b.Rows, b.Chain = sig, sketch, rows, chain
 	b.Epoch, b.Seq = epoch, seq
 	b.HH, b.SkimHitters = hh, int(skimHitters)
 	return nil
+}
+
+// readSigSketch reads and decodes the signature and the flagged
+// self-join sketch that open both a bundle and a checkpoint's relation
+// section. The signature may be of either scheme: folding a flat one
+// into an engine is ErrIncompatible.
+func readSigSketch(c *blob.Cursor) (join.Signature, *core.FastTugOfWar, error) {
+	sigBlob := c.Bytes()
+	flag := c.U32()
+	var skBlob []byte
+	if flag == 1 {
+		skBlob = c.Bytes()
+	}
+	if c.Err() != nil {
+		return nil, nil, c.Err()
+	}
+	if flag > 1 {
+		return nil, nil, fmt.Errorf("sketch flag %d out of range {0,1}", flag)
+	}
+	sig, err := join.UnmarshalSignature(sigBlob)
+	if err != nil || flag == 0 {
+		return sig, nil, err
+	}
+	sketch := &core.FastTugOfWar{}
+	if err := sketch.UnmarshalBinary(skBlob); err != nil {
+		return nil, nil, err
+	}
+	return sig, sketch, nil
+}
+
+// decodeHH decodes a heavy-hitter section: the skim budget and the
+// relation-level table. The table's capacity is the budget rounded up to
+// a shard multiple, so it can never be below the budget.
+func decodeHH(hitters uint64, data []byte) (*core.SpaceSaving, error) {
+	if hitters < 1 || hitters > maxSkimHitters {
+		return nil, fmt.Errorf("skim budget %d out of range [1, %d]", hitters, maxSkimHitters)
+	}
+	hh := &core.SpaceSaving{}
+	if err := hh.UnmarshalBinary(data); err != nil {
+		return nil, err
+	}
+	if hh.Capacity() < int(hitters) {
+		return nil, fmt.Errorf("heavy-hitter capacity %d below skim budget %d", hh.Capacity(), hitters)
+	}
+	return hh, nil
 }
 
 // Epoch returns the engine's durability-log generation: 0 until the
@@ -559,7 +579,7 @@ func (e *Engine) ImportRelation(name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := r.absorbBundle(&b); err != nil {
+	if err := r.absorbShipped(&b); err != nil {
 		r.discard()
 		return err
 	}
@@ -591,7 +611,7 @@ func (e *Engine) MergeRelation(name string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("engine: %w: %q", ErrUnknownRelation, name)
 	}
-	if err := r.absorbBundle(&b); err != nil {
+	if err := r.absorbShipped(&b); err != nil {
 		return err
 	}
 	if e.opts.Dir != "" {
@@ -602,11 +622,25 @@ func (e *Engine) MergeRelation(name string, data []byte) error {
 	return nil
 }
 
-// absorbBundle folds a decoded bundle into the relation's shard-0
-// synopses (linearity: equivalent to having streamed the source ops
-// through the shards). Shape, seed, or schema mismatches report
-// ErrIncompatible. The absorbers stay parked for the duration, so the
-// merge writes shard state with no absorber running.
+// absorbShipped folds a shipped bundle in (ImportRelation,
+// MergeRelation). Engines that exchange skimmed bundles agree on
+// SkimHitters and Shards (DESIGN.md §13), so a shipped table must have
+// the local capacity; a checkpoint section, which absorbBundle folds
+// directly, may reopen at another Shards and re-split its table.
+func (r *Relation) absorbShipped(b *RelationBundle) error {
+	if r.skims() && b.HH != nil && b.HH.Capacity() != r.skimCap() {
+		return fmt.Errorf("%w: heavy-hitter capacity %d, the relation's is %d",
+			ErrIncompatible, b.HH.Capacity(), r.skimCap())
+	}
+	return r.absorbBundle(b)
+}
+
+// absorbBundle is the one fold of a decoded synopsis set — a shipped
+// bundle or a checkpoint section — into the relation's shard-0 synopses
+// (linearity: equivalent to having streamed the source ops through the
+// shards). Shape, seed, or schema mismatches report ErrIncompatible. The
+// absorbers stay parked for the duration, so the merge writes shard
+// state with no absorber running.
 func (r *Relation) absorbBundle(b *RelationBundle) error {
 	release, _ := r.ing.park()
 	defer release()
@@ -685,9 +719,8 @@ func (r *Relation) absorbBundle(b *RelationBundle) error {
 		if b.HH.Seed() != r.eng.hhSeed() {
 			return fmt.Errorf("%w: heavy-hitter seed mismatch (bundle %#x, engine %#x)", ErrIncompatible, b.HH.Seed(), r.eng.hhSeed())
 		}
-		if b.SkimHitters != r.schema.SkimHitters || b.HH.Capacity() != r.skimCap() {
-			return fmt.Errorf("%w: heavy-hitter shapes differ (budget %d/%d, capacity %d/%d)",
-				ErrIncompatible, b.SkimHitters, r.schema.SkimHitters, b.HH.Capacity(), r.skimCap())
+		if b.SkimHitters != r.schema.SkimHitters {
+			return fmt.Errorf("%w: skim budgets differ (%d/%d)", ErrIncompatible, b.SkimHitters, r.schema.SkimHitters)
 		}
 		// The lossy fold: the bundle's hitters scatter onto their owning
 		// shards and compete for slots there; demoted entries fall back

@@ -3,11 +3,13 @@ package engine
 import (
 	"bytes"
 	"testing"
+
+	"amstrack/internal/join"
 )
 
 // FuzzRelationBundle drives RelationBundle.UnmarshalBinary with arbitrary
-// bytes — valid bundles of both schemes, truncations, bit flips, and
-// foreign-magic frames — and checks the exchange-path contract the amsd
+// bytes — valid bundles of both signature schemes, truncations, bit
+// flips, and foreign-magic frames — and checks the exchange-path contract the amsd
 // upload endpoints depend on:
 //
 //   - corrupt, truncated, or foreign input must ERROR, never panic;
@@ -54,7 +56,9 @@ func FuzzRelationBundle(f *testing.F) {
 		return data
 	}
 	fast := mk(Options{SignatureWords: 64, SignatureRows: 4, Seed: 3, SketchS1: 16, SketchS2: 2})
-	flat := mk(Options{SignatureWords: 64, Seed: 3, Scheme: SchemeFlat, NoSketch: true})
+	// Engines keep only the fast signature, but the codec still decodes
+	// the paper's flat one: that seed is built by hand.
+	flat := flatBundle(f, 64, 3, []uint64{1, 2, 3, 4, 5, 6, 7, 1, 2, 3}, []uint64{1, 2}, nil)
 	skim := mkSkim(Options{SignatureWords: 64, SignatureRows: 4, Seed: 3, SketchS1: 16, SketchS2: 2, Shards: 2})
 	f.Add([]byte{})
 	f.Add(fast)
@@ -95,4 +99,26 @@ func FuzzRelationBundle(f *testing.F) {
 			t.Fatalf("accepted bundle is not canonical: %d bytes in, %d re-marshaled", len(data), len(again))
 		}
 	})
+}
+
+// flatBundle marshals a bundle whose signature is the paper's flat one
+// over join.NewFamily(k, seed), fed ins then dels, with no sketch, an
+// unchanged chain section, and the Seq an engine would have counted.
+func flatBundle(f *testing.F, k int, seed uint64, ins, dels []uint64, chain *ChainBundle) []byte {
+	f.Helper()
+	fam, err := join.NewFamily(k, seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sig := fam.NewSignature()
+	sig.InsertBatch(ins)
+	if err := sig.DeleteBatch(dels); err != nil {
+		f.Fatal(err)
+	}
+	b := RelationBundle{Sig: sig, Rows: sig.Len(), Chain: chain, Seq: uint64(len(ins) + len(dels))}
+	data, err := b.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
 }

@@ -45,7 +45,13 @@ func FuzzChainBundle(f *testing.F) {
 		return data
 	}
 	chainFast := mkChain(Options{SignatureWords: 32, ChainWords: 8, Seed: 3, SketchS1: 8, SketchS2: 2})
-	chainFlat := mkChain(Options{SignatureWords: 16, ChainWords: 4, Seed: 3, Scheme: SchemeFlat, NoSketch: true})
+	// A flat-signature seed: the chain section of an engine's export
+	// under the paper's flat signature, built by hand.
+	var cb RelationBundle
+	if err := cb.UnmarshalBinary(mkChain(Options{SignatureWords: 16, ChainWords: 4, Seed: 3, NoSketch: true})); err != nil {
+		f.Fatal(err)
+	}
+	chainFlat := flatBundle(f, 16, 3, []uint64{1, 3, 1, 5, 1}, []uint64{1}, cb.Chain)
 	f.Add([]byte{})
 	f.Add(chainFast)
 	f.Add(chainFlat)

@@ -455,7 +455,7 @@ func (l *relLog) close() error {
 // checkpoint blob if present, then for every relation log in the
 // directory replay the ops appended since that checkpoint, truncating a
 // torn final record to its clean boundary. Family-shape options
-// (SignatureWords, Seed, scheme, sketch) come from the checkpoint when
+// (SignatureWords, Seed, rows, sketch) come from the checkpoint when
 // one exists — opts must agree on SignatureWords and Seed so a
 // misconfigured reopen fails loudly instead of silently re-keying.
 //
@@ -658,8 +658,17 @@ func Open(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// replaySegment feeds one segment's records to the synopses, truncating
-// a torn tail when allowed. Returns the clean record count. Segments are
+// replayChunk bounds how many records replay decodes before applying
+// them: enough to feed the batch kernels, few enough that a segment
+// never sits in memory as decoded ops.
+const replayChunk = 4096
+
+// replaySegment feeds one segment's records to the synopses through the
+// absorber's apply, truncating a torn tail when allowed. Returns the
+// clean record count. Records are decoded in chunks, each chunk grouped
+// by shard in log order — the order each shard applied them live, which
+// the heavy-hitter table needs — and each group applied as one batch.
+// Query records (legal in hand-built logs) change nothing. Segments are
 // bounded by the roll threshold, so a whole-file read keeps the recovery
 // I/O shape simple and lets the fault seam interpose cleanly.
 func (r *Relation) replaySegment(fsys oplog.FS, path string, allowTorn bool) (int64, error) {
@@ -669,9 +678,18 @@ func (r *Relation) replaySegment(fsys oplog.FS, path string, allowTorn bool) (in
 	}
 	size := int64(len(data))
 	lr := oplog.NewReader(bytes.NewReader(data))
-	var cols *chainCols
-	if r.schema.hasChain() {
-		cols = newChainCols(r.arity)
+	buf := &applyBuf{cols: newChainCols(r.arity)}
+	groups := make([][]stagedOp, len(r.shards))
+	rests := make([][]uint64, replayChunk) // the chunk's tuple tails
+	n := 0
+	apply := func() {
+		for i, g := range groups {
+			if len(g) > 0 {
+				r.shards[i].apply(g, &r.plan, buf)
+				groups[i] = g[:0]
+			}
+		}
+		n = 0
 	}
 	torn := false
 replay:
@@ -698,59 +716,27 @@ replay:
 			break replay
 		case err != nil:
 			return 0, fmt.Errorf("replay: %w", err)
+		case op.Kind != stream.Insert && op.Kind != stream.Delete:
+			continue
 		}
-		r.applyRecovered(op, cols)
+		so := stagedOp{v: op.Value, del: op.Kind == stream.Delete}
+		if len(op.Rest) > 0 {
+			rests[n] = op.Rest
+			so.rest = &rests[n]
+		}
+		i := r.shardOf(op.Value)
+		groups[i] = append(groups[i], so)
+		if n++; n == replayChunk {
+			apply()
+		}
 	}
+	apply()
 	if torn {
 		if err := fsys.Truncate(path, lr.Offset()); err != nil {
 			return 0, fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
 	return lr.Count(), nil
-}
-
-// applyRecovered feeds one logged op to the synopses. Recovery is
-// single-threaded, so no locks are taken; Query ops (legal in hand-built
-// logs) change nothing. Chain synopses see the op only when the record's
-// arity matches the schema — the replay image of the ingest fan-out.
-// Records of a different arity (a pre-schema log replayed into a
-// re-declared relation) apply their primary attribute as single-attribute
-// ops, per the upgrade contract. cols is the replay's reusable chain
-// batch (nil when the schema declares no chains); each record goes
-// through it as a batch of one.
-func (r *Relation) applyRecovered(op stream.Op, cols *chainCols) {
-	if op.Kind != stream.Insert && op.Kind != stream.Delete {
-		return
-	}
-	del := op.Kind == stream.Delete
-	s := r.shardOf(op.Value)
-	s.ops++ // one logged record = one mutation op, exactly as ingested
-	if del {
-		_ = s.sig.Delete(op.Value)
-	} else {
-		s.sig.Insert(op.Value)
-	}
-	if s.sketch != nil {
-		if del {
-			_ = s.sketch.Delete(op.Value)
-		} else {
-			s.sketch.Insert(op.Value)
-		}
-	}
-	if s.hh != nil {
-		// Same per-op order as the live paths (the log is written in
-		// apply order), so the replayed table is bit-identical.
-		if del {
-			s.hh.Delete(op.Value)
-		} else {
-			s.hh.Insert(op.Value)
-		}
-	}
-	if s.chain != nil && 1+len(op.Rest) == r.arity {
-		cols.reset()
-		cols.add(op.Value, op.Rest, del)
-		s.chain.apply(&r.plan, cols)
-	}
 }
 
 // Dir returns the durability directory ("" for in-memory engines).

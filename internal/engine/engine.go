@@ -4,8 +4,7 @@
 // configurable synopsis set —
 //
 //   - a JOIN SIGNATURE (§4.3) for pairwise join-size estimates: the
-//     bucketed FastTWSignature by default (O(rows) per tuple however
-//     large k grows), or the paper's flat TWSignature when configured;
+//     bucketed FastTWSignature (O(rows) per tuple however large k grows);
 //   - a FAST-AMS SELF-JOIN SKETCH (core.FastTugOfWar) whose estimate
 //     feeds the Lemma 4.4 σ and Fact 1.1 bounds attached to every join
 //     answer;
@@ -55,19 +54,6 @@ var (
 	ErrAttrNotTracked = errors.New("attribute not tracked")
 )
 
-// Scheme selects the join-signature implementation for all relations.
-type Scheme int
-
-const (
-	// SchemeFast is the bucketed FastTWSignature: O(SignatureRows) work
-	// per tuple, independent of SignatureWords. The default.
-	SchemeFast Scheme = iota
-	// SchemeFlat is the paper's flat k-TW signature: O(SignatureWords)
-	// work per tuple. Kept for §4.3-faithful experiments and as the
-	// accuracy reference.
-	SchemeFlat
-)
-
 // IngestMode names the engine's write path. There is one: the absorber
 // pipeline (absorber.go). The type survives as a source-compatibility
 // field so callers that spell the path out keep compiling; both values
@@ -107,7 +93,8 @@ const (
 	defaultSketchS2 = 8
 	// minFastBuckets is the smallest per-row bucket count the automatic
 	// rows choice will produce: below this, bucket collisions dominate
-	// and the fast scheme loses its accuracy parity with flat.
+	// and the signature loses its accuracy parity with the paper's flat
+	// one.
 	minFastBuckets = 16
 	// defaultStageOps is the absorber staging-buffer capacity: large
 	// enough to amortize the flush (grouping + channel handoff) to a few
@@ -121,19 +108,16 @@ const (
 // (SignatureWords + Seed only) keep working unchanged.
 type Options struct {
 	// SignatureWords is k, the per-relation join-signature size in memory
-	// words (for the fast scheme, buckets·rows). Required.
+	// words (buckets·rows). Required.
 	SignatureWords int
 	// Seed fixes every hash family the engine derives; engines that must
 	// exchange signatures (e.g. across nodes) need equal Seed and shape
 	// parameters.
 	Seed uint64
-	// Scheme selects the signature implementation (default SchemeFast).
-	Scheme Scheme
-	// SignatureRows is the fast scheme's row count (the per-update cost
+	// SignatureRows is the signature's row count (the per-update cost
 	// and confidence knob). 0 picks the largest of 8, 4, 2, 1 that
 	// divides SignatureWords while keeping at least 16 buckets per row.
 	// Must divide SignatureWords and be at most hash.MaxTab4Rows.
-	// Ignored by SchemeFlat.
 	SignatureRows int
 	// SketchS1, SketchS2 shape the per-relation Fast-AMS self-join
 	// sketch (0 → 1024 and 8; SketchS2 is at most hash.MaxTab4Rows).
@@ -202,25 +186,18 @@ func (o Options) normalize() (Options, error) {
 	if o.SignatureWords < 1 {
 		return o, fmt.Errorf("engine: SignatureWords = %d, must be >= 1", o.SignatureWords)
 	}
-	switch o.Scheme {
-	case SchemeFast:
-		if o.SignatureRows == 0 {
-			o.SignatureRows = 1
-			for _, r := range []int{8, 4, 2} {
-				if o.SignatureWords%r == 0 && o.SignatureWords/r >= minFastBuckets {
-					o.SignatureRows = r
-					break
-				}
+	if o.SignatureRows == 0 {
+		o.SignatureRows = 1
+		for _, r := range []int{8, 4, 2} {
+			if o.SignatureWords%r == 0 && o.SignatureWords/r >= minFastBuckets {
+				o.SignatureRows = r
+				break
 			}
 		}
-		if o.SignatureRows < 1 || o.SignatureRows > hash.MaxTab4Rows || o.SignatureWords%o.SignatureRows != 0 {
-			return o, fmt.Errorf("engine: SignatureRows = %d must be in [1, %d] and divide SignatureWords = %d",
-				o.SignatureRows, hash.MaxTab4Rows, o.SignatureWords)
-		}
-	case SchemeFlat:
-		o.SignatureRows = 0
-	default:
-		return o, fmt.Errorf("engine: unknown scheme %d", o.Scheme)
+	}
+	if o.SignatureRows < 1 || o.SignatureRows > hash.MaxTab4Rows || o.SignatureWords%o.SignatureRows != 0 {
+		return o, fmt.Errorf("engine: SignatureRows = %d must be in [1, %d] and divide SignatureWords = %d",
+			o.SignatureRows, hash.MaxTab4Rows, o.SignatureWords)
 	}
 	if o.NoSketch {
 		o.SketchS1, o.SketchS2 = 0, 0
@@ -289,7 +266,6 @@ func (o Options) normalize() (Options, error) {
 // Engine tracks the synopsis set of every defined relation.
 type Engine struct {
 	opts    Options // normalized
-	flatFam *join.Family
 	fastFam *join.FastFamily
 	skCfg   core.Config // the per-shard sketch shape; zero when NoSketch
 	// chainFam is the shared §5 chain family, built lazily by the first
@@ -352,12 +328,7 @@ func newEngine(opts Options) (*Engine, error) {
 		fs:       opts.FS,
 		ckptKick: make(chan struct{}, 1),
 	}
-	switch opts.Scheme {
-	case SchemeFast:
-		e.fastFam, err = join.NewFastFamily(opts.SignatureWords/opts.SignatureRows, opts.SignatureRows, opts.Seed)
-	case SchemeFlat:
-		e.flatFam, err = join.NewFamily(opts.SignatureWords, opts.Seed)
-	}
+	e.fastFam, err = join.NewFastFamily(opts.SignatureWords/opts.SignatureRows, opts.SignatureRows, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -396,14 +367,6 @@ func (e *Engine) ensureChainFam() (*join.ChainFamily, error) {
 // merge across partitions.
 func (e *Engine) hhSeed() uint64 {
 	return xrand.Mix64(e.opts.Seed ^ 0x5c1b_b0a7_ab1e_0001)
-}
-
-// newSignature builds an empty signature of the configured scheme.
-func (e *Engine) newSignature() join.Signature {
-	if e.fastFam != nil {
-		return e.fastFam.NewSignature()
-	}
-	return e.flatFam.NewSignature()
 }
 
 // newSketch builds an empty self-join sketch of the configured shape
@@ -483,7 +446,7 @@ func (e *Engine) newRelation(name string, schema Schema) (*Relation, error) {
 		}
 	}
 	for i := range r.shards {
-		r.shards[i].sig = e.newSignature()
+		r.shards[i].sig = e.fastFam.NewSignature()
 		if !e.opts.NoSketch {
 			r.shards[i].sketch = e.newSketch()
 		}
@@ -646,9 +609,7 @@ func (r *Relation) mustArity(n int) {
 
 // shardOf spreads values across shards; deterministic in the value so a
 // shard always sees a valid substream of its values' ops.
-func (r *Relation) shardOf(v uint64) *sigShard {
-	return &r.shards[xrand.Mix64(v)&r.mask]
-}
+func (r *Relation) shardOf(v uint64) uint64 { return xrand.Mix64(v) & r.mask }
 
 // skims reports whether the relation maintains skimmed synopses.
 func (r *Relation) skims() bool { return r.schema.SkimHitters > 0 }
@@ -1064,7 +1025,7 @@ func (e *Engine) marshalHeader(version uint8, epoch uint64) (*blob.Builder, []st
 	b := blob.NewBuilder(blob.MagicEngine, version, 1024)
 	b.U64(uint64(e.opts.SignatureWords))
 	b.U64(e.opts.Seed)
-	b.U32(uint32(e.opts.Scheme))
+	b.U32(0) // the signature scheme word: 0 is the fast signature, 1 the retired flat one
 	b.U64(uint64(e.opts.SignatureRows))
 	b.U64(uint64(e.opts.SketchS1))
 	b.U64(uint64(e.opts.SketchS2))
@@ -1190,8 +1151,8 @@ func (e *Engine) UnmarshalBinary(data []byte) error {
 	for _, r := range e.rels {
 		r.ing.stop()
 	}
-	e.opts, e.flatFam, e.fastFam, e.skCfg, e.rels, e.fs =
-		fresh.opts, fresh.flatFam, fresh.fastFam, fresh.skCfg, fresh.rels, fresh.fs
+	e.opts, e.fastFam, e.skCfg, e.rels, e.fs =
+		fresh.opts, fresh.fastFam, fresh.skCfg, fresh.rels, fresh.fs
 	e.epoch.Store(fresh.epoch.Load())
 	return nil
 }
@@ -1199,21 +1160,17 @@ func (e *Engine) UnmarshalBinary(data []byte) error {
 // unmarshalEngine decodes a checkpoint blob (version 1 — pre-schema,
 // single-attribute — or version 2 with per-relation schema and chain
 // sections). Runtime-only knobs (Shards, Dir) are taken from runtime
-// rather than the blob.
+// rather than the blob. Each relation section decodes into a bundle and
+// folds in through absorbBundle, the path bundle imports take.
 func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 	version, payload, err := blob.Open(blob.MagicEngine, engineBlobVersionSkim, data)
 	if err != nil {
 		return nil, fmt.Errorf("engine: checkpoint blob: %w", err)
 	}
 	c := blob.NewCursor(payload)
-	opts := Options{
-		SignatureWords: c.Int(),
-		Seed:           c.U64(),
-		Scheme:         Scheme(c.U32()),
-		SignatureRows:  c.Int(),
-		SketchS1:       c.Int(),
-		SketchS2:       c.Int(),
-	}
+	opts := Options{SignatureWords: c.Int(), Seed: c.U64()}
+	scheme := c.U32()
+	opts.SignatureRows, opts.SketchS1, opts.SketchS2 = c.Int(), c.Int(), c.Int()
 	flags := c.U32()
 	opts.NoSketch = flags&flagNoSketch != 0
 	if version >= 2 {
@@ -1228,6 +1185,9 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 	count := c.U32()
 	if c.Err() != nil {
 		return nil, fmt.Errorf("engine: checkpoint blob: %w", c.Err())
+	}
+	if scheme != 0 {
+		return nil, fmt.Errorf("engine: checkpoint blob: signature scheme %d: the flat scheme (1) is retired, engines keep only the fast signature (0)", scheme)
 	}
 	opts.Shards = runtime.Shards
 	opts.Dir = runtime.Dir
@@ -1255,42 +1215,9 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 		}
 	}()
 	for i := uint32(0); i < count; i++ {
-		name := c.String()
-		sigBlob := c.Bytes()
-		hasSketch := c.U32()
-		var skBlob []byte
-		if hasSketch == 1 {
-			skBlob = c.Bytes()
-		}
-		if c.Err() != nil {
-			return nil, fmt.Errorf("engine: checkpoint blob: %w", c.Err())
-		}
-		schema := Schema{Attrs: []string{legacyAttr}}
-		var endBlobs, midBlobs [][]byte
-		var hhBlob []byte
-		if version >= 2 {
-			if schema, err = readSchema(c); err != nil {
-				return nil, fmt.Errorf("engine: checkpoint blob: relation %q: %w", name, err)
-			}
-			if version >= engineBlobVersionSkim {
-				switch skims := c.U32(); skims {
-				case 0:
-				case 1:
-					hitters := c.U64()
-					hhBlob = c.Bytes()
-					if c.Err() == nil && (hitters < 1 || hitters > maxSkimHitters) {
-						return nil, fmt.Errorf("engine: checkpoint blob: relation %q: skim hitters %d out of range", name, hitters)
-					}
-					schema.SkimHitters = int(hitters)
-				default:
-					if c.Err() == nil {
-						return nil, fmt.Errorf("engine: checkpoint blob: relation %q: skim flag %d", name, skims)
-					}
-				}
-			}
-			if endBlobs, midBlobs, err = readChainBlobs(c); err != nil {
-				return nil, fmt.Errorf("engine: checkpoint blob: relation %q: %w", name, err)
-			}
+		name, schema, b, err := readRelationSection(c, version)
+		if err != nil {
+			return nil, fmt.Errorf("engine: checkpoint blob: relation %q: %w", name, err)
 		}
 		if name == "" {
 			return nil, errors.New("engine: checkpoint blob: empty relation name")
@@ -1302,38 +1229,10 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Registered before validation so the cleanup defer owns it.
+		// Registered before the fold so the cleanup defer owns it.
 		fresh.rels[name] = r
-		if err := r.loadSignature(sigBlob); err != nil {
+		if err := r.absorbBundle(b); err != nil {
 			return nil, fmt.Errorf("engine: relation %q: %w", name, err)
-		}
-		if sk := r.shards[0].sketch; hasSketch == 1 {
-			if sk == nil {
-				return nil, fmt.Errorf("engine: relation %q carries a sketch but the engine disables it", name)
-			}
-			var tw core.FastTugOfWar
-			if err := tw.UnmarshalBinary(skBlob); err != nil {
-				return nil, fmt.Errorf("engine: relation %q: %w", name, err)
-			}
-			if err := sk.Merge(&tw); err != nil {
-				return nil, fmt.Errorf("engine: relation %q: sketch family mismatch", name)
-			}
-		} else if sk != nil {
-			return nil, fmt.Errorf("engine: relation %q misses the configured sketch", name)
-		}
-		if err := r.loadChain(endBlobs, midBlobs); err != nil {
-			return nil, fmt.Errorf("engine: relation %q: %w", name, err)
-		}
-		if hhBlob != nil {
-			if err := r.loadHH(hhBlob); err != nil {
-				return nil, fmt.Errorf("engine: relation %q: %w", name, err)
-			}
-		}
-		if version >= 3 {
-			// The whole recovered count lands on shard 0 — only the
-			// per-relation sum is meaningful, and replay bumps whatever
-			// shards the tail ops route to.
-			r.shards[0].ops = c.U64()
 		}
 	}
 	if err := c.Close(); err != nil {
@@ -1343,99 +1242,74 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 	return fresh, nil
 }
 
-// loadSignature decodes a signature blob of the engine's scheme and
-// merges it into shard 0 (linearity: equivalent to having streamed the
-// pre-checkpoint ops through the shards). The sketch loads the same way.
-func (r *Relation) loadSignature(data []byte) error {
-	var loaded join.Signature
-	if r.eng.fastFam != nil {
-		sig := &join.FastTWSignature{}
-		if err := sig.UnmarshalBinary(data); err != nil {
-			return err
+// readRelationSection decodes one relation's checkpoint section into its
+// name, its schema (SkimHitters included) and a bundle of its synopses
+// and Seq. The table of a skimmed relation is the relation-level one —
+// the exact union of the shard tables — so the fold's scatter restores
+// each shard's table bit-exactly at an unchanged shard count, and still
+// lands every entry on its owning shard at another.
+func readRelationSection(c *blob.Cursor, version uint8) (string, Schema, *RelationBundle, error) {
+	name := c.String()
+	schema := Schema{Attrs: []string{legacyAttr}}
+	sig, sketch, err := readSigSketch(c)
+	if err != nil {
+		return name, schema, nil, err
+	}
+	b := &RelationBundle{Sig: sig, Sketch: sketch}
+	if version < 2 {
+		return name, schema, b, nil
+	}
+	if schema, err = readSchema(c); err != nil {
+		return name, schema, nil, err
+	}
+	if version >= engineBlobVersionSkim {
+		switch skims := c.U32(); skims {
+		case 0:
+		case 1:
+			hitters, hhBlob := c.U64(), c.Bytes()
+			if c.Err() != nil {
+				return name, schema, nil, c.Err()
+			}
+			if b.HH, err = decodeHH(hitters, hhBlob); err != nil {
+				return name, schema, nil, err
+			}
+			b.SkimHitters = int(hitters)
+			schema.SkimHitters = b.SkimHitters
+		default:
+			if c.Err() == nil {
+				return name, schema, nil, fmt.Errorf("skim flag %d", skims)
+			}
 		}
-		loaded = sig
-	} else {
-		sig := &join.TWSignature{}
-		if err := sig.UnmarshalBinary(data); err != nil {
-			return err
+	}
+	endBlobs, midBlobs, err := readChainBlobs(c)
+	if err != nil {
+		return name, schema, nil, err
+	}
+	if !schema.legacy() {
+		b.Chain = &ChainBundle{}
+		if err := b.Chain.decode(schema, endBlobs, midBlobs); err != nil {
+			return name, schema, nil, err
 		}
-		loaded = sig
+	} else if len(endBlobs)+len(midBlobs) > 0 {
+		return name, schema, nil, fmt.Errorf("chain section has %d end + %d middle signatures, the legacy schema declares none",
+			len(endBlobs), len(midBlobs))
 	}
-	if err := r.shards[0].sig.Merge(loaded); err != nil {
-		return fmt.Errorf("signature family mismatch: %w", err)
+	if version >= 3 {
+		b.Seq = c.U64()
 	}
-	return nil
-}
-
-// loadHH decodes a checkpointed relation-level heavy-hitter table and
-// splits it back into the per-shard tables via shardOf. The
-// relation-level table is the exact disjoint union of the shard tables
-// (shardOf is value-deterministic), so — at an unchanged shard count —
-// the split restores each shard's table bit-exactly; replaying the
-// post-checkpoint log tail then reproduces the live state, which is the
-// kill-and-recover guarantee the skim torture tests pin. With a
-// DIFFERENT runtime shard count the split still lands every entry on
-// its (new) owning shard deterministically, trimming per the lossy
-// merge rule if a shard's share exceeds its slice of the budget.
-func (r *Relation) loadHH(data []byte) error {
-	var hh core.SpaceSaving
-	if err := hh.UnmarshalBinary(data); err != nil {
-		return err
-	}
-	if hh.Seed() != r.eng.hhSeed() {
-		return fmt.Errorf("heavy-hitter table seed mismatch: blob %#x, engine %#x", hh.Seed(), r.eng.hhSeed())
-	}
-	r.scatterHH(&hh)
-	return nil
+	return name, schema, b, c.Err()
 }
 
 // scatterHH folds a relation-level hitter table into the per-shard
 // tables, splitting by the same value hash shardOf routes with. The
-// caller must hold the shards quiet (recovery is single-threaded;
-// absorbBundle parks the absorbers).
+// caller owns the shard state (absorbBundle parks the absorbers).
 func (r *Relation) scatterHH(hh *core.SpaceSaving) {
 	groups := make([][]core.Hitter, len(r.shards))
 	for _, h := range hh.Items() {
-		i := xrand.Mix64(h.Value) & r.mask
+		i := r.shardOf(h.Value)
 		groups[i] = append(groups[i], h)
 	}
 	for i, g := range groups {
 		r.shards[i].hh.MergeItems(g)
 	}
-}
-
-// loadChain decodes a chain section and merges it into shard 0's chain
-// set (linearity, like loadSignature). The Merge calls verify every blob
-// against the engine's own chain family — size, seed, and end side — so
-// a section inconsistent with the declared schema is rejected rather
-// than silently mislaid.
-func (r *Relation) loadChain(endBlobs, midBlobs [][]byte) error {
-	sc := r.shards[0].chain
-	nEnds, nMids := 0, 0
-	if sc != nil {
-		nEnds, nMids = len(sc.ends), len(sc.mids)
-	}
-	if len(endBlobs) != nEnds || len(midBlobs) != nMids {
-		return fmt.Errorf("chain section has %d end + %d middle signatures, schema declares %d + %d",
-			len(endBlobs), len(midBlobs), nEnds, nMids)
-	}
-	for i, data := range endBlobs {
-		var s join.ChainEndSignature
-		if err := s.UnmarshalBinary(data); err != nil {
-			return err
-		}
-		if err := sc.ends[i].Merge(&s); err != nil {
-			return fmt.Errorf("chain end signature %d: %w", i, err)
-		}
-	}
-	for i, data := range midBlobs {
-		var s join.ChainMiddleSignature
-		if err := s.UnmarshalBinary(data); err != nil {
-			return err
-		}
-		if err := sc.mids[i].Merge(&s); err != nil {
-			return fmt.Errorf("chain middle signature %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"amstrack/internal/blob"
 	"amstrack/internal/exact"
 	"amstrack/internal/hash"
+	"amstrack/internal/join"
 	"amstrack/internal/xrand"
 )
 
@@ -27,9 +34,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if _, err := New(Options{SignatureWords: 256, SignatureRows: 3}); err == nil {
 		t.Fatal("rows not dividing k accepted")
-	}
-	if _, err := New(Options{SignatureWords: 256, Scheme: Scheme(9)}); err == nil {
-		t.Fatal("unknown scheme accepted")
 	}
 	if _, err := New(Options{SignatureWords: 256, Shards: -1}); err == nil {
 		t.Fatal("negative shards accepted")
@@ -135,31 +139,82 @@ func TestEstimateJoinAccuracy(t *testing.T) {
 	}
 }
 
-// TestFlatSchemeParity runs the same accuracy smoke through SchemeFlat —
-// the paper-faithful configuration the old catalog hardwired.
-func TestFlatSchemeParity(t *testing.T) {
-	e, err := New(Options{SignatureWords: 256, Seed: 7, Scheme: SchemeFlat, NoSketch: true})
+// TestRetiredFlatScheme: engines keep only the fast signature. A
+// checkpoint whose scheme word names the retired flat scheme fails Open
+// and UnmarshalBinary with an error that says so, and a flat-signature
+// bundle — which the codec still decodes — is ErrIncompatible wherever it
+// meets an engine.
+func TestRetiredFlatScheme(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(durOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := e.Define("f")
-	g, _ := e.Define("g")
-	exF, exG := exact.NewHistogram(), exact.NewHistogram()
-	r := xrand.New(5)
-	for i := 0; i < 20000; i++ {
-		fv, gv := r.Uint64n(300), r.Uint64n(300)
-		f.Insert(fv)
-		exF.Insert(fv)
-		g.Insert(gv)
-		exG.Insert(gv)
-	}
-	je, err := e.EstimateJoin("f", "g")
+	f, err := e.Define("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := float64(exF.JoinSize(exG))
-	if math.Abs(je.Estimate-truth) > 4*je.Sigma {
-		t.Fatalf("flat estimate %.3g off truth %.3g beyond 4σ (σ=%.3g)", je.Estimate, truth, je.Sigma)
+	f.InsertBatch([]uint64{1, 2, 3, 2})
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same relation with a flat signature in place of the fast one,
+	// so the signature is the only part that differs.
+	fb := f.Cut()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fam, err := join.NewFamily(durOpts("").SignatureWords, durOpts("").Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb.Sig = fam.NewSignature()
+	fb.Sig.InsertBatch([]uint64{1, 2, 3, 2})
+	flatBundle, err := fb.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	version, payload, err := blob.Open(blob.MagicEngine, engineBlobVersionSkim, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint32(flat[16:], 1) // the scheme word follows SignatureWords and Seed
+	flatCkpt := blob.Seal(blob.MagicEngine, version, flat)
+	var back Engine
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatalf("unpatched checkpoint: %v", err)
+	}
+	if err := back.UnmarshalBinary(flatCkpt); err == nil || !strings.Contains(err.Error(), "flat") {
+		t.Fatalf("UnmarshalBinary of a flat-scheme checkpoint: err = %v, want one naming the flat scheme", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointFile), flatCkpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(durOpts(dir)); err == nil || !strings.Contains(err.Error(), "flat") {
+		t.Fatalf("Open of a flat-scheme checkpoint: err = %v, want one naming the flat scheme", err)
+	}
+
+	mem, err := New(durOpts(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Define("f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.ImportRelation("g", flatBundle); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("ImportRelation of a flat bundle: err = %v, want ErrIncompatible", err)
+	}
+	if err := mem.MergeRelation("f", flatBundle); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("MergeRelation of a flat bundle: err = %v, want ErrIncompatible", err)
+	}
+	if _, err := mem.EstimateJoinBundle("f", flatBundle); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("EstimateJoinBundle of a flat bundle: err = %v, want ErrIncompatible", err)
 	}
 }
 
@@ -290,6 +345,37 @@ func TestEngineUnmarshalRejectsCorruption(t *testing.T) {
 	bad[9] ^= 0xff
 	if err := back.UnmarshalBinary(bad); err == nil {
 		t.Error("corrupted blob accepted")
+	}
+
+	// A sketch flag other than 0 or 1 is corrupt, also on a NoSketch
+	// engine, where "not 1" must not read as "no sketch".
+	ns, err := New(Options{SignatureWords: 64, Seed: 7, NoSketch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr, _ := ns.Define("x")
+	nr.Insert(1)
+	sigBlob, err := nr.Signature().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFlag := func(flag uint32) []byte {
+		b, _ := ns.marshalHeader(engineBlobVersion, 0)
+		b.String("x")
+		b.Bytes(sigBlob)
+		b.U32(flag)
+		buildSchema(b, Schema{Attrs: []string{legacyAttr}})
+		if err := buildChain(b, nil); err != nil {
+			t.Fatal(err)
+		}
+		b.U64(1)
+		return b.Seal()
+	}
+	if err := back.UnmarshalBinary(withFlag(0)); err != nil {
+		t.Fatalf("hand-built checkpoint with sketch flag 0: %v", err)
+	}
+	if err := back.UnmarshalBinary(withFlag(2)); err == nil {
+		t.Error("checkpoint with sketch flag 2 accepted")
 	}
 }
 

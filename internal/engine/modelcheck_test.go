@@ -32,7 +32,6 @@ func newModel(t *testing.T, o Options) *refmodel.Model {
 	m, err := refmodel.New(refmodel.Config{
 		SignatureWords: o.SignatureWords,
 		SignatureRows:  o.SignatureRows,
-		Flat:           o.Scheme == SchemeFlat,
 		Seed:           o.Seed,
 		SketchS1:       o.SketchS1,
 		SketchS2:       o.SketchS2,

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"amstrack/internal/oplog"
+	"amstrack/internal/stream"
 )
 
 // writeV1Record appends one pre-tuple-era oplog record (the fixed
@@ -108,5 +111,113 @@ func TestOplogV1CompatReplay(t *testing.T) {
 	if _, err := recovered.DefineSchema("g", Schema{
 		Attrs: []string{"a", "b"}, Middle: [][2]string{{"a", "b"}}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayArityRule pins replay's one tuple-shape rule: a logged
+// record whose width differs from the schema's (a log written before the
+// relation was re-declared) still feeds the signature, the sketch, Rows
+// and Seq, but the chain signatures see only records of the schema's
+// width.
+func TestReplayArityRule(t *testing.T) {
+	opts := Options{SignatureWords: 64, ChainWords: 16, Seed: 13, SketchS1: 32, SketchS2: 2, Shards: 2}
+	schema := Schema{Attrs: []string{"a", "b"}, EndA: []string{"a"}, EndB: []string{"b"}, Middle: [][2]string{{"a", "b"}}}
+	dopts := opts
+	dopts.Dir = t.TempDir()
+	e, err := Open(dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DefineSchema("g", schema); err != nil { // checkpoints the schema
+		t.Fatal(err)
+	}
+	epoch := e.Epoch()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The log tail: 2-attribute records mixed with 1- and 3-attribute
+	// ones, inserts and deletes of each width.
+	var ops []stream.Op
+	for i := 0; i < 600; i++ {
+		v := uint64(i*i%53 + 1)
+		op := stream.Op{Kind: stream.Insert, Value: v}
+		switch i % 3 {
+		case 0:
+			op.Rest = []uint64{v*7%19 + 1}
+		case 2:
+			op.Rest = []uint64{v % 5, v % 7}
+		}
+		ops = append(ops, op)
+	}
+	for _, op := range ops[:90] {
+		op.Kind = stream.Delete
+		ops = append(ops, op)
+	}
+	f, err := os.OpenFile(filepath.Join(dopts.Dir, segFileName("g", epoch, 0)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := oplog.NewWriter(f)
+	if err := w.AppendAll(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Expected: every record's primary value in a single-attribute model
+	// relation, and only the 2-attribute records in a chain one.
+	m := newModel(t, opts)
+	all := modelDefine(t, m, "all", Schema{})
+	chain := modelDefine(t, m, "chain", schema)
+	for _, op := range ops {
+		del := op.Kind == stream.Delete
+		if del {
+			_ = all.Delete(op.Value)
+		} else {
+			all.Insert(op.Value)
+		}
+		if len(op.Rest) != 1 {
+			continue
+		}
+		if del {
+			_ = chain.DeleteTuple(op.Value, op.Rest[0])
+		} else {
+			chain.InsertTuple(op.Value, op.Rest[0])
+		}
+	}
+
+	back, err := Open(dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	r, err := back.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := r.Cut()
+	if cut.Rows != all.Rows() || cut.Seq != all.Seq() || cut.Seq != uint64(len(ops)) {
+		t.Fatalf("Rows %d Seq %d, want %d and %d", cut.Rows, cut.Seq, all.Rows(), len(ops))
+	}
+	if !bytes.Equal(marshalOf(t, cut.Sig), marshalOf(t, all.Signature())) {
+		t.Fatal("signature does not count every record")
+	}
+	if !bytes.Equal(marshalOf(t, cut.Sketch), marshalOf(t, all.Sketch())) {
+		t.Fatal("sketch does not count every record")
+	}
+	for i, s := range cut.Chain.Ends {
+		if !bytes.Equal(marshalOf(t, s), marshalOf(t, chain.Ends()[i])) {
+			t.Fatalf("chain end %d does not count exactly the 2-attribute records", i)
+		}
+	}
+	for i, s := range cut.Chain.Mids {
+		if !bytes.Equal(marshalOf(t, s), marshalOf(t, chain.Mids()[i])) {
+			t.Fatalf("chain middle %d does not count exactly the 2-attribute records", i)
+		}
 	}
 }

@@ -329,36 +329,33 @@ func newChainCols(arity int) *chainCols {
 	return &chainCols{ins: make([][]uint64, arity), del: make([][]uint64, arity)}
 }
 
-// reset empties the columns, keeping their buffers.
-func (c *chainCols) reset() {
+// gather sets the columns to the tuples of ops whose width is the
+// columns' arity. Live ops always are (mustArity); a logged record of
+// another width — a pre-schema log replayed into a re-declared relation —
+// feeds only the pairwise synopses, per the upgrade contract.
+func (c *chainCols) gather(ops []stagedOp) {
 	for j := range c.ins {
 		c.ins[j], c.del[j] = c.ins[j][:0], c.del[j][:0]
 	}
-}
-
-// gather sets the columns to the tuples of an absorber message.
-func (c *chainCols) gather(ops []stagedOp) {
-	c.reset()
 	for _, op := range ops {
-		c.add(op.v, op.tail(), op.del)
-	}
-}
-
-// add appends the tuple (v, rest...) to the insert or delete columns.
-func (c *chainCols) add(v uint64, rest []uint64, del bool) {
-	cols := c.ins
-	if del {
-		cols = c.del
-	}
-	cols[0] = append(cols[0], v)
-	for j, x := range rest {
-		cols[j+1] = append(cols[j+1], x)
+		rest := op.tail()
+		if 1+len(rest) != len(c.ins) {
+			continue
+		}
+		cols := c.ins
+		if op.del {
+			cols = c.del
+		}
+		cols[0] = append(cols[0], op.v)
+		for j, x := range rest {
+			cols[j+1] = append(cols[j+1], x)
+		}
 	}
 }
 
 // apply feeds a batch of tuple columns into every chain synopsis, one
-// batch per synopsis and direction: the single entry point of ingest and
-// log replay. Chain signatures never error on deletes (pure linearity).
+// batch per synopsis and direction. Chain signatures never error on
+// deletes (pure linearity).
 func (sc *shardChain) apply(p *chainPlan, c *chainCols) {
 	for i, s := range sc.ends {
 		j := p.endAttr[i]

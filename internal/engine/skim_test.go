@@ -392,3 +392,98 @@ func TestSkimBundleRoundTripAndCompat(t *testing.T) {
 		t.Fatalf("skim-budget mismatch: err = %v, want ErrIncompatible", err)
 	}
 }
+
+// TestSkimShardCountRules pins where a skimmed relation's shard count
+// matters. A checkpoint reopens at any Shards: its relation-level table
+// re-splits onto the new shards (capacity 6 → 8 for SkimHitters 6 at 2
+// → 4 shards) and every linear part comes back unchanged. A shipped
+// bundle does not: engines that exchange skimmed bundles agree on
+// SkimHitters and Shards (DESIGN.md §13), so a table of another capacity
+// is ErrIncompatible.
+func TestSkimShardCountRules(t *testing.T) {
+	at := func(dir string, shards int) Options {
+		o := durOpts(dir)
+		o.Shards = shards
+		return o
+	}
+	t.Run("checkpoint reopens at another shard count", func(t *testing.T) {
+		dir := t.TempDir()
+		e, err := Open(at(dir, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.DefineSchema("s", Schema{SkimHitters: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := map[uint64]int64{}
+		skimChurn(t, r, 41, 1500, live)
+		if _, err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		skimChurn(t, r, 42, 500, live) // a log tail, replayed at 4 shards
+		want := r.Cut()
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var exports [2][]byte
+		for i := range exports {
+			back, err := Open(at(dir, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := back.Get("s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rb.Cut()
+			if got.HH.Capacity() != 8 {
+				t.Fatalf("reopened table capacity %d, want 8", got.HH.Capacity())
+			}
+			if got.Rows != want.Rows || got.Seq != want.Seq {
+				t.Fatalf("reopened Rows %d Seq %d, want %d and %d", got.Rows, got.Seq, want.Rows, want.Seq)
+			}
+			if !bytes.Equal(marshalOf(t, got.Sig), marshalOf(t, want.Sig)) {
+				t.Fatal("reopened signature differs from the pre-close cut")
+			}
+			if !bytes.Equal(marshalOf(t, got.Sketch), marshalOf(t, want.Sketch)) {
+				t.Fatal("reopened sketch differs from the pre-close cut")
+			}
+			exports[i] = marshalOf(t, got)
+			if err := back.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(exports[0], exports[1]) {
+			t.Fatal("two reopens at 4 shards export different bundles")
+		}
+	})
+	t.Run("shipped bundle needs the local capacity", func(t *testing.T) {
+		src, err := New(at("", 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := src.DefineSchema("s", Schema{SkimHitters: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		skimChurn(t, sr, 43, 800, map[uint64]int64{})
+		data, err := src.ExportRelation("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := New(at("", 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.ImportRelation("s", data); !errors.Is(err, ErrIncompatible) {
+			t.Fatalf("import of a 2-shard skimmed bundle at 4 shards: err = %v, want ErrIncompatible", err)
+		}
+		if _, err := dst.DefineSchema("s", Schema{SkimHitters: 6}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.MergeRelation("s", data); !errors.Is(err, ErrIncompatible) {
+			t.Fatalf("merge of a 2-shard skimmed bundle at 4 shards: err = %v, want ErrIncompatible", err)
+		}
+	})
+}

@@ -13,7 +13,7 @@
 //   - the join signature: a fast (bucketed) signature over
 //     join.NewFastFamily(k/rows, rows, Seed), rows defaulting to the
 //     largest of 8, 4, 2 that divides k with at least 16 buckets per row
-//     (else 1), or the paper's flat signature over join.NewFamily(k, Seed);
+//     (else 1);
 //   - the Fast-AMS self-join sketch: core.NewFastTugOfWar with S1×S2
 //     (default 1024×8) and seed Mix64(Seed ^ 0xa5a5_e19e_5e55_0001);
 //   - the chain signatures: one family join.NewChainFamily(ChainWords,
@@ -44,7 +44,6 @@ import (
 type Config struct {
 	SignatureWords int    // k, required
 	SignatureRows  int    // fast-signature rows; 0 picks the default rule
-	Flat           bool   // the paper's flat signature instead of the fast one
 	Seed           uint64 // master seed
 	SketchS1       int    // 0 → 1024
 	SketchS2       int    // 0 → 8
@@ -64,7 +63,6 @@ type Schema struct {
 type Model struct {
 	cfg      Config
 	fastFam  *join.FastFamily
-	flatFam  *join.Family
 	skCfg    core.Config
 	chainFam *join.ChainFamily // built by the first chain declaration
 	rels     map[string]*Relation
@@ -76,29 +74,24 @@ func New(cfg Config) (*Model, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("refmodel: SignatureWords = %d", k)
 	}
-	m := &Model{cfg: cfg, rels: map[string]*Relation{}}
-	var err error
-	if cfg.Flat {
-		m.flatFam, err = join.NewFamily(k, cfg.Seed)
-	} else {
-		rows := cfg.SignatureRows
-		if rows == 0 {
-			rows = 1
-			for _, r := range []int{8, 4, 2} {
-				if k%r == 0 && k/r >= 16 {
-					rows = r
-					break
-				}
+	rows := cfg.SignatureRows
+	if rows == 0 {
+		rows = 1
+		for _, r := range []int{8, 4, 2} {
+			if k%r == 0 && k/r >= 16 {
+				rows = r
+				break
 			}
 		}
-		if k%rows != 0 {
-			return nil, fmt.Errorf("refmodel: %d rows do not divide k = %d", rows, k)
-		}
-		m.fastFam, err = join.NewFastFamily(k/rows, rows, cfg.Seed)
 	}
+	if k%rows != 0 {
+		return nil, fmt.Errorf("refmodel: %d rows do not divide k = %d", rows, k)
+	}
+	fam, err := join.NewFastFamily(k/rows, rows, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	m := &Model{cfg: cfg, fastFam: fam, rels: map[string]*Relation{}}
 	if !cfg.NoSketch {
 		m.skCfg = core.Config{S1: 1024, S2: 8, Seed: xrand.Mix64(cfg.Seed ^ 0xa5a5_e19e_5e55_0001)}
 		if cfg.SketchS1 != 0 {
@@ -132,12 +125,7 @@ func (m *Model) Define(name string, s Schema) (*Relation, error) {
 		}
 		return 0, fmt.Errorf("refmodel: relation %q declares unknown attribute %q", name, a)
 	}
-	r := &Relation{arity: len(attrs), hist: exact.NewHistogram()}
-	if m.fastFam != nil {
-		r.sig = m.fastFam.NewSignature()
-	} else {
-		r.sig = m.flatFam.NewSignature()
-	}
+	r := &Relation{arity: len(attrs), sig: m.fastFam.NewSignature(), hist: exact.NewHistogram()}
 	if !m.cfg.NoSketch {
 		sk, err := core.NewFastTugOfWar(m.skCfg)
 		if err != nil {

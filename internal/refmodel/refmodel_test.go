@@ -30,16 +30,16 @@ func TestDefaultShapes(t *testing.T) {
 			t.Fatalf("k=%d: chain words %d, want %d", tc.k, got, tc.k)
 		}
 	}
-	flat, err := New(Config{SignatureWords: 16, Flat: true, NoSketch: true})
+	noSketch, err := New(Config{SignatureWords: 16, NoSketch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := flat.Define("f", Schema{})
+	r, err := noSketch.Define("f", Schema{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Signature().(*join.TWSignature); !ok || r.Sketch() != nil {
-		t.Fatalf("flat NoSketch model built %T with sketch %v", r.Signature(), r.Sketch() != nil)
+	if _, ok := r.Signature().(*join.FastTWSignature); !ok || r.Sketch() != nil {
+		t.Fatalf("NoSketch model built %T with sketch %v", r.Signature(), r.Sketch() != nil)
 	}
 }
 
