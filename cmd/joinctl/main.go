@@ -39,8 +39,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -51,31 +54,60 @@ import (
 	"amstrack/internal/coord"
 )
 
-func main() {
-	var (
-		nodes   = flag.String("nodes", "", "comma-separated amsd base URLs (required)")
-		f       = flag.String("f", "", "left relation name (pairwise mode, required)")
-		g       = flag.String("g", "", "right relation name (pairwise mode, required)")
-		chain   = flag.Bool("chain", false, "coordinate a §5 three-way chain join instead of a pairwise one")
-		left    = flag.String("left", "", "chain mode: left end relation F")
-		mid     = flag.String("mid", "", "chain mode: middle relation G")
-		right   = flag.String("right", "", "chain mode: right end relation H")
-		attrA   = flag.String("attr-a", "", "chain mode: attribute joining F and G")
-		attrB   = flag.String("attr-b", "", "chain mode: attribute joining G and H")
-		strict  = flag.Bool("strict", false, "fail if any node lacks a relation (default: skip with a warning)")
-		timeout = flag.Duration("timeout", 10*time.Second, "per-request HTTP timeout (each retry attempt gets the full budget)")
-		retries = flag.Int("retries", 3, "attempts per node request; transport errors and 5xx retry, 4xx do not")
-		backoff = flag.Duration("retry-backoff", 100*time.Millisecond, "base delay before the second attempt; doubles per retry (capped ~30s), with jitter")
-		maxMB   = flag.Int64("max-bundle-mb", 64, "per-response size cap in MiB; a node response past it fails instead of exhausting memory")
-		asJSON  = flag.Bool("json", false, "emit the result as one JSON object")
+// errUsage reports a bad command line. run has already printed why and
+// the usage; main exits 2, as the flag package does.
+var errUsage = errors.New("usage")
 
-		serve     = flag.Bool("serve", false, "run as a cached coordinator daemon instead of a one-shot query")
-		listen    = flag.String("listen", ":7700", "serve mode: HTTP listen address")
-		relations = flag.String("relations", "", "serve mode: comma-separated relation names to keep cached (required)")
-		refresh   = flag.Duration("refresh", coord.DefaultRefresh, "serve mode: background refresh interval per node (jittered)")
-		maxStale  = flag.Duration("max-staleness", 0, "serve mode: refuse (503) answers older than this; 0 serves forever with staleness reported")
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "joinctl:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, then answers one query on stdout or, with -serve,
+// runs the daemon until SIGINT/SIGTERM. Warnings and logs go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("joinctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		nodes   = fs.String("nodes", "", "comma-separated amsd base URLs (required)")
+		f       = fs.String("f", "", "left relation name (pairwise mode, required)")
+		g       = fs.String("g", "", "right relation name (pairwise mode, required)")
+		chain   = fs.Bool("chain", false, "coordinate a §5 three-way chain join instead of a pairwise one")
+		left    = fs.String("left", "", "chain mode: left end relation F")
+		mid     = fs.String("mid", "", "chain mode: middle relation G")
+		right   = fs.String("right", "", "chain mode: right end relation H")
+		attrA   = fs.String("attr-a", "", "chain mode: attribute joining F and G")
+		attrB   = fs.String("attr-b", "", "chain mode: attribute joining G and H")
+		strict  = fs.Bool("strict", false, "fail if any node lacks a relation (default: skip with a warning)")
+		timeout = fs.Duration("timeout", 10*time.Second, "per-request HTTP timeout (each retry attempt gets the full budget)")
+		retries = fs.Int("retries", 3, "attempts per node request; transport errors and 5xx retry, 4xx do not")
+		backoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base delay before the second attempt; doubles per retry (capped ~30s), with jitter")
+		maxMB   = fs.Int64("max-bundle-mb", 64, "per-response size cap in MiB; a node response past it fails instead of exhausting memory")
+		asJSON  = fs.Bool("json", false, "emit the result as one JSON object")
+
+		serve     = fs.Bool("serve", false, "run as a cached coordinator daemon instead of a one-shot query")
+		listen    = fs.String("listen", ":7700", "serve mode: HTTP listen address")
+		relations = fs.String("relations", "", "serve mode: comma-separated relation names to keep cached (required)")
+		refresh   = fs.Duration("refresh", coord.DefaultRefresh, "serve mode: background refresh interval per node (jittered)")
+		maxStale  = fs.Duration("max-staleness", 0, "serve mode: refuse (503) answers older than this; 0 serves forever with staleness reported")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	usage := func(msg string) error {
+		fmt.Fprintln(stderr, "joinctl:", msg)
+		fs.Usage()
+		return errUsage
+	}
 	// One keep-alive transport for the whole coordination: every node is
 	// asked for signatures AND freshness stats, so reusing the connection
 	// across phases halves the dials per node. The idle-pool cap is per
@@ -85,59 +117,48 @@ func main() {
 	fx := coord.NewFetcher(&http.Client{Timeout: *timeout, Transport: tr}, *retries, *backoff)
 	fx.SetMaxBody(*maxMB << 20)
 
-	if *serve {
-		if *nodes == "" || *relations == "" {
-			fmt.Fprintln(os.Stderr, "joinctl: -serve needs -nodes and -relations")
-			flag.Usage()
-			os.Exit(2)
-		}
-		runServe(fx, coord.SplitNodes(*nodes), coord.SplitNodes(*relations), *listen, *refresh, *maxStale)
-		return
-	}
-	if *chain {
-		if *nodes == "" || *left == "" || *mid == "" || *right == "" || *attrA == "" || *attrB == "" {
-			fmt.Fprintln(os.Stderr, "joinctl: -chain needs -nodes, -left, -mid, -right, -attr-a, and -attr-b")
-			flag.Usage()
-			os.Exit(2)
-		}
-		res, err := coord.CoordinateChain(fx, coord.SplitNodes(*nodes), *left, *attrA, *mid, *attrB, *right, *strict, os.Stderr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "joinctl:", err)
-			os.Exit(1)
-		}
+	// answer prints a coordinated answer: the body itself as JSON, or the
+	// human-readable report.
+	answer := func(body interface{ Print(io.Writer) }) error {
 		if *asJSON {
-			fmt.Printf(`{"f":%q,"attr_a":%q,"g":%q,"attr_b":%q,"h":%q,"nodes":%d,"rows_f":%d,"rows_g":%d,"rows_h":%d,"estimate":%g,"sigma":%g,"upper":%g,"sjf":%g,"sjg":%g,"sjh":%g,"k":%d}`+"\n",
-				res.F, res.AttrA, res.G, res.AttrB, res.H, res.Nodes, res.RowsF, res.RowsG, res.RowsH,
-				res.Estimate, res.Sigma, res.Upper, res.SJF, res.SJG, res.SJH, res.K)
-			return
+			return json.NewEncoder(stdout).Encode(body)
 		}
-		res.Print(os.Stdout)
-		return
+		body.Print(stdout)
+		return nil
 	}
-	if *nodes == "" || *f == "" || *g == "" {
-		fmt.Fprintln(os.Stderr, "joinctl: -nodes, -f, and -g are required")
-		flag.Usage()
-		os.Exit(2)
+	switch {
+	case *serve:
+		if *nodes == "" || *relations == "" {
+			return usage("-serve needs -nodes and -relations")
+		}
+		return runServe(fx, coord.SplitNodes(*nodes), coord.SplitNodes(*relations), *listen, *refresh, *maxStale, stderr)
+	case *chain:
+		if *nodes == "" || *left == "" || *mid == "" || *right == "" || *attrA == "" || *attrB == "" {
+			return usage("-chain needs -nodes, -left, -mid, -right, -attr-a, and -attr-b")
+		}
+		res, err := coord.CoordinateChain(fx, coord.SplitNodes(*nodes), *left, *attrA, *mid, *attrB, *right, *strict, stderr)
+		if err != nil {
+			return err
+		}
+		return answer(res)
+	default:
+		if *nodes == "" || *f == "" || *g == "" {
+			return usage("-nodes, -f, and -g are required")
+		}
+		res, err := coord.Coordinate(fx, coord.SplitNodes(*nodes), *f, *g, *strict, stderr)
+		if err != nil {
+			return err
+		}
+		return answer(res)
 	}
-	res, err := coord.Coordinate(fx, coord.SplitNodes(*nodes), *f, *g, *strict, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "joinctl:", err)
-		os.Exit(1)
-	}
-	if *asJSON {
-		fmt.Printf(`{"f":%q,"g":%q,"nodes":%d,"rows_f":%d,"rows_g":%d,"estimate":%g,"sigma":%g,"fact11":%g,"sjf":%g,"sjg":%g,"k":%d,"estimator":%q}`+"\n",
-			res.F, res.G, res.Nodes, res.RowsF, res.RowsG, res.Estimate, res.Sigma, res.Fact11, res.SJF, res.SJG, res.K, res.Estimator)
-		return
-	}
-	res.Print(os.Stdout)
 }
 
 // runServe runs the cached coordinator daemon until SIGINT/SIGTERM:
 // warm the cache synchronously (a node being down at startup is logged,
 // not fatal — its partitions fill in when it comes back), start the
 // refresh loops, serve, then drain on signal.
-func runServe(fx *coord.Fetcher, nodes, relations []string, listen string, refresh, maxStale time.Duration) {
-	logger := log.New(os.Stderr, "joinctl: ", log.LstdFlags)
+func runServe(fx *coord.Fetcher, nodes, relations []string, listen string, refresh, maxStale time.Duration, logW io.Writer) error {
+	logger := log.New(logW, "joinctl: ", log.LstdFlags)
 	d, err := coord.NewDaemon(coord.Config{
 		Nodes:        nodes,
 		Relations:    relations,
@@ -147,12 +168,13 @@ func runServe(fx *coord.Fetcher, nodes, relations []string, listen string, refre
 		Logf:         logger.Printf,
 	})
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	if err := d.Sweep(); err != nil {
 		logger.Printf("startup sweep: %v (serving anyway; refresh loops will recover)", err)
 	}
 	d.Start()
+	defer d.Stop()
 	// Query bodies are tiny, so a full ReadTimeout is safe here; the
 	// header timeout is what stops a slowloris client from pinning a
 	// conn forever, and IdleTimeout reaps dead keep-alives.
@@ -170,9 +192,10 @@ func runServe(fx *coord.Fetcher, nodes, relations []string, listen string, refre
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	select {
 	case err := <-errCh:
-		logger.Fatal(err)
+		return err
 	case s := <-sig:
 		logger.Printf("%v: shutting down", s)
 	}
@@ -181,5 +204,5 @@ func runServe(fx *coord.Fetcher, nodes, relations []string, listen string, refre
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Printf("shutdown: %v", err)
 	}
-	d.Stop()
+	return nil
 }

@@ -121,18 +121,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON response body with the given status:
+// the one JSON writer behind amsd, the router and the coordinator.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
+// WriteErr writes the error body {"error": "..."} with the given status.
+func WriteErr(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{err.Error()})
 }
 
 // statusFor maps engine errors onto HTTP codes: unknown relations are
@@ -230,7 +231,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		ws := s.wireStatus()
 		body.Wire = &ws
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // RelationsBody is the GET /v1/relations response.
@@ -243,7 +244,7 @@ func (s *Server) handleListRelations(w http.ResponseWriter, _ *http.Request) {
 	if names == nil {
 		names = []string{}
 	}
-	writeJSON(w, http.StatusOK, RelationsBody{Relations: names})
+	WriteJSON(w, http.StatusOK, RelationsBody{Relations: names})
 }
 
 // DefineRequest is the POST /v1/relations body. The schema fields are
@@ -275,23 +276,23 @@ type DefineBody struct {
 func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
 	var req DefineRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
+		WriteErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
 		return
 	}
 	schema := engine.Schema{Attrs: req.Attrs, EndA: req.ChainA, EndB: req.ChainB, SkimHitters: req.SkimHitters}
 	for _, p := range req.ChainAB {
 		if len(p) != 2 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("chain_ab entry %v must name exactly two attributes", p))
+			WriteErr(w, http.StatusBadRequest, fmt.Errorf("chain_ab entry %v must name exactly two attributes", p))
 			return
 		}
 		schema.Middle = append(schema.Middle, [2]string{p[0], p[1]})
 	}
 	rel, err := s.eng.DefineSchema(req.Name, schema)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, DefineBody{Relation: req.Name, Attrs: rel.Schema().Attrs})
+	WriteJSON(w, http.StatusCreated, DefineBody{Relation: req.Name, Attrs: rel.Schema().Attrs})
 }
 
 // SchemaBody is the GET /v1/relations/{name} response: the relation's
@@ -310,7 +311,7 @@ type SchemaBody struct {
 func (s *Server) handleRelationSchema(w http.ResponseWriter, r *http.Request) {
 	rel, err := s.eng.Get(r.PathValue("name"))
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
 	sc := rel.Schema()
@@ -318,7 +319,7 @@ func (s *Server) handleRelationSchema(w http.ResponseWriter, r *http.Request) {
 	for _, p := range sc.Middle {
 		body.ChainAB = append(body.ChainAB, []string{p[0], p[1]})
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // DropBody is the DELETE /v1/relations/{name} response.
@@ -329,10 +330,10 @@ type DropBody struct {
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.eng.Drop(name); err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DropBody{Dropped: name})
+	WriteJSON(w, http.StatusOK, DropBody{Dropped: name})
 }
 
 // IngestRequest is the POST /v1/ingest body: inserts applied before
@@ -409,31 +410,31 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer putIngestScratch(sc)
 	sc.reset()
 	if _, err := sc.buf.ReadFrom(r.Body); err != nil {
-		writeErr(w, statusFor(err), fmt.Errorf("read request: %w", err))
+		WriteErr(w, statusFor(err), fmt.Errorf("read request: %w", err))
 		return
 	}
 	req := &sc.req
 	if err := json.Unmarshal(sc.buf.Bytes(), req); err != nil {
-		writeErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
+		WriteErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
 		return
 	}
 	rel, err := s.eng.Get(req.Relation)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
 	if rel.Arity() != 1 && (len(req.Inserts) > 0 || len(req.Deletes) > 0) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf(
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf(
 			"relation %q has arity %d; use insert_rows/delete_rows with full tuples",
 			req.Relation, rel.Arity()))
 		return
 	}
 	if err := checkRows(rel, req.InsertRows); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := checkRows(rel, req.DeleteRows); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	rel.InsertBatch(req.Inserts)
@@ -442,11 +443,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Engine deletes are pure linearity and never fail on validity;
 		// an error here is the relation's sticky durability failure —
 		// the server's fault, not the client's.
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	if err := rel.DeleteTupleBatch(req.DeleteRows); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	// DrainLen is the one-sweep barrier: it flushes this request's ops
@@ -455,10 +456,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	n, err := rel.DrainLen()
 	if err != nil {
 		// Ops applied in memory but not durably logged: surface loudly.
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, IngestBody{
+	WriteJSON(w, http.StatusOK, IngestBody{
 		Relation: req.Relation,
 		Inserted: len(req.Inserts) + len(req.InsertRows),
 		Deleted:  len(req.Deletes) + len(req.DeleteRows),
@@ -480,18 +481,18 @@ type SelfJoinBody struct {
 func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("relation")
 	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?relation parameter"))
+		WriteErr(w, http.StatusBadRequest, errors.New("missing ?relation parameter"))
 		return
 	}
 	rel, err := s.eng.Get(name)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
 	// One cut answers both the estimate and the length.
 	cut := rel.Cut()
 	est, estimator := cut.SelfJoinEstimateDetail()
-	writeJSON(w, http.StatusOK, SelfJoinBody{
+	WriteJSON(w, http.StatusOK, SelfJoinBody{
 		Relation:  name,
 		Len:       cut.Rows,
 		Estimate:  est,
@@ -499,38 +500,25 @@ func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// JoinBody is the GET /v1/join response: the unbiased estimate plus the
-// paper's bounds (Lemma 4.4 one-σ, Fact 1.1 upper bound) and the
-// self-join estimates they came from.
-type JoinBody struct {
-	F        string  `json:"f"`
-	G        string  `json:"g"`
-	Estimate float64 `json:"estimate"`
-	Sigma    float64 `json:"sigma"`
-	Fact11   float64 `json:"fact11"`
-	SJF      float64 `json:"sjf"`
-	SJG      float64 `json:"sjg"`
-	// Estimator names which estimator produced Estimate: "skimmed" when
-	// both sides carried heavy-hitter tables, "sketch" otherwise.
-	Estimator string `json:"estimator"`
-}
+// JoinBody is the GET /v1/join response, each /v1/pairs entry and the
+// /v1/join/remote response: the engine's pair answer — the unbiased
+// estimate plus the paper's bounds (Lemma 4.4 one-σ, Fact 1.1 upper
+// bound), the self-join estimates they came from and the estimator that
+// answered.
+type JoinBody = engine.PairEstimate
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	f, g := r.URL.Query().Get("f"), r.URL.Query().Get("g")
 	if f == "" || g == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?f or ?g parameter"))
+		WriteErr(w, http.StatusBadRequest, errors.New("missing ?f or ?g parameter"))
 		return
 	}
 	je, err := s.eng.EstimateJoin(f, g)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, JoinBody{
-		F: f, G: g,
-		Estimate: je.Estimate, Sigma: je.Sigma, Fact11: je.Fact11,
-		SJF: je.SJF, SJG: je.SJG, Estimator: je.Estimator,
-	})
+	WriteJSON(w, http.StatusOK, JoinBody{F: f, G: g, JoinEstimate: je})
 }
 
 // ChainJoinRequest is the POST /v1/join/chain body: a §5 three-way chain
@@ -550,45 +538,37 @@ type ChainJoinRequest struct {
 	RemoteH []byte `json:"remote_h,omitempty"`
 }
 
-// ChainJoinBody is its response: the unbiased chain estimate plus the
+// ChainJoinBody is its response: the chain named by the request and the
+// engine's chain answer — the unbiased estimate plus the
 // variance-envelope σ, the Cauchy–Schwarz upper bound, and the chain
 // self-join estimates they came from.
 type ChainJoinBody struct {
-	F        string  `json:"f"`
-	AttrA    string  `json:"attr_a"`
-	G        string  `json:"g"`
-	AttrB    string  `json:"attr_b"`
-	H        string  `json:"h"`
-	Estimate float64 `json:"estimate"`
-	Sigma    float64 `json:"sigma"`
-	Upper    float64 `json:"upper"`
-	SJF      float64 `json:"sjf"`
-	SJG      float64 `json:"sjg"`
-	SJH      float64 `json:"sjh"`
-	K        int     `json:"k"`
+	F     string `json:"f"`
+	AttrA string `json:"attr_a"`
+	G     string `json:"g"`
+	AttrB string `json:"attr_b"`
+	H     string `json:"h"`
+	engine.ChainJoinEstimate
 }
 
 func (s *Server) handleJoinChain(w http.ResponseWriter, r *http.Request) {
 	var req ChainJoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
+		WriteErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if req.F == "" || req.AttrA == "" || req.G == "" || req.AttrB == "" || req.H == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("f, attr_a, g, attr_b, and h are all required"))
+		WriteErr(w, http.StatusBadRequest, errors.New("f, attr_a, g, attr_b, and h are all required"))
 		return
 	}
 	ce, err := s.eng.EstimateChainJoinRemote(req.F, req.AttrA, req.G, req.AttrB, req.H,
 		req.RemoteF, req.RemoteG, req.RemoteH)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ChainJoinBody{
-		F: req.F, AttrA: req.AttrA, G: req.G, AttrB: req.AttrB, H: req.H,
-		Estimate: ce.Estimate, Sigma: ce.Sigma, Upper: ce.Upper,
-		SJF: ce.SJF, SJG: ce.SJG, SJH: ce.SJH, K: ce.K,
-	})
+	WriteJSON(w, http.StatusOK, ChainJoinBody{F: req.F, AttrA: req.AttrA, G: req.G, AttrB: req.AttrB, H: req.H,
+		ChainJoinEstimate: ce})
 }
 
 // PairsBody is the GET /v1/pairs response.
@@ -599,18 +579,13 @@ type PairsBody struct {
 func (s *Server) handlePairs(w http.ResponseWriter, _ *http.Request) {
 	pairs, err := s.eng.AllPairs()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	out := PairsBody{Pairs: make([]JoinBody, 0, len(pairs))}
-	for _, p := range pairs {
-		out.Pairs = append(out.Pairs, JoinBody{
-			F: p.F, G: p.G,
-			Estimate: p.Estimate, Sigma: p.Sigma, Fact11: p.Fact11,
-			SJF: p.SJF, SJG: p.SJG, Estimator: p.Estimator,
-		})
+	if pairs == nil {
+		pairs = []JoinBody{}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, PairsBody{Pairs: pairs})
 }
 
 // CheckpointBody is the POST /v1/checkpoint response.
@@ -625,10 +600,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 		if s.eng.Dir() == "" {
 			status = http.StatusConflict // in-memory engine: nothing to checkpoint to
 		}
-		writeErr(w, status, err)
+		WriteErr(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointBody{Bytes: n})
+	WriteJSON(w, http.StatusOK, CheckpointBody{Bytes: n})
 }
 
 // SignatureStatBody is the GET /v1/signatures/{name}?stat=1 response:
@@ -663,7 +638,7 @@ func (s *Server) handleExportSignature(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodHead || r.URL.Query().Get("stat") != "" {
 		st, err := s.eng.StatRelation(name)
 		if err != nil {
-			writeErr(w, statusFor(err), err)
+			WriteErr(w, statusFor(err), err)
 			return
 		}
 		setStampHeaders(w, st)
@@ -671,14 +646,14 @@ func (s *Server) handleExportSignature(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
-		writeJSON(w, http.StatusOK, SignatureStatBody{
+		WriteJSON(w, http.StatusOK, SignatureStatBody{
 			Relation: name, Epoch: st.Epoch, Seq: st.Seq, Rows: st.Rows,
 		})
 		return
 	}
 	data, err := s.eng.ExportRelation(name)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -702,7 +677,7 @@ func (s *Server) handleImportSignature(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, statusFor(err), fmt.Errorf("read bundle: %w", err))
+		WriteErr(w, statusFor(err), fmt.Errorf("read bundle: %w", err))
 		return
 	}
 	mode := r.URL.Query().Get("mode")
@@ -715,19 +690,19 @@ func (s *Server) handleImportSignature(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 		err = s.eng.MergeRelation(name, data)
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want import or merge)", mode))
+		WriteErr(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q (want import or merge)", mode))
 		return
 	}
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
 	rel, err := s.eng.Get(name)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, status, ImportBody{Relation: name, Mode: mode, Len: rel.Len()})
+	WriteJSON(w, status, ImportBody{Relation: name, Mode: mode, Len: rel.Len()})
 }
 
 // handleJoinRemote estimates the join of a LOCAL relation (?relation=F)
@@ -736,22 +711,18 @@ func (s *Server) handleImportSignature(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJoinRemote(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("relation")
 	if name == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?relation parameter"))
+		WriteErr(w, http.StatusBadRequest, errors.New("missing ?relation parameter"))
 		return
 	}
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, statusFor(err), fmt.Errorf("read bundle: %w", err))
+		WriteErr(w, statusFor(err), fmt.Errorf("read bundle: %w", err))
 		return
 	}
 	je, err := s.eng.EstimateJoinBundle(name, data)
 	if err != nil {
-		writeErr(w, statusFor(err), err)
+		WriteErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, JoinBody{
-		F: name, G: "(remote bundle)",
-		Estimate: je.Estimate, Sigma: je.Sigma, Fact11: je.Fact11,
-		SJF: je.SJF, SJG: je.SJG, Estimator: je.Estimator,
-	})
+	WriteJSON(w, http.StatusOK, JoinBody{F: name, G: "(remote bundle)", JoinEstimate: je})
 }

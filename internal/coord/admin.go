@@ -16,9 +16,7 @@ import (
 // ListRelations GETs a node's defined relation names, retrying per the
 // fetcher's policy (the call is read-only and idempotent).
 func (fx *Fetcher) ListRelations(node string) ([]string, error) {
-	var out struct {
-		Relations []string `json:"relations"`
-	}
+	var out amsd.RelationsBody
 	err := fx.getJSON(node+"/v1/relations", "relations", &out)
 	return out.Relations, err
 }
@@ -26,14 +24,7 @@ func (fx *Fetcher) ListRelations(node string) ([]string, error) {
 // Schema is a relation's schema as reported by GET /v1/relations/{name},
 // in the same field shapes the define endpoint accepts — fetch it from
 // one node, POST it to another, and the two relations are mergeable.
-type Schema struct {
-	Relation    string     `json:"relation"`
-	Attrs       []string   `json:"attrs"`
-	ChainA      []string   `json:"chain_a,omitempty"`
-	ChainB      []string   `json:"chain_b,omitempty"`
-	ChainAB     [][]string `json:"chain_ab,omitempty"`
-	SkimHitters int        `json:"skim_hitters,omitempty"`
-}
+type Schema = amsd.SchemaBody
 
 // FetchSchema GETs one relation's schema from one node. ErrNotFound
 // reports the relation is not defined there.

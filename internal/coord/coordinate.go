@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"amstrack/internal/amsd"
 	"amstrack/internal/engine"
 )
 
@@ -22,23 +23,8 @@ func SplitNodes(s string) []string {
 	return out
 }
 
-// Result is one coordinated cross-node join estimate.
-type Result struct {
-	F, G         string
-	Nodes        int   // nodes that contributed at least one partition
-	RowsF, RowsG int64 // merged tuple counts
-	Estimate     float64
-	Sigma        float64 // Lemma 4.4 one-σ bound
-	Fact11       float64 // Fact 1.1 upper bound
-	SJF, SJG     float64 // merged self-join estimates behind the bounds
-	K            int     // signature memory words (both relations)
-	// Estimator names the estimator that answered: "skimmed" when both
-	// merged bundles carry heavy-hitter tables, "sketch" otherwise.
-	Estimator string
-}
-
 // Print renders the human-readable report joinctl emits.
-func (r *Result) Print(w io.Writer) {
+func (r *JoinBody) Print(w io.Writer) {
 	fmt.Fprintf(w, "join %s ⋈ %s across %d node(s)\n", r.F, r.G, r.Nodes)
 	fmt.Fprintf(w, "  rows           : %s=%d  %s=%d\n", r.F, r.RowsF, r.G, r.RowsG)
 	fmt.Fprintf(w, "  estimate       : %.6g\n", r.Estimate)
@@ -53,25 +39,24 @@ func (r *Result) Print(w io.Writer) {
 // from too, so a node and the coordinator over the same synopses answer
 // bit-identically. Shared by the one-shot Coordinate and the daemon's
 // cached query path.
-func pairEstimate(f, g string, bf, bg *engine.RelationBundle, nodes int) (*Result, error) {
+func pairEstimate(f, g string, bf, bg *engine.RelationBundle, nodes int) (*JoinBody, error) {
 	je, err := engine.EstimateJoinBundles(bf, bg)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		F: f, G: g, Nodes: nodes,
-		RowsF: bf.Rows, RowsG: bg.Rows,
-		Estimate: je.Estimate, Sigma: je.Sigma, Fact11: je.Fact11,
-		SJF: je.SJF, SJG: je.SJG,
-		K:         bf.Sig.MemoryWords(),
-		Estimator: je.Estimator,
+	return &JoinBody{
+		JoinBody: amsd.JoinBody{F: f, G: g, JoinEstimate: je},
+		Nodes:    nodes,
+		RowsF:    bf.Rows,
+		RowsG:    bg.Rows,
+		K:        bf.Sig.MemoryWords(),
 	}, nil
 }
 
 // Coordinate pulls both relations' bundles from every node, merges the
 // partitions, and estimates the join with bounds. warnW receives skip
 // warnings in non-strict mode.
-func Coordinate(fx *Fetcher, nodes []string, f, g string, strict bool, warnW io.Writer) (*Result, error) {
+func Coordinate(fx *Fetcher, nodes []string, f, g string, strict bool, warnW io.Writer) (*JoinBody, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("no nodes given")
 	}
@@ -86,20 +71,8 @@ func Coordinate(fx *Fetcher, nodes []string, f, g string, strict bool, warnW io.
 	return pairEstimate(f, g, bf, bg, max(nf, ng))
 }
 
-// ChainResult is one coordinated three-way chain estimate.
-type ChainResult struct {
-	F, AttrA, G, AttrB, H string
-	Nodes                 int // nodes that contributed at least one partition
-	RowsF, RowsG, RowsH   int64
-	Estimate              float64
-	Sigma                 float64 // variance-envelope one-σ bound
-	Upper                 float64 // Cauchy–Schwarz upper bound
-	SJF, SJG, SJH         float64 // merged chain self-join estimates
-	K                     int     // chain signature words
-}
-
 // Print renders the human-readable chain report joinctl emits.
-func (r *ChainResult) Print(w io.Writer) {
+func (r *ChainJoinBody) Print(w io.Writer) {
 	fmt.Fprintf(w, "chain %s ⋈%s %s ⋈%s %s across %d node(s)\n", r.F, r.AttrA, r.G, r.AttrB, r.H, r.Nodes)
 	fmt.Fprintf(w, "  rows           : %s=%d  %s=%d  %s=%d\n", r.F, r.RowsF, r.G, r.RowsG, r.H, r.RowsH)
 	fmt.Fprintf(w, "  estimate       : %.6g\n", r.Estimate)
@@ -110,25 +83,24 @@ func (r *ChainResult) Print(w io.Writer) {
 
 // chainEstimate computes the chain estimate and bounds from three merged
 // bundles — shared by CoordinateChain and the daemon.
-func chainEstimate(f, attrA, g, attrB, h string, bf, bg, bh *engine.RelationBundle, nodes int) (*ChainResult, error) {
+func chainEstimate(f, attrA, g, attrB, h string, bf, bg, bh *engine.RelationBundle, nodes int) (*ChainJoinBody, error) {
 	ce, err := engine.EstimateChainBundles(bf, attrA, bg, attrB, bh)
 	if err != nil {
 		return nil, fmt.Errorf("%w (check that every node runs equal -seed, shape, and schema declarations)", err)
 	}
-	return &ChainResult{
-		F: f, AttrA: attrA, G: g, AttrB: attrB, H: h,
-		Nodes: nodes,
-		RowsF: bf.Rows, RowsG: bg.Rows, RowsH: bh.Rows,
-		Estimate: ce.Estimate, Sigma: ce.Sigma, Upper: ce.Upper,
-		SJF: ce.SJF, SJG: ce.SJG, SJH: ce.SJH,
-		K: ce.K,
+	return &ChainJoinBody{
+		ChainJoinBody: amsd.ChainJoinBody{F: f, AttrA: attrA, G: g, AttrB: attrB, H: h, ChainJoinEstimate: ce},
+		Nodes:         nodes,
+		RowsF:         bf.Rows,
+		RowsG:         bg.Rows,
+		RowsH:         bh.Rows,
 	}, nil
 }
 
 // CoordinateChain pulls all three relations' bundles from every node,
 // merges each relation's partitions (chain sections merge linearly, like
 // the pairwise synopses), and estimates the chain join with bounds.
-func CoordinateChain(fx *Fetcher, nodes []string, f, attrA, g, attrB, h string, strict bool, warnW io.Writer) (*ChainResult, error) {
+func CoordinateChain(fx *Fetcher, nodes []string, f, attrA, g, attrB, h string, strict bool, warnW io.Writer) (*ChainJoinBody, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("no nodes given")
 	}

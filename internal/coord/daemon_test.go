@@ -115,7 +115,7 @@ func (h *daemonHarness) getJSON(t *testing.T, path string, wantStatus int, v any
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {
-		var eb errorBody
+		var eb struct{ Error string }
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		t.Fatalf("GET %s: status %d (want %d): %s", path, resp.StatusCode, wantStatus, eb.Error)
 	}
@@ -356,7 +356,7 @@ func TestDaemonNodeLossServesStale(t *testing.T) {
 
 	// Age past the bound: refuse rather than serve unbounded staleness.
 	h.clock.advance(8 * time.Second)
-	var eb errorBody
+	var eb struct{ Error string }
 	resp, err := http.Get(h.ts.URL + "/v1/join?f=orders&g=orders")
 	if err != nil {
 		t.Fatal(err)
@@ -626,7 +626,7 @@ func TestDaemonSkimmedMatchesNode(t *testing.T) {
 	for name, got := range map[string]JoinBody{
 		"/v1/join":   cached,
 		"/v1/pairs":  pairs.Pairs[0],
-		"Coordinate": {Estimate: oneShot.Estimate, Sigma: oneShot.Sigma, SJF: oneShot.SJF, SJG: oneShot.SJG, Estimator: oneShot.Estimator},
+		"Coordinate": *oneShot,
 	} {
 		if got.Estimate != want.Estimate || got.Sigma != want.Sigma || got.SJF != want.SJF ||
 			got.SJG != want.SJG || got.Estimator != want.Estimator {

@@ -14,25 +14,21 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"amstrack/internal/amsd"
 )
 
-// JoinBody is the GET /v1/join response: the coordinated estimate with
-// the paper's bounds, the estimator that answered ("skimmed" when both
-// merged bundles carry heavy-hitter tables, "sketch" otherwise), plus the
-// cache's staleness evidence.
+// JoinBody is a coordinated join answer: the GET /v1/join response, each
+// /v1/pairs entry, and Coordinate's result. It is amsd's join body over
+// the merged bundles, plus the contributing node count, the merged row
+// counts, the signature words, and the cache's staleness evidence (zero
+// and null on a one-shot answer).
 type JoinBody struct {
-	F           string         `json:"f"`
-	G           string         `json:"g"`
+	amsd.JoinBody
 	Nodes       int            `json:"nodes"`
 	RowsF       int64          `json:"rows_f"`
 	RowsG       int64          `json:"rows_g"`
-	Estimate    float64        `json:"estimate"`
-	Sigma       float64        `json:"sigma"`
-	Fact11      float64        `json:"fact11"`
-	SJF         float64        `json:"sjf"`
-	SJG         float64        `json:"sjg"`
 	K           int            `json:"k"`
-	Estimator   string         `json:"estimator"`
 	StalenessMS int64          `json:"staleness_ms"`
 	Freshness   []RelFreshness `json:"freshness"`
 }
@@ -48,24 +44,15 @@ type ChainJoinRequest struct {
 	H     string `json:"h"`
 }
 
-// ChainJoinBody is its response.
+// ChainJoinBody is its response and CoordinateChain's result: amsd's
+// chain body over the merged bundles, plus the contributing node count,
+// the merged row counts and the staleness evidence.
 type ChainJoinBody struct {
-	F           string         `json:"f"`
-	AttrA       string         `json:"attr_a"`
-	G           string         `json:"g"`
-	AttrB       string         `json:"attr_b"`
-	H           string         `json:"h"`
+	amsd.ChainJoinBody
 	Nodes       int            `json:"nodes"`
 	RowsF       int64          `json:"rows_f"`
 	RowsG       int64          `json:"rows_g"`
 	RowsH       int64          `json:"rows_h"`
-	Estimate    float64        `json:"estimate"`
-	Sigma       float64        `json:"sigma"`
-	Upper       float64        `json:"upper"`
-	SJF         float64        `json:"sjf"`
-	SJG         float64        `json:"sjg"`
-	SJH         float64        `json:"sjh"`
-	K           int            `json:"k"`
 	StalenessMS int64          `json:"staleness_ms"`
 	Freshness   []RelFreshness `json:"freshness"`
 }
@@ -93,20 +80,6 @@ type HealthzBody struct {
 	Relations map[string]int64 `json:"relations_staleness_ms"`
 	// MaxStalenessMS echoes the serving bound (0 = serve forever).
 	MaxStalenessMS int64 `json:"max_staleness_ms"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 // statusForLookup maps cache-lookup failures: a relation no node serves
@@ -143,19 +116,13 @@ func (d *Daemon) joinFromCache(f, g string) (*JoinBody, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := pairEstimate(f, g, bf, bg, maxNodes(frF, frG))
+	body, err := pairEstimate(f, g, bf, bg, maxNodes(frF, frG))
 	if err != nil {
 		return nil, err
 	}
-	return &JoinBody{
-		F: f, G: g, Nodes: res.Nodes,
-		RowsF: res.RowsF, RowsG: res.RowsG,
-		Estimate: res.Estimate, Sigma: res.Sigma, Fact11: res.Fact11,
-		SJF: res.SJF, SJG: res.SJG, K: res.K,
-		Estimator:   res.Estimator,
-		StalenessMS: max(stF, stG).Milliseconds(),
-		Freshness:   append(frF, frG...),
-	}, nil
+	body.StalenessMS = max(stF, stG).Milliseconds()
+	body.Freshness = append(frF, frG...)
+	return body, nil
 }
 
 func maxNodes(a, b []RelFreshness) int { return max(len(a), len(b)) }
@@ -163,57 +130,51 @@ func maxNodes(a, b []RelFreshness) int { return max(len(a), len(b)) }
 func (d *Daemon) handleJoin(w http.ResponseWriter, r *http.Request) {
 	f, g := r.URL.Query().Get("f"), r.URL.Query().Get("g")
 	if f == "" || g == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("missing ?f or ?g parameter"))
+		amsd.WriteErr(w, http.StatusBadRequest, errors.New("missing ?f or ?g parameter"))
 		return
 	}
 	body, err := d.joinFromCache(f, g)
 	if err != nil {
-		writeErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusForLookup(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	amsd.WriteJSON(w, http.StatusOK, body)
 }
 
 func (d *Daemon) handleJoinChain(w http.ResponseWriter, r *http.Request) {
 	var req ChainJoinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		amsd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if req.F == "" || req.AttrA == "" || req.G == "" || req.AttrB == "" || req.H == "" {
-		writeErr(w, http.StatusBadRequest, errors.New("f, attr_a, g, attr_b, and h are all required"))
+		amsd.WriteErr(w, http.StatusBadRequest, errors.New("f, attr_a, g, attr_b, and h are all required"))
 		return
 	}
 	bf, frF, stF, err := d.lookup(req.F)
 	if err != nil {
-		writeErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusForLookup(err), err)
 		return
 	}
 	bg, frG, stG, err := d.lookup(req.G)
 	if err != nil {
-		writeErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusForLookup(err), err)
 		return
 	}
 	bh, frH, stH, err := d.lookup(req.H)
 	if err != nil {
-		writeErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusForLookup(err), err)
 		return
 	}
 	nodes := max(len(frF), max(len(frG), len(frH)))
-	res, err := chainEstimate(req.F, req.AttrA, req.G, req.AttrB, req.H, bf, bg, bh, nodes)
+	body, err := chainEstimate(req.F, req.AttrA, req.G, req.AttrB, req.H, bf, bg, bh, nodes)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		amsd.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ChainJoinBody{
-		F: res.F, AttrA: res.AttrA, G: res.G, AttrB: res.AttrB, H: res.H,
-		Nodes: res.Nodes,
-		RowsF: res.RowsF, RowsG: res.RowsG, RowsH: res.RowsH,
-		Estimate: res.Estimate, Sigma: res.Sigma, Upper: res.Upper,
-		SJF: res.SJF, SJG: res.SJG, SJH: res.SJH, K: res.K,
-		StalenessMS: max(stF, max(stG, stH)).Milliseconds(),
-		Freshness:   append(append(frF, frG...), frH...),
-	})
+	body.StalenessMS = max(stF, max(stG, stH)).Milliseconds()
+	body.Freshness = append(append(frF, frG...), frH...)
+	amsd.WriteJSON(w, http.StatusOK, body)
 }
 
 // handlePairs walks every cached relation pair in configuration order.
@@ -230,13 +191,13 @@ func (d *Daemon) handlePairs(w http.ResponseWriter, _ *http.Request) {
 				continue
 			}
 			if err != nil {
-				writeErr(w, statusForLookup(err), err)
+				amsd.WriteErr(w, statusForLookup(err), err)
 				return
 			}
 			out.Pairs = append(out.Pairs, *body)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	amsd.WriteJSON(w, http.StatusOK, out)
 }
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -273,5 +234,5 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	d.mu.RUnlock()
-	writeJSON(w, http.StatusOK, body)
+	amsd.WriteJSON(w, http.StatusOK, body)
 }

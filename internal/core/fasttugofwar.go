@@ -31,12 +31,13 @@ import (
 //
 // Like the flat sketch, the counters are a linear function of the
 // frequency vector: deletions are exact, sketches with equal Config merge
-// by addition, and SetFrequencies is bit-identical to streaming.
+// by addition, and SetFrequencies is bit-identical to streaming. The
+// counters, their updates and the row sums are the Grid both Fast-AMS
+// synopses share; the sketch adds its Config, its row-seed stream and its
+// blob format.
 type FastTugOfWar struct {
-	cfg  Config
-	rows []hash.Tab4 // one tabulation hash per row (group)
-	z    []int64     // counters, row-major: row j occupies [j*S1, (j+1)*S1)
-	n    int64       // current multiset size (diagnostics only)
+	cfg Config
+	Grid
 }
 
 // NewFastTugOfWar builds a bucketed tug-of-war tracker. As with NewTugOfWar,
@@ -52,15 +53,11 @@ func NewFastTugOfWar(cfg Config) (*FastTugOfWar, error) {
 	if cfg.S2 > hash.MaxTab4Rows {
 		return nil, fmt.Errorf("core: fast sketch S2 = %d, must be <= %d", cfg.S2, hash.MaxTab4Rows)
 	}
-	t := &FastTugOfWar{
-		cfg:  cfg,
-		rows: make([]hash.Tab4, cfg.S2),
-		z:    make([]int64, cfg.S1*cfg.S2),
+	rows := make([]hash.Tab4, cfg.S2)
+	for j := range rows {
+		rows[j] = hash.NewTab4(fastRowSeed(cfg.Seed, j))
 	}
-	for j := range t.rows {
-		t.rows[j] = hash.NewTab4(fastRowSeed(cfg.Seed, j))
-	}
-	return t, nil
+	return &FastTugOfWar{cfg: cfg, Grid: NewGrid(rows, cfg.S1)}, nil
 }
 
 // fastRowSeed derives row j's hash seed from the master seed.
@@ -68,133 +65,23 @@ func fastRowSeed(seed uint64, j int) uint64 {
 	return xrand.Mix64(seed ^ (uint64(j)+1)*0xbf58476d1ce4e5b9)
 }
 
-// bucket maps a hash output to a row-local counter index in [0, s1) using
-// the high 32 output bits (disjoint from the sign bit, so bucket and sign
-// are jointly four-wise independent). The multiply-shift reduction is
-// unbiased up to s1/2^32, negligible for any practical row width.
-func bucket(h uint64, s1 int) int {
-	return int((h >> 32) * uint64(s1) >> 32)
-}
-
-// Insert adds one occurrence of v. O(S2) time — one hash evaluation and one
-// counter touch per row, independent of S1.
-func (t *FastTugOfWar) Insert(v uint64) {
-	s1 := t.cfg.S1
-	for j := range t.rows {
-		h := t.rows[j].Hash(v)
-		t.z[j*s1+bucket(h, s1)] += int64(h&1)*2 - 1
-	}
-	t.n++
-}
-
-// Delete removes one occurrence of v. Exact, by linearity (see
-// TugOfWar.Delete for the contract on the op sequence).
-func (t *FastTugOfWar) Delete(v uint64) error {
-	s1 := t.cfg.S1
-	for j := range t.rows {
-		h := t.rows[j].Hash(v)
-		t.z[j*s1+bucket(h, s1)] -= int64(h&1)*2 - 1
-	}
-	t.n--
-	return nil
-}
-
-// InsertBatch adds every value in vs. The row loop is hoisted outside the
-// value loop so each row's tables and counters stay cache-resident for the
-// whole batch — measurably faster than per-value Insert on large batches.
-func (t *FastTugOfWar) InsertBatch(vs []uint64) {
-	t.applyBatch(vs, +1)
-	t.n += int64(len(vs))
-}
-
-// DeleteBatch removes every value in vs.
-func (t *FastTugOfWar) DeleteBatch(vs []uint64) error {
-	t.applyBatch(vs, -1)
-	t.n -= int64(len(vs))
-	return nil
-}
-
-func (t *FastTugOfWar) applyBatch(vs []uint64, dir int64) {
-	s1 := t.cfg.S1
-	for j := range t.rows {
-		row := t.z[j*s1 : (j+1)*s1 : (j+1)*s1]
-		hj := t.rows[j]
-		for _, v := range vs {
-			h := hj.Hash(v)
-			row[bucket(h, s1)] += dir * (int64(h&1)*2 - 1)
-		}
-	}
-}
-
 // Estimate returns the median over rows of Σ_b Z². O(S1·S2) — queries pay
 // the full sketch scan, updates do not. It only reads the sketch (the row
 // sums live in a per-call buffer), so concurrent Estimate calls on one
 // sketch are safe.
-func (t *FastTugOfWar) Estimate() float64 {
-	s1 := t.cfg.S1
-	sums := make([]float64, len(t.rows))
-	for j := range sums {
-		sum := 0.0
-		for _, v := range t.z[j*s1 : (j+1)*s1] {
-			sum += float64(v) * float64(v)
-		}
-		sums[j] = sum
-	}
-	return Median(sums)
-}
-
-// MemoryWords returns S1·S2: one word per counter, the paper's storage
-// unit. The tabulation tables (64 KiB per row) are not counted: they do
-// not scale with S1, the accuracy knob, and hash.NewTab4 shares them
-// among every sketch on the same seed in the process.
-func (t *FastTugOfWar) MemoryWords() int { return len(t.z) }
-
-// Len returns the current multiset size implied by the update stream.
-func (t *FastTugOfWar) Len() int64 { return t.n }
+func (t *FastTugOfWar) Estimate() float64 { return Median(RowProducts(&t.Grid, &t.Grid)) }
 
 // Config returns the tracker's configuration.
 func (t *FastTugOfWar) Config() Config { return t.cfg }
 
-// Counters returns a copy of the raw counters (row-major, row j at
-// [j*S1, (j+1)*S1)).
-func (t *FastTugOfWar) Counters() []int64 {
-	out := make([]int64, len(t.z))
-	copy(out, t.z)
-	return out
-}
-
-// SetFrequencies loads the sketch directly from a frequency vector,
-// replacing the current state. Bit-identical to streaming every occurrence
-// (linearity); one hash evaluation per (row, distinct value).
-func (t *FastTugOfWar) SetFrequencies(freq map[uint64]int64) {
-	for k := range t.z {
-		t.z[k] = 0
-	}
-	t.n = 0
-	s1 := t.cfg.S1
-	for v, f := range freq {
-		for j := range t.rows {
-			h := t.rows[j].Hash(v)
-			t.z[j*s1+bucket(h, s1)] += (int64(h&1)*2 - 1) * f
-		}
-		t.n += f
-	}
-}
-
 // Merge adds the counters of other into t. Equal Configs share one hash
 // family, so the merged sketch is exactly the sketch of the concatenated
-// streams. The loop runs over local slices of equal length, so it pays
-// no per-counter bounds check or field reload: every relation read
-// merges one sketch per shard.
+// streams.
 func (t *FastTugOfWar) Merge(other *FastTugOfWar) error {
 	if t.cfg != other.cfg {
 		return errors.New("core: cannot merge fast tug-of-war sketches with different configs")
 	}
-	z, o := t.z, other.z[:len(t.z)]
-	for k := range z {
-		z[k] += o[k]
-	}
-	t.n += other.n
+	AddGrid(&t.Grid, &other.Grid)
 	return nil
 }
 
@@ -215,8 +102,7 @@ func (t *FastTugOfWar) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	fresh.n = n
-	copy(fresh.z, z)
+	LoadGrid(&fresh.Grid, n, z)
 	*t = *fresh
 	return nil
 }

@@ -22,34 +22,25 @@ package core
 // collapses, which is the whole point on zipf data.
 
 // SkimmedEstimate returns the skimmed self-join estimate from an
-// ingest-complete sketch and its relation's heavy-hitter table: the
-// median over rows of Σf̂² + X_j(S) − X_j(Ŝ). f̂ is the table's
-// GUARANTEED mass (count − err, see SkimFrequencies): skimming only
-// what is certainly there keeps the residual r = f − f̂ nonnegative and
-// small, so on unskewed streams — where the table guarantees nothing —
-// the estimator degrades to the plain sketch instead of paying variance
-// for inflated table counts.
-func SkimmedEstimate(t *FastTugOfWar, hh *SpaceSaving) float64 {
+// ingest-complete grid — a sketch's, or a signature's — and its
+// relation's heavy-hitter table: the median over rows of
+// Σf̂² + X_j(S) − X_j(Ŝ), with Ŝ built on the grid's own row hashes. f̂ is
+// the table's GUARANTEED mass (count − err, see SkimFrequencies):
+// skimming only what is certainly there keeps the residual r = f − f̂
+// nonnegative and small, so on unskewed streams — where the table
+// guarantees nothing — the estimator degrades to the plain sketch instead
+// of paying variance for inflated table counts.
+func SkimmedEstimate(g *Grid, hh *SpaceSaving) float64 {
 	freq := hh.SkimFrequencies()
 	exact := 0.0
 	for _, f := range freq {
 		exact += float64(f) * float64(f)
 	}
-	scratch, err := NewFastTugOfWar(t.cfg)
-	if err != nil {
-		// t's config was already validated at construction.
-		panic(err)
-	}
+	scratch := NewGrid(g.rows, g.s1)
 	scratch.SetFrequencies(freq)
-	s1, s2 := t.cfg.S1, t.cfg.S2
-	sums := make([]float64, s2)
-	for j := 0; j < s2; j++ {
-		full, skim := 0.0, 0.0
-		for i := j * s1; i < (j+1)*s1; i++ {
-			full += float64(t.z[i]) * float64(t.z[i])
-			skim += float64(scratch.z[i]) * float64(scratch.z[i])
-		}
-		sums[j] = exact + full - skim
+	sums, skim := RowProducts(g, g), RowProducts(&scratch, &scratch)
+	for j := range sums {
+		sums[j] = exact + sums[j] - skim[j]
 	}
 	return Median(sums)
 }

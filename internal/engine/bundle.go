@@ -29,8 +29,10 @@ var ErrIncompatible = errors.New("incompatible synopsis bundle")
 
 // RelationBundle is one relation's exported synopsis set.
 type RelationBundle struct {
-	// Sig is the relation's join signature (either scheme; the blob is
-	// self-describing via the inner frame magic).
+	// Sig is the relation's join signature. Engines hold fast
+	// signatures; the blob is self-describing via the inner frame magic,
+	// so a flat one still decodes, and then fails the fold
+	// (ErrIncompatible).
 	Sig join.Signature
 	// Sketch is the dedicated Fast-AMS self-join sketch, nil when the
 	// exporting engine runs NoSketch.
@@ -238,7 +240,7 @@ func (b *RelationBundle) SelfJoinEstimateDetail() (float64, string) {
 	case b.Sketch == nil:
 		return b.Sig.SelfJoinEstimate(), "signature"
 	case b.HH != nil:
-		return core.SkimmedEstimate(b.Sketch, b.HH), "skimmed"
+		return core.SkimmedEstimate(&b.Sketch.Grid, b.HH), "skimmed"
 	}
 	return b.Sketch.Estimate(), "sketch"
 }
@@ -456,8 +458,8 @@ func (b *RelationBundle) UnmarshalBinary(data []byte) error {
 
 // readSigSketch reads and decodes the signature and the flagged
 // self-join sketch that open both a bundle and a checkpoint's relation
-// section. The signature may be of either scheme: folding a flat one
-// into an engine is ErrIncompatible.
+// section. Engines write fast signatures only; a flat one still decodes
+// here and fails the fold with ErrIncompatible.
 func readSigSketch(c *blob.Cursor) (join.Signature, *core.FastTugOfWar, error) {
 	sigBlob := c.Bytes()
 	flag := c.U32()

@@ -836,13 +836,14 @@ func (r *Relation) Signature() join.Signature {
 
 // JoinEstimate is the planner-facing answer for one pair of relations.
 type JoinEstimate struct {
-	Estimate float64 // unbiased signature estimate of |F ⋈ G|
-	Sigma    float64 // Lemma 4.4 one-standard-deviation bound (from SJF, SJG)
-	Fact11   float64 // Fact 1.1 upper bound (SJ(F)+SJ(G))/2, from estimates
+	Estimate float64 `json:"estimate"` // unbiased signature estimate of |F ⋈ G|
+	Sigma    float64 `json:"sigma"`    // Lemma 4.4 one-standard-deviation bound (from SJF, SJG)
+	Fact11   float64 `json:"fact11"`   // Fact 1.1 upper bound (SJ(F)+SJ(G))/2, from estimates
 	// SJF and SJG are each side's own self-join answer — the one
 	// SelfJoinEstimateDetail gives for that relation alone, skimmed for a
 	// skimming relation whatever the other side does.
-	SJF, SJG float64
+	SJF float64 `json:"sjf"`
+	SJG float64 `json:"sjg"`
 	// Estimator names the estimator that produced Estimate: "skimmed"
 	// (both sides carry heavy-hitter tables: exact hitter×hitter +
 	// sketched cross/tail, DESIGN.md §13) or "sketch" (the plain
@@ -850,7 +851,7 @@ type JoinEstimate struct {
 	// — for skimmed answers it is conservative, since the skimmed
 	// variance is driven by the residual self-joins rather than the full
 	// ones.
-	Estimator string
+	Estimator string `json:"estimator"`
 }
 
 // EstimateJoinBundles is the one join answer: every node-local,
@@ -903,13 +904,15 @@ func (e *Engine) EstimateJoin(f, g string) (JoinEstimate, error) {
 // ChainJoinEstimate is the planner-facing answer for a three-way chain
 // join F ⋈a G ⋈b H (§5).
 type ChainJoinEstimate struct {
-	Estimate float64 // unbiased chain estimate of |F ⋈a G ⋈b H|
-	Sigma    float64 // variance-envelope one-σ bound √(9·SJF·SJG·SJH/k)
-	Upper    float64 // Cauchy–Schwarz upper bound √(SJF·SJG·SJH)
+	Estimate float64 `json:"estimate"` // unbiased chain estimate of |F ⋈a G ⋈b H|
+	Sigma    float64 `json:"sigma"`    // variance-envelope one-σ bound √(9·SJF·SJG·SJH/k)
+	Upper    float64 `json:"upper"`    // Cauchy–Schwarz upper bound √(SJF·SJG·SJH)
 	// The self-join estimates behind the bounds, from the chain
 	// signatures' own counters (SJG is the middle's PAIR self-join).
-	SJF, SJG, SJH float64
-	K             int // chain signature words
+	SJF float64 `json:"sjf"`
+	SJG float64 `json:"sjg"`
+	SJH float64 `json:"sjh"`
+	K   int     `json:"k"` // chain signature words
 }
 
 // EstimateChainJoin estimates the three-way chain join size
@@ -924,9 +927,13 @@ func (e *Engine) EstimateChainJoin(f, attrA, g, attrB, h string) (ChainJoinEstim
 	return e.EstimateChainJoinRemote(f, attrA, g, attrB, h, nil, nil, nil)
 }
 
-// PairEstimate is one entry of the planning-time all-pairs matrix.
+// PairEstimate is one entry of the planning-time all-pairs matrix, and
+// the body of every amsd join answer. The answer types carry the wire
+// bodies' JSON keys, so a field added here reaches every node and
+// coordinator answer.
 type PairEstimate struct {
-	F, G string
+	F string `json:"f"`
+	G string `json:"g"`
 	JoinEstimate
 }
 

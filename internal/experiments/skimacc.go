@@ -153,7 +153,7 @@ func RunSkimAcc(names []string, k, s2, hitters, trials int, seed uint64) (*SkimA
 				return nil, err
 			}
 			skim.SetFrequencies(ffreq)
-			row.SkimSJErr += math.Abs(core.SkimmedEstimate(skim, fhh)-truthSJ) / truthSJ
+			row.SkimSJErr += math.Abs(core.SkimmedEstimate(&skim.Grid, fhh)-truthSJ) / truthSJ
 
 			// Join, plain.
 			fam, err := join.NewFastFamily(k/s2, s2, tseed)

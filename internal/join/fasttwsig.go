@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"amstrack/internal/blob"
+	"amstrack/internal/core"
 	"amstrack/internal/hash"
 	"amstrack/internal/xrand"
 )
@@ -88,122 +89,30 @@ func (f *FastFamily) K() int { return f.buckets * f.rows }
 
 // NewSignature returns an empty signature bound to this family.
 func (f *FastFamily) NewSignature() *FastTWSignature {
-	return &FastTWSignature{family: f, z: make([]int64, f.buckets*f.rows)}
+	return &FastTWSignature{family: f, Grid: core.NewGrid(f.hs, f.buckets)}
 }
 
 // FastTWSignature is a bucketed k-TW join signature: rows × buckets
 // counters updated with one hash evaluation and one counter touch per row.
-// It satisfies Signature alongside the flat TWSignature; EstimateJoin and
-// EstimateJoinMedianOfMeans accept either scheme (both sides must share
-// one family).
+// Its counters and their updates are the core.Grid behind
+// core.FastTugOfWar too; the signature adds its family (the row-seed
+// stream) and its blob format. It satisfies Signature alongside the flat
+// TWSignature; EstimateJoin and EstimateJoinMedianOfMeans accept either
+// scheme (both sides must share one family).
 type FastTWSignature struct {
 	family *FastFamily
-	z      []int64 // row-major: row j occupies [j*buckets, (j+1)*buckets)
-	n      int64
+	core.Grid
 }
-
-// fastBucket maps a hash output to a row-local index in [0, buckets) from
-// the high 32 bits, disjoint from the sign bit.
-func fastBucket(h uint64, buckets int) int {
-	return int((h >> 32) * uint64(buckets) >> 32)
-}
-
-// Insert adds a tuple with joining-attribute value v. O(rows).
-func (s *FastTWSignature) Insert(v uint64) {
-	b := s.family.buckets
-	for j, hj := range s.family.hs {
-		h := hj.Hash(v)
-		s.z[j*b+fastBucket(h, b)] += int64(h&1)*2 - 1
-	}
-	s.n++
-}
-
-// Delete removes a tuple with joining-attribute value v. Exact, by
-// linearity; validity of the op sequence is the caller's contract.
-func (s *FastTWSignature) Delete(v uint64) error {
-	b := s.family.buckets
-	for j, hj := range s.family.hs {
-		h := hj.Hash(v)
-		s.z[j*b+fastBucket(h, b)] -= int64(h&1)*2 - 1
-	}
-	s.n--
-	return nil
-}
-
-// InsertBatch adds every value in vs. The row loop is hoisted so each
-// row's tabulation tables and counters stay cache-resident for the whole
-// batch, as in core.FastTugOfWar.
-func (s *FastTWSignature) InsertBatch(vs []uint64) {
-	s.applyBatch(vs, +1)
-	s.n += int64(len(vs))
-}
-
-// DeleteBatch removes every value in vs.
-func (s *FastTWSignature) DeleteBatch(vs []uint64) error {
-	s.applyBatch(vs, -1)
-	s.n -= int64(len(vs))
-	return nil
-}
-
-func (s *FastTWSignature) applyBatch(vs []uint64, dir int64) {
-	b := s.family.buckets
-	for j, hj := range s.family.hs {
-		row := s.z[j*b : (j+1)*b : (j+1)*b]
-		for _, v := range vs {
-			h := hj.Hash(v)
-			row[fastBucket(h, b)] += dir * (int64(h&1)*2 - 1)
-		}
-	}
-}
-
-// SetFrequencies loads the signature from a frequency vector, replacing
-// current state; bit-identical to streaming the inserts (linearity).
-func (s *FastTWSignature) SetFrequencies(freq map[uint64]int64) {
-	for i := range s.z {
-		s.z[i] = 0
-	}
-	s.n = 0
-	b := s.family.buckets
-	for v, f := range freq {
-		for j, hj := range s.family.hs {
-			h := hj.Hash(v)
-			s.z[j*b+fastBucket(h, b)] += (int64(h&1)*2 - 1) * f
-		}
-		s.n += f
-	}
-}
-
-// Len returns the current number of tuples in the tracked relation.
-func (s *FastTWSignature) Len() int64 { return s.n }
-
-// MemoryWords returns buckets·rows, the total counter storage.
-func (s *FastTWSignature) MemoryWords() int { return len(s.z) }
 
 // Family returns the signature's family.
 func (s *FastTWSignature) Family() *FastFamily { return s.family }
-
-// Counters returns a copy of the raw counters (row-major).
-func (s *FastTWSignature) Counters() []int64 {
-	out := make([]int64, len(s.z))
-	copy(out, s.z)
-	return out
-}
 
 // SelfJoinEstimate returns the Fast-AMS self-join estimate from the
 // signature's own counters: the median over rows of the row bucket sums
 // Σ_b Z², each an unbiased estimator of SJ(R) with Var ≤ 2·SJ²/buckets
 // (Thorup–Zhang; see core.FastTugOfWar).
 func (s *FastTWSignature) SelfJoinEstimate() float64 {
-	b := s.family.buckets
-	sums := make([]float64, s.family.rows)
-	for j := range sums {
-		sum := 0.0
-		for _, z := range s.z[j*b : (j+1)*b] {
-			sum += float64(z) * float64(z)
-		}
-		sums[j] = sum
-	}
-	return median(sums)
+	return core.Median(core.RowProducts(&s.Grid, &s.Grid))
 }
 
 // Merge adds other's counters into s. Both must come from one family;
@@ -216,10 +125,7 @@ func (s *FastTWSignature) Merge(other Signature) error {
 	if err := compatibleFast(s, o); err != nil {
 		return err
 	}
-	for i, z := range o.z {
-		s.z[i] += z
-	}
-	s.n += o.n
+	core.AddGrid(&s.Grid, &o.Grid)
 	return nil
 }
 
@@ -233,16 +139,7 @@ func (s *FastTWSignature) terms(other Signature) ([]float64, error) {
 	if err := compatibleFast(s, o); err != nil {
 		return nil, err
 	}
-	b := s.family.buckets
-	out := make([]float64, s.family.rows)
-	for j := range out {
-		sum := 0.0
-		for i := j * b; i < (j+1)*b; i++ {
-			sum += float64(s.z[i]) * float64(o.z[i])
-		}
-		out[j] = sum
-	}
-	return out, nil
+	return core.RowProducts(&s.Grid, &o.Grid), nil
 }
 
 func compatibleFast(a, b *FastTWSignature) error {
@@ -261,12 +158,12 @@ func compatibleFast(a, b *FastTWSignature) error {
 // from the family seed on load, keeping blobs small enough to exchange
 // between nodes.
 func (s *FastTWSignature) MarshalBinary() ([]byte, error) {
-	b := blob.NewBuilder(blob.MagicFastTWSig, 1, 8*4+8*len(s.z))
+	b := blob.NewBuilder(blob.MagicFastTWSig, 1, 8*4+8*s.MemoryWords())
 	b.U64(uint64(s.family.buckets))
 	b.U64(uint64(s.family.rows))
 	b.U64(s.family.seed)
-	b.I64(s.n)
-	b.I64s(s.z)
+	b.I64(s.Len())
+	b.I64s(s.Counters())
 	return b.Seal(), nil
 }
 
@@ -299,8 +196,7 @@ func (s *FastTWSignature) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	fresh := fam.NewSignature()
-	fresh.n = n
-	copy(fresh.z, z)
+	core.LoadGrid(&fresh.Grid, n, z)
 	*s = *fresh
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"amstrack/internal/blob"
+	"amstrack/internal/core"
 )
 
 // Signature is the common contract of the §4.3 join signature schemes:
@@ -97,7 +98,7 @@ func EstimateJoinMedianOfMeans(a, b Signature, groupSize int) (float64, error) {
 		}
 		means[g] = sum / float64(groupSize)
 	}
-	return median(means), nil
+	return core.Median(means), nil
 }
 
 // MergeSignatures folds any number of same-scheme, same-family signatures
@@ -174,21 +175,4 @@ func joinTerms(a, b Signature) ([]float64, error) {
 
 func errSchemeMismatch(a, b Signature) error {
 	return fmt.Errorf("join: cannot combine %T with %T (signatures must share one scheme and family)", a, b)
-}
-
-// median returns the median of xs without modifying it (mean of the
-// middle two for even length). Insertion sort: term counts are small.
-func median(xs []float64) float64 {
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j] < tmp[j-1]; j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
-	}
-	m := len(tmp) / 2
-	if len(tmp)%2 == 1 {
-		return tmp[m]
-	}
-	return (tmp[m-1] + tmp[m]) / 2
 }

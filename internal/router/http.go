@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"amstrack/internal/amsd"
 	"amstrack/internal/coord"
 )
 
@@ -44,16 +45,6 @@ func (r *Router) Handler() http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // decodeBody decodes a JSON request body into v. On failure it writes
 // the error response — 413 for a body over the cap, 400 otherwise — and
 // returns false.
@@ -67,7 +58,7 @@ func decodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
 	if errors.As(err, &tooBig) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeErr(w, status, fmt.Errorf("decode request: %w", err))
+	amsd.WriteErr(w, status, fmt.Errorf("decode request: %w", err))
 	return false
 }
 
@@ -86,7 +77,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, body)
+	amsd.WriteJSON(w, http.StatusOK, body)
 }
 
 func (r *Router) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -103,23 +94,16 @@ func (r *Router) handleList(w http.ResponseWriter, _ *http.Request) {
 			if names == nil {
 				names = []string{}
 			}
-			writeJSON(w, http.StatusOK, map[string][]string{"relations": names})
+			amsd.WriteJSON(w, http.StatusOK, amsd.RelationsBody{Relations: names})
 			return
 		}
 		lastErr = err
 	}
-	writeErr(w, http.StatusBadGateway, lastErr)
+	amsd.WriteErr(w, http.StatusBadGateway, lastErr)
 }
 
 func (r *Router) handleDefine(w http.ResponseWriter, req *http.Request) {
-	var body struct {
-		Name        string     `json:"name"`
-		Attrs       []string   `json:"attrs"`
-		ChainA      []string   `json:"chain_a"`
-		ChainB      []string   `json:"chain_b"`
-		ChainAB     [][]string `json:"chain_ab"`
-		SkimHitters int        `json:"skim_hitters"`
-	}
+	var body amsd.DefineRequest
 	if !decodeBody(w, req, &body) {
 		return
 	}
@@ -127,14 +111,14 @@ func (r *Router) handleDefine(w http.ResponseWriter, req *http.Request) {
 		ChainA: body.ChainA, ChainB: body.ChainB, ChainAB: body.ChainAB,
 		SkimHitters: body.SkimHitters}
 	if err := r.Define(sc); err != nil {
-		writeErr(w, http.StatusBadGateway, err)
+		amsd.WriteErr(w, http.StatusBadGateway, err)
 		return
 	}
 	attrs := body.Attrs
 	if len(attrs) == 0 {
 		attrs = []string{"value"}
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"relation": body.Name, "attrs": attrs})
+	amsd.WriteJSON(w, http.StatusCreated, amsd.DefineBody{Relation: body.Name, Attrs: attrs})
 }
 
 func (r *Router) handleSchema(w http.ResponseWriter, req *http.Request) {
@@ -144,33 +128,21 @@ func (r *Router) handleSchema(w http.ResponseWriter, req *http.Request) {
 		if errors.Is(err, coord.ErrNotFound) {
 			status = http.StatusNotFound
 		}
-		writeErr(w, status, err)
+		amsd.WriteErr(w, status, err)
 		return
 	}
 	r.mu.Lock()
 	sc := rs.schema
 	r.mu.Unlock()
-	writeJSON(w, http.StatusOK, sc)
+	amsd.WriteJSON(w, http.StatusOK, sc)
 }
 
-// IngestBody mirrors amsd's ingest response. Len is the fleet-total row
-// count (sum of per-node lens — exact under linearity), or -1 when a
-// node's stat was unreachable; the ingest itself is still acknowledged.
-type IngestBody struct {
-	Relation string `json:"relation"`
-	Inserted int    `json:"inserted"`
-	Deleted  int    `json:"deleted"`
-	Len      int64  `json:"len"`
-}
-
+// handleIngest answers with amsd's ingest body. Its Len is the
+// fleet-total row count (sum of per-node lens — exact under linearity),
+// or -1 when a node's stat was unreachable; the ingest itself is still
+// acknowledged.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	var body struct {
-		Relation   string     `json:"relation"`
-		Inserts    []uint64   `json:"inserts"`
-		Deletes    []uint64   `json:"deletes"`
-		InsertRows [][]uint64 `json:"insert_rows"`
-		DeleteRows [][]uint64 `json:"delete_rows"`
-	}
+	var body amsd.IngestRequest
 	if !decodeBody(w, req, &body) {
 		return
 	}
@@ -180,54 +152,51 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		if errors.Is(err, coord.ErrNotFound) {
 			status = http.StatusNotFound
 		}
-		writeErr(w, status, err)
+		amsd.WriteErr(w, status, err)
 		return
 	}
-	flat := func(rows [][]uint64) ([]uint64, error) {
-		out := make([]uint64, 0, len(rows)*rs.arity)
+	if rs.arity != 1 && len(body.Inserts)+len(body.Deletes) > 0 {
+		amsd.WriteErr(w, http.StatusBadRequest,
+			fmt.Errorf("relation %q has arity %d; use insert_rows/delete_rows", rs.name, rs.arity))
+		return
+	}
+	// As on amsd, rows must carry the relation's full width (one value on
+	// an arity-1 relation), every row is checked before any op is sent,
+	// and flat values go before rows.
+	flat := func(vals []uint64, rows [][]uint64) ([]uint64, error) {
 		for i, row := range rows {
 			if len(row) != rs.arity {
 				return nil, fmt.Errorf("row %d has %d values, relation %q has arity %d",
 					i, len(row), rs.name, rs.arity)
 			}
-			out = append(out, row...)
+			vals = append(vals, row...)
 		}
-		return out, nil
+		return vals, nil
 	}
-	ins, del := body.Inserts, body.Deletes
-	if rs.arity != 1 {
-		if len(body.Inserts)+len(body.Deletes) > 0 {
-			writeErr(w, http.StatusBadRequest,
-				fmt.Errorf("relation %q has arity %d; use insert_rows/delete_rows", rs.name, rs.arity))
-			return
-		}
-		if ins, err = flat(body.InsertRows); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if del, err = flat(body.DeleteRows); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	} else if len(body.InsertRows)+len(body.DeleteRows) > 0 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("relation %q has arity 1; use inserts/deletes", rs.name))
+	ins, err := flat(body.Inserts, body.InsertRows)
+	if err != nil {
+		amsd.WriteErr(w, http.StatusBadRequest, err)
+		return
+	}
+	del, err := flat(body.Deletes, body.DeleteRows)
+	if err != nil {
+		amsd.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	// Inserts before deletes, mirroring amsd's handler.
 	if err := r.route(rs, false, ins); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		amsd.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	if err := r.route(rs, true, del); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		amsd.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	if err := r.Flush(rs.name); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		amsd.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, IngestBody{
+	amsd.WriteJSON(w, http.StatusOK, amsd.IngestBody{
 		Relation: rs.name,
 		Inserted: len(ins) / rs.arity,
 		Deleted:  len(del) / rs.arity,
@@ -258,17 +227,17 @@ func (r *Router) fleetLen(rs *relState) int64 {
 func (r *Router) handleRing(w http.ResponseWriter, req *http.Request) {
 	key, err := strconv.ParseUint(req.URL.Query().Get("key"), 10, 64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad ?key: %w", err))
+		amsd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad ?key: %w", err))
 		return
 	}
 	r.mu.Lock()
 	owner, ok := r.ring.Owner(key, r.aliveLocked)
 	r.mu.Unlock()
 	if !ok {
-		writeErr(w, http.StatusServiceUnavailable, errors.New("no live nodes"))
+		amsd.WriteErr(w, http.StatusServiceUnavailable, errors.New("no live nodes"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "owner": owner})
+	amsd.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "owner": owner})
 }
 
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
@@ -280,10 +249,10 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	}
 	rep, err := r.DrainNode(body.Node)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		amsd.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	amsd.WriteJSON(w, http.StatusOK, rep)
 }
 
 func (r *Router) handleForget(w http.ResponseWriter, req *http.Request) {
@@ -294,8 +263,8 @@ func (r *Router) handleForget(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := r.Forget(body.Node); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		amsd.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"forgotten": body.Node})
+	amsd.WriteJSON(w, http.StatusOK, map[string]string{"forgotten": body.Node})
 }

@@ -379,7 +379,7 @@ func TestRouterHTTPIngest(t *testing.T) {
 
 	postJSON(t, client, front.URL+"/v1/relations", map[string]any{"name": "f"}, http.StatusCreated, nil)
 	const batches = 21
-	var resp IngestBody
+	var resp amsd.IngestBody
 	for i := 1; i <= batches; i++ {
 		postJSON(t, client, front.URL+"/v1/ingest",
 			map[string]any{"relation": "f", "inserts": batchVals(i)}, http.StatusOK, &resp)
@@ -395,6 +395,54 @@ func TestRouterHTTPIngest(t *testing.T) {
 		rel, err := n.eng.Get("f")
 		if err != nil || rel.Len() == 0 {
 			t.Fatalf("%s holds no rows (err=%v)", n.base, err)
+		}
+	}
+}
+
+// TestRouterIngestMatchesNode: the router promises amsd's ingest body, so
+// every body gets the same status, inserted and deleted from a node and
+// from a router over the same fleet — valid or not.
+func TestRouterIngestMatchesNode(t *testing.T) {
+	nodes := startFleet(t, 2, true)
+	rt := testRouter(t, nodes, nil)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	client := front.Client()
+	postJSON(t, client, front.URL+"/v1/relations", amsd.DefineRequest{Name: "f"}, http.StatusCreated, nil)
+	postJSON(t, client, front.URL+"/v1/relations", amsd.DefineRequest{Name: "wide", Attrs: []string{"a", "b"}}, http.StatusCreated, nil)
+
+	ingest := func(base, body string) (int, amsd.IngestBody) {
+		resp, err := client.Post(base+"/v1/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out amsd.IngestBody
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"inserts", `{"relation":"f","inserts":[1,2,3],"deletes":[2]}`, http.StatusOK},
+		{"arity-1 rows", `{"relation":"f","insert_rows":[[1],[2],[3]],"delete_rows":[[1]]}`, http.StatusOK},
+		{"flat and rows", `{"relation":"f","inserts":[4,5],"insert_rows":[[6]],"deletes":[4],"delete_rows":[[5]]}`, http.StatusOK},
+		{"arity-2 rows", `{"relation":"wide","insert_rows":[[1,2],[3,4]]}`, http.StatusOK},
+		{"wrong width", `{"relation":"wide","insert_rows":[[1,2],[3]]}`, http.StatusBadRequest},
+		{"flat on arity 2", `{"relation":"wide","inserts":[1]}`, http.StatusBadRequest},
+		{"unknown relation", `{"relation":"nope","inserts":[1]}`, http.StatusNotFound},
+	} {
+		nodeStatus, nodeBody := ingest(nodes[0].base, tc.body)
+		routerStatus, routerBody := ingest(front.URL, tc.body)
+		if nodeStatus != tc.status || routerStatus != tc.status {
+			t.Errorf("%s: node %d, router %d, want %d", tc.name, nodeStatus, routerStatus, tc.status)
+		}
+		if nodeBody.Inserted != routerBody.Inserted || nodeBody.Deleted != routerBody.Deleted {
+			t.Errorf("%s: node inserted/deleted %d/%d, router %d/%d", tc.name,
+				nodeBody.Inserted, nodeBody.Deleted, routerBody.Inserted, routerBody.Deleted)
 		}
 	}
 }

@@ -34,7 +34,7 @@
 // drains the touched relations through the absorber before acking, so
 // every acked batch is applied to the synopses and its oplog records are
 // OS-owned — a kill -9 after an ACK cannot lose the batch (the same
-// guarantee locked-mode HTTP ingest gives per request, amortized here
+// guarantee an HTTP ingest response gives per request, amortized here
 // over a pipeline window). DESIGN.md §10 documents the layout, the
 // ack/window semantics, and operator tuning.
 package wire

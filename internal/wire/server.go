@@ -332,10 +332,10 @@ func (c *srvConn) readLoop() {
 					ErrBadFrame, f.Arity, f.Relation, ent.Arity()))
 				return
 			}
-			// A synchronous Apply failure (a locked-mode sticky
-			// durability error, a router with every target down) goes
-			// back as an ERROR frame naming the relation, matching the
-			// HTTP ingest path's semantics.
+			// A synchronous Apply failure (a relation's sticky
+			// durability error reported by a delete, a router with every
+			// target down) goes back as an ERROR frame naming the
+			// relation, matching the HTTP ingest path's semantics.
 			if err := ent.Apply(f.Del, f.Arity, f.Vals); err != nil {
 				fail(f.Seq, f.Relation, err)
 				return
