@@ -63,12 +63,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"amstrack/internal/amsd"
 	"amstrack/internal/engine"
@@ -121,13 +118,14 @@ func main() {
 	}
 }
 
-// run serves until ctx is cancelled, then shuts down gracefully: close
-// the wire listener (GOODBYE to every open stream), stop accepting HTTP,
-// drain in-flight requests, final checkpoint, close. The returned error
-// is the process exit status — a failed final checkpoint is an error
-// even though the daemon otherwise exited cleanly. ready, if non-nil, is
-// called with the bound HTTP listen address (tests use :0); the bound
-// wire address is reported under /healthz "wire".
+// run serves until ctx is cancelled, then shuts down gracefully through
+// amsd.Serve: close the wire listener (GOODBYE to every open stream),
+// stop accepting HTTP, drain in-flight requests, final checkpoint,
+// close. The returned error is the process exit status — a failed final
+// checkpoint is an error even though the daemon otherwise exited
+// cleanly. ready, if non-nil, is called with the bound HTTP listen
+// address (tests use :0); the bound wire address is reported under
+// /healthz "wire".
 func run(ctx context.Context, opts engine.Options, addr, wireAddr string, maxBody int64, ready func(addr string)) error {
 	if wireAddr == "" {
 		return errors.New("-wire-addr must not be empty: amsrouter sends rows only over amswire")
@@ -147,88 +145,26 @@ func run(ctx context.Context, opts engine.Options, addr, wireAddr string, maxBod
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		_ = eng.Close()
-		return err
-	}
-	wireLn, err := net.Listen("tcp", wireAddr)
-	if err != nil {
-		_ = ln.Close()
-		_ = eng.Close()
-		return err
-	}
-	handler := amsd.NewServerMaxBody(eng, maxBody)
-	wireSrv := wire.NewServer(eng)
-	boundWire := wireLn.Addr().String()
-	handler.SetWireStatus(func() amsd.WireStatus {
-		st := wireSrv.Stats()
-		return amsd.WireStatus{
-			Addr:       boundWire,
-			Conns:      st.Conns,
-			TotalConns: st.TotalConns,
-			Batches:    st.Batches,
-			Rows:       st.Rows,
-			Flushes:    st.Flushes,
-			Errors:     st.Errors,
-		}
+	log.Printf("amsd: durable: %v, k=%d", opts.Dir != "", opts.SignatureWords)
+	return amsd.Serve(ctx, amsd.Daemon{
+		Name:     "amsd",
+		Addr:     addr,
+		Handler:  amsd.NewServerMaxBody(eng, maxBody),
+		WireAddr: wireAddr,
+		Sink:     wire.EngineSink(eng),
+		Close: func() error {
+			var firstErr error
+			if eng.Dir() != "" {
+				// Final checkpoint so restart recovery is instant (empty logs).
+				if _, err := eng.Checkpoint(); err != nil {
+					firstErr = fmt.Errorf("final checkpoint: %w", err)
+				}
+			}
+			if err := eng.Close(); err != nil && firstErr == nil {
+				firstErr = err
+			}
+			return firstErr
+		},
+		Ready: ready,
 	})
-	go func() {
-		if err := wireSrv.Serve(wireLn); err != nil && !errors.Is(err, wire.ErrServerClosed) {
-			log.Printf("amsd: wire listener: %v", err)
-		}
-	}()
-
-	// ReadHeaderTimeout alone defeats slowloris (a conn dribbling header
-	// bytes forever); ReadTimeout stays 0 because ingest bodies can
-	// legitimately take minutes on a slow uplink, and IdleTimeout reaps
-	// keep-alive conns that stopped talking.
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("amsd: serving on %s + wire %s (durable: %v, k=%d)",
-			ln.Addr(), wireLn.Addr(), opts.Dir != "", opts.SignatureWords)
-		errc <- srv.Serve(ln)
-	}()
-
-	select {
-	case err := <-errc:
-		_ = wireSrv.Close()
-		_ = eng.Close()
-		return err
-	case <-ctx.Done():
-	}
-
-	log.Print("amsd: shutting down")
-	// Wire streams first: each open stream gets a GOODBYE and its staged
-	// batches are drained before the final checkpoint below, so an acked
-	// batch can never miss the checkpoint cut.
-	if err := wireSrv.Close(); err != nil {
-		log.Printf("amsd: wire shutdown: %v", err)
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		log.Printf("amsd: shutdown: %v", err)
-	}
-	var firstErr error
-	if eng.Dir() != "" {
-		// Final checkpoint so restart recovery is instant (empty logs).
-		if _, err := eng.Checkpoint(); err != nil {
-			firstErr = fmt.Errorf("final checkpoint: %w", err)
-		}
-	}
-	if err := eng.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
 }

@@ -27,21 +27,18 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"amstrack/internal/amsd"
 	"amstrack/internal/coord"
 	"amstrack/internal/router"
-	"amstrack/internal/wire"
 )
 
 func main() {
@@ -59,12 +56,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var members []string
-	for _, n := range strings.Split(*nodes, ",") {
-		if n = strings.TrimSpace(strings.TrimRight(n, "/")); n != "" {
-			members = append(members, n)
-		}
-	}
+	members := coord.SplitNodes(*nodes)
 	if len(members) == 0 {
 		fmt.Fprintln(os.Stderr, "amsrouter: -nodes is required")
 		os.Exit(1)
@@ -90,82 +82,23 @@ func main() {
 	}
 }
 
-// run serves until ctx cancels, then shuts down in ack-safety order:
-// wire listener first (GOODBYE + drain every open stream, so upstream
-// acks stay honest), then HTTP, then the router core (which barriers
-// in-flight batches toward the fleet).
+// run serves until ctx cancels, then shuts down through amsd.Serve in
+// ack-safety order: wire listener first (GOODBYE + drain every open
+// stream, so upstream acks stay honest), then HTTP, then the router core
+// (which barriers in-flight batches toward the fleet).
 func run(ctx context.Context, opts router.Options, addr, wireAddr string, ready func(addr string)) error {
 	rt, err := router.New(opts)
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		rt.Close()
-		return err
-	}
-
-	var (
-		wireSrv *wire.Server
-		wireLn  net.Listener
-	)
-	if wireAddr != "" {
-		wireLn, err = net.Listen("tcp", wireAddr)
-		if err != nil {
-			ln.Close()
-			rt.Close()
-			return err
-		}
-		wireSrv = wire.NewServerSink(rt.Sink())
-		go func() {
-			if err := wireSrv.Serve(wireLn); err != nil && !errors.Is(err, wire.ErrServerClosed) {
-				log.Printf("amsrouter: wire listener: %v", err)
-			}
-		}()
-	}
-
-	// Same slowloris posture as amsd: header timeout + idle reaping,
-	// no full-body ReadTimeout (bulk HTTP ingests may be slow).
-	srv := &http.Server{
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	errc := make(chan error, 1)
-	go func() {
-		if wireLn != nil {
-			log.Printf("amsrouter: serving on %s + wire %s, %d node(s)", ln.Addr(), wireLn.Addr(), len(opts.Nodes))
-		} else {
-			log.Printf("amsrouter: serving on %s, %d node(s)", ln.Addr(), len(opts.Nodes))
-		}
-		errc <- srv.Serve(ln)
-	}()
-
-	select {
-	case err := <-errc:
-		if wireSrv != nil {
-			wireSrv.Close()
-		}
-		rt.Close()
-		return err
-	case <-ctx.Done():
-	}
-
-	log.Print("amsrouter: shutting down")
-	if wireSrv != nil {
-		if err := wireSrv.Close(); err != nil {
-			log.Printf("amsrouter: wire shutdown: %v", err)
-		}
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		log.Printf("amsrouter: shutdown: %v", err)
-	}
-	return rt.Close()
+	log.Printf("amsrouter: %d node(s)", len(opts.Nodes))
+	return amsd.Serve(ctx, amsd.Daemon{
+		Name:     "amsrouter",
+		Addr:     addr,
+		Handler:  rt.Handler(),
+		WireAddr: wireAddr,
+		Sink:     rt.Sink(),
+		Close:    rt.Close,
+		Ready:    ready,
+	})
 }

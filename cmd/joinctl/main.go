@@ -51,6 +51,7 @@ import (
 	"syscall"
 	"time"
 
+	"amstrack/internal/amsd"
 	"amstrack/internal/coord"
 )
 
@@ -59,7 +60,9 @@ import (
 var errUsage = errors.New("usage")
 
 func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	if errors.Is(err, errUsage) {
 		os.Exit(2)
 	}
@@ -70,8 +73,8 @@ func main() {
 }
 
 // run parses args, then answers one query on stdout or, with -serve,
-// runs the daemon until SIGINT/SIGTERM. Warnings and logs go to stderr.
-func run(args []string, stdout, stderr io.Writer) error {
+// runs the daemon until ctx is cancelled. Warnings and logs go to stderr.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("joinctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -131,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *nodes == "" || *relations == "" {
 			return usage("-serve needs -nodes and -relations")
 		}
-		return runServe(fx, coord.SplitNodes(*nodes), coord.SplitNodes(*relations), *listen, *refresh, *maxStale, stderr)
+		return runServe(ctx, fx, coord.SplitNodes(*nodes), coord.SplitNodes(*relations), *listen, *refresh, *maxStale, stderr)
 	case *chain:
 		if *nodes == "" || *left == "" || *mid == "" || *right == "" || *attrA == "" || *attrB == "" {
 			return usage("-chain needs -nodes, -left, -mid, -right, -attr-a, and -attr-b")
@@ -153,11 +156,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// runServe runs the cached coordinator daemon until SIGINT/SIGTERM:
+// runServe runs the cached coordinator daemon until ctx is cancelled:
 // warm the cache synchronously (a node being down at startup is logged,
 // not fatal — its partitions fill in when it comes back), start the
-// refresh loops, serve, then drain on signal.
-func runServe(fx *coord.Fetcher, nodes, relations []string, listen string, refresh, maxStale time.Duration, logW io.Writer) error {
+// refresh loops, serve through amsd.Serve, then stop the loops.
+func runServe(ctx context.Context, fx *coord.Fetcher, nodes, relations []string, listen string, refresh, maxStale time.Duration, logW io.Writer) error {
 	logger := log.New(logW, "joinctl: ", log.LstdFlags)
 	d, err := coord.NewDaemon(coord.Config{
 		Nodes:        nodes,
@@ -174,35 +177,13 @@ func runServe(fx *coord.Fetcher, nodes, relations []string, listen string, refre
 		logger.Printf("startup sweep: %v (serving anyway; refresh loops will recover)", err)
 	}
 	d.Start()
-	defer d.Stop()
-	// Query bodies are tiny, so a full ReadTimeout is safe here; the
-	// header timeout is what stops a slowloris client from pinning a
-	// conn forever, and IdleTimeout reaps dead keep-alives.
-	srv := &http.Server{
-		Addr:              listen,
-		Handler:           d.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Printf("serving %d relation(s) from %d node(s) on %s (refresh %v)",
-		len(relations), len(nodes), listen, refresh)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		logger.Printf("%v: shutting down", s)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		logger.Printf("shutdown: %v", err)
-	}
-	return nil
+	logger.Printf("serving %d relation(s) from %d node(s) (refresh %v)", len(relations), len(nodes), refresh)
+	return amsd.Serve(ctx, amsd.Daemon{
+		Name:    "joinctl",
+		Addr:    listen,
+		Handler: d.Handler(),
+		// Query bodies are tiny, so a full read timeout is safe here.
+		ReadTimeout: 30 * time.Second,
+		Close:       func() error { d.Stop(); return nil },
+	})
 }

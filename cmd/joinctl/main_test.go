@@ -2,9 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"amstrack/internal/amsd"
 	"amstrack/internal/engine"
@@ -63,7 +69,7 @@ func TestOneShotJSONMatchesSingleNode(t *testing.T) {
 	oneShot := func(args ...string) map[string]any {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		if err := run(append([]string{"-nodes", urls, "-json", "-strict"}, args...), &stdout, &stderr); err != nil {
+		if err := run(context.Background(), append([]string{"-nodes", urls, "-json", "-strict"}, args...), &stdout, &stderr); err != nil {
 			t.Fatalf("joinctl %q: %v (stderr %s)", args, err, stderr.String())
 		}
 		var m map[string]any
@@ -99,4 +105,68 @@ func TestOneShotJSONMatchesSingleNode(t *testing.T) {
 		"estimate": ce.Estimate, "sigma": ce.Sigma, "upper": ce.Upper,
 		"sjf": ce.SJF, "sjg": ce.SJG, "sjh": ce.SJH, "k": float64(ce.K),
 	})
+}
+
+// TestServeShutdown: joinctl -serve answers from its cache until the
+// context main hands it is cancelled, then stops listening and returns
+// cleanly.
+func TestServeShutdown(t *testing.T) {
+	eng, err := engine.New(engine.Options{SignatureWords: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	for _, name := range []string{"f", "g"} {
+		if _, err := eng.Define(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := httptest.NewServer(amsd.NewServer(eng))
+	t.Cleanup(node.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + ln.Addr().String()
+	_ = ln.Close() // released for the daemon to claim
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-serve", "-nodes", node.URL, "-relations", "f,g",
+			"-listen", strings.TrimPrefix(base, "http://")}, io.Discard, io.Discard)
+	}()
+	client := &http.Client{Timeout: 5 * time.Second}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		resp, err := client.Get(base + "/v1/join?f=f&g=g")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("cached join: status %d", resp.StatusCode)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never served: %v", err)
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("daemon exited before serving: %v", err)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown exit = %v, want nil", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+	if _, err := client.Get(base + "/healthz"); err == nil {
+		t.Fatal("daemon still accepting after shutdown")
+	}
 }

@@ -46,6 +46,12 @@
 // request, 404 unknown relation, 409 conflict — including a bundle whose
 // synopsis shape or hash-family seed does not match this engine's — and
 // 413 when a body exceeds the server's limit).
+//
+// The package is also the one front of all three serving tiers: the
+// relation and ingest routes (MountRelations, served from a Backend),
+// the request decoder (ReadJSON), the body cap (CapBodies), the error
+// mapping (StatusFor) and the serving shell (Serve) are what amsrouter
+// and joinctl -serve answer and run with too.
 package amsd
 
 import (
@@ -59,6 +65,7 @@ import (
 	"time"
 
 	"amstrack/internal/engine"
+	"amstrack/internal/wire"
 )
 
 // DefaultMaxBody caps request bodies (JSON and bundle uploads alike):
@@ -74,10 +81,8 @@ const DefaultMaxBody = 64 << 20
 // first request after the failed flush.
 type Server struct {
 	eng *engine.Engine
-	mux *http.ServeMux
-	// maxBody is the per-request body cap in bytes (DefaultMaxBody unless
-	// overridden with NewServerMaxBody).
-	maxBody int64
+	// h is the route mux behind the request-body cap.
+	h http.Handler
 	// wireStatus, when set, contributes the amswire listener's snapshot to
 	// /healthz (see SetWireStatus).
 	wireStatus func() WireStatus
@@ -89,36 +94,69 @@ func NewServer(eng *engine.Engine) *Server { return NewServerMaxBody(eng, Defaul
 // NewServerMaxBody builds the handler with an explicit request-body cap
 // in bytes (<=0 means DefaultMaxBody).
 func NewServerMaxBody(eng *engine.Engine, maxBody int64) *Server {
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBody
-	}
-	s := &Server{eng: eng, mux: http.NewServeMux(), maxBody: maxBody}
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/relations", s.handleListRelations)
-	s.mux.HandleFunc("POST /v1/relations", s.handleDefine)
-	// {name...} (multi-segment) so relation names containing '/' stay
-	// reachable through the API.
-	s.mux.HandleFunc("GET /v1/relations/{name...}", s.handleRelationSchema)
-	s.mux.HandleFunc("DELETE /v1/relations/{name...}", s.handleDrop)
-	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	s.mux.HandleFunc("GET /v1/selfjoin", s.handleSelfJoin)
-	s.mux.HandleFunc("GET /v1/join", s.handleJoin)
-	s.mux.HandleFunc("POST /v1/join/chain", s.handleJoinChain)
-	s.mux.HandleFunc("GET /v1/pairs", s.handlePairs)
-	s.mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("GET /v1/signatures/{name...}", s.handleExportSignature)
-	s.mux.HandleFunc("PUT /v1/signatures/{name...}", s.handleImportSignature)
-	s.mux.HandleFunc("POST /v1/join/remote", s.handleJoinRemote)
+	mux := http.NewServeMux()
+	s := &Server{eng: eng, h: CapBodies(mux, maxBody)}
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	MountRelations(mux, engineBackend{wire.EngineSink(eng), eng})
+	mux.HandleFunc("DELETE /v1/relations/{name...}", s.handleDrop)
+	mux.HandleFunc("GET /v1/selfjoin", s.handleSelfJoin)
+	mux.HandleFunc("GET /v1/join", s.handleJoin)
+	mux.HandleFunc("POST /v1/join/chain", s.handleJoinChain)
+	mux.HandleFunc("GET /v1/pairs", s.handlePairs)
+	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
+	mux.HandleFunc("GET /v1/signatures/{name...}", s.handleExportSignature)
+	mux.HandleFunc("PUT /v1/signatures/{name...}", s.handleImportSignature)
+	mux.HandleFunc("POST /v1/join/remote", s.handleJoinRemote)
 	return s
 }
 
-// ServeHTTP implements http.Handler. Every request body is capped at the
-// server's limit; a handler that reads past it reports 413.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+// ServeHTTP implements http.Handler.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
+
+// CapBodies caps every request body h reads at maxBody bytes
+// (DefaultMaxBody when <= 0): the one body cap of amsd, the router and
+// the coordinator. Reading past it fails with *http.MaxBytesError: 413.
+func CapBodies(h http.Handler, maxBody int64) http.Handler {
+	if maxBody <= 0 {
+		maxBody = DefaultMaxBody
 	}
-	s.mux.ServeHTTP(w, r)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// bodyPool recycles request-body buffers up to maxPooledBody: a steady
+// stream of similar requests reads with no buffer allocation, and a
+// one-off huge body does not pin its buffer in the pool.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
+
+// ReadJSON decodes r's JSON body into v: the one request decoder of
+// amsd, the router and the coordinator. The body must hold exactly one
+// JSON value; trailing data is malformed. On failure it answers 413 (a
+// body past the cap) or 400 and returns false.
+func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		// Unmarshal copies what it keeps, so the buffer can be recycled.
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if err != nil {
+		WriteErr(w, StatusFor(err), fmt.Errorf("decode request: %w", err))
+		return false
+	}
+	return true
 }
 
 // WriteJSON writes v as the JSON response body with the given status:
@@ -136,12 +174,15 @@ func WriteErr(w http.ResponseWriter, status int, err error) {
 	}{err.Error()})
 }
 
-// statusFor maps engine errors onto HTTP codes: unknown relations are
-// 404; duplicates and shape/seed-incompatible bundles 409; a body that
-// overran the server cap 413; the rest (malformed JSON, corrupt blobs)
-// 400.
-func statusFor(err error) int {
+// StatusFor maps a failed request onto its HTTP status, the same on
+// every tier: a body that overran the cap is 413; an unknown relation
+// 404; a duplicate define, a shape- or seed-incompatible synopsis and
+// an untracked chain attribute 409; a failure of the nodes behind a
+// backend (Upstream) 502; the rest (malformed JSON or schemas, corrupt
+// blobs) 400.
+func StatusFor(err error) int {
 	var tooBig *http.MaxBytesError
+	var up upstreamError
 	switch {
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
@@ -150,10 +191,22 @@ func statusFor(err error) int {
 	case errors.Is(err, engine.ErrAlreadyDefined), errors.Is(err, engine.ErrIncompatible),
 		errors.Is(err, engine.ErrAttrNotTracked):
 		return http.StatusConflict
+	case errors.As(err, &up):
+		return http.StatusBadGateway
 	default:
 		return http.StatusBadRequest
 	}
 }
+
+// Upstream marks err as a failure of the nodes behind a backend (the
+// router's members). StatusFor answers it with 502 Bad Gateway, unless
+// err also carries an answer a node gives itself (404, 409). The message
+// is err's own.
+func Upstream(err error) error { return upstreamError{err} }
+
+type upstreamError struct{ error }
+
+func (e upstreamError) Unwrap() error { return e.error }
 
 // HealthzBody is the GET /healthz response. The durability block is what
 // operators alert on: a growing checkpoint age or segment count means
@@ -185,8 +238,9 @@ type HealthzBody struct {
 	Wire *WireStatus `json:"wire,omitempty"`
 }
 
-// WireStatus mirrors wire.Stats for /healthz (declared here so the HTTP
-// layer does not import the wire package; cmd/amsd bridges the two).
+// WireStatus is the amswire listener's /healthz block: its bound
+// address and its wire.Stats counters. Serve bridges a node's listener
+// into it; an in-process host sets it with SetWireStatus.
 type WireStatus struct {
 	Addr       string `json:"addr"`
 	Conns      int64  `json:"conns"`
@@ -234,13 +288,88 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, body)
 }
 
+// Backend is what the relation and ingest routes (MountRelations) serve
+// from: one engine on a node, the routing core on amsrouter. It is also
+// the wire.Sink amswire stages into, so both upstream surfaces of a
+// daemon apply batches through one path. Schemas cross it normalized
+// (engine.NormalizeSchema), as a node stores them.
+type Backend interface {
+	wire.Sink
+	Names() ([]string, error)
+	// Define fails with engine.ErrAlreadyDefined for a name already held
+	// (on the router: held by a member with another schema).
+	Define(name string, sc engine.Schema) error
+	Schema(name string) (engine.Schema, error)
+	// DrainLen is the ingest answer's barrier: once it returns nil, every
+	// batch applied to the relation before the call is durable in the
+	// backend's terms, and n is its row count (-1 if uncountable).
+	DrainLen(name string) (n int64, err error)
+}
+
+// engineBackend serves the relation routes from one engine.
+type engineBackend struct {
+	wire.Sink
+	eng *engine.Engine
+}
+
+func (b engineBackend) Names() ([]string, error) { return b.eng.Names(), nil }
+
+func (b engineBackend) Define(name string, sc engine.Schema) error {
+	_, err := b.eng.DefineSchema(name, sc)
+	return err
+}
+
+func (b engineBackend) Schema(name string) (engine.Schema, error) {
+	rel, err := b.eng.Get(name)
+	if err != nil {
+		return engine.Schema{}, err
+	}
+	return rel.Schema(), nil
+}
+
+// DrainLen is one pipeline sweep: the count reads the request's ops, and
+// an oplog failure they triggered is visible now.
+func (b engineBackend) DrainLen(name string) (int64, error) {
+	rel, err := b.eng.Get(name)
+	if err != nil {
+		return 0, err
+	}
+	return rel.DrainLen()
+}
+
+// MountRelations registers the routes every ingest-facing tier serves
+// alike on mux, answered from b:
+//
+//	GET  /v1/relations          list defined relations
+//	POST /v1/relations          define one (DefineRequest)
+//	GET  /v1/relations/{name}   its schema (SchemaBody)
+//	POST /v1/ingest             apply a batch (IngestRequest)
+//
+// amsd mounts them over its engine and amsrouter over its routing core,
+// so a client gets the same answers from a node and from the fleet.
+func MountRelations(mux *http.ServeMux, b Backend) {
+	h := relationRoutes{b}
+	mux.HandleFunc("GET /v1/relations", h.list)
+	mux.HandleFunc("POST /v1/relations", h.define)
+	// {name...} (multi-segment) so relation names containing '/' stay
+	// reachable through the API.
+	mux.HandleFunc("GET /v1/relations/{name...}", h.schema)
+	mux.HandleFunc("POST /v1/ingest", h.ingest)
+}
+
+type relationRoutes struct{ b Backend }
+
 // RelationsBody is the GET /v1/relations response.
 type RelationsBody struct {
 	Relations []string `json:"relations"`
 }
 
-func (s *Server) handleListRelations(w http.ResponseWriter, _ *http.Request) {
-	names := s.eng.Names()
+func (h relationRoutes) list(w http.ResponseWriter, _ *http.Request) {
+	names, err := h.b.Names()
+	if err != nil {
+		WriteErr(w, StatusFor(err), err)
+		return
+	}
 	if names == nil {
 		names = []string{}
 	}
@@ -267,32 +396,43 @@ type DefineRequest struct {
 	SkimHitters int `json:"skim_hitters,omitempty"`
 }
 
+// Normalize checks the request and returns the schema a node stores for
+// it (engine.NormalizeSchema). An error is a malformed define, answered
+// 400 before any relation is touched.
+func (req DefineRequest) Normalize() (engine.Schema, error) {
+	sc := engine.Schema{Attrs: req.Attrs, EndA: req.ChainA, EndB: req.ChainB, SkimHitters: req.SkimHitters}
+	if req.Name == "" {
+		return sc, errors.New("define without a relation name")
+	}
+	for _, p := range req.ChainAB {
+		if len(p) != 2 {
+			return sc, fmt.Errorf("chain_ab entry %v must name exactly two attributes", p)
+		}
+		sc.Middle = append(sc.Middle, [2]string{p[0], p[1]})
+	}
+	return engine.NormalizeSchema(sc)
+}
+
 // DefineBody is its response.
 type DefineBody struct {
 	Relation string   `json:"relation"`
 	Attrs    []string `json:"attrs"`
 }
 
-func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
+func (h relationRoutes) define(w http.ResponseWriter, r *http.Request) {
 	var req DefineRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
+	if !ReadJSON(w, r, &req) {
 		return
 	}
-	schema := engine.Schema{Attrs: req.Attrs, EndA: req.ChainA, EndB: req.ChainB, SkimHitters: req.SkimHitters}
-	for _, p := range req.ChainAB {
-		if len(p) != 2 {
-			WriteErr(w, http.StatusBadRequest, fmt.Errorf("chain_ab entry %v must name exactly two attributes", p))
-			return
-		}
-		schema.Middle = append(schema.Middle, [2]string{p[0], p[1]})
+	sc, err := req.Normalize()
+	if err == nil {
+		err = h.b.Define(req.Name, sc)
 	}
-	rel, err := s.eng.DefineSchema(req.Name, schema)
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
-	WriteJSON(w, http.StatusCreated, DefineBody{Relation: req.Name, Attrs: rel.Schema().Attrs})
+	WriteJSON(w, http.StatusCreated, DefineBody{Relation: req.Name, Attrs: sc.Attrs})
 }
 
 // SchemaBody is the GET /v1/relations/{name} response: the relation's
@@ -308,18 +448,29 @@ type SchemaBody struct {
 	SkimHitters int        `json:"skim_hitters,omitempty"`
 }
 
-func (s *Server) handleRelationSchema(w http.ResponseWriter, r *http.Request) {
-	rel, err := s.eng.Get(r.PathValue("name"))
-	if err != nil {
-		WriteErr(w, statusFor(err), err)
-		return
-	}
-	sc := rel.Schema()
-	body := SchemaBody{Relation: rel.Name(), Attrs: sc.Attrs, ChainA: sc.EndA, ChainB: sc.EndB, SkimHitters: sc.SkimHitters}
+// NewSchemaBody is the schema answer for relation name holding sc.
+func NewSchemaBody(name string, sc engine.Schema) SchemaBody {
+	body := SchemaBody{Relation: name, Attrs: sc.Attrs, ChainA: sc.EndA, ChainB: sc.EndB, SkimHitters: sc.SkimHitters}
 	for _, p := range sc.Middle {
 		body.ChainAB = append(body.ChainAB, []string{p[0], p[1]})
 	}
-	WriteJSON(w, http.StatusOK, body)
+	return body
+}
+
+// Request is the define that recreates the schema under its name.
+func (b SchemaBody) Request() DefineRequest {
+	return DefineRequest{Name: b.Relation, Attrs: b.Attrs, ChainA: b.ChainA, ChainB: b.ChainB,
+		ChainAB: b.ChainAB, SkimHitters: b.SkimHitters}
+}
+
+func (h relationRoutes) schema(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	sc, err := h.b.Schema(name)
+	if err != nil {
+		WriteErr(w, StatusFor(err), err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, NewSchemaBody(name, sc))
 }
 
 // DropBody is the DELETE /v1/relations/{name} response.
@@ -330,7 +481,7 @@ type DropBody struct {
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.eng.Drop(name); err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, DropBody{Dropped: name})
@@ -349,7 +500,8 @@ type IngestRequest struct {
 	DeleteRows [][]uint64 `json:"delete_rows,omitempty"`
 }
 
-// IngestBody is its response.
+// IngestBody is its response. On the router Len is the fleet-wide row
+// count, or -1 when a member's stat failed (the ingest still succeeded).
 type IngestBody struct {
 	Relation string `json:"relation"`
 	Inserted int    `json:"inserted"`
@@ -357,112 +509,83 @@ type IngestBody struct {
 	Len      int64  `json:"len"`
 }
 
-// checkRows validates every row against the relation's arity before any
-// op is applied, so a malformed batch is rejected whole.
-func checkRows(rel *engine.Relation, rows [][]uint64) error {
+// appendRows appends rows to flat, row-major, after checking every row
+// against the relation's arity, so a malformed batch is rejected whole
+// before any op is staged.
+func appendRows(flat []uint64, rows [][]uint64, rel wire.SinkRelation) ([]uint64, error) {
 	for i, row := range rows {
 		if len(row) != rel.Arity() {
-			return fmt.Errorf("row %d has %d values, relation %q has arity %d",
+			return nil, fmt.Errorf("row %d has %d values, relation %q has arity %d",
 				i, len(row), rel.Name(), rel.Arity())
 		}
+		flat = append(flat, row...)
 	}
-	return nil
+	return flat, nil
 }
 
-// ingestScratch is the per-request decode state of the ingest hot path:
-// the raw body bytes and the request struct whose value slices survive
-// between requests. encoding/json grows a slice in place when its
-// capacity suffices, so after warm-up a steady stream of similarly-sized
-// batches decodes with no per-request buffer or op-slice allocations —
-// the engine's batch paths copy staged ops before returning, which is
-// what makes handing them pooled slices safe.
-type ingestScratch struct {
-	buf bytes.Buffer
-	req IngestRequest
-}
+// ingestPool recycles ingest requests: encoding/json grows a slice in
+// place when its capacity suffices, so after warm-up a steady stream of
+// similarly-sized batches decodes with no op-slice allocations. Handing
+// pooled slices to Apply is safe: both backends copy what they stage.
+var ingestPool = sync.Pool{New: func() any { return new(IngestRequest) }}
 
-var ingestPool = sync.Pool{New: func() any { return new(ingestScratch) }}
-
-// ingestScratchMax caps the retained capacity: a one-off huge batch must
-// not pin its buffers in the pool forever.
-const ingestScratchMax = 1 << 20
-
-// reset readies the scratch for the next decode, keeping capacities.
-func (sc *ingestScratch) reset() {
-	sc.buf.Reset()
-	sc.req.Relation = ""
-	sc.req.Inserts = sc.req.Inserts[:0]
-	sc.req.Deletes = sc.req.Deletes[:0]
-	sc.req.InsertRows = sc.req.InsertRows[:0]
-	sc.req.DeleteRows = sc.req.DeleteRows[:0]
-}
-
-func putIngestScratch(sc *ingestScratch) {
-	if sc.buf.Cap() > ingestScratchMax ||
-		cap(sc.req.Inserts)+cap(sc.req.Deletes) > ingestScratchMax/8 {
-		return // oversized: let it go instead of pinning it
-	}
-	ingestPool.Put(sc)
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	sc := ingestPool.Get().(*ingestScratch)
-	defer putIngestScratch(sc)
-	sc.reset()
-	if _, err := sc.buf.ReadFrom(r.Body); err != nil {
-		WriteErr(w, statusFor(err), fmt.Errorf("read request: %w", err))
+// putIngestRequest recycles req unless a huge batch grew its slices.
+func putIngestRequest(req *IngestRequest) {
+	if cap(req.Inserts)+cap(req.Deletes) > maxPooledBody/8 {
 		return
 	}
-	req := &sc.req
-	if err := json.Unmarshal(sc.buf.Bytes(), req); err != nil {
-		WriteErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
+	*req = IngestRequest{Inserts: req.Inserts[:0], Deletes: req.Deletes[:0],
+		InsertRows: req.InsertRows[:0], DeleteRows: req.DeleteRows[:0]}
+	ingestPool.Put(req)
+}
+
+func (h relationRoutes) ingest(w http.ResponseWriter, r *http.Request) {
+	req := ingestPool.Get().(*IngestRequest)
+	defer putIngestRequest(req)
+	if !ReadJSON(w, r, req) {
 		return
 	}
-	rel, err := s.eng.Get(req.Relation)
+	rel, err := h.b.Relation(req.Relation)
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
-	if rel.Arity() != 1 && (len(req.Inserts) > 0 || len(req.Deletes) > 0) {
+	arity := rel.Arity()
+	if arity != 1 && len(req.Inserts)+len(req.Deletes) > 0 {
 		WriteErr(w, http.StatusBadRequest, fmt.Errorf(
 			"relation %q has arity %d; use insert_rows/delete_rows with full tuples",
-			req.Relation, rel.Arity()))
+			req.Relation, arity))
 		return
 	}
-	if err := checkRows(rel, req.InsertRows); err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
-		return
+	// Flat values go before rows (the flat forms exist only at arity 1).
+	ins, err := appendRows(req.Inserts, req.InsertRows, rel)
+	var del []uint64
+	if err == nil {
+		del, err = appendRows(req.Deletes, req.DeleteRows, rel)
 	}
-	if err := checkRows(rel, req.DeleteRows); err != nil {
-		WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	rel.InsertBatch(req.Inserts)
-	rel.InsertTupleBatch(req.InsertRows)
-	if err := rel.DeleteBatch(req.Deletes); err != nil {
-		// Engine deletes are pure linearity and never fail on validity;
-		// an error here is the relation's sticky durability failure —
-		// the server's fault, not the client's.
-		WriteErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	if err := rel.DeleteTupleBatch(req.DeleteRows); err != nil {
-		WriteErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	// DrainLen is the one-sweep barrier: it flushes this request's ops
-	// through the pipeline, so the returned Len reads them and an oplog
-	// failure they triggered is visible NOW.
-	n, err := rel.DrainLen()
 	if err != nil {
-		// Ops applied in memory but not durably logged: surface loudly.
+		WriteErr(w, http.StatusBadRequest, err)
+		return
+	}
+	// Apply and the barrier fail only on the backend's side — a sticky
+	// durability error, or a batch the router lost — never on the
+	// request's validity, so they answer 500.
+	err = rel.Apply(false, arity, ins)
+	if err == nil {
+		err = rel.Apply(true, arity, del)
+	}
+	var n int64
+	if err == nil {
+		n, err = h.b.DrainLen(req.Relation)
+	}
+	if err != nil {
 		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, IngestBody{
 		Relation: req.Relation,
-		Inserted: len(req.Inserts) + len(req.InsertRows),
-		Deleted:  len(req.Deletes) + len(req.DeleteRows),
+		Inserted: len(ins) / arity,
+		Deleted:  len(del) / arity,
 		Len:      n,
 	})
 }
@@ -486,7 +609,7 @@ func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	rel, err := s.eng.Get(name)
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
 	// One cut answers both the estimate and the length.
@@ -515,7 +638,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	je, err := s.eng.EstimateJoin(f, g)
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, JoinBody{F: f, G: g, JoinEstimate: je})
@@ -553,8 +676,7 @@ type ChainJoinBody struct {
 
 func (s *Server) handleJoinChain(w http.ResponseWriter, r *http.Request) {
 	var req ChainJoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, statusFor(err), fmt.Errorf("decode request: %w", err))
+	if !ReadJSON(w, r, &req) {
 		return
 	}
 	if req.F == "" || req.AttrA == "" || req.G == "" || req.AttrB == "" || req.H == "" {
@@ -564,7 +686,7 @@ func (s *Server) handleJoinChain(w http.ResponseWriter, r *http.Request) {
 	ce, err := s.eng.EstimateChainJoinRemote(req.F, req.AttrA, req.G, req.AttrB, req.H,
 		req.RemoteF, req.RemoteG, req.RemoteH)
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, ChainJoinBody{F: req.F, AttrA: req.AttrA, G: req.G, AttrB: req.AttrB, H: req.H,
@@ -638,7 +760,7 @@ func (s *Server) handleExportSignature(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodHead || r.URL.Query().Get("stat") != "" {
 		st, err := s.eng.StatRelation(name)
 		if err != nil {
-			WriteErr(w, statusFor(err), err)
+			WriteErr(w, StatusFor(err), err)
 			return
 		}
 		setStampHeaders(w, st)
@@ -653,7 +775,7 @@ func (s *Server) handleExportSignature(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := s.eng.ExportRelation(name)
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -677,7 +799,7 @@ func (s *Server) handleImportSignature(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		WriteErr(w, statusFor(err), fmt.Errorf("read bundle: %w", err))
+		WriteErr(w, StatusFor(err), fmt.Errorf("read bundle: %w", err))
 		return
 	}
 	mode := r.URL.Query().Get("mode")
@@ -694,7 +816,7 @@ func (s *Server) handleImportSignature(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
 	rel, err := s.eng.Get(name)
@@ -716,12 +838,12 @@ func (s *Server) handleJoinRemote(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		WriteErr(w, statusFor(err), fmt.Errorf("read bundle: %w", err))
+		WriteErr(w, StatusFor(err), fmt.Errorf("read bundle: %w", err))
 		return
 	}
 	je, err := s.eng.EstimateJoinBundle(name, data)
 	if err != nil {
-		WriteErr(w, statusFor(err), err)
+		WriteErr(w, StatusFor(err), err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, JoinBody{F: name, G: "(remote bundle)", JoinEstimate: je})

@@ -40,8 +40,7 @@ func (fx *Fetcher) FetchSchema(node, rel string) (Schema, error) {
 // peer router) won the define race, or an earlier attempt landed — and
 // define is idempotent.
 func (fx *Fetcher) DefineRelation(node string, sc Schema) error {
-	body, err := json.Marshal(amsd.DefineRequest{Name: sc.Relation, Attrs: sc.Attrs,
-		ChainA: sc.ChainA, ChainB: sc.ChainB, ChainAB: sc.ChainAB, SkimHitters: sc.SkimHitters})
+	body, err := json.Marshal(sc.Request())
 	if err != nil {
 		return err
 	}

@@ -70,9 +70,10 @@ type relState struct {
 // staleness bound. A node loss degrades freshness, never availability —
 // the last good copy keeps serving inside the staleness bound.
 type Daemon struct {
-	cfg Config
-	fx  *Fetcher
-	now func() time.Time
+	cfg     Config
+	fx      *Fetcher
+	now     func() time.Time
+	maxBody int64 // request-body cap (0: amsd.DefaultMaxBody)
 
 	mu      sync.RWMutex
 	rels    map[string]*relState

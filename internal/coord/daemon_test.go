@@ -636,3 +636,83 @@ func TestDaemonSkimmedMatchesNode(t *testing.T) {
 		}
 	}
 }
+
+// TestDaemonChainErrorsMatchNode: a chain join the synopses cannot
+// answer gets the status a node gives the same request — 409 for an
+// attribute without the chain synopsis the join needs, as amsd maps
+// engine.ErrAttrNotTracked.
+func TestDaemonChainErrorsMatchNode(t *testing.T) {
+	data := makeChainData(t)
+	urls := make([]string, 2)
+	for i := range urls {
+		eng, err := engine.New(chainNodeOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defineChainRels(t, eng)
+		data.ingestPart(t, eng, i, 2)
+		ts := httptest.NewServer(amsd.NewServer(eng))
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	d, err := NewDaemon(Config{Nodes: urls, Relations: []string{"forders", "glineitem", "hparts"}, Fetcher: testFetcher()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(d.Handler())
+	t.Cleanup(coordTS.Close)
+
+	for _, tc := range []struct {
+		name string
+		req  ChainJoinRequest
+	}{
+		{"untracked attribute", ChainJoinRequest{F: "forders", AttrA: "zz", G: "glineitem", AttrB: "b", H: "hparts"}},
+		{"end declared on the other side", ChainJoinRequest{F: "hparts", AttrA: "b", G: "glineitem", AttrB: "b", H: "hparts"}},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []string{urls[0], coordTS.URL} {
+			resp, err := http.Post(base+"/v1/join/chain", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict {
+				t.Errorf("%s at %s: status %d, want 409", tc.name, base, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// TestDaemonBodyCap: the coordinator caps request bodies as amsd and the
+// router do, answering an overrun with a JSON 413.
+func TestDaemonBodyCap(t *testing.T) {
+	d, err := NewDaemon(Config{Nodes: []string{"http://127.0.0.1:1"}, Relations: []string{"f"}, Fetcher: testFetcher()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.maxBody = 1 << 10 // small cap keeps the over-cap body cheap
+	ts := httptest.NewServer(d.Handler())
+	t.Cleanup(ts.Close)
+
+	body := `{"f":"` + strings.Repeat("x", 2<<10) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/join/chain", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+		t.Fatalf("413 body is not a JSON error (err=%v, body=%+v)", err, eb)
+	}
+}

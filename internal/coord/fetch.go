@@ -31,7 +31,9 @@ import (
 )
 
 // ErrNotFound marks a 404 from a node: the relation is not defined there.
-var ErrNotFound = errors.New("relation not found")
+// It is the engine's own ErrUnknownRelation, so a tier that passes it on
+// answers 404 as the node did.
+var ErrNotFound = engine.ErrUnknownRelation
 
 // ErrTooLarge marks a response body that overran the fetcher's bundle
 // cap. It is definitive, not retryable: the node's bundle will not
@@ -44,11 +46,6 @@ var ErrTooLarge = errors.New("bundle exceeds the response size cap")
 // or hostile node cannot balloon the coordinator. joinctl's
 // -max-bundle-mb flag overrides it.
 const DefaultMaxBody = 64 << 20
-
-// maxBackoff caps the exponential retry backoff. Past ~30s a node is
-// down, not busy: longer waits only delay the operator's answer, and an
-// unclamped doubling overflows time.Duration around attempt 40.
-const maxBackoff = 30 * time.Second
 
 // Fetcher wraps an HTTP client with the coordinator's retry policy:
 // every node request gets up to retries attempts, each with the client's
@@ -102,35 +99,15 @@ func jitterSeed() uint64 {
 	return xrand.Mix64(uint64(time.Now().UnixNano())) ^ xrand.Mix64(uint64(os.Getpid())<<1|1)
 }
 
-// pause sleeps before retry attempt (1-based, so the first retry waits
-// ~backoff, the next ~2·backoff, ...). The doubling is computed by
-// repeated shifting with an overflow guard and clamped to maxBackoff:
-// a single unchecked `backoff << (attempt-1)` goes negative around
-// attempt 40 (time.Duration is an int64 of nanoseconds), which used to
-// skip the jitter draw and hand time.Sleep a negative duration — i.e. no
-// wait at all, turning the late retries into a busy retry storm against
-// an already-struggling node. Full jitter in [d/2, d) desynchronizes a
-// fleet of coordinators hammering one recovering node.
+// pause sleeps the jittered exponential backoff before retry attempt
+// (1-based; xrand.Backoff).
 func (fx *Fetcher) pause(attempt int) {
 	if fx.backoff <= 0 {
 		return
 	}
-	d := fx.backoff
-	for i := 1; i < attempt && d < maxBackoff; i++ {
-		if d > maxBackoff/2 { // next shift would pass (or overflow past) the cap
-			d = maxBackoff
-			break
-		}
-		d <<= 1
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	if half := d / 2; half > 0 {
-		fx.mu.Lock()
-		d = half + time.Duration(fx.rng.Uint64n(uint64(half)))
-		fx.mu.Unlock()
-	}
+	fx.mu.Lock()
+	d := fx.rng.Backoff(fx.backoff, attempt)
+	fx.mu.Unlock()
 	if fx.sleep != nil {
 		fx.sleep(d)
 	} else {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"amstrack/internal/engine"
+	"amstrack/internal/xrand"
 )
 
 // TestFetchRetryFlakyNode: a node that 500s twice before answering must
@@ -122,8 +123,8 @@ func TestBackoffDeepRetriesNeverOverflow(t *testing.T) {
 		if d <= 0 {
 			t.Fatalf("attempt %d slept %v — the overflow bug is back", i+1, d)
 		}
-		if d > maxBackoff {
-			t.Fatalf("attempt %d slept %v, above the %v cap", i+1, d, maxBackoff)
+		if d > xrand.MaxBackoff {
+			t.Fatalf("attempt %d slept %v, above the %v cap", i+1, d, xrand.MaxBackoff)
 		}
 		if i > 0 && d < sleeps[i-1]/2 {
 			t.Fatalf("attempt %d slept %v after %v — waits collapsed instead of growing", i+1, d, sleeps[i-1])
@@ -132,8 +133,8 @@ func TestBackoffDeepRetriesNeverOverflow(t *testing.T) {
 	// The tail must sit at the cap's jitter band [cap/2, cap), not at
 	// some overflowed wraparound.
 	last := sleeps[len(sleeps)-1]
-	if last < maxBackoff/2 || last >= maxBackoff {
-		t.Fatalf("attempt 50 slept %v, want within [%v, %v)", last, maxBackoff/2, maxBackoff)
+	if last < xrand.MaxBackoff/2 || last >= xrand.MaxBackoff {
+		t.Fatalf("attempt 50 slept %v, want within [%v, %v)", last, xrand.MaxBackoff/2, xrand.MaxBackoff)
 	}
 }
 

@@ -9,9 +9,7 @@ package coord
 // past the serving bound.
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -33,16 +31,10 @@ type JoinBody struct {
 	Freshness   []RelFreshness `json:"freshness"`
 }
 
-// ChainJoinRequest is the POST /v1/join/chain body — same shape as
-// amsd's, minus the remote_* bundle fields (the daemon's cache IS the
-// remote merge).
-type ChainJoinRequest struct {
-	F     string `json:"f"`
-	AttrA string `json:"attr_a"`
-	G     string `json:"g"`
-	AttrB string `json:"attr_b"`
-	H     string `json:"h"`
-}
+// ChainJoinRequest is the POST /v1/join/chain body: amsd's, whose
+// remote_* bundle fields the daemon ignores (its cache IS the remote
+// merge).
+type ChainJoinRequest = amsd.ChainJoinRequest
 
 // ChainJoinBody is its response and CoordinateChain's result: amsd's
 // chain body over the merged bundles, plus the contributing node count,
@@ -82,28 +74,31 @@ type HealthzBody struct {
 	MaxStalenessMS int64 `json:"max_staleness_ms"`
 }
 
-// statusForLookup maps cache-lookup failures: a relation no node serves
+// statusFor maps a cached answer's failure: a relation no node serves
 // is 404, one aged past the serving bound is 503 (retryable once a
-// refresh lands), anything else 500.
-func statusForLookup(err error) int {
+// refresh lands), and an estimate error answers as on a node
+// (amsd.StatusFor: 409 for incompatible synopses or an untracked chain
+// attribute).
+func statusFor(err error) int {
 	switch {
 	case errors.Is(err, errRelUnavailable):
 		return http.StatusNotFound
 	case errors.Is(err, errTooStale):
 		return http.StatusServiceUnavailable
 	default:
-		return http.StatusInternalServerError
+		return amsd.StatusFor(err)
 	}
 }
 
-// Handler returns the daemon's HTTP surface.
+// Handler returns the daemon's HTTP surface. Request bodies are capped
+// at amsd.DefaultMaxBody, as on amsd; an overrun answers 413.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
 	mux.HandleFunc("GET /v1/join", d.handleJoin)
 	mux.HandleFunc("POST /v1/join/chain", d.handleJoinChain)
 	mux.HandleFunc("GET /v1/pairs", d.handlePairs)
-	return mux
+	return amsd.CapBodies(mux, d.maxBody)
 }
 
 // joinFromCache builds one pair's JoinBody from the cache.
@@ -135,7 +130,7 @@ func (d *Daemon) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := d.joinFromCache(f, g)
 	if err != nil {
-		amsd.WriteErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusFor(err), err)
 		return
 	}
 	amsd.WriteJSON(w, http.StatusOK, body)
@@ -143,8 +138,7 @@ func (d *Daemon) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (d *Daemon) handleJoinChain(w http.ResponseWriter, r *http.Request) {
 	var req ChainJoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		amsd.WriteErr(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !amsd.ReadJSON(w, r, &req) {
 		return
 	}
 	if req.F == "" || req.AttrA == "" || req.G == "" || req.AttrB == "" || req.H == "" {
@@ -153,23 +147,23 @@ func (d *Daemon) handleJoinChain(w http.ResponseWriter, r *http.Request) {
 	}
 	bf, frF, stF, err := d.lookup(req.F)
 	if err != nil {
-		amsd.WriteErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusFor(err), err)
 		return
 	}
 	bg, frG, stG, err := d.lookup(req.G)
 	if err != nil {
-		amsd.WriteErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusFor(err), err)
 		return
 	}
 	bh, frH, stH, err := d.lookup(req.H)
 	if err != nil {
-		amsd.WriteErr(w, statusForLookup(err), err)
+		amsd.WriteErr(w, statusFor(err), err)
 		return
 	}
 	nodes := max(len(frF), max(len(frG), len(frH)))
 	body, err := chainEstimate(req.F, req.AttrA, req.G, req.AttrB, req.H, bf, bg, bh, nodes)
 	if err != nil {
-		amsd.WriteErr(w, http.StatusBadRequest, err)
+		amsd.WriteErr(w, statusFor(err), err)
 		return
 	}
 	body.StalenessMS = max(stF, max(stG, stH)).Milliseconds()
@@ -191,7 +185,7 @@ func (d *Daemon) handlePairs(w http.ResponseWriter, _ *http.Request) {
 				continue
 			}
 			if err != nil {
-				amsd.WriteErr(w, statusForLookup(err), err)
+				amsd.WriteErr(w, statusFor(err), err)
 				return
 			}
 			out.Pairs = append(out.Pairs, *body)

@@ -496,7 +496,7 @@ func (e *Engine) DefineSchema(name string, schema Schema) (*Relation, error) {
 	if name == "" {
 		return nil, errors.New("engine: empty relation name")
 	}
-	schema, err := normalizeSchema(schema)
+	schema, err := NormalizeSchema(schema)
 	if err != nil {
 		return nil, err
 	}
@@ -589,7 +589,7 @@ func (r *Relation) Name() string { return r.name }
 
 // Schema returns a copy of the relation's normalized schema.
 func (r *Relation) Schema() Schema {
-	s, _ := normalizeSchema(r.schema) // normalize copies; r.schema is already valid
+	s, _ := NormalizeSchema(r.schema) // normalize copies; r.schema is already valid
 	return s
 }
 

@@ -65,11 +65,12 @@ type Schema struct {
 // half of a small synopsis, not a histogram.
 const maxSkimHitters = 1 << 20
 
-// normalizeSchema fills the legacy default and validates: unique
+// NormalizeSchema fills the legacy default and validates: unique
 // non-empty attribute names, every chain declaration referencing a
 // declared attribute, no duplicate declarations. The returned schema owns
-// its slices.
-func normalizeSchema(s Schema) (Schema, error) {
+// its slices. It is the schema a relation stores, so serving tiers in
+// front of engines compare and answer schemas in this form.
+func NormalizeSchema(s Schema) (Schema, error) {
 	if s.SkimHitters < 0 || s.SkimHitters > maxSkimHitters {
 		return s, fmt.Errorf("engine: schema skim hitters %d outside [0, %d]", s.SkimHitters, maxSkimHitters)
 	}
@@ -230,7 +231,7 @@ func buildSchema(b *blob.Builder, s Schema) {
 
 // readSchema decodes and validates a schema written by buildSchema. The
 // encoding is canonical: a valid schema re-marshals byte-identically
-// (normalizeSchema never rewrites explicit declarations), which the
+// (NormalizeSchema never rewrites explicit declarations), which the
 // bundle fuzzers assert on the whole frame.
 func readSchema(c *blob.Cursor) (Schema, error) {
 	var s Schema
@@ -259,7 +260,7 @@ func readSchema(c *blob.Cursor) (Schema, error) {
 	if c.Err() != nil {
 		return s, fmt.Errorf("engine: schema section: %w", c.Err())
 	}
-	return normalizeSchema(s)
+	return NormalizeSchema(s)
 }
 
 // chainPlan is the per-relation fan-out table compiled from a schema:

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -88,6 +89,106 @@ func TestHTTPClientsHaveTimeouts(t *testing.T) {
 	for _, v := range violations {
 		t.Error(v)
 	}
+}
+
+// servingExempt are the trees that host nodes in-process (examples, the
+// benchmark, the experiments) rather than serve a daemon.
+var servingExempt = []string{"examples", "bench", "internal/experiments"}
+
+// TestServingCodeLivesInAmsd keeps request handling in one place:
+// internal/amsd holds the one request decoder, the one body cap and the
+// one serving shell that amsd, amsrouter and joinctl -serve share.
+// Outside it, no non-test file may call http.MaxBytesReader, build an
+// http.Server literal, or JSON-decode inside a function that takes an
+// *http.Request (a handler decoding its request body by hand). Each copy
+// kept elsewhere once drifted from amsd's answers.
+func TestServingCodeLivesInAmsd(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	var violations []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			name := d.Name()
+			if name == "testdata" || name == ".git" || name == "vendor" || rel == "internal/amsd" ||
+				slices.Contains(servingExempt, rel) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return fmt.Errorf("parse %s: %w", p, err)
+		}
+		httpName, ok := importName(file, "net/http")
+		if !ok {
+			return nil
+		}
+		jsonName, hasJSON := importName(file, "encoding/json")
+		seen := map[token.Pos]bool{} // a decode nested in two handlers reports once
+		report := func(n ast.Node, what string) {
+			if !seen[n.Pos()] {
+				seen[n.Pos()] = true
+				violations = append(violations, fmt.Sprintf("%s:%d: %s outside internal/amsd",
+					rel, fset.Position(n.Pos()).Line, what))
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if isSelector(n.Type, httpName, "Server") {
+					report(n, "http.Server literal (serve through amsd.Serve)")
+				}
+			case *ast.SelectorExpr:
+				if isSelector(n, httpName, "MaxBytesReader") {
+					report(n, "http.MaxBytesReader (cap bodies with amsd.CapBodies)")
+				}
+			case *ast.FuncDecl, *ast.FuncLit:
+				if hasJSON && takesRequest(n, httpName) {
+					ast.Inspect(n, func(m ast.Node) bool {
+						if call, ok := m.(*ast.CallExpr); ok &&
+							(isSelector(call.Fun, jsonName, "NewDecoder") || isSelector(call.Fun, jsonName, "Unmarshal")) {
+							report(call, "JSON decoding in a request handler (decode with amsd.ReadJSON)")
+						}
+						return true
+					})
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Error(v)
+	}
+}
+
+// takesRequest reports whether a function declaration or literal has an
+// *http.Request parameter.
+func takesRequest(fn ast.Node, httpName string) bool {
+	var typ *ast.FuncType
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		typ = fn.Type
+	case *ast.FuncLit:
+		typ = fn.Type
+	}
+	for _, f := range typ.Params.List {
+		if star, ok := f.Type.(*ast.StarExpr); ok && isSelector(star.X, httpName, "Request") {
+			return true
+		}
+	}
+	return false
 }
 
 // moduleRoot walks up from the working directory to the go.mod.

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
 
 	"amstrack/internal/amsd"
 	"amstrack/internal/coord"
+	"amstrack/internal/engine"
 	"amstrack/internal/xrand"
 )
 
@@ -172,7 +174,7 @@ type relState struct {
 	r      *Router
 	name   string
 	arity  int
-	schema coord.Schema
+	schema engine.Schema // the members' schema, normalized
 
 	// Guarded by Router.mu.
 	inflight int   // subBatches routed, not yet acked or failed
@@ -203,7 +205,7 @@ type Router struct {
 	// a node that just failed, so a retry-backoff budget per relation
 	// would stall failover for seconds.
 	once    *coord.Fetcher
-	maxBody int64 // upstream request-body cap (amsd.DefaultMaxBody)
+	maxBody int64 // upstream request-body cap (0: amsd.DefaultMaxBody)
 
 	mu    sync.Mutex
 	cond  *sync.Cond // broadcast on ack / failure / health transitions
@@ -224,14 +226,13 @@ func New(opts Options) (*Router, error) {
 		return nil, errors.New("router: no nodes configured")
 	}
 	r := &Router{
-		opts:    opts,
-		ring:    NewRing(opts.Nodes, opts.VNodes),
-		once:    coord.NewFetcher(opts.Client, 1, 0),
-		maxBody: amsd.DefaultMaxBody,
-		nodes:   map[string]*node{},
-		rels:    map[string]*relState{},
-		stop:    make(chan struct{}),
-		rng:     xrand.New(jitterSeed()),
+		opts:  opts,
+		ring:  NewRing(opts.Nodes, opts.VNodes),
+		once:  coord.NewFetcher(opts.Client, 1, 0),
+		nodes: map[string]*node{},
+		rels:  map[string]*relState{},
+		stop:  make(chan struct{}),
+		rng:   xrand.New(jitterSeed()),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, base := range r.ring.Members() {
@@ -340,7 +341,7 @@ func (r *Router) quarantineLocked(n *node, reason string) {
 }
 
 // Relation resolves (or lazily adopts) a logical relation. If the
-// router has not seen the name, it reads the schema from a live node,
+// router has not seen the name, it adopts the schema the members hold,
 // replays the define onto any member missing it, and seeds the acked
 // ledger from each member's current Seq — from that point on the
 // router's ledger and the fleet move in lockstep.
@@ -351,67 +352,74 @@ func (r *Router) Relation(name string) (*relState, error) {
 		return rs, nil
 	}
 	r.mu.Unlock()
-
-	sc, err := r.fetchSchemaAny(name)
-	if err != nil {
-		return nil, err
-	}
-	return r.adoptRelation(sc)
-}
-
-// fetchSchemaAny reads a relation's schema from the first member that
-// has it. ErrNotFound only if NO member has it.
-func (r *Router) fetchSchemaAny(name string) (coord.Schema, error) {
-	var lastErr error = coord.ErrNotFound
-	for _, m := range r.ring.Members() {
-		sc, err := r.opts.Fetcher.FetchSchema(m, name)
-		if err == nil {
-			return sc, nil
-		}
-		lastErr = err
-	}
-	return coord.Schema{}, fmt.Errorf("relation %q: %w", name, lastErr)
+	return r.adoptRelation(name, nil)
 }
 
 // Define defines a relation across the whole fleet (tolerating members
-// that already have it) and registers it with the router. All members
-// must be reachable: defining into a partially-visible fleet would
-// leave the ledger blind on the missing members.
+// that already hold it with the same schema) and registers it with the
+// router. All members must be reachable: defining into a
+// partially-visible fleet would leave the ledger blind on the missing
+// members. A malformed schema fails before any member is contacted.
 func (r *Router) Define(sc coord.Schema) error {
-	if sc.Relation == "" {
-		return errors.New("router: define without a relation name")
+	schema, err := sc.Request().Normalize()
+	if err != nil {
+		return err
 	}
-	_, err := r.adoptRelation(sc)
+	_, err = r.adoptRelation(sc.Relation, &schema)
 	return err
 }
 
-// adoptRelation ensures every member has the relation and seeds the
-// per-member ledger. Idempotent per name.
-func (r *Router) adoptRelation(sc coord.Schema) (*relState, error) {
-	arity := len(sc.Attrs)
-	if arity == 0 {
-		arity = 1
-	}
+// adoptRelation ensures every member holds the relation and seeds the
+// per-member ledger. want is the schema a define asks for; nil adopts
+// the schema the members hold (ErrNotFound when none does). A member
+// holding the relation with another schema fails the adopt with
+// engine.ErrAlreadyDefined, and since every member is checked before any
+// is defined, the fleet and the router stay as they were. A schema is
+// fetched only from a member whose stat shows the relation, so defining
+// a new relation costs one stat and one define per member. Idempotent
+// per name.
+func (r *Router) adoptRelation(name string, want *engine.Schema) (*relState, error) {
 	accts := make(map[string]*acct, len(r.ring.Members()))
+	var missing []string
 	for _, m := range r.ring.Members() {
-		st, err := r.opts.Fetcher.FetchStat(m, sc.Relation)
-		if errors.Is(err, coord.ErrNotFound) {
-			if err := r.opts.Fetcher.DefineRelation(m, sc); err != nil {
-				return nil, fmt.Errorf("define %q on %s: %w", sc.Relation, m, err)
+		st, err := r.opts.Fetcher.FetchStat(m, name)
+		switch {
+		case errors.Is(err, coord.ErrNotFound):
+			missing = append(missing, m)
+		case err != nil:
+			return nil, fmt.Errorf("stat %q on %s: %w", name, m, err)
+		default:
+			sc, err := r.opts.Fetcher.FetchSchema(m, name)
+			if err != nil {
+				return nil, fmt.Errorf("schema %q on %s: %w", name, m, err)
 			}
-			st = coord.Stat{}
-		} else if err != nil {
-			return nil, fmt.Errorf("stat %q on %s: %w", sc.Relation, m, err)
+			held, err := sc.Request().Normalize()
+			if err != nil {
+				return nil, fmt.Errorf("schema %q on %s: %w", name, m, err)
+			}
+			if want == nil {
+				want = &held
+			} else if !reflect.DeepEqual(held, *want) {
+				return nil, fmt.Errorf("relation %q on %s has schema %+v: %w", name, m, sc, engine.ErrAlreadyDefined)
+			}
 		}
 		accts[m] = &acct{base: st.Seq}
 	}
+	if want == nil {
+		return nil, fmt.Errorf("relation %q: %w", name, coord.ErrNotFound)
+	}
+	for _, m := range missing {
+		if err := r.opts.Fetcher.DefineRelation(m, amsd.NewSchemaBody(name, *want)); err != nil {
+			return nil, fmt.Errorf("define %q on %s: %w", name, m, err)
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rs, ok := r.rels[sc.Relation]; ok {
+	if rs, ok := r.rels[name]; ok {
 		return rs, nil // raced with a concurrent resolve; first one wins
 	}
-	rs := &relState{r: r, name: sc.Relation, arity: arity, schema: sc, accts: accts}
-	r.rels[sc.Relation] = rs
+	rs := &relState{r: r, name: name, arity: len(want.Attrs), schema: *want, accts: accts}
+	r.rels[name] = rs
 	return rs, nil
 }
 

@@ -434,6 +434,7 @@ func TestRouterIngestMatchesNode(t *testing.T) {
 		{"wrong width", `{"relation":"wide","insert_rows":[[1,2],[3]]}`, http.StatusBadRequest},
 		{"flat on arity 2", `{"relation":"wide","inserts":[1]}`, http.StatusBadRequest},
 		{"unknown relation", `{"relation":"nope","inserts":[1]}`, http.StatusNotFound},
+		{"trailing data", `{"relation":"f","inserts":[1]} {"relation":"f","inserts":[2]}`, http.StatusBadRequest},
 	} {
 		nodeStatus, nodeBody := ingest(nodes[0].base, tc.body)
 		routerStatus, routerBody := ingest(front.URL, tc.body)
@@ -443,6 +444,76 @@ func TestRouterIngestMatchesNode(t *testing.T) {
 		if nodeBody.Inserted != routerBody.Inserted || nodeBody.Deleted != routerBody.Deleted {
 			t.Errorf("%s: node inserted/deleted %d/%d, router %d/%d", tc.name,
 				nodeBody.Inserted, nodeBody.Deleted, routerBody.Inserted, routerBody.Deleted)
+		}
+	}
+}
+
+// TestRouterDefineMatchesNode: the router promises amsd's define, so
+// every define body gets the same status from a node and from a router
+// over the same fleet. A refused define changes nothing: afterwards the
+// router's schema is the members' (byte for byte as a node answers it)
+// and routed ingest still reaches healthy members.
+func TestRouterDefineMatchesNode(t *testing.T) {
+	nodes := startFleet(t, 2, true)
+	for _, n := range nodes {
+		if _, err := n.eng.Define("f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := testRouter(t, nodes, nil)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	client := front.Client()
+
+	define := func(base, body string) int {
+		resp, err := client.Post(base+"/v1/relations", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// The node sees each body first, so "g" is new to the router's other
+	// member only.
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"new relation", `{"name":"g"}`, http.StatusCreated},
+		{"no name", `{"name":""}`, http.StatusBadRequest},
+		{"chain_ab entry with one attribute", `{"name":"h","attrs":["a","b"],"chain_ab":[["a"]]}`, http.StatusBadRequest},
+		{"chain_a unknown attribute", `{"name":"h","attrs":["a"],"chain_a":["zz"]}`, http.StatusBadRequest},
+		{"chain_a attribute twice", `{"name":"h","attrs":["a"],"chain_a":["a","a"]}`, http.StatusBadRequest},
+		{"trailing data", `{"name":"h"} {"name":"h2"}`, http.StatusBadRequest},
+		{"another schema", `{"name":"f","attrs":["a","b"]}`, http.StatusConflict},
+	} {
+		nodeStatus, routerStatus := define(nodes[0].base, tc.body), define(front.URL, tc.body)
+		if nodeStatus != tc.status || routerStatus != tc.status {
+			t.Errorf("%s: node %d, router %d, want %d", tc.name, nodeStatus, routerStatus, tc.status)
+		}
+	}
+
+	schema := func(base, name string) string {
+		resp, err := client.Get(base + "/v1/relations/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s", resp.StatusCode, raw)
+	}
+	for _, name := range []string{"f", "g"} {
+		if node, router := schema(nodes[0].base, name), schema(front.URL, name); node != router {
+			t.Errorf("schema of %q: node %s, router %s", name, node, router)
+		}
+	}
+	postJSON(t, client, front.URL+"/v1/ingest", amsd.IngestRequest{Relation: "f", Inserts: batchVals(1)}, http.StatusOK, nil)
+	for _, h := range rt.Health() {
+		if h.State != StateHealthy.String() {
+			t.Errorf("%s is %s after the refused define: %s", h.Node, h.State, h.LastErr)
 		}
 	}
 }

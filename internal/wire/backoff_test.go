@@ -12,7 +12,7 @@ import (
 // user-set RetryBackoff and a deep failure streak, the old
 // `RetryBackoff << shift` doubling overflowed time.Duration into a
 // negative sleep — a zero-backoff retry storm against a node trying to
-// recover. Every pause must now be positive and ≤ maxBackoff at any
+// recover. Every pause must now be positive and ≤ xrand.MaxBackoff at any
 // streak depth and any configured backoff.
 func TestPauseBackoffCapped(t *testing.T) {
 	cases := []struct {
@@ -23,7 +23,7 @@ func TestPauseBackoffCapped(t *testing.T) {
 		{"default", 0, []int{1, 2, 3, 10, 50, 63, 64, 200}},
 		{"one-second", time.Second, []int{1, 2, 5, 10, 63, 1000}},
 		{"huge", math.MaxInt64 / 2, []int{1, 2, 10, 63, 200}},
-		{"already-over-cap", 2 * maxBackoff, []int{1, 5, 100}},
+		{"already-over-cap", 2 * xrand.MaxBackoff, []int{1, 5, 100}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,8 +43,8 @@ func TestPauseBackoffCapped(t *testing.T) {
 				if slept <= 0 {
 					t.Fatalf("fails=%d backoff=%v: slept %v, want positive", fails, tc.backoff, slept)
 				}
-				if slept > maxBackoff {
-					t.Fatalf("fails=%d backoff=%v: slept %v, want ≤ %v", fails, tc.backoff, slept, maxBackoff)
+				if slept > xrand.MaxBackoff {
+					t.Fatalf("fails=%d backoff=%v: slept %v, want ≤ %v", fails, tc.backoff, slept, xrand.MaxBackoff)
 				}
 			}
 		})
@@ -59,15 +59,15 @@ func TestPauseBackoffGrows(t *testing.T) {
 	opts := Options{}.withDefaults()
 	floor := func(fails int) time.Duration {
 		d := opts.RetryBackoff
-		for i := 1; i < fails && d < maxBackoff; i++ {
-			if d > maxBackoff/2 {
-				d = maxBackoff
+		for i := 1; i < fails && d < xrand.MaxBackoff; i++ {
+			if d > xrand.MaxBackoff/2 {
+				d = xrand.MaxBackoff
 				break
 			}
 			d <<= 1
 		}
-		if d > maxBackoff {
-			d = maxBackoff
+		if d > xrand.MaxBackoff {
+			d = xrand.MaxBackoff
 		}
 		return d / 2
 	}
@@ -79,7 +79,7 @@ func TestPauseBackoffGrows(t *testing.T) {
 		}
 		prev = f
 	}
-	if prev != maxBackoff/2 {
-		t.Fatalf("deep-streak jitter floor = %v, want saturation at %v", prev, maxBackoff/2)
+	if prev != xrand.MaxBackoff/2 {
+		t.Fatalf("deep-streak jitter floor = %v, want saturation at %v", prev, xrand.MaxBackoff/2)
 	}
 }

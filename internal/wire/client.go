@@ -297,36 +297,12 @@ func (cc *clientConn) ensureLocked() error {
 	return fmt.Errorf("wire: %d dial attempts to %s exhausted: %w", cc.opts.DialRetries, cc.addr, lastErr)
 }
 
-// maxBackoff caps the redial backoff. Past ~30s the server is down, not
-// busy: longer waits only delay the caller's error, and an unclamped
-// doubling of a large user-set RetryBackoff overflows time.Duration into
-// a negative sleep — i.e. no wait at all, turning a deep failure streak
-// into a zero-backoff retry storm against a node that is trying to
-// recover. Same cap and rationale as the coordinator fetcher's.
-const maxBackoff = 30 * time.Second
-
 // pause sleeps the jittered exponential backoff for the current failure
-// streak (full jitter in [d/2, d), the joinctl policy). The doubling is
-// computed by repeated overflow-guarded shifting and clamped at
-// maxBackoff, so the sleep is positive and bounded at any streak depth
-// and any RetryBackoff. Caller holds mu; the sleep itself releases it so
-// Flush/Close and the other pool users are never parked behind a
-// multi-second retry storm.
+// streak (xrand.Backoff, the coordinator fetcher's policy). Caller holds
+// mu; the sleep itself releases it so Flush/Close and the other pool
+// users are never parked behind a multi-second retry storm.
 func (cc *clientConn) pause() {
-	d := cc.opts.RetryBackoff
-	for i := 1; i < cc.fails && d < maxBackoff; i++ {
-		if d > maxBackoff/2 { // next shift would pass (or overflow past) the cap
-			d = maxBackoff
-			break
-		}
-		d <<= 1
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	if half := d / 2; half > 0 {
-		d = half + time.Duration(cc.rng.Uint64n(uint64(half)))
-	}
+	d := cc.rng.Backoff(cc.opts.RetryBackoff, cc.fails)
 	sleep := cc.sleep
 	if sleep == nil {
 		sleep = time.Sleep
