@@ -24,8 +24,7 @@
 // making every figure exactly reproducible. -json additionally writes
 // machine-readable results for experiments that support it (fastjoin →
 // BENCH_fastjoin.json, wireingest → BENCH_wire.json, coordserve →
-// BENCH_coord.json, skimacc → BENCH_skim.json), so CI can track the perf
-// trajectory.
+// BENCH_coord.json), so CI can track the perf trajectory.
 package main
 
 import (
@@ -286,16 +285,6 @@ func run(experiment string, seed uint64, csvDir string, trials int, jsonOut bool
 			}
 			fmt.Printf("zipf1.5 self-join relerr: plain %.4f, skimmed %.4f -> ratio %.3f\n\n",
 				r.UnskimRelErrZipf15, r.SkimRelErrZipf15, r.SkimRelErrZipf15/r.UnskimRelErrZipf15)
-			if jsonOut {
-				data, err := r.JSON()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile("BENCH_skim.json", data, 0o644); err != nil {
-					return err
-				}
-				fmt.Println("wrote BENCH_skim.json")
-			}
 			return nil
 
 		case name == "deletions":

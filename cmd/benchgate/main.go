@@ -30,13 +30,7 @@
 //   - coordserve (BENCH_coord.json): the coordinator daemon's cached
 //     join serving, normalized as cached_ns_per_query ÷
 //     pull_ns_per_query at 4 concurrent clients (acceptance: cached at
-//     least 10x the per-query pull path's estimates/sec);
-//   - skimacc (BENCH_skim.json): an ACCURACY gate, not a timing one —
-//     the skimmed estimator's zipf(1.5) self-join relative error,
-//     normalized as skim_relerr_zipf15 ÷ unskim_relerr_zipf15 at equal
-//     memory. The skimming acceptance line is hard-coded on top of the
-//     baseline comparison: any measurement with ratio ≥ 1 (skimming not
-//     strictly beating the plain sketch on skew) fails outright.
+//     least 10x the per-query pull path's estimates/sec).
 //
 // The file's "experiment" field selects the gate; bench and baseline
 // must agree on it.
@@ -57,7 +51,6 @@
 //	benchgate -bench BENCH_fastjoin.json -baseline BENCH_fastjoin.baseline.json [-max-regress 0.25]
 //	benchgate -bench BENCH_wire.json -baseline BENCH_wire.baseline.json [-max-regress 0.5]
 //	benchgate -bench BENCH_coord.json -baseline BENCH_coord.baseline.json [-max-regress 0.5]
-//	benchgate -bench BENCH_skim.json -baseline BENCH_skim.baseline.json [-max-regress 0.5]
 package main
 
 import (
@@ -82,11 +75,6 @@ type benchFile struct {
 	// coordserve: 4-client join queries, per-query pull vs cached daemon.
 	PullNsPerQuery   float64 `json:"pull_ns_per_query"`
 	CachedNsPerQuery float64 `json:"cached_ns_per_query"`
-	// skimacc: zipf(1.5) self-join relative error, plain vs skimmed
-	// sketch at equal memory (dimensionless, smaller is better — the
-	// normalized metric is an error ratio rather than a time ratio).
-	UnskimRelErrZipf15 float64 `json:"unskim_relerr_zipf15"`
-	SkimRelErrZipf15   float64 `json:"skim_relerr_zipf15"`
 }
 
 // pair returns (fast-path, reference-path) values for the file's
@@ -99,8 +87,6 @@ func (b *benchFile) pair() (fast, ref float64, ok bool) {
 		return b.WireNsPerRow, b.HTTPNsPerRow, true
 	case "coordserve":
 		return b.CachedNsPerQuery, b.PullNsPerQuery, true
-	case "skimacc":
-		return b.SkimRelErrZipf15, b.UnskimRelErrZipf15, true
 	default:
 		return 0, 0, false
 	}
@@ -143,7 +129,7 @@ func load(path string) (*benchFile, error) {
 	}
 	fast, ref, ok := b.pair()
 	if !ok {
-		return nil, fmt.Errorf("%s: experiment %q, want fastjoin, wireingest, coordserve, or skimacc", path, b.Experiment)
+		return nil, fmt.Errorf("%s: experiment %q, want fastjoin, wireingest, or coordserve", path, b.Experiment)
 	}
 	if fast <= 0 || ref <= 0 {
 		return nil, fmt.Errorf("%s: non-positive timings (fast=%g reference=%g)", path, fast, ref)
@@ -210,14 +196,6 @@ func run(benchPath, basePath string, maxRegress float64, metric string, updateBa
 		curFast, curRef, baseFast, baseRef)
 	if regress > maxRegress {
 		return fmt.Errorf("%s hot-path cost regressed %.1f%% > %.0f%% tolerance", cur.Experiment, 100*regress, 100*maxRegress)
-	}
-	if cur.Experiment == "skimacc" {
-		// The skimming acceptance line, independent of the baseline: at
-		// equal memory the skimmed estimator must beat the plain sketch
-		// on zipf(1.5) STRICTLY, or the exact-HH budget is wasted.
-		if ratio := curFast / curRef; ratio >= 1 {
-			return fmt.Errorf("skimacc: skimmed zipf1.5 relerr %.4g is not strictly below unskimmed %.4g (ratio %.3f >= 1)", curFast, curRef, ratio)
-		}
 	}
 	return nil
 }

@@ -21,11 +21,13 @@
 // Serve mode turns the one-shot coordinator into a daemon: a
 // per-(node, relation) bundle cache kept warm by background refresh
 // loops that poll each node's cheap freshness stamp and refetch only
-// changed bundles, answering GET /v1/join, POST /v1/join/chain,
-// GET /v1/pairs, and GET /healthz from memory with zero node round
-// trips. Every answer carries staleness_ms — the age of the oldest node
-// copy it depends on — and -max-staleness turns that bound into a 503
-// refusal. A lost node degrades freshness, never availability:
+// changed bundles, answering GET /v1/selfjoin, GET /v1/join,
+// POST /v1/join/chain and GET /v1/pairs — amsd's own estimate
+// handlers, with a node's statuses and errors — plus GET /healthz, from
+// memory with zero node round trips. Every answer carries staleness_ms
+// — the age of the oldest node copy it depends on — and -max-staleness
+// turns that bound into a 503 refusal. A lost node degrades freshness,
+// never availability:
 //
 //	joinctl -nodes ... -serve -listen :7700 -relations orders,lineitems
 //

@@ -1,37 +1,40 @@
 // Distributed join estimation: the AGMS synopses are linear functions of
 // the frequency vector, so per-partition synopses built on separate
 // nodes merge into EXACTLY the synopses of the whole relation. This
-// example runs the full multi-node path the engine and amsd expose:
+// example runs the full multi-node path amsd and the coordinator
+// (internal/coord) expose:
 //
 //  1. two amsd "nodes" (in-process HTTP servers over independent
 //     engines sharing Seed and shape options) each ingest half of a
 //     partitioned relation pair — skewed orders, flatter lineitems;
-//  2. a coordinator pulls each relation's synopsis BUNDLE (join
+//  2. the coordinator pulls each relation's synopsis BUNDLE (join
 //     signature + Fast-AMS self-join sketch + row count) from both
-//     nodes via GET /v1/signatures/{name} and merges the partitions;
-//  3. the coordinated join estimate — and the Lemma 4.4 σ bound
-//     attached to it — is compared against a single engine that
-//     ingested ALL the data: they match bit for bit, not approximately;
-//  4. one node answers a one-shot cross-node join (POST /v1/join/remote)
-//     against the other node's shipped bundle.
+//     nodes via GET /v1/signatures/{name} and merges the partitions
+//     (coord.MergeAcross): the merged bundle is byte-identical to a
+//     single engine's export of ALL the data;
+//  3. the coordinated join estimate (coord.Coordinate) — and the Lemma
+//     4.4 σ bound attached to it — matches that single engine bit for
+//     bit, not approximately;
+//  4. a cached coordinator (coord.Daemon) over both nodes answers
+//     /v1/join and /v1/selfjoin from memory, bit-identical too.
 //
-// cmd/joinctl packages step 2–3 as a CLI for real deployments.
+// cmd/joinctl packages steps 2–4 as a CLI for real deployments.
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"time"
 
 	"amstrack/internal/amsd"
+	"amstrack/internal/coord"
 	"amstrack/internal/dist"
 	"amstrack/internal/engine"
 	"amstrack/internal/exact"
-	"amstrack/internal/join"
 )
 
 // httpClient is the coordinator's one shared client: keep-alive
@@ -84,23 +87,8 @@ func main() {
 		defer nodes[i].Close()
 	}
 
-	// Coordinator: pull and merge each relation's partition bundles.
-	merged := map[string]*engine.RelationBundle{}
-	for _, rel := range []string{"orders", "lineitems"} {
-		for i, node := range nodes {
-			b := fetchBundle(node.URL, rel)
-			fmt.Printf("node %d: shipped %q bundle covering %d tuples\n", i, rel, b.Rows)
-			if merged[rel] == nil {
-				merged[rel] = b
-			} else {
-				check(merged[rel].Merge(b))
-			}
-		}
-	}
-	bo, bl := merged["orders"], merged["lineitems"]
-	est, err := join.EstimateJoin(bo.Sig, bl.Sig)
-	check(err)
-	sigma := join.ErrorBound(bo.SelfJoinEstimate(), bl.SelfJoinEstimate(), bo.Sig.MemoryWords())
+	urls := []string{nodes[0].URL, nodes[1].URL}
+	fx := coord.NewFetcher(httpClient, 3, 100*time.Millisecond)
 
 	// Reference: one engine over the unpartitioned streams.
 	single, err := engine.New(opts)
@@ -110,61 +98,66 @@ func main() {
 		check(err)
 		r.InsertBatch(vs)
 	}
+
+	// Coordinator: pull and merge each relation's partition bundles. The
+	// wire bundles are bit-identical to a single engine's, not just the
+	// estimates.
+	for _, rel := range []string{"orders", "lineitems"} {
+		merged, n, err := coord.MergeAcross(fx, urls, rel, true, nil)
+		check(err)
+		mb, err := merged.MarshalBinary()
+		check(err)
+		sb, err := single.ExportRelation(rel)
+		check(err)
+		fmt.Printf("merged %-9q from %d nodes: %d tuples, %d bytes (bit-identical to single-node export: %v)\n",
+			rel, n, merged.Rows, len(mb), bytes.Equal(mb, sb))
+	}
+
+	res, err := coord.Coordinate(fx, urls, "orders", "lineitems", true, nil)
+	check(err)
 	ref, err := single.EstimateJoin("orders", "lineitems")
 	check(err)
 	truth := float64(exO.JoinSize(exL))
-
-	fmt.Printf("\ncoordinated estimate : %.6g ± %.6g (1σ, Lemma 4.4)\n", est, sigma)
-	fmt.Printf("single-node estimate : %.6g (bit-identical: %v)\n", ref.Estimate, est == ref.Estimate && sigma == ref.Sigma)
+	fmt.Printf("\ncoordinated estimate : %.6g ± %.6g (1σ, Lemma 4.4)\n", res.Estimate, res.Sigma)
+	fmt.Printf("single-node estimate : %.6g (bit-identical: %v)\n", ref.Estimate, res.JoinEstimate == ref)
 	fmt.Printf("exact join size      : %.6g\n", truth)
-	fmt.Printf("relative error       : %+.2f%%\n", 100*(est-truth)/truth)
+	fmt.Printf("relative error       : %+.2f%%\n", 100*(res.Estimate-truth)/truth)
 
-	// The wire bundles are bit-identical too, not just the estimates.
-	mb, err := bo.MarshalBinary()
+	// The cached coordinator: one sweep warms its bundle cache, then
+	// queries answer from memory through amsd's own estimate handlers.
+	d, err := coord.NewDaemon(coord.Config{Nodes: urls, Relations: []string{"orders", "lineitems"}, Fetcher: fx})
 	check(err)
-	sb, err := single.ExportRelation("orders")
+	check(d.Sweep())
+	cached := httptest.NewServer(d.Handler())
+	defer cached.Close()
+	var join amsd.JoinBody
+	getJSON(cached.URL+"/v1/join?f=orders&g=lineitems", &join)
+	fmt.Printf("\ncached /v1/join      : %.6g ± %.6g, %d ms stale (bit-identical: %v)\n",
+		join.Estimate, join.Sigma, join.StalenessMS, join.JoinEstimate == ref)
+	var sj amsd.SelfJoinBody
+	getJSON(cached.URL+"/v1/selfjoin?relation=orders", &sj)
+	so, err := single.Get("orders")
 	check(err)
-	fmt.Printf("merged orders bundle : %d bytes (bit-identical to single-node export: %v)\n", len(mb), bytes.Equal(mb, sb))
-
-	// One-shot cross-node join: node 0 estimates its local lineitems
-	// against node 1's shipped orders bundle, no import needed.
-	remote := fetchBundle(nodes[1].URL, "orders")
-	blob, err := remote.MarshalBinary()
-	check(err)
-	resp, err := httpClient.Post(nodes[0].URL+"/v1/join/remote?relation=lineitems", "application/octet-stream", bytes.NewReader(blob))
-	check(err)
-	body, err := readCapped(resp.Body)
-	resp.Body.Close()
-	check(err)
-	fmt.Printf("\nnode 0 × node 1 one-shot remote join (half ⋈ half):\n  %s", body)
+	refSJ, estimator := so.SelfJoinEstimateDetail()
+	fmt.Printf("cached /v1/selfjoin  : %.6g via %s (bit-identical: %v)\n",
+		sj.Estimate, sj.Estimator, sj.Estimate == refSJ && sj.Estimator == estimator && sj.Len == so.Len())
 }
 
-// maxResponse caps every response read: a coordinator must bound what it
-// accepts from a node, even a trusted one — a misconfigured server (or
+// maxResponse caps every response read: a client must bound what it
+// accepts from a server, even a trusted one — a misconfigured server (or
 // the wrong process on the right port) must fail loudly, not exhaust
 // memory. joinctl exposes the same cap as -max-bundle-mb.
 const maxResponse = 64 << 20
 
-func readCapped(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxResponse+1))
-	if err == nil && len(data) > maxResponse {
-		return nil, fmt.Errorf("response exceeds the %d-byte cap", maxResponse)
-	}
-	return data, err
-}
-
-func fetchBundle(nodeURL, rel string) *engine.RelationBundle {
-	resp, err := httpClient.Get(nodeURL + "/v1/signatures/" + url.PathEscape(rel))
+// getJSON decodes one JSON answer from url.
+func getJSON(url string, v any) {
+	resp, err := httpClient.Get(url)
 	check(err)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		panic(fmt.Sprintf("GET %s/v1/signatures/%s: HTTP %d", nodeURL, rel, resp.StatusCode))
+		panic(fmt.Sprintf("GET %s: HTTP %d", url, resp.StatusCode))
 	}
-	data, err := readCapped(resp.Body)
-	check(err)
-	b := &engine.RelationBundle{}
-	check(b.UnmarshalBinary(data))
-	return b
+	check(json.NewDecoder(io.LimitReader(resp.Body, maxResponse)).Decode(v))
 }
 
 func check(err error) {

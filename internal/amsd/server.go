@@ -22,10 +22,7 @@
 //	GET    /v1/selfjoin?relation=N   self-join (skew) estimate
 //	GET    /v1/join?f=F&g=G          join estimate + Lemma 4.4 σ + Fact 1.1 bound
 //	POST   /v1/join/chain            {"f", "attr_a", "g", "attr_b", "h"} — §5
-//	                                 three-way chain estimate + variance bounds;
-//	                                 optional base64 "remote_f"/"remote_g"/
-//	                                 "remote_h" bundles merge other nodes'
-//	                                 partitions into the answer
+//	                                 three-way chain estimate + variance bounds
 //	GET    /v1/pairs                 the all-pairs planning matrix
 //	POST   /v1/checkpoint            serialize state, reset oplogs (durable engines)
 //
@@ -40,7 +37,10 @@
 //	                                 unchanged bundle
 //	PUT    /v1/signatures/{name}     import a bundle as a NEW relation;
 //	                                 ?mode=merge folds it into an existing one
-//	POST   /v1/join/remote?relation=F  estimate F ⋈ (uploaded bundle) + bounds
+//
+// Cross-node answers come from the coordinator (internal/coord), which
+// pulls these bundles, merges each relation's partitions and answers
+// the four estimate routes above from its cache.
 //
 // Errors are {"error": "..."} with conventional status codes (400 bad
 // request, 404 unknown relation, 409 conflict — including a bundle whose
@@ -49,7 +49,8 @@
 //
 // The package is also the one front of all three serving tiers: the
 // relation and ingest routes (MountRelations, served from a Backend),
-// the request decoder (ReadJSON), the body cap (CapBodies), the error
+// the estimate routes (MountEstimates, served from a Source), the
+// request decoder (ReadJSON), the body cap (CapBodies), the error
 // mapping (StatusFor) and the serving shell (Serve) are what amsrouter
 // and joinctl -serve answer and run with too.
 package amsd
@@ -96,17 +97,14 @@ func NewServer(eng *engine.Engine) *Server { return NewServerMaxBody(eng, Defaul
 func NewServerMaxBody(eng *engine.Engine, maxBody int64) *Server {
 	mux := http.NewServeMux()
 	s := &Server{eng: eng, h: CapBodies(mux, maxBody)}
+	backend := engineBackend{wire.EngineSink(eng), eng}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	MountRelations(mux, engineBackend{wire.EngineSink(eng), eng})
+	MountRelations(mux, backend)
 	mux.HandleFunc("DELETE /v1/relations/{name...}", s.handleDrop)
-	mux.HandleFunc("GET /v1/selfjoin", s.handleSelfJoin)
-	mux.HandleFunc("GET /v1/join", s.handleJoin)
-	mux.HandleFunc("POST /v1/join/chain", s.handleJoinChain)
-	mux.HandleFunc("GET /v1/pairs", s.handlePairs)
+	MountEstimates(mux, backend)
 	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /v1/signatures/{name...}", s.handleExportSignature)
 	mux.HandleFunc("PUT /v1/signatures/{name...}", s.handleImportSignature)
-	mux.HandleFunc("POST /v1/join/remote", s.handleJoinRemote)
 	return s
 }
 
@@ -140,6 +138,16 @@ const maxPooledBody = 1 << 20
 // JSON value; trailing data is malformed. On failure it answers 413 (a
 // body past the cap) or 400 and returns false.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := decodeJSON(r, v); err != nil {
+		WriteErr(w, StatusFor(err), err)
+		return false
+	}
+	return true
+}
+
+// decodeJSON is ReadJSON without the answer: its error maps through
+// StatusFor.
+func decodeJSON(r *http.Request, v any) error {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -153,10 +161,9 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		err = json.Unmarshal(buf.Bytes(), v)
 	}
 	if err != nil {
-		WriteErr(w, StatusFor(err), fmt.Errorf("decode request: %w", err))
-		return false
+		return fmt.Errorf("decode request: %w", err)
 	}
-	return true
+	return nil
 }
 
 // WriteJSON writes v as the JSON response body with the given status:
@@ -178,8 +185,8 @@ func WriteErr(w http.ResponseWriter, status int, err error) {
 // every tier: a body that overran the cap is 413; an unknown relation
 // 404; a duplicate define, a shape- or seed-incompatible synopsis and
 // an untracked chain attribute 409; a failure of the nodes behind a
-// backend (Upstream) 502; the rest (malformed JSON or schemas, corrupt
-// blobs) 400.
+// backend (Upstream) 502; a cache past its serving bound (ErrTooStale)
+// 503; the rest (malformed JSON or schemas, corrupt blobs) 400.
 func StatusFor(err error) int {
 	var tooBig *http.MaxBytesError
 	var up upstreamError
@@ -193,6 +200,8 @@ func StatusFor(err error) int {
 		return http.StatusConflict
 	case errors.As(err, &up):
 		return http.StatusBadGateway
+	case errors.Is(err, ErrTooStale):
+		return http.StatusServiceUnavailable
 	default:
 		return http.StatusBadRequest
 	}
@@ -306,7 +315,8 @@ type Backend interface {
 	DrainLen(name string) (n int64, err error)
 }
 
-// engineBackend serves the relation routes from one engine.
+// engineBackend serves the relation and estimate routes from one
+// engine.
 type engineBackend struct {
 	wire.Sink
 	eng *engine.Engine
@@ -325,6 +335,16 @@ func (b engineBackend) Schema(name string) (engine.Schema, error) {
 		return engine.Schema{}, err
 	}
 	return rel.Schema(), nil
+}
+
+// Cut drains the relation's staged ops and reads one cut, so a client
+// always estimates over its own completed writes.
+func (b engineBackend) Cut(name string) (*engine.RelationBundle, *Evidence, error) {
+	rel, err := b.eng.Get(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel.Cut(), nil, nil
 }
 
 // DrainLen is one pipeline sweep: the count reads the request's ops, and
@@ -590,126 +610,6 @@ func (h relationRoutes) ingest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// SelfJoinBody is the GET /v1/selfjoin response. Estimator names which
-// synopsis answered: "skimmed" (heavy-hitter table + sketched tail),
-// "sketch" (dedicated Fast-AMS sketch), or "signature" (NoSketch
-// engines).
-type SelfJoinBody struct {
-	Relation  string  `json:"relation"`
-	Len       int64   `json:"len"`
-	Estimate  float64 `json:"estimate"`
-	Estimator string  `json:"estimator"`
-}
-
-func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("relation")
-	if name == "" {
-		WriteErr(w, http.StatusBadRequest, errors.New("missing ?relation parameter"))
-		return
-	}
-	rel, err := s.eng.Get(name)
-	if err != nil {
-		WriteErr(w, StatusFor(err), err)
-		return
-	}
-	// One cut answers both the estimate and the length.
-	cut := rel.Cut()
-	est, estimator := cut.SelfJoinEstimateDetail()
-	WriteJSON(w, http.StatusOK, SelfJoinBody{
-		Relation:  name,
-		Len:       cut.Rows,
-		Estimate:  est,
-		Estimator: estimator,
-	})
-}
-
-// JoinBody is the GET /v1/join response, each /v1/pairs entry and the
-// /v1/join/remote response: the engine's pair answer — the unbiased
-// estimate plus the paper's bounds (Lemma 4.4 one-σ, Fact 1.1 upper
-// bound), the self-join estimates they came from and the estimator that
-// answered.
-type JoinBody = engine.PairEstimate
-
-func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	f, g := r.URL.Query().Get("f"), r.URL.Query().Get("g")
-	if f == "" || g == "" {
-		WriteErr(w, http.StatusBadRequest, errors.New("missing ?f or ?g parameter"))
-		return
-	}
-	je, err := s.eng.EstimateJoin(f, g)
-	if err != nil {
-		WriteErr(w, StatusFor(err), err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, JoinBody{F: f, G: g, JoinEstimate: je})
-}
-
-// ChainJoinRequest is the POST /v1/join/chain body: a §5 three-way chain
-// join f ⋈attr_a g ⋈attr_b h over local relations. The optional remote_*
-// fields carry base64 relation bundles (the GET /v1/signatures format)
-// holding OTHER nodes' partitions of the same relations; each is merged
-// into its leg's local cut before estimating — the one-shot
-// cross-node chain answer.
-type ChainJoinRequest struct {
-	F       string `json:"f"`
-	AttrA   string `json:"attr_a"`
-	G       string `json:"g"`
-	AttrB   string `json:"attr_b"`
-	H       string `json:"h"`
-	RemoteF []byte `json:"remote_f,omitempty"`
-	RemoteG []byte `json:"remote_g,omitempty"`
-	RemoteH []byte `json:"remote_h,omitempty"`
-}
-
-// ChainJoinBody is its response: the chain named by the request and the
-// engine's chain answer — the unbiased estimate plus the
-// variance-envelope σ, the Cauchy–Schwarz upper bound, and the chain
-// self-join estimates they came from.
-type ChainJoinBody struct {
-	F     string `json:"f"`
-	AttrA string `json:"attr_a"`
-	G     string `json:"g"`
-	AttrB string `json:"attr_b"`
-	H     string `json:"h"`
-	engine.ChainJoinEstimate
-}
-
-func (s *Server) handleJoinChain(w http.ResponseWriter, r *http.Request) {
-	var req ChainJoinRequest
-	if !ReadJSON(w, r, &req) {
-		return
-	}
-	if req.F == "" || req.AttrA == "" || req.G == "" || req.AttrB == "" || req.H == "" {
-		WriteErr(w, http.StatusBadRequest, errors.New("f, attr_a, g, attr_b, and h are all required"))
-		return
-	}
-	ce, err := s.eng.EstimateChainJoinRemote(req.F, req.AttrA, req.G, req.AttrB, req.H,
-		req.RemoteF, req.RemoteG, req.RemoteH)
-	if err != nil {
-		WriteErr(w, StatusFor(err), err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, ChainJoinBody{F: req.F, AttrA: req.AttrA, G: req.G, AttrB: req.AttrB, H: req.H,
-		ChainJoinEstimate: ce})
-}
-
-// PairsBody is the GET /v1/pairs response.
-type PairsBody struct {
-	Pairs []JoinBody `json:"pairs"`
-}
-
-func (s *Server) handlePairs(w http.ResponseWriter, _ *http.Request) {
-	pairs, err := s.eng.AllPairs()
-	if err != nil {
-		WriteErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	if pairs == nil {
-		pairs = []JoinBody{}
-	}
-	WriteJSON(w, http.StatusOK, PairsBody{Pairs: pairs})
-}
-
 // CheckpointBody is the POST /v1/checkpoint response.
 type CheckpointBody struct {
 	Bytes int `json:"bytes"`
@@ -825,26 +725,4 @@ func (s *Server) handleImportSignature(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, status, ImportBody{Relation: name, Mode: mode, Len: rel.Len()})
-}
-
-// handleJoinRemote estimates the join of a LOCAL relation (?relation=F)
-// against an uploaded bundle, without defining it — the one-shot
-// cross-node join answer, bounds attached.
-func (s *Server) handleJoinRemote(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("relation")
-	if name == "" {
-		WriteErr(w, http.StatusBadRequest, errors.New("missing ?relation parameter"))
-		return
-	}
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		WriteErr(w, StatusFor(err), fmt.Errorf("read bundle: %w", err))
-		return
-	}
-	je, err := s.eng.EstimateJoinBundle(name, data)
-	if err != nil {
-		WriteErr(w, StatusFor(err), err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, JoinBody{F: name, G: "(remote bundle)", JoinEstimate: je})
 }

@@ -128,13 +128,8 @@ func TestErrorPaths(t *testing.T) {
 		{"merge unknown relation", "PUT", "/v1/signatures/ghost?mode=merge", mismatched, http.StatusNotFound},
 		{"import garbage bundle", "PUT", "/v1/signatures/fresh", []byte("definitely not a blob"), http.StatusBadRequest},
 		{"import unknown mode", "PUT", "/v1/signatures/fresh?mode=sideways", mismatched, http.StatusBadRequest},
-		{"remote join missing param", "POST", "/v1/join/remote", mismatched, http.StatusBadRequest},
-		{"remote join unknown local", "POST", "/v1/join/remote?relation=ghost", mismatched, http.StatusNotFound},
-		{"remote join mismatched bundle", "POST", "/v1/join/remote?relation=orders", mismatched, http.StatusConflict},
-		{"remote join garbage bundle", "POST", "/v1/join/remote?relation=orders", []byte{0xDE, 0xAD}, http.StatusBadRequest},
 		{"oversized ingest body", "POST", "/v1/ingest", bigJSON, http.StatusRequestEntityTooLarge},
 		{"oversized bundle upload", "PUT", "/v1/signatures/fresh", bytes.Repeat([]byte{7}, 8192), http.StatusRequestEntityTooLarge},
-		{"oversized remote join body", "POST", "/v1/join/remote?relation=orders", bytes.Repeat([]byte{7}, 8192), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,9 +151,9 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestSignatureExchangeRoundTrip: export from node A → import on node B,
-// merge a second partition, and one-shot remote join — all over HTTP,
-// with estimates matching the engine-level answers exactly.
+// TestSignatureExchangeRoundTrip: export from node A → import on node B
+// and merge a second partition, all over HTTP, with the imported
+// relation's estimate matching the exporter's exactly.
 func TestSignatureExchangeRoundTrip(t *testing.T) {
 	engA, tsA := newServer(t, 0)
 	engB, err := engine.New(srvOpts())
@@ -196,6 +191,30 @@ func TestSignatureExchangeRoundTrip(t *testing.T) {
 		t.Fatalf("import body = %+v", ib)
 	}
 
+	// The import is exact: B's imported "orders" answers A's self-join in
+	// every digit.
+	var sjA, sjB amsd.SelfJoinBody
+	for _, c := range []struct {
+		base string
+		body *amsd.SelfJoinBody
+	}{{tsA.URL, &sjA}, {tsB.URL, &sjB}} {
+		resp = do(t, "GET", c.base+"/v1/selfjoin?relation=orders", "", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("selfjoin status = %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(c.body); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	want, err := engA.Get("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sjB != sjA || sjA.Estimate != want.SelfJoinEstimate() {
+		t.Fatalf("imported selfjoin %+v, exporter %+v (engine %v)", sjB, sjA, want.SelfJoinEstimate())
+	}
+
 	// Merge the same bundle once more → doubled counts, status 200.
 	resp = do(t, "PUT", tsB.URL+"/v1/signatures/orders?mode=merge", "application/octet-stream", bundle)
 	if resp.StatusCode != http.StatusOK {
@@ -208,25 +227,54 @@ func TestSignatureExchangeRoundTrip(t *testing.T) {
 	if ib.Mode != "merge" || ib.Len != 4000 {
 		t.Fatalf("merge body = %+v", ib)
 	}
+}
 
-	// One-shot remote join on A: local "items" vs the shipped bundle must
-	// equal the engine's own cross-relation answer, since the bundle IS
-	// A's "orders".
-	resp = do(t, "POST", tsA.URL+"/v1/join/remote?relation=items", "application/octet-stream", bundle)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("remote join status = %d", resp.StatusCode)
-	}
-	var jb amsd.JoinBody
-	if err := json.NewDecoder(resp.Body).Decode(&jb); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	want, err := engA.EstimateJoin("items", "orders")
+// TestPairsMatrix: /v1/pairs answers every unordered pair once, in
+// name order, each entry the /v1/join answer for that pair. Three
+// relations of equal content estimate equally.
+func TestPairsMatrix(t *testing.T) {
+	eng, err := engine.New(srvOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jb.Estimate != want.Estimate || jb.Sigma != want.Sigma {
-		t.Fatalf("remote join = %+v, want %+v", jb, want)
+	for _, n := range []string{"c", "a", "b"} {
+		rel, err := eng.Define(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			rel.Insert(uint64(i % 10))
+		}
+	}
+	ts := httptest.NewServer(amsd.NewServer(eng))
+	t.Cleanup(ts.Close)
+	get := func(path string, v any) {
+		t.Helper()
+		resp := do(t, "GET", ts.URL+path, "", nil)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pairs amsd.PairsBody
+	get("/v1/pairs", &pairs)
+	var order []string
+	for _, p := range pairs.Pairs {
+		order = append(order, p.F+p.G)
+		var join amsd.JoinBody
+		get("/v1/join?f="+p.F+"&g="+p.G, &join)
+		if p != join {
+			t.Errorf("pairs entry %+v, /v1/join %+v", p, join)
+		}
+		if p.Estimate != pairs.Pairs[0].Estimate {
+			t.Errorf("pair %s-%s estimate %v differs from %v", p.F, p.G, p.Estimate, pairs.Pairs[0].Estimate)
+		}
+	}
+	if fmt.Sprint(order) != "[ab ac bc]" {
+		t.Fatalf("pairs = %v, want [ab ac bc]", order)
 	}
 }
 

@@ -34,25 +34,6 @@ func (r *JoinBody) Print(w io.Writer) {
 	fmt.Fprintf(w, "  SJ estimates   : %s=%.6g  %s=%.6g\n", r.F, r.SJF, r.G, r.SJG)
 }
 
-// pairEstimate answers a join from two merged bundles through
-// engine.EstimateJoinBundles — the function every amsd join answer comes
-// from too, so a node and the coordinator over the same synopses answer
-// bit-identically. Shared by the one-shot Coordinate and the daemon's
-// cached query path.
-func pairEstimate(f, g string, bf, bg *engine.RelationBundle, nodes int) (*JoinBody, error) {
-	je, err := engine.EstimateJoinBundles(bf, bg)
-	if err != nil {
-		return nil, err
-	}
-	return &JoinBody{
-		JoinBody: amsd.JoinBody{F: f, G: g, JoinEstimate: je},
-		Nodes:    nodes,
-		RowsF:    bf.Rows,
-		RowsG:    bg.Rows,
-		K:        bf.Sig.MemoryWords(),
-	}, nil
-}
-
 // Coordinate pulls both relations' bundles from every node, merges the
 // partitions, and estimates the join with bounds. warnW receives skip
 // warnings in non-strict mode.
@@ -68,7 +49,8 @@ func Coordinate(fx *Fetcher, nodes []string, f, g string, strict bool, warnW io.
 	if err != nil {
 		return nil, err
 	}
-	return pairEstimate(f, g, bf, bg, max(nf, ng))
+	body, err := amsd.JoinAnswer(f, g, bf, bg, &amsd.Evidence{Nodes: nf}, &amsd.Evidence{Nodes: ng})
+	return (*JoinBody)(body), err
 }
 
 // Print renders the human-readable chain report joinctl emits.
@@ -79,22 +61,6 @@ func (r *ChainJoinBody) Print(w io.Writer) {
 	fmt.Fprintf(w, "  ±σ (envelope)  : %.6g  (k=%d)\n", r.Sigma, r.K)
 	fmt.Fprintf(w, "  C–S bound      : %.6g\n", r.Upper)
 	fmt.Fprintf(w, "  SJ estimates   : %s=%.6g  %s=%.6g  %s=%.6g\n", r.F, r.SJF, r.G, r.SJG, r.H, r.SJH)
-}
-
-// chainEstimate computes the chain estimate and bounds from three merged
-// bundles — shared by CoordinateChain and the daemon.
-func chainEstimate(f, attrA, g, attrB, h string, bf, bg, bh *engine.RelationBundle, nodes int) (*ChainJoinBody, error) {
-	ce, err := engine.EstimateChainBundles(bf, attrA, bg, attrB, bh)
-	if err != nil {
-		return nil, fmt.Errorf("%w (check that every node runs equal -seed, shape, and schema declarations)", err)
-	}
-	return &ChainJoinBody{
-		ChainJoinBody: amsd.ChainJoinBody{F: f, AttrA: attrA, G: g, AttrB: attrB, H: h, ChainJoinEstimate: ce},
-		Nodes:         nodes,
-		RowsF:         bf.Rows,
-		RowsG:         bg.Rows,
-		RowsH:         bh.Rows,
-	}, nil
 }
 
 // CoordinateChain pulls all three relations' bundles from every node,
@@ -116,7 +82,9 @@ func CoordinateChain(fx *Fetcher, nodes []string, f, attrA, g, attrB, h string, 
 	if err != nil {
 		return nil, err
 	}
-	return chainEstimate(f, attrA, g, attrB, h, bf, bg, bh, max(nf, max(ng, nh)))
+	body, err := amsd.ChainAnswer(ChainJoinRequest{F: f, AttrA: attrA, G: g, AttrB: attrB, H: h}, bf, bg, bh,
+		&amsd.Evidence{Nodes: nf}, &amsd.Evidence{Nodes: ng}, &amsd.Evidence{Nodes: nh})
+	return (*ChainJoinBody)(body), err
 }
 
 // MergeAcross fetches one relation's bundle from every node and merges

@@ -324,9 +324,9 @@ func TestChainCoordinatorBitIdentical(t *testing.T) {
 
 // TestChainResultPrint pins the chain output shape.
 func TestChainResultPrint(t *testing.T) {
-	r := &ChainJoinBody{ChainJoinBody: amsd.ChainJoinBody{F: "f", AttrA: "a", G: "g", AttrB: "b", H: "h",
-		ChainJoinEstimate: engine.ChainJoinEstimate{Estimate: 99, Sigma: 5, Upper: 1000, SJF: 1, SJG: 2, SJH: 3, K: 512}},
-		Nodes: 3, RowsF: 1, RowsG: 2, RowsH: 3}
+	r := &ChainJoinBody{ChainJoinRequest: ChainJoinRequest{F: "f", AttrA: "a", G: "g", AttrB: "b", H: "h"},
+		ChainJoinEstimate: engine.ChainJoinEstimate{Estimate: 99, Sigma: 5, Upper: 1000, SJF: 1, SJG: 2, SJH: 3, K: 512},
+		ChainEvidence:     &amsd.ChainEvidence{Evidence: amsd.Evidence{Nodes: 3}, RowsF: 1, RowsG: 2, RowsH: 3}}
 	var buf strings.Builder
 	r.Print(&buf)
 	for _, want := range []string{"chain f ⋈a g ⋈b h across 3 node(s)", "estimate", "envelope", "k=512", "C–S bound"} {
@@ -410,9 +410,9 @@ func TestSplitNodes(t *testing.T) {
 
 // TestResultPrint pins the human output shape.
 func TestResultPrint(t *testing.T) {
-	r := &JoinBody{JoinBody: amsd.JoinBody{F: "f", G: "g",
-		JoinEstimate: engine.JoinEstimate{Estimate: 1234, Sigma: 56, Fact11: 9999, SJF: 11, SJG: 22}},
-		Nodes: 2, RowsF: 10, RowsG: 20, K: 512}
+	r := &JoinBody{F: "f", G: "g",
+		JoinEstimate: engine.JoinEstimate{Estimate: 1234, Sigma: 56, Fact11: 9999, SJF: 11, SJG: 22},
+		PairEvidence: &amsd.PairEvidence{Evidence: amsd.Evidence{Nodes: 2}, RowsF: 10, RowsG: 20, K: 512}}
 	var buf strings.Builder
 	r.Print(&buf)
 	for _, want := range []string{"f ⋈ g across 2 node(s)", "estimate", "Lemma 4.4", "k=512", "Fact 1.1"} {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"amstrack/internal/amsd"
 	"amstrack/internal/engine"
 	"amstrack/internal/xrand"
 )
@@ -61,7 +62,6 @@ type nodeCopy struct {
 type relState struct {
 	copies map[string]*nodeCopy // keyed by node URL
 	merged *engine.RelationBundle
-	nodes  int // copies contributing to merged
 }
 
 // Daemon is the cached coordinator: background loops keep a
@@ -242,7 +242,6 @@ func (d *Daemon) dropCopy(node, rel string) {
 func (d *Daemon) rebuildLocked(rel string) error {
 	rs := d.rels[rel]
 	var merged *engine.RelationBundle
-	n := 0
 	for _, node := range d.cfg.Nodes {
 		c, ok := rs.copies[node]
 		if !ok {
@@ -252,7 +251,6 @@ func (d *Daemon) rebuildLocked(rel string) error {
 		if err := b.UnmarshalBinary(c.raw); err != nil {
 			return fmt.Errorf("node %s: decode cached bundle: %w", node, err)
 		}
-		n++
 		if merged == nil {
 			merged = b
 			continue
@@ -261,7 +259,7 @@ func (d *Daemon) rebuildLocked(rel string) error {
 			return fmt.Errorf("node %s: %w", node, err)
 		}
 	}
-	rs.merged, rs.nodes = merged, n
+	rs.merged = merged
 	return nil
 }
 
@@ -283,9 +281,9 @@ func (d *Daemon) Stop() {
 
 func (d *Daemon) refreshLoop(node string, idx uint64) {
 	defer d.wg.Done()
-	// Per-loop RNG: forked off the fetcher seed and the node index so
-	// loops desynchronize from each other AND from other daemons.
-	rng := xrand.New(jitterSeed() ^ xrand.Mix64(idx))
+	// Per-loop RNG, its seed mixed with the node index so loops
+	// desynchronize from each other AND from other daemons.
+	rng := xrand.New(xrand.Seed() ^ xrand.Mix64(idx))
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
@@ -300,35 +298,21 @@ func (d *Daemon) refreshLoop(node string, idx uint64) {
 	}
 }
 
-// RelFreshness is one node's contribution to a served relation: how old
-// its cached copy is and which stamp it carries.
-type RelFreshness struct {
-	Node  string `json:"node"`
-	AgeMS int64  `json:"age_ms"`
-	Seq   uint64 `json:"seq"`
-	Epoch uint64 `json:"epoch"`
-}
-
-// errRelUnavailable distinguishes "no node has it" (404) from staleness.
-var errRelUnavailable = errors.New("no cached copy from any node")
-
-// errTooStale is the serving-bound refusal (503).
-var errTooStale = errors.New("cache staleness exceeds the serving bound")
-
 // lookup returns a relation's merged bundle plus its staleness evidence:
 // per-node copy ages and the overall staleness (the OLDEST contributing
-// copy — the bound on how much ingest the answer can be missing).
-// Honors the MaxStaleness serving bound.
-func (d *Daemon) lookup(rel string) (*engine.RelationBundle, []RelFreshness, time.Duration, error) {
+// copy — the bound on how much ingest the answer can be missing). A
+// relation no node serves is unknown here, as on a node (404); one aged
+// past the MaxStaleness serving bound is amsd.ErrTooStale (503).
+func (d *Daemon) lookup(rel string) (*engine.RelationBundle, []amsd.NodeFreshness, time.Duration, error) {
 	now := d.now()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	rs, ok := d.rels[rel]
 	if !ok || rs.merged == nil {
-		return nil, nil, 0, fmt.Errorf("relation %q: %w", rel, errRelUnavailable)
+		return nil, nil, 0, engine.UnknownRelation(rel)
 	}
 	var staleness time.Duration
-	fresh := make([]RelFreshness, 0, len(rs.copies))
+	fresh := make([]amsd.NodeFreshness, 0, len(rs.copies))
 	for _, node := range d.cfg.Nodes {
 		c, ok := rs.copies[node]
 		if !ok {
@@ -341,12 +325,12 @@ func (d *Daemon) lookup(rel string) (*engine.RelationBundle, []RelFreshness, tim
 		if age > staleness {
 			staleness = age
 		}
-		fresh = append(fresh, RelFreshness{Node: node, AgeMS: age.Milliseconds(),
+		fresh = append(fresh, amsd.NodeFreshness{Node: node, AgeMS: age.Milliseconds(),
 			Seq: c.stat.Seq, Epoch: c.stat.Epoch})
 	}
 	if d.cfg.MaxStaleness > 0 && staleness > d.cfg.MaxStaleness {
 		return nil, fresh, staleness, fmt.Errorf(
-			"relation %q: %w (%v old, bound %v)", rel, errTooStale, staleness, d.cfg.MaxStaleness)
+			"relation %q: %w (%v old, bound %v)", rel, amsd.ErrTooStale, staleness, d.cfg.MaxStaleness)
 	}
 	return rs.merged, fresh, staleness, nil
 }

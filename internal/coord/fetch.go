@@ -12,15 +12,12 @@ package coord
 
 import (
 	"bytes"
-	crand "crypto/rand"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -73,7 +70,7 @@ func NewFetcher(client *http.Client, retries int, backoff time.Duration) *Fetche
 		retries = 1
 	}
 	return &Fetcher{client: client, retries: retries, backoff: backoff,
-		maxBody: DefaultMaxBody, rng: xrand.New(jitterSeed())}
+		maxBody: DefaultMaxBody, rng: xrand.New(xrand.Seed())}
 }
 
 // SetMaxBody overrides the response body cap in bytes (<= 0 restores the
@@ -83,20 +80,6 @@ func (fx *Fetcher) SetMaxBody(n int64) {
 		n = DefaultMaxBody
 	}
 	fx.maxBody = n
-}
-
-// jitterSeed seeds each fetcher's jitter RNG independently: cryptographic
-// randomness when available, otherwise the clock mixed with the PID.
-// A fleet of coordinators started by the same supervisor in the same
-// tick must NOT share a jitter sequence — synchronized backoff defeats
-// its whole purpose of spreading the retry storm that follows a node
-// restart.
-func jitterSeed() uint64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err == nil {
-		return binary.LittleEndian.Uint64(b[:])
-	}
-	return xrand.Mix64(uint64(time.Now().UnixNano())) ^ xrand.Mix64(uint64(os.Getpid())<<1|1)
 }
 
 // pause sleeps the jittered exponential backoff before retry attempt

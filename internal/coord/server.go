@@ -9,45 +9,26 @@ package coord
 // past the serving bound.
 
 import (
-	"errors"
 	"net/http"
 	"time"
 
 	"amstrack/internal/amsd"
+	"amstrack/internal/engine"
 )
 
 // JoinBody is a coordinated join answer: the GET /v1/join response, each
-// /v1/pairs entry, and Coordinate's result. It is amsd's join body over
-// the merged bundles, plus the contributing node count, the merged row
+// /v1/pairs entry, and Coordinate's result. It is amsd's join body with
+// its PairEvidence set: the contributing node count, the merged row
 // counts, the signature words, and the cache's staleness evidence (zero
 // and null on a one-shot answer).
-type JoinBody struct {
-	amsd.JoinBody
-	Nodes       int            `json:"nodes"`
-	RowsF       int64          `json:"rows_f"`
-	RowsG       int64          `json:"rows_g"`
-	K           int            `json:"k"`
-	StalenessMS int64          `json:"staleness_ms"`
-	Freshness   []RelFreshness `json:"freshness"`
-}
+type JoinBody amsd.JoinBody
 
-// ChainJoinRequest is the POST /v1/join/chain body: amsd's, whose
-// remote_* bundle fields the daemon ignores (its cache IS the remote
-// merge).
+// ChainJoinRequest is the POST /v1/join/chain body.
 type ChainJoinRequest = amsd.ChainJoinRequest
 
 // ChainJoinBody is its response and CoordinateChain's result: amsd's
-// chain body over the merged bundles, plus the contributing node count,
-// the merged row counts and the staleness evidence.
-type ChainJoinBody struct {
-	amsd.ChainJoinBody
-	Nodes       int            `json:"nodes"`
-	RowsF       int64          `json:"rows_f"`
-	RowsG       int64          `json:"rows_g"`
-	RowsH       int64          `json:"rows_h"`
-	StalenessMS int64          `json:"staleness_ms"`
-	Freshness   []RelFreshness `json:"freshness"`
-}
+// chain body with its ChainEvidence set.
+type ChainJoinBody amsd.ChainJoinBody
 
 // PairsBody is the GET /v1/pairs response: the planning matrix over
 // every cached relation pair.
@@ -74,124 +55,28 @@ type HealthzBody struct {
 	MaxStalenessMS int64 `json:"max_staleness_ms"`
 }
 
-// statusFor maps a cached answer's failure: a relation no node serves
-// is 404, one aged past the serving bound is 503 (retryable once a
-// refresh lands), and an estimate error answers as on a node
-// (amsd.StatusFor: 409 for incompatible synopses or an untracked chain
-// attribute).
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, errRelUnavailable):
-		return http.StatusNotFound
-	case errors.Is(err, errTooStale):
-		return http.StatusServiceUnavailable
-	default:
-		return amsd.StatusFor(err)
-	}
-}
-
-// Handler returns the daemon's HTTP surface. Request bodies are capped
-// at amsd.DefaultMaxBody, as on amsd; an overrun answers 413.
+// Handler returns the daemon's HTTP surface: amsd's estimate routes
+// over the merged cache, and /healthz. Request bodies are capped at
+// amsd.DefaultMaxBody, as on amsd; an overrun answers 413.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
-	mux.HandleFunc("GET /v1/join", d.handleJoin)
-	mux.HandleFunc("POST /v1/join/chain", d.handleJoinChain)
-	mux.HandleFunc("GET /v1/pairs", d.handlePairs)
+	amsd.MountEstimates(mux, cache{d})
 	return amsd.CapBodies(mux, d.maxBody)
 }
 
-// joinFromCache builds one pair's JoinBody from the cache.
-func (d *Daemon) joinFromCache(f, g string) (*JoinBody, error) {
-	bf, frF, stF, err := d.lookup(f)
-	if err != nil {
-		return nil, err
-	}
-	bg, frG, stG, err := d.lookup(g)
-	if err != nil {
-		return nil, err
-	}
-	body, err := pairEstimate(f, g, bf, bg, maxNodes(frF, frG))
-	if err != nil {
-		return nil, err
-	}
-	body.StalenessMS = max(stF, stG).Milliseconds()
-	body.Freshness = append(frF, frG...)
-	return body, nil
-}
+// cache is the daemon's amsd.Source: the configured relations, each
+// answered from its merged bundle with the copies' staleness evidence.
+type cache struct{ d *Daemon }
 
-func maxNodes(a, b []RelFreshness) int { return max(len(a), len(b)) }
+func (c cache) Names() ([]string, error) { return c.d.cfg.Relations, nil }
 
-func (d *Daemon) handleJoin(w http.ResponseWriter, r *http.Request) {
-	f, g := r.URL.Query().Get("f"), r.URL.Query().Get("g")
-	if f == "" || g == "" {
-		amsd.WriteErr(w, http.StatusBadRequest, errors.New("missing ?f or ?g parameter"))
-		return
-	}
-	body, err := d.joinFromCache(f, g)
+func (c cache) Cut(name string) (*engine.RelationBundle, *amsd.Evidence, error) {
+	b, fresh, staleness, err := c.d.lookup(name)
 	if err != nil {
-		amsd.WriteErr(w, statusFor(err), err)
-		return
+		return nil, nil, err
 	}
-	amsd.WriteJSON(w, http.StatusOK, body)
-}
-
-func (d *Daemon) handleJoinChain(w http.ResponseWriter, r *http.Request) {
-	var req ChainJoinRequest
-	if !amsd.ReadJSON(w, r, &req) {
-		return
-	}
-	if req.F == "" || req.AttrA == "" || req.G == "" || req.AttrB == "" || req.H == "" {
-		amsd.WriteErr(w, http.StatusBadRequest, errors.New("f, attr_a, g, attr_b, and h are all required"))
-		return
-	}
-	bf, frF, stF, err := d.lookup(req.F)
-	if err != nil {
-		amsd.WriteErr(w, statusFor(err), err)
-		return
-	}
-	bg, frG, stG, err := d.lookup(req.G)
-	if err != nil {
-		amsd.WriteErr(w, statusFor(err), err)
-		return
-	}
-	bh, frH, stH, err := d.lookup(req.H)
-	if err != nil {
-		amsd.WriteErr(w, statusFor(err), err)
-		return
-	}
-	nodes := max(len(frF), max(len(frG), len(frH)))
-	body, err := chainEstimate(req.F, req.AttrA, req.G, req.AttrB, req.H, bf, bg, bh, nodes)
-	if err != nil {
-		amsd.WriteErr(w, statusFor(err), err)
-		return
-	}
-	body.StalenessMS = max(stF, max(stG, stH)).Milliseconds()
-	body.Freshness = append(append(frF, frG...), frH...)
-	amsd.WriteJSON(w, http.StatusOK, body)
-}
-
-// handlePairs walks every cached relation pair in configuration order.
-// Pairs whose relations are unavailable are skipped (a planning matrix
-// over what IS servable); a pair past the staleness bound fails the
-// whole matrix, because a partial matrix silently missing the stalest
-// relations is exactly the kind of answer the bound forbids.
-func (d *Daemon) handlePairs(w http.ResponseWriter, _ *http.Request) {
-	out := PairsBody{Pairs: []JoinBody{}}
-	for i, f := range d.cfg.Relations {
-		for _, g := range d.cfg.Relations[i+1:] {
-			body, err := d.joinFromCache(f, g)
-			if errors.Is(err, errRelUnavailable) {
-				continue
-			}
-			if err != nil {
-				amsd.WriteErr(w, statusFor(err), err)
-				return
-			}
-			out.Pairs = append(out.Pairs, *body)
-		}
-	}
-	amsd.WriteJSON(w, http.StatusOK, out)
+	return b, &amsd.Evidence{Nodes: len(fresh), StalenessMS: staleness.Milliseconds(), Freshness: fresh}, nil
 }
 
 func (d *Daemon) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -611,7 +611,7 @@ func (e *Engine) MergeRelation(name string, data []byte) error {
 	defer e.mu.Unlock()
 	r, ok := e.rels[name]
 	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownRelation, name)
+		return UnknownRelation(name)
 	}
 	if err := r.absorbShipped(&b); err != nil {
 		return err
@@ -776,54 +776,4 @@ func EstimateChainBundles(bf *RelationBundle, attrA string, bg *RelationBundle, 
 		SJF:      sjF, SJG: sjG, SJH: sjH,
 		K: k,
 	}, nil
-}
-
-// EstimateChainJoinRemote is EstimateChainJoin over partitioned data:
-// each leg's local cut is first merged with an optional shipped bundle
-// (remoteF/remoteG/remoteH, nil to skip) holding another node's
-// partition of the same relation — the one-shot cross-node chain answer,
-// without importing anything. Only the chain sections merge; remote
-// bundles must carry one with the local relation's exact schema and
-// chain family (ErrIncompatible otherwise).
-func (e *Engine) EstimateChainJoinRemote(f, attrA, g, attrB, h string, remoteF, remoteG, remoteH []byte) (ChainJoinEstimate, error) {
-	var legs [3]RelationBundle
-	for i, leg := range []struct {
-		name   string
-		remote []byte
-	}{{f, remoteF}, {g, remoteG}, {h, remoteH}} {
-		r, err := e.Get(leg.name)
-		if err != nil {
-			return ChainJoinEstimate{}, err
-		}
-		legs[i], _ = r.ing.cut(true, 0)
-		if leg.remote == nil || legs[i].Chain == nil {
-			// A chainless local relation cannot answer; the estimate
-			// below says so.
-			continue
-		}
-		var b RelationBundle
-		if err := b.UnmarshalBinary(leg.remote); err != nil {
-			return ChainJoinEstimate{}, err
-		}
-		if err := legs[i].Chain.Merge(b.Chain); err != nil {
-			return ChainJoinEstimate{}, fmt.Errorf("remote bundle for %q: %w", leg.name, err)
-		}
-	}
-	return EstimateChainBundles(&legs[0], attrA, &legs[1], attrB, &legs[2])
-}
-
-// EstimateJoinBundle estimates the join size of a LOCAL relation against
-// a shipped bundle — the cross-node join answer — from one cut of the
-// local relation, answered by EstimateJoinBundles like every other join.
-func (e *Engine) EstimateJoinBundle(local string, data []byte) (JoinEstimate, error) {
-	var b RelationBundle
-	if err := b.UnmarshalBinary(data); err != nil {
-		return JoinEstimate{}, err
-	}
-	r, err := e.Get(local)
-	if err != nil {
-		return JoinEstimate{}, err
-	}
-	cut, _ := r.ing.cut(true, 0)
-	return EstimateJoinBundles(&cut, &b)
 }

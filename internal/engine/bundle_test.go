@@ -171,7 +171,12 @@ func TestBundleIncompatible(t *testing.T) {
 	if err := a.ImportRelation("r2", foreign); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("seed mismatch on import: %v", err)
 	}
-	if _, err := a.EstimateJoinBundle("r", foreign); !errors.Is(err, ErrIncompatible) {
+	var foreignBundle RelationBundle
+	if err := foreignBundle.UnmarshalBinary(foreign); err != nil {
+		t.Fatal(err)
+	}
+	ar, _ := a.Get("r")
+	if _, err := EstimateJoinBundles(ar.Cut(), &foreignBundle); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("seed mismatch on estimate: %v", err)
 	}
 

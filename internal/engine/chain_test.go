@@ -357,77 +357,3 @@ func TestChainBundleExchange(t *testing.T) {
 		t.Fatalf("schema-mismatched merge: %v", err)
 	}
 }
-
-// TestEstimateChainJoinRemote: the one-shot cross-node chain path equals
-// a local engine holding both partitions, and mismatched remote bundles
-// report the right sentinels.
-func TestEstimateChainJoinRemote(t *testing.T) {
-	full, err := New(chainOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := New(chainOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := New(chainOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fvals, grows, hvals, _, _ := chainData(2000, 55)
-	for _, e := range []*Engine{full, node, other} {
-		defineChain(t, e)
-	}
-	fullF, _ := full.Get("f")
-	fullG, _ := full.Get("g")
-	fullH, _ := full.Get("h")
-	fullF.InsertBatch(fvals)
-	fullG.InsertTupleBatch(grows)
-	fullH.InsertBatch(hvals)
-	split := func(i int) (fs []uint64, gs [][]uint64, hs []uint64) {
-		for j := range fvals {
-			if j%2 == i {
-				fs = append(fs, fvals[j])
-				gs = append(gs, grows[j])
-				hs = append(hs, hvals[j])
-			}
-		}
-		return
-	}
-	for i, e := range []*Engine{node, other} {
-		fs, gs, hs := split(i)
-		rf, _ := e.Get("f")
-		rg, _ := e.Get("g")
-		rh, _ := e.Get("h")
-		rf.InsertBatch(fs)
-		rg.InsertTupleBatch(gs)
-		rh.InsertBatch(hs)
-	}
-	remote := func(name string) []byte {
-		b, err := other.ExportRelation(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	got, err := node.EstimateChainJoinRemote("f", "a", "g", "b", "h",
-		remote("f"), remote("g"), remote("h"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := full.EstimateChainJoin("f", "a", "g", "b", "h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("remote-merged estimate %+v != single-node %+v", got, want)
-	}
-	// A remote bundle without a chain section is incompatible.
-	plain, _ := New(chainOpts())
-	p, _ := plain.Define("g")
-	p.Insert(3)
-	plainBlob, _ := plain.ExportRelation("g")
-	if _, err := node.EstimateChainJoinRemote("f", "a", "g", "b", "h", nil, plainBlob, nil); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("chainless remote: %v", err)
-	}
-}

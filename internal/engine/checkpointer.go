@@ -64,7 +64,7 @@ func (c *checkpointer) run() {
 	defer close(c.done)
 	// Jitter ±10% around the interval so a fleet of engines started
 	// together does not checkpoint in lockstep forever.
-	rng := xrand.New(uint64(time.Now().UnixNano()))
+	rng := xrand.New(xrand.Seed())
 	var timer *time.Timer
 	var timerC <-chan time.Time
 	arm := func() {

@@ -54,6 +54,12 @@ var (
 	ErrAttrNotTracked = errors.New("attribute not tracked")
 )
 
+// UnknownRelation is the error for a name no relation holds: the one
+// text every tier answers a missing relation with.
+func UnknownRelation(name string) error {
+	return fmt.Errorf("engine: %w: %q", ErrUnknownRelation, name)
+}
+
 // IngestMode names the engine's write path. There is one: the absorber
 // pipeline (absorber.go). The type survives as a source-compatibility
 // field so callers that spell the path out keep compiling; both values
@@ -541,7 +547,7 @@ func (e *Engine) Get(name string) (*Relation, error) {
 	defer e.mu.RUnlock()
 	r, ok := e.rels[name]
 	if !ok {
-		return nil, fmt.Errorf("engine: %w: %q", ErrUnknownRelation, name)
+		return nil, UnknownRelation(name)
 	}
 	return r, nil
 }
@@ -557,7 +563,7 @@ func (e *Engine) Drop(name string) error {
 	defer e.mu.Unlock()
 	r, ok := e.rels[name]
 	if !ok {
-		return fmt.Errorf("engine: %w: %q", ErrUnknownRelation, name)
+		return UnknownRelation(name)
 	}
 	delete(e.rels, name)
 	r.ing.stop()
@@ -924,42 +930,15 @@ type ChainJoinEstimate struct {
 // shipped signatures reproduces them bit for bit (EstimateChainBundles
 // answers both).
 func (e *Engine) EstimateChainJoin(f, attrA, g, attrB, h string) (ChainJoinEstimate, error) {
-	return e.EstimateChainJoinRemote(f, attrA, g, attrB, h, nil, nil, nil)
-}
-
-// PairEstimate is one entry of the planning-time all-pairs matrix, and
-// the body of every amsd join answer. The answer types carry the wire
-// bodies' JSON keys, so a field added here reaches every node and
-// coordinator answer.
-type PairEstimate struct {
-	F string `json:"f"`
-	G string `json:"g"`
-	JoinEstimate
-}
-
-// AllPairs returns estimates for all unordered pairs, in lexicographic
-// order, from one cut per relation.
-func (e *Engine) AllPairs() ([]PairEstimate, error) {
-	names := e.Names()
-	cuts := make([]RelationBundle, len(names))
-	for i, n := range names {
-		r, err := e.Get(n)
+	var legs [3]RelationBundle
+	for i, name := range [3]string{f, g, h} {
+		r, err := e.Get(name)
 		if err != nil {
-			return nil, err
+			return ChainJoinEstimate{}, err
 		}
-		cuts[i], _ = r.ing.cut(true, 0)
+		legs[i], _ = r.ing.cut(true, 0)
 	}
-	var out []PairEstimate
-	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			je, err := EstimateJoinBundles(&cuts[i], &cuts[j])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, PairEstimate{F: names[i], G: names[j], JoinEstimate: je})
-		}
-	}
-	return out, nil
+	return EstimateChainBundles(&legs[0], attrA, &legs[1], attrB, &legs[2])
 }
 
 // MarshalBinary serializes the engine — configuration plus one cut of

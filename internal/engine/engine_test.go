@@ -204,7 +204,8 @@ func TestRetiredFlatScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.Define("f"); err != nil {
+	memF, err := mem.Define("f")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.ImportRelation("g", flatBundle); !errors.Is(err, ErrIncompatible) {
@@ -213,8 +214,12 @@ func TestRetiredFlatScheme(t *testing.T) {
 	if err := mem.MergeRelation("f", flatBundle); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("MergeRelation of a flat bundle: err = %v, want ErrIncompatible", err)
 	}
-	if _, err := mem.EstimateJoinBundle("f", flatBundle); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("EstimateJoinBundle of a flat bundle: err = %v, want ErrIncompatible", err)
+	var decoded RelationBundle
+	if err := decoded.UnmarshalBinary(flatBundle); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EstimateJoinBundles(memF.Cut(), &decoded); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("EstimateJoinBundles over a flat bundle: err = %v, want ErrIncompatible", err)
 	}
 }
 
@@ -263,33 +268,6 @@ func TestBatchMatchesSingleOps(t *testing.T) {
 	}
 	if a.SelfJoinEstimate() != b.SelfJoinEstimate() {
 		t.Fatal("self-join estimates differ between single-op and batch ingest")
-	}
-}
-
-func TestAllPairs(t *testing.T) {
-	e := newEng(t)
-	for _, n := range []string{"a", "b", "c"} {
-		rel, _ := e.Define(n)
-		for i := 0; i < 100; i++ {
-			rel.Insert(uint64(i % 10))
-		}
-	}
-	pairs, err := e.AllPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %d, want 3", len(pairs))
-	}
-	if pairs[0].F != "a" || pairs[0].G != "b" {
-		t.Fatalf("pair order wrong: %+v", pairs[0])
-	}
-	// Identical relations: estimates must be positive and equal across
-	// pairs (same content, shared family).
-	for _, p := range pairs {
-		if p.Estimate != pairs[0].Estimate {
-			t.Fatalf("pair %s-%s estimate %v differs from %v", p.F, p.G, p.Estimate, pairs[0].Estimate)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -29,11 +28,10 @@ import (
 // synopses are compared against exact ground truth computed AFTER the
 // wave.
 //
-// The result serializes to JSON (amsbench -experiment skimacc -json →
-// BENCH_skim.json); benchgate gates the normalized zipf(1.5) skim/unskim
-// self-join error ratio against the committed baseline AND fails any
-// measurement where the ratio reaches 1 — the "skimming must win on
-// skew" acceptance line.
+// TestSkimAccZipfRegression gates the zipf(1.5) skim/unskim self-join
+// error ratio at the experiment's fixed seeds: it must stay below 1 —
+// the "skimming must win on skew" acceptance line — and within 1.5x of
+// its recorded value.
 
 // skimDeleteFrac is the deletion wave: this fraction of the stream
 // (its leading prefix) is deleted again after ingest.
@@ -42,37 +40,36 @@ const skimDeleteFrac = 0.1
 // SkimAccRow is one data set's skim-vs-plain accuracy comparison at
 // equal memory, mean absolute relative error over the trials.
 type SkimAccRow struct {
-	Dataset       string  `json:"dataset"`
-	SelfJoin      float64 `json:"self_join"`
-	JoinSize      float64 `json:"join_size"`
-	UnskimSJErr   float64 `json:"unskim_sj_relerr"`
-	SkimSJErr     float64 `json:"skim_sj_relerr"`
-	SJRatio       float64 `json:"sj_relerr_ratio"` // skim/unskim (NaN when unskim exact)
-	UnskimJoinErr float64 `json:"unskim_join_relerr"`
-	SkimJoinErr   float64 `json:"skim_join_relerr"`
-	JoinRatio     float64 `json:"join_relerr_ratio"`
+	Dataset       string
+	SelfJoin      float64
+	JoinSize      float64
+	UnskimSJErr   float64
+	SkimSJErr     float64
+	SJRatio       float64 // skim/unskim (NaN when unskim exact)
+	UnskimJoinErr float64
+	SkimJoinErr   float64
+	JoinRatio     float64
 	// HittersUsed is the occupancy of the (deterministic) heavy-hitter
 	// table after the deletion wave.
-	HittersUsed int `json:"hitters_used"`
+	HittersUsed int
 }
 
-// SkimAccResult is the full sweep plus the benchgate pair: the zipf(1.5)
-// self-join errors of the two schemes, whose ratio is the gated metric.
+// SkimAccResult is the full sweep plus the zipf(1.5) self-join errors
+// of the two schemes, whose ratio TestSkimAccZipfRegression gates.
 type SkimAccResult struct {
-	Experiment string `json:"experiment"`
 	// K is the total synopsis budget in 64-bit words — the plain sketch
 	// spends all of it on counters, the skimmed scheme splits it between
 	// the table (3·Hitters words) and a smaller sketch.
-	K          int     `json:"k"`
-	S2         int     `json:"s2"`
-	Hitters    int     `json:"hitters"`
-	Trials     int     `json:"trials"`
-	DeleteFrac float64 `json:"delete_frac"`
+	K          int
+	S2         int
+	Hitters    int
+	Trials     int
+	DeleteFrac float64
 
-	UnskimRelErrZipf15 float64 `json:"unskim_relerr_zipf15"`
-	SkimRelErrZipf15   float64 `json:"skim_relerr_zipf15"`
+	UnskimRelErrZipf15 float64
+	SkimRelErrZipf15   float64
 
-	Datasets []SkimAccRow `json:"datasets"`
+	Datasets []SkimAccRow
 }
 
 // RunSkimAcc measures skimmed vs plain accuracy for each named data set
@@ -103,7 +100,7 @@ func RunSkimAcc(names []string, k, s2, hitters, trials int, seed uint64) (*SkimA
 		names = []string{"uniform", "zipf1.0", "zipf1.5"}
 	}
 	res := &SkimAccResult{
-		Experiment: "skimacc", K: k, S2: s2, Hitters: hitters,
+		K: k, S2: s2, Hitters: hitters,
 		Trials: trials, DeleteFrac: skimDeleteFrac,
 		UnskimRelErrZipf15: math.NaN(), SkimRelErrZipf15: math.NaN(),
 	}
@@ -236,26 +233,4 @@ func (r *SkimAccResult) Table() *tablefmt.Table {
 			row.UnskimJoinErr, row.SkimJoinErr, row.JoinRatio, row.HittersUsed)
 	}
 	return t
-}
-
-// JSON serializes the result for machine consumption (NaN ratios are
-// clamped to -1, which encoding/json cannot represent otherwise).
-func (r *SkimAccResult) JSON() ([]byte, error) {
-	clean := *r
-	clean.Datasets = append([]SkimAccRow(nil), r.Datasets...)
-	for i := range clean.Datasets {
-		if math.IsNaN(clean.Datasets[i].SJRatio) {
-			clean.Datasets[i].SJRatio = -1
-		}
-		if math.IsNaN(clean.Datasets[i].JoinRatio) {
-			clean.Datasets[i].JoinRatio = -1
-		}
-	}
-	if math.IsNaN(clean.UnskimRelErrZipf15) {
-		clean.UnskimRelErrZipf15 = -1
-	}
-	if math.IsNaN(clean.SkimRelErrZipf15) {
-		clean.SkimRelErrZipf15 = -1
-	}
-	return json.MarshalIndent(&clean, "", "  ")
 }

@@ -1,27 +1,36 @@
 package experiments
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// TestSkimAccZipfRegression is the accuracy regression the PR gates on:
-// at equal total memory, the skimmed estimator must beat the plain
-// sketch on the skewed zipf(1.5) set — self-join AND join — with the
-// same parameters CI runs (modulo trials). If this starts failing, the
-// skim decomposition has stopped paying for its table.
+// skimRatioZipf15 is the recorded zipf(1.5) skimmed ÷ plain self-join
+// relative error at the configuration below (0.00018059387205994319 ÷
+// 0.00041756513825911781).
+const skimRatioZipf15 = 0.43249269518250977
+
+// TestSkimAccZipfRegression is the skimming accuracy gate: at equal
+// total memory (3072 words, 96 hitters, 5 trials from seed 1) the
+// skimmed estimator must beat the plain sketch on the skewed zipf(1.5)
+// set — self-join AND join — and its self-join error ratio may not
+// regress more than 50% from the recorded one. The experiment is
+// deterministic, so the recorded ratio is what this configuration
+// reproduces; if this fails, the skim decomposition has stopped paying
+// for its table.
 func TestSkimAccZipfRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-trial accuracy sweep")
-	}
-	r, err := RunSkimAcc([]string{"zipf1.5"}, 3072, 6, 96, 3, 1)
+	r, err := RunSkimAcc([]string{"zipf1.5"}, 3072, 6, 96, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SkimRelErrZipf15 >= r.UnskimRelErrZipf15 {
+	ratio := r.SkimRelErrZipf15 / r.UnskimRelErrZipf15
+	if !(ratio < 1) {
 		t.Fatalf("skimmed zipf1.5 self-join relerr %.4g not below unskimmed %.4g",
 			r.SkimRelErrZipf15, r.UnskimRelErrZipf15)
+	}
+	if ratio > 1.5*skimRatioZipf15 {
+		t.Fatalf("skimmed/plain zipf1.5 self-join relerr ratio %.4g regressed past 1.5 × the recorded %.4g",
+			ratio, skimRatioZipf15)
 	}
 	row := r.Datasets[0]
 	if row.SkimJoinErr >= row.UnskimJoinErr {
@@ -33,9 +42,7 @@ func TestSkimAccZipfRegression(t *testing.T) {
 	}
 }
 
-// TestSkimAccOutput smoke-tests the two render paths: the table names
-// every dataset, and the JSON carries the benchgate pair under the keys
-// cmd/benchgate reads.
+// TestSkimAccOutput smoke-tests the table: it names every dataset.
 func TestSkimAccOutput(t *testing.T) {
 	r, err := RunSkimAcc([]string{"zipf1.5"}, 768, 6, 24, 1, 2)
 	if err != nil {
@@ -43,24 +50,6 @@ func TestSkimAccOutput(t *testing.T) {
 	}
 	if tab := r.Table().String(); !strings.Contains(tab, "zipf1.5") {
 		t.Fatalf("table missing dataset row:\n%s", tab)
-	}
-	blob, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Experiment string  `json:"experiment"`
-		Unskim     float64 `json:"unskim_relerr_zipf15"`
-		Skim       float64 `json:"skim_relerr_zipf15"`
-	}
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Experiment != "skimacc" {
-		t.Fatalf("experiment = %q", decoded.Experiment)
-	}
-	if decoded.Unskim != r.UnskimRelErrZipf15 || decoded.Skim != r.SkimRelErrZipf15 {
-		t.Fatal("JSON benchgate pair does not match result fields")
 	}
 }
 

@@ -95,13 +95,18 @@ func TestHTTPClientsHaveTimeouts(t *testing.T) {
 // benchmark, the experiments) rather than serve a daemon.
 var servingExempt = []string{"examples", "bench", "internal/experiments"}
 
+// estimateRoutes are the query routes amsd.MountEstimates serves on
+// every tier.
+var estimateRoutes = []string{"/v1/selfjoin", "/v1/join", "/v1/join/chain", "/v1/pairs"}
+
 // TestServingCodeLivesInAmsd keeps request handling in one place:
-// internal/amsd holds the one request decoder, the one body cap and the
-// one serving shell that amsd, amsrouter and joinctl -serve share.
-// Outside it, no non-test file may call http.MaxBytesReader, build an
-// http.Server literal, or JSON-decode inside a function that takes an
-// *http.Request (a handler decoding its request body by hand). Each copy
-// kept elsewhere once drifted from amsd's answers.
+// internal/amsd holds the one request decoder, the one body cap, the one
+// set of estimate handlers and the one serving shell that amsd,
+// amsrouter and joinctl -serve share. Outside it, no non-test file may
+// call http.MaxBytesReader, build an http.Server literal, JSON-decode
+// inside a function that takes an *http.Request (a handler decoding its
+// request body by hand), or register a mux pattern for an estimate
+// route. Each copy kept elsewhere once drifted from amsd's answers.
 func TestServingCodeLivesInAmsd(t *testing.T) {
 	root := moduleRoot(t)
 	fset := token.NewFileSet()
@@ -150,6 +155,10 @@ func TestServingCodeLivesInAmsd(t *testing.T) {
 				if isSelector(n, httpName, "MaxBytesReader") {
 					report(n, "http.MaxBytesReader (cap bodies with amsd.CapBodies)")
 				}
+			case *ast.CallExpr:
+				if route, ok := registersEstimateRoute(n); ok {
+					report(n, fmt.Sprintf("a handler for %s (mount amsd.MountEstimates)", route))
+				}
 			case *ast.FuncDecl, *ast.FuncLit:
 				if hasJSON && takesRequest(n, httpName) {
 					ast.Inspect(n, func(m ast.Node) bool {
@@ -171,6 +180,26 @@ func TestServingCodeLivesInAmsd(t *testing.T) {
 	for _, v := range violations {
 		t.Error(v)
 	}
+}
+
+// registersEstimateRoute reports whether call is a Handle or HandleFunc
+// whose pattern ("[METHOD ][HOST]/PATH") names an estimate route.
+func registersEstimateRoute(call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc") || len(call.Args) == 0 {
+		return "", false
+	}
+	lit, ok := call.Args[0].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	pattern, err := strconv.Unquote(lit.Value)
+	if err != nil {
+		return "", false
+	}
+	_, route, _ := strings.Cut(pattern, "/")
+	route = "/" + route
+	return route, slices.Contains(estimateRoutes, route)
 }
 
 // takesRequest reports whether a function declaration or literal has an

@@ -21,8 +21,9 @@ import (
 // order is free.
 func TestAnswerBodyKeys(t *testing.T) {
 	const (
-		join  = "estimate estimator f fact11 g sigma sjf sjg"
-		chain = "attr_a attr_b estimate f g h k sigma sjf sjg sjh upper"
+		join     = "estimate estimator f fact11 g sigma sjf sjg"
+		chain    = "attr_a attr_b estimate f g h k sigma sjf sjg sjh upper"
+		selfJoin = "estimate estimator len relation"
 	)
 	nodes := startFleet(t, 2, true)
 	rt := testRouter(t, nodes, nil)
@@ -104,16 +105,7 @@ func TestAnswerBodyKeys(t *testing.T) {
 	got["amsd join"] = call(http.MethodGet, node+"/v1/join?f=f&g=g", "", nil)
 	got["amsd pairs"] = call(http.MethodGet, node+"/v1/pairs", "", nil)
 	got["amsd chain"] = post(node+"/v1/join/chain", chainReq)
-	resp, err := client.Get(nodes[1].base + "/v1/signatures/g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["amsd remote join"] = call(http.MethodPost, node+"/v1/join/remote?relation=f", "application/octet-stream", bundle)
+	got["amsd selfjoin"] = call(http.MethodGet, node+"/v1/selfjoin?relation=f", "", nil)
 
 	d, err := coord.NewDaemon(coord.Config{
 		Nodes:     fleetBases(nodes),
@@ -132,21 +124,23 @@ func TestAnswerBodyKeys(t *testing.T) {
 	got["coord join"] = call(http.MethodGet, cd.URL+"/v1/join?f=f&g=g", "", nil)
 	got["coord pairs"] = call(http.MethodGet, cd.URL+"/v1/pairs", "", nil)
 	got["coord chain"] = post(cd.URL+"/v1/join/chain", chainReq)
+	got["coord selfjoin"] = call(http.MethodGet, cd.URL+"/v1/selfjoin?relation=f", "", nil)
 
 	coordJoin := join + " freshness k nodes rows_f rows_g staleness_ms"
 	coordChain := chain + " freshness nodes rows_f rows_g rows_h staleness_ms"
 	for name, want := range map[string]string{
-		"amsd join":        join,
-		"amsd pairs":       join,
-		"amsd remote join": join,
-		"amsd chain":       chain,
-		"amsd define":      "attrs relation",
-		"amsd ingest":      "deleted inserted len relation",
-		"coord join":       coordJoin,
-		"coord pairs":      coordJoin,
-		"coord chain":      coordChain,
-		"router define":    "attrs relation",
-		"router ingest":    "deleted inserted len relation",
+		"amsd join":      join,
+		"amsd pairs":     join,
+		"amsd chain":     chain,
+		"amsd selfjoin":  selfJoin,
+		"amsd define":    "attrs relation",
+		"amsd ingest":    "deleted inserted len relation",
+		"coord join":     coordJoin,
+		"coord pairs":    coordJoin,
+		"coord chain":    coordChain,
+		"coord selfjoin": selfJoin + " freshness nodes staleness_ms",
+		"router define":  "attrs relation",
+		"router ingest":  "deleted inserted len relation",
 	} {
 		wantKeys := strings.Fields(want)
 		slices.Sort(wantKeys)

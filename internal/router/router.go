@@ -232,7 +232,7 @@ func New(opts Options) (*Router, error) {
 		nodes: map[string]*node{},
 		rels:  map[string]*relState{},
 		stop:  make(chan struct{}),
-		rng:   xrand.New(jitterSeed()),
+		rng:   xrand.New(xrand.Seed()),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, base := range r.ring.Members() {
@@ -244,12 +244,6 @@ func New(opts Options) (*Router, error) {
 	r.done.Add(1)
 	go r.runProber()
 	return r, nil
-}
-
-// jitterSeed mirrors coord's: independent per router so a fleet of
-// routers restarted together does not probe or back off in lockstep.
-func jitterSeed() uint64 {
-	return xrand.Mix64(uint64(time.Now().UnixNano())) ^ xrand.Mix64(uint64(time.Now().UnixMicro())<<1|1)
 }
 
 // Close tears down sessions, stops the prober, and fails any batches

@@ -250,7 +250,7 @@ type clientConn struct {
 
 func newClientConn(addr string, opts *Options, salt uint64) *clientConn {
 	cc := &clientConn{addr: addr, opts: opts,
-		rng: xrand.New(uint64(time.Now().UnixNano()) ^ (salt * 0x9E3779B97F4A7C15))}
+		rng: xrand.New(xrand.Seed() ^ (salt * 0x9E3779B97F4A7C15))}
 	cc.cond = sync.NewCond(&cc.mu)
 	return cc
 }

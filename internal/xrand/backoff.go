@@ -1,6 +1,25 @@
 package xrand
 
-import "time"
+import (
+	crand "crypto/rand"
+	"encoding/binary"
+	"os"
+	"time"
+)
+
+// Seed seeds a jitter generator — a retry backoff, a refresh or probe
+// loop, a checkpoint timer — from crypto/rand, falling back to the clock
+// mixed with the PID. Daemons a supervisor starts in one clock tick must
+// not share a jitter sequence: jitter in lockstep spreads nothing. Seed
+// is for timing only; anything that must reproduce takes an explicit
+// seed.
+func Seed() uint64 {
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err == nil {
+		return binary.LittleEndian.Uint64(b[:])
+	}
+	return Mix64(uint64(time.Now().UnixNano())) ^ Mix64(uint64(os.Getpid())<<1|1)
+}
 
 // MaxBackoff caps Backoff. Past ~30s a peer is down, not busy: longer
 // waits only delay the caller's error.

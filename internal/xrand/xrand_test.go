@@ -367,3 +367,16 @@ func BenchmarkPoisson20(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSeedDraws: seeds drawn back to back differ, so the jitter
+// generators a fleet builds in one clock tick do not run in lockstep.
+func TestSeedDraws(t *testing.T) {
+	seen := map[uint64]bool{}
+	for i := 0; i < 64; i++ {
+		s := Seed()
+		if seen[s] {
+			t.Fatalf("Seed repeated %#x after %d draws", s, i)
+		}
+		seen[s] = true
+	}
+}
