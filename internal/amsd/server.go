@@ -43,9 +43,11 @@
 // the four estimate routes above from its cache.
 //
 // Errors are {"error": "..."} with conventional status codes (400 bad
-// request, 404 unknown relation, 409 conflict — including a bundle whose
-// synopsis shape or hash-family seed does not match this engine's — and
-// 413 when a body exceeds the server's limit).
+// request — a body field the request does not define included — 404
+// unknown relation or route, 405 a method the route does not serve,
+// with Allow, 409 conflict — including a bundle whose synopsis shape or
+// hash-family seed does not match this engine's — and 413 when a body
+// exceeds the server's limit).
 //
 // The package is also the one front of all three serving tiers: the
 // relation and ingest routes (MountRelations, served from a Backend),
@@ -62,6 +64,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -111,20 +114,45 @@ func NewServerMaxBody(eng *engine.Engine, maxBody int64) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
 
-// CapBodies caps every request body h reads at maxBody bytes
+// CapBodies serves mux with every request body capped at maxBody bytes
 // (DefaultMaxBody when <= 0): the one body cap of amsd, the router and
 // the coordinator. Reading past it fails with *http.MaxBytesError: 413.
-func CapBodies(h http.Handler, maxBody int64) http.Handler {
+// A request no pattern matches gets the mux's own status — 404, or 405
+// with its Allow header — as a JSON error, like every other answer.
+func CapBodies(mux *http.ServeMux, maxBody int64) http.Handler {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBody
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, pattern := mux.Handler(r); pattern == "" {
+			miss := unrouted{header: http.Header{}}
+			h.ServeHTTP(&miss, r)
+			if miss.status == http.StatusNotFound || miss.status == http.StatusMethodNotAllowed {
+				if allow := miss.header.Get("Allow"); allow != "" {
+					w.Header().Set("Allow", allow)
+				}
+				WriteErr(w, miss.status, fmt.Errorf("%s %s: %s", r.Method, r.URL.Path, strings.ToLower(http.StatusText(miss.status))))
+				return
+			}
+		}
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 		}
-		h.ServeHTTP(w, r)
+		mux.ServeHTTP(w, r)
 	})
 }
+
+// unrouted records the status and headers of the mux's answer to a
+// request no pattern matches (404, 405, or a redirect to the cleaned
+// path, which the mux then serves itself), and drops its text body.
+type unrouted struct {
+	header http.Header
+	status int
+}
+
+func (u *unrouted) Header() http.Header         { return u.header }
+func (u *unrouted) Write(b []byte) (int, error) { return len(b), nil }
+func (u *unrouted) WriteHeader(status int)      { u.status = status }
 
 // bodyPool recycles request-body buffers up to maxPooledBody: a steady
 // stream of similar requests reads with no buffer allocation, and a
@@ -135,8 +163,9 @@ const maxPooledBody = 1 << 20
 
 // ReadJSON decodes r's JSON body into v: the one request decoder of
 // amsd, the router and the coordinator. The body must hold exactly one
-// JSON value; trailing data is malformed. On failure it answers 413 (a
-// body past the cap) or 400 and returns false.
+// JSON value, with no field v does not define; trailing data is
+// malformed. On failure it answers 413 (a body past the cap) or 400 and
+// returns false.
 func ReadJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := decodeJSON(r, v); err != nil {
 		WriteErr(w, StatusFor(err), err)
@@ -157,8 +186,13 @@ func decodeJSON(r *http.Request, v any) error {
 	buf.Reset()
 	_, err := buf.ReadFrom(r.Body)
 	if err == nil {
-		// Unmarshal copies what it keeps, so the buffer can be recycled.
-		err = json.Unmarshal(buf.Bytes(), v)
+		// The decoder copies what it keeps, so the buffer can be recycled.
+		dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+		if err == nil && len(bytes.Trim(buf.Bytes()[dec.InputOffset():], " \t\r\n")) > 0 {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("decode request: %w", err)

@@ -91,13 +91,17 @@ func TestEstimateParityWithNode(t *testing.T) {
 			`{"f":"forders","attr_a":"zz","g":"glineitem","attr_b":"b","h":"hparts"}`, ""},
 		{"chain end on the other side", "POST", "/v1/join/chain",
 			`{"f":"hparts","attr_a":"b","g":"glineitem","attr_b":"b","h":"hparts"}`, ""},
-		// Fields a request body does not define are ignored on every tier.
+		// A field the request body does not define is a 400 on every
+		// tier: a client of the removed cross-node path must not get a
+		// smaller answer without an error.
 		{"chain unknown field", "POST", "/v1/join/chain",
-			`{"f":"forders","attr_a":"a","g":"glineitem","attr_b":"b","h":"hparts","remote_g":"Z2FyYmFnZQ=="}`, chainOnly},
+			`{"f":"forders","attr_a":"a","g":"glineitem","attr_b":"b","h":"hparts","remote_g":"Z2FyYmFnZQ=="}`, ""},
 		{"chain trailing data", "POST", "/v1/join/chain", chain + ` x`, ""},
 		{"chain over-cap body", "POST", "/v1/join/chain",
 			`{"f":"` + strings.Repeat("f", 2*maxBody) + `"}`, ""},
 		{"pairs ok", "GET", "/v1/pairs", "", joinOnly},
+		{"no route", "GET", "/nope", "", ""},
+		{"method not allowed", "POST", "/v1/selfjoin?relation=orders", "", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

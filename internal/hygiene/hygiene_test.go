@@ -182,6 +182,67 @@ func TestServingCodeLivesInAmsd(t *testing.T) {
 	}
 }
 
+// wireCodec are the frame codec's exported names; every wire.Kind*
+// constant belongs to it too.
+var wireCodec = []string{"Frame", "ReadFrame", "DecodeFrame", "AppendFrame", "EncodeFrame"}
+
+// TestWireCodecLivesInWire keeps amswire's client side in one place:
+// wire.Stream is the one speaker that dials, numbers batches, holds them
+// until their ACK and hands back the un-acked suffix, under both
+// wire.Client and the ingest router. Outside internal/wire, no non-test
+// file may use the frame codec (wire.Frame, ReadFrame, DecodeFrame,
+// AppendFrame, EncodeFrame or a wire.Kind* constant). A second
+// hand-written speaker once kept its own handshake, frame encoding and
+// ACK loop, and the two disagreed on losing un-acked batches.
+func TestWireCodecLivesInWire(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	var violations []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || name == ".git" || name == "vendor" || rel == "internal/wire" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return fmt.Errorf("parse %s: %w", p, err)
+		}
+		wireName, ok := importName(file, "amstrack/internal/wire")
+		if !ok {
+			return nil
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == wireName &&
+				(slices.Contains(wireCodec, sel.Sel.Name) || strings.HasPrefix(sel.Sel.Name, "Kind")) {
+				violations = append(violations, fmt.Sprintf("%s:%d: wire.%s outside internal/wire (speak amswire through wire.Stream)",
+					rel, fset.Position(sel.Pos()).Line, sel.Sel.Name))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Error(v)
+	}
+}
+
 // registersEstimateRoute reports whether call is a Handle or HandleFunc
 // whose pattern ("[METHOD ][HOST]/PATH") names an estimate route.
 func registersEstimateRoute(call *ast.CallExpr) (string, bool) {

@@ -109,7 +109,7 @@ func (r *Router) DrainNode(member string) (*DrainReport, error) {
 	// prober does not resurrect it into the ring.
 	r.mu.Lock()
 	if n.sess != nil {
-		n.sess.shutdown()
+		n.sess.Close()
 		n.sess = nil
 	}
 	n.state = StateDown

@@ -248,7 +248,7 @@ func TestRouterReconcileDeficitQuarantine(t *testing.T) {
 	rt.mu.Unlock()
 
 	sb := &subBatch{rel: rs, vals: batchVals(1)}
-	rt.reconcile(n, []pendingBatch{{seq: 1, sb: sb}}, errors.New("conn reset"))
+	rt.reconcile(n, []*subBatch{sb}, errors.New("conn reset"))
 
 	rt.mu.Lock()
 	state := n.state

@@ -14,6 +14,7 @@ import (
 	"amstrack/internal/amsd"
 	"amstrack/internal/coord"
 	"amstrack/internal/engine"
+	"amstrack/internal/wire"
 	"amstrack/internal/xrand"
 )
 
@@ -30,9 +31,10 @@ type Options struct {
 	// as a stalled HTTP request or an unread wire stream, never a
 	// silently growing buffer.
 	QueueDepth int
-	// AckTimeout is how long a wire session waits for ACK progress on a
-	// non-empty pending window before declaring the node unresponsive
-	// and failing over.
+	// AckTimeout is how long a wire session with batches pending waits
+	// for ACK progress before declaring the node unresponsive and
+	// failing over (wire.DefaultAckTimeout if 0). The deadline is armed
+	// when a batch is sent to an idle session.
 	AckTimeout time.Duration
 	// ProbeInterval paces the health prober (jittered per tick).
 	ProbeInterval time.Duration
@@ -53,8 +55,6 @@ type Options struct {
 	// Fetcher drives the control-plane verbs (schemas, defines, stats,
 	// bundles, rebalance). Built from Client with modest retries if nil.
 	Fetcher *coord.Fetcher
-	// DialTimeout bounds one wire-session dial.
-	DialTimeout time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -65,7 +65,7 @@ func (o Options) withDefaults() Options {
 		o.QueueDepth = 128
 	}
 	if o.AckTimeout <= 0 {
-		o.AckTimeout = 10 * time.Second
+		o.AckTimeout = wire.DefaultAckTimeout
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
@@ -81,9 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Fetcher == nil {
 		o.Fetcher = coord.NewFetcher(o.Client, 2, 50*time.Millisecond)
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 	return o
 }
@@ -154,7 +151,7 @@ type node struct {
 	// the computed surplus and wrongly promote old pending work.
 	reconciling bool
 	draining    bool
-	sess        *session // nil when no wire session is up
+	sess        *wire.Stream[*subBatch] // nil when no wire session is up
 }
 
 // acct is the router's acked ledger for one (node, relation): base is
@@ -259,7 +256,7 @@ func (r *Router) Close() error {
 	close(r.stop)
 	for _, n := range r.nodes {
 		if n.sess != nil {
-			n.sess.shutdown()
+			n.sess.Close()
 		}
 	}
 	r.cond.Broadcast()
@@ -328,7 +325,7 @@ func (r *Router) quarantineLocked(n *node, reason string) {
 	n.state = StateQuarantined
 	n.reasons = append(n.reasons, reason)
 	if n.sess != nil {
-		n.sess.shutdown()
+		n.sess.Close()
 		n.sess = nil
 	}
 	r.cond.Broadcast()
@@ -647,10 +644,13 @@ func (r *Router) deliver(n *node, sb *subBatch) {
 			return
 		}
 	}
-	// The session records the batch as pending before writing, so a
-	// failed write is torn down and reconciled (including sb) by the
-	// session's teardown path; nothing more to do here.
-	sess.send(sb)
+	// A batch the session took comes back through its acks or its
+	// teardown's reconcile; one it refused (it had ended) is still ours.
+	// No FLUSH follows: the node acks every staged batch after one drain
+	// round.
+	if err := sess.Send(sb, sb.rel.name, sb.del, sb.rel.arity, sb.vals); err != nil {
+		r.failover(sb, err)
+	}
 }
 
 // runProber is the health loop: every (jittered) interval it probes

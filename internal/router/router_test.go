@@ -435,6 +435,7 @@ func TestRouterIngestMatchesNode(t *testing.T) {
 		{"flat on arity 2", `{"relation":"wide","inserts":[1]}`, http.StatusBadRequest},
 		{"unknown relation", `{"relation":"nope","inserts":[1]}`, http.StatusNotFound},
 		{"trailing data", `{"relation":"f","inserts":[1]} {"relation":"f","inserts":[2]}`, http.StatusBadRequest},
+		{"unknown field", `{"relation":"f","inserts":[1],"insert":[2]}`, http.StatusBadRequest},
 	} {
 		nodeStatus, nodeBody := ingest(nodes[0].base, tc.body)
 		routerStatus, routerBody := ingest(front.URL, tc.body)
@@ -444,6 +445,41 @@ func TestRouterIngestMatchesNode(t *testing.T) {
 		if nodeBody.Inserted != routerBody.Inserted || nodeBody.Deleted != routerBody.Deleted {
 			t.Errorf("%s: node inserted/deleted %d/%d, router %d/%d", tc.name,
 				nodeBody.Inserted, nodeBody.Deleted, routerBody.Inserted, routerBody.Deleted)
+		}
+	}
+}
+
+// TestRouterUnroutedAnswersJSON: a request no route matches gets a
+// JSON error like every other answer — 404 for an unknown path, 405
+// with the mux's Allow header for a known path and another method.
+func TestRouterUnroutedAnswersJSON(t *testing.T) {
+	rt := testRouter(t, startFleet(t, 1, true), nil)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	for _, tc := range []struct {
+		method, path, allow string
+		status              int
+	}{
+		{"GET", "/nope", "", http.StatusNotFound},
+		{"GET", "/v1/ingest", "POST", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(tc.method, front.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := front.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || err != nil || eb.Error == "" ||
+			resp.Header.Get("Content-Type") != "application/json" || resp.Header.Get("Allow") != tc.allow {
+			t.Errorf("%s %s: %d %q Allow %q, error body %q (%v); want %d JSON, Allow %q", tc.method, tc.path,
+				resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Allow"), eb.Error, err, tc.status, tc.allow)
 		}
 	}
 }
@@ -485,6 +521,7 @@ func TestRouterDefineMatchesNode(t *testing.T) {
 		{"chain_a unknown attribute", `{"name":"h","attrs":["a"],"chain_a":["zz"]}`, http.StatusBadRequest},
 		{"chain_a attribute twice", `{"name":"h","attrs":["a"],"chain_a":["a","a"]}`, http.StatusBadRequest},
 		{"trailing data", `{"name":"h"} {"name":"h2"}`, http.StatusBadRequest},
+		{"unknown field", `{"name":"h","skim_hitter":8}`, http.StatusBadRequest},
 		{"another schema", `{"name":"f","attrs":["a","b"]}`, http.StatusConflict},
 	} {
 		nodeStatus, routerStatus := define(nodes[0].base, tc.body), define(front.URL, tc.body)

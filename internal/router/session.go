@@ -5,65 +5,48 @@ import (
 	"fmt"
 	"net"
 	"strings"
-	"time"
 
 	"amstrack/internal/wire"
 )
 
-// session is one router→node amswire stream. It is deliberately NOT
-// wire.Client: failover needs to retain every un-acked batch and to see
-// exactly which sequence numbers a cumulative ACK covers, which the
-// client's fire-and-forget surface hides. The session speaks the
-// protocol directly over the exported frame codec — one TCP stream, so
-// the node applies this router's batches in send order, which is what
-// makes the teardown reconcile's prefix walk exact.
-type session struct {
-	r *Router
-	n *node
-
-	nc net.Conn
-
-	// Guarded by Router.mu (the session shares the router's lock: every
-	// mutation here already happens next to ledger mutations).
-	seq     uint64
-	pending []pendingBatch // send order; un-acked suffix of the stream
-	dead    bool
-	buf     []byte // frame encode scratch
-}
-
-type pendingBatch struct {
-	seq uint64
-	sb  *subBatch
-}
-
 // openSession dials the wire address the node advertises, as read by
 // probeNode. A node that fails the probe — unreachable, degraded, or
 // serving no wire listener — fails the dial before anything is sent.
-func (r *Router) openSession(n *node) (*session, error) {
+//
+// A session is a wire.Stream whose tags are the sub-batches it carries:
+// failover needs every un-acked batch back, and the stream hands each
+// one back exactly once. Its window is QueueDepth, the value HELLO
+// announces, and its ACK deadline is AckTimeout, armed at send. One TCP
+// stream, so the node applies this router's batches in send order,
+// which is what makes the teardown reconcile's prefix walk exact.
+func (r *Router) openSession(n *node) (*wire.Stream[*subBatch], error) {
 	addr, err := r.probeNode(n)
 	if err != nil {
 		return nil, err
 	}
-	nc, err := net.DialTimeout("tcp", rebaseHost(n.base, addr), r.opts.DialTimeout)
+	st, err := wire.DialStream[*subBatch](rebaseHost(n.base, addr), r.opts.QueueDepth, r.opts.AckTimeout)
 	if err != nil {
 		return nil, err
 	}
-	s := &session{r: r, n: n, nc: nc}
-	if err := s.handshake(); err != nil {
-		nc.Close()
-		return nil, err
-	}
 	r.mu.Lock()
-	if n.sess != nil { // raced with another opener; keep the first
+	if r.closed { // Close has already shut down the sessions it saw
 		r.mu.Unlock()
-		s.nc.Close()
-		return n.sess, nil
+		st.Close()
+		return nil, errors.New("router closed")
 	}
-	n.sess = s
-	r.mu.Unlock()
+	n.sess = st
 	r.done.Add(1)
-	go s.readLoop()
-	return s, nil
+	r.mu.Unlock()
+	go func() {
+		defer r.done.Done()
+		pending, cause := st.Run(func(acked []*subBatch) {
+			for _, sb := range acked {
+				r.noteAcked(n, sb)
+			}
+		})
+		r.teardown(n, st, pending, cause)
+	}()
+	return st, nil
 }
 
 // rebaseHost joins the wire listener's port with the node's HTTP host:
@@ -91,130 +74,8 @@ func rebaseHost(base, wireAddr string) string {
 	return net.JoinHostPort(host, port)
 }
 
-func (s *session) handshake() error {
-	hello := wire.Frame{Kind: wire.KindHello, Proto: wire.ProtoVersion,
-		Window: uint32(s.r.opts.QueueDepth)}
-	s.buf = wire.AppendFrame(s.buf[:0], &hello)
-	s.nc.SetDeadline(time.Now().Add(s.r.opts.DialTimeout))
-	if _, err := s.nc.Write(s.buf); err != nil {
-		return fmt.Errorf("send HELLO: %w", err)
-	}
-	var rb []byte
-	body, err := wire.ReadFrame(s.nc, &rb)
-	if err != nil {
-		return fmt.Errorf("read WELCOME: %w", err)
-	}
-	var f wire.Frame
-	if err := wire.DecodeFrame(body, &f); err != nil {
-		return err
-	}
-	if f.Kind != wire.KindWelcome {
-		return fmt.Errorf("handshake: got %v, want WELCOME", f.Kind)
-	}
-	s.nc.SetDeadline(time.Time{})
-	return nil
-}
-
-// send writes one batch frame, registering it as pending FIRST so a
-// torn write still reconciles it. No FLUSH follows: the node's acker
-// acks every staged batch after one drain round. A send error tears the
-// session down, which reconciles every pending batch, including this
-// one — so the caller never handles the batch again.
-func (s *session) send(sb *subBatch) {
-	r := s.r
-	r.mu.Lock()
-	if s.dead {
-		r.mu.Unlock()
-		r.failover(sb, errors.New("session closed"))
-		return
-	}
-	s.seq++
-	seq := s.seq
-	s.pending = append(s.pending, pendingBatch{seq, sb})
-	f := wire.Frame{Kind: wire.KindBatch, Seq: seq, Del: sb.del,
-		Arity: sb.rel.arity, Relation: sb.rel.name, Vals: sb.vals}
-	s.buf = wire.AppendFrame(s.buf[:0], &f)
-	out := s.buf
-	nc := s.nc
-	r.mu.Unlock()
-
-	nc.SetWriteDeadline(time.Now().Add(r.opts.AckTimeout))
-	if _, err := nc.Write(out); err != nil {
-		s.teardown(fmt.Errorf("write batch: %w", err))
-	}
-}
-
-// shutdown closes the conn; the read loop observes it and tears down.
-// Called under Router.mu.
-func (s *session) shutdown() {
-	s.dead = true
-	s.nc.Close()
-}
-
-// readLoop consumes ACK/ERROR/GOODBYE frames. The read deadline is the
-// ACK-timeout health signal: with batches pending, silence past
-// AckTimeout means the node stopped acknowledging — treat it exactly
-// like a dead connection and fail over.
-func (s *session) readLoop() {
-	defer s.r.done.Done()
-	var rb []byte
-	var f wire.Frame
-	for {
-		s.r.mu.Lock()
-		hasPending := len(s.pending) > 0
-		dead := s.dead
-		s.r.mu.Unlock()
-		if dead {
-			s.teardown(errors.New("session shut down"))
-			return
-		}
-		if hasPending {
-			s.nc.SetReadDeadline(time.Now().Add(s.r.opts.AckTimeout))
-		} else {
-			s.nc.SetReadDeadline(time.Now().Add(s.r.opts.ProbeInterval + time.Second))
-		}
-		body, err := wire.ReadFrame(s.nc, &rb)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !hasPending {
-				continue // idle stream; keep listening
-			}
-			if hasPending {
-				err = fmt.Errorf("no ACK progress within %v: %w", s.r.opts.AckTimeout, err)
-			}
-			s.teardown(err)
-			return
-		}
-		if err := wire.DecodeFrame(body, &f); err != nil {
-			s.teardown(err)
-			return
-		}
-		switch f.Kind {
-		case wire.KindAck:
-			s.r.mu.Lock()
-			var acked []pendingBatch
-			for len(s.pending) > 0 && s.pending[0].seq <= f.Seq {
-				acked = append(acked, s.pending[0])
-				s.pending = s.pending[1:]
-			}
-			s.r.mu.Unlock()
-			for _, pb := range acked {
-				s.r.noteAcked(s.n, pb.sb)
-			}
-		case wire.KindError:
-			s.teardown(fmt.Errorf("node error (relation %q): %s", f.Relation, f.Text))
-			return
-		case wire.KindGoodbye:
-			s.teardown(fmt.Errorf("node shutting down: %s", f.Text))
-			return
-		default:
-			s.teardown(fmt.Errorf("unexpected %v frame from node", f.Kind))
-			return
-		}
-	}
-}
-
-// teardown closes the session and disposes of its un-acked batches —
-// the router's most delicate moment, because "un-acked" is not "not
+// teardown disposes of an ended session's un-acked batches — the
+// router's most delicate moment, because "un-acked" is not "not
 // applied": the node may have staged a prefix of the pending stream
 // before dying on the rest. Blindly failing everything over would
 // double-apply that prefix if the node still holds it. So reconcile:
@@ -227,24 +88,18 @@ func (s *session) readLoop() {
 // everything over optimistically; the rejoin audit re-runs the same
 // arithmetic before the node may serve again, so a recovered surplus is
 // caught there instead (quarantine), never silently merged.
-func (s *session) teardown(cause error) {
-	r := s.r
+func (r *Router) teardown(n *node, st *wire.Stream[*subBatch], pending []*subBatch, cause error) {
 	r.mu.Lock()
-	if s.dead && len(s.pending) == 0 {
-		if s.n.sess == s {
-			s.n.sess = nil
-		}
+	if n.sess == st {
+		n.sess = nil
+	}
+	if len(pending) == 0 && errors.Is(cause, wire.ErrClosed) {
+		// The router closed an idle session (shutdown, quarantine or
+		// drain): nothing to dispose of, and no failure to record.
 		r.mu.Unlock()
 		return
 	}
-	s.dead = true
-	s.nc.Close()
-	if s.n.sess == s {
-		s.n.sess = nil
-	}
-	pending := s.pending
-	s.pending = nil
-	r.markFailureLocked(s.n, cause)
+	r.markFailureLocked(n, cause)
 	if len(pending) > 0 {
 		// The node may hold any prefix of pending, so (a) it owes the
 		// rejoin audit before ANY path restores it to healthy — even a
@@ -253,24 +108,24 @@ func (s *session) teardown(cause error) {
 		// rejoin or fresh session can stage new un-acked batches that
 		// would inflate the computed surplus and wrongly promote old
 		// pending work to acked.
-		s.n.needsAudit = true
-		s.n.reconciling = true
+		n.needsAudit = true
+		n.reconciling = true
 	}
 	r.mu.Unlock()
 
 	if len(pending) == 0 {
 		return
 	}
-	r.reconcile(s.n, pending, cause)
+	r.reconcile(n, pending, cause)
 	r.mu.Lock()
-	s.n.reconciling = false
+	n.reconciling = false
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
 
 // reconcile implements the prefix walk described on teardown. pending
 // is in send order.
-func (r *Router) reconcile(n *node, pending []pendingBatch, cause error) {
+func (r *Router) reconcile(n *node, pending []*subBatch, cause error) {
 	// A stat is only trustworthy from a node whose durability is intact:
 	// after a disk-level crash the engine keeps applying staged ops to
 	// its in-memory synopses while their oplog appends fail, so Seq
@@ -289,8 +144,8 @@ func (r *Router) reconcile(n *node, pending []pendingBatch, cause error) {
 		reachable bool
 	}
 	recs := map[*relState]*relRec{}
-	for _, pb := range pending {
-		rs := pb.sb.rel
+	for _, sb := range pending {
+		rs := sb.rel
 		if _, ok := recs[rs]; ok {
 			continue
 		}
@@ -309,8 +164,7 @@ func (r *Router) reconcile(n *node, pending []pendingBatch, cause error) {
 		recs[rs] = rec
 	}
 
-	for _, pb := range pending {
-		sb := pb.sb
+	for _, sb := range pending {
 		rec := recs[sb.rel]
 		rows := int64(sb.rowCount())
 		switch {

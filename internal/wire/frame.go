@@ -37,6 +37,14 @@
 // guarantee an HTTP ingest response gives per request, amortized here
 // over a pipeline window). DESIGN.md §10 documents the layout, the
 // ack/window semantics, and operator tuning.
+//
+// The client side is one type, Stream: it dials and handshakes within
+// DialTimeout, numbers each BATCH and holds it as pending until a
+// cumulative ACK covers it, ends on ERROR, GOODBYE, a broken connection
+// or an ACK timeout, and hands every un-acked batch back to its owner
+// with the cause. Client pools streams with redial; the ingest router
+// keeps one stream per node and fails the un-acked suffix over. Server
+// is the other side, in front of an engine or the router.
 package wire
 
 import (
@@ -282,9 +290,9 @@ func DecodeFrame(data []byte, f *Frame) error {
 // ReadFrame reads one length-prefixed frame body from r into buf
 // (growing it as needed) and returns the body slice, which aliases buf.
 // io.EOF is returned verbatim only when the stream ends cleanly between
-// frames; a tear inside a frame is io.ErrUnexpectedEOF. Exported so
-// other speakers of the protocol (the ingest router's node sessions)
-// can reuse the one framing reader instead of reimplementing it.
+// frames; a tear inside a frame is io.ErrUnexpectedEOF. It is exported
+// for tests elsewhere that stand in for a server; outside this package
+// no program code reads frames, since Stream is the client side.
 func ReadFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {

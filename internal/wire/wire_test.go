@@ -430,3 +430,128 @@ func TestWireClientReconnect(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// waitStreamEnded waits until cc's current stream has ended, so the
+// next call finds the end instead of racing it.
+func waitStreamEnded(t *testing.T, cc *clientConn) {
+	t.Helper()
+	cc.mu.Lock()
+	st := cc.st
+	cc.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for st.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the client never saw its stream end")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClientReportsUnackedBatches: a server that hangs up on a batch
+// without acking it must not lose that batch silently. The next call
+// reports the broken stream, and the call after it redials and flushes
+// cleanly.
+func TestClientReportsUnackedBatches(t *testing.T) {
+	addr := fakeServer(t, func(i int, nc net.Conn, _ Frame) {
+		var (
+			rb   []byte
+			f    Frame
+			last uint64
+		)
+		for {
+			body, err := ReadFrame(nc, &rb)
+			if err != nil || DecodeFrame(body, &f) != nil {
+				return
+			}
+			if f.Kind == KindBatch {
+				if i == 0 {
+					return // hang up on the first stream's first batch
+				}
+				last = f.Seq
+			}
+			if _, err := nc.Write(AppendFrame(nil, &Frame{Kind: KindAck, Seq: last})); err != nil {
+				return
+			}
+		}
+	})
+	cl, err := Dial(addr, Options{Conns: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.InsertBatch("f", []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	waitStreamEnded(t, cl.conns[0])
+	if err := cl.InsertBatch("f", []uint64{2}); err == nil {
+		t.Fatal("the un-acked batch was lost without an error")
+	}
+	if err := cl.InsertBatch("f", []uint64{3}); err != nil {
+		t.Fatalf("redial after the report: %v", err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatalf("flush after the redial: %v", err)
+	}
+}
+
+// TestClientReportsServerError: the ERROR a real engine sends for an
+// unknown relation is reported by the next call, as a *ServerError
+// naming the relation, and only once.
+func TestClientReportsServerError(t *testing.T) {
+	eng := newEngine(t, memOpts())
+	if _, err := eng.Define("f"); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, eng)
+	cl, err := Dial(addr, Options{Conns: 1, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.InsertBatch("nope", []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	waitStreamEnded(t, cl.conns[0])
+	err = cl.InsertBatch("f", []uint64{9})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Relation != "nope" {
+		t.Fatalf("next call after the ERROR: %v, want a *ServerError naming %q", err, "nope")
+	}
+	if err := cl.InsertBatch("f", []uint64{1, 2, 3}); err != nil {
+		t.Fatalf("redial after the report: %v", err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatalf("flush after the redial: %v", err)
+	}
+	rel, err := eng.Get("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.Len(); got != 3 {
+		t.Fatalf("f.Len = %d, want the 3 rows sent after the report", got)
+	}
+}
+
+// TestDialHandshakeDeadline: a listener that never accepts completes
+// the TCP connect in the kernel and then never answers HELLO. Dial must
+// give up within DialTimeout instead of blocking forever.
+func TestDialHandshakeDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Dial(ln.Addr().String(), Options{DialRetries: 1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Dial succeeded against a listener that never answers")
+		}
+	case <-time.After(DialTimeout + 3*time.Second):
+		t.Fatalf("Dial still blocked after %v", DialTimeout+3*time.Second)
+	}
+}
