@@ -16,7 +16,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"amstrack"
@@ -681,22 +680,6 @@ func BenchmarkUpdateTugOfWarBatch(b *testing.B) {
 	for i := 0; i < b.N; i += len(vals) {
 		tw.InsertBatch(vals)
 	}
-}
-
-// Parallel ingest throughput of the sharded fast sketch.
-func BenchmarkUpdateShardedFastTugOfWar(b *testing.B) {
-	st, err := amstrack.NewShardedFastTugOfWar(amstrack.Config{S1: 1024, S2: 16, Seed: 1}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var worker atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		r := xrand.New(worker.Add(1))
-		for pb.Next() {
-			st.Insert(r.Uint64n(1 << 16))
-		}
-	})
 }
 
 // Sample-count updates are O(1) amortized: ns/op must stay flat in s.

@@ -43,8 +43,8 @@
 // shared by every sketch on that seed) and a counter layout that is not
 // bit-compatible with the flat sketch (blobs of one kind do not unmarshal
 // as the other). Prefer FastTugOfWar for high-throughput or high-accuracy
-// tracking — streams, bulk loads (InsertBatch), parallel ingest
-// (NewShardedFastTugOfWar) — and keep TugOfWar when individual estimator
+// tracking — streams and bulk loads (InsertBatch; the Engine adds
+// sharded parallel ingest) — and keep TugOfWar when individual estimator
 // counters matter (Fig. 15-style diagnostics) or when sketches must merge
 // with existing flat-sketch deployments. DESIGN.md §3 has the analysis.
 //
@@ -93,7 +93,7 @@
 // documents the architecture, §10 the wire protocol, §12 the router.
 //
 // The engine has one write path, the lock-free absorber pipeline:
-// callers stage ops into CAS-claimed buffers (EngineOptions.StageOps),
+// callers stage ops into CAS-claimed buffers of a fixed 256 ops,
 // per-shard absorber goroutines apply them under single-writer
 // discipline, and a group-commit writer batches oplog appends
 // (EngineOptions.FlushOps records or EngineOptions.FlushInterval,

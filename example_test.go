@@ -64,22 +64,22 @@ func ExampleExponentialParameter() {
 	// 3.0
 }
 
-// A catalog holds one signature per relation and answers any pairwise
+// An engine holds one signature per relation and answers any pairwise
 // join-size question at planning time.
-func ExampleNewCatalog() {
-	cat, err := amstrack.NewCatalog(amstrack.CatalogOptions{SignatureWords: 8, Seed: 5})
+func ExampleNewEngine() {
+	eng, err := amstrack.NewEngine(amstrack.EngineOptions{SignatureWords: 8, Seed: 5})
 	if err != nil {
 		panic(err)
 	}
-	f, _ := cat.Define("orders")
-	g, _ := cat.Define("lineitems")
+	f, _ := eng.Define("orders")
+	g, _ := eng.Define("lineitems")
 	for i := 0; i < 3; i++ {
 		f.Insert(9)
 	}
 	for i := 0; i < 5; i++ {
 		g.Insert(9)
 	}
-	est, err := cat.EstimateJoin("orders", "lineitems")
+	est, err := eng.EstimateJoin("orders", "lineitems")
 	if err != nil {
 		panic(err)
 	}

@@ -44,7 +44,7 @@ const (
 	MagicChainEndSig  uint32 = 0xA0517007 // join.ChainEndSignature (§5 chain end)
 	MagicChainMidSig  uint32 = 0xA0517008 // join.ChainMiddleSignature (§5 chain middle)
 	MagicRelBundle    uint32 = 0xA0517009 // engine.RelationBundle (multi-node exchange)
-	MagicChainBundle  uint32 = 0xA051700A // engine.ChainBundle (per-attribute chain synopsis set)
+	MagicChainBundle  uint32 = 0xA051700A // retired: engine.ChainBundle's own frame (chain sections ride in bundles); never reuse
 	MagicWireFrame    uint32 = 0xA051700B // wire.Frame (amswire streaming-ingest protocol)
 	MagicSpaceSaving  uint32 = 0xA051700C // core.SpaceSaving (heavy-hitter table for skimmed synopses)
 )

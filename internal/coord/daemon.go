@@ -51,7 +51,7 @@ const DefaultRefresh = time.Second
 // were last CONFIRMED current (either refetched, or stat-probed equal).
 type nodeCopy struct {
 	raw     []byte
-	stat    Stat
+	stat    engine.RelationStat
 	freshAt time.Time
 }
 
@@ -174,7 +174,7 @@ func (d *Daemon) sweepNode(node string) error {
 // keep the last good copy — its freshAt stops advancing, so its
 // staleness grows and the serving bound eventually refuses queries.
 func (d *Daemon) refreshOne(node, rel string) error {
-	st, err := d.fx.FetchStat(node, rel)
+	probe, err := d.fx.FetchStat(node, rel)
 	if errors.Is(err, ErrNotFound) {
 		d.dropCopy(node, rel)
 		return nil
@@ -182,6 +182,7 @@ func (d *Daemon) refreshOne(node, rel string) error {
 	if err != nil {
 		return err
 	}
+	st := engine.RelationStat{Epoch: probe.Epoch, Seq: probe.Seq, Rows: probe.Rows}
 	d.mu.RLock()
 	cur := d.rels[rel].copies[node]
 	unchanged := cur != nil && cur.stat == st
@@ -212,7 +213,7 @@ func (d *Daemon) refreshOne(node, rel string) error {
 	d.mu.Lock()
 	d.rels[rel].copies[node] = &nodeCopy{
 		raw:     raw,
-		stat:    Stat{Epoch: b.Epoch, Seq: b.Seq, Rows: b.Rows},
+		stat:    engine.RelationStat{Epoch: b.Epoch, Seq: b.Seq, Rows: b.Rows},
 		freshAt: d.now(),
 	}
 	err = d.rebuildLocked(rel)

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"amstrack/internal/amsd"
 	"amstrack/internal/engine"
 	"amstrack/internal/xrand"
 )
@@ -224,21 +225,13 @@ func (fx *Fetcher) FetchBundle(node, rel string) (*engine.RelationBundle, error)
 	return b, nil
 }
 
-// Stat is a relation's freshness stamp as reported by a node's
-// GET /v1/signatures/{name}?stat=1 endpoint. An unchanged stamp
-// guarantees the node's export bytes are unchanged, so a cached copy
-// with the same stamp is still exact.
-type Stat struct {
-	Epoch uint64 `json:"epoch"`
-	Seq   uint64 `json:"seq"`
-	Rows  int64  `json:"rows"`
-}
-
-// FetchStat polls one relation's freshness stamp from one node — the
-// cheap probe (no synopsis serialization, a ~100-byte JSON body) the
-// daemon's refresh loops issue every interval.
-func (fx *Fetcher) FetchStat(node, rel string) (Stat, error) {
-	var st Stat
+// FetchStat polls one relation's freshness stamp from one node's
+// GET /v1/signatures/{name}?stat=1 — the cheap probe (no synopsis
+// serialization, a ~100-byte JSON body) the daemon's refresh loops send
+// every interval. An unchanged stamp guarantees the node's export bytes
+// are unchanged, so a cached copy with the same stamp is still exact.
+func (fx *Fetcher) FetchStat(node, rel string) (amsd.SignatureStatBody, error) {
+	var st amsd.SignatureStatBody
 	err := fx.getJSON(node+"/v1/signatures/"+RelPath(rel)+"?stat=1", "stat", &st)
 	return st, err
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 
 	"amstrack/internal/blob"
@@ -64,9 +63,9 @@ func TestFastTugOfWarOversizedBlobCheap(t *testing.T) {
 	}
 }
 
-// TestFastTugOfWarSharesTables: sketches, shard snapshots and decoded
-// blobs on an equal Config reuse the live sketch's hash tables, so each
-// costs its counters, not S2 fresh 64 KiB tables.
+// TestFastTugOfWarSharesTables: sketches and decoded blobs on an equal
+// Config reuse the live sketch's hash tables, so each costs its
+// counters, not S2 fresh 64 KiB tables.
 func TestFastTugOfWarSharesTables(t *testing.T) {
 	cfg := Config{S1: 64, S2: 8, Seed: 0x7ab1e5}
 	first, err := NewFastTugOfWar(cfg)
@@ -75,14 +74,9 @@ func TestFastTugOfWarSharesTables(t *testing.T) {
 	}
 	first.InsertBatch([]uint64{1, 2, 3})
 	data, _ := first.MarshalBinary()
-	st, err := NewShardedFastTugOfWar(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	limit := uint64(cfg.S2) * 64 << 10
 	for name, f := range map[string]func() error{
 		"NewFastTugOfWar": func() error { _, err := NewFastTugOfWar(cfg); return err },
-		"Snapshot":        func() error { _, err := st.Snapshot(); return err },
 		"UnmarshalBinary": func() error { var sk FastTugOfWar; return sk.UnmarshalBinary(data) },
 	} {
 		var err error
@@ -373,63 +367,6 @@ func TestFastTugOfWarSerializationRoundTrip(t *testing.T) {
 	twBlob, _ := tw.MarshalBinary()
 	if err := tr.UnmarshalBinary(twBlob); err == nil {
 		t.Fatal("flat tug-of-war blob accepted as fast blob")
-	}
-}
-
-// TestShardedFastTugOfWar checks that concurrent sharded ingest reproduces
-// the single-stream sketch exactly (linearity), including batch updates.
-func TestShardedFastTugOfWar(t *testing.T) {
-	cfg := Config{S1: 64, S2: 4, Seed: 31}
-	st, err := NewShardedFastTugOfWar(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Shards() != 4 {
-		t.Fatalf("shards = %d", st.Shards())
-	}
-	r := xrand.New(8)
-	vals := make([]uint64, 40000)
-	for i := range vals {
-		vals[i] = r.Uint64n(500)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(chunk []uint64) {
-			defer wg.Done()
-			// Mix batch and single-value paths.
-			st.InsertBatch(chunk[:len(chunk)/2])
-			for _, v := range chunk[len(chunk)/2:] {
-				st.Insert(v)
-			}
-		}(vals[w*10000 : (w+1)*10000])
-	}
-	wg.Wait()
-
-	single, _ := NewFastTugOfWar(cfg)
-	single.InsertBatch(vals)
-	if st.Estimate() != single.Estimate() {
-		t.Fatalf("sharded estimate %v != single-stream %v", st.Estimate(), single.Estimate())
-	}
-	if st.Len() != int64(len(vals)) {
-		t.Fatalf("len = %d", st.Len())
-	}
-	snap, err := st.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Estimate() != single.Estimate() {
-		t.Fatal("snapshot differs from single-stream sketch")
-	}
-	if err := st.DeleteBatch(vals); err != nil {
-		t.Fatal(err)
-	}
-	if st.Estimate() != 0 {
-		t.Fatal("estimate nonzero after deleting everything")
-	}
-
-	if _, err := NewShardedFastTugOfWar(cfg, -1); err == nil {
-		t.Error("negative shard count accepted")
 	}
 }
 

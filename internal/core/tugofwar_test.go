@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -407,4 +408,38 @@ func BenchmarkTugOfWarEstimateS256(b *testing.B) {
 		sink += tw.Estimate()
 	}
 	_ = sink
+}
+
+// TestConcurrentEstimateReadOnly runs Estimate from several goroutines
+// on one shared, fully built sketch (the coordinator's cached-bundle
+// shape: many /v1/join requests reading one merged sketch). Estimate
+// must be read-only — every caller gets the serial answer, and -race
+// sees no write.
+func TestConcurrentEstimateReadOnly(t *testing.T) {
+	cfg := Config{S1: 64, S2: 8, Seed: 17}
+	flat, _ := NewTugOfWar(cfg)
+	fast, _ := NewFastTugOfWar(cfg)
+	r := xrand.New(5)
+	for i := 0; i < 4000; i++ {
+		v := r.Uint64n(200)
+		flat.Insert(v)
+		fast.Insert(v)
+	}
+	for _, tr := range []Tracker{flat, fast} {
+		want := tr.Estimate()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if got := tr.Estimate(); got != want {
+						t.Errorf("%T: concurrent Estimate = %v, serial %v", tr, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -231,7 +231,7 @@ func (g *ingester) stage(v uint64, rest *[]uint64, del bool) {
 		return
 	}
 	if s.buf == nil {
-		s.buf = make([]stagedOp, 0, g.r.eng.opts.StageOps)
+		s.buf = make([]stagedOp, 0, g.r.eng.opts.stageOps)
 	}
 	s.buf = append(s.buf, stagedOp{v: v, rest: rest, del: del})
 	if len(s.buf) == cap(s.buf) {

@@ -15,7 +15,7 @@ import (
 // constantly during the tests.
 func absOpts(dir string) Options {
 	o := durOpts(dir)
-	o.StageOps = 7
+	o.stageOps = 7
 	o.FlushOps = 16
 	o.FlushInterval = 50 * time.Microsecond
 	return o
@@ -81,7 +81,7 @@ func TestAbsorberTornTailRecover(t *testing.T) {
 // be visible to every query form without an explicit Drain.
 func TestAbsorberReadYourWrites(t *testing.T) {
 	o := Options{SignatureWords: 128, Seed: 5, SketchS1: 64, SketchS2: 4,
-		Shards: 2} // default StageOps: 3 ops stay staged
+		Shards: 2} // default stageOps: 3 ops stay staged
 	e, err := New(o)
 	if err != nil {
 		t.Fatal(err)

@@ -129,40 +129,6 @@ func (b *ChainBundle) Mid(attrA, attrB string) (*join.ChainMiddleSignature, erro
 	return b.Mids[i], nil
 }
 
-// MarshalBinary serializes the chain bundle in its own frame, so a
-// chain section is independently shippable and self-describing.
-func (b *ChainBundle) MarshalBinary() ([]byte, error) {
-	bb := blob.NewBuilder(blob.MagicChainBundle, 1, 256)
-	buildSchema(bb, b.Schema)
-	sc := &shardChain{ends: b.Ends, mids: b.Mids}
-	if err := buildChain(bb, sc); err != nil {
-		return nil, err
-	}
-	return bb.Seal(), nil
-}
-
-// UnmarshalBinary restores a chain bundle, validating the schema and
-// that the signature counts and shapes match its declarations.
-func (b *ChainBundle) UnmarshalBinary(data []byte) error {
-	_, payload, err := blob.Open(blob.MagicChainBundle, 1, data)
-	if err != nil {
-		return fmt.Errorf("engine: chain bundle: %w", err)
-	}
-	c := blob.NewCursor(payload)
-	schema, err := readSchema(c)
-	if err != nil {
-		return fmt.Errorf("engine: chain bundle: %w", err)
-	}
-	endBlobs, midBlobs, err := readChainBlobs(c)
-	if err != nil {
-		return fmt.Errorf("engine: chain bundle: %w", err)
-	}
-	if err := c.Close(); err != nil {
-		return fmt.Errorf("engine: chain bundle: %w", err)
-	}
-	return b.decode(schema, endBlobs, midBlobs)
-}
-
 // decode assembles a chain bundle from its decoded schema and raw
 // signature blobs, cross-checking the section against the declarations.
 // A legacy schema is rejected: legacy chainless relations serialize as

@@ -77,7 +77,7 @@ func FuzzRelationBundle(f *testing.F) {
 	e, _ := New(Options{SignatureWords: 32, Seed: 1, NoSketch: true})
 	r, _ := e.Define("x")
 	r.Insert(5)
-	sig := r.Signature()
+	sig := r.Cut().Sig
 	sigBlob, _ := sig.MarshalBinary()
 	f.Add(sigBlob)
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))

@@ -170,7 +170,7 @@ func TestReadIsOneCutUnderIngest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq, n := r.Seq(), r.Len(); seq != uint64(n) {
+			if seq, n := r.Cut().Seq, r.Len(); seq != uint64(n) {
 				t.Fatalf("blob %d: %s restored with Seq %d but %d rows", i, name, seq, n)
 			}
 		}

@@ -63,7 +63,7 @@ func UnknownRelation(name string) error {
 // IngestMode names the engine's write path. There is one: the absorber
 // pipeline (absorber.go). The type survives as a source-compatibility
 // field so callers that spell the path out keep compiling; both values
-// select the same path, and any other value is rejected by Validate.
+// select the same path, and New and Open reject any other value.
 type IngestMode int
 
 // The two accepted IngestMode values. The numeric value 1 belonged to a
@@ -110,8 +110,7 @@ const (
 )
 
 // Options configures an engine. The zero value of every field except
-// SignatureWords selects a sensible default, so old catalog call sites
-// (SignatureWords + Seed only) keep working unchanged.
+// SignatureWords selects a sensible default.
 type Options struct {
 	// SignatureWords is k, the per-relation join-signature size in memory
 	// words (buckets·rows). Required.
@@ -145,8 +144,6 @@ type Options struct {
 	// IngestAbsorber both select the one write path (normalized to
 	// IngestAbsorber); any other value is an error.
 	IngestMode IngestMode
-	// StageOps is the absorber staging-buffer capacity in ops (0 → 256).
-	StageOps int
 	// FlushOps caps the group-commit oplog batch: the log writer pushes
 	// pending records to the OS when FlushOps accumulate (0 → 512).
 	// Durable engines only.
@@ -179,12 +176,10 @@ type Options struct {
 	// filesystem). Tests inject an oplog.FaultFS here to fail fsync, run
 	// out of space, or crash at named points in the commit protocol.
 	FS oplog.FS
-}
 
-// Validate reports whether the options are usable.
-func (o Options) Validate() error {
-	_, err := o.normalize()
-	return err
+	// stageOps is the test seam for the absorber staging-buffer capacity
+	// in ops; 0 means defaultStageOps.
+	stageOps int
 }
 
 // normalize fills defaults and checks consistency.
@@ -236,11 +231,8 @@ func (o Options) normalize() (Options, error) {
 	if o.IngestMode != IngestAbsorber {
 		return o, fmt.Errorf("engine: unknown ingest mode %d", o.IngestMode)
 	}
-	if o.StageOps == 0 {
-		o.StageOps = defaultStageOps
-	}
-	if o.StageOps < 1 {
-		return o, fmt.Errorf("engine: StageOps = %d, must be >= 1", o.StageOps)
+	if o.stageOps == 0 {
+		o.stageOps = defaultStageOps
 	}
 	if o.FlushOps < 0 {
 		return o, fmt.Errorf("engine: FlushOps = %d, must be >= 0", o.FlushOps)
@@ -782,21 +774,6 @@ func (r *Relation) DrainLen() (int64, error) {
 	return b.Rows, r.Err()
 }
 
-// Seq returns the relation's logical version: the number of mutation
-// ops applied since the relation was created (a batch of n rows counts
-// n; queries and snapshots count zero). It is deterministic — equal op
-// sequences yield equal Seq — linear under partition merges (a merged
-// bundle's Seq is the sum of its parts, exactly like its counters), and
-// reconstructed bit-exactly by crash recovery (checkpoints persist it,
-// replay re-derives the tail). Equal Seq from one engine therefore
-// means the synopses have not changed — the cheap freshness probe the
-// coordinator's bundle cache keys on. Staged ops are drained first
-// (read-your-writes).
-func (r *Relation) Seq() uint64 {
-	b, _ := r.ing.cut(false, 0)
-	return b.Seq
-}
-
 // Cut reads the relation as one consistent cut: every synopsis, Rows and
 // Seq taken at a single barrier after draining staged ops, so they all
 // describe the same op prefix (Epoch is the engine's log generation,
@@ -831,13 +808,6 @@ func (r *Relation) SelfJoinEstimate() float64 {
 func (r *Relation) SelfJoinEstimateDetail() (float64, string) {
 	b, _ := r.ing.cut(true, 0)
 	return b.SelfJoinEstimateDetail()
-}
-
-// Signature returns a point-in-time copy of the relation's join
-// signature (for export, multi-node exchange, or direct estimation).
-func (r *Relation) Signature() join.Signature {
-	b, _ := r.ing.cut(true, 0)
-	return b.Sig
 }
 
 // JoinEstimate is the planner-facing answer for one pair of relations.
@@ -1177,7 +1147,7 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 	}
 	opts.Shards = runtime.Shards
 	opts.Dir = runtime.Dir
-	opts.StageOps = runtime.StageOps
+	opts.stageOps = runtime.stageOps
 	opts.FlushOps = runtime.FlushOps
 	opts.FlushInterval = runtime.FlushInterval
 	opts.SegmentOps = runtime.SegmentOps

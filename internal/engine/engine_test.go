@@ -39,10 +39,10 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal("negative shards accepted")
 	}
 	const rows = hash.MaxTab4Rows + 1
-	if err := (Options{SignatureWords: 16 * rows, SignatureRows: rows}).Validate(); err == nil {
+	if _, err := New(Options{SignatureWords: 16 * rows, SignatureRows: rows}); err == nil {
 		t.Fatalf("SignatureRows=%d accepted", rows)
 	}
-	if err := (Options{SignatureWords: 256, SketchS2: rows}).Validate(); err == nil {
+	if _, err := New(Options{SignatureWords: 256, SketchS2: rows}); err == nil {
 		t.Fatalf("SketchS2=%d accepted", rows)
 	}
 	// Defaults: 256 words → 8 rows of 32 buckets, 4 shards, sketch on.
@@ -260,7 +260,7 @@ func TestBatchMatchesSingleOps(t *testing.T) {
 	if err := b.DeleteBatch(vs[:500]); err != nil {
 		t.Fatal(err)
 	}
-	ca, cb := a.Signature().Counters(), b.Signature().Counters()
+	ca, cb := a.Cut().Sig.Counters(), b.Cut().Sig.Counters()
 	for i := range ca {
 		if ca[i] != cb[i] {
 			t.Fatalf("counter %d differs between single-op and batch ingest", i)
@@ -333,7 +333,7 @@ func TestEngineUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	nr, _ := ns.Define("x")
 	nr.Insert(1)
-	sigBlob, err := nr.Signature().MarshalBinary()
+	sigBlob, err := nr.Cut().Sig.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}

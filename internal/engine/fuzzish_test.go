@@ -176,7 +176,7 @@ func TestConcurrentIngestMatchesReference(t *testing.T) {
 	run := func(stageOps int) *Engine {
 		t.Helper()
 		opts := base
-		opts.StageOps = stageOps
+		opts.stageOps = stageOps
 		e, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +216,7 @@ func TestConcurrentIngestMatchesReference(t *testing.T) {
 		return e
 	}
 
-	// A tiny StageOps forces constant buffer flushes and partial drains;
+	// A tiny stageOps forces constant buffer flushes and partial drains;
 	// the default exercises the steady-state path.
 	var images [][]byte
 	for _, stageOps := range []int{5, 0} {
@@ -373,7 +373,7 @@ func TestConcurrentChainIngestMatchesReference(t *testing.T) {
 	run := func(stageOps int) *Engine {
 		t.Helper()
 		opts := base
-		opts.StageOps = stageOps
+		opts.stageOps = stageOps
 		e, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -416,7 +416,7 @@ func TestConcurrentChainIngestMatchesReference(t *testing.T) {
 		}
 		if ce.Estimate != wantChain || ce.SJF != mf.Ends()[0].SelfJoinEstimate() ||
 			ce.SJG != mg.Mids()[0].SelfJoinEstimate() || ce.SJH != mh.Ends()[0].SelfJoinEstimate() {
-			t.Fatalf("StageOps=%d: chain estimate %+v, model estimate %v", stageOps, ce, wantChain)
+			t.Fatalf("stageOps=%d: chain estimate %+v, model estimate %v", stageOps, ce, wantChain)
 		}
 		img, err := e.MarshalBinary()
 		if err != nil {

@@ -53,8 +53,8 @@ func TestSeqCountsOps(t *testing.T) {
 		if st.Rows != 3 || st.Epoch != 0 {
 			t.Fatalf("stat = %+v, want Rows=3 Epoch=0", st)
 		}
-		if got := r.Seq(); got != st.Seq {
-			t.Fatalf("Relation.Seq = %d, stat says %d", got, st.Seq)
+		if got := r.Cut().Seq; got != st.Seq {
+			t.Fatalf("Cut().Seq = %d, stat says %d", got, st.Seq)
 		}
 		blobBytes, err := e.ExportRelation("f")
 		if err != nil {
@@ -100,7 +100,7 @@ func TestSeqCountsTupleOps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got, want := r.Seq(), uint64(1+3+1); got != want {
+		if got, want := r.Cut().Seq, uint64(1+3+1); got != want {
 			t.Fatalf("tuple Seq = %d, want %d", got, want)
 		}
 		expectRelationMatchesModel(t, e, "g", mr)
@@ -111,7 +111,7 @@ func TestSeqCountsTupleOps(t *testing.T) {
 		}
 		one.InsertTuple(7) // arity-1 delegates to Insert — one op
 		one.InsertTupleBatch([][]uint64{{8}, {9}})
-		if got, want := one.Seq(), uint64(3); got != want {
+		if got, want := one.Cut().Seq, uint64(3); got != want {
 			t.Fatalf("arity-1 tuple Seq = %d, want %d", got, want)
 		}
 	})

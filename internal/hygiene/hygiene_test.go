@@ -243,6 +243,79 @@ func TestWireCodecLivesInWire(t *testing.T) {
 	}
 }
 
+// TestFacadeOneNamePerThing keeps the root package's facade at one name
+// per thing: no two type aliases may point at one pkg.Name, and no two
+// wrappers whose body is a single return pkg.F(...) may call one
+// function. A second name (Catalog beside Engine, NewCatalog beside
+// NewEngine) leaves callers to find out that the two are the same.
+func TestFacadeOneNamePerThing(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string][]string{} // "pkg.Name" → facade names pointing at it
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, filepath.Join(root, e.Name()), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs := map[string]bool{}
+		for _, imp := range file.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
+				name, _ := importName(file, p)
+				pkgs[name] = true
+			}
+		}
+		// target names the pkg.Name that x spells, if it spells one.
+		target := func(x ast.Expr) (string, bool) {
+			sel, ok := x.(*ast.SelectorExpr)
+			if !ok {
+				return "", false
+			}
+			id, ok := sel.X.(*ast.Ident)
+			if !ok || !pkgs[id.Name] {
+				return "", false
+			}
+			return id.Name + "." + sel.Sel.Name, true
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
+						if to, ok := target(ts.Type); ok {
+							names[to] = append(names[to], "type "+ts.Name.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Recv != nil || d.Body == nil || len(d.Body.List) != 1 {
+					continue
+				}
+				ret, ok := d.Body.List[0].(*ast.ReturnStmt)
+				if !ok || len(ret.Results) != 1 {
+					continue
+				}
+				if call, ok := ret.Results[0].(*ast.CallExpr); ok {
+					if to, ok := target(call.Fun); ok {
+						names[to] = append(names[to], "func "+d.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	for to, from := range names {
+		if len(from) > 1 {
+			t.Errorf("facade names %s all point at %s; keep one", strings.Join(from, ", "), to)
+		}
+	}
+}
+
 // registersEstimateRoute reports whether call is a Handle or HandleFunc
 // whose pattern ("[METHOD ][HOST]/PATH") names an estimate route.
 func registersEstimateRoute(call *ast.CallExpr) (string, bool) {

@@ -34,7 +34,7 @@ func sigOps(r *xrand.Rand, n int, domain uint64) (values []uint64, deletes []boo
 }
 
 // runSigMergeProperty partitions one relation's stream across parts
-// signatures built by mk, folds them with MergeSignatures, and checks
+// signatures built by mk, folds them into a fresh one with Merge, and checks
 // bit-identity against single ingest — both standalone (self-join, bytes)
 // and as one side of a pairwise join against other.
 func runSigMergeProperty(t *testing.T, trial int, mk func() Signature, other Signature) {
@@ -62,9 +62,11 @@ func runSigMergeProperty(t *testing.T, trial int, mk func() Signature, other Sig
 			target.Insert(v)
 		}
 	}
-	merged, err := MergeSignatures(partSigs...)
-	if err != nil {
-		t.Fatal(err)
+	merged := mk()
+	for _, p := range partSigs {
+		if err := merged.Merge(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if merged.Len() != single.Len() {
 		t.Fatalf("trial %d: merged Len %d != single %d", trial, merged.Len(), single.Len())
@@ -278,29 +280,26 @@ func TestChainSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergeSignaturesErrors: the sealed helper rejects empty input, mixed
-// schemes, and foreign families.
+// TestMergeSignaturesErrors: Signature.Merge rejects mixed schemes,
+// foreign families and a nil signature.
 func TestMergeSignaturesErrors(t *testing.T) {
-	if _, err := MergeSignatures(); err == nil {
-		t.Fatal("empty MergeSignatures accepted")
-	}
 	flatA, _ := NewFamily(32, 1)
 	flatB, _ := NewFamily(32, 2)
 	flatC, _ := NewFamily(64, 1)
 	fast, _ := NewFastFamily(16, 2, 1)
-	if _, err := MergeSignatures(flatA.NewSignature(), fast.NewSignature()); err == nil {
+	if err := flatA.NewSignature().Merge(fast.NewSignature()); err == nil {
 		t.Fatal("mixed schemes accepted")
 	}
-	if _, err := MergeSignatures(fast.NewSignature(), flatA.NewSignature()); err == nil {
+	if err := fast.NewSignature().Merge(flatA.NewSignature()); err == nil {
 		t.Fatal("mixed schemes accepted (fast first)")
 	}
-	if _, err := MergeSignatures(flatA.NewSignature(), flatB.NewSignature()); err == nil {
+	if err := flatA.NewSignature().Merge(flatB.NewSignature()); err == nil {
 		t.Fatal("different seeds accepted")
 	}
-	if _, err := MergeSignatures(flatA.NewSignature(), flatC.NewSignature()); err == nil {
+	if err := flatA.NewSignature().Merge(flatC.NewSignature()); err == nil {
 		t.Fatal("different k accepted")
 	}
-	if _, err := MergeSignatures(flatA.NewSignature(), nil); err == nil {
+	if err := flatA.NewSignature().Merge(nil); err == nil {
 		t.Fatal("nil signature accepted")
 	}
 	// Chain variants: attribute and family mismatches.

@@ -101,43 +101,6 @@ func EstimateJoinMedianOfMeans(a, b Signature, groupSize int) (float64, error) {
 	return core.Median(means), nil
 }
 
-// MergeSignatures folds any number of same-scheme, same-family signatures
-// into a fresh one — the signature of the concatenated streams, exactly
-// (linearity). It is the coordinator-side primitive of multi-node
-// estimation: per-node partition signatures merge into the signature of
-// the whole relation with zero accuracy loss. The inputs are not
-// modified. Like the Signature interface itself this helper is sealed:
-// only the two known schemes are accepted.
-func MergeSignatures(sigs ...Signature) (Signature, error) {
-	if len(sigs) == 0 {
-		return nil, errors.New("join: MergeSignatures needs at least one signature")
-	}
-	var fresh Signature
-	switch s := sigs[0].(type) {
-	case *TWSignature:
-		if s == nil || s.family == nil {
-			return nil, errors.New("join: nil signature")
-		}
-		fresh = s.family.NewSignature()
-	case *FastTWSignature:
-		if s == nil || s.family == nil {
-			return nil, errors.New("join: nil signature")
-		}
-		fresh = s.family.NewSignature()
-	default:
-		return nil, fmt.Errorf("join: unknown signature scheme %T", sigs[0])
-	}
-	for _, s := range sigs {
-		if s == nil {
-			return nil, errors.New("join: nil signature")
-		}
-		if err := fresh.Merge(s); err != nil {
-			return nil, err
-		}
-	}
-	return fresh, nil
-}
-
 // UnmarshalSignature decodes a signature blob of either scheme,
 // dispatching on the frame magic — the receiving side of a signature
 // exchange does not need to know which scheme the sender runs. The

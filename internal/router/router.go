@@ -415,8 +415,9 @@ func (r *Router) adoptRelation(name string, want *engine.Schema) (*relState, err
 }
 
 // route partitions one upstream batch by each row's primary attribute
-// and queues one subBatch per owning node. vals is the caller's buffer
-// and is copied. Blocking on a full queue is the backpressure contract.
+// and queues one subBatch per part (partitionLocked). vals is the
+// caller's buffer and is copied. Blocking on a full queue is the
+// backpressure contract.
 func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	if len(vals) == 0 {
 		return nil
@@ -438,21 +439,13 @@ func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	rs.inflight += len(parts)
 	r.mu.Unlock()
 
-	type queued struct {
-		owner string
-		sb    *subBatch
-	}
-	batches := make([]queued, 0, len(parts))
-	for owner, part := range parts {
-		batches = append(batches, queued{owner, &subBatch{rel: rs, del: del, vals: part}})
-	}
-	for i, q := range batches {
-		if !r.enqueue(q.owner, q.sb) {
-			// enqueue already failed q.sb; fail the rest so the
+	for i, p := range parts {
+		if !r.enqueue(p.owner, &subBatch{rel: rs, del: del, vals: p.vals}) {
+			// enqueue already failed this part; fail the rest so the
 			// in-flight count balances and Flush waiters wake.
 			r.mu.Lock()
-			for _, rest := range batches[i+1:] {
-				r.failLocked(rest.sb, errors.New("router closed"))
+			for _, rest := range parts[i+1:] {
+				r.failLocked(&subBatch{rel: rs, del: del, vals: rest.vals}, errors.New("router closed"))
 			}
 			r.mu.Unlock()
 			return errors.New("router closed")
@@ -461,16 +454,32 @@ func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	return nil
 }
 
-// partitionLocked splits vals (row-major) by ring owner of row[0].
-func (r *Router) partitionLocked(rs *relState, vals []uint64) (map[string][]uint64, error) {
-	parts := map[string][]uint64{}
+// part is one subBatch's rows: all owned by one node, at most one frame.
+type part struct {
+	owner string
+	vals  []uint64
+}
+
+// partitionLocked splits vals (row-major) by ring owner of row[0] and
+// cuts each owner's share into parts of at most wire.MaxBatchVals values
+// of whole rows: a node ends a stream that sends a longer frame.
+func (r *Router) partitionLocked(rs *relState, vals []uint64) ([]part, error) {
+	limit := wire.MaxBatchVals - wire.MaxBatchVals%rs.arity
+	var parts []part
+	filling := map[string]int{} // owner → index of its part being filled
 	for i := 0; i+rs.arity <= len(vals); i += rs.arity {
 		row := vals[i : i+rs.arity]
 		owner, ok := r.ring.Owner(row[0], r.aliveLocked)
 		if !ok {
 			return nil, errors.New("router: no live nodes")
 		}
-		parts[owner] = append(parts[owner], row...)
+		j, ok := filling[owner]
+		if !ok || len(parts[j].vals) == limit {
+			j = len(parts)
+			filling[owner] = j
+			parts = append(parts, part{owner: owner})
+		}
+		parts[j].vals = append(parts[j].vals, row...)
 	}
 	return parts, nil
 }
@@ -531,9 +540,8 @@ func (r *Router) failover(sb *subBatch, cause error) {
 		case <-time.After(pause):
 		case <-r.stop:
 		}
-		for owner, part := range parts {
-			nsb := &subBatch{rel: sb.rel, del: sb.del, vals: part, attempts: attempts}
-			r.enqueue(owner, nsb)
+		for _, p := range parts {
+			r.enqueue(p.owner, &subBatch{rel: sb.rel, del: sb.del, vals: p.vals, attempts: attempts})
 		}
 	}()
 }
@@ -589,24 +597,6 @@ func (r *Router) Flush(name string) error {
 	}
 	r.mu.Unlock()
 	return err
-}
-
-// FlushAll barriers every known relation.
-func (r *Router) FlushAll() error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.rels))
-	for name := range r.rels {
-		names = append(names, name)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	var firstErr error
-	for _, name := range names {
-		if err := r.Flush(name); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // runSender is one node's delivery loop.

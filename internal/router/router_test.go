@@ -399,6 +399,39 @@ func TestRouterHTTPIngest(t *testing.T) {
 	}
 }
 
+// TestRouterCutsAtFrameBound: one HTTP ingest with more values than one
+// amswire frame holds reaches the node as several sub-batches, each
+// under the bound its reader enforces. The node stays healthy and owes
+// no audit, and the relation keeps taking writes.
+func TestRouterCutsAtFrameBound(t *testing.T) {
+	nodes := startFleet(t, 1, true)
+	// A 2M-row frame takes seconds to apply under the race detector;
+	// the ACK deadline must not be what this test measures.
+	rt := testRouter(t, nodes, func(o *Options) { o.AckTimeout = time.Minute })
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+	client := front.Client()
+	postJSON(t, client, front.URL+"/v1/relations", amsd.DefineRequest{Name: "f"}, http.StatusCreated, nil)
+
+	const n = 2_200_000 // over wire.MaxBatchVals (2,097,024)
+	vals := make([]uint64, n)
+	for i := range vals {
+		vals[i] = uint64(i % 4096)
+	}
+	var resp amsd.IngestBody
+	postJSON(t, client, front.URL+"/v1/ingest", amsd.IngestRequest{Relation: "f", Inserts: vals}, http.StatusOK, &resp)
+	if resp.Len != n {
+		t.Fatalf("ingest answered len %d, want %d", resp.Len, n)
+	}
+	if got := nodes[0].wireSrv.Stats().Batches; got < 2 {
+		t.Fatalf("node took %d batches, want the ingest cut into at least 2", got)
+	}
+	if h := rt.Health()[0]; h.State != "healthy" || h.Audit {
+		t.Fatalf("node health %+v, want healthy with no audit owed", h)
+	}
+	postJSON(t, client, front.URL+"/v1/ingest", amsd.IngestRequest{Relation: "f", Inserts: []uint64{1, 2, 3}}, http.StatusOK, &resp)
+}
+
 // TestRouterIngestMatchesNode: the router promises amsd's ingest body, so
 // every body gets the same status, inserted and deleted from a node and
 // from a router over the same fleet — valid or not.

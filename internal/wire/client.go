@@ -271,10 +271,6 @@ func (cc *clientConn) pause() {
 	cc.mu.Lock()
 }
 
-// maxBatchVals bounds one frame's value payload; larger batches split
-// transparently into multiple frames (each under MaxFrame).
-const maxBatchVals = (MaxFrame - 1024) / 8
-
 // sendVals streams arity-1 values over the next pooled connection.
 func (c *Client) sendVals(relation string, del bool, vals []uint64) error {
 	cc, err := c.pick()
@@ -320,7 +316,7 @@ func (cc *clientConn) sendLocked(relation string, del bool, arity int, vals []ui
 	if err != nil {
 		return err
 	}
-	chunk := maxBatchVals - maxBatchVals%arity
+	chunk := MaxBatchVals - MaxBatchVals%arity
 	for off := 0; off < len(vals); off += chunk {
 		if err := st.Send(struct{}{}, relation, del, arity, vals[off:min(off+chunk, len(vals))]); err != nil {
 			cc.st = nil

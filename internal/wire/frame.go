@@ -66,9 +66,15 @@ const frameVersion = 1
 
 // MaxFrame caps one frame body's byte length (the uint32 stream prefix):
 // large enough for a ~2M-value batch, small enough that a hostile length
-// prefix cannot balloon the process. Batches beyond it must be split
-// (wire.Client splits transparently).
+// prefix cannot balloon the process. A reader ends the stream on a
+// longer frame, so every sender cuts its batches at MaxBatchVals.
 const MaxFrame = 16 << 20
+
+// MaxBatchVals bounds one BATCH frame's value payload, leaving room
+// under MaxFrame for the header and relation name. wire.Client and the
+// router both cut larger batches into frames of at most this many
+// values (whole rows).
+const MaxBatchVals = (MaxFrame - 1024) / 8
 
 // DefaultWindow is the ack window a client uses when Options.Window is
 // zero: up to this many batches may be in flight (sent, not yet acked)

@@ -159,6 +159,38 @@ func TestWireEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClientSplitsAtFrameBound: a batch one value over MaxBatchVals goes
+// out as two frames, and the relation holds every row.
+func TestClientSplitsAtFrameBound(t *testing.T) {
+	eng := newEngine(t, memOpts())
+	if _, err := eng.Define("f"); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startServer(t, eng)
+	cl, err := Dial(addr, Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	vals := make([]uint64, MaxBatchVals+1)
+	for i := range vals {
+		vals[i] = uint64(i % 4096)
+	}
+	if err := cl.InsertBatch("f", vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Batches != 2 || st.Rows != int64(len(vals)) {
+		t.Fatalf("server took %d batches of %d rows in all, want 2 and %d", st.Batches, st.Rows, len(vals))
+	}
+	r, _ := eng.Get("f")
+	if n := r.Len(); n != int64(len(vals)) {
+		t.Fatalf("relation holds %d rows, want %d", n, len(vals))
+	}
+}
+
 func TestWireServerErrors(t *testing.T) {
 	eng := newEngine(t, memOpts())
 	if _, err := eng.Define("f"); err != nil {
