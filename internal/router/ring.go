@@ -20,6 +20,7 @@ package router
 
 import (
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -39,20 +40,24 @@ const DefaultVNodes = 64
 // a fleet of stateless routers needs no coordination. Membership change
 // rebuilds the ring (cheap); keys move only between a leaving/joining
 // member and its neighbors, ~1/N of the space.
+//
+// The points are two flat arrays sorted by (hash, member), and a start
+// table indexes them by the top bits of a hash: start[b] is the first
+// point whose hash, shifted right by shift, is at least b. The table has
+// the next power of two at or above the point count, so a lookup reads
+// one entry and steps forward about once.
 type Ring struct {
 	members []string // sorted, deduped
-	points  []point  // sorted by hash
-}
-
-type point struct {
-	hash   uint64
-	member string
+	hashes  []uint64 // point hashes, ascending
+	owner   []int32  // owner[i] indexes members: point i's member
+	start   []int32
+	shift   uint
 }
 
 // pointHash places one virtual node on the circle. FNV-1a over
 // "member#vnode" is stable across processes and Go versions (unlike
 // maphash); Mix64 on top spreads FNV's weak low bits over the full
-// word so binary search over points stays balanced.
+// word so the start table's buckets stay balanced.
 func pointHash(member string, vnode int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(member))
@@ -81,24 +86,70 @@ func NewRing(members []string, vnodes int) *Ring {
 			deduped = append(deduped, m)
 		}
 	}
-	r := &Ring{members: deduped, points: make([]point, 0, len(deduped)*vnodes)}
-	for _, m := range r.members {
+	type point struct {
+		hash uint64
+		m    int32 // index into deduped
+	}
+	points := make([]point, 0, len(deduped)*vnodes)
+	for m, name := range deduped {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, point{pointHash(m, v), m})
+			points = append(points, point{pointHash(name, v), int32(m)})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		a, b := r.points[i], r.points[j]
-		if a.hash != b.hash {
-			return a.hash < b.hash
-		}
-		return a.member < b.member // total order even on (astronomically rare) hash ties
+	// Members are sorted, so ordering ties by index orders them by name:
+	// a total order even on (astronomically rare) hash ties.
+	sort.Slice(points, func(i, j int) bool {
+		a, b := points[i], points[j]
+		return a.hash < b.hash || a.hash == b.hash && a.m < b.m
 	})
+	n := len(points)
+	r := &Ring{members: deduped, hashes: make([]uint64, n), owner: make([]int32, n)}
+	for i, p := range points {
+		r.hashes[i], r.owner[i] = p.hash, p.m
+	}
+	// The start table has the next power of two at or above n buckets.
+	width := bits.Len(uint(max(n-1, 0)))
+	r.shift = uint(64 - width)
+	r.start = make([]int32, 1<<width)
+	for b := range r.start {
+		r.start[b] = int32(sort.Search(n, func(i int) bool { return r.hashes[i]>>r.shift >= uint64(b) }))
+	}
 	return r
 }
 
 // Members returns the sorted member list (shared; do not mutate).
 func (r *Ring) Members() []string { return r.members }
+
+// mask reads the alive predicate once per member into a slice indexed
+// like Members(). A nil alive accepts every member.
+func (r *Ring) mask(alive func(string) bool) []bool {
+	live := make([]bool, len(r.members))
+	for m, name := range r.members {
+		live[m] = alive == nil || alive(name)
+	}
+	return live
+}
+
+// walk is the ownership rule: the index into Members() of the first
+// point at or clockwise of circle position h whose member live accepts,
+// or -1 when none does.
+func (r *Ring) walk(h uint64, live []bool) int {
+	n := len(r.hashes)
+	i := int(r.start[h>>r.shift])
+	for i < n && r.hashes[i] < h {
+		i++
+	}
+	for range n {
+		if i == n {
+			i = 0
+		}
+		if m := r.owner[i]; live[m] {
+			return int(m)
+		}
+		i++
+	}
+	return -1
+}
 
 // Owner returns the member owning key, skipping members the alive
 // predicate rejects — the failover walk is the ownership rule: when a
@@ -107,34 +158,23 @@ func (r *Ring) Members() []string { return r.members }
 // because the walk is a pure function of (ring, alive set, key). A nil
 // alive accepts every member. ok is false when no member is alive.
 func (r *Ring) Owner(key uint64, alive func(string) bool) (owner string, ok bool) {
-	if len(r.points) == 0 {
+	m := r.walk(KeyHash(key), r.mask(alive))
+	if m < 0 {
 		return "", false
 	}
-	h := KeyHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for i := 0; i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if alive == nil || alive(p.member) {
-			return p.member, true
-		}
-	}
-	return "", false
+	return r.members[m], true
 }
 
 // SuccessorOf returns the first live member clockwise of member's first
 // virtual node, excluding member itself — where a drain hands its data.
 // ok is false when member is alone (or everything else is dead).
 func (r *Ring) SuccessorOf(member string, alive func(string) bool) (string, bool) {
-	h := pointHash(member, 0)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash > h })
-	for i := 0; i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if p.member == member {
-			continue
-		}
-		if alive == nil || alive(p.member) {
-			return p.member, true
-		}
+	// Strictly after the point: h+1 wraps to 0 past the circle's last
+	// hash, as the walk does.
+	h := pointHash(member, 0) + 1
+	m := r.walk(h, r.mask(func(m string) bool { return m != member && (alive == nil || alive(m)) }))
+	if m < 0 {
+		return "", false
 	}
-	return "", false
+	return r.members[m], true
 }

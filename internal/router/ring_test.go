@@ -2,8 +2,11 @@ package router
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
+	"amstrack/internal/wire"
 	"amstrack/internal/xrand"
 )
 
@@ -138,5 +141,170 @@ func TestRingFailoverWalkStability(t *testing.T) {
 	}
 	if _, ok := NewRing([]string{"solo"}, 0).SuccessorOf("solo", nil); ok {
 		t.Fatal("a lone member found a successor")
+	}
+}
+
+// TestRingIndexMatchesBruteForce: the start-table lookup and its
+// failover walk place every key where a linear scan of the sorted
+// (hash, member) points does, for vnodes 1, 3 and 64 and all 32 alive
+// masks of a 5-member ring. The keys are random, small and sequential,
+// or hashed past the last point, where the walk wraps to the first.
+// Owner, the partition's walk and SuccessorOf are each checked.
+func TestRingIndexMatchesBruteForce(t *testing.T) {
+	members := []string{"http://n0:1", "http://n1:1", "http://n2:1", "http://n3:1", "http://n4:1"}
+	for _, vnodes := range []int{1, 3, 64} {
+		ring := NewRing(members, vnodes)
+		type point struct {
+			hash   uint64
+			member string
+		}
+		var points []point
+		for _, m := range members {
+			for v := 0; v < vnodes; v++ {
+				points = append(points, point{pointHash(m, v), m})
+			}
+		}
+		sort.Slice(points, func(i, j int) bool {
+			a, b := points[i], points[j]
+			return a.hash < b.hash || a.hash == b.hash && a.member < b.member
+		})
+		// scan starts at the first point whose hash past accepts and walks
+		// on, wrapping after the last, to the first member accept takes.
+		scan := func(past func(uint64) bool, accept func(string) bool) (string, bool) {
+			i := 0
+			for i < len(points) && !past(points[i].hash) {
+				i++
+			}
+			for j := range points {
+				if p := points[(i+j)%len(points)]; accept(p.member) {
+					return p.member, true
+				}
+			}
+			return "", false
+		}
+
+		const perKind = 5000 / 3
+		rng := xrand.New(uint64(vnodes))
+		keys := make([]uint64, 0, 5000)
+		for k := uint64(0); k < perKind; k++ {
+			keys = append(keys, k)
+		}
+		last := points[len(points)-1].hash
+		for len(keys) < 2*perKind {
+			if k := rng.Uint64(); KeyHash(k) > last {
+				keys = append(keys, k)
+			}
+		}
+		for len(keys) < 5000 {
+			keys = append(keys, rng.Uint64())
+		}
+
+		for mask := 0; mask < 1<<len(members); mask++ {
+			alive := func(m string) bool { return mask>>slices.Index(members, m)&1 == 1 }
+			live := ring.mask(alive)
+			parts, err := partition(ring, live, 1, keys)
+			if mask == 0 && err == nil {
+				t.Fatalf("vnodes %d: partition over a fully dead ring did not fail", vnodes)
+			}
+			placed := map[uint64]string{}
+			for _, p := range parts {
+				for _, k := range p.vals {
+					placed[k] = p.owner
+				}
+			}
+			for _, k := range keys {
+				h := KeyHash(k)
+				want, wantOK := scan(func(x uint64) bool { return x >= h }, alive)
+				got, ok := ring.Owner(k, alive)
+				if got != want || ok != wantOK {
+					t.Fatalf("vnodes %d mask %05b key %d: Owner = %q %v, linear scan %q %v", vnodes, mask, k, got, ok, want, wantOK)
+				}
+				if wantOK && placed[k] != want {
+					t.Fatalf("vnodes %d mask %05b key %d: partition placed it on %q, linear scan %q", vnodes, mask, k, placed[k], want)
+				}
+				if mask == 1<<len(members)-1 {
+					if got, _ := ring.Owner(k, nil); got != want {
+						t.Fatalf("vnodes %d key %d: Owner(nil) = %q, linear scan %q", vnodes, k, got, want)
+					}
+				}
+			}
+			for _, m := range members {
+				h := pointHash(m, 0)
+				want, wantOK := scan(func(x uint64) bool { return x > h },
+					func(o string) bool { return o != m && alive(o) })
+				if got, ok := ring.SuccessorOf(m, alive); got != want || ok != wantOK {
+					t.Fatalf("vnodes %d mask %05b: SuccessorOf(%q) = %q %v, linear scan %q %v", vnodes, mask, m, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestPartitionInvariants calls the partition directly over random
+// alive subsets of 3- and 5-member rings: every part is owned by a live
+// member and holds whole rows within the frame bound, no part can grow
+// into another's values, each owner's parts concatenate to exactly its
+// rows in input order (so all parts together are a permutation of the
+// input), and the parts do not alias the caller's buffer.
+// TestRouterCutsAtFrameBound covers the cut itself.
+func TestPartitionInvariants(t *testing.T) {
+	rng := xrand.New(5)
+	for _, size := range []int{3, 5} {
+		members := make([]string, size)
+		for i := range members {
+			members[i] = fmt.Sprintf("http://node%d:7600", i)
+		}
+		ring := NewRing(members, 0)
+		for arity := 1; arity <= 3; arity++ {
+			limit := wire.MaxBatchVals - wire.MaxBatchVals%arity
+			for _, rows := range []int{0, 1, 511, 512, 5000} {
+				live := make([]bool, size)
+				for !slices.Contains(live, true) {
+					for i := range live {
+						live[i] = rng.Uint64n(2) == 1
+					}
+				}
+				alive := func(m string) bool { return live[slices.Index(ring.Members(), m)] }
+				vals := make([]uint64, rows*arity)
+				for i := range vals {
+					vals[i] = rng.Uint64n(1 << 20)
+				}
+				want := map[string][]uint64{}
+				for i := 0; i < len(vals); i += arity {
+					owner, _ := ring.Owner(vals[i], alive)
+					want[owner] = append(want[owner], vals[i:i+arity]...)
+				}
+
+				parts, err := partition(ring, live, arity, vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				clear(vals)
+				got := map[string][]uint64{}
+				for _, p := range parts {
+					what := fmt.Sprintf("%d members, arity %d, %d rows: part of %d values for %s", size, arity, rows, len(p.vals), p.owner)
+					switch {
+					case !alive(p.owner):
+						t.Fatalf("%s: owner is not alive in the snapshot", what)
+					case len(p.vals) == 0 || len(p.vals)%arity != 0 || len(p.vals) > limit:
+						t.Fatalf("%s: want whole rows, at most %d values", what, limit)
+					case cap(p.vals) != len(p.vals):
+						t.Fatalf("%s: capacity %d lets it grow into its neighbour", what, cap(p.vals))
+					}
+					got[p.owner] = append(got[p.owner], p.vals...)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%d members, arity %d, %d rows: parts for %d owners, want %d", size, arity, rows, len(got), len(want))
+				}
+				for owner, w := range want {
+					if !slices.Equal(got[owner], w) {
+						t.Fatalf("%d members, arity %d, %d rows: %s's parts are not its rows in input order", size, arity, rows, owner)
+					}
+				}
+			}
+		}
+		if _, err := partition(ring, make([]bool, size), 1, []uint64{1}); err == nil || err.Error() != "router: no live nodes" {
+			t.Fatalf("%d members, none alive: err = %v, want router: no live nodes", size, err)
+		}
 	}
 }

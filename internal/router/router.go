@@ -177,7 +177,6 @@ type relState struct {
 	inflight int   // subBatches routed, not yet acked or failed
 	sticky   error // first terminal failure; poisons the relation upstream
 	accts    map[string]*acct
-	rows     [][]uint64 // Apply scratch for multi-attribute rows
 }
 
 // subBatch is the router's unit of delivery, ack, and failover: one
@@ -415,9 +414,9 @@ func (r *Router) adoptRelation(name string, want *engine.Schema) (*relState, err
 }
 
 // route partitions one upstream batch by each row's primary attribute
-// and queues one subBatch per part (partitionLocked). vals is the
-// caller's buffer and is copied. Blocking on a full queue is the
-// backpressure contract.
+// and queues one subBatch per part (partition). vals is the caller's
+// buffer and is copied. Blocking on a full queue is the backpressure
+// contract.
 func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	if len(vals) == 0 {
 		return nil
@@ -431,7 +430,7 @@ func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 		r.mu.Unlock()
 		return err
 	}
-	parts, err := r.partitionLocked(rs, vals)
+	parts, err := partition(r.ring, r.ring.mask(r.aliveLocked), rs.arity, vals)
 	if err != nil {
 		r.mu.Unlock()
 		return err
@@ -460,26 +459,47 @@ type part struct {
 	vals  []uint64
 }
 
-// partitionLocked splits vals (row-major) by ring owner of row[0] and
-// cuts each owner's share into parts of at most wire.MaxBatchVals values
-// of whole rows: a node ends a stream that sends a longer frame.
-func (r *Router) partitionLocked(rs *relState, vals []uint64) ([]part, error) {
-	limit := wire.MaxBatchVals - wire.MaxBatchVals%rs.arity
-	var parts []part
-	filling := map[string]int{} // owner → index of its part being filled
-	for i := 0; i+rs.arity <= len(vals); i += rs.arity {
-		row := vals[i : i+rs.arity]
-		owner, ok := r.ring.Owner(row[0], r.aliveLocked)
-		if !ok {
+// partition splits vals (row-major, arity values per row) by the ring
+// owner of each row's first value under live, one alive snapshot indexed
+// like ring.Members(), and cuts each owner's rows, in input order, into
+// parts of at most wire.MaxBatchVals values: a node ends a stream that
+// sends a longer frame. Callers take live and partition under Router.mu.
+func partition(ring *Ring, live []bool, arity int, vals []uint64) ([]part, error) {
+	// Pass 1: each row's owner, and each owner's row count.
+	owners := make([]int32, len(vals)/arity)
+	counts := make([]int, len(ring.members))
+	for i := range owners {
+		m := ring.walk(KeyHash(vals[i*arity]), live)
+		if m < 0 {
 			return nil, errors.New("router: no live nodes")
 		}
-		j, ok := filling[owner]
-		if !ok || len(parts[j].vals) == limit {
-			j = len(parts)
-			filling[owner] = j
-			parts = append(parts, part{owner: owner})
+		owners[i] = int32(m)
+		counts[m]++
+	}
+	// Pass 2: one buffer holds the owners' regions back to back, each
+	// exactly its rows; at[m] is where owner m's next row goes.
+	at := make([]int, len(counts))
+	for m := 1; m < len(counts); m++ {
+		at[m] = at[m-1] + counts[m-1]*arity
+	}
+	out := make([]uint64, len(vals))
+	for i, m := range owners {
+		for k := range arity {
+			out[at[m]+k] = vals[i*arity+k]
 		}
-		parts[j].vals = append(parts[j].vals, row...)
+		at[m] += arity
+	}
+	// Each at[m] now ends owner m's region. Full slice expressions keep
+	// a part from growing into the next.
+	limit := wire.MaxBatchVals - wire.MaxBatchVals%arity
+	parts := make([]part, 0, len(at))
+	lo := 0
+	for m, end := range at {
+		for lo < end {
+			hi := min(end, lo+limit)
+			parts = append(parts, part{owner: ring.members[m], vals: out[lo:hi:hi]})
+			lo = hi
+		}
 	}
 	return parts, nil
 }
@@ -513,7 +533,7 @@ func (r *Router) failover(sb *subBatch, cause error) {
 		r.mu.Unlock()
 		return
 	}
-	parts, err := r.partitionLocked(sb.rel, sb.vals)
+	parts, err := partition(r.ring, r.ring.mask(r.aliveLocked), sb.rel.arity, sb.vals)
 	if err != nil {
 		r.failLocked(sb, fmt.Errorf("%w (while failing over: %v)", err, cause))
 		r.mu.Unlock()

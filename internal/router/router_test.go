@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -930,6 +931,82 @@ func TestRouterDrainRebalance(t *testing.T) {
 	}
 	expectBundleEqual(t, mergedFleetBundle(t, []string{nodes[0].base, nodes[2].base}, "f"),
 		mirrorOf(t, "f", phase1+20), "post-drain ingest")
+}
+
+// TestRouterDrainUnderIngest drains a member while two writers keep
+// routing batches: each applies batches from a shared counter and
+// flushes every 4, until the drain returns and it reaches its next
+// flush. No writer sees an error, the drained node ends up holding no
+// relation, and the survivors alone hold every applied batch, bit for
+// bit.
+func TestRouterDrainUnderIngest(t *testing.T) {
+	nodes := startFleet(t, 3, true)
+	rt := testRouter(t, nodes, nil)
+	if err := rt.Define(coord.Schema{Relation: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rt.Relation("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const writers = 2
+	var next, during atomic.Int64 // batch ids handed out; batches applied mid-drain
+	var draining, drained atomic.Bool
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 1; ; j++ {
+				id := int(next.Add(1))
+				mid := draining.Load() && !drained.Load()
+				if err := rs.Apply(false, 1, batchVals(id)); err != nil {
+					errs[w] = fmt.Errorf("batch %d: %w", id, err)
+					return
+				}
+				if mid && !drained.Load() {
+					during.Add(1)
+				}
+				if j%4 != 0 {
+					continue
+				}
+				if err := rs.Drain(); err != nil {
+					errs[w] = fmt.Errorf("drain after batch %d: %w", id, err)
+					return
+				}
+				if drained.Load() {
+					return
+				}
+			}
+		}(w)
+	}
+	waitFor(t, 5*time.Second, "writers under way", func() bool { return next.Load() >= 16 })
+
+	victim := nodes[1]
+	draining.Store(true)
+	rep, err := rt.DrainNode(victim.base)
+	drained.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rep.Moved) != 1 || rep.Moved[0].Relation != "f" {
+		t.Fatalf("drain report = %+v", rep)
+	}
+	if _, err := victim.eng.Get("f"); err == nil {
+		t.Fatal("drained node still holds the relation")
+	}
+	applied := int(next.Load())
+	t.Logf("%d of %d batches routed while the drain ran", during.Load(), applied)
+	expectBundleEqual(t, mergedFleetBundle(t, []string{nodes[0].base, nodes[2].base}, "f"),
+		mirrorOf(t, "f", applied), "drain under ingest")
 }
 
 // TestRouterRejoinAuditRefusesSurplus engineers the poisonous case: a
