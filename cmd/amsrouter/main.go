@@ -16,8 +16,9 @@
 //
 // Robustness is the router's whole job (internal/router and DESIGN.md
 // §12 document the invariants): per-node health (healthy/suspect/down,
-// driven by probes and ACK timeouts), bounded per-node queues with
-// honest backpressure, failover of un-ACKed batches to the next live
+// driven by probes and ACK timeouts), one bounded queue per node — its
+// amswire ack window, -queue sub-batches — with honest backpressure,
+// failover of un-ACKed batches to the next live
 // ring node — exact under AGMS linearity — and a rejoin audit that
 // refuses a recovered node whose oplog disagrees with the router's
 // acked ledger (quarantine; POST /v1/admin/forget accepts the node's
@@ -47,7 +48,7 @@ func main() {
 		wireAddr = flag.String("wire-addr", "", "amswire streaming-ingest listen address (empty: HTTP only)")
 		nodes    = flag.String("nodes", "", "comma-separated amsd HTTP base URLs (required)")
 		vnodes   = flag.Int("vnodes", 0, "virtual nodes per member (0: default 64)")
-		queue    = flag.Int("queue", 0, "per-node in-flight queue depth in batches (0: default 128)")
+		queue    = flag.Int("queue", 0, "per-node amswire ack window: sub-batches sent and not yet acked (0: default 128)")
 		ackTo    = flag.Duration("ack-timeout", 0, "per-node ACK progress deadline (0: default 10s)")
 		probe    = flag.Duration("probe-interval", 0, "health probe interval, jittered (0: default 1s)")
 		budget   = flag.Int("failover-budget", 0, "max re-route hops per batch (0: default 4)")

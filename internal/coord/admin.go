@@ -9,8 +9,8 @@ import (
 )
 
 // The admin verbs the rebalance flow needs on top of the read-only
-// fetch surface: list a node's relations, define one, push a bundle into
-// a node (import or merge), and drop a relation. Retryability differs
+// fetch surface: list a node's relations, define one, merge a bundle
+// into a node, and drop a relation. Retryability differs
 // per verb and the differences are load-bearing — see each method.
 
 // ListRelations GETs a node's defined relation names, retrying per the
@@ -64,19 +64,6 @@ func (fx *Fetcher) MergeBundleBytes(node, rel string, bundle []byte) error {
 	if ambiguous {
 		return fmt.Errorf("merge not retried (may or may not have applied; verify the destination stamp): %w", err)
 	}
-	return err
-}
-
-// ImportBundleBytes PUTs a serialized bundle onto a node as a NEW
-// relation. Transport errors and 5xx retry per the fetcher's policy:
-// import is not idempotent either, but its failure mode is loud — a
-// duplicate lands as 409 (already defined), never as silent corruption —
-// so the retry trades a possible spurious 409 for robustness against a
-// restarting node. Callers that see a 409 after a retried transport
-// error should compare stamps before assuming the import landed.
-func (fx *Fetcher) ImportBundleBytes(node, rel string, bundle []byte) error {
-	_, err := fx.request(http.MethodPut, node+"/v1/signatures/"+RelPath(rel),
-		"application/octet-stream", bundle, http.StatusCreated)
 	return err
 }
 

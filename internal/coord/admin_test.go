@@ -56,9 +56,10 @@ func TestAdminListAndSchema(t *testing.T) {
 }
 
 // TestAdminMoveRelation drives the rebalance primitive end to end:
-// export from the source, import onto an empty destination, merge a
-// second bundle in, delete the source — and the destination's bundle
-// bytes must equal a single engine that saw both partitions.
+// export from the source, define the relation on the destination with
+// the source's schema and merge the bundle in, merge a second bundle
+// in, delete the source — and the destination's bundle bytes must
+// equal a single engine that saw both partitions.
 func TestAdminMoveRelation(t *testing.T) {
 	src, srcURL := adminNode(t)
 	_, dstURL := adminNode(t)
@@ -84,12 +85,15 @@ func TestAdminMoveRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.ImportBundleBytes(dstURL, "orders", b1); err != nil {
-		t.Fatalf("import: %v", err)
+	sc, err := fx.FetchSchema(srcURL, "orders")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A second import of the same name must surface the 409, not hide it.
-	if err := fx.ImportBundleBytes(dstURL, "orders", b1); err == nil {
-		t.Fatal("duplicate import did not error")
+	if err := fx.DefineRelation(dstURL, sc); err != nil {
+		t.Fatalf("define: %v", err)
+	}
+	if err := fx.MergeBundleBytes(dstURL, "orders", b1); err != nil {
+		t.Fatalf("merge into the fresh relation: %v", err)
 	}
 
 	r.InsertBatch(part2)
@@ -162,16 +166,6 @@ func TestMergeNeverRetries(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("merge sent %d times, want exactly 1 (retry risks double-apply)", calls)
-	}
-
-	// Import, by contrast, DOES retry 5xx: its duplicate failure mode is
-	// a loud 409, not silent corruption.
-	calls = 0
-	if err := fx.ImportBundleBytes(node.URL, "orders", []byte("bundle")); err == nil {
-		t.Fatal("import against a dead node did not error")
-	}
-	if calls != 5 {
-		t.Fatalf("import attempts = %d, want the full retry budget of 5", calls)
 	}
 
 	// Delete retries too, and a 404 counts as done.

@@ -2,6 +2,7 @@ package router
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -14,7 +15,6 @@ import (
 	"amstrack/internal/coord"
 	"amstrack/internal/engine"
 	"amstrack/internal/wire"
-	"amstrack/internal/xrand"
 )
 
 // absorbingVictim is the nastiest node shape for the rejoin audit: a
@@ -107,7 +107,7 @@ func (v *absorbingVictim) serveWire(nc net.Conn) {
 
 // TestRouterSuspectRejoinAudit pins the review's high-severity hole: a
 // node that crashes and answers /healthz again BEFORE reaching down
-// (here: DownAfter is huge, so it never leaves suspect) must still pass
+// (here: downAfter is huge, so it never leaves suspect) must still pass
 // the rejoin audit when its un-acked work was failed over. The victim
 // absorbed batches it never acked; the router failed them over to the
 // survivor while the victim was unreachable; when the victim answers
@@ -132,7 +132,7 @@ func TestRouterSuspectRejoinAudit(t *testing.T) {
 		ProbeInterval: 50 * time.Millisecond,
 		// The point of the test: the victim must NEVER reach down, so the
 		// audit has to fire on the suspect → healthy transition.
-		DownAfter: 1 << 20,
+		downAfter: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestRouterSuspectRejoinAudit(t *testing.T) {
 	}
 
 	// "Fast recovery": healthz answers again after only a few failed
-	// probes — nowhere near DownAfter. The recovered node still holds
+	// probes — nowhere near downAfter. The recovered node still holds
 	// every op the router just failed over to the survivor.
 	victim.blocked.Store(false)
 
@@ -185,45 +185,184 @@ func TestRouterSuspectRejoinAudit(t *testing.T) {
 	}
 }
 
-// TestRouterFailoverReturnsWithFullTargetQueue pins the sender-deadlock
-// fix: failover runs on sender and read-loop goroutines, so it must
-// never block on a target node's bounded queue — two senders failing
-// over into each other's full queues would park both delivery loops
-// forever. The router here has NO senders running and every queue
-// pre-filled, so any synchronous enqueue inside failover blocks for
-// good; the call must still return.
-func TestRouterFailoverReturnsWithFullTargetQueue(t *testing.T) {
-	opts := Options{Nodes: []string{"http://node-a", "http://node-b"}, QueueDepth: 1}.withDefaults()
-	r := &Router{
-		opts:  opts,
-		ring:  NewRing(opts.Nodes, opts.VNodes),
-		nodes: map[string]*node{},
-		rels:  map[string]*relState{},
-		stop:  make(chan struct{}),
-		rng:   xrand.New(1),
+// gatedSink is a node's engine sink whose Drain waits until open is
+// closed: the node stages every batch it reads but acks none before
+// then, so the router's window to it fills and stays full.
+type gatedSink struct {
+	wire.Sink
+	open chan struct{}
+}
+
+func (s gatedSink) Relation(name string) (wire.SinkRelation, error) {
+	rel, err := s.Sink.Relation(name)
+	if err != nil {
+		return nil, err
 	}
-	r.cond = sync.NewCond(&r.mu)
-	rs := &relState{r: r, name: "f", arity: 1, accts: map[string]*acct{}, inflight: 1}
-	r.rels["f"] = rs
-	for _, base := range r.ring.Members() {
-		n := &node{base: base, queue: make(chan *subBatch, 1)}
-		n.queue <- &subBatch{rel: rs} // full: the next enqueue would block
-		r.nodes[base] = n
+	return gatedRel{rel, s.open}, nil
+}
+
+type gatedRel struct {
+	wire.SinkRelation
+	open chan struct{}
+}
+
+func (r gatedRel) Drain() error {
+	<-r.open
+	return r.SinkRelation.Drain()
+}
+
+// startGatedFleet boots count nodes whose acks all wait for release.
+// release is idempotent and also runs at cleanup, ahead of the nodes'
+// own, so no wire server's Close waits on a held Drain.
+func startGatedFleet(t *testing.T, count int) ([]*fleetNode, func()) {
+	t.Helper()
+	open := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(open) }) }
+	nodes := make([]*fleetNode, count)
+	for i := range nodes {
+		eng, err := engine.New(memOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = eng.Close() })
+		nodes[i] = startSinkNode(t, eng, gatedSink{wire.EngineSink(eng), open}, "")
+	}
+	t.Cleanup(release)
+	return nodes, release
+}
+
+// queueDepth reads one member's queue_depth from Health.
+func queueDepth(rt *Router, base string) int {
+	for _, h := range rt.Health() {
+		if h.Node == base {
+			return h.Queue
+		}
+	}
+	return -1
+}
+
+// TestRouterFailoverReturnsWithFullTargetQueue pins that failover never
+// blocks its caller on a target's ack window. failover runs on session
+// read loops, whose ACKs are what open a full window: a read loop parked
+// in a full window would wedge its own stream. Here every node's acker
+// is held and QueueDepth is 1, so every window is full and a send inside
+// failover would block until the release. The call must return at once,
+// and the batch it took must land once the acks flow.
+func TestRouterFailoverReturnsWithFullTargetQueue(t *testing.T) {
+	nodes, release := startGatedFleet(t, 2)
+	rt := testRouter(t, nodes, func(o *Options) { o.QueueDepth = 1 })
+	if err := rt.Define(coord.Schema{Relation: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rt.Relation("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One key per node: a batch of them fills every window.
+	var keys []uint64
+	for _, n := range nodes {
+		for k := uint64(0); ; k++ {
+			if owner, _ := rt.Ring().Owner(k, nil); owner == n.base {
+				keys = append(keys, k)
+				break
+			}
+		}
+	}
+	if err := rs.Apply(false, 1, keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if q := queueDepth(rt, n.base); q != 1 {
+			t.Fatalf("queue_depth of %s = %d, want a full window of 1", n.base, q)
+		}
 	}
 
+	rt.mu.Lock()
+	rs.inflight++ // the batch handed to failover below
+	rt.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		r.failover(&subBatch{rel: rs, vals: []uint64{1, 2, 3, 4}}, errors.New("node died"))
+		rt.failover(&subBatch{rel: rs, vals: keys}, errors.New("node died"))
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("failover blocked on a full queue — a sender calling it deadlocks the delivery loops")
+		t.Fatal("failover blocked on a full window — a session read loop calling it wedges its own stream")
 	}
-	// Release the parked re-enqueue goroutine and reap it.
-	close(r.stop)
-	r.done.Wait()
+	release()
+	if err := rs.Drain(); err != nil {
+		t.Fatalf("flush after release: %v", err)
+	}
+	if got, want := rt.fleetLen(rs), int64(2*len(keys)); got != want {
+		t.Fatalf("fleet holds %d rows, want %d: the failed-over batch must land exactly once", got, want)
+	}
+}
+
+// TestRouterQueueDepthBoundsUnacked pins QueueDepth as the bound on
+// what one node holds: the sub-batches sent to it and not yet acked.
+// While the node's acker is held, queue_depth rises to QueueDepth and
+// never past it, and the next route blocks. Once the acker is released,
+// Flush returns nil and the node's Seq equals the acked ledger.
+func TestRouterQueueDepthBoundsUnacked(t *testing.T) {
+	const depth, batches = 4, 12
+	nodes, release := startGatedFleet(t, 1)
+	base := nodes[0].base
+	rt := testRouter(t, nodes, func(o *Options) { o.QueueDepth = depth })
+	if err := rt.Define(coord.Schema{Relation: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rt.Relation("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var routed atomic.Int64
+	errc := make(chan error, 1)
+	go func() {
+		for i := 1; i <= batches; i++ {
+			if err := rs.Apply(false, 1, batchVals(i)); err != nil {
+				errc <- fmt.Errorf("batch %d: %w", i, err)
+				return
+			}
+			routed.Add(1)
+		}
+		errc <- nil
+	}()
+	held := func() bool {
+		if q := queueDepth(rt, base); q > depth {
+			t.Fatalf("queue_depth = %d, past QueueDepth %d", q, depth)
+		}
+		return queueDepth(rt, base) == depth && routed.Load() == depth
+	}
+	waitFor(t, 5*time.Second, "a full window", held)
+	for range 20 {
+		if !held() {
+			t.Fatalf("with the acker held: queue_depth = %d and %d routes returned, want %d and %d",
+				queueDepth(rt, base), routed.Load(), depth, depth)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	release()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Drain(); err != nil {
+		t.Fatalf("flush after release: %v", err)
+	}
+	st, err := rt.opts.Fetcher.FetchStat(base, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.mu.Lock()
+	a := *rs.accts[base]
+	rt.mu.Unlock()
+	if st.Seq != a.base+a.acked || a.acked != batches*tortureBatch {
+		t.Fatalf("node seq %d, ledger base %d + acked %d; want equal, with %d acked",
+			st.Seq, a.base, a.acked, batches*tortureBatch)
+	}
 }
 
 // TestRouterReconcileDeficitQuarantine pins the honest wording of the

@@ -26,10 +26,11 @@ type Options struct {
 	Nodes []string
 	// VNodes is the virtual-node count per member (DefaultVNodes if 0).
 	VNodes int
-	// QueueDepth bounds each node's in-flight queue in batches. A full
-	// queue blocks the producer — honest backpressure, surfaced upstream
-	// as a stalled HTTP request or an unread wire stream, never a
-	// silently growing buffer.
+	// QueueDepth is each node's amswire ack window: the sub-batches sent
+	// to the node and not yet acked (default 128). It is the node's only
+	// queue. A full window blocks the producer — honest backpressure,
+	// surfaced upstream as a stalled HTTP request or an unread wire
+	// stream, never a silently growing buffer.
 	QueueDepth int
 	// AckTimeout is how long a wire session with batches pending waits
 	// for ACK progress before declaring the node unresponsive and
@@ -38,9 +39,6 @@ type Options struct {
 	AckTimeout time.Duration
 	// ProbeInterval paces the health prober (jittered per tick).
 	ProbeInterval time.Duration
-	// DownAfter is the consecutive-failure count that demotes a node
-	// from suspect to down.
-	DownAfter int
 	// FailoverBudget caps how many times one batch may be re-routed
 	// before its failure is surfaced upstream as a sticky error.
 	FailoverBudget int
@@ -55,6 +53,10 @@ type Options struct {
 	// Fetcher drives the control-plane verbs (schemas, defines, stats,
 	// bundles, rebalance). Built from Client with modest retries if nil.
 	Fetcher *coord.Fetcher
+
+	// downAfter is the test seam for the consecutive-failure count that
+	// demotes a node from suspect to down; 0 means 3.
+	downAfter int
 }
 
 func (o Options) withDefaults() Options {
@@ -70,8 +72,8 @@ func (o Options) withDefaults() Options {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
 	}
-	if o.DownAfter <= 0 {
-		o.DownAfter = 3
+	if o.downAfter <= 0 {
+		o.downAfter = 3
 	}
 	if o.FailoverBudget <= 0 {
 		o.FailoverBudget = 4
@@ -100,7 +102,7 @@ const (
 	// linearity moving a node's arcs to its neighbors changes nothing
 	// but load.
 	StateSuspect
-	// StateDown is suspect after DownAfter consecutive failures. A down
+	// StateDown is suspect after three consecutive failures. A down
 	// node always passes through the rejoin audit (recovered Seq ==
 	// router's acked ledger, per relation) before it routes again.
 	StateDown
@@ -126,11 +128,13 @@ func (s NodeState) String() string {
 	return fmt.Sprintf("NodeState(%d)", int(s))
 }
 
-// node is the router's per-member state: health, the bounded delivery
-// queue, and the live wire session if one is up.
+// node is the router's per-member state: health, and the live wire
+// session if one is up, whose ack window is the node's only queue.
 type node struct {
-	base  string // HTTP base URL; the ring member name
-	queue chan *subBatch
+	base string // HTTP base URL; the ring member name
+	// dial serializes session dials: routes that find no session wait
+	// here and share the one the first of them opens.
+	dial sync.Mutex
 
 	// Guarded by Router.mu.
 	state   NodeState
@@ -180,7 +184,7 @@ type relState struct {
 }
 
 // subBatch is the router's unit of delivery, ack, and failover: one
-// relation, one op kind, rows all owned by the node it is queued for.
+// relation, one op kind, rows all owned by the node it is sent to.
 // vals is owned by the batch (copied out of the caller's buffer).
 type subBatch struct {
 	rel      *relState
@@ -191,8 +195,8 @@ type subBatch struct {
 
 func (sb *subBatch) rowCount() int { return len(sb.vals) / sb.rel.arity }
 
-// Router is the partitioned-ingest tier core: ring + health + queues +
-// the acked ledger. One Router serves both upstream surfaces (its
+// Router is the partitioned-ingest tier core: ring + health + sessions
+// + the acked ledger. One Router serves both upstream surfaces (its
 // wire.Sink and its HTTP handler) and owns the node sessions.
 type Router struct {
 	opts Options
@@ -214,8 +218,8 @@ type Router struct {
 	closed bool
 }
 
-// New builds a router over the given nodes and starts its senders and
-// health prober. Callers must Close it.
+// New builds a router over the given nodes and starts its health
+// prober. Callers must Close it.
 func New(opts Options) (*Router, error) {
 	opts = opts.withDefaults()
 	if len(opts.Nodes) == 0 {
@@ -232,10 +236,7 @@ func New(opts Options) (*Router, error) {
 	}
 	r.cond = sync.NewCond(&r.mu)
 	for _, base := range r.ring.Members() {
-		n := &node{base: base, queue: make(chan *subBatch, opts.QueueDepth)}
-		r.nodes[base] = n
-		r.done.Add(1)
-		go r.runSender(n)
+		r.nodes[base] = &node{base: base}
 	}
 	r.done.Add(1)
 	go r.runProber()
@@ -244,7 +245,9 @@ func New(opts Options) (*Router, error) {
 
 // Close tears down sessions, stops the prober, and fails any batches
 // still in flight (their relations go sticky, so an upstream Flush
-// caller sees an error rather than a hang).
+// caller sees an error rather than a hang): a closed session hands its
+// un-acked batches to teardown, and failover fails what it is handed
+// once the router is closed.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -261,20 +264,6 @@ func (r *Router) Close() error {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.done.Wait()
-	// Senders have exited; drain queued batches so Flush waiters wake.
-	r.mu.Lock()
-	for _, n := range r.nodes {
-	drain:
-		for {
-			select {
-			case sb := <-n.queue:
-				r.failLocked(sb, errors.New("router closed"))
-			default:
-				break drain
-			}
-		}
-	}
-	r.mu.Unlock()
 	return nil
 }
 
@@ -302,7 +291,7 @@ func (r *Router) markFailureLocked(n *node, err error) {
 	}
 	n.fails++
 	n.lastErr = err.Error()
-	if n.fails >= r.opts.DownAfter {
+	if n.fails >= r.opts.downAfter {
 		n.state = StateDown
 	} else if n.state == StateHealthy {
 		n.state = StateSuspect
@@ -414,9 +403,9 @@ func (r *Router) adoptRelation(name string, want *engine.Schema) (*relState, err
 }
 
 // route partitions one upstream batch by each row's primary attribute
-// and queues one subBatch per part (partition). vals is the caller's
-// buffer and is copied. Blocking on a full queue is the backpressure
-// contract.
+// (partition) and sends one subBatch per part into its node's session.
+// vals is the caller's buffer and is copied. Blocking on a full ack
+// window is the backpressure contract.
 func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	if len(vals) == 0 {
 		return nil
@@ -435,20 +424,18 @@ func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 		r.mu.Unlock()
 		return err
 	}
+	// Each part's session is read with the partition, under one lock:
+	// the owner was routable when both were read, so deliver takes no
+	// lock on the happy path.
+	sess := make([]*wire.Stream[*subBatch], len(parts))
+	for i, p := range parts {
+		sess[i] = r.nodes[p.owner].sess
+	}
 	rs.inflight += len(parts)
 	r.mu.Unlock()
 
 	for i, p := range parts {
-		if !r.enqueue(p.owner, &subBatch{rel: rs, del: del, vals: p.vals}) {
-			// enqueue already failed this part; fail the rest so the
-			// in-flight count balances and Flush waiters wake.
-			r.mu.Lock()
-			for _, rest := range parts[i+1:] {
-				r.failLocked(&subBatch{rel: rs, del: del, vals: rest.vals}, errors.New("router closed"))
-			}
-			r.mu.Unlock()
-			return errors.New("router closed")
-		}
+		r.deliver(r.nodes[p.owner], &subBatch{rel: rs, del: del, vals: p.vals}, sess[i])
 	}
 	return nil
 }
@@ -504,21 +491,6 @@ func partition(ring *Ring, live []bool, arity int, vals []uint64) ([]part, error
 	return parts, nil
 }
 
-// enqueue hands a subBatch to a node's sender, honoring shutdown.
-// Returns false only when the router is closing.
-func (r *Router) enqueue(member string, sb *subBatch) bool {
-	n := r.nodes[member]
-	select {
-	case n.queue <- sb:
-		return true
-	case <-r.stop:
-		r.mu.Lock()
-		r.failLocked(sb, errors.New("router closed"))
-		r.mu.Unlock()
-		return false
-	}
-}
-
 // failover re-routes a failed (never acked) batch through the current
 // live ring. Exactness argument (DESIGN.md §12): the batch was not
 // acknowledged by the failed node's sink, and the reconcile/audit
@@ -527,16 +499,21 @@ func (r *Router) enqueue(member string, sb *subBatch) bool {
 // linearity WHERE it lands is irrelevant.
 func (r *Router) failover(sb *subBatch, cause error) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		// Close is waiting on r.done, so no goroutine may join it, and
+		// every session is closed: there is nowhere left to send.
+		r.failLocked(sb, fmt.Errorf("router closed: %w", cause))
+		return
+	}
 	sb.attempts++
 	if sb.attempts > r.opts.FailoverBudget {
 		r.failLocked(sb, fmt.Errorf("failover budget (%d) exhausted: %w", r.opts.FailoverBudget, cause))
-		r.mu.Unlock()
 		return
 	}
 	parts, err := partition(r.ring, r.ring.mask(r.aliveLocked), sb.rel.arity, sb.vals)
 	if err != nil {
 		r.failLocked(sb, fmt.Errorf("%w (while failing over: %v)", err, cause))
-		r.mu.Unlock()
 		return
 	}
 	sb.rel.inflight += len(parts) - 1 // sb itself stays counted
@@ -545,15 +522,14 @@ func (r *Router) failover(sb *subBatch, cause error) {
 	pause := time.Duration(sb.attempts) * 10 * time.Millisecond
 	pause = pause/2 + time.Duration(r.rng.Uint64n(uint64(pause/2)+1))
 	attempts := sb.attempts
-	// Re-enqueue from a dedicated goroutine: failover runs on sender and
-	// read-loop goroutines, and enqueue blocks on the target's bounded
-	// queue — a sender parked in another sender's full queue would
-	// deadlock both delivery loops (neither queue can drain). The caller
-	// is always a r.done-tracked goroutine, so the counter is positive
-	// when this Add races Close's Wait.
+	// Re-send from a goroutine of its own: failover runs on session read
+	// loops, whose ACKs are what open a full window, and deliver blocks
+	// while the target's window is full. After the pause it takes
+	// deliver's checked path, so it reads each target's session afresh.
+	// failover also runs on upstream goroutines that r.done does not
+	// track; the closed check above, under r.mu, keeps this Add from
+	// racing Close's Wait.
 	r.done.Add(1)
-	r.mu.Unlock()
-
 	go func() {
 		defer r.done.Done()
 		select {
@@ -561,7 +537,7 @@ func (r *Router) failover(sb *subBatch, cause error) {
 		case <-r.stop:
 		}
 		for _, p := range parts {
-			r.enqueue(p.owner, &subBatch{rel: sb.rel, del: sb.del, vals: p.vals, attempts: attempts})
+			r.deliver(r.nodes[p.owner], &subBatch{rel: sb.rel, del: sb.del, vals: p.vals, attempts: attempts}, nil)
 		}
 	}()
 }
@@ -577,15 +553,18 @@ func (r *Router) failLocked(sb *subBatch, err error) {
 	r.cond.Broadcast()
 }
 
-// noteAcked credits an acknowledged batch to the (node, relation)
-// ledger. Every acked row is one engine op, so the ledger unit matches
-// Relation.Seq exactly.
-func (r *Router) noteAcked(n *node, sb *subBatch) {
+// noteAcked credits acknowledged batches to the (node, relation)
+// ledger under one lock: the batches one cumulative ACK covers, or one
+// a reconcile promotes. Every acked row is one engine op, so the ledger
+// unit matches Relation.Seq exactly.
+func (r *Router) noteAcked(n *node, acked []*subBatch) {
 	r.mu.Lock()
-	if a := sb.rel.accts[n.base]; a != nil {
-		a.acked += uint64(sb.rowCount())
+	for _, sb := range acked {
+		if a := sb.rel.accts[n.base]; a != nil {
+			a.acked += uint64(sb.rowCount())
+		}
+		sb.rel.inflight--
 	}
-	sb.rel.inflight--
 	n.fails = 0
 	// A late ack only vouches for the batches THIS stream delivered; it
 	// says nothing about work a previous teardown failed over elsewhere,
@@ -619,37 +598,13 @@ func (r *Router) Flush(name string) error {
 	return err
 }
 
-// runSender is one node's delivery loop.
-func (r *Router) runSender(n *node) {
-	defer r.done.Done()
-	for {
-		select {
-		case sb := <-n.queue:
-			r.deliver(n, sb)
-		case <-r.stop:
-			return
-		}
-	}
-}
-
-// deliver sends one subBatch to its node, or fails it over.
-func (r *Router) deliver(n *node, sb *subBatch) {
-	r.mu.Lock()
-	if n.state != StateHealthy || n.draining {
-		state := n.state
-		r.mu.Unlock()
-		r.failover(sb, fmt.Errorf("node %s is %v", n.base, state))
-		return
-	}
-	sess := n.sess
-	r.mu.Unlock()
-
+// deliver sends one subBatch into its node's session, or fails it over.
+// sess is the session route read with the partition; nil takes the
+// checked path (session). Send blocks while the node's window is full.
+func (r *Router) deliver(n *node, sb *subBatch, sess *wire.Stream[*subBatch]) {
 	if sess == nil {
 		var err error
-		if sess, err = r.openSession(n); err != nil {
-			r.mu.Lock()
-			r.markFailureLocked(n, err)
-			r.mu.Unlock()
+		if sess, err = r.session(n); err != nil {
 			r.failover(sb, err)
 			return
 		}
@@ -661,6 +616,33 @@ func (r *Router) deliver(n *node, sb *subBatch) {
 	if err := sess.Send(sb, sb.rel.name, sb.del, sb.rel.arity, sb.vals); err != nil {
 		r.failover(sb, err)
 	}
+}
+
+// session returns n's session, dialing one if it has none, provided the
+// router is open and the node healthy and not draining. One dial per
+// node at a time: callers that find no session wait on n.dial, and then
+// share the session the first of them opened.
+func (r *Router) session(n *node) (*wire.Stream[*subBatch], error) {
+	n.dial.Lock()
+	defer n.dial.Unlock()
+	r.mu.Lock()
+	closed, state, draining, sess := r.closed, n.state, n.draining, n.sess
+	r.mu.Unlock()
+	switch {
+	case closed:
+		return nil, errors.New("router closed")
+	case state != StateHealthy || draining:
+		return nil, fmt.Errorf("node %s is %v", n.base, state)
+	case sess != nil:
+		return sess, nil
+	}
+	sess, err := r.openSession(n)
+	if err != nil {
+		r.mu.Lock()
+		r.markFailureLocked(n, err)
+		r.mu.Unlock()
+	}
+	return sess, err
 }
 
 // runProber is the health loop: every (jittered) interval it probes
@@ -712,7 +694,7 @@ func (r *Router) probeOnce() {
 		case n.state == StateDown || n.needsAudit:
 			// Any rejoin with unverified failed-over work passes through
 			// the audit — not just recovery from down. A node that crashed
-			// and answered /healthz again within DownAfter probe cycles is
+			// and answered /healthz again within three probe cycles is
 			// only suspect, but its recovered oplog may hold the very ops
 			// the router failed over elsewhere.
 			r.mu.Unlock()
@@ -840,7 +822,7 @@ func (r *Router) Forget(member string) error {
 	r.mu.Lock()
 	n.reasons = nil
 	n.state = StateDown // must still pass a probe before routing
-	n.fails = r.opts.DownAfter
+	n.fails = r.opts.downAfter
 	r.mu.Unlock()
 	return nil
 }
@@ -852,7 +834,7 @@ type NodeHealth struct {
 	Fails   int      `json:"fails,omitempty"`
 	LastErr string   `json:"last_error,omitempty"`
 	Reasons []string `json:"quarantine_reasons,omitempty"`
-	Queue   int      `json:"queue_depth"`
+	Queue   int      `json:"queue_depth"` // sub-batches sent, not yet acked
 	Wire    bool     `json:"wire_session"`
 	// Audit reports that the node owes a rejoin audit before it may
 	// route again, regardless of its probe state.
@@ -866,10 +848,14 @@ func (r *Router) Health() []NodeHealth {
 	out := make([]NodeHealth, 0, len(r.nodes))
 	for _, m := range r.ring.Members() {
 		n := r.nodes[m]
+		queue := 0
+		if n.sess != nil {
+			queue = n.sess.Pending()
+		}
 		out = append(out, NodeHealth{
 			Node: m, State: n.state.String(), Fails: n.fails, LastErr: n.lastErr,
 			Reasons: append([]string(nil), n.reasons...),
-			Queue:   len(n.queue), Wire: n.sess != nil, Audit: n.needsAudit,
+			Queue:   queue, Wire: n.sess != nil, Audit: n.needsAudit,
 		})
 	}
 	return out

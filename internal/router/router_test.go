@@ -45,6 +45,17 @@ type fleetNode struct {
 // letting the torture test restart a node on its old port.
 func startFleetNode(t *testing.T, eng *engine.Engine, withWire bool, listen string) *fleetNode {
 	t.Helper()
+	var sink wire.Sink
+	if withWire {
+		sink = wire.EngineSink(eng)
+	}
+	return startSinkNode(t, eng, sink, listen)
+}
+
+// startSinkNode boots a node over eng whose wire listener serves sink;
+// a nil sink serves no wire listener.
+func startSinkNode(t *testing.T, eng *engine.Engine, sink wire.Sink, listen string) *fleetNode {
+	t.Helper()
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
@@ -64,12 +75,12 @@ func startFleetNode(t *testing.T, eng *engine.Engine, withWire bool, listen stri
 		time.Sleep(20 * time.Millisecond)
 	}
 	n.base = "http://" + n.httpLn.Addr().String()
-	if withWire {
+	if sink != nil {
 		n.wireLn, err = net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.wireSrv = wire.NewServer(eng)
+		n.wireSrv = wire.NewServerSink(sink)
 		wireAddr := n.wireLn.Addr().String()
 		handler.SetWireStatus(func() amsd.WireStatus {
 			return amsd.WireStatus{Addr: wireAddr}
@@ -125,7 +136,7 @@ func testRouter(t *testing.T, nodes []*fleetNode, mut func(*Options)) *Router {
 		Fetcher:       coord.NewFetcher(client, 2, 10*time.Millisecond),
 		AckTimeout:    5 * time.Second,
 		ProbeInterval: 50 * time.Millisecond,
-		DownAfter:     2,
+		downAfter:     2,
 	}
 	if mut != nil {
 		mut(&opts)

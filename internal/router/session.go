@@ -39,11 +39,7 @@ func (r *Router) openSession(n *node) (*wire.Stream[*subBatch], error) {
 	r.mu.Unlock()
 	go func() {
 		defer r.done.Done()
-		pending, cause := st.Run(func(acked []*subBatch) {
-			for _, sb := range acked {
-				r.noteAcked(n, sb)
-			}
-		})
+		pending, cause := st.Run(func(acked []*subBatch) { r.noteAcked(n, acked) })
 		r.teardown(n, st, pending, cause)
 	}()
 	return st, nil
@@ -178,7 +174,7 @@ func (r *Router) reconcile(n *node, pending []*subBatch, cause error) {
 			// ordering, observable via the stat barrier we just read).
 			// Promote to acked; re-sending it would double-count.
 			rec.surplus -= rows
-			r.noteAcked(n, sb)
+			r.noteAcked(n, []*subBatch{sb})
 		case rec.surplus == 0:
 			r.failover(sb, cause)
 		case rec.surplus < 0:

@@ -34,7 +34,7 @@ func tortureRouter(t *testing.T, nodes []*fleetNode) *Router {
 	return testRouter(t, nodes, func(o *Options) {
 		o.AckTimeout = 2 * time.Second
 		o.ProbeInterval = 100 * time.Millisecond
-		o.DownAfter = 2
+		o.downAfter = 2
 	})
 }
 

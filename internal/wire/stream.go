@@ -130,6 +130,14 @@ func (s *Stream[T]) Send(tag T, relation string, del bool, arity int, vals []uin
 	return nil
 }
 
+// Pending reports how many batches Send took that no ACK has covered
+// yet: at most the window while the stream is live.
+func (s *Stream[T]) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pending)
+}
+
 // Flush sends FLUSH and waits until every batch sent before it is
 // acked. It returns nil then, or the end's cause if the stream ended
 // first. On a stream that has already ended it returns at once: nil if
