@@ -38,11 +38,11 @@
 // and compatibility. The flat sketch pays O(S1·S2) polynomial evaluations
 // per update, so tightening the error bound (growing S1) slows every
 // insert; the fast sketch pays O(S2) table-lookup hashes regardless of S1
-// (≈700× faster at S1=1024, S2=16 on commodity hardware), at the price of
-// 64 KiB of fixed hash tables per group (one copy per seed per process,
-// shared by every sketch on that seed) and a counter layout that is not
-// bit-compatible with the flat sketch (blobs of one kind do not unmarshal
-// as the other). Prefer FastTugOfWar for high-throughput or high-accuracy
+// (≈1000× faster at S1=1024, S2=16 on commodity hardware), at the price
+// of 512 KiB of fixed hash tables per group of eight rows (one copy per
+// seed tuple per process, shared by every sketch on those seeds) and a
+// counter layout that is not bit-compatible with the flat sketch (blobs
+// of one kind do not unmarshal as the other). Prefer FastTugOfWar for high-throughput or high-accuracy
 // tracking — streams and bulk loads (InsertBatch; the Engine adds
 // sharded parallel ingest) — and keep TugOfWar when individual estimator
 // counters matter (Fig. 15-style diagnostics) or when sketches must merge

@@ -45,7 +45,7 @@ type FastTugOfWar struct {
 // Configs yield mergeable sketches. The row hashes use a seed stream
 // disjoint from the flat sketch's counter hashes, so the two trackers are
 // statistically independent even under one seed. S2 is bounded by
-// hash.MaxTab4Rows, since every row needs its own table.
+// hash.MaxTab4Rows, since every row needs its own tables.
 func NewFastTugOfWar(cfg Config) (*FastTugOfWar, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -53,11 +53,11 @@ func NewFastTugOfWar(cfg Config) (*FastTugOfWar, error) {
 	if cfg.S2 > hash.MaxTab4Rows {
 		return nil, fmt.Errorf("core: fast sketch S2 = %d, must be <= %d", cfg.S2, hash.MaxTab4Rows)
 	}
-	rows := make([]hash.Tab4, cfg.S2)
-	for j := range rows {
-		rows[j] = hash.NewTab4(fastRowSeed(cfg.Seed, j))
+	seeds := make([]uint64, cfg.S2)
+	for j := range seeds {
+		seeds[j] = fastRowSeed(cfg.Seed, j)
 	}
-	return &FastTugOfWar{cfg: cfg, Grid: NewGrid(rows, cfg.S1)}, nil
+	return &FastTugOfWar{cfg: cfg, Grid: NewGrid(hash.NewTab4Rows(seeds), cfg.S1)}, nil
 }
 
 // fastRowSeed derives row j's hash seed from the master seed.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -375,5 +377,95 @@ func TestFastTugOfWarMemoryWords(t *testing.T) {
 	ft, _ := NewFastTugOfWar(Config{S1: 128, S2: 8, Seed: 1})
 	if ft.MemoryWords() != 1024 {
 		t.Fatalf("MemoryWords = %d, want 1024", ft.MemoryWords())
+	}
+}
+
+// goldenRowCounts pins, for sketches whose row counts are not a multiple
+// of eight (a partial hash group) or span several groups, the SHA-256 of
+// the blob and the bits of the plain and skimmed estimates after one
+// stream fed through InsertBatch, per-op Insert and DeleteBatch.
+var goldenRowCounts = map[int]struct {
+	blob           string
+	plain, skimmed uint64
+}{
+	9:  {"b6666b4f4f9b54d1b95175291a97fa7b9453566d0079c5db84af474fbc45c414", 0x4118873000000000, 0x4118882000000000},
+	64: {"c126b492c97a2f441a89ff3ddc7180716d00b3be443a591c9647d566909bbee8", 0x411b63c400000000, 0x411b64b400000000},
+}
+
+func TestFastTugOfWarGoldenRowCounts(t *testing.T) {
+	for s2, want := range goldenRowCounts {
+		sk, err := NewFastTugOfWar(Config{S1: 64, S2: s2, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hh, err := NewSpaceSaving(24, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := xrand.New(9)
+		vals := make([]uint64, 6000)
+		for i := range vals {
+			vals[i] = r.Uint64n(4096)
+			if i%2 == 0 {
+				vals[i] %= 16 // sixteen heavy hitters to skim
+			}
+		}
+		sk.InsertBatch(vals[:4000])
+		for _, v := range vals[4000:] {
+			sk.Insert(v)
+		}
+		if err := sk.DeleteBatch(vals[:700]); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vals[700:] {
+			hh.Insert(v)
+		}
+		if len(hh.SkimFrequencies()) < 10 {
+			t.Fatalf("S2=%d: the table skims %d values", s2, len(hh.SkimFrequencies()))
+		}
+		data, _ := sk.MarshalBinary()
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want.blob {
+			t.Errorf("S2=%d: blob sha256 %s, pinned %s", s2, got, want.blob)
+		}
+		if got := math.Float64bits(sk.Estimate()); got != want.plain {
+			t.Errorf("S2=%d: estimate bits %#x, pinned %#x", s2, got, want.plain)
+		}
+		if got := math.Float64bits(SkimmedEstimate(&sk.Grid, hh)); got != want.skimmed {
+			t.Errorf("S2=%d: skimmed estimate bits %#x, pinned %#x", s2, got, want.skimmed)
+		}
+	}
+}
+
+// BenchmarkNodeShapeUpdate times a node's synopsis work per ingested row:
+// two grids of amsd's default shape, the 8×128 join signature and the
+// 1024×8 sketch, fed 128-key batches through InsertBatch. ns/op is per
+// row. The keys are a shuffle of 2^20 distinct values or a zipf(1.0)
+// draw over them.
+func BenchmarkNodeShapeUpdate(b *testing.B) {
+	const keys, batch = 1 << 20, 128
+	shuffled := make([]uint64, keys)
+	for i, p := range xrand.New(1).Perm(keys) {
+		shuffled[i] = uint64(p)
+	}
+	z, err := dist.NewZipf(1.0, keys, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		vals []uint64
+	}{{"shuffled", shuffled}, {"zipf1.0", dist.Take(z, keys)}} {
+		b.Run(c.name, func(b *testing.B) {
+			sig, _ := NewFastTugOfWar(Config{S1: 128, S2: 8, Seed: 1})
+			sk, _ := NewFastTugOfWar(Config{S1: 1024, S2: 8, Seed: 2})
+			b.ResetTimer()
+			for done := 0; done < b.N; done += batch {
+				off := done % keys
+				vs := c.vals[off : off+batch]
+				sig.InsertBatch(vs)
+				sk.InsertBatch(vs)
+			}
+		})
 	}
 }

@@ -15,16 +15,20 @@ import "amstrack/internal/hash"
 // methods, so the types that embed a Grid export no raw counter write
 // and no estimator terms beyond their own.
 type Grid struct {
-	rows []hash.Tab4 // one tabulation hash per row; read, never written
+	rows []hash.Tab4x8 // row hashes, eight rows per group; read, never written
 	s1   int
 	z    []int64 // counters, row-major: row j occupies [j*s1, (j+1)*s1)
 	n    int64   // current multiset size
 }
 
-// NewGrid returns an empty grid of len(rows) rows of s1 counters, row j
-// hashed by rows[j]. Grids may share one rows slice.
-func NewGrid(rows []hash.Tab4, s1 int) Grid {
-	return Grid{rows: rows, s1: s1, z: make([]int64, len(rows)*s1)}
+// NewGrid returns an empty grid of s1 counters per row, one row per lane
+// of rows (hash.NewTab4Rows). Grids may share one rows slice.
+func NewGrid(rows []hash.Tab4x8, s1 int) Grid {
+	n := 0
+	for _, g := range rows {
+		n += g.Lanes()
+	}
+	return Grid{rows: rows, s1: s1, z: make([]int64, n*s1)}
 }
 
 // bucket maps a hash output to a row-local counter index in [0, s1) using
@@ -35,68 +39,78 @@ func bucket(h uint64, s1 int) int {
 	return int((h >> 32) * uint64(s1) >> 32)
 }
 
-// Insert adds one occurrence of v. O(rows) time — one hash evaluation
-// and one counter touch per row, independent of s1.
-func (g *Grid) Insert(v uint64) {
+// update adds w·ε_j(v) to v's counter in row j, for every v in vs and
+// every row j: the one counter write behind every update. Each group of
+// eight rows hashes a key once (hash.Tab4x8.Hash), and a partial group's
+// dead lanes are dropped. Keys are hashed two at a time, so the second
+// key's table reads overlap the first's.
+func (g *Grid) update(vs []uint64, w int64) {
 	s1 := g.s1
-	for j := range g.rows {
-		h := g.rows[j].Hash(v)
-		g.z[j*s1+bucket(h, s1)] += int64(h&1)*2 - 1
+	z := g.z
+	for _, grp := range g.rows {
+		lanes := grp.Lanes()
+		i := 0
+		for ; i+1 < len(vs); i += 2 {
+			ha, hb := grp.Hash(vs[i]), grp.Hash(vs[i+1])
+			bump(z, &ha, lanes, s1, w)
+			bump(z, &hb, lanes, s1, w)
+		}
+		if i < len(vs) {
+			h := grp.Hash(vs[i])
+			bump(z, &h, lanes, s1, w)
+		}
+		z = z[lanes*s1:]
 	}
+}
+
+// bump adds w·ε_j to one counter of row j, the bucket h[j] picks, for
+// each of a group's first lanes rows; row j is z[j*s1 : (j+1)*s1].
+func bump(z []int64, h *[8]uint64, lanes, s1 int, w int64) {
+	row := 0
+	for _, hj := range h[:lanes] {
+		neg := int64(hj&1) - 1 // 0 for sign +1, -1 for sign -1
+		z[row+bucket(hj, s1)] += (w ^ neg) - neg
+		row += s1
+	}
+}
+
+// Insert adds one occurrence of v. O(rows) time, independent of s1.
+func (g *Grid) Insert(v uint64) {
+	g.update([]uint64{v}, 1)
 	g.n++
 }
 
 // Delete removes one occurrence of v. Exact, by linearity; validity of
 // the op sequence is the caller's contract.
 func (g *Grid) Delete(v uint64) error {
-	s1 := g.s1
-	for j := range g.rows {
-		h := g.rows[j].Hash(v)
-		g.z[j*s1+bucket(h, s1)] -= int64(h&1)*2 - 1
-	}
+	g.update([]uint64{v}, -1)
 	g.n--
 	return nil
 }
 
-// InsertBatch adds every value in vs. The row loop is hoisted outside the
-// value loop so each row's tables and counters stay cache-resident for the
-// whole batch — measurably faster than per-value Insert on large batches.
+// InsertBatch adds every value in vs through the same kernel as Insert:
+// one hash per value per group of eight rows, two values at a time, then
+// one counter touch per row.
 func (g *Grid) InsertBatch(vs []uint64) {
-	g.applyBatch(vs, +1)
+	g.update(vs, 1)
 	g.n += int64(len(vs))
 }
 
 // DeleteBatch removes every value in vs.
 func (g *Grid) DeleteBatch(vs []uint64) error {
-	g.applyBatch(vs, -1)
+	g.update(vs, -1)
 	g.n -= int64(len(vs))
 	return nil
 }
 
-func (g *Grid) applyBatch(vs []uint64, dir int64) {
-	s1 := g.s1
-	for j := range g.rows {
-		row := g.z[j*s1 : (j+1)*s1 : (j+1)*s1]
-		hj := g.rows[j]
-		for _, v := range vs {
-			h := hj.Hash(v)
-			row[bucket(h, s1)] += dir * (int64(h&1)*2 - 1)
-		}
-	}
-}
-
 // SetFrequencies loads the grid directly from a frequency vector,
 // replacing the current state. Bit-identical to streaming every occurrence
-// (linearity); one hash evaluation per (row, distinct value).
+// (linearity); one hash evaluation per (group, distinct value).
 func (g *Grid) SetFrequencies(freq map[uint64]int64) {
 	clear(g.z)
 	g.n = 0
-	s1 := g.s1
 	for v, f := range freq {
-		for j := range g.rows {
-			h := g.rows[j].Hash(v)
-			g.z[j*s1+bucket(h, s1)] += (int64(h&1)*2 - 1) * f
-		}
+		g.update([]uint64{v}, f)
 		g.n += f
 	}
 }
@@ -105,9 +119,10 @@ func (g *Grid) SetFrequencies(freq map[uint64]int64) {
 func (g *Grid) Len() int64 { return g.n }
 
 // MemoryWords returns rows·s1: one word per counter, the paper's storage
-// unit. The tabulation tables (64 KiB per row) are not counted: they do
-// not scale with s1, the accuracy knob, and hash.NewTab4 shares them
-// among every grid on the same seed in the process.
+// unit. The tabulation tables (512 KiB per group of eight rows) are not
+// counted: they do not scale with s1, the accuracy knob, and
+// hash.NewTab4Rows shares them among every grid on the same seeds in the
+// process.
 func (g *Grid) MemoryWords() int { return len(g.z) }
 
 // Counters returns a copy of the raw counters (row-major, row j at
@@ -124,7 +139,7 @@ func (g *Grid) Counters() []int64 {
 // rows' unbiased join-size estimates. It only reads both grids.
 func RowProducts(a, b *Grid) []float64 {
 	s1 := a.s1
-	out := make([]float64, len(a.rows))
+	out := make([]float64, len(a.z)/s1)
 	for j := range out {
 		x := a.z[j*s1 : (j+1)*s1]
 		y := b.z[j*s1 : (j+1)*s1][:len(x)]

@@ -86,8 +86,7 @@ func RunFastJoin(names []string, k, rows, trials int, seed uint64) (*FastJoinRes
 	for i := range vals {
 		vals[i] = r.Uint64n(1 << 16)
 	}
-	res.FlatNsPerUpdate = timeUpdates(flatFam.NewSignature(), vals)
-	res.FastNsPerUpdate = timeUpdates(fastFam.NewSignature(), vals)
+	res.FlatNsPerUpdate, res.FastNsPerUpdate = timeUpdates(flatFam.NewSignature(), fastFam.NewSignature(), vals)
 	if res.FastNsPerUpdate > 0 {
 		res.Speedup = res.FlatNsPerUpdate / res.FastNsPerUpdate
 	}
@@ -159,18 +158,33 @@ func RunFastJoin(names []string, k, rows, trials int, seed uint64) (*FastJoinRes
 	return res, nil
 }
 
-// timeUpdates measures the steady-state ns/Insert of a signature,
-// repeating the value block until enough wall time accumulates for a
-// stable reading.
-func timeUpdates(sig join.Signature, vals []uint64) float64 {
-	const minDuration = 30 * time.Millisecond
+// timeUpdates measures the steady-state ns/Insert of two signatures. It
+// alternates short rounds between them and keeps each one's best round:
+// load from other processes lands on some rounds of either side, not on
+// all of one side's time, so the two best rounds see the same machine.
+func timeUpdates(flat, fast join.Signature, vals []uint64) (flatNs, fastNs float64) {
+	const rounds = 7
+	flatNs, fastNs = math.Inf(1), math.Inf(1)
+	for range rounds {
+		flatNs = min(flatNs, timeRound(flat, vals))
+		fastNs = min(fastNs, timeRound(fast, vals))
+	}
+	return flatNs, fastNs
+}
+
+// timeRound returns one round's ns/Insert: it inserts vals in chunks,
+// wrapping around, until the round has run for at least 5 ms. len(vals)
+// must be a multiple of the chunk.
+func timeRound(sig join.Signature, vals []uint64) float64 {
+	const minDuration, chunk = 5 * time.Millisecond, 64
 	total := 0
 	start := time.Now()
 	for time.Since(start) < minDuration {
-		for _, v := range vals {
+		off := total % len(vals)
+		for _, v := range vals[off : off+chunk] {
 			sig.Insert(v)
 		}
-		total += len(vals)
+		total += chunk
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(total)
 }

@@ -1,13 +1,16 @@
 package hash
 
-// Table exposes the member's backing table so tests can tell shared
-// tables from copies.
-func (h Tab4) Table() *[tab4Size]uint64 { return h.t }
+// Tables exposes the group's backing tables so tests can tell shared
+// groups from copies.
+func (g Tab4x8) Tables() *tab4x8Tables { return g.t }
 
-// Tab4Cached reports whether the intern cache holds an entry for seed.
-func Tab4Cached(seed uint64) bool {
-	tab4s.mu.Lock()
-	defer tab4s.mu.Unlock()
-	_, ok := tab4s.m[seed]
+// Tab4x8Cached reports whether the intern cache holds an entry for the
+// group on seeds.
+func Tab4x8Cached(seeds []uint64) bool {
+	var key tab4x8Key
+	key.lanes = copy(key.seeds[:], seeds)
+	tab4x8s.mu.Lock()
+	defer tab4x8s.mu.Unlock()
+	_, ok := tab4x8s.m[key]
 	return ok
 }

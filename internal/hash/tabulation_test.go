@@ -6,7 +6,55 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"amstrack/internal/xrand"
 )
+
+// Tab4 is the scalar reference for one member of the family: one seed's
+// tables, hashed one member at a time, as every sketch row hashed before
+// rows were grouped. The statistical tests below run on it, and
+// TestTab4x8LanesMatchTab4 holds every lane of a group to it.
+type Tab4 struct {
+	t *[tab4Size]uint64
+}
+
+func NewTab4(seed uint64) Tab4 {
+	r := xrand.New(xrand.Mix64(seed) ^ tab4Salt)
+	t := new([tab4Size]uint64)
+	for i := range t {
+		t[i] = r.Uint64()
+	}
+	return Tab4{t: t}
+}
+
+func (h Tab4) Hash(x uint64) uint64 {
+	t := h.t
+	b0 := x & 0xff
+	b1 := (x >> 8) & 0xff
+	b2 := (x >> 16) & 0xff
+	b3 := (x >> 24) & 0xff
+	b4 := (x >> 32) & 0xff
+	b5 := (x >> 40) & 0xff
+	b6 := (x >> 48) & 0xff
+	b7 := x >> 56
+	v := t[b0] ^ t[256+b1] ^ t[512+b2] ^ t[768+b3] ^
+		t[1024+b4] ^ t[1280+b5] ^ t[1536+b6] ^ t[1792+b7]
+	s0 := b0 + b1
+	s1 := b2 + b3
+	s2 := b4 + b5
+	s3 := b6 + b7
+	v ^= t[tab4L1+s0] ^ t[tab4L1+512+s1] ^ t[tab4L1+1024+s2] ^ t[tab4L1+1536+s3]
+	u0 := s0 + s1
+	u1 := s2 + s3
+	v ^= t[tab4L2+u0] ^ t[tab4L2+1024+u1]
+	return v ^ t[tab4L3+u0+u1]
+}
+
+func (h Tab4) Sign(x uint64) int64 {
+	return int64(h.Hash(x)&1)*2 - 1
+}
+
+var _ SignFamily = Tab4{}
 
 func TestTab4Determinism(t *testing.T) {
 	h1 := NewTab4(12345)
@@ -102,20 +150,7 @@ func TestTab4QuadProducts(t *testing.T) {
 // member. The derived-character tables must break all of them.
 func TestTab4AdversarialQuads(t *testing.T) {
 	const members = 4000
-	quads := [][4]uint64{
-		// Rectangle in the two lowest bytes.
-		{0x0000, 0x0001, 0x0100, 0x0101},
-		// Rectangle spanning the two 32-bit halves.
-		{0, 1, 1 << 32, 1<<32 | 1},
-		// Rectangle across distant bytes within one half.
-		{0, 0xff, 0xff << 16, 0xff<<16 | 0xff},
-		// Three different pairing partitions across three byte positions:
-		// bytes (b0,b1,b2) = (0,0,0), (0,1,1), (1,0,1), (1,1,0).
-		{0x000000, 0x010100, 0x010001, 0x000101},
-		// Same structure in the high half.
-		{0, 0x0101 << 40, 0x0100<<40 | 1<<32, 0x0001<<40 | 1<<32},
-	}
-	for _, q := range quads {
+	for _, q := range adversarialQuads {
 		sum := int64(0)
 		for seed := uint64(0); seed < members; seed++ {
 			h := NewTab4(seed)
@@ -158,52 +193,132 @@ func TestTab4SignMatchesHashLowBit(t *testing.T) {
 	}
 }
 
-// TestTab4SharedPerSeed: one seed, one backing table; distinct seeds,
-// distinct tables.
-func TestTab4SharedPerSeed(t *testing.T) {
-	a, b, c := NewTab4(12345), NewTab4(12345), NewTab4(12346)
-	if a.Table() != b.Table() {
-		t.Fatal("two calls on one seed built two tables")
+// adversarialQuads are key quads that form rectangles in character
+// space, so their hashes cancel under simple tabulation.
+var adversarialQuads = [][4]uint64{
+	// Rectangle in the two lowest bytes.
+	{0x0000, 0x0001, 0x0100, 0x0101},
+	// Rectangle spanning the two 32-bit halves.
+	{0, 1, 1 << 32, 1<<32 | 1},
+	// Rectangle across distant bytes within one half.
+	{0, 0xff, 0xff << 16, 0xff<<16 | 0xff},
+	// Three different pairing partitions across three byte positions:
+	// bytes (b0,b1,b2) = (0,0,0), (0,1,1), (1,0,1), (1,1,0).
+	{0x000000, 0x010100, 0x010001, 0x000101},
+	// Same structure in the high half.
+	{0, 0x0101 << 40, 0x0100<<40 | 1<<32, 0x0001<<40 | 1<<32},
+}
+
+// rowSeeds returns n row seeds from one stream, so the groups of every
+// row count up to n share their full groups.
+func rowSeeds(n int) []uint64 {
+	seeds := make([]uint64, n)
+	for r := range seeds {
+		seeds[r] = xrand.Mix64(0xa11ce ^ uint64(r+1)*0x94d049bb133111eb)
 	}
-	if a.Table() == c.Table() {
-		t.Fatal("two seeds share a table")
+	return seeds
+}
+
+// TestTab4x8LanesMatchTab4: for every row count 1..MaxTab4Rows, row r of
+// NewTab4Rows hashes every key exactly as the scalar member on its seed,
+// and a partial group's dead lanes hash to 0. Keys: random 64-bit, small,
+// and the adversarial quads.
+func TestTab4x8LanesMatchTab4(t *testing.T) {
+	r := xrand.New(0x1a7e)
+	var keys []uint64
+	for i := 0; i < 256; i++ {
+		keys = append(keys, r.Uint64(), uint64(i))
+	}
+	for _, q := range adversarialQuads {
+		keys = append(keys, q[:]...)
+	}
+	keys = append(keys, ^uint64(0), 1<<63)
+	seeds := rowSeeds(MaxTab4Rows)
+	ref := make([]Tab4, len(seeds))
+	for i, seed := range seeds {
+		ref[i] = NewTab4(seed)
+	}
+	for n := 1; n <= MaxTab4Rows; n++ {
+		groups := NewTab4Rows(seeds[:n])
+		if want := (n + tab4Lanes - 1) / tab4Lanes; len(groups) != want {
+			t.Fatalf("%d rows: %d groups, want %d", n, len(groups), want)
+		}
+		row := 0
+		for gi, g := range groups {
+			lanes := min(n-gi*tab4Lanes, tab4Lanes)
+			if g.Lanes() != lanes {
+				t.Fatalf("%d rows: group %d has %d lanes, want %d", n, gi, g.Lanes(), lanes)
+			}
+			for _, x := range keys {
+				h := g.Hash(x)
+				for j, hj := range h {
+					want := uint64(0)
+					if j < lanes {
+						want = ref[row+j].Hash(x)
+					}
+					if hj != want {
+						t.Fatalf("%d rows: group %d lane %d hashes %#x to %#x, want %#x", n, gi, j, x, hj, want)
+					}
+				}
+			}
+			row += lanes
+		}
 	}
 }
 
-// TestTab4ConcurrentFirstUse: goroutines racing to build one seed's
-// table all get the same one.
-func TestTab4ConcurrentFirstUse(t *testing.T) {
-	const seed, workers = 0x5eed, 64
-	tables := make([]*[tab4Size]uint64, workers)
+// TestTab4x8SharedPerSeeds: one seed tuple, one group; another tuple, a
+// prefix of it included, another group.
+func TestTab4x8SharedPerSeeds(t *testing.T) {
+	seeds := rowSeeds(16)
+	a, b := NewTab4Rows(seeds), NewTab4Rows(seeds[:8])
+	if a[0].Tables() != b[0].Tables() {
+		t.Fatal("two calls on one seed tuple built two groups")
+	}
+	if a[0].Tables() == a[1].Tables() {
+		t.Fatal("two seed tuples share a group")
+	}
+	if c := NewTab4Rows(seeds[:7]); c[0].Tables() == a[0].Tables() {
+		t.Fatal("a 7-seed prefix shares the 8-seed group")
+	}
+}
+
+// TestTab4x8ConcurrentFirstUse: goroutines racing to build one seed
+// tuple's group all get the same one.
+func TestTab4x8ConcurrentFirstUse(t *testing.T) {
+	const workers = 64
+	seeds := []uint64{0x5eed, 0x5eee, 0x5eef}
+	tables := make([]*tab4x8Tables, workers)
 	var wg sync.WaitGroup
 	for i := range tables {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tables[i] = NewTab4(seed).Table()
+			tables[i] = NewTab4Rows(seeds)[0].Tables()
 		}()
 	}
 	wg.Wait()
 	for i, tb := range tables {
 		if tb != tables[0] {
-			t.Fatalf("goroutine %d got its own table", i)
+			t.Fatalf("goroutine %d got its own group", i)
 		}
 	}
 }
 
-// TestTab4CacheReleasesSweep: once a 4,000-seed sweep's members are
+// TestTab4x8CacheReleasesSweep: once a 1,024-seed sweep's groups are
 // garbage, the collector takes their tables and the cache forgets them.
-func TestTab4CacheReleasesSweep(t *testing.T) {
-	const base, members = 1 << 40, 4000
-	for seed := uint64(base); seed < base+members; seed++ {
-		NewTab4(seed)
+func TestTab4x8CacheReleasesSweep(t *testing.T) {
+	const base, members = 1 << 40, 1024
+	seeds := make([]uint64, members)
+	for i := range seeds {
+		seeds[i] = base + uint64(i)
 	}
+	NewTab4Rows(seeds)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
 		left := 0
-		for seed := uint64(base); seed < base+members; seed++ {
-			if Tab4Cached(seed) {
+		for i := 0; i < members; i += tab4Lanes {
+			if Tab4x8Cached(seeds[i : i+tab4Lanes]) {
 				left++
 			}
 		}
@@ -211,26 +326,21 @@ func TestTab4CacheReleasesSweep(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d sweep seeds still cached after GC", left, members)
+			t.Fatalf("%d of %d sweep groups still cached after GC", left, members/tab4Lanes)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-func BenchmarkTab4Sign(b *testing.B) {
-	h := NewTab4(1)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += h.Sign(uint64(i))
-	}
-	_ = sink
-}
-
-func BenchmarkTab4Hash(b *testing.B) {
-	h := NewTab4(1)
+// BenchmarkTab4x8Hash times one key's eight hashes.
+func BenchmarkTab4x8Hash(b *testing.B) {
+	g := NewTab4Rows(rowSeeds(tab4Lanes))[0]
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink += h.Hash(uint64(i))
+		h := g.Hash(uint64(i) * 0x9e3779b97f4a7c15)
+		sink += h[0] ^ h[7]
 	}
-	_ = sink
+	benchSink = sink
 }
+
+var benchSink uint64

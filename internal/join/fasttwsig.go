@@ -12,12 +12,12 @@ import (
 
 // FastFamily is the bucketed counterpart of Family: instead of k
 // independent ±1 functions each touching its own counter on every update,
-// it keeps `rows` tabulation hashes (hash.Tab4), each owning a row of
-// `buckets` counters. One evaluation yields 64 jointly four-wise
-// independent bits, from which a row derives BOTH the bucket index (high
-// bits) and the sign (low bit) — so an update touches one counter per row:
-// O(rows) work however large the signature grows, against the flat
-// scheme's O(k). This is the §4.3 signature restructured exactly the way
+// it keeps `rows` tabulation hashes (lanes of hash.Tab4x8 groups), each
+// owning a row of `buckets` counters. One evaluation yields 64 jointly
+// four-wise independent bits, from which a row derives BOTH the bucket
+// index (high bits) and the sign (low bit) — so an update touches one
+// counter per row: O(rows) work however large the signature grows,
+// against the flat scheme's O(k). This is the §4.3 signature restructured exactly the way
 // core.FastTugOfWar restructures the §2.2 sketch.
 //
 // Estimator and guarantee. For signatures S_F, S_G of one family, row j's
@@ -42,21 +42,22 @@ import (
 // bound at equal memory — ErrorBound(sjF, sjG, MemoryWords()) applies to
 // either scheme unchanged.
 //
-// A FastFamily holds rows × 64 KiB of tabulation tables where a Family
-// holds a few polynomial coefficients per counter, but hash.NewTab4 shares
-// the tables per seed: every family, signature and decoded blob on one
-// seed in the process reads one copy.
+// A FastFamily holds 512 KiB of tabulation tables per group of eight rows
+// where a Family holds a few polynomial coefficients per counter, but
+// hash.NewTab4Rows shares the groups per seed tuple: every family,
+// signature and decoded blob on one seed in the process reads one copy.
 type FastFamily struct {
 	buckets int
 	rows    int
 	seed    uint64
-	hs      []hash.Tab4
+	hs      []hash.Tab4x8
 }
 
 // NewFastFamily creates a bucketed family: `rows` independent tabulation
 // hashes over `buckets` counters each. Signatures from equal
 // (buckets, rows, seed) triples are mutually estimable and mergeable.
-// rows is bounded by hash.MaxTab4Rows, since every row needs its own table.
+// rows is bounded by hash.MaxTab4Rows, since every row needs its own
+// tables.
 func NewFastFamily(buckets, rows int, seed uint64) (*FastFamily, error) {
 	if buckets < 1 {
 		return nil, fmt.Errorf("join: fast family buckets = %d, must be >= 1", buckets)
@@ -64,14 +65,14 @@ func NewFastFamily(buckets, rows int, seed uint64) (*FastFamily, error) {
 	if rows < 1 || rows > hash.MaxTab4Rows {
 		return nil, fmt.Errorf("join: fast family rows = %d, must be in [1, %d]", rows, hash.MaxTab4Rows)
 	}
-	f := &FastFamily{buckets: buckets, rows: rows, seed: seed, hs: make([]hash.Tab4, rows)}
-	for j := range f.hs {
+	seeds := make([]uint64, rows)
+	for j := range seeds {
 		// Seed stream disjoint from both the flat Family's polynomial
 		// hashes and core's fast sketch rows, so a catalog running all
 		// three under one master seed keeps them statistically independent.
-		f.hs[j] = hash.NewTab4(xrand.Mix64(seed ^ (uint64(j)+1)*0x94d049bb133111eb))
+		seeds[j] = xrand.Mix64(seed ^ (uint64(j)+1)*0x94d049bb133111eb)
 	}
-	return f, nil
+	return &FastFamily{buckets: buckets, rows: rows, seed: seed, hs: hash.NewTab4Rows(seeds)}, nil
 }
 
 // Buckets returns the per-row counter count (the accuracy knob).

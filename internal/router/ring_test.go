@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"amstrack/internal/wire"
 	"amstrack/internal/xrand"
 )
 
@@ -242,7 +241,7 @@ func TestRingIndexMatchesBruteForce(t *testing.T) {
 
 // TestPartitionInvariants calls the partition directly over random
 // alive subsets of 3- and 5-member rings: every part is owned by a live
-// member and holds whole rows within the frame bound, no part can grow
+// member and holds whole rows within maxPartVals, no part can grow
 // into another's values, each owner's parts concatenate to exactly its
 // rows in input order (so all parts together are a permutation of the
 // input), and the parts do not alias the caller's buffer.
@@ -256,8 +255,8 @@ func TestPartitionInvariants(t *testing.T) {
 		}
 		ring := NewRing(members, 0)
 		for arity := 1; arity <= 3; arity++ {
-			limit := wire.MaxBatchVals - wire.MaxBatchVals%arity
-			for _, rows := range []int{0, 1, 511, 512, 5000} {
+			limit := maxPartVals - maxPartVals%arity
+			for _, rows := range []int{0, 1, 511, 512, 5000, 3*maxPartVals + 7} {
 				live := make([]bool, size)
 				for !slices.Contains(live, true) {
 					for i := range live {

@@ -440,7 +440,16 @@ func (r *Router) route(rs *relState, del bool, vals []uint64) error {
 	return nil
 }
 
-// part is one subBatch's rows: all owned by one node, at most one frame.
+// maxPartVals caps the values in one sub-batch, far below the frame
+// bound wire.MaxBatchVals (2,097,024). A stream re-arms its ACK deadline
+// on each ACK that makes progress, and a node acks a sub-batch once it
+// has applied it, so this cap bounds the work one AckTimeout covers:
+// about 0.16 s at 2.4 µs per row, the slowest apply seen (under -race).
+// A node that is slow but alive then keeps its session.
+const maxPartVals = 1 << 16
+
+// part is one subBatch's rows: all owned by one node, at most maxPartVals
+// values.
 type part struct {
 	owner string
 	vals  []uint64
@@ -449,8 +458,8 @@ type part struct {
 // partition splits vals (row-major, arity values per row) by the ring
 // owner of each row's first value under live, one alive snapshot indexed
 // like ring.Members(), and cuts each owner's rows, in input order, into
-// parts of at most wire.MaxBatchVals values: a node ends a stream that
-// sends a longer frame. Callers take live and partition under Router.mu.
+// parts of at most maxPartVals values. Callers take live and partition
+// under Router.mu.
 func partition(ring *Ring, live []bool, arity int, vals []uint64) ([]part, error) {
 	// Pass 1: each row's owner, and each owner's row count.
 	owners := make([]int32, len(vals)/arity)
@@ -478,7 +487,7 @@ func partition(ring *Ring, live []bool, arity int, vals []uint64) ([]part, error
 	}
 	// Each at[m] now ends owner m's region. Full slice expressions keep
 	// a part from growing into the next.
-	limit := wire.MaxBatchVals - wire.MaxBatchVals%arity
+	limit := maxPartVals - maxPartVals%arity
 	parts := make([]part, 0, len(at))
 	lo := 0
 	for m, end := range at {

@@ -412,14 +412,13 @@ func TestRouterHTTPIngest(t *testing.T) {
 }
 
 // TestRouterCutsAtFrameBound: one HTTP ingest with more values than one
-// amswire frame holds reaches the node as several sub-batches, each
-// under the bound its reader enforces. The node stays healthy and owes
-// no audit, and the relation keeps taking writes.
+// amswire frame holds reaches the node as sub-batches of at most
+// maxPartVals values, so each ACK deadline covers a bounded amount of
+// apply work, under -race too. The node stays healthy and owes no audit
+// under the default test deadline, and the relation keeps taking writes.
 func TestRouterCutsAtFrameBound(t *testing.T) {
 	nodes := startFleet(t, 1, true)
-	// A 2M-row frame takes seconds to apply under the race detector;
-	// the ACK deadline must not be what this test measures.
-	rt := testRouter(t, nodes, func(o *Options) { o.AckTimeout = time.Minute })
+	rt := testRouter(t, nodes, nil)
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 	client := front.Client()
@@ -435,8 +434,8 @@ func TestRouterCutsAtFrameBound(t *testing.T) {
 	if resp.Len != n {
 		t.Fatalf("ingest answered len %d, want %d", resp.Len, n)
 	}
-	if got := nodes[0].wireSrv.Stats().Batches; got < 2 {
-		t.Fatalf("node took %d batches, want the ingest cut into at least 2", got)
+	if got, want := nodes[0].wireSrv.Stats().Batches, int64((n+maxPartVals-1)/maxPartVals); got < want {
+		t.Fatalf("node took %d batches, want the ingest cut into at least %d", got, want)
 	}
 	if h := rt.Health()[0]; h.State != "healthy" || h.Audit {
 		t.Fatalf("node health %+v, want healthy with no audit owed", h)
