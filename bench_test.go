@@ -446,8 +446,10 @@ func BenchmarkUpdateChainMiddle(b *testing.B) {
 // amsd deployment pays — at 1, 4, and GOMAXPROCS concurrent writers, on
 // uniform and zipf(1.2) keys, in memory and with the oplog. The skewed
 // keys check that hot values cannot re-serialize the absorber pipeline.
-// Timing includes the final Drain, so staged ops cannot flatter the
-// numbers.
+// The alternating case inserts a uniform key and deletes it again, op by
+// op: a staging slot holds a run of one kind, so every switch sends the
+// slot on, and this is the single-op path's worst case. Timing includes
+// the final Drain, so staged ops cannot flatter the numbers.
 func BenchmarkEngineIngest(b *testing.B) {
 	nCPU := runtime.GOMAXPROCS(0)
 	writerCounts := []int{1, 4}
@@ -457,7 +459,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 	valuesFor := func(dist string, worker int) []uint64 {
 		vals := make([]uint64, 1<<14)
 		switch dist {
-		case "uniform":
+		case "uniform", "alternating":
 			r := xrand.New(uint64(2 + worker))
 			for i := range vals {
 				vals[i] = r.Uint64n(1 << 16)
@@ -475,7 +477,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 	}
 	for _, wal := range []string{"mem", "wal"} {
 		for _, writers := range writerCounts {
-			for _, dist := range []string{"uniform", "zipf"} {
+			for _, dist := range []string{"uniform", "zipf", "alternating"} {
 				b.Run(fmt.Sprintf("log=%s/writers=%d/%s", wal, writers, dist), func(b *testing.B) {
 					opts := amstrack.EngineOptions{SignatureWords: 1024, Seed: 1}
 					var (
@@ -511,6 +513,10 @@ func BenchmarkEngineIngest(b *testing.B) {
 						go func(vals []uint64, n int) {
 							defer wg.Done()
 							for i := 0; i < n; i++ {
+								if dist == "alternating" && i&1 == 1 {
+									_ = rel.Delete(vals[(i-1)&(1<<14-1)])
+									continue
+								}
 								rel.Insert(vals[i&(1<<14-1)])
 							}
 						}(streams[w], n)

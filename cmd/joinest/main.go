@@ -112,7 +112,7 @@ func replayLog(path string, rel *amstrack.Relation, ex *amstrack.Exact) (int64, 
 		case err == io.EOF:
 			return applied, nil
 		case errors.Is(err, io.ErrUnexpectedEOF):
-			fmt.Fprintf(os.Stderr, "joinest: %s: torn tail after %d records (ignored)\n", path, lr.Count())
+			fmt.Fprintf(os.Stderr, "joinest: %s: torn tail after %d rows (its partial record ignored)\n", path, lr.Count())
 			return applied, nil
 		case err != nil:
 			return applied, err
@@ -127,7 +127,7 @@ func replayLog(path string, rel *amstrack.Relation, ex *amstrack.Exact) (int64, 
 				return applied, err
 			}
 			if err := ex.Delete(op.Value); err != nil {
-				return applied, fmt.Errorf("record %d: %w", lr.Count()-1, err)
+				return applied, fmt.Errorf("row %d: %w", lr.Count()-1, err)
 			}
 			applied++
 		}

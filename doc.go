@@ -93,17 +93,19 @@
 // documents the architecture, §10 the wire protocol, §12 the router.
 //
 // The engine has one write path, the lock-free absorber pipeline:
-// callers stage ops into CAS-claimed buffers of a fixed 256 ops,
-// per-shard absorber goroutines apply them under single-writer
-// discipline, and a group-commit writer batches oplog appends
-// (EngineOptions.FlushOps records or EngineOptions.FlushInterval,
-// whichever first). A read parks a relation's absorbers at one barrier
-// and merges the quiet shards, so reads always see the caller's own
-// writes, and a checkpoint is that same cut plus an epoch flip — ingest
-// never pauses, and recovery stays bit-identical. Ops become OS-owned at the flush policy,
+// callers stage ops into CAS-claimed buffers of a fixed 256 rows (a
+// batch skips them and is split by shard straight away), per-shard
+// absorber goroutines apply each run of rows under single-writer
+// discipline, and a group-commit writer logs every run as one
+// checksummed batch record (flushed at EngineOptions.FlushOps rows or
+// EngineOptions.FlushInterval, whichever first). A read parks a
+// relation's absorbers at one barrier and merges the quiet shards, so
+// reads always see the caller's own writes, and a checkpoint is that
+// same cut plus an epoch flip — ingest never pauses, and recovery stays
+// bit-identical. Ops become OS-owned at the flush policy,
 // Relation.Drain, Sync, or Checkpoint rather than per call.
 // EngineOptions.SegmentOps additionally caps each oplog file at N
-// records, rolling onto numbered segments so no single log file grows
+// rows, rolling onto numbered segments so no single log file grows
 // without bound between checkpoints. The engine's synopses are
 // bit-identical to plain sequential synopses fed the same ops, which the
 // engine's tests check against an independent reference model; DESIGN.md

@@ -3,23 +3,29 @@
 // The AGMS synopses are LINEAR in the frequency vector, so updates
 // commute — nothing about the math requires per-op locks or a
 // synchronous oplog append. This file exploits that freedom with a
-// buffer-and-absorb pipeline:
+// buffer-and-absorb pipeline that moves RUNS — rows of one kind and
+// arity, row-major (oplog.Run) — from end to end:
 //
-//	caller ──stage──▶ CAS-claimed staging slot (no mutexes)
-//	                    │ slot full / drain
-//	                    ▼ group by shard
+//	caller ──stage──▶ CAS-claimed staging slot (no mutexes; one run,
+//	   │                │ flushed when full, on a kind switch, or drain)
+//	   └─batch──────────┤
+//	                    ▼ split by shard: count, then fill one buffer
 //	        per-shard channel ──▶ absorber goroutine (single writer,
-//	                    │          applies to its sigShard with NO lock)
-//	                    ▼ applied ops
-//	        log channel ──▶ group-commit writer (AppendGroup, flushed
-//	                         on FlushOps records or FlushInterval)
+//	                    │          applies each run to its sigShard with
+//	                    │          NO lock)
+//	                    ▼ the same run
+//	        log channel ──▶ group-commit writer (AppendRun: one
+//	                         version-3 record per run — more past 4,096
+//	                         rows or across a segment roll — flushed on
+//	                         FlushOps rows or FlushInterval)
 //
 // Callers pick a staging slot from a hint derived from their own stack
 // address (goroutine-affine, zero shared state) and claim it with one
 // compare-and-swap: the per-op cost is a CAS, an append, and a release
 // store. Skewed workloads cannot re-concentrate contention the way they
 // do on value-hashed shard locks, because slot choice depends on the
-// WRITER, not the value.
+// WRITER, not the value. Batches skip the slot's buffer: the claim is
+// held only while the batch is split and sent.
 //
 // Single-writer discipline: after newIngester returns, a shard's state is
 // written by its absorber goroutine alone. Every other access rides one
@@ -52,43 +58,23 @@ import (
 	"unsafe"
 
 	"amstrack/internal/oplog"
-	"amstrack/internal/stream"
 )
 
-// stagedOp is one buffered ingest operation. v is the primary attribute
-// (the shard-routing key); rest points at the remaining attributes of a
-// multi-attribute tuple, nil on the arity-1 hot path. A pointer rather
-// than a slice keeps the struct at 24 bytes — the staging buffers and
-// shard channels copy these by value, and the arity-1 path is the
-// benchmarked hot path.
-type stagedOp struct {
-	v    uint64
-	rest *[]uint64
-	del  bool
-}
-
-// tail returns the attribute payload ([] for arity-1 ops).
-func (op stagedOp) tail() []uint64 {
-	if op.rest == nil {
-		return nil
-	}
-	return *op.rest
-}
-
-// stageSlot is one CAS-claimed staging buffer. The claim covers both the
+// stageSlot is one CAS-claimed staging buffer: a run of the relation's
+// arity, its values reused from flush to flush. The claim covers both the
 // buffer and the right to send on the shard channels, which is what lets
 // stop turn "hold every slot" into a permanent end of ingest.
 type stageSlot struct {
 	claimed atomic.Bool
 	_       [63]byte // keep hot claim words on distinct cache lines
-	buf     []stagedOp
-	_       [40]byte
+	run     oplog.Run
+	_       [24]byte
 }
 
-// shardMsg is one message to an absorber: a batch of ops for its shard,
-// or a barrier.
+// shardMsg is one message to an absorber: a run of its shard's rows, or a
+// barrier.
 type shardMsg struct {
-	ops     []stagedOp
+	run     oplog.Run
 	barrier *absBarrier
 }
 
@@ -100,12 +86,12 @@ type absBarrier struct {
 	park chan struct{}
 }
 
-// logMsg is one message to the group-commit log writer: applied ops to
-// append, or a flush barrier. epoch is the log epoch the sending shard
-// was on when it applied the ops — during a checkpoint's fence window it
+// logMsg is one message to the group-commit log writer: an applied run
+// to append, or a flush barrier. epoch is the log epoch the sending shard
+// was on when it applied the run — during a checkpoint's fence window it
 // routes the append between the retiring and the forked log.
 type logMsg struct {
-	ops     []stagedOp
+	run     oplog.Run
 	epoch   uint64
 	barrier *sync.WaitGroup
 }
@@ -220,99 +206,118 @@ func (g *ingester) claimSlot(s *stageSlot) bool {
 	}
 }
 
-// stage buffers one op; the caller path is CAS + append + release store.
-// rest (already owned by the ingester — callers copy) points at the
-// non-primary attributes of a tuple op, nil on the arity-1 hot path.
-// Ops staged against a stopped ingester (relation dropped, engine
-// closed) are discarded.
-func (g *ingester) stage(v uint64, rest *[]uint64, del bool) {
+// stage buffers one row of the relation's arity; the caller path is a
+// CAS, an append and a release store. A slot holds one run, so a row of
+// the other kind flushes the slot first: alternating inserts and deletes
+// send one message per switch. Rows staged against a stopped ingester
+// (relation dropped, engine closed) are discarded.
+func (g *ingester) stage(del bool, row ...uint64) {
 	s := g.claim()
 	if s == nil {
 		return
 	}
-	if s.buf == nil {
-		s.buf = make([]stagedOp, 0, g.r.eng.opts.stageOps)
+	if s.run.Vals == nil {
+		a := g.r.arity
+		s.run = oplog.Run{Arity: a, Vals: make([]uint64, 0, g.r.eng.opts.stageOps*a)}
 	}
-	s.buf = append(s.buf, stagedOp{v: v, rest: rest, del: del})
-	if len(s.buf) == cap(s.buf) {
+	if s.run.Del != del {
+		g.flushSlot(s)
+		s.run.Del = del
+	}
+	s.run.Vals = append(s.run.Vals, row...)
+	if len(s.run.Vals) == cap(s.run.Vals) {
 		g.flushSlot(s)
 	}
 	s.claimed.Store(false)
 }
 
-// stageBatch routes a whole batch straight to the absorbers. The slot
-// claim is held only as the quiescence token — batches never copy
-// through the buffer.
-func (g *ingester) stageBatch(vs []uint64, del bool) {
-	if len(vs) == 0 {
-		return
+// stageBatch hands a whole run straight to the absorbers; the slot claim
+// is held only as the quiescence token.
+func (g *ingester) stageBatch(rn oplog.Run) {
+	if s := g.claim(); s != nil {
+		g.send(rn)
+		s.claimed.Store(false)
 	}
+}
+
+// stageRows is stageBatch for rows held one slice each.
+func (g *ingester) stageRows(rows [][]uint64, del bool) {
 	s := g.claim()
 	if s == nil {
 		return
 	}
-	ops := make([]stagedOp, len(vs))
-	for i, v := range vs {
-		ops[i] = stagedOp{v: v, del: del}
+	a := g.r.arity
+	at := make([]int, len(g.chans)+1)
+	for _, row := range rows {
+		at[g.r.shardOf(row[0])+1] += a
 	}
-	g.sendOps(ops, false)
+	starts(at)
+	out := make([]uint64, len(rows)*a)
+	for _, row := range rows {
+		i := g.r.shardOf(row[0])
+		copy(out[at[i]:], row)
+		at[i] += a
+	}
+	g.deliver(out, at, del, a)
 	s.claimed.Store(false)
 }
 
-// stageTupleBatch is stageBatch for multi-attribute rows. Rows are
-// copied (the staged ops outlive the call), so callers may reuse them.
-func (g *ingester) stageTupleBatch(rows [][]uint64, del bool) {
-	if len(rows) == 0 {
-		return
-	}
-	s := g.claim()
-	if s == nil {
-		return
-	}
-	tails := make([][]uint64, len(rows))
-	ops := make([]stagedOp, len(rows))
-	for i, row := range rows {
-		tails[i] = append([]uint64(nil), row[1:]...)
-		ops[i] = stagedOp{v: row[0], rest: &tails[i], del: del}
-	}
-	g.sendOps(ops, false)
-	s.claimed.Store(false)
-}
-
-// flushSlot hands a claimed slot's buffered ops to the absorbers and
-// resets the buffer for reuse. Caller holds the claim.
+// flushSlot hands a claimed slot's run to the absorbers and resets its
+// buffer for reuse. Caller holds the claim.
 func (g *ingester) flushSlot(s *stageSlot) {
-	if len(s.buf) == 0 {
-		return
+	if len(s.run.Vals) > 0 {
+		g.send(s.run)
+		s.run.Vals = s.run.Vals[:0]
 	}
-	g.sendOps(s.buf, true)
-	s.buf = s.buf[:0]
 }
 
-// sendOps groups a batch by shard and enqueues it on the absorber
-// channels. The caller must hold a slot claim (the quiescence token that
-// keeps stop out while sends are in flight). With copy set the
-// input is reused afterwards, so even the single-shard fast path copies.
-func (g *ingester) sendOps(ops []stagedOp, copyOps bool) {
-	if len(g.chans) == 1 {
-		if copyOps {
-			ops = append([]stagedOp(nil), ops...)
-		}
-		g.chans[0] <- shardMsg{ops: ops}
-		return
+// send splits a run by shard into one fresh buffer — count, then fill —
+// and hands each shard its rows as one run, in their order in rn. The
+// buffer is fresh because callers reuse rn's values as soon as send
+// returns (a slot's buffer, the wire server's frame). The caller holds a
+// slot claim: the quiescence token that keeps stop out while sends are in
+// flight.
+func (g *ingester) send(rn oplog.Run) {
+	a := rn.Arity
+	at := make([]int, len(g.chans)+1)
+	for j := 0; j < len(rn.Vals); j += a {
+		at[g.r.shardOf(rn.Vals[j])+1] += a
 	}
-	hint := len(ops)/len(g.chans) + len(ops)/8 + 4
-	groups := make([][]stagedOp, len(g.chans))
-	for _, op := range ops {
-		i := g.r.shardOf(op.v)
-		if groups[i] == nil {
-			groups[i] = make([]stagedOp, 0, hint)
+	starts(at)
+	out := make([]uint64, len(rn.Vals))
+	if a == 1 {
+		for _, v := range rn.Vals {
+			i := g.r.shardOf(v)
+			out[at[i]] = v
+			at[i]++
 		}
-		groups[i] = append(groups[i], op)
+	} else {
+		for j := 0; j < len(rn.Vals); j += a {
+			i := g.r.shardOf(rn.Vals[j])
+			copy(out[at[i]:], rn.Vals[j:j+a])
+			at[i] += a
+		}
 	}
-	for i, grp := range groups {
-		if len(grp) > 0 {
-			g.chans[i] <- shardMsg{ops: grp}
+	g.deliver(out, at, rn.Del, a)
+}
+
+// starts turns at[i+1] = shard i's value count into at[i] = where shard
+// i's region of the split buffer starts.
+func starts(at []int) {
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+}
+
+// deliver sends each shard its region of a filled split buffer: the fill
+// has moved at[i] to the end of shard i's region, where shard i+1's
+// starts.
+func (g *ingester) deliver(out []uint64, at []int, del bool, a int) {
+	lo := 0
+	for i, ch := range g.chans {
+		if hi := at[i]; hi > lo {
+			ch <- shardMsg{run: oplog.Run{Del: del, Arity: a, Vals: out[lo:hi:hi]}}
+			lo = hi
 		}
 	}
 }
@@ -341,7 +346,7 @@ func (g *ingester) flushAllSlots(hold bool) bool {
 func (g *ingester) absorb(shard int) {
 	defer g.absWg.Done()
 	sh := &g.r.shards[shard]
-	buf := &applyBuf{cols: newChainCols(g.r.arity)}
+	buf := newApplyBuf(g.r.arity)
 	for msg := range g.chans[shard] {
 		if msg.barrier != nil {
 			msg.barrier.wg.Done()
@@ -350,75 +355,97 @@ func (g *ingester) absorb(shard int) {
 			}
 			continue
 		}
-		// The same msg.ops slice goes to the log writer, so per-shard
-		// apply order equals per-shard log order: replay, applying each
-		// shard's records in log order, rebuilds the order-sensitive
-		// heavy-hitter table bit-exactly.
-		sh.apply(msg.ops, &g.r.plan, buf)
+		// The same run goes to the log writer, so per-shard apply order
+		// equals per-shard log order: replay, applying each shard's rows
+		// in log order, rebuilds the order-sensitive heavy-hitter table
+		// bit-exactly.
+		sh.apply(msg.run, &g.r.plan, buf)
 		if g.logCh != nil {
-			g.logCh <- logMsg{ops: msg.ops, epoch: g.shardEpochs[shard]}
+			g.logCh <- logMsg{run: msg.run, epoch: g.shardEpochs[shard]}
 		}
 	}
 }
 
 // applyBuf is the reusable scratch of one apply loop: a shard's
-// absorber, or one segment's replay.
+// absorber, or one segment's replay. cols holds a run's attributes as
+// columns, one per attribute of the relation's arity; one holds an
+// arity-1 run's values, which are their own column.
 type applyBuf struct {
-	ins, del []uint64
-	cols     *chainCols
+	cols [][]uint64
+	one  [1][]uint64
 }
 
-// apply is the one write of a shard's synopses from ops: the absorber
-// calls it per message, log replay per chunk's shard group. Inserts and
-// deletes reach the signature and sketch as batches; the chain fan-out
-// gathers the tuples into per-attribute columns and applies each chain
-// synopsis's share as one batch; the heavy-hitter table — the one
-// order-SENSITIVE synopsis — takes the ops one by one, in order. The
-// caller owns the shard state, so no lock is taken.
-func (sh *sigShard) apply(ops []stagedOp, p *chainPlan, buf *applyBuf) {
-	buf.ins, buf.del = buf.ins[:0], buf.del[:0]
-	for _, op := range ops {
-		if op.del {
-			buf.del = append(buf.del, op.v)
-		} else {
-			buf.ins = append(buf.ins, op.v)
-		}
+func newApplyBuf(arity int) *applyBuf {
+	return &applyBuf{cols: make([][]uint64, arity)}
+}
+
+// columns returns rn's attributes as columns: every attribute when all is
+// set, else only the primary one (column 0). An arity-1 run is not
+// copied.
+func (b *applyBuf) columns(rn oplog.Run, all bool) [][]uint64 {
+	if rn.Arity == 1 {
+		b.one[0] = rn.Vals
+		return b.one[:]
 	}
-	if len(buf.ins) > 0 {
-		sh.sig.InsertBatch(buf.ins)
-		if sh.sketch != nil {
-			sh.sketch.InsertBatch(buf.ins)
-		}
+	w := 1
+	if all {
+		w = rn.Arity
 	}
-	if len(buf.del) > 0 {
+	for j := 0; j < w; j++ {
+		c := b.cols[j][:0]
+		for k := j; k < len(rn.Vals); k += rn.Arity {
+			c = append(c, rn.Vals[k])
+		}
+		b.cols[j] = c
+	}
+	return b.cols
+}
+
+// apply is the one write of a shard's synopses, one run at a time: the
+// absorber calls it per message, log replay per shard's run of rows. The
+// run goes to the signature and the sketch as one batch; the chain
+// synopses take their columns; the heavy-hitter table — the one
+// order-SENSITIVE synopsis — takes the rows one by one, in order. A run
+// whose width is not the schema's — a pre-schema log replayed into a
+// re-declared relation — feeds only the pairwise synopses, per the
+// upgrade contract. The caller owns the shard state, so no lock is taken.
+func (sh *sigShard) apply(rn oplog.Run, p *chainPlan, buf *applyBuf) {
+	chain := sh.chain != nil && rn.Arity == len(buf.cols)
+	cols := buf.columns(rn, chain)
+	keys := cols[0]
+	if rn.Del {
 		// Engine synopses never error on deletes (pure linearity).
-		_ = sh.sig.DeleteBatch(buf.del)
+		_ = sh.sig.DeleteBatch(keys)
 		if sh.sketch != nil {
-			_ = sh.sketch.DeleteBatch(buf.del)
+			_ = sh.sketch.DeleteBatch(keys)
+		}
+	} else {
+		sh.sig.InsertBatch(keys)
+		if sh.sketch != nil {
+			sh.sketch.InsertBatch(keys)
 		}
 	}
-	if sh.chain != nil {
-		buf.cols.gather(ops)
-		sh.chain.apply(p, buf.cols)
+	if chain {
+		sh.chain.apply(p, cols, rn.Del)
 	}
 	if sh.hh != nil {
-		for _, op := range ops {
-			if op.del {
-				sh.hh.Delete(op.v)
+		for _, v := range keys {
+			if rn.Del {
+				sh.hh.Delete(v)
 			} else {
-				sh.hh.Insert(op.v)
+				sh.hh.Insert(v)
 			}
 		}
 	}
-	sh.ops += uint64(len(ops))
+	sh.ops += uint64(len(keys))
 }
 
-// logger is the group-commit oplog writer: ops applied by the absorbers
-// accumulate in the oplog.Writer's buffer and are pushed to the OS when
-// the flush policy comes due — FlushOps records, or FlushInterval after
-// the oldest pending record, whichever first. Write errors go sticky on
-// the relation's log and surface on Err, Drain, Sync, Checkpoint, and
-// erroring caller-side ops.
+// logger is the group-commit oplog writer: runs applied by the absorbers
+// accumulate in the oplog.Writer's buffer, one version-3 record each, and
+// are pushed to the OS when the flush policy comes due — FlushOps rows,
+// or FlushInterval after the oldest pending record, whichever first.
+// Write errors go sticky on the relation's log and surface on Err, Drain,
+// Sync, Checkpoint, and erroring caller-side ops.
 func (g *ingester) logger() {
 	defer g.logWg.Done()
 	policy := oplog.FlushPolicy{
@@ -428,7 +455,6 @@ func (g *ingester) logger() {
 	timer := time.NewTimer(policy.MaxDelay)
 	timer.Stop()
 	pending, armed := 0, false
-	scratch := make([]stream.Op, 0, policy.MaxRecords)
 	flush := func() {
 		if pending > 0 {
 			g.r.log.osFlush()
@@ -451,16 +477,8 @@ func (g *ingester) logger() {
 				m.barrier.Done()
 				continue
 			}
-			scratch = scratch[:0]
-			for _, op := range m.ops {
-				kind := stream.Insert
-				if op.del {
-					kind = stream.Delete
-				}
-				scratch = append(scratch, stream.Op{Kind: kind, Value: op.v, Rest: op.tail()})
-			}
-			g.r.log.appendGroupTagged(scratch, m.epoch)
-			pending += len(scratch)
+			g.r.log.appendRun(m.run, m.epoch)
+			pending += m.run.Rows()
 			if policy.Due(pending, 0) {
 				flush()
 			} else if !armed {

@@ -1,10 +1,18 @@
-// Durability: the §5 warehouse recipe. Every update the absorbers apply
-// is group-committed to a per-relation operation log (internal/oplog's
-// independently-checksummed records); Checkpoint serializes the whole
-// engine into one blob and retires the logs; Open recovers by loading the
-// checkpoint and replaying whatever each log accumulated since — cutting
-// off a torn tail at the last clean record boundary, exactly the failure
-// a crash mid-append leaves behind.
+// Durability: the §5 warehouse recipe. Every run of updates an absorber
+// applies is group-committed to a per-relation operation log as one
+// checksummed batch record (internal/oplog, version 3):
+//
+//	absorber ──run──▶ log writer ──AppendRun──▶ segment writer ──roll at
+//	                   (flush at FlushOps rows    SegmentOps rows──▶ next
+//	                    or FlushInterval)         segment
+//
+// Checkpoint serializes the whole engine into one blob and retires the
+// logs; Open recovers by loading the checkpoint and replaying whatever
+// each log accumulated since — version-1, -2 and -3 records alike, each
+// shard's rows in log order, through the absorbers' apply — cutting off a
+// torn tail at the last clean record boundary, exactly the failure a
+// crash mid-append leaves behind. A torn batch record drops all its rows:
+// the run was applied live, but never acknowledged durable.
 //
 // The oplog file doubles as the relation's existence marker: Define
 // creates it, Drop deletes it, and recovery only resurrects relations
@@ -46,7 +54,6 @@ import (
 	"sync"
 
 	"amstrack/internal/oplog"
-	"amstrack/internal/stream"
 )
 
 const (
@@ -111,38 +118,38 @@ func relNameFromFile(file string) (name string, epoch uint64, seq int, ok bool) 
 type segWriter struct {
 	epoch uint64
 	seq   int   // current segment number
-	count int64 // records in the current segment
+	count int64 // rows in the current segment
 	path  string
 	f     oplog.File
 	w     *oplog.Writer
 }
 
 // relLog is the durable half of a relation. In in-memory engines every
-// method is a cheap no-op (cur == nil). appendGroupTagged leaves
-// flushing to the group-commit policy (osFlush), so the kernel owns an
-// op once its group is flushed; fsync happens at Sync, Checkpoint, Close,
-// and on every segment roll. Write errors are sticky: once an append
-// fails, later ops are not logged (they would be out of order) and the
-// error surfaces on Err, Sync, and Checkpoint.
+// method is a cheap no-op (cur == nil). appendRun leaves flushing to the
+// group-commit policy (osFlush), so the kernel owns an op once its group
+// is flushed; fsync happens at Sync, Checkpoint, Close, and on every
+// segment roll. Write errors are sticky: once an append fails, later ops
+// are not logged (they would be out of order) and the error surfaces on
+// Err, Sync, and Checkpoint.
 //
 // With SegmentOps > 0 the log is a sequence of numbered segment files,
-// each capped at SegmentOps records: full segments are fsynced and
-// closed, appends continue on the next segment, and recovery replays the
+// each capped at SegmentOps rows: full segments are fsynced and closed,
+// appends continue on the next segment, and recovery replays the
 // segments in order. Rolling bounds the size of any single log file (and
 // any single recovery read) between checkpoints, and pings onRoll so a
 // segment-count-triggered background checkpointer can react.
 //
 // During a checkpoint's epoch fence the log is briefly SPLIT:
-// next holds the forked next-epoch writer, and tagged appends route by
-// their epoch tag — ops applied before a shard's fence flip land in cur,
-// ops after it in next. promote retires cur once every shard has
+// next holds the forked next-epoch writer, and appends route by their
+// epoch tag — runs applied before a shard's fence flip land in cur, runs
+// after it in next. promote retires cur once every shard has
 // flipped.
 type relLog struct {
 	mu     sync.Mutex
 	fs     oplog.FS
 	dir    string
 	name   string
-	segOps int64 // roll threshold in records; 0 disables rolling
+	segOps int64 // roll threshold in rows; 0 disables rolling
 	cur    *segWriter
 	next   *segWriter // non-nil only inside an epoch-fence window
 	sticky error
@@ -169,7 +176,7 @@ func (l *relLog) create(fsys oplog.FS, dir, name string, epoch uint64, segOps in
 }
 
 // attach binds an already-positioned append handle (recovery): the open
-// file is segment seq of the given epoch and holds count records.
+// file is segment seq of the given epoch and holds count rows.
 func (l *relLog) attach(f oplog.File, fsys oplog.FS, dir, name string, epoch uint64, seq int, count, segOps int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -207,36 +214,39 @@ func (l *relLog) rollLocked(sw *segWriter) error {
 	return nil
 }
 
-// appendToLocked writes ops to sw, rolling segments as they fill. Caller
-// holds l.mu and has checked cur and sticky.
-func (l *relLog) appendToLocked(sw *segWriter, ops []stream.Op) error {
-	for len(ops) > 0 {
+// appendToLocked writes a run to sw, rolling segments as they fill: a
+// run that crosses the roll threshold becomes a record on each side.
+// Caller holds l.mu and has checked cur and sticky.
+func (l *relLog) appendToLocked(sw *segWriter, rn oplog.Run) error {
+	for rows := int64(rn.Rows()); rows > 0; {
 		if l.segOps > 0 && sw.count >= l.segOps {
 			if err := l.rollLocked(sw); err != nil {
 				return err
 			}
 		}
-		n := int64(len(ops))
+		n := rows
 		if l.segOps > 0 && n > l.segOps-sw.count {
 			n = l.segOps - sw.count
 		}
-		if err := sw.w.AppendGroup(ops[:n]); err != nil {
+		head := oplog.Run{Del: rn.Del, Arity: rn.Arity, Vals: rn.Vals[:n*int64(rn.Arity)]}
+		if err := sw.w.AppendRun(head); err != nil {
 			return err
 		}
 		sw.count += n
-		ops = ops[n:]
+		rn.Vals = rn.Vals[len(head.Vals):]
+		rows -= n
 	}
 	return nil
 }
 
-// appendGroupTagged appends a batch WITHOUT flushing to the OS — the
-// log writer's group commit. epoch is the log epoch the ops were
-// applied under (the absorber's fence state): during a split window,
-// ops at or beyond the forked epoch go to the next-epoch writer, so the
-// retiring epoch's segments hold exactly the ops the fence snapshot
-// covers. The records become OS-owned at the next osFlush (flush
-// policy), sync, roll, or close.
-func (l *relLog) appendGroupTagged(ops []stream.Op, epoch uint64) {
+// appendRun appends a run WITHOUT flushing to the OS — the log writer's
+// group commit. epoch is the log epoch the run was applied under (the
+// absorber's fence state): during a split window, runs at or beyond the
+// forked epoch go to the next-epoch writer, so the retiring epoch's
+// segments hold exactly the ops the fence snapshot covers. The records
+// become OS-owned at the next osFlush (flush policy), sync, roll, or
+// close.
+func (l *relLog) appendRun(rn oplog.Run, epoch uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil || l.sticky != nil {
@@ -246,7 +256,7 @@ func (l *relLog) appendGroupTagged(ops []stream.Op, epoch uint64) {
 	if l.next != nil && epoch >= l.next.epoch {
 		sw = l.next
 	}
-	if err := l.appendToLocked(sw, ops); err != nil {
+	if err := l.appendToLocked(sw, rn); err != nil {
 		l.sticky = fmt.Errorf("engine: oplog append: %w", err)
 	}
 }
@@ -658,19 +668,22 @@ func Open(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// replayChunk bounds how many records replay decodes before applying
-// them: enough to feed the batch kernels, few enough that a segment
-// never sits in memory as decoded ops.
+// replayChunk bounds how many rows replay holds before applying them:
+// enough to feed the batch kernels, few enough that a segment never sits
+// in memory as decoded rows.
 const replayChunk = 4096
 
 // replaySegment feeds one segment's records to the synopses through the
 // absorber's apply, truncating a torn tail when allowed. Returns the
-// clean record count. Records are decoded in chunks, each chunk grouped
-// by shard in log order — the order each shard applied them live, which
-// the heavy-hitter table needs — and each group applied as one batch.
-// Query records (legal in hand-built logs) change nothing. Segments are
-// bounded by the roll threshold, so a whole-file read keeps the recovery
-// I/O shape simple and lets the fault seam interpose cleanly.
+// clean row count. Each record's rows join their shard's pending run in
+// log order — the order each shard applied them live, which the
+// heavy-hitter table needs. A shard's run is applied when a row of
+// another kind or arity arrives for it, and every shard's once
+// replayChunk rows are pending; version-1 and -2 records arrive as runs of
+// one row and coalesce the same way. Query records (legal in hand-built
+// logs) change nothing. Segments are bounded by the roll threshold, so a
+// whole-file read keeps the recovery I/O shape simple and lets the fault
+// seam interpose cleanly.
 func (r *Relation) replaySegment(fsys oplog.FS, path string, allowTorn bool) (int64, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -678,23 +691,19 @@ func (r *Relation) replaySegment(fsys oplog.FS, path string, allowTorn bool) (in
 	}
 	size := int64(len(data))
 	lr := oplog.NewReader(bytes.NewReader(data))
-	buf := &applyBuf{cols: newChainCols(r.arity)}
-	groups := make([][]stagedOp, len(r.shards))
-	rests := make([][]uint64, replayChunk) // the chunk's tuple tails
-	n := 0
-	apply := func() {
-		for i, g := range groups {
-			if len(g) > 0 {
-				r.shards[i].apply(g, &r.plan, buf)
-				groups[i] = g[:0]
-			}
+	buf := newApplyBuf(r.arity)
+	pend := make([]oplog.Run, len(r.shards))
+	apply := func(i int) {
+		if len(pend[i].Vals) > 0 {
+			r.shards[i].apply(pend[i], &r.plan, buf)
+			pend[i].Vals = pend[i].Vals[:0]
 		}
-		n = 0
 	}
+	n := 0 // rows pending since every shard's run was last applied
 	torn := false
 replay:
 	for {
-		op, err := lr.Next()
+		rn, err := lr.NextRun()
 		switch {
 		case err == io.EOF:
 			break replay
@@ -708,29 +717,35 @@ replay:
 			allowTorn && size-lr.Offset() < oplog.MinRecordSize:
 			// A tail too short to hold ANY record is a torn write, even
 			// when its bytes do not decode as a record prefix (records
-			// are variable-length now, so an arbitrary cut can land on
-			// an undecodable first byte). Mid-log corruption — a bad
-			// record with a whole record's worth of bytes after the last
-			// clean one — stays fatal.
+			// are variable-length, so an arbitrary cut can land on an
+			// undecodable first byte). Mid-log corruption — a bad record
+			// with a whole record's worth of bytes after the last clean
+			// one — stays fatal.
 			torn = true
 			break replay
 		case err != nil:
 			return 0, fmt.Errorf("replay: %w", err)
-		case op.Kind != stream.Insert && op.Kind != stream.Delete:
-			continue
 		}
-		so := stagedOp{v: op.Value, del: op.Kind == stream.Delete}
-		if len(op.Rest) > 0 {
-			rests[n] = op.Rest
-			so.rest = &rests[n]
+		a := rn.Arity
+		for j := 0; j < len(rn.Vals); j += a {
+			i := int(r.shardOf(rn.Vals[j]))
+			p := &pend[i]
+			if p.Del != rn.Del || p.Arity != a {
+				apply(i)
+				p.Del, p.Arity = rn.Del, a
+			}
+			p.Vals = append(p.Vals, rn.Vals[j:j+a]...)
 		}
-		i := r.shardOf(op.Value)
-		groups[i] = append(groups[i], so)
-		if n++; n == replayChunk {
-			apply()
+		if n += rn.Rows(); n >= replayChunk {
+			for i := range pend {
+				apply(i)
+			}
+			n = 0
 		}
 	}
-	apply()
+	for i := range pend {
+		apply(i)
+	}
 	if torn {
 		if err := fsys.Truncate(path, lr.Offset()); err != nil {
 			return 0, fmt.Errorf("truncate torn tail: %w", err)

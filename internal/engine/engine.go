@@ -102,10 +102,10 @@ const (
 	// and the signature loses its accuracy parity with the paper's flat
 	// one.
 	minFastBuckets = 16
-	// defaultStageOps is the absorber staging-buffer capacity: large
-	// enough to amortize the flush (grouping + channel handoff) to a few
-	// ns per op, small enough that a buffer's worth of staged ops is an
-	// invisible latency at query time.
+	// defaultStageOps is the absorber staging-buffer capacity in rows:
+	// large enough to amortize the flush (shard split + channel handoff)
+	// to a few ns per op, small enough that a buffer's worth of staged
+	// ops is an invisible latency at query time.
 	defaultStageOps = 256
 )
 
@@ -145,16 +145,17 @@ type Options struct {
 	// IngestAbsorber); any other value is an error.
 	IngestMode IngestMode
 	// FlushOps caps the group-commit oplog batch: the log writer pushes
-	// pending records to the OS when FlushOps accumulate (0 → 512).
+	// pending records to the OS once they hold FlushOps rows (0 → 512).
 	// Durable engines only.
 	FlushOps int
 	// FlushInterval caps how long a pending oplog record may wait before
 	// the group is pushed to the OS (0 → 200µs). Durable engines only.
 	FlushInterval time.Duration
-	// SegmentOps caps each oplog file at this many records: when a
-	// segment fills, the relation rolls onto a numbered next segment, so
-	// no single log file (and no single recovery read) grows without
-	// bound between checkpoints. 0 disables rolling.
+	// SegmentOps caps each oplog file at this many rows: when a segment
+	// fills, the relation rolls onto a numbered next segment (a run that
+	// crosses the cap is split into a record on each side), so no single
+	// log file (and no single recovery read) grows without bound between
+	// checkpoints. 0 disables rolling.
 	SegmentOps int64
 	// ChainWords is k for the §5 chain signatures — the per-signature
 	// memory (and accuracy) of every chain end and middle signature a
@@ -178,7 +179,7 @@ type Options struct {
 	FS oplog.FS
 
 	// stageOps is the test seam for the absorber staging-buffer capacity
-	// in ops; 0 means defaultStageOps.
+	// in rows; 0 means defaultStageOps.
 	stageOps int
 }
 
@@ -641,7 +642,7 @@ func (r *Relation) newRelHH() *core.SpaceSaving {
 // erroring caller-side op.
 func (r *Relation) Insert(v uint64) {
 	r.mustArity(1)
-	r.ing.stage(v, nil, false)
+	r.ing.stage(false, v)
 }
 
 // InsertTuple adds a tuple of the relation's full attribute set, in
@@ -651,23 +652,14 @@ func (r *Relation) Insert(v uint64) {
 // InsertTuple interchangeably.
 func (r *Relation) InsertTuple(vals ...uint64) {
 	r.mustArity(len(vals))
-	if r.arity == 1 {
-		r.Insert(vals[0])
-		return
-	}
-	rest := append([]uint64(nil), vals[1:]...)
-	r.ing.stage(vals[0], &rest, false)
+	r.ing.stage(false, vals...)
 }
 
 // DeleteTuple removes a tuple previously added with InsertTuple. Exact
 // by linearity; validity of the op sequence is the caller's contract.
 func (r *Relation) DeleteTuple(vals ...uint64) error {
 	r.mustArity(len(vals))
-	if r.arity == 1 {
-		return r.Delete(vals[0])
-	}
-	rest := append([]uint64(nil), vals[1:]...)
-	r.ing.stage(vals[0], &rest, true)
+	r.ing.stage(true, vals...)
 	return r.Err()
 }
 
@@ -677,18 +669,18 @@ func (r *Relation) DeleteTuple(vals ...uint64) error {
 // relation's sticky state (prior oplog failures), not this specific op.
 func (r *Relation) Delete(v uint64) error {
 	r.mustArity(1)
-	r.ing.stage(v, nil, true)
+	r.ing.stage(true, v)
 	return r.Err()
 }
 
-// InsertBatch adds every value in vs in one grouped handoff to the
-// absorbers.
+// InsertBatch adds every value in vs in one handoff to the absorbers: one
+// run per shard. vs is copied, so the caller may reuse it immediately.
 func (r *Relation) InsertBatch(vs []uint64) {
 	if len(vs) == 0 {
 		return
 	}
 	r.mustArity(1)
-	r.ing.stageBatch(vs, false)
+	r.ing.stageBatch(oplog.Run{Arity: 1, Vals: vs})
 }
 
 // DeleteBatch removes every value in vs.
@@ -697,13 +689,14 @@ func (r *Relation) DeleteBatch(vs []uint64) error {
 		return r.Err()
 	}
 	r.mustArity(1)
-	r.ing.stageBatch(vs, true)
+	r.ing.stageBatch(oplog.Run{Del: true, Arity: 1, Vals: vs})
 	return r.Err()
 }
 
 // InsertTupleBatch adds every row (each the relation's full attribute
-// set, in schema order) in one grouped handoff to the absorbers. Rows
-// are copied, so the caller may reuse the backing arrays immediately.
+// set, in schema order) in one handoff to the absorbers: one run per
+// shard. Rows are copied, so the caller may reuse the backing arrays
+// immediately.
 func (r *Relation) InsertTupleBatch(rows [][]uint64) {
 	r.tupleBatch(rows, false)
 }
@@ -721,21 +714,7 @@ func (r *Relation) tupleBatch(rows [][]uint64, del bool) {
 	for _, row := range rows {
 		r.mustArity(len(row))
 	}
-	if r.arity == 1 {
-		// Flatten onto the single-value batch path (same ops, same log
-		// records, same counters).
-		vs := make([]uint64, len(rows))
-		for i, row := range rows {
-			vs[i] = row[0]
-		}
-		if del {
-			_ = r.DeleteBatch(vs)
-		} else {
-			r.InsertBatch(vs)
-		}
-		return
-	}
-	r.ing.stageTupleBatch(rows, del)
+	r.ing.stageRows(rows, del)
 }
 
 // Drain is the read-your-writes barrier: it blocks until every op staged

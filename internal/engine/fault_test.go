@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -77,23 +78,138 @@ func loggedModel(t *testing.T, dir string, kfs *keepFS) *refmodel.Model {
 		if name != "f" {
 			t.Fatalf("unexpected relation log %s", path)
 		}
-		lr := oplog.NewReader(bytes.NewReader(data))
-		for {
-			op, err := lr.Next()
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			if op.Kind == stream.Delete {
-				_ = f.Delete(op.Value)
-			} else {
-				f.Insert(op.Value)
-			}
-		}
+		feedLog(t, f, path, data)
 	}
 	return m
+}
+
+// feedLog feeds f every row of the whole records in one log segment's
+// bytes, in log order, stopping at a torn tail.
+func feedLog(t *testing.T, f relWriter, path string, data []byte) {
+	t.Helper()
+	lr := oplog.NewReader(bytes.NewReader(data))
+	for {
+		op, err := lr.Next()
+		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if op.Kind == stream.Delete {
+			_ = f.Delete(op.Value)
+		} else {
+			f.Insert(op.Value)
+		}
+	}
+}
+
+// recordEnds returns the offset just past each whole record of a log
+// segment, and the rows those records hold.
+func recordEnds(t *testing.T, data []byte) (ends []int64, rows int64) {
+	t.Helper()
+	lr := oplog.NewReader(bytes.NewReader(data))
+	for {
+		_, err := lr.NextRun()
+		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+			return ends, lr.Count()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, lr.Offset())
+	}
+}
+
+// segment is one log segment file of a relation: its path and bytes.
+type segment struct {
+	path string
+	data []byte
+}
+
+// relSegments reads the named relation's log segments in dir, in
+// sequence order (one epoch: no checkpoint has forked the log).
+func relSegments(t *testing.T, dir, name string) []segment {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []segment
+	for _, ent := range entries {
+		rel, _, seq, ok := relNameFromFile(ent.Name())
+		if !ok || rel != name {
+			continue
+		}
+		path := filepath.Join(dir, ent.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(segs) <= seq {
+			segs = append(segs, segment{})
+		}
+		segs[seq] = segment{path, data}
+	}
+	return segs
+}
+
+// readDir snapshots every file of dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, ent := range entries {
+		if files[ent.Name()], err = os.ReadFile(filepath.Join(dir, ent.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// writeDir writes a readDir snapshot into dir.
+func writeDir(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// segmentedLog writes one relation "f" across several 64-row segments —
+// insert and delete batches, so both record kinds appear and runs cross
+// segment boundaries — and returns the closed engine's directory.
+func segmentedLog(t *testing.T) (dir string, opts Options) {
+	t.Helper()
+	dir = t.TempDir()
+	opts = durOpts(dir)
+	opts.SegmentOps = 64
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := e.Define("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(21)
+	vs := make([]uint64, 150)
+	for i := range vs {
+		vs[i] = r.Uint64n(80)
+	}
+	f.InsertBatch(vs)
+	if err := f.DeleteBatch(vs[:40]); err != nil {
+		t.Fatal(err)
+	}
+	f.InsertBatch(vs[:16])
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, opts
 }
 
 // TestFsyncFailureSurfaces: a failing fsync must error on Sync and
@@ -153,8 +269,8 @@ func TestFsyncFailureSurfaces(t *testing.T) {
 
 // TestTornWriteRecovery: an ENOSPC that tears a write at byte
 // granularity must surface as a sticky error, and recovery must cut the
-// log back to the last whole record — exactly budget/recordSize ops
-// survive.
+// log back to the last whole record — exactly the rows of the whole
+// records before the tear survive.
 func TestTornWriteRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ffs := oplog.NewFaultFS(nil)
@@ -168,9 +284,10 @@ func TestTornWriteRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Room for exactly 100 records plus 5 torn bytes of the 101st.
-	const whole = 100
-	ffs.LimitWriteBytes(whole*oplog.MinRecordSize + 5)
+	// Every record the engine writes is 14 bytes of framing plus 8 per
+	// value, an even length, so an odd budget ends inside a record.
+	const budget = 1305
+	ffs.LimitWriteBytes(budget)
 	for i := 0; i < 300; i++ {
 		f.Insert(uint64(i % 50))
 	}
@@ -182,6 +299,19 @@ func TestTornWriteRecovery(t *testing.T) {
 	}
 	_ = e.Close()
 
+	logPath := filepath.Join(dir, relFileName("f", 0))
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != budget {
+		t.Fatalf("log holds %d bytes, want the %d-byte budget", len(data), budget)
+	}
+	ends, whole := recordEnds(t, data)
+	if len(ends) == 0 || ends[len(ends)-1] == budget || whole >= 300 {
+		t.Fatalf("the tear left %d whole records (%d rows): want a torn record after at least one", len(ends), whole)
+	}
+
 	back, err := Open(durOpts(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +322,123 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := rel.Len(); n != whole {
-		t.Fatalf("recovered Len = %d, want %d (the whole records before the tear)", n, whole)
+		t.Fatalf("recovered Len = %d, want %d (the rows of the whole records before the tear)", n, whole)
+	}
+	if st, err := os.Stat(logPath); err != nil || st.Size() != ends[len(ends)-1] {
+		t.Fatalf("log after recovery: %v, %v; want %d bytes (cut at the last whole record)", st, err, ends[len(ends)-1])
+	}
+}
+
+// TestTornBatchRecordSweep tears the last segment at every byte offset
+// inside its final record — header, values and trailer. Recovery must
+// keep exactly the rows of the records before it, bit for bit what the
+// reference model holds when fed them, and cut the file back to their
+// end.
+func TestTornBatchRecordSweep(t *testing.T) {
+	src, opts := segmentedLog(t)
+	segs := relSegments(t, src, "f")
+	if len(segs) < 2 {
+		t.Fatalf("%d segments, want several", len(segs))
+	}
+	last := segs[len(segs)-1]
+	ends, _ := recordEnds(t, last.data)
+	if len(ends) == 0 || ends[len(ends)-1] != int64(len(last.data)) {
+		t.Fatalf("last segment ends at %v, not on a record boundary of its %d bytes", ends, len(last.data))
+	}
+	start, end := int64(0), ends[len(ends)-1]
+	if len(ends) > 1 {
+		start = ends[len(ends)-2]
+	}
+	m := newModel(t, durOpts(""))
+	mf := modelDefine(t, m, "f", Schema{})
+	for _, sg := range segs[:len(segs)-1] {
+		feedLog(t, mf, sg.path, sg.data)
+	}
+	feedLog(t, mf, last.path, last.data[:start])
+
+	files := readDir(t, src)
+	base := filepath.Base(last.path)
+	t.Logf("tearing %s's final record at each of %d offsets in (%d, %d)", base, end-start-1, start, end)
+	for cut := start + 1; cut < end; cut++ {
+		dir := filepath.Join(t.TempDir(), "d")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		writeDir(t, dir, files)
+		path := filepath.Join(dir, base)
+		if err := os.Truncate(path, cut); err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.Dir = dir
+		back, err := Open(o)
+		if err != nil {
+			t.Fatalf("cut at %d of [%d, %d): %v", cut, start, end, err)
+		}
+		expectEngineMatchesModel(t, back, m)
+		if st, err := os.Stat(path); err != nil || st.Size() != start {
+			t.Fatalf("cut at %d: last segment after recovery %v, %v; want %d bytes", cut, st, err, start)
+		}
+		if err := back.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDamagedRowCountFailsOpen damages a batch record's row count, once
+// in a sealed segment and once in the last segment with a whole record
+// after it. The count sits under the header's own checksum, so Open must
+// fail with ErrCorrupt and truncate nothing: unchecked, a count that runs
+// past the end of the last segment would read as a torn tail and cut the
+// whole record behind it.
+func TestDamagedRowCountFailsOpen(t *testing.T) {
+	src, opts := segmentedLog(t)
+	segs := relSegments(t, src, "f")
+	if len(segs) < 2 {
+		t.Fatalf("%d segments, want several", len(segs))
+	}
+	last := segs[len(segs)-1]
+	if ends, _ := recordEnds(t, last.data); len(ends) < 2 {
+		t.Fatalf("last segment holds %d records, want a record after the damaged one", len(ends))
+	}
+	files := readDir(t, src)
+	for _, tc := range []struct {
+		name string
+		seg  segment
+	}{{"sealed", segs[0]}, {"last", last}} {
+		for _, delta := range []uint32{1, 1000} {
+			dir := filepath.Join(t.TempDir(), "d")
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			damaged := map[string][]byte{}
+			for name, data := range files {
+				damaged[name] = data
+			}
+			base := filepath.Base(tc.seg.path)
+			data := append([]byte(nil), files[base]...)
+			// The first record's row count: bytes 2–5, after kind and arity.
+			binary.LittleEndian.PutUint32(data[2:], binary.LittleEndian.Uint32(data[2:])+delta)
+			damaged[base] = data
+			writeDir(t, dir, damaged)
+			o := opts
+			o.Dir = dir
+			if e, err := Open(o); !errors.Is(err, oplog.ErrCorrupt) {
+				if err == nil {
+					e.Close()
+				}
+				t.Fatalf("%s segment, count +%d: Open = %v, want ErrCorrupt", tc.name, delta, err)
+			}
+			after := readDir(t, dir)
+			if len(after) != len(damaged) {
+				t.Fatalf("%s segment, count +%d: %d files after Open, want %d", tc.name, delta, len(after), len(damaged))
+			}
+			for name, data := range damaged {
+				if !bytes.Equal(after[name], data) {
+					t.Fatalf("%s segment, count +%d: Open changed %s (%d → %d bytes)", tc.name, delta, name, len(data), len(after[name]))
+				}
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"amstrack/internal/oplog"
 	"amstrack/internal/stream"
+	"amstrack/internal/xrand"
 )
 
 // writeV1Record appends one pre-tuple-era oplog record (the fixed
@@ -220,4 +221,147 @@ func TestReplayArityRule(t *testing.T) {
 			t.Fatalf("chain middle %d does not count exactly the 2-attribute records", i)
 		}
 	}
+}
+
+// TestMixedVersionSegmentReplay: one segment holding all three record
+// versions — version-1 ops, version-2 tuples and version-3 runs, of
+// widths 1, 2 and 3 and both kinds, interleaved as a log that was
+// written before runs existed and then appended to — replays into a
+// two-attribute relation by the arity rule, bit for bit. A live batch
+// appended to the same segment after recovery survives the next reopen.
+func TestMixedVersionSegmentReplay(t *testing.T) {
+	opts := Options{SignatureWords: 64, ChainWords: 16, Seed: 13, SketchS1: 32, SketchS2: 2, Shards: 2}
+	schema := Schema{Attrs: []string{"a", "b"}, EndA: []string{"a"}, EndB: []string{"b"}, Middle: [][2]string{{"a", "b"}}}
+	dopts := opts
+	dopts.Dir = t.TempDir()
+	e, err := Open(dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DefineSchema("g", schema); err != nil {
+		t.Fatal(err)
+	}
+	epoch := e.Epoch()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newModel(t, opts)
+	all := modelDefine(t, m, "all", Schema{})
+	chain := modelDefine(t, m, "chain", schema)
+	feed := func(rn oplog.Run) {
+		for j := 0; j < len(rn.Vals); j += rn.Arity {
+			row := rn.Vals[j : j+rn.Arity]
+			if rn.Del {
+				_ = all.Delete(row[0])
+			} else {
+				all.Insert(row[0])
+			}
+			if rn.Arity != 2 {
+				continue
+			}
+			if rn.Del {
+				_ = chain.DeleteTuple(row...)
+			} else {
+				chain.InsertTuple(row...)
+			}
+		}
+	}
+
+	// Runs of random widths and lengths, every third one deleted again;
+	// odd runs go to the log as one op record per row (versions 1 and 2),
+	// even ones as batch records.
+	f, err := os.OpenFile(filepath.Join(dopts.Dir, segFileName("g", epoch, 0)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := oplog.NewWriter(f)
+	r := xrand.New(5)
+	var runs []oplog.Run
+	for i := 0; i < 30; i++ {
+		a := 1 + i%3
+		vals := make([]uint64, a*int(1+r.Uint64n(20)))
+		for j := range vals {
+			vals[j] = 1 + r.Uint64n(40)
+		}
+		runs = append(runs, oplog.Run{Arity: a, Vals: vals})
+		if i%3 == 2 {
+			runs = append(runs, oplog.Run{Del: true, Arity: a, Vals: vals})
+		}
+	}
+	for i, rn := range runs {
+		feed(rn)
+		if i%2 == 0 {
+			if err := w.AppendRun(rn); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		for j := 0; j < len(rn.Vals); j += rn.Arity {
+			op := stream.Op{Kind: stream.Insert, Value: rn.Vals[j], Rest: rn.Vals[j+1 : j+rn.Arity]}
+			if rn.Del {
+				op.Kind = stream.Delete
+			}
+			if err := w.Append(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(e *Engine) {
+		t.Helper()
+		rel, err := e.Get("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := rel.Cut()
+		if cut.Rows != all.Rows() || cut.Seq != all.Seq() {
+			t.Fatalf("Rows %d Seq %d, want %d and %d", cut.Rows, cut.Seq, all.Rows(), all.Seq())
+		}
+		if !bytes.Equal(marshalOf(t, cut.Sig), marshalOf(t, all.Signature())) ||
+			!bytes.Equal(marshalOf(t, cut.Sketch), marshalOf(t, all.Sketch())) {
+			t.Fatal("signature or sketch differs from every record's primary values")
+		}
+		for i, s := range cut.Chain.Ends {
+			if !bytes.Equal(marshalOf(t, s), marshalOf(t, chain.Ends()[i])) {
+				t.Fatalf("chain end %d differs from the 2-attribute rows", i)
+			}
+		}
+		for i, s := range cut.Chain.Mids {
+			if !bytes.Equal(marshalOf(t, s), marshalOf(t, chain.Mids()[i])) {
+				t.Fatalf("chain middle %d differs from the 2-attribute rows", i)
+			}
+		}
+	}
+	back, err := Open(dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(back)
+	rel, err := back.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := [][]uint64{{3, 4}, {5, 6}, {3, 4}, {40, 1}}
+	rel.InsertTupleBatch(live)
+	if err := rel.DeleteTupleBatch(live[:1]); err != nil {
+		t.Fatal(err)
+	}
+	feed(oplog.Run{Arity: 2, Vals: []uint64{3, 4, 5, 6, 3, 4, 40, 1}})
+	feed(oplog.Run{Del: true, Arity: 2, Vals: []uint64{3, 4}})
+	if err := back.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	check(again)
 }

@@ -317,56 +317,26 @@ func newShardChain(fam *join.ChainFamily, p *chainPlan) (*shardChain, error) {
 	return sc, nil
 }
 
-// chainCols is a batch of tuples split into per-attribute columns,
-// inserts and deletes apart: ins[j][i] is attribute j of the i-th
-// inserted tuple. Its owner (a shard's absorber, or one log replay)
-// reuses the buffers from batch to batch.
-type chainCols struct {
-	ins, del [][]uint64
-}
-
-// newChainCols returns empty columns for tuples of the given arity.
-func newChainCols(arity int) *chainCols {
-	return &chainCols{ins: make([][]uint64, arity), del: make([][]uint64, arity)}
-}
-
-// gather sets the columns to the tuples of ops whose width is the
-// columns' arity. Live ops always are (mustArity); a logged record of
-// another width — a pre-schema log replayed into a re-declared relation —
-// feeds only the pairwise synopses, per the upgrade contract.
-func (c *chainCols) gather(ops []stagedOp) {
-	for j := range c.ins {
-		c.ins[j], c.del[j] = c.ins[j][:0], c.del[j][:0]
-	}
-	for _, op := range ops {
-		rest := op.tail()
-		if 1+len(rest) != len(c.ins) {
-			continue
-		}
-		cols := c.ins
-		if op.del {
-			cols = c.del
-		}
-		cols[0] = append(cols[0], op.v)
-		for j, x := range rest {
-			cols[j+1] = append(cols[j+1], x)
-		}
-	}
-}
-
-// apply feeds a batch of tuple columns into every chain synopsis, one
-// batch per synopsis and direction. Chain signatures never error on
-// deletes (pure linearity).
-func (sc *shardChain) apply(p *chainPlan, c *chainCols) {
+// apply feeds a run's attribute columns into every chain synopsis, one
+// batch per synopsis: an end signature takes its attribute's column, a
+// middle its pair's. Chain signatures never error on deletes (pure
+// linearity).
+func (sc *shardChain) apply(p *chainPlan, cols [][]uint64, del bool) {
 	for i, s := range sc.ends {
-		j := p.endAttr[i]
-		s.InsertBatch(c.ins[j])
-		_ = s.DeleteBatch(c.del[j])
+		c := cols[p.endAttr[i]]
+		if del {
+			_ = s.DeleteBatch(c)
+		} else {
+			s.InsertBatch(c)
+		}
 	}
 	for i, s := range sc.mids {
-		a, b := p.midA[i], p.midB[i]
-		s.InsertBatch(c.ins[a], c.ins[b])
-		_ = s.DeleteBatch(c.del[a], c.del[b])
+		a, b := cols[p.midA[i]], cols[p.midB[i]]
+		if del {
+			_ = s.DeleteBatch(a, b)
+		} else {
+			s.InsertBatch(a, b)
+		}
 	}
 }
 

@@ -48,6 +48,10 @@ type FastJoinResult struct {
 	FlatNsPerUpdate float64 `json:"flat_ns_per_update"`
 	FastNsPerUpdate float64 `json:"fast_ns_per_update"`
 	Speedup         float64 `json:"speedup"`
+	// FastBatchNsPerUpdate is the fast signature's InsertBatch cost per
+	// row in 64-value chunks: the floor its per-value Insert should sit
+	// near, since both run the same grid update.
+	FastBatchNsPerUpdate float64 `json:"fast_batch_ns_per_update"`
 
 	Datasets []FastJoinRow `json:"datasets"`
 }
@@ -86,7 +90,8 @@ func RunFastJoin(names []string, k, rows, trials int, seed uint64) (*FastJoinRes
 	for i := range vals {
 		vals[i] = r.Uint64n(1 << 16)
 	}
-	res.FlatNsPerUpdate, res.FastNsPerUpdate = timeUpdates(flatFam.NewSignature(), fastFam.NewSignature(), vals)
+	res.FlatNsPerUpdate, res.FastNsPerUpdate, res.FastBatchNsPerUpdate =
+		timeUpdates(flatFam.NewSignature(), fastFam.NewSignature(), vals)
 	if res.FastNsPerUpdate > 0 {
 		res.Speedup = res.FlatNsPerUpdate / res.FastNsPerUpdate
 	}
@@ -158,32 +163,41 @@ func RunFastJoin(names []string, k, rows, trials int, seed uint64) (*FastJoinRes
 	return res, nil
 }
 
-// timeUpdates measures the steady-state ns/Insert of two signatures. It
-// alternates short rounds between them and keeps each one's best round:
-// load from other processes lands on some rounds of either side, not on
-// all of one side's time, so the two best rounds see the same machine.
-func timeUpdates(flat, fast join.Signature, vals []uint64) (flatNs, fastNs float64) {
+// timeUpdates measures the steady-state ns per row of the flat and the
+// fast signature's per-value Insert, and of the fast one's InsertBatch. It
+// alternates short rounds between the three and keeps each one's best
+// round: load from other processes lands on some rounds of any side, not
+// on all of one side's time, so the best rounds see the same machine.
+func timeUpdates(flat, fast join.Signature, vals []uint64) (flatNs, fastNs, batchNs float64) {
 	const rounds = 7
-	flatNs, fastNs = math.Inf(1), math.Inf(1)
+	flatNs, fastNs, batchNs = math.Inf(1), math.Inf(1), math.Inf(1)
 	for range rounds {
-		flatNs = min(flatNs, timeRound(flat, vals))
-		fastNs = min(fastNs, timeRound(fast, vals))
+		flatNs = min(flatNs, timeRound(perValue(flat), vals))
+		fastNs = min(fastNs, timeRound(perValue(fast), vals))
+		batchNs = min(batchNs, timeRound(fast.InsertBatch, vals))
 	}
-	return flatNs, fastNs
+	return flatNs, fastNs, batchNs
 }
 
-// timeRound returns one round's ns/Insert: it inserts vals in chunks,
-// wrapping around, until the round has run for at least 5 ms. len(vals)
-// must be a multiple of the chunk.
-func timeRound(sig join.Signature, vals []uint64) float64 {
+// perValue inserts a chunk one Insert call at a time.
+func perValue(sig join.Signature) func([]uint64) {
+	return func(chunk []uint64) {
+		for _, v := range chunk {
+			sig.Insert(v)
+		}
+	}
+}
+
+// timeRound returns one round's ns per row: it hands insert vals in
+// 64-value chunks, wrapping around, until the round has run for at least
+// 5 ms. len(vals) must be a multiple of the chunk.
+func timeRound(insert func([]uint64), vals []uint64) float64 {
 	const minDuration, chunk = 5 * time.Millisecond, 64
 	total := 0
 	start := time.Now()
 	for time.Since(start) < minDuration {
 		off := total % len(vals)
-		for _, v := range vals[off : off+chunk] {
-			sig.Insert(v)
-		}
+		insert(vals[off : off+chunk])
 		total += chunk
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(total)

@@ -2,7 +2,12 @@ package oplog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"io"
+	"math"
+	"runtime"
 	"testing"
 
 	"amstrack/internal/stream"
@@ -14,13 +19,14 @@ import (
 //
 //   - Next never panics;
 //   - whatever happens, Offset() is a clean truncation point: within the
-//     input, and the prefix up to it re-reads cleanly as exactly Count()
-//     records (records are variable-length now that tuple kinds exist, so
-//     the re-read is the boundary proof);
+//     input, and the prefix up to it re-reads cleanly as exactly the
+//     Count() rows read (records are variable-length, so the re-read is
+//     the boundary proof);
 //   - a failure is reported as io.ErrUnexpectedEOF (short tail) only when
 //     the input ends mid-record, and as ErrCorrupt otherwise.
 func FuzzReader(f *testing.F) {
-	// Seed: a valid log (both record versions) and several torn prefixes.
+	// Seed: a valid log (all three record versions) and several torn
+	// prefixes.
 	var valid bytes.Buffer
 	w := NewWriter(&valid)
 	for i := 0; i < 8; i++ {
@@ -38,6 +44,26 @@ func FuzzReader(f *testing.F) {
 		f.Add(append([]byte(nil), full[:cut]...))
 	}
 	f.Add(bytes.Repeat([]byte{0xFF}, 3*recordSize))
+	// Batch records: both kinds at arity 1 and 3, after a version-1
+	// record; then torn inside the header, the values and the trailer;
+	// then with a damaged row count.
+	var batches bytes.Buffer
+	w = NewWriter(&batches)
+	_ = w.Append(stream.Op{Kind: stream.Insert, Value: 5})
+	_ = w.AppendRun(Run{Arity: 1, Vals: []uint64{1, 2, 3, 1 << 63}})
+	_ = w.AppendRun(Run{Del: true, Arity: 1, Vals: []uint64{2}})
+	_ = w.AppendRun(Run{Arity: 3, Vals: []uint64{1, 2, 3, 4, 5, 6}})
+	_ = w.AppendRun(Run{Del: true, Arity: 3, Vals: []uint64{4, 5, 6}})
+	_ = w.Flush()
+	all := batches.Bytes()
+	f.Add(append([]byte(nil), all...))
+	last := len(all) - (batchHeaderSize + 3*8 + 4)
+	for _, cut := range []int{recordSize + 3, last + 4, last + batchHeaderSize + 9, len(all) - 2} {
+		f.Add(append([]byte(nil), all[:cut]...))
+	}
+	damaged := append([]byte(nil), all...)
+	damaged[recordSize+2]++ // the first batch record's row count
+	f.Add(damaged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lr := NewReader(bytes.NewReader(data))
@@ -82,6 +108,94 @@ func FuzzReader(f *testing.F) {
 			if !again[i].Equal(ops[i]) {
 				t.Fatalf("op %d differs on re-read", i)
 			}
+		}
+	})
+}
+
+// FuzzBatchRecord round-trips one version-3 record of arbitrary kind,
+// arity (1–255) and values through the Writer and the Reader:
+//
+//   - the record reads back as exactly the rows written, with Count the
+//     row count and Offset the record's length, then a clean io.EOF;
+//   - every strict prefix reads as io.ErrUnexpectedEOF, and no row of
+//     the torn record is handed out;
+//   - a header whose row count exceeds the per-record cap, checksummed
+//     as the writer would, reads as ErrCorrupt before anything of the
+//     size it claims is allocated — from the header alone, since the
+//     reader must not try to read the values it announces.
+func FuzzBatchRecord(f *testing.F) {
+	f.Add(false, uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint32(0))
+	f.Add(true, uint8(2), bytes.Repeat([]byte{0xAB}, 8*3*5), uint32(7))
+	f.Add(false, uint8(254), []byte{}, uint32(math.MaxUint32))
+
+	f.Fuzz(func(t *testing.T, del bool, arityByte uint8, data []byte, forged uint32) {
+		arity := 1 + int(arityByte)%maxArity
+		rows := min(max(len(data)/(8*arity), 1), maxRecordRows)
+		vals := make([]uint64, rows*arity)
+		for i := range vals {
+			if 8*i+8 <= len(data) {
+				vals[i] = binary.LittleEndian.Uint64(data[8*i:])
+			}
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.AppendRun(Run{Del: del, Arity: arity, Vals: vals}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rec := buf.Bytes()
+		if want := batchHeaderSize + 8*len(vals) + 4; len(rec) != want {
+			t.Fatalf("record is %d bytes, want %d", len(rec), want)
+		}
+
+		lr := NewReader(bytes.NewReader(rec))
+		got, err := lr.NextRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Del != del || got.Arity != arity || len(got.Vals) != len(vals) {
+			t.Fatalf("read run del=%v arity=%d with %d values, wrote del=%v arity=%d with %d",
+				got.Del, got.Arity, len(got.Vals), del, arity, len(vals))
+		}
+		for i, v := range vals {
+			if got.Vals[i] != v {
+				t.Fatalf("value %d reads %d, wrote %d", i, got.Vals[i], v)
+			}
+		}
+		if lr.Count() != int64(rows) || lr.Offset() != int64(len(rec)) {
+			t.Fatalf("Count %d Offset %d, want %d rows and %d bytes", lr.Count(), lr.Offset(), rows, len(rec))
+		}
+		if _, err := lr.NextRun(); err != io.EOF {
+			t.Fatalf("after the record: %v, want io.EOF", err)
+		}
+
+		for cut := 1; cut < len(rec); cut++ {
+			lr := NewReader(bytes.NewReader(rec[:cut]))
+			if _, err := lr.NextRun(); err != io.ErrUnexpectedEOF {
+				t.Fatalf("prefix of %d/%d bytes: %v, want io.ErrUnexpectedEOF", cut, len(rec), err)
+			}
+			if lr.Count() != 0 || lr.Offset() != 0 {
+				t.Fatalf("prefix of %d/%d bytes: Count %d Offset %d, want nothing read", cut, len(rec), lr.Count(), lr.Offset())
+			}
+		}
+
+		hdr := append([]byte(nil), rec[:batchHeaderSize]...)
+		count := maxRecordRows + 1 + forged%(math.MaxUint32-maxRecordRows)
+		binary.LittleEndian.PutUint32(hdr[2:], count)
+		binary.LittleEndian.PutUint32(hdr[6:], crc32.ChecksumIEEE(hdr[:6]))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		lr = NewReader(bytes.NewReader(hdr))
+		_, err = lr.NextRun()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("row count %d over the cap: %v, want ErrCorrupt", count, err)
+		}
+		if claimed := 8 * uint64(count) * uint64(arity); after.TotalAlloc-before.TotalAlloc >= claimed {
+			t.Fatalf("row count %d over the cap: allocated %d bytes, the record claims %d",
+				count, after.TotalAlloc-before.TotalAlloc, claimed)
 		}
 	})
 }

@@ -3,26 +3,48 @@
 // algorithms periodically catch up "by stepping through any additions to
 // the update log since the previous run".
 //
-// Record format, version 1 (little endian):
+// Three record versions share one stream (little endian throughout). The
+// kind byte fixes the version, and kinds a version introduced never
+// appear in logs written before it, so older logs read back unchanged and
+// an older reader reports a newer record as corrupt instead of
+// misdecoding it.
+//
+// Version 1, one single-attribute op:
 //
 //	byte   kind (0 insert, 1 delete, 2 query)
 //	uint64 value (0 for query)
 //	uint32 crc32 of the 9 bytes above
 //
-// Record format, version 2 — the multi-attribute tuple records of the
-// engine's chain-join schemas (kind bytes 3 and 4 never appear in logs
-// written before they existed, so both versions coexist in one stream
-// and old logs read back unchanged):
+// Version 2, one multi-attribute tuple op (the engine's chain-join
+// schemas):
 //
 //	byte   kind (3 tuple insert, 4 tuple delete)
 //	byte   arity m (2..255; arity-1 ops use the version-1 kinds)
 //	m × uint64 attribute values, primary first
 //	uint32 crc32 of the 2+8m bytes above
 //
-// Each record is independently checksummed so a torn tail write is
-// detected and reported as a clean truncation point rather than silent
-// corruption. A Reader hands back stream.Op values (tuple records carry
-// their non-primary attributes in Op.Rest); a Writer appends them.
+// Version 3, a run of n rows of one kind and arity — what the engine
+// writes, one record per shard's share of a batch:
+//
+//	byte   kind (5 batch insert, 6 batch delete)
+//	byte   arity m (1..255)
+//	uint32 row count n (1..4096)
+//	uint32 crc32 of the 6 bytes above
+//	n·m × uint64 values, row-major, each row primary first
+//	uint32 crc32 of the 8·n·m value bytes
+//
+// The header carries its own checksum so that a damaged row count reads
+// as corruption before anything is sized by it: unchecked, a flipped
+// count in the last segment would read as a torn tail, and recovery would
+// cut the whole records behind it.
+//
+// Every record is checksummed, so a torn tail write is detected and
+// reported as a clean truncation point rather than silent corruption. A
+// Writer appends single ops (versions 1 and 2) or runs (version 3); a
+// Reader hands back one op at a time (tuple ops carry their non-primary
+// attributes in Op.Rest) or one record's rows as a Run. Count counts
+// rows, a query record as one, and Offset always lands on a record
+// boundary: no row of a torn or corrupt record is handed out.
 package oplog
 
 import (
@@ -45,27 +67,48 @@ const MinRecordSize = 1 + 8 + 4
 
 const (
 	recordSize = MinRecordSize
-	// Tuple-record kind bytes (version 2). They live beyond the
-	// stream.OpKind space on purpose: a version-1 reader meeting one
-	// reports corruption instead of misdecoding it.
+	// Tuple-record kind bytes (version 2) and batch-record kind bytes
+	// (version 3). They live beyond the stream.OpKind space on purpose: a
+	// version-1 reader meeting one reports corruption instead of
+	// misdecoding it.
 	kindTupleInsert = 3
 	kindTupleDelete = 4
+	kindBatchInsert = 5
+	kindBatchDelete = 6
 	// maxArity is the widest tuple a record can carry (the arity field is
-	// one byte; 0 and 1 are reserved for the version-1 kinds).
+	// one byte).
 	maxArity = 255
-	// maxRecordSize bounds the Reader's scratch: the widest tuple record.
-	maxRecordSize = 2 + 8*maxArity + 4
+	// maxTupleSize bounds a version-2 record: the widest tuple.
+	maxTupleSize = 2 + 8*maxArity + 4
+	// batchHeaderSize is a version-3 record's kind, arity, row count and
+	// header checksum.
+	batchHeaderSize = 1 + 1 + 4 + 4
+	// maxRecordRows caps the rows of one version-3 record, and with them
+	// the reader's scratch: at most 8 MiB of values at arity 255.
+	maxRecordRows = 4096
 )
 
 // ErrCorrupt is returned when a record fails its checksum.
 var ErrCorrupt = errors.New("oplog: corrupt record")
 
+// Run is rows of one kind and arity, row-major: Vals holds Rows() rows of
+// Arity values each, primary attribute first. It is the unit of a
+// version-3 record.
+type Run struct {
+	Del   bool
+	Arity int
+	Vals  []uint64
+}
+
+// Rows returns the run's row count.
+func (r Run) Rows() int { return len(r.Vals) / r.Arity }
+
 // Writer appends operations to an underlying writer.
 type Writer struct {
-	w     *bufio.Writer
-	buf   [maxRecordSize]byte
-	group []byte // AppendGroup encode scratch
-	n     int64
+	w   *bufio.Writer
+	buf [maxTupleSize]byte // single-op encode scratch
+	run []byte             // AppendRun encode scratch, at most one record
+	n   int64
 }
 
 // NewWriter wraps w.
@@ -74,9 +117,7 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // encode serializes op into lw.buf and returns the record length. Ops
-// without Rest encode as version-1 records byte-for-byte, so a log of
-// single-attribute ops is indistinguishable from one written before
-// tuple records existed.
+// without Rest encode as version-1 records, tuple ops as version 2.
 func (lw *Writer) encode(op stream.Op) (int, error) {
 	if len(op.Rest) == 0 {
 		switch op.Kind {
@@ -113,7 +154,7 @@ func (lw *Writer) encode(op stream.Op) (int, error) {
 	return body + 4, nil
 }
 
-// Append writes one operation.
+// Append writes one operation as a version-1 or version-2 record.
 func (lw *Writer) Append(op stream.Op) error {
 	n, err := lw.encode(op)
 	if err != nil {
@@ -136,51 +177,56 @@ func (lw *Writer) AppendAll(ops []stream.Op) error {
 	return nil
 }
 
-// AppendGroup writes a batch of operations WITHOUT flushing — the
-// group-commit half of the engine's absorber path. The whole group is
-// encoded into one scratch buffer and handed to the underlying writer in
-// a single Write, so the per-record cost is the encode + CRC alone;
-// records then sit in the Writer's buffer until a FlushPolicy (or an
-// explicit Flush) pushes them down, amortizing the per-op flush cost the
-// single-op ingest path pays.
-func (lw *Writer) AppendGroup(ops []stream.Op) error {
-	if len(ops) == 0 {
-		return nil
+// AppendRun writes a run as version-3 records of at most 4096 rows each,
+// WITHOUT flushing — the group-commit half of the engine's log writer:
+// the records sit in the Writer's buffer until a FlushPolicy (or an
+// explicit Flush) pushes them down. The run's values are encoded, not
+// kept. An empty run writes nothing.
+func (lw *Writer) AppendRun(r Run) error {
+	if r.Arity < 1 || r.Arity > maxArity || len(r.Vals)%r.Arity != 0 {
+		return fmt.Errorf("oplog: invalid run of arity %d with %d values", r.Arity, len(r.Vals))
 	}
-	g := lw.group[:0]
-	if cap(g) < len(ops)*recordSize {
-		// Capacity hint only (tuple records run longer than recordSize);
-		// append grows as needed and the grown scratch is kept below, so
-		// steady-state group commits stay allocation-free.
-		g = make([]byte, 0, len(ops)*recordSize)
+	kind := byte(kindBatchInsert)
+	if r.Del {
+		kind = kindBatchDelete
 	}
-	for _, op := range ops {
-		n, err := lw.encode(op)
-		if err != nil {
+	for vals := r.Vals; len(vals) > 0; {
+		rows := min(len(vals)/r.Arity, maxRecordRows)
+		rec := vals[:rows*r.Arity]
+		vals = vals[len(rec):]
+		size := batchHeaderSize + 8*len(rec) + 4
+		if cap(lw.run) < size {
+			lw.run = make([]byte, size)
+		}
+		b := lw.run[:size]
+		b[0], b[1] = kind, byte(r.Arity)
+		binary.LittleEndian.PutUint32(b[2:], uint32(rows))
+		binary.LittleEndian.PutUint32(b[6:], crc32.ChecksumIEEE(b[:6]))
+		body := b[batchHeaderSize : size-4]
+		for i, v := range rec {
+			binary.LittleEndian.PutUint64(body[8*i:], v)
+		}
+		binary.LittleEndian.PutUint32(b[size-4:], crc32.ChecksumIEEE(body))
+		if _, err := lw.w.Write(b); err != nil {
 			return err
 		}
-		g = append(g, lw.buf[:n]...)
+		lw.n += int64(rows)
 	}
-	lw.group = g
-	if _, err := lw.w.Write(g); err != nil {
-		return err
-	}
-	lw.n += int64(len(ops))
 	return nil
 }
 
-// Count returns how many records have been appended.
+// Count returns how many rows have been appended (a single op is one).
 func (lw *Writer) Count() int64 { return lw.n }
 
 // Flush flushes buffered records to the underlying writer.
 func (lw *Writer) Flush() error { return lw.w.Flush() }
 
 // FlushPolicy is the group-commit knob pair: a pending group is flushed
-// to the underlying writer when it reaches MaxRecords records or when
-// the OLDEST pending record has waited MaxDelay, whichever comes first.
-// The zero value selects the defaults.
+// to the underlying writer when it holds MaxRecords rows or when the
+// OLDEST pending record has waited MaxDelay, whichever comes first. The
+// zero value selects the defaults.
 type FlushPolicy struct {
-	// MaxRecords caps the pending group size (0 → 512).
+	// MaxRecords caps the pending group size in rows (0 → 512).
 	MaxRecords int
 	// MaxDelay caps how long the oldest pending record may wait
 	// unflushed (0 → 200µs).
@@ -204,18 +250,21 @@ func (p FlushPolicy) Normalize() FlushPolicy {
 	return p
 }
 
-// Due reports whether a group of pending records, the oldest of which
-// has waited for age, must be flushed now under the policy.
+// Due reports whether a group of pending rows, the oldest of which has
+// waited for age, must be flushed now under the policy.
 func (p FlushPolicy) Due(pending int, age time.Duration) bool {
 	return pending >= p.MaxRecords || (pending > 0 && age >= p.MaxDelay)
 }
 
 // Reader decodes operations from an underlying reader.
 type Reader struct {
-	r   *bufio.Reader
-	buf [maxRecordSize]byte
-	n   int64
-	off int64 // byte offset just past the last cleanly decoded record
+	r    *bufio.Reader
+	hdr  [maxTupleSize]byte // version-1 and -2 records, version-3 headers
+	body []byte             // version-3 values and trailer
+	vals []uint64           // the current record's decoded values
+	run  Run                // the current record's rows not yet handed out
+	n    int64
+	off  int64 // byte offset just past the last cleanly decoded record
 }
 
 // NewReader wraps r.
@@ -223,82 +272,170 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
-// Next returns the next operation. io.EOF signals a clean end;
+// Next returns the next operation: the next row of the current record,
+// or the first of the next one. io.EOF signals a clean end;
 // io.ErrUnexpectedEOF a torn tail (the stream ended mid-record);
-// ErrCorrupt a checksum failure or an undecodable kind byte. Any other
+// ErrCorrupt a checksum failure or an undecodable header. Any other
 // error is a genuine read failure from the underlying reader, passed
-// through unchanged — callers that truncate torn tails (engine recovery)
+// through wrapped — callers that truncate torn tails (engine recovery)
 // must NOT treat a transient I/O error as permission to cut a healthy
 // log.
 func (lr *Reader) Next() (stream.Op, error) {
-	kind, err := lr.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return stream.Op{}, io.EOF
-		}
-		return stream.Op{}, fmt.Errorf("oplog: read record %d: %w", lr.n, err)
-	}
-	lr.buf[0] = kind
-	// The kind byte fixes the record length. A corrupted kind byte either
-	// lands on another valid kind (the CRC below catches it) or falls
-	// outside the registry, reported as corruption here.
-	var body int // record length up to (excluding) the CRC trailer
-	have := 1    // header bytes already in lr.buf
-	switch kind {
-	case byte(stream.Insert), byte(stream.Delete), byte(stream.Query):
-		body = 9
-	case kindTupleInsert, kindTupleDelete:
-		arity, err := lr.r.ReadByte()
+	if len(lr.run.Vals) == 0 {
+		query, err := lr.read()
 		if err != nil {
-			return stream.Op{}, lr.torn(err)
+			return stream.Op{}, err
 		}
-		lr.buf[1] = arity
-		have = 2
-		if arity < 2 {
-			return stream.Op{}, fmt.Errorf("%w at record %d: tuple arity %d", ErrCorrupt, lr.n, arity)
+		if query {
+			// A query record's value field rides along, as it was written.
+			lr.n++
+			return stream.Op{Kind: stream.Query, Value: binary.LittleEndian.Uint64(lr.hdr[1:9])}, nil
 		}
-		body = 2 + 8*int(arity)
-	default:
-		return stream.Op{}, fmt.Errorf("%w at record %d: kind %d", ErrCorrupt, lr.n, kind)
 	}
-	if _, err := io.ReadFull(lr.r, lr.buf[have:body+4]); err != nil {
-		return stream.Op{}, lr.torn(err)
-	}
-	if crc32.ChecksumIEEE(lr.buf[:body]) != binary.LittleEndian.Uint32(lr.buf[body:]) {
-		return stream.Op{}, fmt.Errorf("%w at record %d", ErrCorrupt, lr.n)
-	}
-	var op stream.Op
-	switch kind {
-	case kindTupleInsert, kindTupleDelete:
-		op.Kind = stream.Insert
-		if kind == kindTupleDelete {
-			op.Kind = stream.Delete
-		}
-		op.Value = binary.LittleEndian.Uint64(lr.buf[2:])
-		arity := int(lr.buf[1])
-		op.Rest = make([]uint64, arity-1)
-		for i := range op.Rest {
-			op.Rest[i] = binary.LittleEndian.Uint64(lr.buf[10+8*i:])
-		}
-	default:
-		op.Kind = stream.OpKind(kind)
-		op.Value = binary.LittleEndian.Uint64(lr.buf[1:])
-	}
+	a := lr.run.Arity
+	row := lr.run.Vals[:a]
+	lr.run.Vals = lr.run.Vals[a:]
 	lr.n++
-	lr.off += int64(body + 4)
+	op := stream.Op{Kind: stream.Insert, Value: row[0]}
+	if lr.run.Del {
+		op.Kind = stream.Delete
+	}
+	if a > 1 {
+		op.Rest = append([]uint64(nil), row[1:]...)
+	}
 	return op, nil
 }
 
-// torn maps a mid-record short read onto io.ErrUnexpectedEOF (a clean
-// EOF after the kind byte is still a torn record: the record started).
-func (lr *Reader) torn(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return io.ErrUnexpectedEOF
+// NextRun returns the next record's rows as one run — or, after Next
+// handed out some of a record's rows, the rest of them. Query records
+// carry no rows and are skipped (Count still counts them). Errors are
+// Next's. The run's values are the Reader's scratch, valid until the
+// next call.
+func (lr *Reader) NextRun() (Run, error) {
+	for len(lr.run.Vals) == 0 {
+		query, err := lr.read()
+		if err != nil {
+			return Run{}, err
+		}
+		if query {
+			lr.n++
+		}
 	}
-	return fmt.Errorf("oplog: read record %d: %w", lr.n, err)
+	r := lr.run
+	lr.run.Vals = nil
+	lr.n += int64(r.Rows())
+	return r, nil
 }
 
-// Count returns how many records have been read so far.
+// read decodes the next record into lr.run; query reports a query record,
+// which leaves the run empty. The kind byte fixes the layout. A corrupted
+// kind byte either lands on another valid kind (a checksum catches it) or
+// falls outside the registry, reported as corruption here.
+func (lr *Reader) read() (query bool, err error) {
+	lr.run = Run{}
+	kind, err := lr.r.ReadByte()
+	if err != nil {
+		if err == io.EOF {
+			return false, io.EOF
+		}
+		return false, fmt.Errorf("oplog: read record at offset %d: %w", lr.off, err)
+	}
+	lr.hdr[0] = kind
+	switch kind {
+	case byte(stream.Insert), byte(stream.Delete), byte(stream.Query):
+		if err := lr.fill(lr.hdr[1:recordSize]); err != nil {
+			return false, err
+		}
+		if err := lr.check(lr.hdr[:9], lr.hdr[9:]); err != nil {
+			return false, err
+		}
+		lr.off += recordSize
+		if kind == byte(stream.Query) {
+			return true, nil
+		}
+		lr.setRun(kind == byte(stream.Delete), 1, lr.hdr[1:9])
+	case kindTupleInsert, kindTupleDelete:
+		if err := lr.fill(lr.hdr[1:2]); err != nil {
+			return false, err
+		}
+		arity := int(lr.hdr[1])
+		if arity < 2 {
+			return false, fmt.Errorf("%w at offset %d: tuple arity %d", ErrCorrupt, lr.off, arity)
+		}
+		body := 2 + 8*arity
+		if err := lr.fill(lr.hdr[2 : body+4]); err != nil {
+			return false, err
+		}
+		if err := lr.check(lr.hdr[:body], lr.hdr[body:]); err != nil {
+			return false, err
+		}
+		lr.off += int64(body + 4)
+		lr.setRun(kind == kindTupleDelete, arity, lr.hdr[2:body])
+	case kindBatchInsert, kindBatchDelete:
+		h := lr.hdr[:batchHeaderSize]
+		if err := lr.fill(h[1:]); err != nil {
+			return false, err
+		}
+		if err := lr.check(h[:6], h[6:]); err != nil {
+			return false, err
+		}
+		arity, rows := int(h[1]), int(binary.LittleEndian.Uint32(h[2:]))
+		if arity < 1 || rows < 1 || rows > maxRecordRows {
+			return false, fmt.Errorf("%w at offset %d: batch of %d rows at arity %d", ErrCorrupt, lr.off, rows, arity)
+		}
+		size := 8*rows*arity + 4
+		if cap(lr.body) < size {
+			lr.body = make([]byte, size)
+		}
+		b := lr.body[:size]
+		if err := lr.fill(b); err != nil {
+			return false, err
+		}
+		if err := lr.check(b[:size-4], b[size-4:]); err != nil {
+			return false, err
+		}
+		lr.off += int64(batchHeaderSize + size)
+		lr.setRun(kind == kindBatchDelete, arity, b[:size-4])
+	default:
+		return false, fmt.Errorf("%w at offset %d: kind %d", ErrCorrupt, lr.off, kind)
+	}
+	return false, nil
+}
+
+// fill reads the rest of a started record; a short read is a torn tail.
+func (lr *Reader) fill(b []byte) error {
+	if _, err := io.ReadFull(lr.r, b); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("oplog: read record at offset %d: %w", lr.off, err)
+	}
+	return nil
+}
+
+// check compares the crc32 of b with the little-endian sum in trailer.
+func (lr *Reader) check(b, trailer []byte) error {
+	if crc32.ChecksumIEEE(b) != binary.LittleEndian.Uint32(trailer) {
+		return fmt.Errorf("%w at offset %d", ErrCorrupt, lr.off)
+	}
+	return nil
+}
+
+// setRun decodes a record's value bytes into the current run.
+func (lr *Reader) setRun(del bool, arity int, b []byte) {
+	n := len(b) / 8
+	if cap(lr.vals) < n {
+		lr.vals = make([]uint64, n)
+	}
+	vals := lr.vals[:n]
+	for i := range vals {
+		vals[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	lr.run = Run{Del: del, Arity: arity, Vals: vals}
+}
+
+// Count returns how many rows have been read so far (a query record
+// counts as one).
 func (lr *Reader) Count() int64 { return lr.n }
 
 // Offset returns the byte offset just past the last cleanly decoded
@@ -340,7 +477,7 @@ func Replay(r io.Reader, tr stream.Tracker, onQuery func()) (int64, error) {
 			applied++
 		case stream.Delete:
 			if err := tr.Delete(op.Value); err != nil {
-				return applied, fmt.Errorf("oplog: replay record %d: %w", lr.Count()-1, err)
+				return applied, fmt.Errorf("oplog: replay row %d: %w", lr.Count()-1, err)
 			}
 			applied++
 		case stream.Query:

@@ -206,6 +206,74 @@ func TestReaderCount(t *testing.T) {
 	}
 }
 
+// TestAppendRunSplitsAtRecordCap: a run longer than the per-record cap
+// becomes several records, each within it, that read back as the run's
+// rows in order — by run and by op alike.
+func TestAppendRunSplitsAtRecordCap(t *testing.T) {
+	const arity = 2
+	rows := 2*maxRecordRows + 5
+	vals := make([]uint64, rows*arity)
+	for i := range vals {
+		vals[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.AppendRun(Run{Del: true, Arity: arity, Vals: vals}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != int64(rows) {
+		t.Fatalf("writer Count = %d, want %d rows", w.Count(), rows)
+	}
+	if want := 3*(batchHeaderSize+4) + 8*len(vals); buf.Len() != want {
+		t.Fatalf("wrote %d bytes, want %d (three records)", buf.Len(), want)
+	}
+	data := buf.Bytes()
+	lr := NewReader(bytes.NewReader(data))
+	var got []uint64
+	for {
+		rn, err := lr.NextRun()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rn.Del || rn.Arity != arity || rn.Rows() > maxRecordRows {
+			t.Fatalf("record of %d rows, del=%v arity=%d", rn.Rows(), rn.Del, rn.Arity)
+		}
+		got = append(got, rn.Vals...)
+	}
+	ops, err := ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(vals) || len(ops) != rows || lr.Count() != int64(rows) {
+		t.Fatalf("read %d values and %d ops (Count %d), want %d and %d", len(got), len(ops), lr.Count(), len(vals), rows)
+	}
+	for i, op := range ops {
+		want := stream.Op{Kind: stream.Delete, Value: vals[i*arity], Rest: vals[i*arity+1 : i*arity+arity]}
+		if got[i*arity] != vals[i*arity] || got[i*arity+1] != vals[i*arity+1] || !op.Equal(want) {
+			t.Fatalf("row %d differs", i)
+		}
+	}
+}
+
+func TestAppendRunRejectsInvalid(t *testing.T) {
+	w := NewWriter(&bytes.Buffer{})
+	for _, r := range []Run{
+		{Arity: 0, Vals: []uint64{1}},
+		{Arity: maxArity + 1, Vals: make([]uint64, maxArity+1)},
+		{Arity: 2, Vals: []uint64{1, 2, 3}},
+	} {
+		if err := w.AppendRun(r); err == nil {
+			t.Fatalf("run of arity %d with %d values accepted", r.Arity, len(r.Vals))
+		}
+	}
+}
+
 func BenchmarkAppend(b *testing.B) {
 	w := NewWriter(io.Discard)
 	op := stream.Op{Kind: stream.Insert, Value: 12345}
