@@ -447,9 +447,9 @@ func BenchmarkUpdateChainMiddle(b *testing.B) {
 // uniform and zipf(1.2) keys, in memory and with the oplog. The skewed
 // keys check that hot values cannot re-serialize the absorber pipeline.
 // The alternating case inserts a uniform key and deletes it again, op by
-// op: a staging slot holds a run of one kind, so every switch sends the
-// slot on, and this is the single-op path's worst case. Timing includes
-// the final Drain, so staged ops cannot flatter the numbers.
+// op: inserts and deletes stage in one run per kind, so switching kinds
+// costs no extra message. Timing includes the final Drain, so staged ops
+// cannot flatter the numbers.
 func BenchmarkEngineIngest(b *testing.B) {
 	nCPU := runtime.GOMAXPROCS(0)
 	writerCounts := []int{1, 4}

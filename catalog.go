@@ -16,8 +16,9 @@ type Engine = engine.Engine
 type EngineOptions = engine.Options
 
 // IngestMode names an Engine's write path (see engine.IngestMode). There
-// is one: the lock-free staging/absorber pipeline, with group-committed
-// oplog appends; queries drain staged ops first, so reads see the
+// is one: each relation's sequencer group-commits every batch to the
+// oplog whole, in arrival order, then hands each shard's lock-free
+// absorber its rows; queries drain staged ops first, so reads see the
 // caller's own writes. The field is kept for source compatibility.
 type IngestMode = engine.IngestMode
 

@@ -27,15 +27,16 @@
 // fails the process exits non-zero — the operator must know the last
 // moments of the stream were not made durable.
 //
-// The write path is the engine's lock-free absorber: ingest requests
-// stage ops into per-goroutine buffers, per-shard absorber goroutines
-// apply them, and the oplog is group-committed (-flush-ops /
-// -flush-interval). Queries drain staged ops first, so responses always
-// reflect the request's own writes. -segment-ops N additionally rolls
-// each relation's oplog onto numbered segment files every N records,
-// bounding single-file recovery reads between checkpoints. Checkpoints
-// are pause-free: the cut rides an epoch fence through the absorber
-// goroutines instead of quiescing ingest. DESIGN.md §7 and §9 document
+// The write path is one sequencer per relation in front of the engine's
+// lock-free absorbers: each ingest batch is logged whole, in arrival
+// order, and group-committed (-flush-ops / -flush-interval), then
+// per-shard absorber goroutines apply it. Queries drain staged ops
+// first, so responses always reflect the request's own writes.
+// -segment-ops N additionally rolls each relation's oplog onto numbered
+// segment files every N records, bounding single-file recovery reads
+// between checkpoints. Checkpoints are pause-free: the cut rides an
+// epoch fence through each relation's sequencer instead of quiescing
+// ingest. DESIGN.md §7 and §9 document
 // the write path, the checkpoint, and their measured cost.
 //
 // -wire-addr (default :7601) serves amswire, the length-prefixed binary

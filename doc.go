@@ -92,20 +92,22 @@
 // listener is refused at the router's health probe. DESIGN.md §5
 // documents the architecture, §10 the wire protocol, §12 the router.
 //
-// The engine has one write path, the lock-free absorber pipeline:
-// callers stage ops into CAS-claimed buffers of a fixed 256 rows (a
-// batch skips them and is split by shard straight away), per-shard
-// absorber goroutines apply each run of rows under single-writer
-// discipline, and a group-commit writer logs every run as one
-// checksummed batch record (flushed at EngineOptions.FlushOps rows or
-// EngineOptions.FlushInterval, whichever first). A read parks a
-// relation's absorbers at one barrier and merges the quiet shards, so
-// reads always see the caller's own writes, and a checkpoint is that
-// same cut plus an epoch flip — ingest never pauses, and recovery stays
-// bit-identical. Ops become OS-owned at the flush policy,
-// Relation.Drain, Sync, or Checkpoint rather than per call.
-// EngineOptions.SegmentOps additionally caps each oplog file at N
-// rows, rolling onto numbered segments so no single log file grows
+// The engine has one write path, a sequencer per relation in front of
+// lock-free absorbers: a caller splits its batch by shard, and single
+// ops stage in one run per kind, 256 rows each, under the relation's
+// mutex; the relation's sequencer logs every batch whole, in arrival
+// order, as one checksummed record (group-committed at
+// EngineOptions.FlushOps rows or EngineOptions.FlushInterval,
+// whichever first), then hands each shard's absorber its rows to apply
+// under single-writer discipline. A torn write drops a whole batch or
+// none of it. A read parks a relation's absorbers at one barrier through
+// the same queue and merges the quiet shards, so reads always see the
+// caller's own writes, and a checkpoint is that same cut with the
+// sequencer moving the log onto the next epoch at the barrier — ingest
+// never pauses, and recovery stays bit-identical. Ops become OS-owned
+// at the flush policy, Relation.Drain, Sync, or Checkpoint rather than
+// per call. EngineOptions.SegmentOps additionally caps each oplog file
+// at N rows, rolling onto numbered segments so no single log file grows
 // without bound between checkpoints. The engine's synopses are
 // bit-identical to plain sequential synopses fed the same ops, which the
 // engine's tests check against an independent reference model; DESIGN.md

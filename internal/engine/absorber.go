@@ -1,74 +1,70 @@
-// The engine's write path: a lock-free buffer-and-absorb pipeline.
+// The engine's write path: one sequencer per relation, one absorber per
+// shard.
 //
 // The AGMS synopses are LINEAR in the frequency vector, so updates
-// commute — nothing about the math requires per-op locks or a
-// synchronous oplog append. This file exploits that freedom with a
-// buffer-and-absorb pipeline that moves RUNS — rows of one kind and
-// arity, row-major (oplog.Run) — from end to end:
+// commute; what fixes an order is §5's update log, which a tracker steps
+// through to catch up. Each relation therefore funnels its writes
+// through one goroutine, the sequencer, which logs every batch whole, in
+// arrival order, and only then hands each shard its rows. Every message
+// is a RUN — rows of one kind and arity, row-major (oplog.Run):
 //
-//	caller ──stage──▶ CAS-claimed staging slot (no mutexes; one run,
-//	   │                │ flushed when full, on a kind switch, or drain)
-//	   └─batch──────────┤
-//	                    ▼ split by shard: count, then fill one buffer
-//	        per-shard channel ──▶ absorber goroutine (single writer,
-//	                    │          applies each run to its sigShard with
-//	                    │          NO lock)
-//	                    ▼ the same run
-//	        log channel ──▶ group-commit writer (AppendRun: one
-//	                         version-3 record per run — more past 4,096
-//	                         rows or across a segment roll — flushed on
-//	                         FlushOps rows or FlushInterval)
+//	caller ──stage──▶ staged run of its kind (one for inserts, one for
+//	   │               deletes) under the relation's mutex; both sent on
+//	   │               when either fills, and before any barrier
+//	   └─batch──▶ split by shard outside the mutex: count, then fill one
+//	              buffer and note where each shard's region ends
+//	                   ▼
+//	   queue (48) ──▶ sequencer: AppendRun logs the batch as one version-3
+//	                   │      record (more past 4,096 rows or across a
+//	                   │      segment roll), pushed to the OS at FlushOps
+//	                   │      rows or FlushInterval; then each region
+//	                   ▼
+//	   shard channel (16) ──▶ absorber: the ONLY writer of its shard's
+//	                           synopses, so no lock around counters
 //
-// Callers pick a staging slot from a hint derived from their own stack
-// address (goroutine-affine, zero shared state) and claim it with one
-// compare-and-swap: the per-op cost is a CAS, an append, and a release
-// store. Skewed workloads cannot re-concentrate contention the way they
-// do on value-hashed shard locks, because slot choice depends on the
-// WRITER, not the value. Batches skip the slot's buffer: the claim is
-// held only while the batch is split and sent.
+// Per-shard apply order equals log order: a shard's region keeps its rows
+// in batch order, and the sequencer hands out regions in log order.
+// Replay, applying each shard's rows in log order, rebuilds the
+// order-sensitive heavy-hitter table bit-exactly. A batch splits on the
+// caller's goroutine, so concurrent writers split in parallel, and goes
+// on the queue under the mutex. A full staged run or a barrier sends the
+// staged inserts, then the staged deletes, so no single delete reaches
+// the log ahead of a single insert staged before it; a batch goes on as
+// it comes, ahead of whatever single ops are still staged.
 //
 // Single-writer discipline: after newIngester returns, a shard's state is
-// written by its absorber goroutine alone. Every other access rides one
-// of two synchronization shapes —
+// written by its absorber alone. Every other access rides one barrier
+// through the queue. The sequencer answers it by pushing pending records
+// to the OS and forwarding it to every absorber —
 //
-//	drain    flush all slots, then a plain barrier message through every
-//	         shard channel and the log channel: everything staged before
-//	         the call is applied and handed to the OS. The wire ACK
+//	drain    each absorber marks its arrival and goes on: everything
+//	         staged before the call is applied and OS-owned. The wire ACK
 //	         barrier.
-//	park     flush all slots, then a barrier each absorber answers by
-//	         blocking until released: while parked, the caller owns the
-//	         shard state and reads it (cut — every query, export, stat and
-//	         checkpoint) or writes it (bundle merges) directly, with no
-//	         lock. Parking barriers go out under one lock, so every shard
-//	         channel sees concurrent parkers in the same order.
-//
-// Validity note: per-value op order can transiently reorder across slot
-// migrations (a goroutine's earlier op staged in another slot), so a
-// delete may reach a counter before its insert. By linearity the final
-// counters are unaffected, and none of the engine's synopses error on
-// transient negatives — deletions are pure counter subtraction.
+//	park     each absorber marks its arrival and blocks until released:
+//	         while parked, the caller owns the shard state and reads it
+//	         (cut — every query, export, stat and checkpoint) or writes
+//	         it (bundle merges) directly, with no lock. The one queue
+//	         hands concurrent parkers to every shard in the same order.
+//	fence    a park before which the sequencer makes a checkpoint's
+//	         pre-forked next-epoch log current: the retiring epoch holds
+//	         exactly the batches the cut covers.
 package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"amstrack/internal/oplog"
 )
 
-// stageSlot is one CAS-claimed staging buffer: a run of the relation's
-// arity, its values reused from flush to flush. The claim covers both the
-// buffer and the right to send on the shard channels, which is what lets
-// stop turn "hold every slot" into a permanent end of ingest.
-type stageSlot struct {
-	claimed atomic.Bool
-	_       [63]byte // keep hot claim words on distinct cache lines
+// seqMsg is one message to the sequencer: a batch split by shard — shard
+// i's rows are run.Vals[ends[i-1]:ends[i]], shard 0's starting at 0 — or
+// a barrier.
+type seqMsg struct {
 	run     oplog.Run
-	_       [24]byte
+	ends    []int
+	barrier *absBarrier
 }
 
 // shardMsg is one message to an absorber: a run of its shard's rows, or a
@@ -78,291 +74,229 @@ type shardMsg struct {
 	barrier *absBarrier
 }
 
-// absBarrier synchronizes with the absorbers: each marks wg done on
-// reaching it and, when park is set, blocks until park is closed (see
-// ingester.park).
+// absBarrier synchronizes with the absorbers: each marks arrived done on
+// reaching it and, when park is set, blocks until park is closed. fence
+// makes the sequencer flip the log's epoch first (see ingester.cut).
 type absBarrier struct {
-	wg   *sync.WaitGroup
-	park chan struct{}
+	arrived sync.WaitGroup
+	park    chan struct{}
+	fence   bool
 }
 
-// logMsg is one message to the group-commit log writer: an applied run
-// to append, or a flush barrier. epoch is the log epoch the sending shard
-// was on when it applied the run — during a checkpoint's fence window it
-// routes the append between the retiring and the forked log.
-type logMsg struct {
-	run     oplog.Run
-	epoch   uint64
-	barrier *sync.WaitGroup
-}
-
-// Channel depths: deep enough to decouple bursts, shallow enough that a
-// stalled disk exerts backpressure instead of ballooning memory.
+// Queue depths. A batch waits in the queue whole and in the shard
+// channels as shares, so up to queueDepth + shardChanDepth = 64 batches
+// are in flight before a stalled disk or absorber pushes back on the
+// caller. Shard channels much shallower than 16 make the sequencer park
+// and wake several times per staged run: at 4 they cost the single-op
+// cases of BenchmarkEngineIngest about a third.
 const (
-	shardChanDepth = 64
-	logChanDepth   = 256
+	queueDepth     = 48
+	shardChanDepth = 16
 )
 
 // ingester is the write-path machinery of one relation.
 type ingester struct {
-	r        *Relation
-	slots    []stageSlot
-	slotMask uint32
-	chans    []chan shardMsg
-	logCh    chan logMsg // nil for in-memory engines
-	absWg    sync.WaitGroup
-	logWg    sync.WaitGroup
-	// sendMu guards barrier sends (the only channel sends not covered by
-	// a slot claim) against stop closing the channels: stop sets closing
-	// under the write lock before close. Parking barriers are sent under
-	// the write lock too, which orders concurrent parkers. Never touched
-	// on the per-op path.
-	sendMu  sync.RWMutex
-	closing bool
-	// stopped is set only after every pipeline goroutine has exited; an
-	// observer of true is synchronized with all absorber writes.
-	stopped atomic.Bool
-	// shardEpochs[i] is the log epoch shard i currently applies under.
-	// Written only by a checkpoint cut while every absorber is parked,
-	// and read by shard i's absorb loop after the release, so no atomics:
-	// the park orders the two.
-	shardEpochs []uint64
+	r     *Relation
+	queue chan seqMsg
+	chans []chan shardMsg
+	wg    sync.WaitGroup // the sequencer and the absorbers
+	// mu orders every send on the queue and guards the staged runs.
+	// closing, set by stop under mu, ends all sends: a caller that takes
+	// mu and finds it set is ordered after the pipeline's last write. A
+	// send under mu may block on a full queue; neither the sequencer nor
+	// an absorber ever takes mu, and a parker releases without it, so
+	// the queue always drains.
+	mu       sync.Mutex
+	ins, del oplog.Run
+	closing  bool
 }
 
-// newIngester builds and starts the staging slots, one absorber per
-// shard, and (for durable engines) the group-commit log writer.
+// newIngester builds and starts the staged runs, the sequencer and one
+// absorber per shard.
 func newIngester(r *Relation) *ingester {
-	nSlots := 4
-	for nSlots < 2*runtime.GOMAXPROCS(0) {
-		nSlots <<= 1
-	}
+	a, n := r.arity, r.eng.opts.stageOps*r.arity
 	g := &ingester{
-		r:           r,
-		slots:       make([]stageSlot, nSlots),
-		slotMask:    uint32(nSlots - 1),
-		chans:       make([]chan shardMsg, len(r.shards)),
-		shardEpochs: make([]uint64, len(r.shards)),
+		r:     r,
+		queue: make(chan seqMsg, queueDepth),
+		chans: make([]chan shardMsg, len(r.shards)),
+		ins:   oplog.Run{Arity: a, Vals: make([]uint64, 0, n)},
+		del:   oplog.Run{Del: true, Arity: a, Vals: make([]uint64, 0, n)},
 	}
 	for i := range g.chans {
 		g.chans[i] = make(chan shardMsg, shardChanDepth)
 	}
-	g.absWg.Add(len(g.chans))
+	g.wg.Add(len(g.chans) + 1)
 	for i := range g.chans {
 		go g.absorb(i)
 	}
-	if r.eng.opts.Dir != "" {
-		g.logCh = make(chan logMsg, logChanDepth)
-		g.logWg.Add(1)
-		go g.logger()
-	}
+	go g.sequence()
 	return g
 }
 
-// stackHint derives a goroutine-affine staging-slot hint from the
-// address of a stack variable: distinct goroutines live on distinct
-// stacks, so concurrent writers spread across slots with zero shared
-// state. Purely a load-balancing hint — correctness never depends on it
-// (the CAS claim does that), so stack moves and collisions are harmless.
-func stackHint() uint32 {
-	var b byte
-	return uint32(uintptr(unsafe.Pointer(&b)) >> 9)
-}
-
-// claim acquires a staging slot, probing from the caller's stack hint.
-// An uncontended writer reclaims the same slot every call (one CAS).
-// After stop the slots are held forever, so a late ingest spins into the
-// stopped check and gets nil: the op is discarded — the relation was
-// dropped or its engine closed (an amsd ingest racing a DELETE), so a
-// late op is a benign no-op.
-func (g *ingester) claim() *stageSlot {
-	h := stackHint()
-	for spin := 0; ; spin++ {
-		s := &g.slots[(h+uint32(spin))&g.slotMask]
-		if s.claimed.CompareAndSwap(false, true) {
-			return s
-		}
-		if g.stopped.Load() {
-			return nil
-		}
-		if uint32(spin)&g.slotMask == g.slotMask {
-			runtime.Gosched() // probed every slot once; let a holder run
-		}
-	}
-}
-
-// claimSlot spins until it owns the specific slot (drain, park, stop);
-// false means the ingester stopped and the slots are held for good.
-func (g *ingester) claimSlot(s *stageSlot) bool {
-	for spin := 0; ; spin++ {
-		if s.claimed.CompareAndSwap(false, true) {
-			return true
-		}
-		if g.stopped.Load() {
-			return false
-		}
-		if spin&63 == 63 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// stage buffers one row of the relation's arity; the caller path is a
-// CAS, an append and a release store. A slot holds one run, so a row of
-// the other kind flushes the slot first: alternating inserts and deletes
-// send one message per switch. Rows staged against a stopped ingester
-// (relation dropped, engine closed) are discarded.
+// stage buffers one row of the relation's arity in the staged run of its
+// kind; a full run sends both staged runs on. Rows staged against a
+// stopped ingester (relation dropped, engine closed — an amsd ingest
+// racing a DELETE) are discarded.
 func (g *ingester) stage(del bool, row ...uint64) {
-	s := g.claim()
-	if s == nil {
-		return
+	g.mu.Lock()
+	if !g.closing {
+		s := &g.ins
+		if del {
+			s = &g.del
+		}
+		s.Vals = append(s.Vals, row...)
+		if len(s.Vals) == cap(s.Vals) {
+			g.sendStaged()
+		}
 	}
-	if s.run.Vals == nil {
-		a := g.r.arity
-		s.run = oplog.Run{Arity: a, Vals: make([]uint64, 0, g.r.eng.opts.stageOps*a)}
-	}
-	if s.run.Del != del {
-		g.flushSlot(s)
-		s.run.Del = del
-	}
-	s.run.Vals = append(s.run.Vals, row...)
-	if len(s.run.Vals) == cap(s.run.Vals) {
-		g.flushSlot(s)
-	}
-	s.claimed.Store(false)
+	g.mu.Unlock()
 }
 
-// stageBatch hands a whole run straight to the absorbers; the slot claim
-// is held only as the quiescence token.
-func (g *ingester) stageBatch(rn oplog.Run) {
-	if s := g.claim(); s != nil {
-		g.send(rn)
-		s.claimed.Store(false)
+// batch splits rows of the relation's arity by shard, then puts them on
+// the queue. It does not send the single ops staged before it: it
+// overtakes them, and the skimmed golden answers pin the heavy-hitter
+// tables that order builds. A batch against a stopped ingester is
+// discarded.
+func (g *ingester) batch(del bool, vals []uint64) {
+	m := g.split(del, vals)
+	g.mu.Lock()
+	if !g.closing {
+		g.queue <- m
+	}
+	g.mu.Unlock()
+}
+
+// sendStaged sends the staged inserts, then the staged deletes, and
+// empties both for reuse. Caller holds mu, with closing unset.
+func (g *ingester) sendStaged() {
+	for _, s := range [2]*oplog.Run{&g.ins, &g.del} {
+		if len(s.Vals) > 0 {
+			g.queue <- g.split(s.Del, s.Vals)
+			s.Vals = s.Vals[:0]
+		}
 	}
 }
 
-// stageRows is stageBatch for rows held one slice each.
-func (g *ingester) stageRows(rows [][]uint64, del bool) {
-	s := g.claim()
-	if s == nil {
-		return
-	}
+// split copies rows of the relation's arity into one fresh buffer grouped
+// by shard — count, then fill, each shard's rows in their order in vals —
+// and returns it as a batch for the sequencer. The buffer is fresh
+// because callers reuse vals as soon as the send returns (a staged run,
+// the wire server's frame).
+func (g *ingester) split(del bool, vals []uint64) seqMsg {
 	a := g.r.arity
 	at := make([]int, len(g.chans)+1)
-	for _, row := range rows {
-		at[g.r.shardOf(row[0])+1] += a
+	for j := 0; j < len(vals); j += a {
+		at[g.r.shardOf(vals[j])+1] += a
 	}
-	starts(at)
-	out := make([]uint64, len(rows)*a)
-	for _, row := range rows {
-		i := g.r.shardOf(row[0])
-		copy(out[at[i]:], row)
-		at[i] += a
+	for i := 1; i < len(at); i++ {
+		at[i] += at[i-1] // at[i] is now where shard i's region starts
 	}
-	g.deliver(out, at, del, a)
-	s.claimed.Store(false)
-}
-
-// flushSlot hands a claimed slot's run to the absorbers and resets its
-// buffer for reuse. Caller holds the claim.
-func (g *ingester) flushSlot(s *stageSlot) {
-	if len(s.run.Vals) > 0 {
-		g.send(s.run)
-		s.run.Vals = s.run.Vals[:0]
-	}
-}
-
-// send splits a run by shard into one fresh buffer — count, then fill —
-// and hands each shard its rows as one run, in their order in rn. The
-// buffer is fresh because callers reuse rn's values as soon as send
-// returns (a slot's buffer, the wire server's frame). The caller holds a
-// slot claim: the quiescence token that keeps stop out while sends are in
-// flight.
-func (g *ingester) send(rn oplog.Run) {
-	a := rn.Arity
-	at := make([]int, len(g.chans)+1)
-	for j := 0; j < len(rn.Vals); j += a {
-		at[g.r.shardOf(rn.Vals[j])+1] += a
-	}
-	starts(at)
-	out := make([]uint64, len(rn.Vals))
+	out := make([]uint64, len(vals))
 	if a == 1 {
-		for _, v := range rn.Vals {
+		for _, v := range vals {
 			i := g.r.shardOf(v)
 			out[at[i]] = v
 			at[i]++
 		}
 	} else {
-		for j := 0; j < len(rn.Vals); j += a {
-			i := g.r.shardOf(rn.Vals[j])
-			copy(out[at[i]:], rn.Vals[j:j+a])
+		for j := 0; j < len(vals); j += a {
+			i := g.r.shardOf(vals[j])
+			copy(out[at[i]:], vals[j:j+a])
 			at[i] += a
 		}
 	}
-	g.deliver(out, at, rn.Del, a)
+	// The fill has moved at[i] to the end of shard i's region.
+	return seqMsg{run: oplog.Run{Del: del, Arity: a, Vals: out}, ends: at[:len(g.chans)]}
 }
 
-// starts turns at[i+1] = shard i's value count into at[i] = where shard
-// i's region of the split buffer starts.
-func starts(at []int) {
-	for i := 1; i < len(at); i++ {
-		at[i] += at[i-1]
-	}
-}
-
-// deliver sends each shard its region of a filled split buffer: the fill
-// has moved at[i] to the end of shard i's region, where shard i+1's
-// starts.
-func (g *ingester) deliver(out []uint64, at []int, del bool, a int) {
-	lo := 0
-	for i, ch := range g.chans {
-		if hi := at[i]; hi > lo {
-			ch <- shardMsg{run: oplog.Run{Del: del, Arity: a, Vals: out[lo:hi:hi]}}
-			lo = hi
+// sequence is the relation's sequencer: it logs each batch as it comes
+// off the queue, then hands each absorber its region, so the log's order
+// is the order every shard applies. Records accumulate in the
+// oplog.Writer's buffer and are pushed to the OS when the flush policy
+// comes due — FlushOps rows, or FlushInterval after the oldest pending
+// record — and at every barrier. Write errors go sticky on the
+// relation's log and surface on Err, Drain, Sync, Checkpoint, and
+// erroring caller-side ops. When stop closes the queue, the sequencer
+// pushes what is pending and closes the shard channels.
+func (g *ingester) sequence() {
+	defer g.wg.Done()
+	durable := g.r.eng.opts.Dir != ""
+	policy := oplog.FlushPolicy{
+		MaxRecords: g.r.eng.opts.FlushOps,
+		MaxDelay:   g.r.eng.opts.FlushInterval,
+	}.Normalize()
+	timer := time.NewTimer(policy.MaxDelay)
+	timer.Stop()
+	pending, armed := 0, false
+	flush := func() {
+		if pending > 0 {
+			g.r.log.osFlush()
+			pending = 0
+		}
+		if armed {
+			timer.Stop()
+			armed = false
 		}
 	}
-}
-
-// flushAllSlots claims every slot in turn and flushes it; with hold the
-// claims are kept (stop), otherwise each is released immediately.
-// Returns false when the ingester stopped underneath the sweep (slots
-// already claimed for good; any held by this sweep are left held, which
-// is where stop leaves them anyway).
-func (g *ingester) flushAllSlots(hold bool) bool {
-	for i := range g.slots {
-		s := &g.slots[i]
-		if !g.claimSlot(s) {
-			return false
-		}
-		g.flushSlot(s)
-		if !hold {
-			s.claimed.Store(false)
+	for {
+		select {
+		case m, ok := <-g.queue:
+			if !ok {
+				flush()
+				for _, ch := range g.chans {
+					close(ch)
+				}
+				return
+			}
+			if b := m.barrier; b != nil {
+				flush()
+				if b.fence {
+					g.r.log.flip()
+				}
+				for _, ch := range g.chans {
+					ch <- shardMsg{barrier: b}
+				}
+				continue
+			}
+			if durable {
+				g.r.log.appendRun(m.run)
+				pending += m.run.Rows()
+				if policy.Due(pending, 0) {
+					flush()
+				} else if !armed {
+					timer.Reset(policy.MaxDelay)
+					armed = true
+				}
+			}
+			lo := 0
+			for i, ch := range g.chans {
+				if hi := m.ends[i]; hi > lo {
+					ch <- shardMsg{run: oplog.Run{Del: m.run.Del, Arity: m.run.Arity, Vals: m.run.Vals[lo:hi:hi]}}
+					lo = hi
+				}
+			}
+		case <-timer.C:
+			armed = false
+			flush()
 		}
 	}
-	return true
 }
 
 // absorb is the per-shard apply loop: the ONLY writer of its shard's
 // synopses, so no lock is taken around counter updates.
 func (g *ingester) absorb(shard int) {
-	defer g.absWg.Done()
+	defer g.wg.Done()
 	sh := &g.r.shards[shard]
 	buf := newApplyBuf(g.r.arity)
 	for msg := range g.chans[shard] {
-		if msg.barrier != nil {
-			msg.barrier.wg.Done()
-			if msg.barrier.park != nil {
-				<-msg.barrier.park
+		if b := msg.barrier; b != nil {
+			b.arrived.Done()
+			if b.park != nil {
+				<-b.park
 			}
 			continue
 		}
-		// The same run goes to the log writer, so per-shard apply order
-		// equals per-shard log order: replay, applying each shard's rows
-		// in log order, rebuilds the order-sensitive heavy-hitter table
-		// bit-exactly.
 		sh.apply(msg.run, &g.r.plan, buf)
-		if g.logCh != nil {
-			g.logCh <- logMsg{run: msg.run, epoch: g.shardEpochs[shard]}
-		}
 	}
 }
 
@@ -440,207 +374,79 @@ func (sh *sigShard) apply(rn oplog.Run, p *chainPlan, buf *applyBuf) {
 	sh.ops += uint64(len(keys))
 }
 
-// logger is the group-commit oplog writer: runs applied by the absorbers
-// accumulate in the oplog.Writer's buffer, one version-3 record each, and
-// are pushed to the OS when the flush policy comes due — FlushOps rows,
-// or FlushInterval after the oldest pending record, whichever first.
-// Write errors go sticky on the relation's log and surface on Err, Drain,
-// Sync, Checkpoint, and erroring caller-side ops.
-func (g *ingester) logger() {
-	defer g.logWg.Done()
-	policy := oplog.FlushPolicy{
-		MaxRecords: g.r.eng.opts.FlushOps,
-		MaxDelay:   g.r.eng.opts.FlushInterval,
-	}.Normalize()
-	timer := time.NewTimer(policy.MaxDelay)
-	timer.Stop()
-	pending, armed := 0, false
-	flush := func() {
-		if pending > 0 {
-			g.r.log.osFlush()
-			pending = 0
-		}
-		if armed {
-			timer.Stop()
-			armed = false
-		}
-	}
-	for {
-		select {
-		case m, ok := <-g.logCh:
-			if !ok {
-				flush()
-				return
-			}
-			if m.barrier != nil {
-				flush()
-				m.barrier.Done()
-				continue
-			}
-			g.r.log.appendRun(m.run, m.epoch)
-			pending += m.run.Rows()
-			if policy.Due(pending, 0) {
-				flush()
-			} else if !armed {
-				timer.Reset(policy.MaxDelay)
-				armed = true
-			}
-		case <-timer.C:
-			armed = false
-			flush()
-		}
-	}
-}
-
-// barrier flushes nothing itself: it sends a plain barrier through every
-// shard channel and waits. Per-channel FIFO means everything enqueued
-// before the barrier is applied (and forwarded to the log writer) first.
-// False means stop got there first.
-func (g *ingester) barrier() bool {
-	g.sendMu.RLock()
+// barrier sends b on the queue after everything staged and waits until
+// every absorber has reached it. False means stop got there first: the
+// pipeline has shut down, and the caller, ordered after its last write
+// through mu, may read the shard state directly.
+func (g *ingester) barrier(b *absBarrier) bool {
+	b.arrived.Add(len(g.chans))
+	g.mu.Lock()
 	if g.closing {
-		g.sendMu.RUnlock()
+		g.mu.Unlock()
 		return false
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(g.chans))
-	b := &absBarrier{wg: &wg}
-	for _, ch := range g.chans {
-		ch <- shardMsg{barrier: b}
-	}
-	g.sendMu.RUnlock()
-	wg.Wait()
+	g.sendStaged()
+	g.queue <- seqMsg{barrier: b}
+	g.mu.Unlock()
+	b.arrived.Wait()
 	return true
-}
-
-// logBarrier waits until the log writer has appended and OS-flushed
-// every op forwarded before the call.
-func (g *ingester) logBarrier() {
-	if g.logCh == nil {
-		return
-	}
-	g.sendMu.RLock()
-	if g.closing {
-		g.sendMu.RUnlock()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	g.logCh <- logMsg{barrier: &wg}
-	g.sendMu.RUnlock()
-	wg.Wait()
-}
-
-// waitStopped spins until stop has fully shut the pipeline down — the
-// synchronization point that makes post-stop direct reads race-free.
-func (g *ingester) waitStopped() {
-	for !g.stopped.Load() {
-		runtime.Gosched()
-	}
 }
 
 // drain is the read-your-writes barrier: every op staged before the call
 // is applied to the synopses and pushed to the OS-owned log buffer. A
 // no-op once the ingester stopped (stop drains everything itself).
-func (g *ingester) drain() {
-	if !g.flushAllSlots(false) {
-		return
-	}
-	if !g.barrier() {
-		g.waitStopped()
-		return
-	}
-	g.logBarrier()
-}
+func (g *ingester) drain() { g.barrier(&absBarrier{}) }
 
 // stop drains and permanently shuts down the pipeline (Drop, Close,
 // engine replacement; caller holds the engine mutex exclusively): staged
-// ops are applied and logged, the goroutines exit, and the staging slots
-// stay claimed forever so nothing new can enter. The stopped flag is set
-// only AFTER the goroutines exit — an observer of stopped==true is
-// therefore synchronized with every absorber write and may read shard
-// state directly (see park). Queries keep working that way; further
-// ingest is discarded (the relation is detached or its engine closed).
+// ops are applied and logged, the goroutines exit, and nothing new can
+// enter. stop holds mu until the goroutines are gone, so a later caller
+// that finds closing set reads the quiet shards directly (see park).
+// Queries keep working that way; further ingest is discarded (the
+// relation is detached or its engine closed).
 func (g *ingester) stop() {
-	if g.stopped.Load() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closing {
 		return
 	}
-	g.flushAllSlots(true)
-	g.sendMu.Lock()
+	g.sendStaged()
 	g.closing = true
-	g.sendMu.Unlock()
-	for _, ch := range g.chans {
-		close(ch)
-	}
-	g.absWg.Wait()
-	if g.logCh != nil {
-		close(g.logCh)
-		g.logWg.Wait()
-	}
-	g.stopped.Store(true)
+	close(g.queue)
+	g.wg.Wait()
 }
 
-// park flushes every staging slot and parks each absorber at one
-// barrier. On return everything staged before the call is applied and no
-// absorber runs until release is called, so the caller owns the shard
-// state: cut reads it, absorbBundle writes it. Once the pipeline has
-// stopped the shards are quiet for good, so park waits for stop to finish
-// and returns a no-op release with live false — the live read and the
-// post-stop read are the same code.
-func (g *ingester) park() (release func(), live bool) {
-	if g.flushAllSlots(false) {
-		// The write lock covers the whole send, so every shard channel
-		// sees concurrent parkers in the same order: no parker can hold an
-		// absorber that another parker is waiting for. A send under it
-		// blocks only until the absorber drains its channel, and an
-		// absorber waits only on an earlier parker, whose sends are done
-		// and whose release needs no lock.
-		g.sendMu.Lock()
-		if !g.closing {
-			var arrived sync.WaitGroup
-			arrived.Add(len(g.chans))
-			b := &absBarrier{wg: &arrived, park: make(chan struct{})}
-			for _, ch := range g.chans {
-				ch <- shardMsg{barrier: b}
-			}
-			g.sendMu.Unlock()
-			arrived.Wait()
-			return func() { close(b.park) }, true
-		}
-		g.sendMu.Unlock()
+// park parks each absorber at one barrier, a fence when fence is set. On
+// return everything staged before the call is applied and no absorber
+// runs until release is called, so the caller owns the shard state: cut
+// reads it, absorbBundle writes it. Once the pipeline has stopped the
+// shards are quiet for good, so park returns a no-op release with live
+// false — the live read and the post-stop read are the same code.
+func (g *ingester) park(fence bool) (release func(), live bool) {
+	b := &absBarrier{park: make(chan struct{}), fence: fence}
+	if !g.barrier(b) {
+		return func() {}, false
 	}
-	g.waitStopped()
-	return func() {}, false
+	return func() { close(b.park) }, true
 }
 
 // cut is the one read of a relation: its shards at a single park, merged
 // into one bundle, so the signature, sketch, chain section, heavy
 // hitters, Rows and Seq all describe the same op prefix. With synopses
-// unset only Rows and Seq are read (the stat probe). A non-zero flip
-// makes the cut the checkpoint's epoch fence: in the same park every
-// shard moves onto log epoch flip, and the trailing log barrier waits for
-// the writer to consume every op applied before it — so the retiring
-// epoch's segments hold exactly the ops the cut covers. Writers never
-// block beyond channel backpressure. live is false when the pipeline had
-// stopped; the read is then still exact, but nothing flips.
-func (g *ingester) cut(synopses bool, flip uint64) (b RelationBundle, live bool) {
+// unset only Rows and Seq are read (the stat probe). With fence set the
+// cut is a checkpoint's epoch fence: the log's forked next epoch becomes
+// current at the park, so the retiring epoch's segments hold exactly the
+// batches the cut covers. Writers never block beyond queue backpressure.
+// live is false when the pipeline had stopped; the read is then still
+// exact, but no epoch flips.
+func (g *ingester) cut(synopses, fence bool) (b RelationBundle, live bool) {
 	if synopses {
 		// Built before parking: the absorbers wait only for the merge.
 		b = g.r.emptyCut()
 	}
-	release, live := g.park()
+	release, live := g.park(fence)
 	g.r.read(&b)
-	if live && flip != 0 {
-		// The absorbers read shardEpochs only after release, which orders
-		// these writes before their next apply.
-		for i := range g.shardEpochs {
-			g.shardEpochs[i] = flip
-		}
-	}
 	release()
-	if live && flip != 0 {
-		g.logBarrier()
-	}
 	return b, live
 }
 

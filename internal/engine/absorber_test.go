@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,6 +235,158 @@ func TestAbsorberIngestAfterDropIsNoOp(t *testing.T) {
 	}
 	if n := r.Len(); n != 1 {
 		t.Fatalf("dropped relation Len = %d, want 1 (post-drop ops discarded)", n)
+	}
+}
+
+// TestStopRacesIngest races writers of every kind — Insert, Delete,
+// batches and tuple batches, on an arity-1 and an arity-2 relation — and
+// readers against Drop, and separately Close, on in-memory and durable
+// engines. Every call must return, nothing may panic, and once the stop
+// has returned a relation's Len must never move again: whatever raced it
+// was applied before it or discarded.
+func TestStopRacesIngest(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		for _, how := range []string{"drop", "close"} {
+			name := "mem/" + how
+			if durable {
+				name = "wal/" + how
+			}
+			t.Run(name, func(t *testing.T) {
+				o := Options{SignatureWords: 64, Seed: 3, SketchS1: 16, SketchS2: 2, Shards: 4,
+					stageOps: 5, FlushOps: 8}
+				var e *Engine
+				var err error
+				if durable {
+					o.Dir = t.TempDir()
+					e, err = Open(o)
+				} else {
+					e, err = New(o)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := e.Define("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := e.DefineSchema("g", Schema{Attrs: []string{"a", "b"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// lenF and lenG are the Lens read once the stop returned;
+				// stopped is closed after they are set.
+				var lenF, lenG int64
+				stopped := make(chan struct{})
+				var progress atomic.Int64
+				var wg sync.WaitGroup
+				// Each worker runs until the stop has returned, then 50
+				// calls more.
+				worker := func(seed uint64, op func(r *xrand.Rand)) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						r := xrand.New(seed)
+						after := -1
+						for after != 0 {
+							op(r)
+							progress.Add(1)
+							select {
+							case <-stopped:
+								if after < 0 {
+									after = 50
+								}
+								after--
+							default:
+							}
+						}
+					}()
+				}
+				worker(1, func(r *xrand.Rand) { f.Insert(r.Uint64n(64)) })
+				worker(2, func(r *xrand.Rand) { _ = f.Delete(r.Uint64n(64)) })
+				worker(3, func(r *xrand.Rand) {
+					vs := []uint64{r.Uint64n(64), r.Uint64n(64), r.Uint64n(64)}
+					if r.Uint64n(2) == 0 {
+						f.InsertBatch(vs)
+					} else {
+						_ = f.DeleteBatch(vs)
+					}
+				})
+				worker(4, func(r *xrand.Rand) {
+					g.InsertTuple(r.Uint64n(64), r.Uint64n(64))
+					_ = g.DeleteTuple(r.Uint64n(64), r.Uint64n(64))
+				})
+				worker(5, func(r *xrand.Rand) {
+					rows := [][]uint64{{r.Uint64n(64), r.Uint64n(64)}, {r.Uint64n(64), r.Uint64n(64)}}
+					if r.Uint64n(2) == 0 {
+						g.InsertTupleBatch(rows)
+					} else {
+						_ = g.DeleteTupleBatch(rows)
+					}
+				})
+				worker(6, func(r *xrand.Rand) {
+					_ = f.IngestRun(r.Uint64n(2) == 0, []uint64{r.Uint64n(64)})
+					_ = g.IngestRun(r.Uint64n(2) == 0, []uint64{r.Uint64n(64), r.Uint64n(64)})
+				})
+				worker(7, func(*xrand.Rand) {
+					_ = f.Len()
+					_, _ = g.DrainLen()
+					_ = f.Drain()
+					_ = g.SelfJoinEstimate()
+					_ = f.Cut()
+					_, _ = e.EstimateJoin("f", "g")
+					_, _ = e.StatRelation("g")
+				})
+				worker(8, func(*xrand.Rand) {
+					select {
+					case <-stopped:
+						if n, m := f.Len(), g.Len(); n != lenF || m != lenG {
+							t.Errorf("Lens moved from %d, %d to %d, %d after the stop", lenF, lenG, n, m)
+						}
+					default:
+					}
+				})
+				for progress.Load() < 2000 {
+					runtime.Gosched()
+				}
+				// t.Error, not t.Fatal, until stopped is closed: the
+				// workers run until then.
+				if how == "drop" {
+					if err := e.Drop("f"); err != nil {
+						t.Error(err)
+					}
+					lenF = f.Len()
+					if err := e.Drop("g"); err != nil {
+						t.Error(err)
+					}
+					lenG = g.Len()
+				} else {
+					if err := e.Close(); err != nil {
+						t.Error(err)
+					}
+					lenF, lenG = f.Len(), g.Len()
+				}
+				close(stopped)
+				done := make(chan struct{})
+				go func() {
+					wg.Wait()
+					close(done)
+				}()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("ingest or reads racing the stop did not return")
+				}
+				if n := f.Len(); n != lenF {
+					t.Fatalf("f: Len moved from %d to %d after the stop", lenF, n)
+				}
+				if n := g.Len(); n != lenG {
+					t.Fatalf("g: Len moved from %d to %d after the stop", lenG, n)
+				}
+				if how == "drop" {
+					_ = e.Close()
+				}
+			})
+		}
 	}
 }
 

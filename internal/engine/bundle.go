@@ -497,7 +497,7 @@ func (e *Engine) StatRelation(name string) (RelationStat, error) {
 		return RelationStat{}, err
 	}
 	epoch := e.Epoch()
-	b, _ := r.ing.cut(false, 0)
+	b, _ := r.ing.cut(false, false)
 	return RelationStat{Epoch: epoch, Seq: b.Seq, Rows: b.Rows}, nil
 }
 
@@ -610,7 +610,7 @@ func (r *Relation) absorbShipped(b *RelationBundle) error {
 // absorbers stay parked for the duration, so the merge writes shard
 // state with no absorber running.
 func (r *Relation) absorbBundle(b *RelationBundle) error {
-	release, _ := r.ing.park()
+	release, _ := r.ing.park(false)
 	defer release()
 	// Schemas must agree in both directions, like sketch presence below:
 	// silently dropping a chain section (or absorbing a chainless bundle

@@ -1,18 +1,21 @@
-// Durability: the §5 warehouse recipe. Every run of updates an absorber
-// applies is group-committed to a per-relation operation log as one
-// checksummed batch record (internal/oplog, version 3):
+// Durability: the §5 warehouse recipe. Each relation's sequencer logs
+// every batch whole, in arrival order, before any absorber applies it —
+// one checksummed version-3 record per batch (internal/oplog), more only
+// past 4,096 rows or across a segment roll — and group-commits the
+// records:
 //
-//	absorber ──run──▶ log writer ──AppendRun──▶ segment writer ──roll at
-//	                   (flush at FlushOps rows    SegmentOps rows──▶ next
-//	                    or FlushInterval)         segment
+//	sequencer ──AppendRun──▶ segment writer ──roll at SegmentOps rows──▶
+//	 (push to the OS at FlushOps     next segment
+//	  rows, FlushInterval, or a barrier)
 //
 // Checkpoint serializes the whole engine into one blob and retires the
 // logs; Open recovers by loading the checkpoint and replaying whatever
 // each log accumulated since — version-1, -2 and -3 records alike, each
 // shard's rows in log order, through the absorbers' apply — cutting off a
 // torn tail at the last clean record boundary, exactly the failure a
-// crash mid-append leaves behind. A torn batch record drops all its rows:
-// the run was applied live, but never acknowledged durable.
+// crash mid-append leaves behind. A torn batch record drops the whole
+// batch: it may have been applied live, but it was never acknowledged
+// durable.
 //
 // The oplog file doubles as the relation's existence marker: Define
 // creates it, Drop deletes it, and recovery only resurrects relations
@@ -20,18 +23,19 @@
 // checkpoint still carries the relation.
 //
 // Checkpoints are PAUSE-FREE: the engine forks every log onto a
-// next-epoch file, then cuts each relation at an epoch fence — one park
-// of its absorbers that reads the shards and flips every shard onto the
-// new epoch before releasing them, so writers never wait beyond channel
-// backpressure; ops applied after the flip are tagged with the new epoch
-// and routed to the forked log. Once the blob (built from the cuts)
-// renames into place, the old-epoch segments are garbage and compaction
-// unlinks them. Crash ordering: rename commits first, unlinks follow, so
-// recovery sees either replayable segments or an already-covering
-// checkpoint — never a gap. A crash mid-fence leaves segments of an
-// epoch BEYOND the checkpoint's; recovery replays every epoch at or
-// above the checkpoint's (linearity makes the order irrelevant) and
-// re-baselines the directory onto a fresh epoch.
+// next-epoch file, then cuts each relation at an epoch fence — one
+// barrier through the relation's sequencer, which makes the forked
+// writer current before it parks the absorbers. Every batch sequenced
+// before the fence lies in the retiring epoch and is applied when the
+// cut reads the shards; every batch after it goes to the new epoch.
+// Writers never wait beyond queue backpressure. Once the blob (built
+// from the cuts) renames into place, the old-epoch segments are garbage
+// and compaction unlinks them. Crash ordering: rename commits first,
+// unlinks follow, so recovery sees either replayable segments or an
+// already-covering checkpoint — never a gap. A crash mid-fence leaves
+// segments of an epoch BEYOND the checkpoint's; recovery replays every
+// epoch at or above the checkpoint's (linearity makes the order
+// irrelevant) and re-baselines the directory onto a fresh epoch.
 //
 // All file access goes through an oplog.FS seam (Options.FS) so the
 // fault-injection torture tests can fail fsync, run out of space, tear
@@ -139,11 +143,10 @@ type segWriter struct {
 // any single recovery read) between checkpoints, and pings onRoll so a
 // segment-count-triggered background checkpointer can react.
 //
-// During a checkpoint's epoch fence the log is briefly SPLIT:
-// next holds the forked next-epoch writer, and appends route by their
-// epoch tag — runs applied before a shard's fence flip land in cur, runs
-// after it in next. promote retires cur once every shard has
-// flipped.
+// A checkpoint holds two writers for a while: fork opens next, the
+// forked next-epoch writer, which the sequencer's fence makes current
+// (flip), leaving the retiring epoch's writer in old until promote seals
+// it. Appends only ever go to cur.
 type relLog struct {
 	mu     sync.Mutex
 	fs     oplog.FS
@@ -151,10 +154,14 @@ type relLog struct {
 	name   string
 	segOps int64 // roll threshold in rows; 0 disables rolling
 	cur    *segWriter
-	next   *segWriter // non-nil only inside an epoch-fence window
+	next   *segWriter // forked, not yet current: between fork and the fence
+	old    *segWriter // retired by the fence, not yet sealed by promote
 	sticky error
 	onRoll func() // segment-roll notification; set once at relation build
 }
+
+// writers lists the open writers: old, cur and next, nil where absent.
+func (l *relLog) writers() [3]*segWriter { return [3]*segWriter{l.old, l.cur, l.next} }
 
 // create opens a fresh (truncated) segment-0 log for a newly defined
 // relation at the given epoch. No-op when dir is empty.
@@ -171,7 +178,7 @@ func (l *relLog) create(fsys oplog.FS, dir, name string, epoch uint64, segOps in
 	defer l.mu.Unlock()
 	l.fs, l.dir, l.name, l.segOps = fsys, dir, name, segOps
 	l.cur = &segWriter{epoch: epoch, path: path, f: f, w: oplog.NewWriter(f)}
-	l.next, l.sticky = nil, nil
+	l.next, l.old, l.sticky = nil, nil, nil
 	return nil
 }
 
@@ -186,7 +193,7 @@ func (l *relLog) attach(f oplog.File, fsys oplog.FS, dir, name string, epoch uin
 		path: filepath.Join(dir, segFileName(name, epoch, seq)),
 		f:    f, w: oplog.NewWriter(f),
 	}
-	l.next, l.sticky = nil, nil
+	l.next, l.old, l.sticky = nil, nil, nil
 }
 
 // rollLocked finishes sw's current segment (flush + fsync + close) and
@@ -239,41 +246,30 @@ func (l *relLog) appendToLocked(sw *segWriter, rn oplog.Run) error {
 	return nil
 }
 
-// appendRun appends a run WITHOUT flushing to the OS — the log writer's
-// group commit. epoch is the log epoch the run was applied under (the
-// absorber's fence state): during a split window, runs at or beyond the
-// forked epoch go to the next-epoch writer, so the retiring epoch's
-// segments hold exactly the ops the fence snapshot covers. The records
-// become OS-owned at the next osFlush (flush policy), sync, roll, or
-// close.
-func (l *relLog) appendRun(rn oplog.Run, epoch uint64) {
+// appendRun appends a batch to the current writer WITHOUT flushing to
+// the OS — the sequencer's group commit. The records become OS-owned at
+// the next osFlush (flush policy or barrier), sync, roll, or close.
+func (l *relLog) appendRun(rn oplog.Run) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil || l.sticky != nil {
 		return
 	}
-	sw := l.cur
-	if l.next != nil && epoch >= l.next.epoch {
-		sw = l.next
-	}
-	if err := l.appendToLocked(sw, rn); err != nil {
+	if err := l.appendToLocked(l.cur, rn); err != nil {
 		l.sticky = fmt.Errorf("engine: oplog append: %w", err)
 	}
 }
 
-// osFlush pushes pending appended records to the OS (group commit),
-// covering both writers of a split window.
+// osFlush pushes pending appended records to the OS (group commit). Only
+// cur ever holds pending records: the sequencer flushes before a fence
+// retires it.
 func (l *relLog) osFlush() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil || l.sticky != nil {
 		return
 	}
-	err := l.cur.w.Flush()
-	if err == nil && l.next != nil {
-		err = l.next.w.Flush()
-	}
-	if err != nil {
+	if err := l.cur.w.Flush(); err != nil {
 		l.sticky = fmt.Errorf("engine: oplog flush: %w", err)
 	}
 }
@@ -295,7 +291,8 @@ func (l *relLog) poison(err error) {
 	l.sticky = err
 }
 
-// sync flushes and fsyncs the log (both writers of a split window).
+// sync flushes and fsyncs the log: every open writer, so a retired epoch
+// not yet sealed is covered too.
 func (l *relLog) sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -305,17 +302,16 @@ func (l *relLog) sync() error {
 	if l.sticky != nil {
 		return l.sticky
 	}
-	if err := l.cur.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.cur.f.Sync(); err != nil {
-		return err
-	}
-	if l.next != nil {
-		if err := l.next.w.Flush(); err != nil {
+	for _, sw := range l.writers() {
+		if sw == nil {
+			continue
+		}
+		if err := sw.w.Flush(); err != nil {
 			return err
 		}
-		return l.next.f.Sync()
+		if err := sw.f.Sync(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -325,19 +321,18 @@ func (l *relLog) liveSegments() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	if l.cur != nil {
-		n += l.cur.seq + 1
-	}
-	if l.next != nil {
-		n += l.next.seq + 1
+	for _, sw := range l.writers() {
+		if sw != nil {
+			n += sw.seq + 1
+		}
 	}
 	return n
 }
 
 // fork opens the next-epoch segment-0 writer alongside the current one —
-// the first step of a pause-free checkpoint. Nothing routes to it until
-// an absorber's fence flip tags ops with the new epoch, so a failed fork
-// aborts cleanly via unfork.
+// the first step of a pause-free checkpoint. Nothing goes to it until the
+// sequencer's fence makes it current (flip), so a failed fork aborts
+// cleanly via unfork.
 func (l *relLog) fork(newEpoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -359,7 +354,7 @@ func (l *relLog) fork(newEpoch uint64) error {
 	return nil
 }
 
-// unfork abandons a fork before any fence flip has routed ops to it.
+// unfork abandons a fork before its fence.
 func (l *relLog) unfork() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -371,20 +366,33 @@ func (l *relLog) unfork() {
 	l.next = nil
 }
 
-// promote seals the retiring epoch (flush + fsync + close — after the
-// fence, nothing routes there anymore) and makes the forked writer
-// current. It returns the retired segment paths so the caller can unlink
-// them once the covering checkpoint has renamed into place.
+// flip makes the forked next-epoch writer current and retires the old
+// one: the sequencer calls it at a checkpoint's fence, after pushing
+// every pending record to the OS, so each batch lies wholly in one epoch.
+// A log that was not forked stays as it is.
+func (l *relLog) flip() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.next != nil {
+		l.old, l.cur, l.next = l.cur, l.next, nil
+	}
+}
+
+// promote seals the epoch the fence retired (flush + fsync + close;
+// nothing is appended there after the flip). It returns the retired
+// segment paths so the caller can unlink them once the covering
+// checkpoint has renamed into place.
 func (l *relLog) promote() ([]string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil {
 		return nil, nil
 	}
-	if l.next == nil {
-		return nil, errors.New("engine: promote without fork")
+	if l.old == nil {
+		return nil, errors.New("engine: promote without a fence")
 	}
-	old := l.cur
+	old := l.old
+	l.old = nil
 	var err error
 	if l.sticky != nil {
 		err = l.sticky
@@ -398,7 +406,6 @@ func (l *relLog) promote() ([]string, error) {
 	for s := 0; s <= old.seq; s++ {
 		absorbed = append(absorbed, filepath.Join(l.dir, segFileName(l.name, old.epoch, s)))
 	}
-	l.cur, l.next = l.next, nil
 	if err != nil {
 		if l.sticky == nil {
 			l.sticky = fmt.Errorf("engine: seal epoch %d: %w", old.epoch, err)
@@ -408,56 +415,55 @@ func (l *relLog) promote() ([]string, error) {
 	return absorbed, nil
 }
 
-// remove closes and deletes every log segment (relation dropped),
-// including a split window's forked segments.
+// remove closes and deletes every log segment of every open writer
+// (relation dropped).
 func (l *relLog) remove() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil {
 		return nil
 	}
-	err := l.cur.f.Close()
-	for s := 0; s <= l.cur.seq; s++ {
-		if rmErr := l.fs.Remove(filepath.Join(l.dir, segFileName(l.name, l.cur.epoch, s))); err == nil {
-			err = rmErr
+	var err error
+	for _, sw := range l.writers() {
+		if sw == nil {
+			continue
 		}
-	}
-	if l.next != nil {
-		if cerr := l.next.f.Close(); err == nil {
+		if cerr := sw.f.Close(); err == nil {
 			err = cerr
 		}
-		for s := 0; s <= l.next.seq; s++ {
-			if rmErr := l.fs.Remove(filepath.Join(l.dir, segFileName(l.name, l.next.epoch, s))); err == nil {
+		for s := 0; s <= sw.seq; s++ {
+			if rmErr := l.fs.Remove(filepath.Join(l.dir, segFileName(l.name, sw.epoch, s))); err == nil {
 				err = rmErr
 			}
 		}
 	}
-	l.cur, l.next = nil, nil
+	l.cur, l.next, l.old = nil, nil, nil
 	return err
 }
 
-// close flushes and closes the handles without deleting the files.
+// close flushes, fsyncs and closes every open writer without deleting
+// the files.
 func (l *relLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil {
 		return nil
 	}
-	var err error
-	if l.sticky != nil {
-		err = l.sticky
-	} else if err = l.cur.w.Flush(); err == nil {
-		err = l.cur.f.Sync()
-	}
-	if cerr := l.cur.f.Close(); err == nil {
-		err = cerr
-	}
-	if l.next != nil {
-		if cerr := l.next.f.Close(); err == nil {
+	err := l.sticky
+	for _, sw := range l.writers() {
+		if sw == nil {
+			continue
+		}
+		if err == nil {
+			if err = sw.w.Flush(); err == nil {
+				err = sw.f.Sync()
+			}
+		}
+		if cerr := sw.f.Close(); err == nil {
 			err = cerr
 		}
 	}
-	l.cur, l.next = nil, nil
+	l.cur, l.next, l.old = nil, nil, nil
 	return err
 }
 
@@ -785,9 +791,9 @@ func (e *Engine) checkpointLocked() (int, error) {
 }
 
 // checkpointFenced is the pause-free checkpoint. Ingest never stops: each
-// relation is cut at an epoch fence (ingester.cut with a flip), and ops
-// applied after the flip are group-committed to a pre-forked next-epoch
-// log. The fence flip is the point of no return — a
+// relation is cut at an epoch fence (ingester.cut with fence set), and
+// batches sequenced after it are group-committed to a pre-forked
+// next-epoch log. The fence is the point of no return — a
 // failure after it poisons the logs (the in-memory state and the on-disk
 // epochs no longer share a committed baseline; a restart recovers
 // cleanly via the multi-epoch replay in Open).
@@ -823,7 +829,7 @@ func (e *Engine) checkpointFenced() (int, error) {
 	}
 	cuts := make(map[string]RelationBundle, len(names))
 	for _, n := range names {
-		c, live := e.rels[n].ing.cut(true, newEpoch)
+		c, live := e.rels[n].ing.cut(true, true)
 		if !live {
 			return fail("snapshot", errors.New("engine: ingest pipeline stopped during checkpoint fence"))
 		}
@@ -922,9 +928,9 @@ func (e *Engine) Sync() error {
 	return nil
 }
 
-// Drain flushes every relation's staged ops through the absorbers and
-// the group-commit log writer and reports the first sticky error — the
-// engine-wide read-your-writes and error-visibility barrier.
+// Drain flushes every relation's staged ops through its sequencer's
+// group-commit log and its absorbers and reports the first sticky error
+// — the engine-wide read-your-writes and error-visibility barrier.
 func (e *Engine) Drain() error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -9,14 +9,17 @@
 //     feeds the Lemma 4.4 σ and Fact 1.1 bounds attached to every join
 //     answer;
 //
-// behind per-relation sharded ingest: callers stage ops lock-free, and one
-// absorber goroutine per shard applies them to shard-local synopses
-// (linearity makes the merged counters independent of the interleaving),
-// so concurrent loaders never contend on a lock (absorber.go). Every read
-// is one consistent cut of a relation — a RelationBundle — and every join
-// answer comes from one function over two cuts (EstimateJoinBundles).
+// behind per-relation sharded ingest: each relation's sequencer logs every
+// batch whole, in arrival order, then hands each shard its rows, and one
+// absorber goroutine per shard applies them to shard-local synopses with
+// no lock (linearity makes the merged counters independent of how the
+// shards interleave; absorber.go). Callers split their batches by shard
+// in parallel; single ops stage in one run per kind under the relation's
+// mutex. Every read is one consistent cut of a relation — a
+// RelationBundle — and every join answer comes from one function over two
+// cuts (EstimateJoinBundles).
 //
-// Durability follows §5's warehouse recipe: every applied update is
+// Durability follows §5's warehouse recipe: every update is
 // group-committed to a per-relation operation log, Checkpoint()
 // serializes the whole engine into one blob (shared internal/blob
 // framing) behind an epoch fence and retires the logs, and Open()
@@ -72,12 +75,13 @@ type IngestMode int
 const (
 	// IngestDefault resolves to IngestAbsorber.
 	IngestDefault IngestMode = 0
-	// IngestAbsorber is the lock-free write path: callers stage ops into
-	// CAS-claimed per-goroutine buffers (no mutexes), one absorber
-	// goroutine per shard applies them under single-writer discipline,
-	// and a group-commit writer batches oplog appends. Queries drain
-	// staged ops first, so reads see the caller's own writes; the
-	// durability barrier is Sync/Checkpoint/drain.
+	// IngestAbsorber is the one write path: a per-relation sequencer
+	// group-commits each batch to the oplog in arrival order and hands
+	// each shard its rows, and one absorber goroutine per shard applies
+	// them under single-writer discipline. Single ops stage in one run
+	// per kind under the relation's mutex. Queries drain staged ops
+	// first, so reads see the caller's own writes; the durability
+	// barrier is Sync/Checkpoint/drain.
 	IngestAbsorber IngestMode = 2
 )
 
@@ -102,10 +106,11 @@ const (
 	// and the signature loses its accuracy parity with the paper's flat
 	// one.
 	minFastBuckets = 16
-	// defaultStageOps is the absorber staging-buffer capacity in rows:
-	// large enough to amortize the flush (shard split + channel handoff)
-	// to a few ns per op, small enough that a buffer's worth of staged
-	// ops is an invisible latency at query time.
+	// defaultStageOps is the capacity in rows of each staged run (one
+	// for inserts, one for deletes): large enough to amortize the send
+	// (shard split, queue handoff, one log record) to a few ns per op,
+	// small enough that a run's worth of staged ops is an invisible
+	// latency at query time.
 	defaultStageOps = 256
 )
 
@@ -144,7 +149,7 @@ type Options struct {
 	// IngestAbsorber both select the one write path (normalized to
 	// IngestAbsorber); any other value is an error.
 	IngestMode IngestMode
-	// FlushOps caps the group-commit oplog batch: the log writer pushes
+	// FlushOps caps the group-commit oplog batch: the sequencer pushes
 	// pending records to the OS once they hold FlushOps rows (0 → 512).
 	// Durable engines only.
 	FlushOps int
@@ -178,8 +183,8 @@ type Options struct {
 	// out of space, or crash at named points in the commit protocol.
 	FS oplog.FS
 
-	// stageOps is the test seam for the absorber staging-buffer capacity
-	// in rows; 0 means defaultStageOps.
+	// stageOps is the test seam for the staged-run capacity in rows; 0
+	// means defaultStageOps.
 	stageOps int
 }
 
@@ -393,9 +398,10 @@ type Relation struct {
 
 	log relLog // no-op in in-memory engines
 
-	// ing is the write path (staging slots, one absorber goroutine per
-	// shard, group-commit log writer). Shard state is owned by the
-	// absorbers: every other access parks them first (ingester.park).
+	// ing is the write path (the staged runs, the sequencer and its
+	// group-commit log, one absorber goroutine per shard). Shard state is
+	// owned by the absorbers: every other access parks them first
+	// (ingester.park).
 	ing *ingester
 }
 
@@ -636,8 +642,8 @@ func (r *Relation) newRelHH() *core.SpaceSaving {
 }
 
 // Insert adds a tuple with the given joining-attribute value. The op is
-// staged and applied asynchronously by the shard's absorber; in durable
-// engines the absorber's log writer group-commits it. Log write errors
+// staged, logged by the relation's sequencer (durable engines) and
+// applied asynchronously by the shard's absorber. Log write errors
 // are sticky and surfaced by Err, Sync, Checkpoint, Drain, and the next
 // erroring caller-side op.
 func (r *Relation) Insert(v uint64) {
@@ -673,56 +679,67 @@ func (r *Relation) Delete(v uint64) error {
 	return r.Err()
 }
 
-// InsertBatch adds every value in vs in one handoff to the absorbers: one
-// run per shard. vs is copied, so the caller may reuse it immediately.
-func (r *Relation) InsertBatch(vs []uint64) {
-	if len(vs) == 0 {
-		return
+// IngestRun is the one batch entry: vals holds rows of the relation's
+// full attribute set, row-major (each row in schema order), inserted, or
+// deleted when del is set. The batch is logged as one record — more only
+// past 4,096 rows or across a segment roll — and applied asynchronously.
+// vals is copied, so the caller may reuse it immediately. Like Delete, it
+// reports the relation's sticky log error. A length that is not a
+// multiple of the arity is a caller bug and panics.
+func (r *Relation) IngestRun(del bool, vals []uint64) error {
+	if len(vals)%r.arity != 0 {
+		panic(fmt.Sprintf("engine: relation %q has arity %d, got a run of %d values", r.name, r.arity, len(vals)))
 	}
-	r.mustArity(1)
-	r.ing.stageBatch(oplog.Run{Arity: 1, Vals: vs})
+	if len(vals) > 0 {
+		r.ing.batch(del, vals)
+	}
+	return r.Err()
+}
+
+// InsertBatch adds every value in vs as one batch (IngestRun).
+func (r *Relation) InsertBatch(vs []uint64) {
+	if len(vs) > 0 {
+		r.mustArity(1)
+		_ = r.IngestRun(false, vs)
+	}
 }
 
 // DeleteBatch removes every value in vs.
 func (r *Relation) DeleteBatch(vs []uint64) error {
-	if len(vs) == 0 {
-		return r.Err()
+	if len(vs) > 0 {
+		r.mustArity(1)
 	}
-	r.mustArity(1)
-	r.ing.stageBatch(oplog.Run{Del: true, Arity: 1, Vals: vs})
-	return r.Err()
+	return r.IngestRun(true, vs)
 }
 
 // InsertTupleBatch adds every row (each the relation's full attribute
-// set, in schema order) in one handoff to the absorbers: one run per
-// shard. Rows are copied, so the caller may reuse the backing arrays
-// immediately.
+// set, in schema order) as one batch (IngestRun). Rows are copied, so the
+// caller may reuse the backing arrays immediately.
 func (r *Relation) InsertTupleBatch(rows [][]uint64) {
-	r.tupleBatch(rows, false)
+	_ = r.IngestRun(false, r.flatten(rows))
 }
 
 // DeleteTupleBatch removes every row in rows.
 func (r *Relation) DeleteTupleBatch(rows [][]uint64) error {
-	r.tupleBatch(rows, true)
-	return r.Err()
+	return r.IngestRun(true, r.flatten(rows))
 }
 
-func (r *Relation) tupleBatch(rows [][]uint64, del bool) {
-	if len(rows) == 0 {
-		return
-	}
+// flatten checks each row's arity and lays the rows out row-major.
+func (r *Relation) flatten(rows [][]uint64) []uint64 {
+	vals := make([]uint64, 0, len(rows)*r.arity)
 	for _, row := range rows {
 		r.mustArity(len(row))
+		vals = append(vals, row...)
 	}
-	r.ing.stageRows(rows, del)
+	return vals
 }
 
 // Drain is the read-your-writes barrier: it blocks until every op staged
-// before the call has been applied to the synopses and handed to the
-// oplog writer (and the writer's pending group pushed to the OS), then
-// reports the relation's sticky error. Queries and Checkpoint drain
-// implicitly; call Drain directly when switching from loading to
-// reading, or to surface asynchronous log errors promptly.
+// before the call has been logged (its record pushed to the OS) and
+// applied to the synopses, then reports the relation's sticky error.
+// Queries and Checkpoint drain implicitly; call Drain directly when
+// switching from loading to reading, or to surface asynchronous log
+// errors promptly.
 func (r *Relation) Drain() error {
 	r.ing.drain()
 	return r.Err()
@@ -731,26 +748,24 @@ func (r *Relation) Drain() error {
 // Err returns the relation's sticky log error, if any: a failed append
 // means ops since that point are NOT durable even though the in-memory
 // synopses kept tracking them. The error may have been detected
-// asynchronously by the log writer; it is still sticky and visible here
-// without a drain.
+// asynchronously by the relation's sequencer; it is still sticky and
+// visible here without a drain.
 func (r *Relation) Err() error { return r.log.err() }
 
 // Len returns the relation's current tuple count (draining staged ops
 // first).
 func (r *Relation) Len() int64 {
-	b, _ := r.ing.cut(false, 0)
+	b, _ := r.ing.cut(false, false)
 	return b.Rows
 }
 
 // DrainLen is Drain and Len in ONE pipeline sweep: everything staged
-// before the call is applied and handed to the OS-owned log buffer, the
-// returned count includes it, and the sticky error (if any) comes back
-// with it. Serving layers answering an ingest request want exactly this
-// pair.
+// before the call is applied and handed to the OS-owned log buffer (the
+// sequencer pushes its pending records at every barrier), the returned
+// count includes it, and the sticky error (if any) comes back with it.
+// Serving layers answering an ingest request want exactly this pair.
 func (r *Relation) DrainLen() (int64, error) {
-	b, _ := r.ing.cut(false, 0)
-	r.ing.logBarrier()
-	return b.Rows, r.Err()
+	return r.Len(), r.Err()
 }
 
 // Cut reads the relation as one consistent cut: every synopsis, Rows and
@@ -760,7 +775,7 @@ func (r *Relation) DrainLen() (int64, error) {
 // this bundle.
 func (r *Relation) Cut() *RelationBundle {
 	epoch := r.eng.Epoch()
-	b, _ := r.ing.cut(true, 0)
+	b, _ := r.ing.cut(true, false)
 	b.Epoch = epoch
 	return &b
 }
@@ -785,7 +800,7 @@ func (r *Relation) SelfJoinEstimate() float64 {
 // RelationBundle.SelfJoinEstimateDetail). Staged ops are drained first,
 // so the estimate covers the caller's own writes.
 func (r *Relation) SelfJoinEstimateDetail() (float64, string) {
-	b, _ := r.ing.cut(true, 0)
+	b, _ := r.ing.cut(true, false)
 	return b.SelfJoinEstimateDetail()
 }
 
@@ -851,8 +866,8 @@ func (e *Engine) EstimateJoin(f, g string) (JoinEstimate, error) {
 	if err != nil {
 		return JoinEstimate{}, err
 	}
-	bf, _ := rf.ing.cut(true, 0)
-	bg, _ := rg.ing.cut(true, 0)
+	bf, _ := rf.ing.cut(true, false)
+	bg, _ := rg.ing.cut(true, false)
 	return EstimateJoinBundles(&bf, &bg)
 }
 
@@ -885,7 +900,7 @@ func (e *Engine) EstimateChainJoin(f, attrA, g, attrB, h string) (ChainJoinEstim
 		if err != nil {
 			return ChainJoinEstimate{}, err
 		}
-		legs[i], _ = r.ing.cut(true, 0)
+		legs[i], _ = r.ing.cut(true, false)
 	}
 	return EstimateChainBundles(&legs[0], attrA, &legs[1], attrB, &legs[2])
 }
@@ -933,7 +948,7 @@ func (e *Engine) writeVersion() uint8 {
 func (e *Engine) cutAll() map[string]RelationBundle {
 	cuts := make(map[string]RelationBundle, len(e.rels))
 	for n, r := range e.rels {
-		cuts[n], _ = r.ing.cut(true, 0)
+		cuts[n], _ = r.ing.cut(true, false)
 	}
 	return cuts
 }

@@ -182,7 +182,8 @@ func writeDir(t *testing.T, dir string, files map[string][]byte) {
 
 // segmentedLog writes one relation "f" across several 64-row segments —
 // insert and delete batches, so both record kinds appear and runs cross
-// segment boundaries — and returns the closed engine's directory.
+// segment boundaries, then a small batch, so the last segment holds two
+// records — and returns the closed engine's directory.
 func segmentedLog(t *testing.T) (dir string, opts Options) {
 	t.Helper()
 	dir = t.TempDir()
@@ -206,6 +207,7 @@ func segmentedLog(t *testing.T) (dir string, opts Options) {
 		t.Fatal(err)
 	}
 	f.InsertBatch(vs[:16])
+	f.InsertBatch(vs[16:24])
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +287,11 @@ func TestTornWriteRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every record the engine writes is 14 bytes of framing plus 8 per
-	// value, an even length, so an odd budget ends inside a record.
-	const budget = 1305
+	// value, an even length, so an odd budget ends inside a record. The
+	// 300 inserts log a full 256-row staged run as a 2,062-byte record,
+	// then the 44 rows the drain sends on as a 366-byte one; the budget
+	// ends inside the second.
+	const budget = 2245
 	ffs.LimitWriteBytes(budget)
 	for i := 0; i < 300; i++ {
 		f.Insert(uint64(i % 50))
@@ -381,6 +386,85 @@ func TestTornBatchRecordSweep(t *testing.T) {
 		}
 		if err := back.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestTornBatchAllOrNothing writes a drained 100-row batch, then a
+// 512-row batch spread over 4 shards, and tears the log at every byte
+// offset inside the second batch. A batch is logged whole, so no tear may
+// keep part of it: recovery must hold exactly the first batch, bit for
+// bit what the reference model holds when fed it alone, and cut the log
+// back to that batch's end.
+func TestTornBatchAllOrNothing(t *testing.T) {
+	src := t.TempDir()
+	opts := durOpts(src)
+	opts.Shards = 4
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := e.Define("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(33)
+	first, second := make([]uint64, 100), make([]uint64, 512)
+	for i := range first {
+		first[i] = r.Uint64n(200)
+	}
+	shards := map[uint64]bool{}
+	for i := range second {
+		second[i] = r.Uint64n(200)
+		shards[f.shardOf(second[i])] = true
+	}
+	if len(shards) != 4 {
+		t.Fatalf("the second batch reaches %d of 4 shards", len(shards))
+	}
+	logPath := filepath.Join(src, relFileName("f", 0))
+	f.InsertBatch(first)
+	if err := f.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := st.Size()
+	f.InsertBatch(second)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := int64(len(data))
+	if ends, rows := recordEnds(t, data); rows != 612 || ends[len(ends)-1] != end {
+		t.Fatalf("log holds %d rows in records ending at %v, want 612 ending at %d", rows, ends, end)
+	}
+	m := newModel(t, durOpts(""))
+	modelDefine(t, m, "f", Schema{}).InsertBatch(first)
+
+	t.Logf("tearing the second batch at each of %d offsets in (%d, %d)", end-start-1, start, end)
+	dir := t.TempDir()
+	path := filepath.Join(dir, filepath.Base(logPath))
+	o := opts
+	o.Dir = dir
+	for cut := start + 1; cut < end; cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Open(o)
+		if err != nil {
+			t.Fatalf("cut at %d of (%d, %d): %v", cut, start, end, err)
+		}
+		expectEngineMatchesModel(t, back, m)
+		if err := back.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() != start {
+			t.Fatalf("cut at %d: log after recovery %v, %v; want %d bytes", cut, st, err, start)
 		}
 	}
 }

@@ -510,3 +510,49 @@ func TestRefmodelStaysIndependent(t *testing.T) {
 		t.Error(v)
 	}
 }
+
+// TestNoUnsafe keeps package unsafe out of the module: no non-test Go
+// file may import it. Every path in the module, the hot ones included,
+// is written in memory-safe Go, so an unsafe import is a design change
+// that has to remove this lint, not a detail a review can miss. Nested
+// modules (bench/) are their own modules and are not walked.
+func TestNoUnsafe(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	var violations []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == root {
+				return nil
+			}
+			if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			return fmt.Errorf("parse %s: %w", p, err)
+		}
+		if _, ok := importName(file, "unsafe"); ok {
+			rel, _ := filepath.Rel(root, p)
+			violations = append(violations, fmt.Sprintf("%s: imports unsafe", filepath.ToSlash(rel)))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Error(v)
+	}
+}

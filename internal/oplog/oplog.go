@@ -24,7 +24,8 @@
 //	uint32 crc32 of the 2+8m bytes above
 //
 // Version 3, a run of n rows of one kind and arity — what the engine
-// writes, one record per shard's share of a batch:
+// writes, one record per batch (more only past 4,096 rows or across a
+// segment roll):
 //
 //	byte   kind (5 batch insert, 6 batch delete)
 //	byte   arity m (1..255)

@@ -15,9 +15,9 @@ import (
 // Server speaks amswire on a listener and feeds one Sink — an engine in
 // the amsd daemon, the routing core in the router daemon. Each
 // accepted connection runs two goroutines: a reader that decodes frames
-// and stages batches into the sink (for an engine, the absorber staging
-// path — no locks, no JSON), and an acker that owns the connection's
-// write side.
+// and stages batches into the sink (for an engine, Relation.IngestRun —
+// one shard split and one queue send per batch, no JSON), and an acker
+// that owns the connection's write side.
 // The acker coalesces: it drains every relation the pending batches
 // touched ONCE, then acks the highest staged sequence number, so the
 // drain barrier (apply + hand oplog records to the OS) amortizes over
@@ -278,10 +278,10 @@ func (c *srvConn) writeFrame(f *Frame) error {
 }
 
 // readLoop decodes and stages frames until the stream ends or a frame is
-// terminal. Decode scratch (read buffer, Frame.Vals, the row slice) is
-// reused across frames: the sink's batch paths copy staged ops before
-// returning, so aliasing the scratch is safe and the per-row cost is
-// pure encoding — no allocation, no syscall beyond the read itself.
+// terminal. Decode scratch (read buffer, Frame.Vals) is reused across
+// frames: the sink's batch paths copy staged ops before returning, so
+// aliasing the scratch is safe and the per-row cost is pure encoding —
+// no allocation, no syscall beyond the read itself.
 // Sink relations are cached per connection, so steady-state batches skip
 // the sink's catalog lookup.
 func (c *srvConn) readLoop() {

@@ -37,8 +37,9 @@ type SinkRelation interface {
 }
 
 // EngineSink adapts an engine to the Sink interface — the classic amsd
-// wiring, staging straight into the absorbers with Relation.Drain as the
-// barrier.
+// wiring: each frame goes to Relation.IngestRun as one batch, which the
+// relation's sequencer logs whole before its absorbers apply it, and
+// Relation.Drain is the barrier.
 func EngineSink(eng *engine.Engine) Sink { return engineSink{eng} }
 
 type engineSink struct{ eng *engine.Engine }
@@ -50,43 +51,22 @@ func (s engineSink) Relation(name string) (SinkRelation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &engineRel{rel: rel, arity: rel.Arity()}, nil
+	return engineRel{rel}, nil
 }
 
-// engineRel caches the relation handle and arity per connection and owns
-// the row-splitting scratch, so steady-state tuple batches allocate
-// nothing per frame.
-type engineRel struct {
-	rel   *engine.Relation
-	arity int
-	rows  [][]uint64
+// engineRel caches the relation handle per connection.
+type engineRel struct{ rel *engine.Relation }
+
+func (r engineRel) Name() string { return r.rel.Name() }
+func (r engineRel) Arity() int   { return r.rel.Arity() }
+
+// Apply hands the frame's rows over as one run, at every arity. The
+// error is the relation's sticky durability error, if one is already
+// set; a failure the batch's own group commit hits surfaces at the
+// drain. Either way it goes back as an ERROR frame naming the relation,
+// matching HTTP ingest.
+func (r engineRel) Apply(del bool, _ int, vals []uint64) error {
+	return r.rel.IngestRun(del, vals)
 }
 
-func (r *engineRel) Name() string { return r.rel.Name() }
-func (r *engineRel) Arity() int   { return r.arity }
-
-func (r *engineRel) Apply(del bool, arity int, vals []uint64) error {
-	if arity == 1 {
-		// A delete reports the relation's sticky durability error, if
-		// one is already set; a failure its own group commit hits
-		// surfaces at the drain. Either way it goes back as an ERROR
-		// frame naming the relation, matching HTTP ingest.
-		if del {
-			return r.rel.DeleteBatch(vals)
-		}
-		r.rel.InsertBatch(vals)
-		return nil
-	}
-	rows := r.rows[:0]
-	for i := 0; i+arity <= len(vals); i += arity {
-		rows = append(rows, vals[i:i+arity])
-	}
-	r.rows = rows
-	if del {
-		return r.rel.DeleteTupleBatch(rows)
-	}
-	r.rel.InsertTupleBatch(rows)
-	return nil
-}
-
-func (r *engineRel) Drain() error { return r.rel.Drain() }
+func (r engineRel) Drain() error { return r.rel.Drain() }
