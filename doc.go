@@ -39,9 +39,10 @@
 // per update, so tightening the error bound (growing S1) slows every
 // insert; the fast sketch pays O(S2) table-lookup hashes regardless of S1
 // (≈1000× faster at S1=1024, S2=16 on commodity hardware), at the price
-// of 512 KiB of fixed hash tables per group of eight rows (one copy per
-// seed tuple per process, shared by every sketch on those seeds) and a
-// counter layout that is not bit-compatible with the flat sketch (blobs
+// of fixed hash tables per group of eight rows, 128 KiB when S1 is a
+// power of two up to 2^15 and 512 KiB otherwise (one copy per seed tuple
+// per process, shared by every sketch on those seeds), and a counter
+// layout that is not bit-compatible with the flat sketch (blobs
 // of one kind do not unmarshal as the other). Prefer FastTugOfWar for high-throughput or high-accuracy
 // tracking — streams and bulk loads (InsertBatch; the Engine adds
 // sharded parallel ingest) — and keep TugOfWar when individual estimator

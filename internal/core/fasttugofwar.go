@@ -57,7 +57,7 @@ func NewFastTugOfWar(cfg Config) (*FastTugOfWar, error) {
 	for j := range seeds {
 		seeds[j] = fastRowSeed(cfg.Seed, j)
 	}
-	return &FastTugOfWar{cfg: cfg, Grid: NewGrid(hash.NewTab4Rows(seeds), cfg.S1)}, nil
+	return &FastTugOfWar{cfg: cfg, Grid: NewGrid(hash.NewTab4Rows(seeds, cfg.S1))}, nil
 }
 
 // fastRowSeed derives row j's hash seed from the master seed.

@@ -441,7 +441,10 @@ func TestFastTugOfWarGoldenRowCounts(t *testing.T) {
 // two grids of amsd's default shape, the 8×128 join signature and the
 // 1024×8 sketch, fed 128-key batches through InsertBatch. ns/op is per
 // row. The keys are a shuffle of 2^20 distinct values or a zipf(1.0)
-// draw over them.
+// draw over them. Under 8x1152/ the same keys feed one 8×1152 grid: the
+// one signature that would answer both joins and self-joins in the
+// default pair's 9,216 words. Its width is not a power of two, so it
+// hashes on the wide layout (hash.NewTab4Rows).
 func BenchmarkNodeShapeUpdate(b *testing.B) {
 	const keys, batch = 1 << 20, 128
 	shuffled := make([]uint64, keys)
@@ -452,20 +455,36 @@ func BenchmarkNodeShapeUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct {
+	keySets := []struct {
 		name string
 		vals []uint64
-	}{{"shuffled", shuffled}, {"zipf1.0", dist.Take(z, keys)}} {
-		b.Run(c.name, func(b *testing.B) {
-			sig, _ := NewFastTugOfWar(Config{S1: 128, S2: 8, Seed: 1})
-			sk, _ := NewFastTugOfWar(Config{S1: 1024, S2: 8, Seed: 2})
-			b.ResetTimer()
-			for done := 0; done < b.N; done += batch {
-				off := done % keys
-				vs := c.vals[off : off+batch]
-				sig.InsertBatch(vs)
-				sk.InsertBatch(vs)
+	}{{"shuffled", shuffled}, {"zipf1.0", dist.Take(z, keys)}}
+	run := func(b *testing.B, vals []uint64, cfgs ...Config) {
+		var grids []*FastTugOfWar
+		for _, cfg := range cfgs {
+			g, err := NewFastTugOfWar(cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
+			grids = append(grids, g)
+		}
+		b.ResetTimer()
+		for done := 0; done < b.N; done += batch {
+			off := done % keys
+			vs := vals[off : off+batch]
+			for _, g := range grids {
+				g.InsertBatch(vs)
+			}
+		}
+	}
+	for _, c := range keySets {
+		b.Run(c.name, func(b *testing.B) {
+			run(b, c.vals, Config{S1: 128, S2: 8, Seed: 1}, Config{S1: 1024, S2: 8, Seed: 2})
 		})
 	}
+	b.Run("8x1152", func(b *testing.B) {
+		for _, c := range keySets {
+			b.Run(c.name, func(b *testing.B) { run(b, c.vals, Config{S1: 1152, S2: 8, Seed: 1}) })
+		}
+	})
 }

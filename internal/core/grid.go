@@ -21,56 +21,27 @@ type Grid struct {
 	n    int64   // current multiset size
 }
 
-// NewGrid returns an empty grid of s1 counters per row, one row per lane
-// of rows (hash.NewTab4Rows). Grids may share one rows slice.
-func NewGrid(rows []hash.Tab4x8, s1 int) Grid {
+// NewGrid returns an empty grid with one row per lane of rows
+// (hash.NewTab4Rows, at least one group), each row as wide as the groups'
+// bucket count. Grids may share one rows slice.
+func NewGrid(rows []hash.Tab4x8) Grid {
 	n := 0
 	for _, g := range rows {
 		n += g.Lanes()
 	}
+	s1 := rows[0].Buckets()
 	return Grid{rows: rows, s1: s1, z: make([]int64, n*s1)}
-}
-
-// bucket maps a hash output to a row-local counter index in [0, s1) using
-// the high 32 output bits (disjoint from the sign bit, so bucket and sign
-// are jointly four-wise independent). The multiply-shift reduction is
-// unbiased up to s1/2^32, negligible for any practical row width.
-func bucket(h uint64, s1 int) int {
-	return int((h >> 32) * uint64(s1) >> 32)
 }
 
 // update adds w·ε_j(v) to v's counter in row j, for every v in vs and
 // every row j: the one counter write behind every update. Each group of
-// eight rows hashes a key once (hash.Tab4x8.Hash), and a partial group's
-// dead lanes are dropped. Keys are hashed two at a time, so the second
-// key's table reads overlap the first's.
+// eight rows reads a key's bucket and sign in all eight rows from one
+// hash evaluation (hash.Tab4x8.AddSigns).
 func (g *Grid) update(vs []uint64, w int64) {
-	s1 := g.s1
 	z := g.z
 	for _, grp := range g.rows {
-		lanes := grp.Lanes()
-		i := 0
-		for ; i+1 < len(vs); i += 2 {
-			ha, hb := grp.Hash(vs[i]), grp.Hash(vs[i+1])
-			bump(z, &ha, lanes, s1, w)
-			bump(z, &hb, lanes, s1, w)
-		}
-		if i < len(vs) {
-			h := grp.Hash(vs[i])
-			bump(z, &h, lanes, s1, w)
-		}
-		z = z[lanes*s1:]
-	}
-}
-
-// bump adds w·ε_j to one counter of row j, the bucket h[j] picks, for
-// each of a group's first lanes rows; row j is z[j*s1 : (j+1)*s1].
-func bump(z []int64, h *[8]uint64, lanes, s1 int, w int64) {
-	row := 0
-	for _, hj := range h[:lanes] {
-		neg := int64(hj&1) - 1 // 0 for sign +1, -1 for sign -1
-		z[row+bucket(hj, s1)] += (w ^ neg) - neg
-		row += s1
+		grp.AddSigns(z, vs, w)
+		z = z[grp.Lanes()*g.s1:]
 	}
 }
 
@@ -119,10 +90,10 @@ func (g *Grid) SetFrequencies(freq map[uint64]int64) {
 func (g *Grid) Len() int64 { return g.n }
 
 // MemoryWords returns rows·s1: one word per counter, the paper's storage
-// unit. The tabulation tables (512 KiB per group of eight rows) are not
-// counted: they do not scale with s1, the accuracy knob, and
-// hash.NewTab4Rows shares them among every grid on the same seeds in the
-// process.
+// unit. The tabulation tables (128 KiB per group of eight rows when s1 is
+// a power of two up to 2^15, else 512 KiB) are not counted: they do not
+// scale with s1, the accuracy knob, and hash.NewTab4Rows shares them among
+// every grid on the same seeds in the process.
 func (g *Grid) MemoryWords() int { return len(g.z) }
 
 // Counters returns a copy of the raw counters (row-major, row j at

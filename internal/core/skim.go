@@ -36,7 +36,7 @@ func SkimmedEstimate(g *Grid, hh *SpaceSaving) float64 {
 	for _, f := range freq {
 		exact += float64(f) * float64(f)
 	}
-	scratch := NewGrid(g.rows, g.s1)
+	scratch := NewGrid(g.rows)
 	scratch.SetFrequencies(freq)
 	sums, skim := RowProducts(g, g), RowProducts(&scratch, &scratch)
 	for j := range sums {

@@ -219,11 +219,9 @@ func rowSeeds(n int) []uint64 {
 	return seeds
 }
 
-// TestTab4x8LanesMatchTab4: for every row count 1..MaxTab4Rows, row r of
-// NewTab4Rows hashes every key exactly as the scalar member on its seed,
-// and a partial group's dead lanes hash to 0. Keys: random 64-bit, small,
-// and the adversarial quads.
-func TestTab4x8LanesMatchTab4(t *testing.T) {
+// laneKeys are the keys the lane tests hash: random 64-bit, small, the
+// adversarial quads and the extremes.
+func laneKeys() []uint64 {
 	r := xrand.New(0x1a7e)
 	var keys []uint64
 	for i := 0; i < 256; i++ {
@@ -232,93 +230,237 @@ func TestTab4x8LanesMatchTab4(t *testing.T) {
 	for _, q := range adversarialQuads {
 		keys = append(keys, q[:]...)
 	}
-	keys = append(keys, ^uint64(0), 1<<63)
-	seeds := rowSeeds(MaxTab4Rows)
-	ref := make([]Tab4, len(seeds))
-	for i, seed := range seeds {
-		ref[i] = NewTab4(seed)
-	}
-	for n := 1; n <= MaxTab4Rows; n++ {
-		groups := NewTab4Rows(seeds[:n])
-		if want := (n + tab4Lanes - 1) / tab4Lanes; len(groups) != want {
-			t.Fatalf("%d rows: %d groups, want %d", n, len(groups), want)
+	return append(keys, ^uint64(0), 1<<63)
+}
+
+// refHashes returns the scalar member's hash of every key, [row][key],
+// for each of seeds.
+func refHashes(seeds, keys []uint64) [][]uint64 {
+	out := make([][]uint64, len(seeds))
+	for r, seed := range seeds {
+		ref := NewTab4(seed)
+		out[r] = make([]uint64, len(keys))
+		for i, x := range keys {
+			out[r][i] = ref.Hash(x)
 		}
-		row := 0
-		for gi, g := range groups {
-			lanes := min(n-gi*tab4Lanes, tab4Lanes)
-			if g.Lanes() != lanes {
-				t.Fatalf("%d rows: group %d has %d lanes, want %d", n, gi, g.Lanes(), lanes)
-			}
-			for _, x := range keys {
-				h := g.Hash(x)
-				for j, hj := range h {
-					want := uint64(0)
-					if j < lanes {
-						want = ref[row+j].Hash(x)
+	}
+	return out
+}
+
+// checkLanes holds every lane of groups, rows built on the first n seeds
+// at width `buckets`, to the scalar members: AddSigns of key x with
+// weight 1 adds the scalar sign of x, +1 for output bit 0 set and −1
+// otherwise, to the counter that is the multiply-shift bucket
+// (h>>32)·buckets>>32 of the member's output h, and adding x back with
+// weight −1 zeroes it. The counters are z, zero on entry and on return.
+// A group whose first row, lane count and width are in checked was held
+// to the members already: the seeds are one stream, so it is the same
+// interned group.
+func checkLanes(t *testing.T, z []int64, checked map[[3]int]bool, groups []Tab4x8, n, buckets int, keys []uint64, ref [][]uint64) {
+	t.Helper()
+	if want := (n + tab4Lanes - 1) / tab4Lanes; len(groups) != want {
+		t.Fatalf("%d rows: %d groups, want %d", n, len(groups), want)
+	}
+	row := 0
+	key := make([]uint64, 1)
+	for gi, g := range groups {
+		lanes := min(n-gi*tab4Lanes, tab4Lanes)
+		if g.Lanes() != lanes || g.Buckets() != buckets {
+			t.Fatalf("%d rows of %d: group %d has %d lanes of %d, want %d", n, buckets, gi, g.Lanes(), g.Buckets(), lanes)
+		}
+		id := [3]int{row, lanes, buckets}
+		if checked[id] {
+			row += lanes
+			continue
+		}
+		checked[id] = true
+		for i, x := range keys {
+			key[0] = x
+			for _, w := range []int64{1, -1} {
+				g.AddSigns(z[:lanes*buckets], key, w)
+				for j := range lanes {
+					h := ref[row+j][i]
+					b := int((h >> 32) * uint64(buckets) >> 32)
+					want := int64(0) // after adding x back
+					if w == 1 {
+						want = int64(h&1)*2 - 1
 					}
-					if hj != want {
-						t.Fatalf("%d rows: group %d lane %d hashes %#x to %#x, want %#x", n, gi, j, x, hj, want)
+					if got := z[j*buckets+b]; got != want {
+						t.Fatalf("%d rows of %d: group %d lane %d holds %d in bucket %d after adding %#x with weight %d, want %d",
+							n, buckets, gi, j, got, b, x, w, want)
 					}
 				}
 			}
-			row += lanes
+		}
+		row += lanes
+	}
+}
+
+// TestTab4x8LanesMatchTab4: for every row count 1..MaxTab4Rows, row r of
+// NewTab4Rows at a width that is not a power of two, or is 2^16, hashes
+// on the wide layout, and every lane's bucket and sign equal the scalar
+// member's on its seed. At width 3 every key's full 64-bit hash equals
+// the scalar member's, and a partial group's dead lanes hash to 0.
+func TestTab4x8LanesMatchTab4(t *testing.T) {
+	keys := laneKeys()
+	seeds := rowSeeds(MaxTab4Rows)
+	ref := refHashes(seeds, keys)
+	z := make([]int64, tab4Lanes<<16)
+	checked := map[[3]int]bool{}
+	for n := 1; n <= MaxTab4Rows; n++ {
+		for _, width := range []int{3, 125, 1152, 1 << 16} {
+			groups := NewTab4Rows(seeds[:n], width)
+			for gi, g := range groups {
+				if !g.Wide() {
+					t.Fatalf("%d rows of %d: group %d is narrow", n, width, gi)
+				}
+			}
+			checkLanes(t, z, checked, groups, n, width, keys, ref)
+			if width != 3 {
+				continue
+			}
+			row := 0
+			for gi, g := range groups {
+				for i, x := range keys {
+					h := g.wide.hash(x)
+					for j, hj := range h {
+						want := uint64(0)
+						if j < g.Lanes() {
+							want = ref[row+j][i]
+						}
+						if hj != want {
+							t.Fatalf("%d rows: group %d lane %d hashes %#x to %#x, want %#x", n, gi, j, x, hj, want)
+						}
+					}
+				}
+				row += g.Lanes()
+			}
 		}
 	}
 }
 
-// TestTab4x8SharedPerSeeds: one seed tuple, one group; another tuple, a
-// prefix of it included, another group.
-func TestTab4x8SharedPerSeeds(t *testing.T) {
-	seeds := rowSeeds(16)
-	a, b := NewTab4Rows(seeds), NewTab4Rows(seeds[:8])
-	if a[0].Tables() != b[0].Tables() {
-		t.Fatal("two calls on one seed tuple built two groups")
-	}
-	if a[0].Tables() == a[1].Tables() {
-		t.Fatal("two seed tuples share a group")
-	}
-	if c := NewTab4Rows(seeds[:7]); c[0].Tables() == a[0].Tables() {
-		t.Fatal("a 7-seed prefix shares the 8-seed group")
+// TestTab4x8NarrowLanesMatchTab4: for every row count 1..MaxTab4Rows and
+// every power-of-two width 2^0..2^15, the rows hash on the narrow layout,
+// and every lane's bucket and sign equal the scalar member's on its seed.
+func TestTab4x8NarrowLanesMatchTab4(t *testing.T) {
+	keys := laneKeys()
+	seeds := rowSeeds(MaxTab4Rows)
+	ref := refHashes(seeds, keys)
+	z := make([]int64, tab4Lanes<<maxNarrowLog)
+	checked := map[[3]int]bool{}
+	for n := 1; n <= MaxTab4Rows; n++ {
+		for k := 0; k <= maxNarrowLog; k++ {
+			groups := NewTab4Rows(seeds[:n], 1<<k)
+			for gi, g := range groups {
+				if g.Wide() {
+					t.Fatalf("%d rows of %d: group %d is wide", n, 1<<k, gi)
+				}
+			}
+			checkLanes(t, z, checked, groups, n, 1<<k, keys, ref)
+		}
 	}
 }
 
+// TestTab4x8SharedPerSeeds: in either layout, one seed tuple, one group;
+// another tuple, a prefix of it included, another group.
+func TestTab4x8SharedPerSeeds(t *testing.T) {
+	seeds := rowSeeds(16)
+	for _, width := range []int{128, 125} {
+		a, b := NewTab4Rows(seeds, width), NewTab4Rows(seeds[:8], width)
+		if a[0].Tables() != b[0].Tables() {
+			t.Fatalf("width %d: two calls on one seed tuple built two groups", width)
+		}
+		if a[0].Tables() == a[1].Tables() {
+			t.Fatalf("width %d: two seed tuples share a group", width)
+		}
+		if c := NewTab4Rows(seeds[:7], width); c[0].Tables() == a[0].Tables() {
+			t.Fatalf("width %d: a 7-seed prefix shares the 8-seed group", width)
+		}
+	}
+}
+
+// TestTab4x8SharedAcrossWidths: every power-of-two width up to 2^15 on
+// one seed tuple reads one narrow group, and no wide one is built for
+// them; a width that is not a power of two, or is 2^16, gets its own
+// wide group, shared in turn by every such width.
+func TestTab4x8SharedAcrossWidths(t *testing.T) {
+	seeds := []uint64{0xd1ff, 0xd200, 0xd201}
+	var keep [][]Tab4x8
+	narrow, wide := Tab4x8Built(func() {
+		for k := 0; k <= maxNarrowLog; k++ {
+			keep = append(keep, NewTab4Rows(seeds, 1<<k))
+		}
+	})
+	if narrow != 1 || wide != 0 {
+		t.Fatalf("16 power-of-two widths on one seed tuple built %d narrow and %d wide groups, want 1 and 0", narrow, wide)
+	}
+	for _, g := range keep {
+		if g[0].Tables() != keep[0][0].Tables() {
+			t.Fatalf("width %d reads another group than width 1", g[0].Buckets())
+		}
+	}
+	if !Tab4x8Cached(seeds, false) || Tab4x8Cached(seeds, true) {
+		t.Fatal("the cache does not hold exactly the narrow group")
+	}
+	for _, width := range []int{3, 1152, 1 << 16} {
+		g := NewTab4Rows(seeds, width)[0]
+		if !g.Wide() || g.Tables() == keep[0][0].Tables() {
+			t.Fatalf("width %d shares the narrow group", width)
+		}
+		if g.Tables() != NewTab4Rows(seeds, 125)[0].Tables() {
+			t.Fatalf("width %d and width 125 read two wide groups", width)
+		}
+		keep = append(keep, []Tab4x8{g})
+	}
+	if !Tab4x8Cached(seeds, true) {
+		t.Fatal("the wide group is not cached")
+	}
+	runtime.KeepAlive(keep)
+}
+
 // TestTab4x8ConcurrentFirstUse: goroutines racing to build one seed
-// tuple's group all get the same one.
+// tuple's group, in either layout, all get the same one.
 func TestTab4x8ConcurrentFirstUse(t *testing.T) {
 	const workers = 64
 	seeds := []uint64{0x5eed, 0x5eee, 0x5eef}
-	tables := make([]*tab4x8Tables, workers)
+	widths := []int{1024, 1152}
+	tables := make([]any, workers)
 	var wg sync.WaitGroup
 	for i := range tables {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tables[i] = NewTab4Rows(seeds)[0].Tables()
+			tables[i] = NewTab4Rows(seeds, widths[i%2])[0].Tables()
 		}()
 	}
 	wg.Wait()
 	for i, tb := range tables {
-		if tb != tables[0] {
+		if tb != tables[i%2] {
 			t.Fatalf("goroutine %d got its own group", i)
 		}
+	}
+	if tables[0] == tables[1] {
+		t.Fatal("the narrow and the wide width share one group")
 	}
 }
 
 // TestTab4x8CacheReleasesSweep: once a 1,024-seed sweep's groups are
-// garbage, the collector takes their tables and the cache forgets them.
+// garbage, half of them narrow and half wide, the collector takes their
+// tables and the cache forgets them.
 func TestTab4x8CacheReleasesSweep(t *testing.T) {
 	const base, members = 1 << 40, 1024
 	seeds := make([]uint64, members)
 	for i := range seeds {
 		seeds[i] = base + uint64(i)
 	}
-	NewTab4Rows(seeds)
+	NewTab4Rows(seeds[:members/2], 64)
+	NewTab4Rows(seeds[members/2:], 100)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
 		left := 0
 		for i := 0; i < members; i += tab4Lanes {
-			if Tab4x8Cached(seeds[i : i+tab4Lanes]) {
+			if Tab4x8Cached(seeds[i:i+tab4Lanes], i >= members/2) {
 				left++
 			}
 		}
@@ -332,15 +474,31 @@ func TestTab4x8CacheReleasesSweep(t *testing.T) {
 	}
 }
 
-// BenchmarkTab4x8Hash times one key's eight hashes.
+// BenchmarkTab4x8Hash times one key's eight hashes on each layout: the
+// narrow one's two words of 16-bit fields and the wide one's eight full
+// hashes.
 func BenchmarkTab4x8Hash(b *testing.B) {
-	g := NewTab4Rows(rowSeeds(tab4Lanes))[0]
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		h := g.Hash(uint64(i) * 0x9e3779b97f4a7c15)
-		sink += h[0] ^ h[7]
-	}
-	benchSink = sink
+	seeds := rowSeeds(tab4Lanes)
+	b.Run("narrow", func(b *testing.B) {
+		t := NewTab4Rows(seeds, 1024)[0].narrow
+		var sink uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lo, hi := t.hash(uint64(i) * 0x9e3779b97f4a7c15)
+			sink += lo ^ hi
+		}
+		benchSink = sink
+	})
+	b.Run("wide", func(b *testing.B) {
+		t := NewTab4Rows(seeds, 1152)[0].wide
+		var sink uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h := t.hash(uint64(i) * 0x9e3779b97f4a7c15)
+			sink += h[0] ^ h[7]
+		}
+		benchSink = sink
+	})
 }
 
 var benchSink uint64

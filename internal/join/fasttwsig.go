@@ -42,8 +42,9 @@ import (
 // bound at equal memory — ErrorBound(sjF, sjG, MemoryWords()) applies to
 // either scheme unchanged.
 //
-// A FastFamily holds 512 KiB of tabulation tables per group of eight rows
-// where a Family holds a few polynomial coefficients per counter, but
+// A FastFamily holds tabulation tables per group of eight rows, 128 KiB
+// when buckets is a power of two up to 2^15 and 512 KiB otherwise, where
+// a Family holds a few polynomial coefficients per counter, but
 // hash.NewTab4Rows shares the groups per seed tuple: every family,
 // signature and decoded blob on one seed in the process reads one copy.
 type FastFamily struct {
@@ -72,7 +73,7 @@ func NewFastFamily(buckets, rows int, seed uint64) (*FastFamily, error) {
 		// three under one master seed keeps them statistically independent.
 		seeds[j] = xrand.Mix64(seed ^ (uint64(j)+1)*0x94d049bb133111eb)
 	}
-	return &FastFamily{buckets: buckets, rows: rows, seed: seed, hs: hash.NewTab4Rows(seeds)}, nil
+	return &FastFamily{buckets: buckets, rows: rows, seed: seed, hs: hash.NewTab4Rows(seeds, buckets)}, nil
 }
 
 // Buckets returns the per-row counter count (the accuracy knob).
@@ -90,7 +91,7 @@ func (f *FastFamily) K() int { return f.buckets * f.rows }
 
 // NewSignature returns an empty signature bound to this family.
 func (f *FastFamily) NewSignature() *FastTWSignature {
-	return &FastTWSignature{family: f, Grid: core.NewGrid(f.hs, f.buckets)}
+	return &FastTWSignature{family: f, Grid: core.NewGrid(f.hs)}
 }
 
 // FastTWSignature is a bucketed k-TW join signature: rows × buckets

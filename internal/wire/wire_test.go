@@ -138,6 +138,11 @@ func TestWireEndToEnd(t *testing.T) {
 	expectSameRelation(t, eng, mirror, "f")
 	expectSameRelation(t, eng, mirror, "g")
 
+	// Stream.Flush writes a FLUSH only while a batch is un-acked, and the
+	// batches' own ACK may release it before the server counts the FLUSH;
+	// so count one this test knows it sent. The server counts a FLUSH
+	// before it queues the ACK that answers it.
+	rawFlush(t, addr)
 	st := srv.Stats()
 	if st.Rows != rows {
 		t.Fatalf("stats counted %d rows, sent %d", st.Rows, rows)
@@ -156,6 +161,40 @@ func TestWireEndToEnd(t *testing.T) {
 			t.Fatalf("server still reports %d open conns after client close", srv.Stats().Conns)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// rawFlush handshakes on a raw connection to addr, sends one FLUSH and
+// reads frames until the ACK that answers it.
+func rawFlush(t *testing.T, addr string) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	out := AppendFrame(nil, &Frame{Kind: KindHello, Proto: ProtoVersion, Window: 1})
+	out = AppendFrame(out, &Frame{Kind: KindFlush})
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for {
+		body, err := ReadFrame(nc, &buf)
+		if err != nil {
+			t.Fatalf("stream ended before the FLUSH was acked: %v", err)
+		}
+		var f Frame
+		if err := DecodeFrame(body, &f); err != nil {
+			t.Fatal(err)
+		}
+		switch f.Kind {
+		case KindWelcome:
+		case KindAck:
+			return
+		default:
+			t.Fatalf("FLUSH answered by %v", f.Kind)
+		}
 	}
 }
 
