@@ -29,9 +29,11 @@
 //
 // The write path is one sequencer per relation in front of the engine's
 // lock-free absorbers: each ingest batch is logged whole, in arrival
-// order, and group-committed (-flush-ops / -flush-interval), then
-// per-shard absorber goroutines apply it. Queries drain staged ops
-// first, so responses always reflect the request's own writes.
+// order, then per-shard absorber goroutines apply it. Records collect
+// in the log writer's buffer and reach the OS at the barrier every
+// acknowledgement waits for (an HTTP ingest's response, an amswire
+// ACK). Queries drain staged ops first, so responses always reflect the
+// request's own writes.
 // -segment-ops N additionally rolls each relation's oplog onto numbered
 // segment files every N records, bounding single-file recovery reads
 // between checkpoints. Checkpoints are pause-free: the cut rides an
@@ -89,8 +91,6 @@ func main() {
 		ckptEvery = flag.Duration("checkpoint-every", 0, "background checkpoint interval, jittered (0: no timer; needs -dir)")
 		ckptSegs  = flag.Int("checkpoint-segments", 0, "checkpoint when a relation's live oplog segments reach N (0: no segment trigger; needs -dir)")
 		maxBodyMB = flag.Int64("max-body-mb", 0, "request-body cap in MiB for ingest and bundle uploads (0: default 64)")
-		flushOps  = flag.Int("flush-ops", 0, "group commit: flush the oplog after N records (0: default 512)")
-		flushIvl  = flag.Duration("flush-interval", 0, "group commit: flush the oplog after the oldest pending record waited this long (0: default 200µs)")
 		segOps    = flag.Int64("segment-ops", 0, "roll each relation's oplog onto a numbered segment every N records (0: off)")
 	)
 	flag.Parse()
@@ -105,8 +105,6 @@ func main() {
 		NoSketch:           *noSketch,
 		Shards:             *shards,
 		Dir:                *dir,
-		FlushOps:           *flushOps,
-		FlushInterval:      *flushIvl,
 		SegmentOps:         *segOps,
 		CheckpointInterval: *ckptEvery,
 		CheckpointSegments: *ckptSegs,

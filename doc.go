@@ -97,22 +97,23 @@
 // lock-free absorbers: a caller splits its batch by shard, and single
 // ops stage in one run per kind, 256 rows each, under the relation's
 // mutex; the relation's sequencer logs every batch whole, in arrival
-// order, as one checksummed record (group-committed at
-// EngineOptions.FlushOps rows or EngineOptions.FlushInterval,
-// whichever first), then hands each shard's absorber its rows to apply
-// under single-writer discipline. A torn write drops a whole batch or
-// none of it. A read parks a relation's absorbers at one barrier through
-// the same queue and merges the quiet shards, so reads always see the
+// order, as one checksummed record into the log writer's 4 KiB buffer,
+// then hands each shard's absorber its rows to apply under
+// single-writer discipline. A torn write drops a whole batch or none of
+// it. A read parks a relation's absorbers at one barrier through the
+// same queue and merges the quiet shards, so reads always see the
 // caller's own writes, and a checkpoint is that same cut with the
 // sequencer moving the log onto the next epoch at the barrier — ingest
 // never pauses, and recovery stays bit-identical. Ops become OS-owned
-// at the flush policy, Relation.Drain, Sync, or Checkpoint rather than
-// per call. EngineOptions.SegmentOps additionally caps each oplog file
-// at N rows, rolling onto numbered segments so no single log file grows
-// without bound between checkpoints. The engine's synopses are
-// bit-identical to plain sequential synopses fed the same ops, which the
-// engine's tests check against an independent reference model; DESIGN.md
-// §7 has the architecture and measured numbers.
+// when that buffer fills, or at the next barrier — Relation.Drain, a
+// read, Sync, Checkpoint or Close — rather than per call: the barrier
+// every acknowledgement waits for is the group commit.
+// EngineOptions.SegmentOps additionally caps each oplog file at N rows,
+// rolling onto numbered segments so no single log file grows without
+// bound between checkpoints. The engine's synopses are bit-identical to
+// plain sequential synopses fed the same ops, which the engine's tests
+// check against an independent reference model; DESIGN.md §7 has the
+// architecture and measured numbers.
 //
 // # Skew-robust skimming
 //

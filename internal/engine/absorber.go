@@ -16,9 +16,9 @@
 //	                   ▼
 //	   queue (48) ──▶ sequencer: AppendRun logs the batch as one version-3
 //	                   │      record (more past 4,096 rows or across a
-//	                   │      segment roll), pushed to the OS at FlushOps
-//	                   │      rows or FlushInterval; then each region
-//	                   ▼
+//	                   │      segment roll) into the log writer's 4 KiB
+//	                   │      buffer, written out when full and at every
+//	                   ▼      barrier; then each region
 //	   shard channel (16) ──▶ absorber: the ONLY writer of its shard's
 //	                           synopses, so no lock around counters
 //
@@ -53,7 +53,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"amstrack/internal/oplog"
 )
@@ -211,74 +210,39 @@ func (g *ingester) split(del bool, vals []uint64) seqMsg {
 
 // sequence is the relation's sequencer: it logs each batch as it comes
 // off the queue, then hands each absorber its region, so the log's order
-// is the order every shard applies. Records accumulate in the
-// oplog.Writer's buffer and are pushed to the OS when the flush policy
-// comes due — FlushOps rows, or FlushInterval after the oldest pending
-// record — and at every barrier. Write errors go sticky on the
+// is the order every shard applies. Records collect in the
+// oplog.Writer's 4 KiB buffer, which goes to the OS each time it fills;
+// a barrier pushes the rest, so every op staged before a drain, park or
+// fence is OS-owned once the barrier reaches the absorbers — the group
+// commit every acknowledgement waits for. Write errors go sticky on the
 // relation's log and surface on Err, Drain, Sync, Checkpoint, and
 // erroring caller-side ops. When stop closes the queue, the sequencer
 // pushes what is pending and closes the shard channels.
 func (g *ingester) sequence() {
 	defer g.wg.Done()
-	durable := g.r.eng.opts.Dir != ""
-	policy := oplog.FlushPolicy{
-		MaxRecords: g.r.eng.opts.FlushOps,
-		MaxDelay:   g.r.eng.opts.FlushInterval,
-	}.Normalize()
-	timer := time.NewTimer(policy.MaxDelay)
-	timer.Stop()
-	pending, armed := 0, false
-	flush := func() {
-		if pending > 0 {
+	for m := range g.queue {
+		if b := m.barrier; b != nil {
 			g.r.log.osFlush()
-			pending = 0
+			if b.fence {
+				g.r.log.flip()
+			}
+			for _, ch := range g.chans {
+				ch <- shardMsg{barrier: b}
+			}
+			continue
 		}
-		if armed {
-			timer.Stop()
-			armed = false
+		g.r.log.appendRun(m.run)
+		lo := 0
+		for i, ch := range g.chans {
+			if hi := m.ends[i]; hi > lo {
+				ch <- shardMsg{run: oplog.Run{Del: m.run.Del, Arity: m.run.Arity, Vals: m.run.Vals[lo:hi:hi]}}
+				lo = hi
+			}
 		}
 	}
-	for {
-		select {
-		case m, ok := <-g.queue:
-			if !ok {
-				flush()
-				for _, ch := range g.chans {
-					close(ch)
-				}
-				return
-			}
-			if b := m.barrier; b != nil {
-				flush()
-				if b.fence {
-					g.r.log.flip()
-				}
-				for _, ch := range g.chans {
-					ch <- shardMsg{barrier: b}
-				}
-				continue
-			}
-			if durable {
-				g.r.log.appendRun(m.run)
-				pending += m.run.Rows()
-				if policy.Due(pending, 0) {
-					flush()
-				} else if !armed {
-					timer.Reset(policy.MaxDelay)
-					armed = true
-				}
-			}
-			lo := 0
-			for i, ch := range g.chans {
-				if hi := m.ends[i]; hi > lo {
-					ch <- shardMsg{run: oplog.Run{Del: m.run.Del, Arity: m.run.Arity, Vals: m.run.Vals[lo:hi:hi]}}
-					lo = hi
-				}
-			}
-		case <-timer.C:
-			armed = false
-			flush()
-		}
+	g.r.log.osFlush()
+	for _, ch := range g.chans {
+		close(ch)
 	}
 }
 

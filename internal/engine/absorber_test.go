@@ -12,19 +12,16 @@ import (
 	"amstrack/internal/xrand"
 )
 
-// absOpts is durOpts with deliberately tiny staging/flush knobs so
-// buffers fill, partial buffers drain, and the group-commit policy fires
-// constantly during the tests.
+// absOpts is durOpts with deliberately tiny staged runs so they fill and
+// partial runs drain constantly during the tests.
 func absOpts(dir string) Options {
 	o := durOpts(dir)
 	o.stageOps = 7
-	o.FlushOps = 16
-	o.FlushInterval = 50 * time.Microsecond
 	return o
 }
 
-// TestAbsorberKillAndRecover is TestKillAndRecover under tiny staging
-// and flush knobs, asserted byte for byte against the reference model.
+// TestAbsorberKillAndRecover is TestKillAndRecover under tiny staged
+// runs, asserted byte for byte against the reference model.
 func TestAbsorberKillAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(absOpts(dir))
@@ -115,8 +112,9 @@ func TestAbsorberReadYourWrites(t *testing.T) {
 }
 
 // breakLog yanks the file out from under the relation's log writer, the
-// fault-injection for absorber-side append failures: the next flush the
-// group-commit policy (or a barrier) triggers fails and must go sticky.
+// fault-injection for absorber-side append failures: the next write the
+// log writer's buffer makes — when it fills, or at a barrier — fails and
+// must go sticky.
 func breakLog(t *testing.T, r *Relation) {
 	t.Helper()
 	r.log.mu.Lock()
@@ -149,9 +147,12 @@ func TestAbsorberErrVisibility(t *testing.T) {
 			r.Drain()
 			return r.DeleteBatch([]uint64{1})
 		}},
-		{"err-after-policy-flush", func(t *testing.T, e *Engine, r *Relation) error {
-			// No explicit barrier: the FlushOps group-commit threshold
-			// alone must trip the failure and leave it sticky.
+		{"err-after-buffer-write", func(t *testing.T, e *Engine, r *Relation) error {
+			// No barrier: a batch larger than the log writer's 4 KiB
+			// buffer (1,024 rows, an 8,206-byte record) is written out
+			// as it is appended, and that write alone must trip the
+			// failure and leave it sticky.
+			r.InsertBatch(make([]uint64, 1024))
 			deadline := time.Now().Add(5 * time.Second)
 			for time.Now().Before(deadline) {
 				if err := r.Err(); err != nil {
@@ -253,7 +254,7 @@ func TestStopRacesIngest(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				o := Options{SignatureWords: 64, Seed: 3, SketchS1: 16, SketchS2: 2, Shards: 4,
-					stageOps: 5, FlushOps: 8}
+					stageOps: 5}
 				var e *Engine
 				var err error
 				if durable {

@@ -5,8 +5,8 @@
 // records:
 //
 //	sequencer ──AppendRun──▶ segment writer ──roll at SegmentOps rows──▶
-//	 (push to the OS at FlushOps     next segment
-//	  rows, FlushInterval, or a barrier)
+//	 (a 4 KiB buffer, pushed to the  next segment
+//	  OS when full and at a barrier)
 //
 // Checkpoint serializes the whole engine into one blob and retires the
 // logs; Open recovers by loading the checkpoint and replaying whatever
@@ -129,12 +129,13 @@ type segWriter struct {
 }
 
 // relLog is the durable half of a relation. In in-memory engines every
-// method is a cheap no-op (cur == nil). appendRun leaves flushing to the
-// group-commit policy (osFlush), so the kernel owns an op once its group
-// is flushed; fsync happens at Sync, Checkpoint, Close, and on every
-// segment roll. Write errors are sticky: once an append fails, later ops
-// are not logged (they would be out of order) and the error surfaces on
-// Err, Sync, and Checkpoint.
+// method is a cheap no-op (cur == nil). appendRun leaves records in the
+// writer's buffer, which goes to the OS when it fills and at the
+// sequencer's barriers (osFlush), so the kernel owns an op once a
+// barrier has passed it; fsync happens at Sync, Checkpoint, Close, and
+// on every segment roll. Write errors are sticky: once an append fails,
+// later ops are not logged (they would be out of order) and the error
+// surfaces on Err, Sync, and Checkpoint.
 //
 // With SegmentOps > 0 the log is a sequence of numbered segment files,
 // each capped at SegmentOps rows: full segments are fsynced and closed,
@@ -247,8 +248,9 @@ func (l *relLog) appendToLocked(sw *segWriter, rn oplog.Run) error {
 }
 
 // appendRun appends a batch to the current writer WITHOUT flushing to
-// the OS — the sequencer's group commit. The records become OS-owned at
-// the next osFlush (flush policy or barrier), sync, roll, or close.
+// the OS — the sequencer's group commit. The records become OS-owned
+// when the writer's buffer fills, or at the next osFlush (a barrier, or
+// the sequencer's exit), sync, roll, or close.
 func (l *relLog) appendRun(rn oplog.Run) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"amstrack/internal/oplog"
 	"amstrack/internal/refmodel"
 	"amstrack/internal/xrand"
 )
@@ -511,5 +515,61 @@ func TestRelFileNameRoundTrip(t *testing.T) {
 		if _, _, _, ok := relNameFromFile(file); ok {
 			t.Fatalf("foreign file %q decoded as relation", file)
 		}
+	}
+}
+
+// TestDrainLeavesNoRecordBuffered pins the flush every acknowledgement
+// relies on: a barrier pushes the log writer's buffered records to the
+// OS. Each batch is a record far under the writer's 4 KiB buffer and the
+// single inserts stay staged until the barrier, so no row reaches the
+// segment file on its own; after Drain, with neither Sync nor Close, the
+// file must hold every row.
+func TestDrainLeavesNoRecordBuffered(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(durOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	r, err := e.Define("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []uint64
+	for i := uint64(0); i < 8; i++ {
+		batch := make([]uint64, 16) // one 142-byte record
+		for j := range batch {
+			batch[j] = 16*i + uint64(j)
+		}
+		r.InsertBatch(batch)
+		want = append(want, batch...)
+	}
+	for v := uint64(1000); v < 1003; v++ {
+		r.Insert(v)
+		want = append(want, v)
+	}
+	if err := r.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, relFileName("f", 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	lr := oplog.NewReader(bytes.NewReader(data))
+	for {
+		op, err := lr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("segment after Drain, %d rows in: %v", len(got), err)
+		}
+		got = append(got, op.Value)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("segment after Drain holds %d rows %v, want the %d drained", len(got), got, len(want))
 	}
 }

@@ -149,13 +149,6 @@ type Options struct {
 	// IngestAbsorber both select the one write path (normalized to
 	// IngestAbsorber); any other value is an error.
 	IngestMode IngestMode
-	// FlushOps caps the group-commit oplog batch: the sequencer pushes
-	// pending records to the OS once they hold FlushOps rows (0 → 512).
-	// Durable engines only.
-	FlushOps int
-	// FlushInterval caps how long a pending oplog record may wait before
-	// the group is pushed to the OS (0 → 200µs). Durable engines only.
-	FlushInterval time.Duration
 	// SegmentOps caps each oplog file at this many rows: when a segment
 	// fills, the relation rolls onto a numbered next segment (a run that
 	// crosses the cap is split into a record on each side), so no single
@@ -239,12 +232,6 @@ func (o Options) normalize() (Options, error) {
 	}
 	if o.stageOps == 0 {
 		o.stageOps = defaultStageOps
-	}
-	if o.FlushOps < 0 {
-		return o, fmt.Errorf("engine: FlushOps = %d, must be >= 0", o.FlushOps)
-	}
-	if o.FlushInterval < 0 {
-		return o, fmt.Errorf("engine: FlushInterval = %v, must be >= 0", o.FlushInterval)
 	}
 	if o.SegmentOps < 0 {
 		return o, fmt.Errorf("engine: SegmentOps = %d, must be >= 0", o.SegmentOps)
@@ -1142,8 +1129,6 @@ func unmarshalEngine(data []byte, runtime Options) (*Engine, error) {
 	opts.Shards = runtime.Shards
 	opts.Dir = runtime.Dir
 	opts.stageOps = runtime.stageOps
-	opts.FlushOps = runtime.FlushOps
-	opts.FlushInterval = runtime.FlushInterval
 	opts.SegmentOps = runtime.SegmentOps
 	opts.CheckpointInterval = runtime.CheckpointInterval
 	opts.CheckpointSegments = runtime.CheckpointSegments

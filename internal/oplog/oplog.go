@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"time"
 
 	"amstrack/internal/stream"
 )
@@ -179,10 +178,10 @@ func (lw *Writer) AppendAll(ops []stream.Op) error {
 }
 
 // AppendRun writes a run as version-3 records of at most 4096 rows each,
-// WITHOUT flushing — the group-commit half of the engine's log writer:
-// the records sit in the Writer's buffer until a FlushPolicy (or an
-// explicit Flush) pushes them down. The run's values are encoded, not
-// kept. An empty run writes nothing.
+// WITHOUT flushing — the engine's group commit: records collect in the
+// Writer's 4 KiB buffer, which goes to the underlying writer each time
+// it fills and at Flush. The run's values are encoded, not kept. An
+// empty run writes nothing.
 func (lw *Writer) AppendRun(r Run) error {
 	if r.Arity < 1 || r.Arity > maxArity || len(r.Vals)%r.Arity != 0 {
 		return fmt.Errorf("oplog: invalid run of arity %d with %d values", r.Arity, len(r.Vals))
@@ -221,41 +220,6 @@ func (lw *Writer) Count() int64 { return lw.n }
 
 // Flush flushes buffered records to the underlying writer.
 func (lw *Writer) Flush() error { return lw.w.Flush() }
-
-// FlushPolicy is the group-commit knob pair: a pending group is flushed
-// to the underlying writer when it holds MaxRecords rows or when the
-// OLDEST pending record has waited MaxDelay, whichever comes first. The
-// zero value selects the defaults.
-type FlushPolicy struct {
-	// MaxRecords caps the pending group size in rows (0 → 512).
-	MaxRecords int
-	// MaxDelay caps how long the oldest pending record may wait
-	// unflushed (0 → 200µs).
-	MaxDelay time.Duration
-}
-
-// Default flush-policy values (see FlushPolicy).
-const (
-	DefaultFlushRecords = 512
-	DefaultFlushDelay   = 200 * time.Microsecond
-)
-
-// Normalize fills zero fields with the defaults.
-func (p FlushPolicy) Normalize() FlushPolicy {
-	if p.MaxRecords == 0 {
-		p.MaxRecords = DefaultFlushRecords
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = DefaultFlushDelay
-	}
-	return p
-}
-
-// Due reports whether a group of pending rows, the oldest of which has
-// waited for age, must be flushed now under the policy.
-func (p FlushPolicy) Due(pending int, age time.Duration) bool {
-	return pending >= p.MaxRecords || (pending > 0 && age >= p.MaxDelay)
-}
 
 // Reader decodes operations from an underlying reader.
 type Reader struct {

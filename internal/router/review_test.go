@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"amstrack/internal/amsd"
 	"amstrack/internal/coord"
 	"amstrack/internal/engine"
+	"amstrack/internal/oplog"
 	"amstrack/internal/wire"
 )
 
@@ -402,6 +404,77 @@ func TestRouterReconcileDeficitQuarantine(t *testing.T) {
 	}
 	if sticky == nil || !strings.Contains(sticky.Error(), "lost acked data") {
 		t.Fatalf("sticky error = %v, want the deficit surfaced upstream", sticky)
+	}
+}
+
+// TestRouterReconcileProbesAfterStat pins the order of reconcile's
+// reads. A node's un-acked rows can sit in its log writer's buffer until
+// a barrier pushes them to the OS, and the stat reconcile reads is such
+// a barrier. When that write fails, the node turns degraded only once
+// the stat has answered, and the stat's Seq counts rows its disk never
+// got. Reconcile must read healthz after the stats: degraded, so every
+// pending sub-batch fails over to the survivor and none is promoted.
+func TestRouterReconcileProbesAfterStat(t *testing.T) {
+	fsys := oplog.NewFaultFS(nil)
+	opts := memOpts()
+	opts.Dir, opts.FS = t.TempDir(), fsys
+	victimEng, err := engine.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = victimEng.Close() })
+	victim := startFleetNode(t, victimEng, true, "")
+	survivor := startFleet(t, 1, true)[0]
+	rt := testRouter(t, []*fleetNode{victim, survivor}, nil)
+	if err := rt.Define(coord.Schema{Relation: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rt.Relation("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victim applied two sub-batches and died before acking them;
+	// their records are still in its log writer's buffer, and its disk
+	// is now full.
+	rel, err := victimEng.Get("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := []*subBatch{{rel: rs, vals: batchVals(1)}, {rel: rs, vals: batchVals(2)}}
+	for _, sb := range pending {
+		rel.InsertBatch(sb.vals)
+	}
+	fsys.LimitWriteBytes(0)
+
+	rt.mu.Lock()
+	rs.inflight = len(pending)
+	n := rt.nodes[victim.base]
+	n.reconciling = true // as teardown holds it: no probe rejoin, no new session
+	rt.mu.Unlock()
+	rt.reconcile(n, pending, errors.New("conn reset"))
+	if err := rt.Flush("f"); err != nil {
+		t.Fatal(err)
+	}
+
+	rt.mu.Lock()
+	acked := rs.accts[victim.base].acked
+	var attempts []int
+	for _, sb := range pending {
+		attempts = append(attempts, sb.attempts)
+	}
+	rt.mu.Unlock()
+	if acked != 0 {
+		t.Fatalf("router promoted %d rows of a node that turned degraded at the stat", acked)
+	}
+	if !slices.Equal(attempts, []int{1, 1}) {
+		t.Fatalf("failover attempts per pending sub-batch = %v, want [1 1]", attempts)
+	}
+	srel, err := survivor.eng.Get("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srel.Len(); got != 2*tortureBatch {
+		t.Fatalf("survivor holds %d rows, want the %d failed over", got, 2*tortureBatch)
 	}
 }
 

@@ -122,18 +122,6 @@ func (r *Router) teardown(n *node, st *wire.Stream[*subBatch], pending []*subBat
 // reconcile implements the prefix walk described on teardown. pending
 // is in send order.
 func (r *Router) reconcile(n *node, pending []*subBatch, cause error) {
-	// A stat is only trustworthy from a node whose durability is intact:
-	// after a disk-level crash the engine keeps applying staged ops to
-	// its in-memory synopses while their oplog appends fail, so Seq
-	// counts ops that will NOT survive the restart. Promoting those to
-	// acked would lose them silently. /healthz surfaces the sticky oplog
-	// error as "degraded" — anything but a clean "ok" downgrades the
-	// reconcile to the optimistic path (fail over everything; the rejoin
-	// audit re-checks the arithmetic against the RECOVERED image before
-	// the node may serve again).
-	_, probeErr := r.probeNode(n)
-	trustStat := probeErr == nil
-
 	// Per-relation surplus: recovered Seq minus the acked ledger.
 	type relRec struct {
 		surplus   int64
@@ -146,18 +134,33 @@ func (r *Router) reconcile(n *node, pending []*subBatch, cause error) {
 			continue
 		}
 		rec := &relRec{}
-		if trustStat {
-			st, err := r.once.FetchStat(n.base, rs.name)
-			if err == nil {
-				r.mu.Lock()
-				if a := rs.accts[n.base]; a != nil {
-					rec.surplus = int64(st.Seq) - int64(a.base+a.acked)
-					rec.reachable = true
-				}
-				r.mu.Unlock()
+		st, err := r.once.FetchStat(n.base, rs.name)
+		if err == nil {
+			r.mu.Lock()
+			if a := rs.accts[n.base]; a != nil {
+				rec.surplus = int64(st.Seq) - int64(a.base+a.acked)
+				rec.reachable = true
 			}
+			r.mu.Unlock()
 		}
 		recs[rs] = rec
+	}
+	// A stat is only trustworthy from a node whose durability is intact:
+	// after a disk-level crash the engine keeps applying staged ops to
+	// its in-memory synopses while their oplog appends fail, so Seq
+	// counts ops that will NOT survive the restart. Promoting those to
+	// acked would lose them silently. /healthz surfaces the sticky oplog
+	// error as "degraded" — anything but a clean "ok" downgrades the
+	// reconcile to the optimistic path (fail over everything; the rejoin
+	// audit re-checks the arithmetic against the RECOVERED image before
+	// the node may serve again). The probe comes AFTER the stats: a
+	// stat's own barrier is what pushes the node's buffered records to
+	// the OS, so a write failing there turns the node degraded only once
+	// that stat has answered.
+	if _, err := r.probeNode(n); err != nil {
+		for _, rec := range recs {
+			rec.reachable = false
+		}
 	}
 
 	for _, sb := range pending {
