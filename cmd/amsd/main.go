@@ -35,8 +35,8 @@
 // ACK). Queries drain staged ops first, so responses always reflect the
 // request's own writes.
 // -segment-ops N additionally rolls each relation's oplog onto numbered
-// segment files every N records, bounding single-file recovery reads
-// between checkpoints. Checkpoints are pause-free: the cut rides an
+// segment files once a segment holds N rows, between records (one per
+// batch), bounding single-file recovery reads between checkpoints. Checkpoints are pause-free: the cut rides an
 // epoch fence through each relation's sequencer instead of quiescing
 // ingest. DESIGN.md §7 and §9 document
 // the write path, the checkpoint, and their measured cost.
@@ -91,7 +91,7 @@ func main() {
 		ckptEvery = flag.Duration("checkpoint-every", 0, "background checkpoint interval, jittered (0: no timer; needs -dir)")
 		ckptSegs  = flag.Int("checkpoint-segments", 0, "checkpoint when a relation's live oplog segments reach N (0: no segment trigger; needs -dir)")
 		maxBodyMB = flag.Int64("max-body-mb", 0, "request-body cap in MiB for ingest and bundle uploads (0: default 64)")
-		segOps    = flag.Int64("segment-ops", 0, "roll each relation's oplog onto a numbered segment every N records (0: off)")
+		segOps    = flag.Int64("segment-ops", 0, "roll each relation's oplog onto a numbered segment once it holds N rows, between records (0: off)")
 	)
 	flag.Parse()
 

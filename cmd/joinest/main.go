@@ -10,10 +10,11 @@
 //	joinest -k 256 f.txt g.txt
 //
 // With -oplog the inputs are binary operation logs (the format
-// internal/oplog writes and the amsd engine appends): each log is
-// replayed through a synopsis-engine relation — inserts AND deletes —
-// exactly as crash recovery would, and the estimate is compared against
-// the exact join size of the replayed multisets.
+// internal/oplog writes and the amsd engine appends, any record version):
+// each log is replayed through a synopsis-engine relation, one record at
+// a time — inserts AND deletes, a tuple record by its primary attribute —
+// as crash recovery would, and the estimate is compared against the exact
+// join size of the replayed multisets.
 //
 //	joinest -oplog -k 256 f.oplog g.oplog
 package main
@@ -30,7 +31,6 @@ import (
 
 	"amstrack"
 	"amstrack/internal/oplog"
-	"amstrack/internal/stream"
 )
 
 func main() {
@@ -96,7 +96,9 @@ func runOplog(k int, seed uint64, fpath, gpath string) error {
 }
 
 // replayLog streams one oplog into an engine relation and the exact
-// reference. A torn tail is reported and skipped — the same truncation
+// reference, one record at a time: each record's rows go to the relation
+// as one batch (IngestRun), a tuple record's by their primary attribute
+// (column 0). A torn tail is reported and skipped — the same truncation
 // semantics engine recovery applies — while mid-log corruption fails.
 func replayLog(path string, rel *amstrack.Relation, ex *amstrack.Exact) (int64, error) {
 	f, err := os.Open(path)
@@ -106,8 +108,9 @@ func replayLog(path string, rel *amstrack.Relation, ex *amstrack.Exact) (int64, 
 	defer f.Close()
 	lr := oplog.NewReader(f)
 	applied := int64(0)
+	var col []uint64
 	for {
-		op, err := lr.Next()
+		rn, err := lr.NextRun()
 		switch {
 		case err == io.EOF:
 			return applied, nil
@@ -117,20 +120,21 @@ func replayLog(path string, rel *amstrack.Relation, ex *amstrack.Exact) (int64, 
 		case err != nil:
 			return applied, err
 		}
-		switch op.Kind {
-		case stream.Insert:
-			rel.Insert(op.Value)
-			ex.Insert(op.Value)
-			applied++
-		case stream.Delete:
-			if err := rel.Delete(op.Value); err != nil {
-				return applied, err
-			}
-			if err := ex.Delete(op.Value); err != nil {
-				return applied, fmt.Errorf("row %d: %w", lr.Count()-1, err)
-			}
-			applied++
+		col = col[:0]
+		for j := 0; j < len(rn.Vals); j += rn.Arity {
+			col = append(col, rn.Vals[j])
 		}
+		if err := rel.IngestRun(rn.Del, col); err != nil {
+			return applied, err
+		}
+		for i, v := range col {
+			if !rn.Del {
+				ex.Insert(v)
+			} else if err := ex.Delete(v); err != nil {
+				return applied, fmt.Errorf("row %d: %w", lr.Count()-int64(len(col)-i), err)
+			}
+		}
+		applied += int64(len(col))
 	}
 }
 

@@ -1,13 +1,14 @@
 package main
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"amstrack"
 	"amstrack/internal/oplog"
-	"amstrack/internal/stream"
 )
 
 func writeValues(t *testing.T, path string, vals []string) {
@@ -65,15 +66,19 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-func writeOplog(t *testing.T, path string, ops []stream.Op) {
+// writeOplog writes runs as a log through the oplog writer: one
+// version-3 record each.
+func writeOplog(t *testing.T, path string, runs ...oplog.Run) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := oplog.NewWriter(f)
-	if err := w.AppendAll(ops); err != nil {
-		t.Fatal(err)
+	for _, rn := range runs {
+		if err := w.AppendRun(rn); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -83,22 +88,30 @@ func writeOplog(t *testing.T, path string, ops []stream.Op) {
 	}
 }
 
+// writeV1Oplog hand-encodes a log of version-1 records, the layout of
+// logs written before batch records existed: kind (0 insert, 1 delete)
+// | value u64 LE | CRC32 of those 9 bytes.
+func writeV1Oplog(t *testing.T, path string, kind byte, vals ...uint64) {
+	t.Helper()
+	var data []byte
+	for _, v := range vals {
+		rec := binary.LittleEndian.AppendUint64([]byte{kind}, v)
+		data = binary.LittleEndian.AppendUint32(append(data, rec...), crc32.ChecksumIEEE(rec))
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunOplogEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	fp, gp := filepath.Join(dir, "f.oplog"), filepath.Join(dir, "g.oplog")
-	// F inserts 1,1,2,3 then deletes one 1; G inserts 1,2,2.
-	writeOplog(t, fp, []stream.Op{
-		{Kind: stream.Insert, Value: 1},
-		{Kind: stream.Insert, Value: 1},
-		{Kind: stream.Insert, Value: 2},
-		{Kind: stream.Insert, Value: 3},
-		{Kind: stream.Delete, Value: 1},
-	})
-	writeOplog(t, gp, []stream.Op{
-		{Kind: stream.Insert, Value: 1},
-		{Kind: stream.Insert, Value: 2},
-		{Kind: stream.Insert, Value: 2},
-	})
+	// F inserts 1,1,2,3 then deletes one 1, as batch records; G inserts
+	// 1,2,2 as version-1 records.
+	writeOplog(t, fp,
+		oplog.Run{Arity: 1, Vals: []uint64{1, 1, 2, 3}},
+		oplog.Run{Del: true, Arity: 1, Vals: []uint64{1}})
+	writeV1Oplog(t, gp, 0, 1, 2, 2)
 	if err := runOplog(64, 42, fp, gp); err != nil {
 		t.Fatal(err)
 	}
@@ -110,38 +123,48 @@ func TestRunOplogEndToEnd(t *testing.T) {
 	}
 
 	// A torn tail is tolerated (warn + ignore), like engine recovery.
-	raw, err := os.ReadFile(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(fp, append(raw, 0x00, 0x01, 0x02), 0o644); err != nil {
-		t.Fatal(err)
+	for _, p := range []string{fp, gp} {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, append(raw, 0x00, 0x01, 0x02), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := runOplog(64, 42, fp, gp); err != nil {
 		t.Fatalf("torn tail rejected: %v", err)
 	}
 
 	// A delete with no matching insert is invalid input, not a torn tail.
-	writeOplog(t, fp, []stream.Op{{Kind: stream.Delete, Value: 9}})
+	writeOplog(t, fp, oplog.Run{Del: true, Arity: 1, Vals: []uint64{9}})
 	if err := runOplog(64, 42, fp, gp); err == nil {
 		t.Error("invalid delete accepted")
+	}
+	writeV1Oplog(t, fp, 1, 9)
+	if err := runOplog(64, 42, fp, gp); err == nil {
+		t.Error("invalid version-1 delete accepted")
 	}
 }
 
 // TestReplayLogMatchesEngineRecovery pins the estimator equivalence: a
-// log replayed via joinest produces the same signature state as direct
-// engine ingest of the same ops.
+// log replayed via joinest — an arity-2 tuple record, read by its
+// primary attribute, then a delete record — produces the same signature
+// state as direct engine ingest of the same primary values.
 func TestReplayLogMatchesEngineRecovery(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "r.oplog")
-	ops := make([]stream.Op, 0, 600)
+	var ins, tuples, dels []uint64
 	for i := 0; i < 500; i++ {
-		ops = append(ops, stream.Op{Kind: stream.Insert, Value: uint64(i % 37)})
+		ins = append(ins, uint64(i%37))
+		tuples = append(tuples, uint64(i%37), uint64(i))
 	}
 	for i := 0; i < 100; i++ {
-		ops = append(ops, stream.Op{Kind: stream.Delete, Value: uint64(i % 37)})
+		dels = append(dels, uint64(i%37))
 	}
-	writeOplog(t, path, ops)
+	writeOplog(t, path,
+		oplog.Run{Arity: 2, Vals: tuples},
+		oplog.Run{Del: true, Arity: 1, Vals: dels})
 
 	eng, err := amstrack.NewEngine(amstrack.EngineOptions{SignatureWords: 64, Seed: 5})
 	if err != nil {
@@ -165,15 +188,9 @@ func TestReplayLogMatchesEngineRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	refRel, _ := ref.Define("R")
-	for _, op := range ops {
-		switch op.Kind {
-		case stream.Insert:
-			refRel.Insert(op.Value)
-		case stream.Delete:
-			if err := refRel.Delete(op.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
+	refRel.InsertBatch(ins)
+	if err := refRel.DeleteBatch(dels); err != nil {
+		t.Fatal(err)
 	}
 	if rel.SelfJoinEstimate() != refRel.SelfJoinEstimate() {
 		t.Fatal("replayed state differs from direct ingest")

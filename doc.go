@@ -108,8 +108,9 @@
 // when that buffer fills, or at the next barrier — Relation.Drain, a
 // read, Sync, Checkpoint or Close — rather than per call: the barrier
 // every acknowledgement waits for is the group commit.
-// EngineOptions.SegmentOps additionally caps each oplog file at N rows,
-// rolling onto numbered segments so no single log file grows without
+// EngineOptions.SegmentOps additionally caps each oplog file at about N
+// rows, rolling onto numbered segments between records (a segment may
+// exceed N by less than one record) so no single log file grows without
 // bound between checkpoints. The engine's synopses are bit-identical to
 // plain sequential synopses fed the same ops, which the engine's tests
 // check against an independent reference model; DESIGN.md §7 has the

@@ -15,10 +15,10 @@
 //	              buffer and note where each shard's region ends
 //	                   ▼
 //	   queue (48) ──▶ sequencer: AppendRun logs the batch as one version-3
-//	                   │      record (more past 4,096 rows or across a
-//	                   │      segment roll) into the log writer's 4 KiB
-//	                   │      buffer, written out when full and at every
-//	                   ▼      barrier; then each region
+//	                   │      record in one segment (more only past
+//	                   │      oplog.MaxRecordVals values) through the log
+//	                   │      writer's 4 KiB buffer, written out when full
+//	                   ▼      and at every barrier; then each region
 //	   shard channel (16) ──▶ absorber: the ONLY writer of its shard's
 //	                           synopses, so no lock around counters
 //
@@ -27,10 +27,10 @@
 // Replay, applying each shard's rows in log order, rebuilds the
 // order-sensitive heavy-hitter table bit-exactly. A batch splits on the
 // caller's goroutine, so concurrent writers split in parallel, and goes
-// on the queue under the mutex. A full staged run or a barrier sends the
-// staged inserts, then the staged deletes, so no single delete reaches
-// the log ahead of a single insert staged before it; a batch goes on as
-// it comes, ahead of whatever single ops are still staged.
+// on the queue under the mutex. A full staged run, a batch or a barrier
+// first sends the staged inserts, then the staged deletes: no single
+// delete reaches the log ahead of a single insert staged before it, and
+// no batch ahead of a single op staged before it.
 //
 // Single-writer discipline: after newIngester returns, a shard's state is
 // written by its absorber alone. Every other access rides one barrier
@@ -152,14 +152,13 @@ func (g *ingester) stage(del bool, row ...uint64) {
 }
 
 // batch splits rows of the relation's arity by shard, then puts them on
-// the queue. It does not send the single ops staged before it: it
-// overtakes them, and the skimmed golden answers pin the heavy-hitter
-// tables that order builds. A batch against a stopped ingester is
-// discarded.
+// the queue after the single ops staged before it. A batch against a
+// stopped ingester is discarded.
 func (g *ingester) batch(del bool, vals []uint64) {
 	m := g.split(del, vals)
 	g.mu.Lock()
 	if !g.closing {
+		g.sendStaged()
 		g.queue <- m
 	}
 	g.mu.Unlock()

@@ -467,6 +467,41 @@ func TestAbsorberOpenFailureStopsGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before, %d after 30 failed Opens", before, runtime.NumGoroutine())
 }
 
+// TestBatchFollowsStagedOps: a batch goes on after the single ops staged
+// before it. On a skimming relation, Insert(v) then DeleteBatch of v must
+// leave v out of the heavy-hitter table (a delete that overtook the
+// staged insert would meet an untracked v and be ignored, and the insert
+// would then track it), and the log must hold the insert, then the
+// delete.
+func TestBatchFollowsStagedOps(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(durOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	r, err := e.DefineSchema("f", Schema{SkimHitters: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const v = 42
+	r.Insert(v)
+	if err := r.DeleteBatch([]uint64{v}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := r.Cut().HH.Count(v); ok {
+		t.Fatalf("heavy-hitter table tracks %d with count %d after its insert and its delete", v, n)
+	}
+	last := relSegments(t, dir, "f")
+	got := logRecords(t, last[len(last)-1].path, last[len(last)-1].data)
+	if len(got) != 2 || got[0].Del || !got[1].Del || got[0].Vals[0] != v || got[1].Vals[0] != v {
+		t.Fatalf("log holds %+v, want the insert of %d, then its delete", got, v)
+	}
+}
+
 // TestSegmentRollAndRecover runs ingest over a tiny segment cap: the log
 // must split into many bounded files, recovery must replay them in
 // order, and the recovered relations must match the reference model byte
@@ -484,29 +519,23 @@ func TestSegmentRollAndRecover(t *testing.T) {
 		if err := e.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		// 3002 ops per relation at 64 records each → many segments, every
-		// one at most 64 records long.
-		segs := 0
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+		// f's 3002 single ops reach the log as 13 records: 11 full 256-row
+		// staged runs, the 185-row rest and the one delete. A segment rolls
+		// between records once it holds 64 rows, so each record opens a
+		// segment, and no segment holds 64 rows before its last record.
+		segs := relSegments(t, dir, "f")
+		for _, sg := range segs {
+			var before, last int
+			for _, rn := range logRecords(t, sg.path, sg.data) {
+				before, last = before+last, rn.Rows()
+			}
+			if before >= 64 || last > defaultStageOps {
+				t.Fatalf("segment %s holds %d rows before its last record and %d in it: want < 64 and at most %d",
+					filepath.Base(sg.path), before, last, defaultStageOps)
+			}
 		}
-		for _, ent := range entries {
-			name, _, _, ok := relNameFromFile(ent.Name())
-			if !ok || name != "f" {
-				continue
-			}
-			st, err := os.Stat(filepath.Join(dir, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Size() > 64*13 {
-				t.Fatalf("segment %s has %d bytes > cap", ent.Name(), st.Size())
-			}
-			segs++
-		}
-		if segs < 40 {
-			t.Fatalf("only %d segments for ~3000 ops at SegmentOps=64", segs)
+		if len(segs) < 13 {
+			t.Fatalf("only %d segments for ~3000 ops at SegmentOps=64", len(segs))
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -537,8 +566,13 @@ func TestSegmentTornAndCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := xrand.New(3)
-		for i := 0; i < 100; i++ {
-			f.Insert(r.Uint64n(40))
+		vals := make([]uint64, 100)
+		for i := range vals {
+			vals[i] = r.Uint64n(40)
+		}
+		// A segment rolls between records, so 16-row batches fill one each.
+		for i := 0; i < len(vals); i += 16 {
+			f.InsertBatch(vals[i:min(i+16, len(vals))])
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -548,7 +582,7 @@ func TestSegmentTornAndCorrupt(t *testing.T) {
 
 	t.Run("torn-last-segment-recovers", func(t *testing.T) {
 		dir, o := build(t)
-		// 100 ops / 16 per segment → last segment is s6.
+		// 100 ops in 16-row records, one per segment → last segment is s6.
 		last := filepath.Join(dir, segFileName("f", 0, 6))
 		lf, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -630,8 +664,18 @@ func TestSegmentCheckpointRemovesAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		f.Insert(uint64(i))
+	vals := make([]uint64, 100)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	for i := 0; i < len(vals); i += 16 { // one 16-row record per segment
+		f.InsertBatch(vals[i:min(i+16, len(vals))])
+	}
+	if err := f.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.maxLiveSegments(); n != 7 {
+		t.Fatalf("%d live segments before the checkpoint, want 7", n)
 	}
 	if _, err := e.Checkpoint(); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,18 @@
 // Durability: the §5 warehouse recipe. Each relation's sequencer logs
 // every batch whole, in arrival order, before any absorber applies it —
-// one checksummed version-3 record per batch (internal/oplog), more only
-// past 4,096 rows or across a segment roll — and group-commits the
-// records:
+// one checksummed version-3 record per batch (internal/oplog), in one
+// segment; only a library batch of more than oplog.MaxRecordVals values
+// becomes several records — and group-commits the records:
 //
-//	sequencer ──AppendRun──▶ segment writer ──roll at SegmentOps rows──▶
-//	 (a 4 KiB buffer, pushed to the  next segment
-//	  OS when full and at a barrier)
+//	sequencer ──AppendRun──▶ segment writer ──roll between records──▶ next segment
+//	                         (a 4 KiB buffer,   once the segment holds
+//	                          pushed to the OS  SegmentOps rows
+//	                          when full and at
+//	                          a barrier)
+//
+// A torn write therefore keeps all of a batch or none of it: every
+// amswire BATCH frame, HTTP ingest and router sub-batch within the bound
+// is one record.
 //
 // Checkpoint serializes the whole engine into one blob and retires the
 // logs; Open recovers by loading the checkpoint and replaying whatever
@@ -137,12 +143,13 @@ type segWriter struct {
 // later ops are not logged (they would be out of order) and the error
 // surfaces on Err, Sync, and Checkpoint.
 //
-// With SegmentOps > 0 the log is a sequence of numbered segment files,
-// each capped at SegmentOps rows: full segments are fsynced and closed,
-// appends continue on the next segment, and recovery replays the
-// segments in order. Rolling bounds the size of any single log file (and
-// any single recovery read) between checkpoints, and pings onRoll so a
-// segment-count-triggered background checkpointer can react.
+// With SegmentOps > 0 the log is a sequence of numbered segment files.
+// A segment rolls between records once it holds SegmentOps rows, so it
+// may exceed SegmentOps by less than one record: full segments are
+// fsynced and closed, appends continue on the next segment, and recovery
+// replays the segments in order. Rolling bounds the size of any single
+// log file (and any single recovery read) between checkpoints, and pings
+// onRoll so a segment-count-triggered background checkpointer can react.
 //
 // A checkpoint holds two writers for a while: fork opens next, the
 // forked next-epoch writer, which the sequencer's fence makes current
@@ -222,27 +229,26 @@ func (l *relLog) rollLocked(sw *segWriter) error {
 	return nil
 }
 
-// appendToLocked writes a run to sw, rolling segments as they fill: a
-// run that crosses the roll threshold becomes a record on each side.
-// Caller holds l.mu and has checked cur and sticky.
+// appendToLocked is the one loop that cuts a run into records: one record
+// of the whole run, or, for a library batch of more than
+// oplog.MaxRecordVals values, records of at most that many. It rolls sw
+// onto the next segment between records, never inside one, once the
+// current segment holds segOps rows. Caller holds l.mu and has checked
+// cur and sticky.
 func (l *relLog) appendToLocked(sw *segWriter, rn oplog.Run) error {
-	for rows := int64(rn.Rows()); rows > 0; {
+	most := oplog.MaxRecordVals - oplog.MaxRecordVals%rn.Arity
+	for vals := rn.Vals; len(vals) > 0; {
 		if l.segOps > 0 && sw.count >= l.segOps {
 			if err := l.rollLocked(sw); err != nil {
 				return err
 			}
 		}
-		n := rows
-		if l.segOps > 0 && n > l.segOps-sw.count {
-			n = l.segOps - sw.count
-		}
-		head := oplog.Run{Del: rn.Del, Arity: rn.Arity, Vals: rn.Vals[:n*int64(rn.Arity)]}
-		if err := sw.w.AppendRun(head); err != nil {
+		rec := oplog.Run{Del: rn.Del, Arity: rn.Arity, Vals: vals[:min(len(vals), most)]}
+		if err := sw.w.AppendRun(rec); err != nil {
 			return err
 		}
-		sw.count += n
-		rn.Vals = rn.Vals[len(head.Vals):]
-		rows -= n
+		sw.count += int64(rec.Rows())
+		vals = vals[len(rec.Vals):]
 	}
 	return nil
 }
@@ -676,9 +682,9 @@ func Open(opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// replayChunk bounds how many rows replay holds before applying them:
-// enough to feed the batch kernels, few enough that a segment never sits
-// in memory as decoded rows.
+// replayChunk bounds how many rows replay holds before applying them —
+// more only when one record is longer: enough to feed the batch kernels,
+// few enough that a segment never sits in memory as decoded rows.
 const replayChunk = 4096
 
 // replaySegment feeds one segment's records to the synopses through the
@@ -689,9 +695,9 @@ const replayChunk = 4096
 // another kind or arity arrives for it, and every shard's once
 // replayChunk rows are pending; version-1 and -2 records arrive as runs of
 // one row and coalesce the same way. Query records (legal in hand-built
-// logs) change nothing. Segments are bounded by the roll threshold, so a
-// whole-file read keeps the recovery I/O shape simple and lets the fault
-// seam interpose cleanly.
+// logs) change nothing. A segment holds less than one record past the
+// roll threshold, so a whole-file read keeps the recovery I/O shape
+// simple and lets the fault seam interpose cleanly.
 func (r *Relation) replaySegment(fsys oplog.FS, path string, allowTorn bool) (int64, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {

@@ -1,14 +1,11 @@
 package engine
 
 import (
-	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
-	"amstrack/internal/oplog"
 	"amstrack/internal/refmodel"
 	"amstrack/internal/xrand"
 )
@@ -556,16 +553,8 @@ func TestDrainLeavesNoRecordBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []uint64
-	lr := oplog.NewReader(bytes.NewReader(data))
-	for {
-		op, err := lr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("segment after Drain, %d rows in: %v", len(got), err)
-		}
-		got = append(got, op.Value)
+	for _, rn := range logRecords(t, "segment after Drain", data) {
+		got = append(got, rn.Vals...)
 	}
 	slices.Sort(got)
 	slices.Sort(want)

@@ -149,11 +149,12 @@ type Options struct {
 	// IngestAbsorber both select the one write path (normalized to
 	// IngestAbsorber); any other value is an error.
 	IngestMode IngestMode
-	// SegmentOps caps each oplog file at this many rows: when a segment
-	// fills, the relation rolls onto a numbered next segment (a run that
-	// crosses the cap is split into a record on each side), so no single
-	// log file (and no single recovery read) grows without bound between
-	// checkpoints. 0 disables rolling.
+	// SegmentOps caps each oplog file at about this many rows: once a
+	// segment holds SegmentOps rows, the relation rolls onto a numbered
+	// next segment before its next record, so no single log file (and no
+	// single recovery read) grows without bound between checkpoints. A
+	// record is never split at a roll, so a segment may exceed SegmentOps
+	// by less than one record. 0 disables rolling.
 	SegmentOps int64
 	// ChainWords is k for the §5 chain signatures — the per-signature
 	// memory (and accuracy) of every chain end and middle signature a
@@ -668,11 +669,13 @@ func (r *Relation) Delete(v uint64) error {
 
 // IngestRun is the one batch entry: vals holds rows of the relation's
 // full attribute set, row-major (each row in schema order), inserted, or
-// deleted when del is set. The batch is logged as one record — more only
-// past 4,096 rows or across a segment roll — and applied asynchronously.
-// vals is copied, so the caller may reuse it immediately. Like Delete, it
-// reports the relation's sticky log error. A length that is not a
-// multiple of the arity is a caller bug and panics.
+// deleted when del is set. It goes after the single ops staged before it
+// and is logged as one record in one segment, so a torn write keeps all
+// of it or none; only a batch of more than oplog.MaxRecordVals values
+// becomes several records. It is applied asynchronously. vals is copied,
+// so the caller may reuse it immediately. Like Delete, it reports the
+// relation's sticky log error. A length that is not a multiple of the
+// arity is a caller bug and panics.
 func (r *Relation) IngestRun(del bool, vals []uint64) error {
 	if len(vals)%r.arity != 0 {
 		panic(fmt.Sprintf("engine: relation %q has arity %d, got a run of %d values", r.name, r.arity, len(vals)))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,7 +15,6 @@ import (
 	"amstrack/internal/exact"
 	"amstrack/internal/oplog"
 	"amstrack/internal/refmodel"
-	"amstrack/internal/stream"
 	"amstrack/internal/xrand"
 )
 
@@ -83,24 +83,37 @@ func loggedModel(t *testing.T, dir string, kfs *keepFS) *refmodel.Model {
 	return m
 }
 
-// feedLog feeds f every row of the whole records in one log segment's
-// bytes, in log order, stopping at a torn tail.
+// feedLog feeds f the primary value of every row of the whole records in
+// one log segment's bytes, in log order, stopping at a torn tail.
 func feedLog(t *testing.T, f relWriter, path string, data []byte) {
 	t.Helper()
+	for _, rn := range logRecords(t, path, data) {
+		for j := 0; j < len(rn.Vals); j += rn.Arity {
+			if rn.Del {
+				_ = f.Delete(rn.Vals[j])
+			} else {
+				f.Insert(rn.Vals[j])
+			}
+		}
+	}
+}
+
+// logRecords reads the whole records of one log segment's bytes, each
+// copied out of the reader's scratch, stopping at a torn tail.
+func logRecords(t *testing.T, path string, data []byte) []oplog.Run {
+	t.Helper()
+	var runs []oplog.Run
 	lr := oplog.NewReader(bytes.NewReader(data))
 	for {
-		op, err := lr.Next()
+		rn, err := lr.NextRun()
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return
+			return runs
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if op.Kind == stream.Delete {
-			_ = f.Delete(op.Value)
-		} else {
-			f.Insert(op.Value)
-		}
+		rn.Vals = append([]uint64(nil), rn.Vals...)
+		runs = append(runs, rn)
 	}
 }
 
@@ -180,10 +193,11 @@ func writeDir(t *testing.T, dir string, files map[string][]byte) {
 	}
 }
 
-// segmentedLog writes one relation "f" across several 64-row segments —
-// insert and delete batches, so both record kinds appear and runs cross
-// segment boundaries, then a small batch, so the last segment holds two
-// records — and returns the closed engine's directory.
+// segmentedLog writes one relation "f" across two 64-row segments — a
+// 150-row insert batch, one record that overfills segment 0, then a
+// delete batch and two small insert batches in segment 1, so both record
+// kinds appear and the last segment holds several records — and returns
+// the closed engine's directory.
 func segmentedLog(t *testing.T) (dir string, opts Options) {
 	t.Helper()
 	dir = t.TempDir()
@@ -229,7 +243,10 @@ func TestFsyncFailureSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
+	// 60 rows leave segment 0 below its 64-row roll, so the 10 after
+	// them append to it: a roll, whose fsync would fail first, would keep
+	// them from the OS.
+	for i := 0; i < 60; i++ {
 		f.Insert(uint64(i % 11))
 	}
 	if err := e.Sync(); err != nil {
@@ -254,7 +271,7 @@ func TestFsyncFailureSurfaces(t *testing.T) {
 	}
 	_ = e.Close()
 	// Every op was OS-owned (flushed) before the process "died", so the
-	// restart recovers all 210.
+	// restart recovers all 70.
 	back, err := Open(durOpts(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -264,8 +281,8 @@ func TestFsyncFailureSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := rel.Len(); n != 210 {
-		t.Fatalf("recovered Len = %d, want 210", n)
+	if n := rel.Len(); n != 70 {
+		t.Fatalf("recovered Len = %d, want 70", n)
 	}
 }
 
@@ -397,14 +414,14 @@ func TestTornBatchRecordSweep(t *testing.T) {
 // bit what the reference model holds when fed it alone, and cut the log
 // back to that batch's end.
 func TestTornBatchAllOrNothing(t *testing.T) {
-	src := t.TempDir()
-	opts := durOpts(src)
+	opts := durOpts("")
 	opts.Shards = 4
-	e, err := Open(opts)
+	mem, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := e.Define("f")
+	defer mem.Close()
+	probe, err := mem.Define("f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,42 +433,147 @@ func TestTornBatchAllOrNothing(t *testing.T) {
 	shards := map[uint64]bool{}
 	for i := range second {
 		second[i] = r.Uint64n(200)
-		shards[f.shardOf(second[i])] = true
+		shards[probe.shardOf(second[i])] = true
 	}
 	if len(shards) != 4 {
 		t.Fatalf("the second batch reaches %d of 4 shards", len(shards))
 	}
-	logPath := filepath.Join(src, relFileName("f", 0))
-	f.InsertBatch(first)
+	tearBatch(t, opts, Schema{}, first, second, everyOffset)
+}
+
+// TestTornLargeBatchAllOrNothing tears the log inside a batch of 65,536
+// values, a router sub-batch at its largest: at arity 1, and at arity 3
+// with 65,535 values (21,845 rows). The batch is one record, so no tear
+// may keep part of it. The tears fall at every 4,096-byte step through
+// the batch, and at every byte within 32 of each offset where a writer
+// that capped records at 4,096 rows ended one.
+func TestTornLargeBatchAllOrNothing(t *testing.T) {
+	for _, tc := range []struct {
+		schema Schema
+		vals   int
+	}{
+		{Schema{}, 65536},
+		{Schema{Attrs: []string{"a", "b", "c"}}, 65535},
+	} {
+		arity := max(len(tc.schema.Attrs), 1)
+		t.Run(fmt.Sprintf("arity-%d", arity), func(t *testing.T) {
+			opts := durOpts("")
+			opts.Shards = 4
+			r := xrand.New(uint64(arity))
+			first, second := make([]uint64, 300*arity), make([]uint64, tc.vals)
+			for i := range first {
+				first[i] = r.Uint64n(500)
+			}
+			for i := range second {
+				second[i] = r.Uint64n(500)
+			}
+			oldRecord := int64(14 + 8*4096*arity) // a full record at the old cap
+			tearBatch(t, opts, tc.schema, first, second, func(start, end int64) []int64 {
+				var cuts []int64
+				for cut := start + 4096; cut < end; cut += 4096 {
+					cuts = append(cuts, cut)
+				}
+				for at := start + oldRecord; at < end; at += oldRecord {
+					for cut := at - 32; cut <= at+32; cut++ {
+						cuts = append(cuts, cut)
+					}
+				}
+				return cuts
+			})
+		})
+	}
+}
+
+// TestTornBatchAtRoll logs 900 rows into a segment that rolls at 1,000,
+// then a 512-row batch. The segment rolls only between records, so the
+// batch is logged whole in the current segment, and a tear at any byte
+// of it keeps none of it.
+func TestTornBatchAtRoll(t *testing.T) {
+	opts := durOpts("")
+	opts.Shards = 4
+	opts.SegmentOps = 1000
+	r := xrand.New(35)
+	first, second := make([]uint64, 900), make([]uint64, 512)
+	for i := range first {
+		first[i] = r.Uint64n(300)
+	}
+	for i := range second {
+		second[i] = r.Uint64n(300)
+	}
+	tearBatch(t, opts, Schema{}, first, second, everyOffset)
+}
+
+// everyOffset cuts at every byte strictly inside [start, end).
+func everyOffset(start, end int64) []int64 {
+	cuts := make([]int64, 0, end-start-1)
+	for cut := start + 1; cut < end; cut++ {
+		cuts = append(cuts, cut)
+	}
+	return cuts
+}
+
+// tearBatch ingests first as one drained batch of relation "f" (schema s)
+// into a durable engine of opts, then second, and requires second to be
+// one record in the segment first ended: the last one, with no roll
+// between them. It then tears that segment at each offset cuts returns
+// for second's [start, end) bytes. Every tear must recover exactly first,
+// bit for bit what the reference model holds when fed first alone, and
+// cut the segment back to start; the untorn log recovers both batches.
+func tearBatch(t *testing.T, opts Options, s Schema, first, second []uint64, cuts func(start, end int64) []int64) {
+	t.Helper()
+	src := t.TempDir()
+	opts.Dir = src
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := e.DefineSchema("f", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.IngestRun(false, first); err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := os.Stat(logPath)
-	if err != nil {
+	segs := relSegments(t, src, "f")
+	last := segs[len(segs)-1]
+	start := int64(len(last.data))
+	if err := f.IngestRun(false, second); err != nil {
 		t.Fatal(err)
 	}
-	start := st.Size()
-	f.InsertBatch(second)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := relSegments(t, src, "f")
+	data := after[len(after)-1].data
 	end := int64(len(data))
-	if ends, rows := recordEnds(t, data); rows != 612 || ends[len(ends)-1] != end {
-		t.Fatalf("log holds %d rows in records ending at %v, want 612 ending at %d", rows, ends, end)
+	ends, _ := recordEnds(t, data)
+	if len(after) != len(segs) || len(ends) < 2 || ends[len(ends)-2] != start || ends[len(ends)-1] != end {
+		t.Fatalf("the batch of %d values after byte %d of segment %d reads as records ending at %v of %d segments, want one record ending at %d",
+			len(second), start, len(segs)-1, ends, len(after), end)
 	}
-	m := newModel(t, durOpts(""))
-	modelDefine(t, m, "f", Schema{}).InsertBatch(first)
+	feed := func(mf *refmodel.Relation, vals []uint64) {
+		a := max(len(s.Attrs), 1)
+		for j := 0; j < len(vals); j += a {
+			mf.InsertTuple(vals[j : j+a]...)
+		}
+	}
+	none, all := newModel(t, durOpts("")), newModel(t, durOpts(""))
+	feed(modelDefine(t, none, "f", s), first)
+	mf := modelDefine(t, all, "f", s)
+	feed(mf, first)
+	feed(mf, second)
 
-	t.Logf("tearing the second batch at each of %d offsets in (%d, %d)", end-start-1, start, end)
+	files := readDir(t, src)
 	dir := t.TempDir()
-	path := filepath.Join(dir, filepath.Base(logPath))
+	writeDir(t, dir, files)
 	o := opts
 	o.Dir = dir
-	for cut := start + 1; cut < end; cut++ {
+	path := filepath.Join(dir, filepath.Base(last.path))
+	open := func(cut int64, m *refmodel.Model) {
+		t.Helper()
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -463,6 +585,12 @@ func TestTornBatchAllOrNothing(t *testing.T) {
 		if err := back.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	open(end, all)
+	list := cuts(start, end)
+	t.Logf("tearing the batch at %d offsets in (%d, %d)", len(list), start, end)
+	for _, cut := range list {
+		open(cut, none)
 		if st, err := os.Stat(path); err != nil || st.Size() != start {
 			t.Fatalf("cut at %d: log after recovery %v, %v; want %d bytes", cut, st, err, start)
 		}

@@ -14,21 +14,24 @@ import (
 // number. The refmodel checks share the synopsis code with the engine
 // and the accuracy tests have tolerances, so this is what holds an
 // estimator refactor to the same answers bit for bit. The bits were
-// recorded before the sketch and the signature shared one counter grid.
+// recorded before the sketch and the signature shared one counter grid;
+// the skimmed ones again when a batch stopped overtaking the single ops
+// staged before it, which moved where the delete wave meets the
+// heavy-hitter tables.
 var goldenAnswerBits = map[string]uint64{
 	"selfjoin/sketch":      0x40f8d29000000000,
 	"selfjoin/signature":   0x40f62be000000000,
-	"selfjoin/skimmed":     0x40f6f48000000000,
+	"selfjoin/skimmed":     0x40f6f46000000000,
 	"join/sketch/estimate": 0x40f4e2e000000000,
 	"join/sketch/sigma":    0x40c162bf782b9742,
 	"join/sketch/fact11":   0x40f8969800000000,
 	"join/sketch/sjf":      0x40f8d29000000000,
 	"join/sketch/sjg":      0x40f85aa000000000,
-	"join/skim/estimate":   0x40f4f7a400000000,
-	"join/skim/sigma":      0x40c0b2e2317aafea,
-	"join/skim/fact11":     0x40f7a00800000000,
-	"join/skim/sjf":        0x40f6f48000000000,
-	"join/skim/sjg":        0x40f84b9000000000,
+	"join/skim/estimate":   0x40f4f7a000000000,
+	"join/skim/sigma":      0x40c0b2cb8e8781ab,
+	"join/skim/fact11":     0x40f79fe800000000,
+	"join/skim/sjf":        0x40f6f46000000000,
+	"join/skim/sjg":        0x40f84b7000000000,
 	"chain/estimate":       0x410ba71b00000000,
 	"chain/sigma":          0x41096eaff09c2e75,
 	"chain/upper":          0x4120f4754b12c9a4,

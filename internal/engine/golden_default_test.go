@@ -18,24 +18,24 @@ import (
 var goldenDefaultBits = map[string]uint64{
 	"selfjoin/sketch":      0x40f89ba000000000,
 	"selfjoin/signature":   0x40f7f29000000000,
-	"selfjoin/skimmed":     0x40f8617000000000,
+	"selfjoin/skimmed":     0x40f861b000000000,
 	"join/sketch/estimate": 0x40f6573c00000000,
 	"join/sketch/sigma":    0x40b1114dcd5af686,
 	"join/sketch/fact11":   0x40f8244800000000,
 	"join/sketch/sjf":      0x40f89ba000000000,
 	"join/sketch/sjg":      0x40f7acf000000000,
 	"join/skim/estimate":   0x40f6bdea00000000,
-	"join/skim/sigma":      0x40b123859cf74a9a,
-	"join/skim/fact11":     0x40f83d0000000000,
-	"join/skim/sjf":        0x40f8617000000000,
+	"join/skim/sigma":      0x40b1239c1b9c4851,
+	"join/skim/fact11":     0x40f83d2000000000,
+	"join/skim/sjf":        0x40f861b000000000,
 	"join/skim/sjg":        0x40f8189000000000,
 }
 
 var goldenDefaultBundles = map[string]string{
 	"f":  "a96e23139d86d8e262d5581ac9f809d330e20d3c0e826a710b8e526b0db0fa6e",
 	"g":  "282bfdd68e9714fb3a1b106430ab362cd26178b470e3bbcf3e8860031577dfb4",
-	"fs": "7b866988462d55f45b86605e888c228f521b9666dd021c1c1f8a11707eb57639",
-	"gs": "c7b84bec6f2b72ec9b3933989a16990570046ee18e360eefbf32dc0379b20b73",
+	"fs": "5fef4602523eb61abf3d500973025e2bdc6257f266d945deb13930bfcba4f482",
+	"gs": "882ea16659bf1e500c5301a45c12586e66518079a0332084e3c715e1252b2f48",
 }
 
 func TestDefaultShapeGoldenBits(t *testing.T) {

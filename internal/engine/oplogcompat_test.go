@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"amstrack/internal/oplog"
-	"amstrack/internal/stream"
 	"amstrack/internal/xrand"
 )
 
@@ -22,6 +21,44 @@ func writeV1Record(buf *bytes.Buffer, kind byte, v uint64) {
 	binary.LittleEndian.PutUint64(rec[1:], v)
 	binary.LittleEndian.PutUint32(rec[9:], crc32.ChecksumIEEE(rec[:9]))
 	buf.Write(rec[:])
+}
+
+// writeOpRecord appends one single-op record as logs written before batch
+// records held them: version 1 for one attribute, version 2 (kind 3
+// insert, 4 delete | arity u8 | values u64 LE | CRC32 of those bytes)
+// for a tuple. Hand-encoded too: the writer writes only version 3.
+func writeOpRecord(buf *bytes.Buffer, del bool, row ...uint64) {
+	if len(row) == 1 {
+		kind := byte(0)
+		if del {
+			kind = 1
+		}
+		writeV1Record(buf, kind, row[0])
+		return
+	}
+	rec := []byte{3, byte(len(row))}
+	if del {
+		rec[0] = 4
+	}
+	for _, v := range row {
+		rec = binary.LittleEndian.AppendUint64(rec, v)
+	}
+	buf.Write(binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec)))
+}
+
+// appendLog appends data to a relation's log segment file.
+func appendLog(t *testing.T, path string, data []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestOplogV1CompatReplay guards the record-version bump: a log written
@@ -139,56 +176,49 @@ func TestReplayArityRule(t *testing.T) {
 
 	// The log tail: 2-attribute records mixed with 1- and 3-attribute
 	// ones, inserts and deletes of each width.
-	var ops []stream.Op
+	type op struct {
+		del bool
+		row []uint64
+	}
+	var ops []op
 	for i := 0; i < 600; i++ {
 		v := uint64(i*i%53 + 1)
-		op := stream.Op{Kind: stream.Insert, Value: v}
+		row := []uint64{v}
 		switch i % 3 {
 		case 0:
-			op.Rest = []uint64{v*7%19 + 1}
+			row = append(row, v*7%19+1)
 		case 2:
-			op.Rest = []uint64{v % 5, v % 7}
+			row = append(row, v%5, v%7)
 		}
-		ops = append(ops, op)
+		ops = append(ops, op{row: row})
 	}
-	for _, op := range ops[:90] {
-		op.Kind = stream.Delete
-		ops = append(ops, op)
+	for _, o := range ops[:90] {
+		ops = append(ops, op{del: true, row: o.row})
 	}
-	f, err := os.OpenFile(filepath.Join(dopts.Dir, segFileName("g", epoch, 0)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	var log bytes.Buffer
+	for _, o := range ops {
+		writeOpRecord(&log, o.del, o.row...)
 	}
-	w := oplog.NewWriter(f)
-	if err := w.AppendAll(ops); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendLog(t, filepath.Join(dopts.Dir, segFileName("g", epoch, 0)), log.Bytes())
 
 	// Expected: every record's primary value in a single-attribute model
 	// relation, and only the 2-attribute records in a chain one.
 	m := newModel(t, opts)
 	all := modelDefine(t, m, "all", Schema{})
 	chain := modelDefine(t, m, "chain", schema)
-	for _, op := range ops {
-		del := op.Kind == stream.Delete
-		if del {
-			_ = all.Delete(op.Value)
+	for _, o := range ops {
+		if o.del {
+			_ = all.Delete(o.row[0])
 		} else {
-			all.Insert(op.Value)
+			all.Insert(o.row[0])
 		}
-		if len(op.Rest) != 1 {
+		if len(o.row) != 2 {
 			continue
 		}
-		if del {
-			_ = chain.DeleteTuple(op.Value, op.Rest[0])
+		if o.del {
+			_ = chain.DeleteTuple(o.row...)
 		} else {
-			chain.InsertTuple(op.Value, op.Rest[0])
+			chain.InsertTuple(o.row...)
 		}
 	}
 
@@ -271,11 +301,8 @@ func TestMixedVersionSegmentReplay(t *testing.T) {
 	// Runs of random widths and lengths, every third one deleted again;
 	// odd runs go to the log as one op record per row (versions 1 and 2),
 	// even ones as batch records.
-	f, err := os.OpenFile(filepath.Join(dopts.Dir, segFileName("g", epoch, 0)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := oplog.NewWriter(f)
+	var log bytes.Buffer
+	w := oplog.NewWriter(&log)
 	r := xrand.New(5)
 	var runs []oplog.Run
 	for i := 0; i < 30; i++ {
@@ -295,24 +322,16 @@ func TestMixedVersionSegmentReplay(t *testing.T) {
 			if err := w.AppendRun(rn); err != nil {
 				t.Fatal(err)
 			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			continue
 		}
 		for j := 0; j < len(rn.Vals); j += rn.Arity {
-			op := stream.Op{Kind: stream.Insert, Value: rn.Vals[j], Rest: rn.Vals[j+1 : j+rn.Arity]}
-			if rn.Del {
-				op.Kind = stream.Delete
-			}
-			if err := w.Append(op); err != nil {
-				t.Fatal(err)
-			}
+			writeOpRecord(&log, rn.Del, rn.Vals[j:j+rn.Arity]...)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendLog(t, filepath.Join(dopts.Dir, segFileName("g", epoch, 0)), log.Bytes())
 
 	check := func(e *Engine) {
 		t.Helper()

@@ -407,6 +407,59 @@ func TestRouterReconcileDeficitQuarantine(t *testing.T) {
 	}
 }
 
+// TestRouterReconcileSurplusQuarantine pins reconcile's last case: the
+// node's Seq is the acked ledger plus 3 rows, while the one pending
+// sub-batch holds 96. A node logs each sub-batch as one record, so it
+// never keeps part of one; 3 rows are outside input, sent out of band,
+// and no whole-batch prefix of the pending stream explains them. The
+// node must be quarantined, the sticky error must name the surplus, and
+// nothing may be promoted to acked.
+func TestRouterReconcileSurplusQuarantine(t *testing.T) {
+	nodes := startFleet(t, 1, true) // the stat is trusted only after a passing probe
+	rt := testRouter(t, nodes, nil)
+	if err := rt.Define(coord.Schema{Relation: "f"}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := rt.Relation("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := nodes[0].eng.Get("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.InsertBatch(make([]uint64, 96))                     // the acked ledger
+	rel.InsertBatch([]uint64{1, 2, 3})                      // out of band
+	pending := &subBatch{rel: rs, vals: make([]uint64, 96)} // never applied
+	base := nodes[0].base
+	rt.mu.Lock()
+	rs.accts[base].acked = 96
+	rs.inflight = 1
+	n := rt.nodes[base]
+	rt.mu.Unlock()
+
+	rt.reconcile(n, []*subBatch{pending}, errors.New("conn reset"))
+
+	rt.mu.Lock()
+	state := n.state
+	reasons := append([]string(nil), n.reasons...)
+	sticky := rs.sticky
+	acked := rs.accts[base].acked
+	rt.mu.Unlock()
+	if state != StateQuarantined {
+		t.Fatalf("node state = %v, want quarantined", state)
+	}
+	if len(reasons) == 0 || !strings.Contains(reasons[0], "not a whole-batch prefix") {
+		t.Fatalf("quarantine reason = %q, want a Seq that is no whole-batch prefix", reasons)
+	}
+	if sticky == nil || !strings.Contains(sticky.Error(), "surplus 3") {
+		t.Fatalf("sticky error = %v, want the surplus of 3 named upstream", sticky)
+	}
+	if acked != 96 {
+		t.Fatalf("acked ledger = %d after reconcile, want 96: nothing promoted", acked)
+	}
+}
+
 // TestRouterReconcileProbesAfterStat pins the order of reconcile's
 // reads. A node's un-acked rows can sit in its log writer's buffer until
 // a barrier pushes them to the OS, and the stat reconcile reads is such

@@ -184,7 +184,7 @@ func (r *Router) reconcile(n *node, pending []*subBatch, cause error) {
 			// The node answered with FEWER ops than the acked ledger:
 			// acked data did not survive. This batch was certainly not
 			// applied, but the durability promise already broke — report
-			// the loss as what it is, never as a partial batch.
+			// the loss as what it is, never as a surplus.
 			r.mu.Lock()
 			r.quarantineLocked(n, fmt.Sprintf(
 				"relation %q: node recovered %d fewer ops than the acked ledger; acked data was lost",
@@ -194,15 +194,19 @@ func (r *Router) reconcile(n *node, pending []*subBatch, cause error) {
 			rec.surplus = 0
 			r.mu.Unlock()
 		default:
-			// 0 < surplus < rows: the node died mid-batch. Neither
-			// resending (prefix would double) nor dropping (suffix
+			// 0 < surplus < rows: the node's Seq is not the acked ledger
+			// plus a whole-batch prefix of the pending stream. A node
+			// logs each sub-batch as one record, so its own crash keeps
+			// all of a batch or none; such a surplus comes from outside
+			// input, rows another writer sent the node. Neither
+			// resending (the prefix would double) nor dropping (the rest
 			// would be lost) is exact — refuse to guess: quarantine the
 			// node and surface a sticky error upstream.
 			r.mu.Lock()
 			r.quarantineLocked(n, fmt.Sprintf(
-				"relation %q: node absorbed %d of a %d-row batch before failing; partial batches cannot be reconciled",
+				"relation %q: node Seq is %d past the acked ledger, not a whole-batch prefix of the pending stream (next batch %d rows)",
 				sb.rel.name, rec.surplus, rows))
-			r.failLocked(sb, fmt.Errorf("node %s absorbed a partial batch (%d of %d rows): %w",
+			r.failLocked(sb, fmt.Errorf("node %s Seq is not the acked ledger plus a whole-batch prefix of the pending stream (surplus %d, next batch %d rows): %w",
 				n.base, rec.surplus, rows, cause))
 			rec.surplus = 0
 			r.mu.Unlock()

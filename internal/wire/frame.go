@@ -30,15 +30,16 @@
 // A BATCH frame has the shape of a version-3 oplog record: a delete
 // flag, an arity (1..255) and row-major values, each row
 // primary-attribute-first in schema order. A node logs every BATCH, at
-// any arity, as version-3 batch records: one, or more past 4,096 rows or
-// across a segment roll. An ACK is cumulative and means more than
-// "received": the server drains the touched relations through the
-// absorber before acking, so every acked batch is applied to the
-// synopses and its oplog records are OS-owned — a kill -9 after an ACK
-// cannot lose the batch (the same guarantee an HTTP ingest response
-// gives per request, amortized here over a pipeline window). DESIGN.md
-// §10 documents the layout, the ack/window semantics, and operator
-// tuning.
+// any arity, as exactly one version-3 record in one segment: MaxBatchVals
+// is within oplog.MaxRecordVals, and a segment rolls only between
+// records, so a torn write keeps all of a batch or none of it. An ACK is
+// cumulative and means more than "received": the server drains the
+// touched relations through the absorber before acking, so every acked
+// batch is applied to the synopses and its oplog records are OS-owned —
+// a kill -9 after an ACK cannot lose the batch (the same guarantee an
+// HTTP ingest response gives per request, amortized here over a pipeline
+// window). DESIGN.md §10 documents the layout, the ack/window semantics,
+// and operator tuning.
 //
 // The client side is one type, Stream: it dials and handshakes within
 // DialTimeout, numbers each BATCH and holds it as pending until a

@@ -3,7 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -228,6 +232,91 @@ func TestClientSplitsAtFrameBound(t *testing.T) {
 	if n := r.Len(); n != int64(len(vals)) {
 		t.Fatalf("relation holds %d rows, want %d", n, len(vals))
 	}
+}
+
+// TestMaxBatchIsOneRecord: a BATCH frame always fits one log record. A
+// maximal frame — MaxBatchVals values in whole rows — at arity 1 and at
+// arity 3 goes through a client into a durable engine behind EngineSink,
+// and the relation's log segment reads back with NextRun as exactly one
+// record holding every value.
+func TestMaxBatchIsOneRecord(t *testing.T) {
+	if MaxBatchVals > oplog.MaxRecordVals {
+		t.Fatalf("MaxBatchVals = %d exceeds oplog.MaxRecordVals = %d", MaxBatchVals, oplog.MaxRecordVals)
+	}
+	for _, schema := range []engine.Schema{{}, {Attrs: []string{"a", "b", "c"}}} {
+		arity := max(len(schema.Attrs), 1)
+		opts := memOpts()
+		opts.Dir = t.TempDir()
+		eng, err := engine.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = eng.Close() })
+		if _, err := eng.DefineSchema("f", schema); err != nil {
+			t.Fatal(err)
+		}
+		srv, addr := startServer(t, eng)
+		cl, err := Dial(addr, Options{Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]uint64, MaxBatchVals-MaxBatchVals%arity)
+		for i := range vals {
+			vals[i] = uint64(i) * 0x9e3779b97f4a7c15
+		}
+		if arity == 1 {
+			err = cl.InsertBatch("f", vals)
+		} else {
+			rows := make([][]uint64, len(vals)/arity)
+			for i := range rows {
+				rows[i] = vals[i*arity : (i+1)*arity]
+			}
+			err = cl.InsertRows("f", rows)
+		}
+		if err == nil {
+			err = cl.Flush()
+		}
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := srv.Stats(); st.Batches != 1 {
+			t.Fatalf("arity %d: server took %d frames, want 1", arity, st.Batches)
+		}
+		segs, err := filepath.Glob(filepath.Join(opts.Dir, "rel-*.oplog"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("arity %d: log segments %v (%v), want one", arity, segs, err)
+		}
+		data, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr := oplog.NewReader(bytes.NewReader(data))
+		rn, err := lr.NextRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rn.Del || rn.Arity != arity || !slices.Equal(sortedRows(rn.Vals, arity), sortedRows(vals, arity)) {
+			t.Fatalf("arity %d: first record holds %d values at arity %d, want the frame's %d rows", arity, len(rn.Vals), rn.Arity, len(vals))
+		}
+		if _, err := lr.NextRun(); err != io.EOF {
+			t.Fatalf("arity %d: after the first record: %v, want io.EOF", arity, err)
+		}
+	}
+}
+
+// sortedRows returns vals' rows of the given arity, sorted, flattened: the
+// log holds a batch's rows grouped by shard, not in the frame's order.
+func sortedRows(vals []uint64, arity int) []uint64 {
+	if arity == 1 {
+		return slices.Sorted(slices.Values(vals))
+	}
+	rows := make([][]uint64, len(vals)/arity)
+	for i := range rows {
+		rows[i] = vals[i*arity : (i+1)*arity]
+	}
+	slices.SortFunc(rows, slices.Compare)
+	return slices.Concat(rows...)
 }
 
 func TestWireServerErrors(t *testing.T) {
